@@ -89,7 +89,7 @@ var runners = []runner{
 		res, err := experiments.TransferEngine(experiments.TransferEngineConfig{Scale: o.scale, Seed: o.seed})
 		return res.Report, err
 	}},
-	{"4", "client compute fast path: old-vs-new codec and chunking throughput", func(o options) (experiments.Report, error) {
+	{"4", "client compute fast path: codec and chunking throughput", func(o options) (experiments.Report, error) {
 		res, err := experiments.FastPath(experiments.FastPathConfig{Seed: o.seed})
 		return res.Report, err
 	}},

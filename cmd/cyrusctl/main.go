@@ -378,8 +378,8 @@ func cmdTop(ctx context.Context, c *cyrus.Client, args []string) error {
 }
 
 // hedgeFlag renders the engine's per-provider hedge gate for the table:
-// "ok" when a hedge would arm, otherwise the suppression reason ("off",
-// "cold", or "load" — the Ghosh-crossover gate).
+// "ok" when a hedge would arm, otherwise the suppression reason ("cold",
+// or "load" — the Ghosh-crossover gate).
 func hedgeFlag(state string) string {
 	if state == "" {
 		return "ok"

@@ -167,25 +167,13 @@ type Config struct {
 	// take the engine's documented defaults.
 	Transfer transfer.Tunables
 
-	// HedgeLoadThreshold is the Ghosh-crossover utilization bound past
-	// which hedges and redundant race lanes are suppressed (see
-	// transfer.Tunables.HedgeLoadThreshold). 0 keeps the engine default
-	// (0.75); negative disables suppression. Shorthand for setting
-	// Transfer.HedgeLoadThreshold.
-	HedgeLoadThreshold float64
-
-	// RaceReads switches chunk gathers from per-source hedging to
-	// k-out-of-n race reads: every picked source starts at once plus up
-	// to RaceReads redundant fallback lanes (launched only while load
-	// permits), and losers are cancelled the moment the decode quorum of
-	// T shares lands. 0 keeps hedged gathers.
+	// RaceReads changes the launch schedule of a chunk gather's redundant
+	// lanes from one deadline hedge per picked source to k-out-of-n race
+	// reads: up to RaceReads redundant fallback lanes start together with
+	// the sources (only while load permits). Either way losers are
+	// cancelled the moment the decode quorum of T shares lands. 0 keeps
+	// deadline hedges.
 	RaceReads int
-
-	// LoadAwareSelect wraps the configured Selector in
-	// selector.LoadAware: download sources are ranked by predicted
-	// completion time under the live load vector (queue-adjusted), with
-	// the wrapped selector as the zero-load fallback.
-	LoadAwareSelect bool
 
 	// Obs, when set, receives metrics, spans, and per-CSP health from
 	// every operation: op latency histograms, provider request counters,
@@ -266,14 +254,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Selector == nil {
 		c.Selector = selector.Optimized{}
 	}
-	if c.LoadAwareSelect {
-		c.Selector = selector.LoadAware{Fallback: c.Selector}
-	}
 	if c.RaceReads < 0 {
 		return c, fmt.Errorf("cyrus: RaceReads=%d", c.RaceReads)
-	}
-	if c.HedgeLoadThreshold != 0 {
-		c.Transfer.HedgeLoadThreshold = c.HedgeLoadThreshold
 	}
 	if c.Runtime == nil {
 		c.Runtime = vclock.Real()

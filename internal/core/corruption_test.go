@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/chunker"
 	"repro/internal/cloudsim"
 	"repro/internal/csp"
+	"repro/internal/netsim"
 )
 
 // corruptOneShare flips a byte in one stored chunk-share object at the
@@ -65,6 +70,96 @@ func TestDownloadCorrectsCorruptShare(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("corrected download returned wrong bytes")
 	}
+
+	// The widened gather launches its lanes in share-index order, so the
+	// same corrupted read replays to the same share-download sequence in
+	// virtual time (the map-ordered sequential walk it replaced did not).
+	first, again := correctingReplay(t), correctingReplay(t)
+	if len(first) <= 2 {
+		t.Fatalf("corrupted (2,5) read fetched %v: the gather never widened", first)
+	}
+	if !slices.Equal(first, again) {
+		t.Errorf("widened gather replay diverged:\n %v\n %v", first, again)
+	}
+}
+
+// correctingReplay builds a fresh five-provider netsim world with distinct
+// links, stores one (2,5) chunk, corrupts a share the reader is known to
+// fetch, and returns the EvShareGet sequence ("index@csp") of the read that
+// has to widen and correct.
+func correctingReplay(t *testing.T) []string {
+	t.Helper()
+	const MB = 1 << 20
+	net := netsim.New(time.Time{})
+	net.AddNode("client", netsim.NodeConfig{})
+	backends := make(map[string]*cloudsim.Backend)
+	var stores []csp.Store
+	for i, name := range []string{"v", "w", "x", "y", "z"} {
+		net.SetLink("client", name, netsim.LinkConfig{
+			RTT: time.Duration(5+5*i) * time.Millisecond, UpBps: 4 * MB, DownBps: float64(2+3*i) * MB,
+		})
+		backends[name] = cloudsim.NewBackend(name, csp.NameKeyed, 0)
+		stores = append(stores, cloudsim.NewSimStore(backends[name],
+			cloudsim.WithTransport(cloudsim.NodeTransport{Net: net, Node: "client"}),
+			cloudsim.WithClock(net.Now)))
+	}
+	c, err := New(Config{
+		ClientID: "alice", Key: "k", T: 2, N: 5, Runtime: net,
+		Chunking: chunker.Config{AverageSize: 256 << 10, MinSize: 64 << 10, MaxSize: 512 << 10},
+	}, stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var gets []Event
+	c.Subscribe(func(ev Event) {
+		if ev.Type == EvShareGet {
+			mu.Lock()
+			gets = append(gets, ev)
+			mu.Unlock()
+		}
+	})
+	data := randData(73, 64<<10) // below MinSize: one chunk
+	net.Run(func() {
+		for _, s := range stores {
+			if err := s.Authenticate(bg, csp.Credentials{Token: "t"}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := c.Put(bg, "doc", data); err != nil {
+			t.Error(err)
+			return
+		}
+		// Learn a share this reader fetches, corrupt it, read again.
+		if _, _, err := c.Get(bg, "doc"); err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Lock()
+		target := gets[0]
+		gets = nil
+		mu.Unlock()
+		obj := c.ShareObjectName(target.ChunkID, target.Index, 2)
+		if !backends[target.CSP].MutateObject(obj, func(d []byte) []byte {
+			d[len(d)-1] ^= 0x5A
+			return d
+		}) {
+			t.Errorf("share object %s not found on %s", obj, target.CSP)
+			return
+		}
+		got, _, err := c.Get(bg, "doc")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("corrected read: %v", err)
+		}
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	var seq []string
+	for _, ev := range gets {
+		seq = append(seq, fmt.Sprintf("%d@%s", ev.Index, ev.CSP))
+	}
+	return seq
 }
 
 func TestDownloadSelfHealsCorruptShare(t *testing.T) {

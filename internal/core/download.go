@@ -3,8 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -79,13 +79,12 @@ func (c *Client) fetchVersion(ctx context.Context, m *metadata.FileMeta) ([]byte
 
 // gatherChunk downloads t shares of one chunk (preferring the optimizer's
 // pick, falling back to any other stored location on error), decodes, and
-// verifies content. Algorithm 3's Gather. Each picked source runs as a
-// hedged download: when a source exceeds its load-predicted latency, the
-// engine launches one backup read from the fallback pool and the first
-// success wins. With Config.RaceReads > 0 the per-source hedges are
-// replaced by one k-out-of-n race: every source plus up to RaceReads
-// redundant fallback lanes start together and losers are cancelled the
-// moment ref.T shares land.
+// verifies content. Algorithm 3's Gather, as one transfer.Gather: every
+// picked source gets a lane, and redundant lanes fed from the fallback pool
+// follow the configured schedule — by default one hedge per source, fired
+// when the source exceeds its load-predicted latency; with Config.RaceReads
+// up to that many lanes at t=0 instead. Losers are cancelled the moment
+// ref.T shares land.
 func (c *Client) gatherChunk(op *transfer.Op, file string, ref metadata.ChunkRef, locations map[int]string, sources []string) (_ []byte, err error) {
 	chunkStart := c.rt.Now()
 	ctx, chunkSpan := c.obs.Trace(op.Context(), "chunk.gather")
@@ -97,37 +96,30 @@ func (c *Client) gatherChunk(op *transfer.Op, file string, ref metadata.ChunkRef
 	if err != nil {
 		return nil, err
 	}
-	shareObj := func(idx int) string {
-		name, _ := c.shareNameFor(ref, idx)
-		return name
-	}
 	// Index each CSP's share index.
 	idxOf := make(map[string]int, len(locations))
 	for idx, cspName := range locations {
 		idxOf[cspName] = idx
 	}
 	// Fallback pool: stored locations not in the primary pick.
-	primary := append([]string(nil), sources...)
-	inPrimary := make(map[string]bool, len(primary))
-	for _, s := range primary {
-		inPrimary[s] = true
-	}
 	var fallback []string
 	for cspName := range idxOf {
-		if !inPrimary[cspName] && c.readable(cspName) {
+		if !slices.Contains(sources, cspName) && c.readable(cspName) {
 			fallback = append(fallback, cspName)
 		}
 	}
 	sort.Strings(fallback)
 
-	shareBytes := erasure.ShareSize(ref.Size, ref.T)
-
-	// got is written by attempt Run closures, which a hedge loser may
+	// got is written by attempt Run closures, which a gather loser may
 	// still execute after this function returned — every access stays
-	// under mu and the decode below works on a snapshot.
+	// under mu and the decodes below work on snapshots.
 	var mu sync.Mutex
 	var got []erasure.Share
-	var firstErr error
+	snapshot := func() []erasure.Share {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]erasure.Share(nil), got...)
+	}
 
 	attemptFor := func(cspName string) transfer.Attempt {
 		idx := idxOf[cspName]
@@ -139,7 +131,8 @@ func (c *Client) gatherChunk(op *transfer.Op, file string, ref metadata.ChunkRef
 				if !ok {
 					return 0, errProviderVanished(cspName)
 				}
-				data, err := store.Download(actx, shareObj(idx))
+				name, _ := c.shareNameFor(ref, idx)
+				data, err := store.Download(actx, name)
 				if err == nil {
 					mu.Lock()
 					got = append(got, erasure.Share{Index: idx, Data: data})
@@ -153,74 +146,40 @@ func (c *Client) gatherChunk(op *transfer.Op, file string, ref metadata.ChunkRef
 		}
 	}
 
-	// pullFallback feeds both the per-source failover walk and the hedge
-	// lane; the shared cursor means no fallback location is fetched twice.
-	pullFallback := func() (transfer.Attempt, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		for len(fallback) > 0 {
-			cand := fallback[0]
-			fallback = fallback[1:]
-			if op.Failed(cand) || !c.readable(cand) {
-				continue
-			}
-			return attemptFor(cand), true
-		}
-		return transfer.Attempt{}, false
-	}
-
-	if r := c.cfg.RaceReads; r > 0 {
-		// Race mode (k-out-of-n reads): all picked sources start at once
-		// plus up to r redundant lanes from the fallback pool, load
-		// permitting. The race resolves when the decode quorum (ref.T
-		// distinct shares) lands and losers are cancelled; a loser's Run
-		// may still append to got afterwards, which is harmless — the
-		// decode below works on a snapshot and tolerates surplus shares.
-		atts := make([]transfer.Attempt, 0, len(primary))
-		for _, src := range primary {
-			att := attemptFor(src)
-			if op.Failed(src) {
-				var ok bool
-				if att, ok = pullFallback(); !ok {
+	// The launch schedule is the only thing RaceReads changes. A source
+	// already in the operation's failed set costs nothing: its lane is
+	// skipped straight to the fallback pool.
+	g := transfer.Gather{
+		Need: ref.T,
+		Race: c.cfg.RaceReads,
+		// The fallback cursor is shared by every lane, so no location is
+		// fetched twice.
+		Next: func() (transfer.Attempt, bool) {
+			for len(fallback) > 0 {
+				cand := fallback[0]
+				fallback = fallback[1:]
+				if op.Failed(cand) || !c.readable(cand) {
 					continue
 				}
+				return attemptFor(cand), true
 			}
-			atts = append(atts, att)
-		}
-		if err := op.Race(ctx, atts, ref.T, r, pullFallback); err != nil {
-			mu.Lock()
-			if firstErr == nil && !errors.Is(err, transfer.ErrSkipped) {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
-	} else {
-		op.Each(len(primary), func(k int) {
-			src := primary[k]
-			att := attemptFor(src)
-			if op.Failed(src) {
-				var ok bool
-				if att, ok = pullFallback(); !ok {
-					return
-				}
-			}
-			if err := op.Hedged(ctx, att, c.hedgeAfter(ctx, src, shareBytes), pullFallback); err != nil {
-				mu.Lock()
-				if firstErr == nil && !errors.Is(err, transfer.ErrSkipped) {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		})
+			return transfer.Attempt{}, false
+		},
 	}
+	for _, src := range sources {
+		g.Primary = append(g.Primary, attemptFor(src))
+		if g.Race == 0 {
+			g.HedgeAfter = append(g.HedgeAfter, c.hedgeAfter(ctx, src, erasure.ShareSize(ref.Size, ref.T)))
+		}
+	}
+	gerr := op.Gather(ctx, g)
 
-	mu.Lock()
-	shares := append([]erasure.Share(nil), got...)
-	lastErr := firstErr
-	mu.Unlock()
+	// A loser's share may still land later, which is harmless: the decode
+	// works on this snapshot and tolerates surplus shares.
+	shares := snapshot()
 	if len(shares) < ref.T {
 		return nil, fmt.Errorf("%w: chunk %s: %d of %d shares (last error: %v)",
-			ErrDamaged, ref.ID[:8], len(shares), ref.T, lastErr)
+			ErrDamaged, ref.ID[:8], len(shares), ref.T, gerr)
 	}
 	// Decode and verify on the codec pool: bounded CPU slots, overlapping
 	// the share downloads of sibling chunks still in flight.
@@ -235,10 +194,26 @@ func (c *Client) gatherChunk(op *transfer.Op, file string, ref metadata.ChunkRef
 	})
 	if err != nil {
 		// A fetched share may be corrupt (bit rot, a tampering provider).
-		// Fetch every remaining reachable share and run the correcting
-		// decoder (paper §7.1: the R-S code recovers through errored
-		// shares given surplus).
-		data, err = c.gatherCorrecting(op, ctx, file, ref, locations, shares)
+		// Widen: run the same gather again over every remaining readable
+		// location, in share-index order so replays launch identically, and
+		// hand everything to the correcting decoder (paper §7.1: the R-S
+		// code recovers through errored shares given surplus). Locations
+		// that fail just leave it less surplus, and a share a draining
+		// loser lands twice is deduplicated by the decoder.
+		var rest []int
+		for idx, cspName := range locations {
+			fetched := slices.ContainsFunc(shares, func(s erasure.Share) bool { return s.Index == idx })
+			if !fetched && c.readable(cspName) {
+				rest = append(rest, idx)
+			}
+		}
+		sort.Ints(rest)
+		wide := transfer.Gather{Need: len(rest)}
+		for _, idx := range rest {
+			wide.Primary = append(wide.Primary, attemptFor(locations[idx]))
+		}
+		_ = op.Gather(ctx, wide)
+		data, err = c.correctChunk(ctx, op, ref, coder, locations, snapshot())
 		if err != nil {
 			return nil, err
 		}
@@ -247,53 +222,11 @@ func (c *Client) gatherChunk(op *transfer.Op, file string, ref metadata.ChunkRef
 	return data, nil
 }
 
-// gatherCorrecting fetches all remaining reachable shares of a chunk and
-// attempts an error-correcting decode, verifying against the chunk's
-// content hash. Identified-corrupt shares are re-written with correct
-// bytes (self-healing) on a best-effort basis.
-func (c *Client) gatherCorrecting(op *transfer.Op, ctx context.Context, file string, ref metadata.ChunkRef, locations map[int]string, have []erasure.Share) ([]byte, error) {
-	coder, err := c.coderFor(ref)
-	if err != nil {
-		return nil, err
-	}
-	shareObj := func(idx int) string {
-		name, _ := c.shareNameFor(ref, idx)
-		return name
-	}
-	seen := make(map[int]bool, len(have))
-	for _, s := range have {
-		seen[s.Index] = true
-	}
-	all := append([]erasure.Share(nil), have...)
-	for idx, cspName := range locations {
-		if seen[idx] || !c.readable(cspName) {
-			continue
-		}
-		idx, cspName := idx, cspName
-		var data []byte
-		err := op.Do(ctx, transfer.Attempt{
-			CSP:  cspName,
-			Kind: opDownload,
-			Run: func(actx context.Context) (int64, error) {
-				store, ok := c.store(cspName)
-				if !ok {
-					return 0, errProviderVanished(cspName)
-				}
-				d, err := store.Download(actx, shareObj(idx))
-				if err == nil {
-					data = d
-				}
-				return int64(len(d)), err
-			},
-			Done: func(aerr error, bytes int64, elapsed time.Duration) {
-				c.events.emit(Event{Type: EvShareGet, File: file, ChunkID: ref.ID, Index: idx, CSP: cspName, Bytes: bytes, Duration: elapsed, Err: aerr})
-			},
-		})
-		if err != nil {
-			continue
-		}
-		all = append(all, erasure.Share{Index: idx, Data: data})
-	}
+// correctChunk runs the error-correcting decode over every share a widened
+// gather collected, verifying against the chunk's content hash.
+// Identified-corrupt shares are re-written with correct bytes
+// (self-healing) on a best-effort basis.
+func (c *Client) correctChunk(ctx context.Context, op *transfer.Op, ref metadata.ChunkRef, coder *erasure.Coder, locations map[int]string, all []erasure.Share) ([]byte, error) {
 	data, corrupt, err := coder.DecodeCorrecting(all, erasure.MaxN)
 	if err != nil {
 		return nil, fmt.Errorf("%w: chunk %s uncorrectable: %v", ErrDamaged, ref.ID[:8], err)
@@ -315,7 +248,6 @@ func (c *Client) gatherCorrecting(op *transfer.Op, ctx context.Context, file str
 				if !ok {
 					continue
 				}
-				idx, cspName := idx, cspName
 				_ = op.Do(ctx, transfer.Attempt{
 					CSP:  cspName,
 					Kind: opUpload,
@@ -324,7 +256,8 @@ func (c *Client) gatherCorrecting(op *transfer.Op, ctx context.Context, file str
 						if !ok {
 							return 0, errProviderVanished(cspName)
 						}
-						return good[idx].Size(), store.Upload(actx, shareObj(idx), good[idx].Data)
+						name, _ := c.shareNameFor(ref, idx)
+						return good[idx].Size(), store.Upload(actx, name, good[idx].Data)
 					},
 				})
 			}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -10,14 +9,13 @@ import (
 
 	"repro/internal/chunker"
 	"repro/internal/erasure"
-	"repro/internal/gf256"
 	"repro/internal/netsim"
 	"repro/internal/workload"
 )
 
 // FastPathConfig parameterizes the client-compute benchmark (BENCH id "4"):
-// old-vs-new codec throughput, Rabin-vs-FastCDC chunking throughput, and an
-// end-to-end Put/Get sanity pass on the simulated testbed.
+// codec throughput, Rabin-vs-FastCDC chunking throughput, and an end-to-end
+// Put/Get sanity pass on the simulated testbed.
 type FastPathConfig struct {
 	// ChunkBytes is the payload size per codec measurement. Default 4 MB
 	// (the paper's average chunk size).
@@ -38,10 +36,8 @@ func (c *FastPathConfig) defaults() {
 
 // FastPathPoint is one (t, n) row of the codec comparison, single-core MB/s.
 type FastPathPoint struct {
-	T, N                   int
-	OldEncode, NewEncode   float64
-	OldDecode, NewDecode   float64
-	EncSpeedup, DecSpeedup float64
+	T, N           int
+	Encode, Decode float64
 }
 
 // FastPathResult carries the headline numbers tracked across PRs
@@ -49,21 +45,18 @@ type FastPathPoint struct {
 type FastPathResult struct {
 	Report Report
 
-	Codec        []FastPathPoint
-	RabinMBps    float64
-	FastCDCMBps  float64
-	ChunkSpeedup float64
-	PutSeconds   float64 // e2e cold upload, virtual time
-	GetSeconds   float64 // e2e warm gather, virtual time
+	Codec       []FastPathPoint
+	RabinMBps   float64
+	FastCDCMBps float64
+	PutSeconds  float64 // e2e cold upload, virtual time
+	GetSeconds  float64 // e2e warm gather, virtual time
 }
 
-// FastPath measures the client-side compute fast path against a faithful
-// replica of the pre-fast-path implementation, compiled from the same tree:
+// FastPath measures the client-side compute fast path. Its trajectory
+// across commits is tracked by the wall-clock benchmark (bench/,
+// erasure.{encode,decode}_mbps), not by an in-tree replica of older code:
 //
-//   - Codec: encode/decode one chunk at (2,4), (3,6), (4,8). The old path
-//     re-derives the dispersal matrix per call, copies stripes, allocates
-//     every share buffer fresh, and runs the byte-at-a-time generic kernels —
-//     exactly the shape of the code before this change. The new path is
+//   - Codec: encode/decode one chunk at (2,4), (3,6), (4,8) through
 //     Coder.EncodeTo/DecodeInto: cached matrices, pooled buffers, fused
 //     word-wide kernels.
 //   - Chunking: Rabin vs FastCDC over the same input and size targets.
@@ -108,19 +101,8 @@ func FastPath(cfg FastPathConfig) (FastPathResult, error) {
 		pt := FastPathPoint{T: t, N: n}
 		var err error
 
-		pt.OldEncode, err = bestOf(reps*len(data), func() error {
-			for r := 0; r < reps; r++ {
-				if _, err := oldEncode(coder, data, t, n); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return res, fmt.Errorf("old encode (t=%d,n=%d): %w", t, n, err)
-		}
 		dst := make([]erasure.Share, 0, n)
-		pt.NewEncode, err = bestOf(reps*len(data), func() error {
+		pt.Encode, err = bestOf(reps*len(data), func() error {
 			for r := 0; r < reps; r++ {
 				var err error
 				if dst, err = coder.EncodeTo(dst[:0], data, t, n); err != nil {
@@ -131,7 +113,7 @@ func FastPath(cfg FastPathConfig) (FastPathResult, error) {
 			return nil
 		})
 		if err != nil {
-			return res, fmt.Errorf("new encode (t=%d,n=%d): %w", t, n, err)
+			return res, fmt.Errorf("encode (t=%d,n=%d): %w", t, n, err)
 		}
 
 		// Decode inputs: exactly t shares, as the common gather path fetches.
@@ -145,23 +127,8 @@ func FastPath(cfg FastPathConfig) (FastPathResult, error) {
 		}
 		erasure.ReleaseShares(shares)
 
-		pt.OldDecode, err = bestOf(reps*len(data), func() error {
-			for r := 0; r < reps; r++ {
-				out, err := oldDecode(coder, in, n)
-				if err != nil {
-					return err
-				}
-				if !bytes.Equal(out, data) {
-					return fmt.Errorf("old decode mismatch")
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return res, fmt.Errorf("old decode (t=%d,n=%d): %w", t, n, err)
-		}
 		out := make([]byte, 0, len(data))
-		pt.NewDecode, err = bestOf(reps*len(data), func() error {
+		pt.Decode, err = bestOf(reps*len(data), func() error {
 			for r := 0; r < reps; r++ {
 				var err error
 				if out, err = coder.DecodeInto(out[:0], in, n); err != nil {
@@ -171,14 +138,12 @@ func FastPath(cfg FastPathConfig) (FastPathResult, error) {
 			return nil
 		})
 		if err != nil {
-			return res, fmt.Errorf("new decode (t=%d,n=%d): %w", t, n, err)
+			return res, fmt.Errorf("decode (t=%d,n=%d): %w", t, n, err)
 		}
 		if !bytes.Equal(out, data) {
-			return res, fmt.Errorf("new decode mismatch (t=%d,n=%d)", t, n)
+			return res, fmt.Errorf("decode mismatch (t=%d,n=%d)", t, n)
 		}
 
-		pt.EncSpeedup = pt.NewEncode / pt.OldEncode
-		pt.DecSpeedup = pt.NewDecode / pt.OldDecode
 		res.Codec = append(res.Codec, pt)
 	}
 
@@ -205,7 +170,6 @@ func FastPath(cfg FastPathConfig) (FastPathResult, error) {
 			res.FastCDCMBps = mbs
 		}
 	}
-	res.ChunkSpeedup = res.FastCDCMBps / res.RabinMBps
 
 	// End to end: the full client on the simulated testbed, FastCDC
 	// chunking, codec pool engaged. Virtual-time Put/Get of the dataset.
@@ -265,129 +229,29 @@ func FastPath(cfg FastPathConfig) (FastPathResult, error) {
 	}
 	e2eMB := float64(e2eBytes) / MB
 
+	mbps := func(v float64) string { return fmt.Sprintf("%.0f", v) }
 	rows := [][]string{}
 	for _, pt := range res.Codec {
 		rows = append(rows,
-			[]string{fmt.Sprintf("encode (t=%d,n=%d)", pt.T, pt.N),
-				fmt.Sprintf("%.0f", pt.OldEncode), fmt.Sprintf("%.0f", pt.NewEncode), fmt.Sprintf("%.2fx", pt.EncSpeedup)},
-			[]string{fmt.Sprintf("decode (t=%d,n=%d)", pt.T, pt.N),
-				fmt.Sprintf("%.0f", pt.OldDecode), fmt.Sprintf("%.0f", pt.NewDecode), fmt.Sprintf("%.2fx", pt.DecSpeedup)},
+			[]string{fmt.Sprintf("encode (t=%d,n=%d)", pt.T, pt.N), mbps(pt.Encode)},
+			[]string{fmt.Sprintf("decode (t=%d,n=%d)", pt.T, pt.N), mbps(pt.Decode)},
 		)
 	}
 	rows = append(rows,
-		[]string{"chunking (rabin → fastcdc)",
-			fmt.Sprintf("%.0f", res.RabinMBps), fmt.Sprintf("%.0f", res.FastCDCMBps), fmt.Sprintf("%.2fx", res.ChunkSpeedup)},
-		[]string{"e2e put (virtual, t=2 n=3)", "-", fmt.Sprintf("%.2f", e2eMB/res.PutSeconds), "-"},
-		[]string{"e2e get (virtual, t=2 n=3)", "-", fmt.Sprintf("%.2f", e2eMB/res.GetSeconds), "-"},
+		[]string{"chunking (rabin)", mbps(res.RabinMBps)},
+		[]string{"chunking (fastcdc)", mbps(res.FastCDCMBps)},
+		[]string{"e2e put (virtual, t=2 n=3)", fmt.Sprintf("%.2f", e2eMB/res.PutSeconds)},
+		[]string{"e2e get (virtual, t=2 n=3)", fmt.Sprintf("%.2f", e2eMB/res.GetSeconds)},
 	)
 	res.Report = Report{
 		ID:      "4",
-		Title:   "client compute fast path: codec and chunking throughput, old vs new",
-		Columns: []string{"operation", "old MB/s", "new MB/s", "speedup"},
+		Title:   "client compute fast path: codec and chunking throughput",
+		Columns: []string{"operation", "MB/s"},
 		Rows:    rows,
 		Notes: []string{
-			fmt.Sprintf("codec payload %d MB, single core, best of 3; old = pre-fast-path replica (fresh allocations, per-call matrices, byte-wise generic kernels)", cfg.ChunkBytes/MB),
+			fmt.Sprintf("codec payload %d MB, single core, best of 3", cfg.ChunkBytes/MB),
 			fmt.Sprintf("chunking over 32 MB random input, average/min/max = 1/0.25/4 MB; e2e dataset %.1f MB (scale %.2g, seed %d) on the 4-fast/3-slow testbed", e2eMB, cfg.Scale, cfg.Seed),
 		},
 	}
 	return res, nil
-}
-
-// oldEncode replicates the pre-fast-path encoder: dispersal matrix derived
-// per call, stripes copied out of the input, one fresh buffer per share, and
-// the byte-at-a-time generic kernel per (row, stripe) pair.
-func oldEncode(c *erasure.Coder, data []byte, t, n int) ([]erasure.Share, error) {
-	disp, err := c.Dispersal(t, n)
-	if err != nil {
-		return nil, err
-	}
-	words := (len(data) + t - 1) / t
-	stripes := make([][]byte, t)
-	for i := 0; i < t; i++ {
-		lo, hi := i*words, i*words+words
-		if lo > len(data) {
-			lo = len(data)
-		}
-		if hi > len(data) {
-			hi = len(data)
-		}
-		s := make([]byte, words)
-		copy(s, data[lo:hi])
-		stripes[i] = s
-	}
-	shares := make([]erasure.Share, n)
-	for r := 0; r < n; r++ {
-		buf := make([]byte, 11+words)
-		buf[0] = 1
-		buf[1] = byte(t)
-		buf[2] = byte(r)
-		binary.BigEndian.PutUint64(buf[3:11], uint64(len(data)))
-		row := disp.Row(r)
-		payload := buf[11:]
-		for i := 0; i < t; i++ {
-			gf256.MulAddSliceGeneric(row[i], payload, stripes[i])
-		}
-		shares[r] = erasure.Share{Index: r, Data: buf}
-	}
-	return shares, nil
-}
-
-// oldDecode replicates the pre-fast-path decoder: map-based share dedup,
-// per-call submatrix inversion, per-stripe output buffers assembled into a
-// fresh result slice, generic kernels throughout.
-func oldDecode(c *erasure.Coder, shares []erasure.Share, n int) ([]byte, error) {
-	byIndex := make(map[int]erasure.Share, len(shares))
-	t := -1
-	var dataLen int64
-	for _, s := range shares {
-		if len(s.Data) < 11 {
-			return nil, fmt.Errorf("short share")
-		}
-		st := int(s.Data[1])
-		sl := int64(binary.BigEndian.Uint64(s.Data[3:11]))
-		if t == -1 {
-			t, dataLen = st, sl
-		} else if st != t || sl != dataLen {
-			return nil, fmt.Errorf("mixed parameters")
-		}
-		byIndex[s.Index] = s
-	}
-	if len(byIndex) < t {
-		return nil, fmt.Errorf("not enough shares")
-	}
-	disp, err := c.Dispersal(t, n)
-	if err != nil {
-		return nil, err
-	}
-	idxs := make([]int, 0, len(byIndex))
-	for i := range byIndex {
-		idxs = append(idxs, i)
-	}
-	for i := 1; i < len(idxs); i++ {
-		for j := i; j > 0 && idxs[j] < idxs[j-1]; j-- {
-			idxs[j], idxs[j-1] = idxs[j-1], idxs[j]
-		}
-	}
-	use := idxs[:t]
-	inv, err := disp.SubMatrix(use).Invert()
-	if err != nil {
-		return nil, err
-	}
-	words := int((dataLen + int64(t) - 1) / int64(t))
-	stripes := make([][]byte, t)
-	for i := range stripes {
-		stripes[i] = make([]byte, words)
-	}
-	for i := 0; i < t; i++ {
-		row := inv.Row(i)
-		for j := 0; j < t; j++ {
-			payload := byIndex[use[j]].Data[11:]
-			gf256.MulAddSliceGeneric(row[j], stripes[i], payload)
-		}
-	}
-	out := make([]byte, 0, int(dataLen))
-	for i := 0; i < t; i++ {
-		out = append(out, stripes[i]...)
-	}
-	return out[:dataLen], nil
 }

@@ -71,22 +71,37 @@ func loadSchedClouds() []cloudSpec {
 // under, and a storm trigger for the load it was not.
 const staticHedgeDelay = 60 * time.Millisecond
 
-// loadSchedPolicies are the hedging policies the sweep compares. "static"
-// is the open-loop baseline real deployments start from (a fixed trigger
-// delay tuned at low load); "ewma" re-scales the deadline from measured
-// latency but takes no load feedback (pre-telemetry behavior); "adaptive"
-// closes the loop; "race" adds one redundant read lane per gather on top
-// of the adaptive controller.
+// loadSchedPolicies are the hedging policies the sweep compares. The three
+// open-loop baselines are injected as transfer.HedgePolicy values — the
+// engine itself only builds the closed loop: "nohedge" never hedges;
+// "static" is what real deployments start from (a fixed trigger delay
+// tuned at low load, which turns into a hedge storm when load rises past
+// it); "ewma" re-scales the deadline from measured latency (the engine's
+// HedgeMultiple, floored at 50 ms like the closed loop) but takes no load
+// feedback, cold-start arming or adaptive multiple — the pre-telemetry
+// behavior. "adaptive" is the closed loop; "race" swaps its deadline
+// hedges for one redundant read lane per gather at t=0.
 var loadSchedPolicies = []struct {
 	name  string
 	tweak func(c *core.Config)
 }{
-	{"nohedge", func(c *core.Config) { c.Transfer.DisableHedge = true }},
-	{"static", func(c *core.Config) { c.Transfer.HedgeFixed = staticHedgeDelay }},
-	{"ewma", func(c *core.Config) { c.Transfer.HedgeStatic = true }},
+	{"nohedge", func(c *core.Config) { c.Transfer.HedgePolicy = noHedge }},
+	{"static", func(c *core.Config) {
+		c.Transfer.HedgePolicy = func(string, time.Duration) time.Duration { return staticHedgeDelay }
+	}},
+	{"ewma", func(c *core.Config) {
+		multiple := c.Transfer.HedgeMultiple
+		c.Transfer.HedgePolicy = func(_ string, expected time.Duration) time.Duration {
+			return max(time.Duration(multiple*float64(expected)), 50*time.Millisecond)
+		}
+	}},
 	{"adaptive", func(c *core.Config) {}},
 	{"race", func(c *core.Config) { c.RaceReads = 1 }},
 }
+
+// noHedge is the transfer.HedgePolicy that never arms a hedge: the unhedged
+// baseline of experiments "3" and "9".
+func noHedge(string, time.Duration) time.Duration { return 0 }
 
 // flapPeriod / flapBps define the flaky-provider rotation: during the
 // timed pass one fast cloud at a time has its downlink collapsed to a

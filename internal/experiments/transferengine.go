@@ -86,7 +86,7 @@ func TransferEngine(cfg TransferEngineConfig) (TransferEngineResult, error) {
 			dl, err := env.newClient("downloader", 2, 3, testbedChunking(cfg.Scale), func(c *core.Config) {
 				c.Obs = o
 				if !hedged {
-					c.Transfer.DisableHedge = true
+					c.Transfer.HedgePolicy = noHedge
 				}
 			})
 			if err != nil {

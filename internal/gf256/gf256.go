@@ -280,11 +280,10 @@ func MulAddSlices(cs []byte, dsts [][]byte, src []byte) {
 	}
 }
 
-// MulSliceGeneric is the pre-fast-path byte-at-a-time MulSlice. It is kept
-// exported as the scalar reference implementation: the kernel cross-check
-// tests compare the word-wide paths against it, and the BENCH_4 experiment
-// measures old-vs-new throughput in one run.
-func MulSliceGeneric(c byte, dst, src []byte) {
+// mulSliceGeneric is the byte-at-a-time MulSlice, kept as the scalar
+// reference implementation the kernel cross-check tests compare the
+// word-wide paths against.
+func mulSliceGeneric(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("gf256: MulSlice length mismatch %d != %d", len(dst), len(src)))
 	}
@@ -305,9 +304,9 @@ func MulSliceGeneric(c byte, dst, src []byte) {
 	}
 }
 
-// MulAddSliceGeneric is the pre-fast-path byte-at-a-time MulAddSlice, kept
-// as the scalar reference for tests and old-vs-new benchmarks.
-func MulAddSliceGeneric(c byte, dst, src []byte) {
+// mulAddSliceGeneric is the byte-at-a-time MulAddSlice, kept as the scalar
+// reference for the cross-check tests.
+func mulAddSliceGeneric(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("gf256: MulAddSlice length mismatch %d != %d", len(dst), len(src)))
 	}

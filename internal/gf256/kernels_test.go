@@ -40,9 +40,9 @@ func TestMulSliceAllMultipliers(t *testing.T) {
 
 			gen := make([]byte, l)
 			rng.Read(gen)
-			MulSliceGeneric(byte(c), gen, src)
+			mulSliceGeneric(byte(c), gen, src)
 			if !bytes.Equal(gen, want) {
-				t.Fatalf("MulSliceGeneric c=%d len=%d mismatch", c, l)
+				t.Fatalf("mulSliceGeneric c=%d len=%d mismatch", c, l)
 			}
 		}
 	}
@@ -79,9 +79,9 @@ func TestMulAddSliceAllMultipliers(t *testing.T) {
 
 			gen := make([]byte, l)
 			copy(gen, base)
-			MulAddSliceGeneric(byte(c), gen, src)
+			mulAddSliceGeneric(byte(c), gen, src)
 			if !bytes.Equal(gen, want) {
-				t.Fatalf("MulAddSliceGeneric c=%d len=%d mismatch", c, l)
+				t.Fatalf("mulAddSliceGeneric c=%d len=%d mismatch", c, l)
 			}
 		}
 	}
@@ -115,7 +115,7 @@ func TestMulAddSlicesEquivalence(t *testing.T) {
 			rng.Read(base)
 			got[r] = append([]byte(nil), base...)
 			want[r] = append([]byte(nil), base...)
-			MulAddSliceGeneric(cs[r], want[r], src)
+			mulAddSliceGeneric(cs[r], want[r], src)
 		}
 		MulAddSlices(cs, got, src)
 		for r := 0; r < rows; r++ {
@@ -158,7 +158,7 @@ func benchKernel(b *testing.B, size int, fn func(dst, src []byte)) {
 }
 
 func BenchmarkMulAddSliceGeneric(b *testing.B) {
-	benchKernel(b, 1<<16, func(dst, src []byte) { MulAddSliceGeneric(0x53, dst, src) })
+	benchKernel(b, 1<<16, func(dst, src []byte) { mulAddSliceGeneric(0x53, dst, src) })
 }
 
 func BenchmarkMulSlice(b *testing.B) {

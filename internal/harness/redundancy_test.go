@@ -2,6 +2,7 @@ package harness
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/transfer"
@@ -56,9 +57,9 @@ func p99BucketIndex(p obs.MetricPoint) int {
 }
 
 // TestRedundancyStorm drives the redundancy-storm scenario twice — once
-// with the load-adaptive hedge controller live, once with hedging disabled
-// — and checks the control loop's oracle on top of the usual invariant
-// sweep: the loop must actually suppress hedges while the engine queue is
+// with the load-adaptive hedge controller live, once under a hedge policy
+// that never hedges — and checks the control loop's oracle on top of the
+// usual invariant sweep: the loop must actually suppress hedges while the engine queue is
 // past the crossover, and the suppression must keep the Get tail within
 // one histogram bucket of the unhedged baseline (a hedge storm on the
 // two-slot engine blows far past that).
@@ -66,7 +67,7 @@ func TestRedundancyStorm(t *testing.T) {
 	seed := baseSeed(t)
 	adaptive := runScenario(t, stormOptions(seed, nil))
 	baseline := runScenario(t, stormOptions(seed, func(tun *transfer.Tunables) {
-		tun.DisableHedge = true
+		tun.HedgePolicy = func(string, time.Duration) time.Duration { return 0 }
 	}))
 	if t.Failed() { // invariant violations already reported
 		return

@@ -154,7 +154,7 @@ func NewObserverWith(opts Options) *Observer {
 		hedgeWins:       reg.Counter(MetricHedgeWins, "Hedged gathers where the backup lane won, by primary csp.", "csp"),
 		hedgeLosses:     reg.Counter(MetricHedgeLosses, "Hedged gathers where the backup launched but the primary won, by primary csp.", "csp"),
 		raceLaunched:    reg.Counter(MetricRaceLaunched, "Redundant race-read lanes launched, by csp.", "csp"),
-		raceCancelled:   reg.Counter(MetricRaceCancelledBytes, "Payload bytes completed by race-read losers after the race resolved, by csp.", "csp"),
+		raceCancelled:   reg.Counter(MetricRaceCancelledBytes, "Payload bytes completed by gather losers (race lanes, hedged-away primaries) after the gather resolved, by csp.", "csp"),
 
 		codecEncode: reg.Counter(MetricCodecEncodeBytes, "Chunk bytes erasure-encoded by the codec pool."),
 		codecDecode: reg.Counter(MetricCodecDecodeBytes, "Chunk bytes erasure-decoded by the codec pool."),
@@ -473,8 +473,8 @@ func (o *Observer) RaceLaunched(ctx context.Context, cspName string) {
 	o.rec.record(FlightEvent{Kind: FlightRaceLaunch, Trace: trace, Span: span, Op: op, CSP: cspName})
 }
 
-// RaceCancelledBytes accounts payload bytes a race-read loser completed
-// after the race had already resolved — pure redundancy waste (netsim and
+// RaceCancelledBytes accounts payload bytes a gather loser completed
+// after the gather had already resolved — pure redundancy waste (netsim and
 // real providers both finish transfers that cancellation could not reach).
 // Nil-safe.
 func (o *Observer) RaceCancelledBytes(ctx context.Context, cspName string, bytes int64) {

@@ -11,9 +11,9 @@ import (
 // per-CSP in-flight, global admission-queue depth, and the scoreboard's
 // latency EWMA. This file closes the loop:
 //
-//	loadstats ──► HedgeAfter ──► hedge watchdog (Op.Hedged) / race extras
-//	                 ▲                   │
-//	                 └── hedgeController ┘  (win/loss feedback)
+//	loadstats ──► HedgeAfter / LoadPermits ──► Op.Gather (hedge and race lanes)
+//	                 ▲                            │
+//	                 └───── hedgeController ──────┘  (win/loss feedback)
 //
 // Three decisions are made per hedge, in order. (1) Arming: a provider
 // whose EWMA was fed by fewer than HedgeMinSamples successes does not
@@ -74,15 +74,9 @@ func (h *hedgeController) outcome(cspName string, win bool) {
 		m = h.base
 	}
 	if win {
-		m *= hedgeWinDecay
-		if lo := h.base * hedgeMultMinFrac; m < lo {
-			m = lo
-		}
+		m = max(m*hedgeWinDecay, h.base*hedgeMultMinFrac)
 	} else {
-		m *= hedgeLossGrowth
-		if hi := h.base * hedgeMultMaxFrac; m > hi {
-			m = hi
-		}
+		m = min(m*hedgeLossGrowth, h.base*hedgeMultMaxFrac)
 	}
 	h.per[cspName] = m
 }
@@ -92,100 +86,61 @@ func (h *hedgeController) outcome(cspName string, win bool) {
 func (e *Engine) HedgeMultipleFor(cspName string) float64 { return e.hedge.multiple(cspName) }
 
 // HedgeAfter converts an expected attempt latency into the hedge trigger
-// delay for one provider, or 0 when no hedge should arm: hedging disabled,
-// expectation unknown, the provider's EWMA not yet fed by HedgeMinSamples
-// successes (cold start), or load past the Ghosh crossover (suppression —
-// counted in cyrus_hedge_suppressed_total). With HedgeFixed set the
-// constant delay is returned verbatim; with HedgeStatic set, or with
-// no observer to read load from, the open-loop HedgeMultiple x expected
-// deadline is returned instead. Callers treat 0 as "sequential failover
-// only". ctx is only used to stamp flight-recorder events.
+// delay for one provider, or 0 when no hedge should arm. A configured
+// Tunables.HedgePolicy decides alone. Otherwise this is the closed loop: no
+// hedge while the expectation is unknown or HedgeState withholds it
+// (counted in cyrus_hedge_suppressed_total), else the provider's effective
+// multiple times the predicted completion under current load. Without an
+// observer there is no load to read and the deadline degenerates to
+// multiple x expected. Callers treat 0 as "sequential failover only". ctx is
+// only used to stamp flight-recorder events.
 func (e *Engine) HedgeAfter(ctx context.Context, cspName string, expected time.Duration) time.Duration {
-	if e.tun.DisableHedge {
-		return 0
-	}
-	if e.tun.HedgeFixed > 0 {
-		return e.tun.HedgeFixed
+	if p := e.tun.HedgePolicy; p != nil {
+		return p(cspName, expected)
 	}
 	if expected <= 0 {
 		return 0
 	}
-	if e.tun.HedgeStatic || e.obs == nil {
-		return clampHedge(time.Duration(e.tun.HedgeMultiple * float64(expected)))
-	}
-	if e.tun.HedgeMinSamples > 0 && e.obs.Health().Samples(cspName) < int64(e.tun.HedgeMinSamples) {
-		e.obs.HedgeSuppressed(ctx, cspName, "cold")
-		return 0
-	}
-	load, _ := e.obs.CurrentLoad(cspName)
-	if e.overloaded(load.QueueDepth) {
-		e.obs.HedgeSuppressed(ctx, cspName, "load")
+	if reason := e.HedgeState(cspName); reason != "" {
+		e.obs.HedgeSuppressed(ctx, cspName, reason)
 		return 0
 	}
 	// Predicted completion under current load: the expectation stacked
 	// behind the attempts already in flight at this provider.
+	load, _ := e.obs.CurrentLoad(cspName)
 	predicted := float64(expected) * float64(1+load.InFlight)
-	return clampHedge(time.Duration(e.hedge.multiple(cspName) * predicted))
+	return max(time.Duration(e.hedge.multiple(cspName)*predicted), hedgeFloor)
 }
 
-// clampHedge floors the trigger delay: below hedgeFloor, scheduling noise
-// (not provider slowness) dominates and hedging would just double load.
-func clampHedge(d time.Duration) time.Duration {
-	if d < hedgeFloor {
-		return hedgeFloor
-	}
-	return d
-}
-
-// overloaded is the Ghosh crossover test against the live load vector:
-// true once the global admission queue reaches HedgeLoadThreshold of the
-// in-flight capacity. The signal is deliberately global, not per-CSP — a
-// redundant request costs a global slot and lands on a *different*
-// provider than the slow primary, so a saturated primary is an argument
-// for hedging away from it, while a saturated engine means the hedge
-// would only join the queue it is trying to beat.
-func (e *Engine) overloaded(queue int) bool {
-	thr := e.tun.HedgeLoadThreshold
-	if thr < 0 {
-		return false
-	}
-	return float64(queue) >= thr*float64(e.tun.MaxInFlight)
-}
-
-// LoadPermits reports whether launching a purely redundant attempt against
-// the provider is currently sound — the gate race-read extras and tools
-// consult. An empty provider name checks only the global queue signal.
-// True without an observer (no load signal, assume idle).
-func (e *Engine) LoadPermits(cspName string) bool {
-	if e.obs == nil || e.tun.HedgeStatic || e.tun.HedgeFixed > 0 {
-		return true
-	}
-	queue := e.obs.QueueDepthNow()
-	if cspName != "" {
-		if s, ok := e.obs.CurrentLoad(cspName); ok {
-			queue = s.QueueDepth
-		}
-	}
-	return !e.overloaded(queue)
-}
-
-// HedgeState reports why the engine would currently withhold a hedge
-// against the provider: "off" (hedging disabled), "cold" (not yet armed by
-// enough latency samples), "load" (past the utilization crossover), or ""
-// when a hedge would arm. `cyrusctl top` renders this as the per-provider
-// suppression indicator.
+// HedgeState is the closed loop's arming/suppression decision: why a hedge
+// against the provider would currently be withheld — "cold" (its EWMA not
+// yet fed by HedgeMinSamples successes), "load" (past the utilization
+// crossover) — or "" when a hedge would arm. Always "" without an observer
+// (no sensors) or under a HedgePolicy (which owns the decision).
+// `cyrusctl top` renders this as the per-provider suppression indicator.
 func (e *Engine) HedgeState(cspName string) string {
-	switch {
-	case e.tun.DisableHedge:
-		return "off"
-	case e.tun.HedgeStatic || e.tun.HedgeFixed > 0 || e.obs == nil:
+	if e.obs == nil || e.tun.HedgePolicy != nil {
 		return ""
-	case e.tun.HedgeMinSamples > 0 && e.obs.Health().Samples(cspName) < int64(e.tun.HedgeMinSamples):
+	}
+	if e.tun.HedgeMinSamples > 0 && e.obs.Health().Samples(cspName) < int64(e.tun.HedgeMinSamples) {
 		return "cold"
 	}
-	load, _ := e.obs.CurrentLoad(cspName)
-	if e.overloaded(load.QueueDepth) {
+	if !e.LoadPermits() {
 		return "load"
 	}
 	return ""
+}
+
+// LoadPermits is the Ghosh crossover test against the live load vector:
+// whether launching a purely redundant attempt is currently sound. It
+// turns false once the global admission queue reaches HedgeLoadThreshold
+// of the in-flight capacity. The signal is deliberately global, not
+// per-CSP — a redundant request costs a global slot and lands on a
+// *different* provider than the slow primary, so a saturated primary is an
+// argument for hedging away from it, while a saturated engine means the
+// redundant request would only join the queue it is trying to beat. True
+// without an observer (no load signal, assume idle).
+func (e *Engine) LoadPermits() bool {
+	thr := e.tun.HedgeLoadThreshold
+	return thr < 0 || float64(e.obs.QueueDepthNow()) < thr*float64(e.tun.MaxInFlight)
 }

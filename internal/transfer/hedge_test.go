@@ -66,7 +66,7 @@ func TestHedgeLoadSuppression(t *testing.T) {
 	if st := e.HedgeState("cspa"); st != "load" {
 		t.Fatalf("HedgeState = %q, want load", st)
 	}
-	if e.LoadPermits("cspa") {
+	if e.LoadPermits() {
 		t.Fatal("LoadPermits = true past the crossover")
 	}
 	p, ok := o.Registry().Snapshot().Find(obs.MetricHedgeSuppressed, map[string]string{"csp": "cspa", "reason": "load"})
@@ -108,8 +108,10 @@ func TestHedgeDeadlineTracksLoad(t *testing.T) {
 	}
 	o.TransferInFlight("cspa", 0)
 
-	// HedgeStatic restores the open-loop deadline regardless of load.
-	st, _ := newSimEngine(Tunables{HedgeMultiple: 3, HedgeStatic: true}, o)
+	// An injected open-loop policy sets the deadline regardless of load.
+	st, _ := newSimEngine(Tunables{HedgePolicy: func(_ string, expected time.Duration) time.Duration {
+		return 3 * expected
+	}}, o)
 	o.TransferInFlight("cspa", 3)
 	if got := st.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got != 300*time.Millisecond {
 		t.Fatalf("static deadline = %v, want 300ms", got)
@@ -164,7 +166,7 @@ func TestHedgeOutcomeAccounting(t *testing.T) {
 		backup := func() (Attempt, bool) {
 			return sleepAttempt(nw, "fastcsp", time.Millisecond), true
 		}
-		if err := op.Hedged(op.Context(), slow, 10*time.Millisecond, backup); err != nil {
+		if err := op.Gather(op.Context(), hedged(slow, 10*time.Millisecond, backup)); err != nil {
 			t.Errorf("hedged (backup wins): %v", err)
 		}
 
@@ -173,7 +175,7 @@ func TestHedgeOutcomeAccounting(t *testing.T) {
 		slowBackup := func() (Attempt, bool) {
 			return sleepAttempt(nw, "slowcsp", time.Second), true
 		}
-		if err := op.Hedged(op.Context(), fast, 10*time.Millisecond, slowBackup); err != nil {
+		if err := op.Gather(op.Context(), hedged(fast, 10*time.Millisecond, slowBackup)); err != nil {
 			t.Errorf("hedged (primary wins): %v", err)
 		}
 	})
@@ -217,7 +219,7 @@ func TestRaceQuorum(t *testing.T) {
 			att("cspb", 20*time.Millisecond, 100),
 			att("cspc", 500*time.Millisecond, 100),
 		}
-		if err := op.Race(op.Context(), atts, 2, 0, nil); err != nil {
+		if err := op.Gather(op.Context(), Gather{Need: 2, Primary: atts}); err != nil {
 			t.Errorf("race: %v", err)
 		}
 		resolved = nw.Now().Sub(start)
@@ -259,7 +261,7 @@ func TestRaceRedundantLane(t *testing.T) {
 			served = true
 			return sleepAttempt(nw, "cspb", 15*time.Millisecond), true
 		}
-		if err := op.Race(op.Context(), atts, 2, 1, next); err != nil {
+		if err := op.Gather(op.Context(), Gather{Need: 2, Primary: atts, Race: 1, Next: next}); err != nil {
 			t.Errorf("race with redundant lane: %v", err)
 		}
 	})
@@ -283,7 +285,7 @@ func TestRaceExhaustion(t *testing.T) {
 				return 0, csp.ErrUnavailable
 			}},
 		}
-		err := op.Race(op.Context(), atts, 2, 0, func() (Attempt, bool) { return Attempt{}, false })
+		err := op.Gather(op.Context(), Gather{Need: 2, Primary: atts, Next: func() (Attempt, bool) { return Attempt{}, false }})
 		if err == nil {
 			t.Error("race below quorum returned nil")
 		}
@@ -302,9 +304,9 @@ func TestRaceSuppressedExtras(t *testing.T) {
 		op := e.Begin(context.Background())
 		defer op.Finish()
 		atts := []Attempt{sleepAttempt(nw, "cspa", time.Millisecond)}
-		err := op.Race(op.Context(), atts, 1, 2, func() (Attempt, bool) {
+		err := op.Gather(op.Context(), Gather{Need: 1, Primary: atts, Race: 2, Next: func() (Attempt, bool) {
 			return sleepAttempt(nw, "cspb", time.Millisecond), true
-		})
+		}})
 		if err != nil {
 			t.Errorf("race: %v", err)
 		}

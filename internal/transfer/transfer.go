@@ -18,9 +18,9 @@
 //     re-probing it from scratch;
 //   - first-error cancellation (Op.Fail cancels the operation context, so
 //     doomed sibling transfers stop instead of finishing wasted work);
-//   - hedged downloads: when a source exceeds its expected latency, a
-//     single backup attempt is launched from the next candidate and the
-//     first success wins.
+//   - one k-out-of-n gather (Op.Gather) for every quorum read, with
+//     redundant lanes — race reads at t=0, a hedge at the primary's
+//     deadline — launched only while load telemetry says they can pay.
 //
 // Everything blocks only through vclock.Runtime primitives (Group.Wait,
 // Sleep) — never on raw channels — so the engine is safe under netsim
@@ -67,9 +67,6 @@ type Tunables struct {
 	// controller this is the starting point the per-CSP effective
 	// multiple is tuned from.
 	HedgeMultiple float64
-	// DisableHedge turns hedged downloads off (the attempt-walk falls
-	// back to sequential failover).
-	DisableHedge bool
 	// HedgeLoadThreshold is the Ghosh-crossover utilization bound: hedges
 	// and redundant race lanes are suppressed once the global admission
 	// queue holds HedgeLoadThreshold x MaxInFlight waiting attempts.
@@ -82,19 +79,17 @@ type Tunables struct {
 	// otherwise hedge nearly every request. Default 8; negative arms
 	// immediately.
 	HedgeMinSamples int
-	// HedgeStatic restores the open-loop HedgeMultiple x expected
-	// deadline — no load feedback, no cold-start arming, no adaptive
-	// multiple. It is the baseline policy the redundancy experiments
-	// compare the closed loop against.
-	HedgeStatic bool
-	// HedgeFixed, when positive, arms every hedge with this constant
-	// trigger delay — the operator-tuned fixed timeout real deployments
-	// start from. Fully open loop: no expectation model, no load
-	// feedback, no suppression. A delay tuned at low load turns into a
-	// hedge storm when load rises past it, which is exactly what the
-	// redundancy experiments use it to demonstrate.
-	HedgeFixed time.Duration
+	// HedgePolicy, when set, replaces the closed loop's hedge deadline:
+	// HedgeAfter returns its result verbatim, with no arming, suppression
+	// or adaptive multiple. nil (the default) is the closed loop, the only
+	// built-in policy; the redundancy experiments inject their open-loop
+	// baselines (no hedge, fixed delay, multiple of the EWMA) here.
+	HedgePolicy HedgePolicy
 }
+
+// HedgePolicy maps a provider and the expected latency of one attempt
+// against it (0 when unknown) to a hedge trigger delay; 0 means no hedge.
+type HedgePolicy func(cspName string, expected time.Duration) time.Duration
 
 // hedgeFloor is the minimum hedge delay: below this, scheduling noise
 // (not provider slowness) dominates and hedging would just double load.
@@ -185,9 +180,6 @@ func (e *Engine) Tunables() Tunables { return e.tun }
 // per-CSP cap tests assert on.
 func (e *Engine) PeakInFlight(cspName string) int { return e.sem.peakInFlight(cspName) }
 
-// HedgeAfter lives in hedge.go: it converts an expected attempt latency
-// into the load-adaptive hedge trigger delay for one provider.
-
 // Attempt is one provider contact. Run performs the I/O and returns the
 // payload byte count (uploads report the intended payload size even on
 // failure, mirroring the pre-engine accounting). Done, when set, is
@@ -253,7 +245,7 @@ func (e *Engine) Begin(ctx context.Context) *Op {
 }
 
 // Context returns the operation context; it is cancelled by Fail and
-// Finish. Derive spans and pass the result to Do/Hedged so attempt spans
+// Finish. Derive spans and pass the result to Do/Gather so attempt spans
 // nest correctly.
 func (o *Op) Context() context.Context { return o.ctx }
 
@@ -336,20 +328,23 @@ func (o *Op) Batch(ctx context.Context, atts []Attempt) []error {
 // failed set. ctx must descend from Context() (pass a span-wrapped child
 // for trace nesting).
 func (o *Op) Do(ctx context.Context, a Attempt) error {
-	if o.Failed(a.CSP) {
-		return ErrSkipped
-	}
-	return o.e.do(ctx, o, a)
+	_, err := o.do(ctx, a)
+	return err
 }
 
-func (e *Engine) do(ctx context.Context, o *Op, a Attempt) error {
+// do is Do, also returning the payload bytes of the successful try.
+func (o *Op) do(ctx context.Context, a Attempt) (int64, error) {
+	if o.Failed(a.CSP) {
+		return 0, ErrSkipped
+	}
+	e := o.e
 	var lastErr error
 	for try := 0; ; try++ {
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
-				return lastErr
+				return 0, lastErr
 			}
-			return err
+			return 0, err
 		}
 		e.sem.acquire(a.CSP)
 		sctx, sp := e.obs.Trace(ctx, "csp."+a.Kind)
@@ -367,7 +362,7 @@ func (e *Engine) do(ctx context.Context, o *Op, a Attempt) error {
 			a.Done(err, bytes, elapsed)
 		}
 		if err == nil {
-			return nil
+			return bytes, nil
 		}
 		lastErr = err
 		if !Retryable(err) || try+1 >= e.tun.Attempts || ctx.Err() != nil {
@@ -379,7 +374,7 @@ func (e *Engine) do(ctx context.Context, o *Op, a Attempt) error {
 	if ProviderFault(lastErr) {
 		o.MarkFailed(a.CSP)
 	}
-	return lastErr
+	return 0, lastErr
 }
 
 // backoff returns the delay before retry number try+1: exponential growth
@@ -399,138 +394,4 @@ func (e *Engine) backoff(cspName, kind string, try int) time.Duration {
 	_, _ = h.Write([]byte{byte(try)})
 	frac := float64(h.Sum32()) / float64(math.MaxUint32) // [0, 1]
 	return time.Duration(float64(d) * (0.75 + 0.5*frac))
-}
-
-// Hedged runs a download-style attempt with sequential failover plus one
-// latency hedge: the primary attempt runs under Do semantics; if it fails
-// the next candidate from next() takes over; and when hedgeAfter > 0, a
-// watchdog launches a single concurrent backup attempt from next() once
-// hedgeAfter elapses without a result. The first success cancels the
-// other lane and wins. Returns nil on any success, the last meaningful
-// error when every candidate is exhausted.
-//
-// Both lanes run detached from the caller, which blocks only on the
-// first-success latch: Hedged returns the moment either lane wins, even
-// while the loser's transfer is still draining (netsim transfers are not
-// interruptible mid-flight). The loser's Run may therefore execute after
-// Hedged returns — callers must guard attempt side effects with their own
-// mutex and snapshot shared state before consuming it.
-func (o *Op) Hedged(ctx context.Context, a Attempt, hedgeAfter time.Duration, next func() (Attempt, bool)) error {
-	e := o.e
-	if e.tun.DisableHedge {
-		hedgeAfter = 0
-	}
-	primaryCSP := a.CSP
-	hctx, hcancel := context.WithCancel(ctx)
-	defer hcancel()
-
-	var mu sync.Mutex
-	var lastErr error
-	success := false
-	finished := false
-	launched := false
-	lanes := 1
-	latch := e.rt.NewGroup()
-	latch.Add(1)
-
-	// pull serializes the caller's candidate source across lanes.
-	pull := func() (Attempt, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		return next()
-	}
-
-	// lane walks candidates until one succeeds or the supply runs dry.
-	var lane func(first *Attempt, backup bool)
-	lane = func(first *Attempt, backup bool) {
-		att := first
-		for {
-			if hctx.Err() != nil {
-				break
-			}
-			if att == nil {
-				b, ok := pull()
-				if !ok {
-					break
-				}
-				att = &b
-			}
-			err := o.Do(hctx, *att)
-			if err == nil {
-				mu.Lock()
-				if !finished {
-					finished = true
-					success = true
-					if backup {
-						// Recorded before the latch opens so the caller
-						// observes the win as soon as Hedged returns.
-						e.obs.TransferHedge(hctx, "win")
-						e.obs.HedgeOutcome(hctx, primaryCSP, true)
-						e.hedge.outcome(primaryCSP, true)
-					} else if launched {
-						// The backup launched but the primary won anyway:
-						// the redundant request was waste. The adaptive
-						// controller stretches this provider's effective
-						// multiple so the next hedge fires later.
-						e.obs.HedgeOutcome(hctx, primaryCSP, false)
-						e.hedge.outcome(primaryCSP, false)
-					}
-					latch.Done()
-				}
-				mu.Unlock()
-				hcancel()
-				return
-			}
-			mu.Lock()
-			if !errors.Is(err, context.Canceled) && !errors.Is(err, ErrSkipped) || lastErr == nil {
-				lastErr = err
-			}
-			mu.Unlock()
-			att = nil
-		}
-		mu.Lock()
-		lanes--
-		if lanes == 0 && !finished {
-			finished = true
-			latch.Done()
-		}
-		mu.Unlock()
-	}
-
-	if hedgeAfter > 0 {
-		// Watchdog: fire one backup lane if nothing resolved in time. It
-		// is deliberately not joined — after a win it wakes, observes
-		// finished, and exits on its own.
-		e.rt.Go(func() {
-			e.rt.Sleep(hedgeAfter)
-			mu.Lock()
-			fire := !finished && !launched
-			if fire {
-				launched = true
-				lanes++
-			}
-			mu.Unlock()
-			if !fire {
-				return
-			}
-			e.obs.TransferHedge(hctx, "launched")
-			lane(nil, true)
-		})
-	}
-
-	e.rt.Go(func() { lane(&a, false) })
-	latch.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if success {
-		return nil
-	}
-	if lastErr == nil {
-		lastErr = ctx.Err()
-	}
-	if lastErr == nil {
-		lastErr = errors.New("transfer: no candidate providers")
-	}
-	return lastErr
 }

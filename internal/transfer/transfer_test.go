@@ -22,6 +22,15 @@ func newSimEngine(tun Tunables, o *obs.Observer) (*Engine, *netsim.Network) {
 	return e, nw
 }
 
+// hedged is the single-source hedge schedule: one primary, one success
+// needed, one backup lane from next at the deadline (0 = none).
+func hedged(primary Attempt, after time.Duration, next func() (Attempt, bool)) Gather {
+	return Gather{Need: 1, Primary: []Attempt{primary}, Next: next, HedgeAfter: []time.Duration{after}}
+}
+
+// noHedge is the HedgePolicy that never arms a hedge.
+func noHedge(string, time.Duration) time.Duration { return 0 }
+
 // sleepAttempt returns an attempt whose Run just spends d of virtual time.
 func sleepAttempt(rt vclock.Runtime, cspName string, d time.Duration) Attempt {
 	return Attempt{
@@ -395,8 +404,8 @@ func TestHedgeWin(t *testing.T) {
 			}, true
 		}
 		start := nw.Now()
-		if err := op.Hedged(op.Context(), primary, 100*time.Millisecond, next); err != nil {
-			t.Errorf("Hedged: %v", err)
+		if err := op.Gather(op.Context(), hedged(primary, 100*time.Millisecond, next)); err != nil {
+			t.Errorf("Gather: %v", err)
 		}
 		if got := nw.Now().Sub(start); got >= 2*time.Second {
 			t.Errorf("hedged download took %v — waited for the slow primary", got)
@@ -426,13 +435,13 @@ func TestHedgeNotLaunchedWhenFast(t *testing.T) {
 		op := e.Begin(context.Background())
 		defer op.Finish()
 		pulled := false
-		err := op.Hedged(op.Context(), sleepAttempt(nw, "cspa", 10*time.Millisecond), 500*time.Millisecond,
+		err := op.Gather(op.Context(), hedged(sleepAttempt(nw, "cspa", 10*time.Millisecond), 500*time.Millisecond,
 			func() (Attempt, bool) {
 				pulled = true
 				return Attempt{}, false
-			})
+			}))
 		if err != nil {
-			t.Errorf("Hedged: %v", err)
+			t.Errorf("Gather: %v", err)
 		}
 		// Let the watchdog timer expire and observe finished.
 		nw.Sleep(time.Second)
@@ -447,10 +456,10 @@ func TestHedgeNotLaunchedWhenFast(t *testing.T) {
 	}
 }
 
-// TestHedgeSequentialFailover: with hedging disabled the walk degrades to
-// ordered failover and still finds the good provider.
+// TestHedgeSequentialFailover: under a policy that never hedges the walk
+// degrades to ordered failover and still finds the good provider.
 func TestHedgeSequentialFailover(t *testing.T) {
-	e, nw := newSimEngine(Tunables{Attempts: 1, DisableHedge: true}, nil)
+	e, nw := newSimEngine(Tunables{Attempts: 1, HedgePolicy: noHedge}, nil)
 	var order []string
 	nw.Run(func() {
 		op := e.Begin(context.Background())
@@ -482,8 +491,8 @@ func TestHedgeSequentialFailover(t *testing.T) {
 				},
 			}, true
 		}
-		if err := op.Hedged(op.Context(), bad, e.HedgeAfter(op.Context(), "deadcsp", time.Millisecond), next); err != nil {
-			t.Errorf("Hedged: %v", err)
+		if err := op.Gather(op.Context(), hedged(bad, e.HedgeAfter(op.Context(), "deadcsp", time.Millisecond), next)); err != nil {
+			t.Errorf("Gather: %v", err)
 		}
 	})
 	want := []string{"deadcsp", "alsodead", "goodcsp"}
@@ -505,13 +514,13 @@ func TestHedgeAllFail(t *testing.T) {
 			}}
 		}
 		served := false
-		err := op.Hedged(op.Context(), bad("cspa"), 0, func() (Attempt, bool) {
+		err := op.Gather(op.Context(), hedged(bad("cspa"), 0, func() (Attempt, bool) {
 			if served {
 				return Attempt{}, false
 			}
 			served = true
 			return bad("cspb"), true
-		})
+		}))
 		if !errors.Is(err, csp.ErrUnavailable) {
 			t.Errorf("err = %v, want a provider error", err)
 		}
@@ -533,9 +542,9 @@ func TestHedgeAfter(t *testing.T) {
 	if got := e.HedgeAfter(ctx, "cspa", time.Millisecond); got != hedgeFloor {
 		t.Errorf("HedgeAfter(1ms) = %v, want the %v floor", got, hedgeFloor)
 	}
-	off, _ := newSimEngine(Tunables{DisableHedge: true}, nil)
+	off, _ := newSimEngine(Tunables{HedgePolicy: noHedge}, nil)
 	if got := off.HedgeAfter(ctx, "cspa", time.Second); got != 0 {
-		t.Errorf("disabled engine: HedgeAfter = %v, want 0", got)
+		t.Errorf("never-hedge policy: HedgeAfter = %v, want 0", got)
 	}
 }
 
@@ -652,9 +661,9 @@ func TestEngineRace(t *testing.T) {
 				}
 				if i%3 == 0 {
 					fallback := sleepAttempt(vclock.Real(), "cspf", 0)
-					_ = op.Hedged(op.Context(), att, 50*time.Microsecond, func() (Attempt, bool) {
+					_ = op.Gather(op.Context(), hedged(att, 50*time.Microsecond, func() (Attempt, bool) {
 						return fallback, true
-					})
+					}))
 				} else {
 					_ = op.Do(op.Context(), att)
 				}
