@@ -2,8 +2,11 @@ package repro
 
 import (
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -37,6 +40,48 @@ func TestDocKnobsExist(t *testing.T) {
 		}
 		if found == 0 {
 			t.Errorf("%s: no knob tokens matched — did the docs change notation?", doc)
+		}
+	}
+}
+
+// TestCoreOneDataPath is the duplication guard for internal/core's data
+// path (datapath.go, DESIGN.md §5.1): non-test code in the package may build
+// a transfer.Attempt, call the erasure encoder, and call the correcting
+// decoder in exactly one place each, so a second hand-rolled provider call,
+// encode-then-upload copy or k-of-n reader cannot grow back beside it.
+func TestCoreOneDataPath(t *testing.T) {
+	sites := map[string]*regexp.Regexp{
+		"transfer.Attempt{ construction": regexp.MustCompile(`transfer\.Attempt\{`),
+		"erasure Encode/EncodeTo call":   regexp.MustCompile(`\.EncodeTo\(|oder\.Encode\(`),
+		"DecodeCorrecting call":          regexp.MustCompile(`DecodeCorrecting\(`),
+	}
+	files, err := filepath.Glob("internal/core/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no internal/core sources found: %v", err)
+	}
+	found := make(map[string][]string)
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "//") {
+				continue
+			}
+			for what, re := range sites {
+				for range re.FindAllString(line, -1) {
+					found[what] = append(found[what], file+":"+strconv.Itoa(i+1))
+				}
+			}
+		}
+	}
+	for what := range sites {
+		if len(found[what]) != 1 {
+			t.Errorf("internal/core has %d %s sites, want exactly 1 (in datapath.go): %v", len(found[what]), what, found[what])
 		}
 	}
 }

@@ -196,19 +196,6 @@ type Config struct {
 	// concurrently, so client memory is O(PipelineDepth × MaxSize × n/t)
 	// instead of O(file). Default 4.
 	PipelineDepth int
-
-	// SLOObjectives merges per-op latency objectives into the observer's
-	// SLO tracker (positive sets, negative removes, zero entries are
-	// skipped; obs.DefaultSLOObjectives apply underneath). Only meaningful
-	// when Obs is set.
-	SLOObjectives map[string]time.Duration
-
-	// FlightTriggerMultiple overrides the flight recorder's latency-anomaly
-	// threshold: an operation whose latency exceeds this multiple of its
-	// own EWMA dumps the recorder. 0 keeps the observer's configured value
-	// (default 8); negative disables the latency trigger. Only meaningful
-	// when Obs is set.
-	FlightTriggerMultiple float64
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -407,10 +394,6 @@ func New(cfg Config, stores []csp.Store) (*Client, error) {
 		// re-deriving timing.
 		c.obs.SetClock(c.rt.Now)
 		c.events.subscribe(c.observeEvent)
-		// Deep-diagnosis knobs. Both are idempotent merges, so sharing one
-		// observer across clients (the chaos harness) stays coherent.
-		c.obs.SetSLOObjectives(full.SLOObjectives)
-		c.obs.Recorder().SetTriggerMultiple(full.FlightTriggerMultiple)
 	}
 	for _, s := range stores {
 		if err := c.AddCSP(s); err != nil {
@@ -491,21 +474,6 @@ func (c *Client) store(name string) (csp.Store, bool) {
 	defer c.mu.Unlock()
 	s, ok := c.stores[name]
 	return s, ok
-}
-
-// usable reports whether a provider may serve downloads: present, not
-// removed, and not currently counted as failed.
-func (c *Client) usable(name string) bool {
-	c.mu.Lock()
-	_, ok := c.stores[name]
-	removed := c.removed[name]
-	c.mu.Unlock()
-	return ok && !removed && !c.est.Down(name)
-}
-
-// activeCount returns how many providers accept uploads.
-func (c *Client) activeCount() int {
-	return len(c.CSPs())
 }
 
 // clusterCount returns the number of distinct platform clusters among the
@@ -604,10 +572,6 @@ func (c *Client) refToken() string {
 // ID returns the configured ClientID.
 func (c *Client) ID() string { return c.cfg.ClientID }
 
-// MetaQuorum returns MetaT: the number of metadata shares needed (and
-// sufficient) to recover a metadata record.
-func (c *Client) MetaQuorum() int { return c.cfg.MetaT }
-
 // Params reports the client-wide default encoding parameters: the
 // configured T and the n a new chunk would be stored at right now
 // (explicit N, or the epsilon-derived width over the active clusters).
@@ -631,9 +595,6 @@ func (c *Client) ShareObjectName(chunkID string, index, t int) string {
 	return c.shareName(chunkID, index, t)
 }
 
-// DedupEnabled reports whether this client writes in convergent dedup mode.
-func (c *Client) DedupEnabled() bool { return c.cfg.DedupMode }
-
 // RefToken exposes the user-scoped reference token this client stamps on
 // content-addressed share objects (for oracles auditing provider refcounts).
 func (c *Client) RefToken() string { return c.refToken() }
@@ -653,9 +614,6 @@ func (c *Client) ChunkTable() *metadata.ChunkTable { return c.table }
 
 // Estimator exposes the CSP failure estimator.
 func (c *Client) Estimator() *reliability.Estimator { return c.est }
-
-// Bandwidth exposes the link estimate used for a CSP (for tests).
-func (c *Client) Bandwidth(name string) float64 { return c.bw.estimate(name) }
 
 // Observer exposes the configured observability hook (nil when disabled);
 // tools like `cyrusctl stats` read the scoreboard and registry through it.
@@ -780,21 +738,4 @@ func (c *Client) logf(msg string, args ...any) {
 	if c.log != nil {
 		c.log.Info(msg, args...)
 	}
-}
-
-// ctx guard used in loops.
-func ctxErr(ctx context.Context) error {
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	default:
-		return nil
-	}
-}
-
-// errProviderVanished marks an attempt against a store that was removed
-// mid-operation. The engine counts it a provider fault, so the operation's
-// failed set stops any other share from re-probing the ghost.
-func errProviderVanished(name string) error {
-	return fmt.Errorf("cyrus: provider %q vanished", name)
 }

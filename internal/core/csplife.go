@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/csp"
 	"repro/internal/metadata"
 	"repro/internal/transfer"
 )
@@ -101,16 +102,8 @@ func (c *Client) publishCSPList(ctx context.Context) error {
 	succeeded := 0
 	op.Each(len(targets), func(i int) {
 		target := targets[i]
-		err := op.Do(ctx, transfer.Attempt{
-			CSP:  target,
-			Kind: opMetaPut,
-			Run: func(actx context.Context) (int64, error) {
-				store, ok := c.store(target)
-				if !ok {
-					return 0, errProviderVanished(target)
-				}
-				return int64(len(data)), store.Upload(actx, cspListName(seq), data)
-			},
+		err := c.call(op, ctx, target, opMetaPut, nil, func(actx context.Context, store csp.Store) (int64, error) {
+			return int64(len(data)), store.Upload(actx, cspListName(seq), data)
 		})
 		if err != nil {
 			return
@@ -119,16 +112,8 @@ func (c *Client) publishCSPList(ctx context.Context) error {
 		succeeded++
 		mu.Unlock()
 		if seq > 1 {
-			_ = op.Do(ctx, transfer.Attempt{
-				CSP:  target,
-				Kind: opDelete,
-				Run: func(actx context.Context) (int64, error) {
-					store, ok := c.store(target)
-					if !ok {
-						return 0, errProviderVanished(target)
-					}
-					return 0, store.Delete(actx, cspListName(seq-1))
-				},
+			_ = c.call(op, ctx, target, opDelete, nil, func(actx context.Context, store csp.Store) (int64, error) {
+				return 0, store.Delete(actx, cspListName(seq-1))
 			})
 		}
 	})
@@ -185,26 +170,7 @@ func (c *Client) syncCSPList(op *transfer.Op, ctx context.Context, listings map[
 		return
 	}
 	for _, holder := range holders {
-		holder := holder
-		if _, ok := c.store(holder); !ok {
-			continue
-		}
-		var data []byte
-		err := op.Do(ctx, transfer.Attempt{
-			CSP:  holder,
-			Kind: opMetaGet,
-			Run: func(actx context.Context) (int64, error) {
-				store, ok := c.store(holder)
-				if !ok {
-					return 0, errProviderVanished(holder)
-				}
-				out, err := store.Download(actx, cspListName(bestSeq))
-				if err == nil {
-					data = out
-				}
-				return int64(len(out)), err
-			},
-		})
+		data, err := c.download(op, ctx, holder, opMetaGet, cspListName(bestSeq))
 		if err != nil {
 			continue
 		}
@@ -258,18 +224,7 @@ func (c *Client) ProbeFailed(ctx context.Context) []string {
 	var recovered []string
 	op.Each(len(down), func(i int) {
 		name := down[i]
-		err := op.Do(ctx, transfer.Attempt{
-			CSP:  name,
-			Kind: opList,
-			Run: func(actx context.Context) (int64, error) {
-				store, ok := c.store(name)
-				if !ok {
-					return 0, errProviderVanished(name)
-				}
-				_, err := store.List(actx, metadata.MetaPrefix)
-				return 0, err
-			},
-		})
+		_, err := c.list(op, ctx, name, metadata.MetaPrefix)
 		if err == nil {
 			mu.Lock()
 			recovered = append(recovered, name)

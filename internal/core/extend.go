@@ -37,7 +37,7 @@ func (c *Client) GetRange(ctx context.Context, name string, offset, length int64
 	if offset < 0 || length < 0 || offset > head.File.Size {
 		return nil, info, fmt.Errorf("cyrus: range [%d,%d) outside file of %d bytes", offset, offset+length, head.File.Size)
 	}
-	if offset+length > head.File.Size {
+	if length > head.File.Size-offset {
 		length = head.File.Size - offset
 	}
 	if length == 0 {
@@ -66,22 +66,7 @@ func (c *Client) Import(ctx context.Context, providerName, objectName, destName 
 		return fmt.Errorf("cyrus: CSP %q not present", providerName)
 	}
 	op := c.engine.Begin(ctx)
-	var data []byte
-	err = op.Do(ctx, transfer.Attempt{
-		CSP:  providerName,
-		Kind: opDownload,
-		Run: func(actx context.Context) (int64, error) {
-			store, ok := c.store(providerName)
-			if !ok {
-				return 0, errProviderVanished(providerName)
-			}
-			out, err := store.Download(actx, objectName)
-			if err == nil {
-				data = out
-			}
-			return int64(len(out)), err
-		},
-	})
+	data, err := c.download(op, ctx, providerName, opDownload, objectName)
 	op.Finish()
 	if err != nil {
 		return fmt.Errorf("cyrus: import %s from %s: %w", objectName, providerName, err)
@@ -194,20 +179,13 @@ func (c *Client) GC(ctx context.Context) (_ GCStats, err error) {
 				kind = opRef
 				handled[cspName+"|"+name] = true
 			}
-			err := op.Do(ctx, transfer.Attempt{
-				CSP:  cspName,
-				Kind: kind,
-				Run: func(actx context.Context) (int64, error) {
-					if _, ok := c.store(cspName); !ok {
-						return 0, errProviderVanished(cspName)
-					}
-					if info.CAS {
-						r, err := rs.DelRef(actx, name, c.refToken())
-						removed = r
-						return 0, err
-					}
-					return 0, store.Delete(actx, name)
-				},
+			err := c.call(op, ctx, cspName, kind, nil, func(actx context.Context, store csp.Store) (int64, error) {
+				if info.CAS {
+					r, err := rs.DelRef(actx, name, c.refToken())
+					removed = r
+					return 0, err
+				}
+				return 0, store.Delete(actx, name)
 			})
 			if err != nil && !errIsNotFound(err) {
 				stats.Skipped++
@@ -269,19 +247,7 @@ func (c *Client) gcReconcileCAS(op *transfer.Op, ctx context.Context, referenced
 		if !ok {
 			continue // no reference support: nothing to reconcile
 		}
-		cspName := cspName
-		var infos []csp.ObjectInfo
-		err := op.Do(ctx, transfer.Attempt{
-			CSP:  cspName,
-			Kind: opList,
-			Run: func(actx context.Context) (int64, error) {
-				out, err := store.List(actx, CASPrefix)
-				if err == nil {
-					infos = out
-				}
-				return 0, err
-			},
-		})
+		infos, err := c.list(op, ctx, cspName, CASPrefix)
 		if err != nil {
 			continue
 		}
@@ -304,38 +270,30 @@ func (c *Client) gcReconcileCAS(op *transfer.Op, ctx context.Context, referenced
 
 	// Assert before releasing: a referenced object must carry this user's
 	// token before any release could drain the object's token set.
-	assertAtts := make([]transfer.Attempt, len(asserts))
-	for i, a := range asserts {
-		a := a
-		assertAtts[i] = transfer.Attempt{
-			CSP:  a.cspName,
-			Kind: opRef,
-			Run: func(actx context.Context) (int64, error) {
-				err := a.rs.AddRef(actx, a.name, token)
-				if errIsNotFound(err) {
-					err = nil // deleted since the listing; nothing to assert on
-				}
-				return 0, err
-			},
-		}
-	}
-	op.Batch(ctx, assertAtts)
+	op.Each(len(asserts), func(i int) {
+		a := asserts[i]
+		_ = c.call(op, ctx, a.cspName, opRef, nil, func(actx context.Context, _ csp.Store) (int64, error) {
+			err := a.rs.AddRef(actx, a.name, token)
+			if errIsNotFound(err) {
+				err = nil // deleted since the listing; nothing to assert on
+			}
+			return 0, err
+		})
+	})
 
+	// Every release's own outcome is needed: a miss on one provider is an
+	// answer, not a failure.
 	removed := make([]bool, len(releases))
-	releaseAtts := make([]transfer.Attempt, len(releases))
-	for i, a := range releases {
-		i, a := i, a
-		releaseAtts[i] = transfer.Attempt{
-			CSP:  a.cspName,
-			Kind: opRef,
-			Run: func(actx context.Context) (int64, error) {
-				r, err := a.rs.DelRef(actx, a.name, token)
-				removed[i] = r
-				return 0, err
-			},
-		}
-	}
-	for i, err := range op.Batch(ctx, releaseAtts) {
+	errs := make([]error, len(releases))
+	op.Each(len(releases), func(i int) {
+		a := releases[i]
+		errs[i] = c.call(op, ctx, a.cspName, opRef, nil, func(actx context.Context, _ csp.Store) (int64, error) {
+			r, err := a.rs.DelRef(actx, a.name, token)
+			removed[i] = r
+			return 0, err
+		})
+	})
+	for i, err := range errs {
 		if err != nil && !errIsNotFound(err) {
 			stats.Skipped++
 			continue
@@ -348,18 +306,4 @@ func (c *Client) gcReconcileCAS(op *transfer.Op, ctx context.Context, referenced
 			stats.Derefs++
 		}
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

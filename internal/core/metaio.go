@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/csp"
 	"repro/internal/erasure"
@@ -96,50 +96,18 @@ func (c *Client) metaTargetsBase(fileName string) []string {
 // failed share toward the quorum, exactly as the doomed attempt would
 // have.
 func (c *Client) uploadMeta(op *transfer.Op, m *metadata.FileMeta) error {
-	data, err := metadata.Encode(m)
-	if err != nil {
-		return err
-	}
 	targets := c.metaTargetsFor(m.File.Name)
-	if len(targets) == 0 {
-		return fmt.Errorf("%w: no providers for metadata", ErrNotEnoughCSP)
-	}
-	t := c.cfg.MetaT
-	if t > len(targets) {
-		t = len(targets)
-	}
-	// Metadata records are small; encoding still runs through the codec
-	// pool so the busy gauge and byte counters see every encode, and the
-	// pooled share buffers recycle once the scatter below joins.
-	var shares []erasure.Share
-	c.codec.run("encode", int64(len(data)), func() {
-		shares, err = c.coder.EncodeTo(make([]erasure.Share, 0, len(targets)), data, t, len(targets))
-	})
+	b, shares, err := c.codeMeta(m, targets)
 	if err != nil {
 		return err
 	}
 	defer erasure.ReleaseShares(shares)
-	vid := m.VersionID()
 
 	var mu sync.Mutex
 	succeeded := 0
 	var firstErr error
 	op.Each(len(targets), func(i int) {
-		target := targets[i]
-		err := op.Do(op.Context(), transfer.Attempt{
-			CSP:  target,
-			Kind: opMetaPut,
-			Run: func(actx context.Context) (int64, error) {
-				store, ok := c.store(target)
-				if !ok {
-					return 0, errProviderVanished(target)
-				}
-				return shares[i].Size(), store.Upload(actx, metaShareName(vid, i), shares[i].Data)
-			},
-			Done: func(aerr error, bytes int64, elapsed time.Duration) {
-				c.events.emit(Event{Type: EvMetaPut, File: m.File.Name, CSP: target, Bytes: bytes, Duration: elapsed, Err: aerr})
-			},
-		})
+		err := c.putShare(op, op.Context(), b, shares, i, targets[i], false)
 		mu.Lock()
 		if err == nil {
 			succeeded++
@@ -148,11 +116,26 @@ func (c *Client) uploadMeta(op *transfer.Op, m *metadata.FileMeta) error {
 		}
 		mu.Unlock()
 	})
-	if succeeded < t {
+	if succeeded < b.t {
 		return fmt.Errorf("cyrus: metadata for %q stored on %d of %d providers (need %d): %w",
-			m.File.Name, succeeded, len(targets), t, firstErr)
+			m.File.Name, succeeded, len(targets), b.t, firstErr)
 	}
 	return nil
+}
+
+// codeMeta encodes a record for the given placement: share i of the
+// returned blob belongs on targets[i]. The caller releases the shares.
+func (c *Client) codeMeta(m *metadata.FileMeta, targets []string) (*blob, []erasure.Share, error) {
+	data, err := metadata.Encode(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(targets) == 0 {
+		return nil, nil, fmt.Errorf("%w: no providers for metadata", ErrNotEnoughCSP)
+	}
+	b := c.metaBlob(m.File.Name, m.VersionID(), min(c.cfg.MetaT, len(targets)), len(targets))
+	shares, err := c.encode(b, data)
+	return b, shares, err
 }
 
 // listMetaShares lists the metadata prefix on every reachable provider and
@@ -171,171 +154,41 @@ func (c *Client) listMetaShares(op *transfer.Op, ctx context.Context) (_ map[str
 	c.mu.Unlock()
 	sort.Strings(names)
 
-	type listResult struct {
-		csp   string
-		infos []csp.ObjectInfo
-		err   error
-	}
-	results := make([]listResult, len(names))
+	results := make([][]csp.ObjectInfo, len(names))
+	answered := make([]bool, len(names))
 	op.Each(len(names), func(i int) {
-		name := names[i]
-		if c.est.Down(name) {
+		if c.est.Down(names[i]) {
 			return
 		}
-		if _, ok := c.store(name); !ok {
-			return
-		}
-		var infos []csp.ObjectInfo
-		err := op.Do(ctx, transfer.Attempt{
-			CSP:  name,
-			Kind: opList,
-			Run: func(actx context.Context) (int64, error) {
-				store, ok := c.store(name)
-				if !ok {
-					return 0, errProviderVanished(name)
-				}
-				out, err := store.List(actx, metadata.MetaPrefix)
-				if err == nil {
-					infos = out
-				}
-				return 0, err
-			},
-		})
-		results[i] = listResult{csp: name, infos: infos, err: err}
+		infos, err := c.list(op, ctx, names[i], metadata.MetaPrefix)
+		results[i], answered[i] = infos, err == nil
 	})
 
 	out := make(map[string]map[int][]string)
 	extras := make(map[string][]string)
 	listed := make(map[string]bool)
-	reachable := 0
-	for _, r := range results {
-		if r.csp == "" || r.err != nil {
+	for i, name := range names {
+		if !answered[i] {
 			continue
 		}
-		reachable++
-		listed[r.csp] = true
-		for _, info := range r.infos {
+		listed[name] = true
+		for _, info := range results[i] {
 			vid, idx, ok := parseMetaShareName(info.Name)
 			if !ok {
-				extras[info.Name] = append(extras[info.Name], r.csp)
+				extras[info.Name] = append(extras[info.Name], name)
 				continue
 			}
 			if out[vid] == nil {
 				out[vid] = make(map[int][]string)
 			}
-			out[vid][idx] = append(out[vid][idx], r.csp)
+			out[vid][idx] = append(out[vid][idx], name)
 		}
 	}
-	if reachable == 0 {
+	if len(listed) == 0 {
 		return nil, nil, false, fmt.Errorf("%w: no provider reachable for metadata listing", csp.ErrUnavailable)
 	}
-	complete = true
-	for _, name := range c.CSPs() {
-		if !listed[name] {
-			complete = false
-			break
-		}
-	}
+	complete = !slices.ContainsFunc(c.CSPs(), func(name string) bool { return !listed[name] })
 	return out, extras, complete, nil
-}
-
-// fetchMeta downloads and decodes one metadata record given its share
-// locations. The happy path fetches exactly MetaT shares with distinct
-// indices; if the decode is inconsistent or the decoded record does not
-// hash to the expected version ID (a corrupt or tampered share), fetchMeta
-// keeps gathering surplus shares and reruns the error-correcting decoder —
-// a single rotten metadata share must not make a record unreadable while
-// intact replicas exist (each index lives on exactly one provider, so
-// there are no per-index alternates to fall back to).
-func (c *Client) fetchMeta(op *transfer.Op, ctx context.Context, vid string, locs map[int][]string) (*metadata.FileMeta, error) {
-	// Flatten candidate (index, csp) pairs, one per distinct index first.
-	idxs := make([]int, 0, len(locs))
-	for idx := range locs {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-
-	var shares []erasure.Share
-	var lastErr error
-	for _, idx := range idxs {
-		var data []byte
-		for _, provider := range locs[idx] {
-			if _, ok := c.store(provider); !ok || c.est.Down(provider) {
-				continue
-			}
-			provider := provider
-			var d []byte
-			err := op.Do(ctx, transfer.Attempt{
-				CSP:  provider,
-				Kind: opMetaGet,
-				Run: func(actx context.Context) (int64, error) {
-					store, ok := c.store(provider)
-					if !ok {
-						return 0, errProviderVanished(provider)
-					}
-					out, err := store.Download(actx, metaShareName(vid, idx))
-					if err == nil {
-						d = out
-					}
-					return int64(len(out)), err
-				},
-				Done: func(aerr error, bytes int64, elapsed time.Duration) {
-					c.events.emit(Event{Type: EvMetaGet, CSP: provider, Bytes: bytes, Duration: elapsed, Err: aerr})
-				},
-			})
-			if err != nil {
-				if !errors.Is(err, transfer.ErrSkipped) {
-					lastErr = err
-				}
-				continue
-			}
-			data = d
-			break
-		}
-		if data == nil {
-			continue
-		}
-		shares = append(shares, erasure.Share{Index: idx, Data: data})
-		if len(shares) < c.cfg.MetaT {
-			continue
-		}
-		m, err := c.decodeMetaVerified(vid, shares)
-		if err == nil {
-			return m, nil
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no further shares available")
-	}
-	if len(shares) < c.cfg.MetaT {
-		return nil, fmt.Errorf("%w: metadata %s: %d of %d shares (last error: %w)",
-			ErrDamaged, vid, len(shares), c.cfg.MetaT, lastErr)
-	}
-	return nil, fmt.Errorf("%w: metadata %s unreadable from %d shares (last error: %w)",
-		errUnreadableRecord, vid, len(shares), lastErr)
-}
-
-// decodeMetaVerified decodes a record from its shares through the
-// error-correcting decoder and verifies the result hashes to the expected
-// version ID (a corrupt or tampered share otherwise slips through as a
-// consistent-but-wrong record).
-func (c *Client) decodeMetaVerified(vid string, shares []erasure.Share) (*metadata.FileMeta, error) {
-	blob, bad, err := c.coder.DecodeCorrecting(shares, erasure.MaxN)
-	if err != nil {
-		return nil, fmt.Errorf("cyrus: decode metadata %s: %w", vid, err)
-	}
-	if len(bad) > 0 {
-		c.logf("corrected corrupt metadata shares", "version", vid, "indices", fmt.Sprint(bad))
-	}
-	m, err := metadata.Decode(blob)
-	if err != nil {
-		return nil, fmt.Errorf("cyrus: parse metadata %s: %w", vid, err)
-	}
-	if m.VersionID() != vid {
-		return nil, fmt.Errorf("%w: metadata %s decodes to version %s", ErrDamaged, vid, m.VersionID())
-	}
-	return m, nil
 }
 
 // fetchMetaBatch resolves many records in O(providers) round trips instead
@@ -345,46 +198,16 @@ func (c *Client) decodeMetaVerified(vid string, shares []erasure.Share) (*metada
 // shared failed-provider set), and decodes every record that gathered a
 // MetaT quorum. Records the batch pass cannot decode — their providers
 // failed, a share came back corrupt, the quorum fell short — fall back to
-// the per-record fetchMeta, which probes alternates and gathers surplus
-// shares for error correction. Returns the decoded records and the
-// per-version errors of the ones that stayed unreadable.
+// the shared per-blob reader (gatherBlob). Returns the decoded records and
+// the per-version errors of the ones that stayed unreadable.
 func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, vids []string, locs map[string]map[int][]string) (map[string]*metadata.FileMeta, map[string]error) {
-	// Assignment pass: for each record pick MetaT distinct indices and one
-	// usable provider per index, spreading load by want-list length so one
-	// provider does not serve every record alone.
-	wants := make(map[string][]string)          // provider -> object names
-	wantMeta := make(map[string]map[string]int) // provider -> object -> share index
-	assigned := make(map[string]int)            // vid -> indices assigned
-	for _, vid := range vids {
-		idxs := make([]int, 0, len(locs[vid]))
-		for idx := range locs[vid] {
-			idxs = append(idxs, idx)
-		}
-		sort.Ints(idxs)
-		for _, idx := range idxs {
-			if assigned[vid] >= c.cfg.MetaT {
-				break
-			}
-			best := ""
-			for _, provider := range locs[vid][idx] {
-				if _, ok := c.store(provider); !ok || c.est.Down(provider) {
-					continue
-				}
-				if best == "" || len(wants[provider]) < len(wants[best]) {
-					best = provider
-				}
-			}
-			if best == "" {
-				continue
-			}
-			name := metaShareName(vid, idx)
-			wants[best] = append(wants[best], name)
-			if wantMeta[best] == nil {
-				wantMeta[best] = make(map[string]int)
-			}
-			wantMeta[best][name] = idx
-			assigned[vid]++
-		}
+	// Assignment pass: each record's read plan names one readable holder
+	// for each of its MetaT lowest indices, spreading load by want-list
+	// length; inverted, that is one want-list per provider.
+	plans := make([]metaPlan, len(vids))
+	wants := make(map[string][]string) // provider -> object names
+	for i, vid := range vids {
+		plans[i] = c.metaReadPlan(vid, locs[vid], wants)
 	}
 
 	providers := make([]string, 0, len(wants))
@@ -402,27 +225,16 @@ func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, vids []str
 		names := wants[provider]
 		sort.Strings(names)
 		var got map[string][]byte
-		err := op.Do(ctx, transfer.Attempt{
-			CSP:  provider,
-			Kind: opMetaGet,
-			Run: func(actx context.Context) (int64, error) {
-				store, ok := c.store(provider)
-				if !ok {
-					return 0, errProviderVanished(provider)
-				}
-				out, err := csp.DownloadBatch(actx, store, names)
-				var bytes int64
-				for _, d := range out {
-					bytes += int64(len(d))
-				}
-				if err == nil {
-					got = out
-				}
-				return bytes, err
-			},
-			Done: func(aerr error, bytes int64, elapsed time.Duration) {
-				c.events.emit(Event{Type: EvMetaGet, CSP: provider, Bytes: bytes, Duration: elapsed, Err: aerr})
-			},
+		err := c.call(op, ctx, provider, opMetaGet, &Event{Type: EvMetaGet}, func(actx context.Context, store csp.Store) (int64, error) {
+			out, err := csp.DownloadBatch(actx, store, names)
+			var bytes int64
+			for _, d := range out {
+				bytes += int64(len(d))
+			}
+			if err == nil {
+				got = out
+			}
+			return bytes, err
 		})
 		if err != nil {
 			return
@@ -430,37 +242,83 @@ func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, vids []str
 		c.obs.MetaBatchFetch(provider)
 		mu.Lock()
 		for name, data := range got {
-			vid, _, ok := parseMetaShareName(name)
-			if !ok {
-				continue
+			if vid, idx, ok := parseMetaShareName(name); ok {
+				shares[vid] = append(shares[vid], erasure.Share{Index: idx, Data: data})
 			}
-			shares[vid] = append(shares[vid], erasure.Share{Index: wantMeta[provider][name], Data: data})
 		}
 		mu.Unlock()
 	})
 
-	// Decode pass; stragglers retry through the per-record path, which
-	// shares this operation's failed set (a provider that just failed its
-	// batch is skipped, not re-probed).
+	// Decode pass; stragglers go through the data path's verified gather,
+	// which shares this operation's failed set (a provider that just failed
+	// its batch is skipped, not re-probed), probes alternate holders, and
+	// widens to surplus shares for error correction.
 	out := make(map[string]*metadata.FileMeta, len(vids))
 	errs := make(map[string]error)
-	for _, vid := range vids {
-		ss := shares[vid]
-		if len(ss) >= c.cfg.MetaT {
-			sort.Slice(ss, func(i, j int) bool { return ss[i].Index < ss[j].Index })
-			if m, err := c.decodeMetaVerified(vid, ss); err == nil {
-				out[vid] = m
+	for i, vid := range vids {
+		p := plans[i]
+		b := c.metaBlob("", vid, c.cfg.MetaT, p.n)
+		if ss := shares[vid]; len(ss) >= b.t {
+			if _, _, err := c.decode(b, ss, false); err == nil {
+				out[vid] = b.record
 				continue
 			}
 		}
-		m, err := c.fetchMeta(op, ctx, vid, locs[vid])
-		if err != nil {
+		if _, err := c.gatherBlob(op, ctx, b, p.primary, p.fallback); err != nil {
 			errs[vid] = err
 			continue
 		}
-		out[vid] = m
+		out[vid] = b.record
 	}
 	return out, errs
+}
+
+// metaPlan orders a record's listed share copies for reading: one readable
+// holder of each of the MetaT lowest indices up front; as fallback, a holder
+// of every further index, then the alternate holders of an index re-placed
+// after ring churn (a second copy of an index adds nothing to the quorum).
+// n is the share count to re-encode under (the coder's evaluation points
+// are prefix-stable in n).
+type metaPlan struct {
+	primary, fallback []metadata.ShareLoc
+	n                 int
+}
+
+// metaReadPlan plans one record's read and adds its primary shares to the
+// per-provider want-lists. Of an index's readable holders the one with the
+// shortest want-list serves it, so no provider serves every record alone.
+func (c *Client) metaReadPlan(vid string, byIdx map[int][]string, wants map[string][]string) (p metaPlan) {
+	idxs := make([]int, 0, len(byIdx))
+	for idx := range byIdx {
+		idxs = append(idxs, idx)
+	}
+	sort.Ints(idxs)
+	var alternates []metadata.ShareLoc
+	for _, idx := range idxs {
+		best := ""
+		for _, provider := range byIdx[idx] {
+			if c.readable(provider) && (best == "" || len(wants[provider]) < len(wants[best])) {
+				best = provider
+			}
+		}
+		for _, provider := range byIdx[idx] {
+			l := metadata.ShareLoc{Index: idx, CSP: provider}
+			switch {
+			case provider != best:
+				if c.readable(provider) {
+					alternates = append(alternates, l)
+				}
+			case len(p.primary) < c.cfg.MetaT:
+				p.primary = append(p.primary, l)
+				wants[provider] = append(wants[provider], metaShareName(vid, idx))
+			default:
+				p.fallback = append(p.fallback, l)
+			}
+		}
+		p.n = idx + 1
+	}
+	p.fallback = append(p.fallback, alternates...)
+	return p
 }
 
 // repairMetaPlacement is the background re-placement path for sharded
@@ -500,55 +358,20 @@ func (c *Client) repairMetaPlacement(op *transfer.Op, ctx context.Context, locs 
 		targets := c.metaTargetsFor(m.File.Name)
 		var missing []int
 		for i, target := range targets {
-			held := false
-			for _, holder := range byIdx[i] {
-				if holder == target {
-					held = true
-					break
-				}
-			}
-			if !held {
+			if !slices.Contains(byIdx[i], target) {
 				missing = append(missing, i)
 			}
 		}
 		if len(missing) == 0 {
 			continue
 		}
-		data, err := metadata.Encode(m)
-		if err != nil {
-			healthy = false
-			continue
-		}
-		t := c.cfg.MetaT
-		if t > len(targets) {
-			t = len(targets)
-		}
-		var shares []erasure.Share
-		c.codec.run("encode", int64(len(data)), func() {
-			shares, err = c.coder.EncodeTo(make([]erasure.Share, 0, len(targets)), data, t, len(targets))
-		})
+		b, shares, err := c.codeMeta(m, targets)
 		if err != nil {
 			healthy = false
 			continue
 		}
 		for _, i := range missing {
-			i := i
-			target := targets[i]
-			err := op.Do(ctx, transfer.Attempt{
-				CSP:  target,
-				Kind: opMetaPut,
-				Run: func(actx context.Context) (int64, error) {
-					store, ok := c.store(target)
-					if !ok {
-						return 0, errProviderVanished(target)
-					}
-					return shares[i].Size(), store.Upload(actx, metaShareName(vid, i), shares[i].Data)
-				},
-				Done: func(aerr error, bytes int64, elapsed time.Duration) {
-					c.events.emit(Event{Type: EvMetaPut, File: m.File.Name, CSP: target, Bytes: bytes, Duration: elapsed, Err: aerr})
-				},
-			})
-			if err != nil {
+			if c.putShare(op, ctx, b, shares, i, targets[i], false) != nil {
 				healthy = false
 			}
 		}
@@ -576,13 +399,6 @@ func (c *Client) MetaShardCounts() map[string]int {
 	}
 	return out
 }
-
-// errUnreadableRecord marks a metadata record that was fetched with quorum
-// but does not decode to its version — a foreign user's record (different
-// key) or one rotted beyond the correcting bound. Unlike an availability
-// failure it is a property of the record, not of the sync: no retry will
-// change it, and Sync treats it as a complete view of everything readable.
-var errUnreadableRecord = fmt.Errorf("%w: record unreadable", ErrDamaged)
 
 // absorb inserts a fetched record into the local replica, updating the
 // chunk table exactly once per new record.

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/csp"
 	"repro/internal/metadata"
@@ -366,16 +369,15 @@ func TestBatchFetchFallsBackOnCorruptShare(t *testing.T) {
 	// Corrupt share index 0 wherever it lives: the batch pass prefers the
 	// lowest indices, so it will fetch the rotten share and fail to decode.
 	obj := fmt.Sprintf("%s%s.s0", metadata.MetaPrefix, vid)
-	corrupted := 0
+	intact := make(map[string][]byte) // holder -> the share's bytes as written
 	for _, name := range env.names {
-		if env.backends[name].MutateObject(obj, func(d []byte) []byte {
+		env.backends[name].MutateObject(obj, func(d []byte) []byte {
+			intact[name] = bytes.Clone(d)
 			d[len(d)/2] ^= 0x5a
 			return d
-		}) {
-			corrupted++
-		}
+		})
 	}
-	if corrupted == 0 {
+	if len(intact) == 0 {
 		t.Fatal("share .s0 not found on any provider")
 	}
 
@@ -389,6 +391,123 @@ func TestBatchFetchFallsBackOnCorruptShare(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("content mismatch")
+	}
+	// The correcting read is the chunk plane's: it heals the rotten share
+	// object in place with the bytes the writer stored.
+	for name, want := range intact {
+		if healed, _ := env.backends[name].PeekObject(obj); !bytes.Equal(healed, want) {
+			t.Errorf("metadata share %s on %s was not rewritten with correct bytes after the sync", obj, name)
+		}
+	}
+}
+
+// A reader whose MetaT differs from the writer's still corrects a rotten
+// share (the shares carry their own t), but must not "heal" it: re-encoded
+// under the reader's t the share would not decode with its siblings.
+func TestMetaSelfHealSkippedOnForeignT(t *testing.T) {
+	t.Parallel()
+	env := newEnv(t, 5)
+	w := env.client("writer", nil) // MetaT 2
+	if err := w.Put(bg, "doc", randData(4, 4000)); err != nil {
+		t.Fatal(err)
+	}
+	head, _, err := w.Tree().Head("doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := metaShareName(head.VersionID(), 0)
+	env.backends["cspa"].MutateObject(obj, func(d []byte) []byte {
+		d[len(d)/2] ^= 0x5a
+		return d
+	})
+	rotten, _ := env.backends["cspa"].PeekObject(obj)
+
+	r := env.client("reader", func(cfg *Config) { cfg.MetaT = 3 })
+	if _, err := r.Sync(bg); err != nil {
+		t.Fatalf("sync failed despite recoverable corruption: %v", err)
+	}
+	if _, _, err := r.Tree().Head("doc"); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := env.backends["cspa"].PeekObject(obj); !bytes.Equal(after, rotten) {
+		t.Fatal("share re-encoded under the reader's MetaT overwrote the writer's share object")
+	}
+}
+
+// slowStore delays every Download of one provider.
+type slowStore struct {
+	csp.Store
+	delay time.Duration
+}
+
+func (s *slowStore) Download(ctx context.Context, name string) ([]byte, error) {
+	time.Sleep(s.delay)
+	return s.Store.Download(ctx, name)
+}
+
+// After ring churn a share index has two holders. The gather counts
+// successful lanes, so when the lane of a failed provider walks on to the
+// alternate holder of an index whose primary fetch is still out, both land
+// and the quorum resolves on one distinct share. The read must keep going
+// over the rest of the pool — the record still has t distinct readable
+// shares — instead of reporting damage.
+func TestGatherBlobToppedUpAfterDuplicateIndex(t *testing.T) {
+	t.Parallel()
+	env := newEnv(t, 5)
+	w := env.client("writer", nil)
+	if err := w.Put(bg, "doc", randData(5, 4000)); err != nil {
+		t.Fatal(err)
+	}
+	head, _, err := w.Tree().Head("doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vid := head.VersionID()
+	// Share i lives on the i-th provider; copy s1 to cspc as churn repair
+	// would.
+	s1, ok := env.backends["cspb"].PeekObject(metaShareName(vid, 1))
+	if !ok {
+		t.Fatal("share .s1 not on cspb")
+	}
+	env.backends["cspc"].InjectObject(metaShareName(vid, 1), s1, time.Now())
+
+	var stores []csp.Store
+	for _, name := range env.names {
+		store := cloudsimStore(t, env, name)
+		if name == "cspb" {
+			store = &slowStore{Store: store, delay: 50 * time.Millisecond}
+		}
+		stores = append(stores, store)
+	}
+	r, err := New(Config{ClientID: "reader", Key: "shared-user-key", T: 2, N: 3}, stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc := func(i int, name string) metadata.ShareLoc { return metadata.ShareLoc{Index: i, CSP: name} }
+	for _, fallback := range [][]metadata.ShareLoc{
+		// The order a plan must not produce but the reader must survive: the
+		// alternate holder of s1 ahead of the fresh indices.
+		{loc(1, "cspc"), loc(2, "cspc"), loc(3, "cspd"), loc(4, "cspe")},
+		// No fresh index left: only one distinct share is readable.
+		{loc(1, "cspc")},
+	} {
+		op := r.engine.Begin(bg)
+		op.MarkFailed("cspa") // the s0 holder just failed its batch
+		b := r.metaBlob("", vid, 2, 5)
+		_, err := r.gatherBlob(op, bg, b, []metadata.ShareLoc{loc(0, "cspa"), loc(1, "cspb")}, fallback)
+		op.Finish()
+		if len(fallback) == 1 {
+			if !errors.Is(err, ErrDamaged) || errors.Is(err, errUndecodable) || strings.Contains(err.Error(), "%!") {
+				t.Fatalf("one distinct share: got %v, want a well-formed availability ErrDamaged", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("record with t distinct readable shares: %v", err)
+		}
+		if b.record == nil || b.record.VersionID() != vid {
+			t.Fatal("gather returned no verified record")
+		}
 	}
 }
 

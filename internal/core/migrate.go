@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"sync"
-	"time"
 
-	"repro/internal/csp"
 	"repro/internal/erasure"
 	"repro/internal/metadata"
 	"repro/internal/transfer"
@@ -21,140 +18,84 @@ import (
 // Migration is best-effort: failures leave the old location in place (the
 // chunk remains readable through its surviving shares) and will be retried
 // on the next download.
-func (c *Client) migrateStaleShares(ctx context.Context, file string, refs map[string]metadata.ChunkRef, locs map[string]map[int]string, chunkData map[string][]byte) {
-	type moveJob struct {
-		ref    metadata.ChunkRef
-		index  int
-		target string
-		data   []byte
-	}
-	var jobs []moveJob
-	// The maps are keyed by encoding key (chunk ID + class): mid-demotion
-	// the same chunk content exists under two encodings, and each migrates
-	// independently within its own class's placement preference.
-	for id, ref := range refs {
-		data := chunkData[id]
-		if data == nil {
-			continue
-		}
-		var stale []int
-		holding := make(map[string]bool)
-		for idx, cspName := range locs[id] {
-			// Stale holders count as holding too: the old share object stays
-			// behind (a removed provider may be reinstated later), and a
-			// platform that physically stores one share must never receive a
-			// second — t-privacy is a property of physical placement, not of
-			// the chunk table.
-			holding[cspName] = true
-			if c.shareLocationStale(cspName) {
-				stale = append(stale, idx)
-			}
-		}
-		if len(stale) == 0 {
-			continue
-		}
-		// Candidate targets: ring order for this chunk, skipping providers
-		// that already hold one of its shares. The local view can lag —
-		// another client may have migrated a share of this chunk already,
-		// and old metadata still lists the pre-migration location — so
-		// before committing to a candidate, probe whether it physically
-		// holds any share of the chunk. Without the probe two clients with
-		// stale tables can double-place shares on one platform, silently
-		// breaking t-privacy.
-		prefs, err := c.placementOrderFor(ref.ID, ref.Class)
-		if err != nil {
-			continue
-		}
-		pi := 0
-		for _, idx := range stale {
-			var target string
-			for pi < len(prefs) {
-				cand := prefs[pi]
-				pi++
-				if holding[cand] {
-					continue
-				}
-				if c.holdsAnyShare(ctx, cand, ref) {
-					holding[cand] = true
-					continue
-				}
-				target = cand
-				break
-			}
-			if target == "" {
-				break // nowhere to put it; keep the stale location
-			}
-			holding[target] = true
-			jobs = append(jobs, moveJob{ref: ref, index: idx, target: target, data: data})
+func (c *Client) migrateStaleShares(ctx context.Context, file string, ref metadata.ChunkRef, locs map[int]string, data []byte) {
+	var stale []int
+	holding := make(map[string]bool)
+	for idx, cspName := range locs {
+		// Stale holders count as holding too: the old share object stays
+		// behind (a removed provider may be reinstated later), and a
+		// platform that physically stores one share must never receive a
+		// second — t-privacy is a property of physical placement, not of
+		// the chunk table.
+		holding[cspName] = true
+		if c.shareLocationStale(cspName) {
+			stale = append(stale, idx)
 		}
 	}
-	if len(jobs) == 0 {
+	if len(stale) == 0 {
+		return
+	}
+	// CAS chunks re-encode with the content-derived coder and keep their
+	// content-addressed name at the new location (the name encodes no
+	// provider); the put is the one CAS protocol (putCASShare: its AddRef
+	// probe is one round trip beside the n listing probes each target already
+	// cost) and registers our reference token, so refcounted GC covers the
+	// copy. chunkBlob only fails without the deployment secret: no migration.
+	b, err := c.chunkBlob(file, ref)
+	if err != nil {
+		return
+	}
+	prefs, err := c.placementOrderFor(ref.ID, ref.Class)
+	if err != nil {
+		return
+	}
+	// Every probe and move routes through one engine operation: bounded
+	// slots, the taxonomy-driven retry policy, and a shared failed set (a
+	// target that exhausts its retries for one move is not re-probed by
+	// another). Failures never cancel siblings — each move is independent
+	// best-effort.
+	op := c.engine.Begin(ctx)
+	defer op.Finish()
+
+	// Candidate targets: ring order for this chunk (within its class's
+	// placement preference), skipping providers that already hold one of its
+	// shares. The local view can lag — another client may have migrated a
+	// share of this chunk already, and old metadata still lists the
+	// pre-migration location — so before committing to a candidate, probe
+	// whether it physically holds any share of the chunk. Without the probe
+	// two clients with stale tables can double-place shares on one platform,
+	// silently breaking t-privacy.
+	targets := make([]string, len(stale)) // new provider of stale[k], "" = none
+	pi := 0
+	for k := range stale {
+		for pi < len(prefs) && targets[k] == "" {
+			cand := prefs[pi]
+			pi++
+			if !holding[cand] && !c.holdsAnyShare(op, ctx, cand, b) {
+				targets[k] = cand
+			}
+			holding[cand] = true
+		}
+	}
+	// Targets are handed out in order, so if the first stale share got none,
+	// none did: keep the stale locations.
+	if targets[0] == "" {
 		return
 	}
 	ctx, sp := c.obs.StartOp(ctx, "migrate")
 	defer func() { sp.End(nil) }()
-
-	// Every move routes through one engine operation: bounded slots, the
-	// taxonomy-driven retry policy, and a shared failed set (a target that
-	// exhausts its retries for one move is not re-probed by another).
-	// Failures never cancel siblings — each move is independent best-effort.
-	op := c.engine.Begin(ctx)
-	defer op.Finish()
-	var mu sync.Mutex
-	op.Each(len(jobs), func(k int) {
-		j := jobs[k]
-		// CAS chunks re-encode with the content-derived coder and keep their
-		// content-addressed name at the new location (the name encodes no
-		// provider). coderFor only fails when the deployment secret is
-		// missing, in which case the chunk simply is not migrated.
-		coder, cerr := c.coderFor(j.ref)
-		if cerr != nil {
+	shares, err := c.encode(b, data)
+	if err != nil {
+		return
+	}
+	defer erasure.ReleaseShares(shares)
+	op.Each(len(stale), func(k int) {
+		idx, target := stale[k], targets[k]
+		if target == "" || c.putShare(op, ctx, b, shares, idx, target, false) != nil {
 			return
 		}
-		name, nerr := c.shareNameFor(j.ref, j.index)
-		if nerr != nil {
-			return
-		}
-		var shares []erasure.Share
-		var err error
-		c.codec.run("encode", int64(len(j.data)), func() {
-			shares, err = coder.EncodeTo(make([]erasure.Share, 0, j.ref.N), j.data, j.ref.T, j.ref.N)
-		})
-		if err != nil {
-			return
-		}
-		defer erasure.ReleaseShares(shares)
-		err = op.Do(ctx, transfer.Attempt{
-			CSP:  j.target,
-			Kind: opUpload,
-			Run: func(actx context.Context) (int64, error) {
-				store, ok := c.store(j.target)
-				if !ok {
-					return shares[j.index].Size(), errProviderVanished(j.target)
-				}
-				if j.ref.CAS {
-					if rs, ok := store.(csp.RefStore); ok {
-						// Register our reference token at the new location so
-						// the refcounted GC protocol covers the migrated copy;
-						// if another user already moved this share here, the
-						// put degrades into a reference add.
-						_, err := rs.PutRef(actx, name, c.refToken(), shares[j.index].Data)
-						return shares[j.index].Size(), err
-					}
-				}
-				return shares[j.index].Size(), store.Upload(actx, name, shares[j.index].Data)
-			},
-			Done: func(aerr error, bytes int64, elapsed time.Duration) {
-				c.events.emit(Event{Type: EvSharePut, File: file, ChunkID: j.ref.ID, Index: j.index, CSP: j.target, Bytes: bytes, Duration: elapsed, Err: aerr})
-			},
-		})
-		if err != nil {
-			return
-		}
-		mu.Lock()
-		c.table.MoveShareEnc(j.ref.ID, j.ref.Class, j.index, j.target)
-		mu.Unlock()
-		c.logf("migrated share", "chunk", j.ref.ID[:8], "index", j.index, "to", j.target)
+		c.table.MoveShareEnc(ref.ID, ref.Class, idx, target)
+		c.logf("migrated share", "chunk", ref.ID[:8], "index", idx, "to", target)
 		// The source copy is deliberately NOT deleted. Old metadata
 		// records still list it, and a fresh client recovering from
 		// nothing but the cloud locates shares through those records —
@@ -168,21 +109,9 @@ func (c *Client) migrateStaleShares(ctx context.Context, file string, refs map[s
 // holdsAnyShare probes whether a provider physically stores any share of
 // the chunk, regardless of what the local table claims. Errors count as
 // holding: an unverifiable candidate is skipped rather than risked.
-func (c *Client) holdsAnyShare(ctx context.Context, cspName string, ref metadata.ChunkRef) bool {
-	store, ok := c.store(cspName)
-	if !ok {
-		return true
-	}
-	for i := 0; i < ref.N; i++ {
-		name, nerr := c.shareNameFor(ref, i)
-		if nerr != nil {
-			return true
-		}
-		infos, err := store.List(ctx, name)
-		if err != nil {
-			return true
-		}
-		if len(infos) > 0 {
+func (c *Client) holdsAnyShare(op *transfer.Op, ctx context.Context, cspName string, b *blob) bool {
+	for i := 0; i < b.n; i++ {
+		if infos, err := c.list(op, ctx, cspName, b.name(i)); err != nil || len(infos) > 0 {
 			return true
 		}
 	}

@@ -512,8 +512,8 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 			return
 		}
 		if firstErr == nil {
-			lo := max64(e.ref.Offset, offset)
-			hi := min64(e.ref.Offset+e.ref.Size, offset+length)
+			lo := max(e.ref.Offset, offset)
+			hi := min(e.ref.Offset+e.ref.Size, offset+length)
 			seg := e.res.data[lo-e.ref.Offset : hi-e.ref.Offset]
 			_, dsp := c.obs.Trace(ctx, "chunk.deliver")
 			if full {
@@ -533,11 +533,10 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 			if full && firstErr == nil {
 				// Lazy migration (paper §5.5) per chunk, while its
 				// plaintext is resident in the window anyway.
-				st := states[key]
-				c.migrateStaleShares(ctx, m.File.Name,
-					map[string]metadata.ChunkRef{key: st.ref},
-					map[string]map[int]string{key: st.shares},
-					map[string][]byte{key: e.res.data})
+				// The plan is per encoding (chunk ID + class): mid-demotion
+				// the same content exists under two encodings, and each
+				// migrates within its own class's placement preference.
+				c.migrateStaleShares(ctx, m.File.Name, states[key].ref, states[key].shares, e.res.data)
 			}
 			c.acctSub(int64(len(e.res.data)))
 			e.res.data = nil

@@ -29,7 +29,7 @@ import (
 func (c *Client) Sync(ctx context.Context) (n int, err error) {
 	ctx, sp := c.obs.StartOp(ctx, "sync")
 	defer func() { sp.End(err) }()
-	if err := ctxErr(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
 	full := false
@@ -71,13 +71,13 @@ func (c *Client) Sync(ctx context.Context) (n int, err error) {
 			// Prefer reporting an availability failure over an unreadable
 			// record: the former is actionable and transient, and its
 			// absence is what distinguishes a full view.
-			if errors.Is(err, errUnreadableRecord) {
+			if errors.Is(err, errUndecodable) {
 				if firstErr == nil {
 					firstErr = err
 				}
 			} else {
 				unreadableOnly = false
-				if firstErr == nil || errors.Is(firstErr, errUnreadableRecord) {
+				if firstErr == nil || errors.Is(firstErr, errUndecodable) {
 					firstErr = err
 				}
 			}

@@ -5,9 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
-	"repro/internal/csp"
 	"repro/internal/erasure"
 	"repro/internal/metadata"
 	"repro/internal/transfer"
@@ -45,20 +43,13 @@ func (c *Client) scatterChunk(op *transfer.Op, file string, ref metadata.ChunkRe
 	if len(prefs) < ref.N {
 		return nil, fmt.Errorf("%w: %d providers for %d shares of chunk %s", ErrNotEnoughCSP, len(prefs), ref.N, ref.ID[:8])
 	}
-	// Erasure-encode on the codec pool: the CPU work of this chunk runs in
-	// a bounded slot, overlapping the network transfers of sibling chunks.
 	// Shares use pooled buffers, returned once every upload has finished
-	// (op.Each joins before this function returns on every path). CAS
-	// chunks encode under the content-derived convergent coder, so every
-	// client sharing the deployment secret produces byte-identical shares.
-	coder, err := c.coderFor(ref)
+	// (op.Each joins before this function returns on every path).
+	b, err := c.chunkBlob(file, ref)
 	if err != nil {
 		return nil, err
 	}
-	var shares []erasure.Share
-	c.codec.run("encode", int64(len(data)), func() {
-		shares, err = coder.EncodeTo(make([]erasure.Share, 0, ref.N), data, ref.T, ref.N)
-	})
+	shares, err := c.encode(b, data)
 	if err != nil {
 		return nil, err
 	}
@@ -81,19 +72,9 @@ func (c *Client) scatterChunk(op *transfer.Op, file string, ref metadata.ChunkRe
 	}
 
 	op.Each(ref.N, func(i int) {
-		shareObj, nerr := c.shareNameFor(ref, i)
-		if nerr != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = nerr
-			}
-			mu.Unlock()
-			op.Fail(nerr)
-			return
-		}
 		cur := prefs[i]
 		for {
-			if cerr := ctxErr(ctx); cerr != nil {
+			if cerr := ctx.Err(); cerr != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = cerr
@@ -101,27 +82,10 @@ func (c *Client) scatterChunk(op *transfer.Op, file string, ref metadata.ChunkRe
 				mu.Unlock()
 				return
 			}
-			target := cur
-			err := op.Do(ctx, transfer.Attempt{
-				CSP:  target,
-				Kind: opUpload,
-				Run: func(actx context.Context) (int64, error) {
-					store, ok := c.store(target)
-					if !ok {
-						return shares[i].Size(), errProviderVanished(target)
-					}
-					if ref.CAS {
-						return c.putCASShare(actx, target, store, shareObj, shares[i].Data)
-					}
-					return shares[i].Size(), store.Upload(actx, shareObj, shares[i].Data)
-				},
-				Done: func(aerr error, bytes int64, elapsed time.Duration) {
-					c.events.emit(Event{Type: EvSharePut, File: file, ChunkID: ref.ID, Index: i, CSP: target, Bytes: bytes, Duration: elapsed, Err: aerr})
-				},
-			})
+			err := c.putShare(op, ctx, b, shares, i, cur, false)
 			if err == nil {
 				mu.Lock()
-				locs = append(locs, metadata.ShareLoc{ChunkID: ref.ID, Index: i, CSP: target})
+				locs = append(locs, metadata.ShareLoc{ChunkID: ref.ID, Index: i, CSP: cur})
 				mu.Unlock()
 				return
 			}
@@ -151,46 +115,6 @@ func (c *Client) scatterChunk(op *transfer.Op, file string, ref metadata.ChunkRe
 	}
 	c.events.emit(Event{Type: EvChunkComplete, File: file, ChunkID: ref.ID, Duration: c.rt.Now().Sub(chunkStart)})
 	return locs, nil
-}
-
-// putCASShare stores one content-addressed share, skipping the payload
-// transfer when the provider already holds the object. The protocol is
-// probe-then-put: AddRef stamps this user's reference token on an existing
-// object — a dedup hit costs one round trip and zero payload bytes — and
-// on ErrNotFound, PutRef creates object and token in one atomic provider
-// operation (if a concurrent uploader of the same chunk wins the creation
-// race, our PutRef degrades into a reference add server-side; if a
-// concurrent delete drains the last token between our probe and put,
-// PutRef recreates the object — no interleaving loses a referenced share).
-// Providers without reference support fall back to a plain upload: names
-// still converge (re-uploads are idempotent overwrites of identical
-// bytes), but no refcounts exist there, so GC stays conservative.
-func (c *Client) putCASShare(ctx context.Context, cspName string, store csp.Store, name string, data []byte) (int64, error) {
-	rs, ok := store.(csp.RefStore)
-	if !ok {
-		return int64(len(data)), store.Upload(ctx, name, data)
-	}
-	token := c.refToken()
-	err := rs.AddRef(ctx, name, token)
-	if err == nil {
-		c.obs.DedupHit(cspName, int64(len(data)))
-		return 0, nil
-	}
-	if !errIsNotFound(err) {
-		return 0, err
-	}
-	created, err := rs.PutRef(ctx, name, token, data)
-	if err != nil {
-		return int64(len(data)), err
-	}
-	if !created {
-		// Lost the creation race: the payload shipped but the provider
-		// already held the object, so the bytes were redundant.
-		c.obs.DedupHit(cspName, int64(len(data)))
-		return 0, nil
-	}
-	c.obs.DedupMiss(cspName)
-	return int64(len(data)), nil
 }
 
 // placementOrder returns every active CSP in ring order starting at the

@@ -171,18 +171,6 @@ func (r *FlightRecorder) Config() RecorderConfig {
 	return r.cfg
 }
 
-// SetTriggerMultiple re-points the latency-anomaly threshold (core applies
-// Config.FlightTriggerMultiple here). Nil-safe; 0 is ignored, negative
-// disables the latency trigger.
-func (r *FlightRecorder) SetTriggerMultiple(m float64) {
-	if r == nil || m == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.cfg.TriggerMultiple = m
-	r.mu.Unlock()
-}
-
 // record appends one event and returns it with Seq/At stamped. The caller
 // must NOT hold r.mu.
 func (r *FlightRecorder) record(ev FlightEvent) FlightEvent {

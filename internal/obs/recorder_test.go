@@ -260,12 +260,12 @@ func TestSLOClassification(t *testing.T) {
 		t.Errorf("slo_objective{put} = %+v (found=%v), want 0.05", p, ok)
 	}
 
-	// Removing the objective stops tracking.
-	o.SetSLOObjectives(map[string]time.Duration{"put": -1})
-	opSpan(o, clk, "put", 500*time.Millisecond, nil)
-	s = o.Registry().Snapshot()
-	if p, _ := s.Find(MetricSLOBreach, map[string]string{"op": "put"}); p.Value != 1 {
-		t.Errorf("slo_breach{put} after removal = %v, want unchanged 1", p.Value)
+	// A negative objective removes the default: the op is not tracked.
+	o = NewObserverWith(Options{SLOObjectives: map[string]time.Duration{"put": -1}})
+	o.SetClock(clk.now)
+	opSpan(o, clk, "put", time.Hour, nil)
+	if p, _ := o.Registry().Snapshot().Find(MetricSLOBreach, map[string]string{"op": "put"}); p.Value != 0 {
+		t.Errorf("slo_breach{put} with the objective removed = %v, want 0", p.Value)
 	}
 	if obj := o.SLOObjectives(); obj["get"] != DefaultSLOObjectives["get"] {
 		t.Errorf("default objective for get = %v, want %v", obj["get"], DefaultSLOObjectives["get"])

@@ -15,7 +15,7 @@ import (
 // DefaultSLOObjectives are the per-op latency objectives applied when the
 // caller configures none. They are intentionally loose client-side targets
 // for WAN-dispersed storage; netsim experiments override them via
-// Options.SLOObjectives / core.Config.SLOObjectives.
+// Options.SLOObjectives.
 var DefaultSLOObjectives = map[string]time.Duration{
 	"put":      5 * time.Second,
 	"get":      2 * time.Second,
@@ -81,18 +81,6 @@ func (t *sloTracker) observe(op string, elapsed time.Duration) {
 	} else {
 		t.breachTotal.With(op).Inc()
 	}
-}
-
-// SetSLOObjectives merges per-op latency objectives into the tracker:
-// positive durations set an objective, negative remove one, zero entries
-// are ignored. Nil-safe and idempotent — core applies Config.SLOObjectives
-// here at client construction, and a shared Observer (chaos harness) may
-// receive the same map from every client.
-func (o *Observer) SetSLOObjectives(objectives map[string]time.Duration) {
-	if o == nil || o.slo == nil || len(objectives) == 0 {
-		return
-	}
-	o.slo.merge(objectives)
 }
 
 // SLOObjectives returns a copy of the current objective table. Nil-safe.

@@ -307,20 +307,6 @@ func (o *Op) Each(n int, fn func(i int)) {
 	g.Wait()
 }
 
-// Batch dispatches the attempts concurrently through the operation — same
-// slot bounding, retry policy, and shared failed set as Do — and returns
-// one error slot per attempt (nil on success). It is the fan-out primitive
-// for flows that need every per-provider outcome rather than first-error
-// cancellation: dedup existence probes and refcount maintenance, where a
-// miss (csp.ErrNotFound) on one provider is an answer, not a failure.
-func (o *Op) Batch(ctx context.Context, atts []Attempt) []error {
-	errs := make([]error, len(atts))
-	o.Each(len(atts), func(i int) {
-		errs[i] = o.Do(ctx, atts[i])
-	})
-	return errs
-}
-
 // Do executes one attempt under the operation: it skips providers in the
 // failed set (ErrSkipped), acquires the per-CSP and global in-flight
 // slots, runs with retry/backoff per the engine's policy, reports every

@@ -679,26 +679,31 @@ func TestEngineRace(t *testing.T) {
 	}
 }
 
-// Batch returns one error slot per attempt: successes, not-found probes,
+// Each + Do keeps one outcome per attempt: successes, not-found probes,
 // and skips land in their own slots instead of collapsing to a first
 // error, and a provider-fault failure still feeds the shared failed set
 // so later attempts against that provider are skipped.
-func TestBatchPerAttemptOutcomes(t *testing.T) {
+func TestEachPerAttemptOutcomes(t *testing.T) {
 	e, nw := newSimEngine(Tunables{Attempts: 1}, nil)
 
 	var errs []error
 	nw.Run(func() {
 		op := e.Begin(context.Background())
 		defer op.Finish()
+		batch := func(atts []Attempt) []error {
+			out := make([]error, len(atts))
+			op.Each(len(atts), func(i int) { out[i] = op.Do(op.Context(), atts[i]) })
+			return out
+		}
 		op.MarkFailed("cspdown")
-		errs = op.Batch(op.Context(), []Attempt{
+		errs = batch([]Attempt{
 			{CSP: "cspa", Kind: "ref", Run: func(ctx context.Context) (int64, error) { return 0, nil }},
 			{CSP: "cspb", Kind: "ref", Run: func(ctx context.Context) (int64, error) { return 0, csp.ErrNotFound }},
 			{CSP: "cspdown", Kind: "ref", Run: func(ctx context.Context) (int64, error) { return 0, nil }},
 			{CSP: "cspc", Kind: "ref", Run: func(ctx context.Context) (int64, error) { return 0, csp.ErrUnavailable }},
 		})
 		// The fault on cspc marked it failed; a follow-up batch skips it.
-		follow := op.Batch(op.Context(), []Attempt{
+		follow := batch([]Attempt{
 			{CSP: "cspc", Kind: "ref", Run: func(ctx context.Context) (int64, error) { return 0, nil }},
 		})
 		errs = append(errs, follow...)
