@@ -10,9 +10,11 @@ import "io"
 // window — or over whatever remains once the reader is drained — is the
 // decision Split would have made with the whole file in hand.
 type Scanner struct {
-	c   *Chunker
-	r   io.Reader // nil in ScanBytes mode (whole input already in buf)
-	buf []byte    // streaming: len == MaxSize; ScanBytes: the input itself
+	c *Chunker
+	r io.Reader // nil in ScanBytes mode (whole input already in buf)
+	// streaming: the ring, len ≤ MaxSize, grown as the stream fills it;
+	// ScanBytes: the input itself.
+	buf []byte
 	// buf[start:end] is the unconsumed window; off is the file offset of
 	// buf[start].
 	start, end int
@@ -22,15 +24,29 @@ type Scanner struct {
 	zeroReads  int
 }
 
-// Scan returns a Scanner that chunks the stream read from r. The scanner
-// allocates one MaxSize buffer up front and never more: each call to Next
-// refills the buffer, cuts one chunk, and slides the window.
+// minRing is the ring a streaming Scanner starts with when the reader gives
+// no length hint. Small objects never pay for more; a long stream doubles it
+// up to MaxSize, copying less than 2 × MaxSize bytes in total.
+const minRing = 64 << 10
+
+// Scan returns a Scanner that chunks the stream read from r. The scanner's
+// ring is sized by the bytes it actually reads: it starts small — or, when r
+// reports its remaining length (Len() int, as bytes.Reader and
+// strings.Reader do), just large enough to hold it — and doubles up to
+// MaxSize, never more. Each call to Next refills the ring, cuts one chunk,
+// and slides the window.
 //
 // The Data of a returned Chunk aliases the scanner's internal buffer and is
 // only valid until the next call to Next — callers that keep a chunk must
 // copy it. (ScanBytes-mode chunks alias the caller's slice and are stable.)
 func (c *Chunker) Scan(r io.Reader) *Scanner {
-	return &Scanner{c: c, r: r, buf: make([]byte, c.cfg.MaxSize)}
+	size := min(minRing, c.cfg.MaxSize)
+	if l, ok := r.(interface{ Len() int }); ok {
+		// One spare byte, so the read that reports EOF has room to be made
+		// without growing the ring.
+		size = min(max(l.Len(), 0), c.cfg.MaxSize-1) + 1
+	}
+	return &Scanner{c: c, r: r, buf: make([]byte, size)}
 }
 
 // ScanBytes returns a Scanner over an in-memory buffer. No copy is made:
@@ -38,6 +54,15 @@ func (c *Chunker) Scan(r io.Reader) *Scanner {
 // around this mode, so Scanner and Split cannot drift apart.
 func (c *Chunker) ScanBytes(data []byte) *Scanner {
 	return &Scanner{c: c, buf: data, end: len(data), eof: true}
+}
+
+// BufferBytes returns the size of the scanner's ring: the input bytes it
+// holds resident right now (0 in ScanBytes mode, which owns no buffer).
+func (s *Scanner) BufferBytes() int {
+	if s.r == nil {
+		return 0
+	}
+	return len(s.buf)
 }
 
 // Next returns the next chunk of the stream. It returns io.EOF after the
@@ -55,7 +80,17 @@ func (s *Scanner) Next() (Chunk, error) {
 		s.end -= s.start
 		s.start = 0
 	}
-	for !s.eof && s.end < len(s.buf) {
+	for !s.eof {
+		if s.end == len(s.buf) {
+			if len(s.buf) >= s.c.cfg.MaxSize {
+				break
+			}
+			// The stream outgrew the ring before a full MaxSize window was
+			// seen: the cut may depend on bytes not read yet.
+			grown := make([]byte, min(2*len(s.buf), s.c.cfg.MaxSize))
+			copy(grown, s.buf[:s.end])
+			s.buf = grown
+		}
 		n, err := s.r.Read(s.buf[s.end:])
 		s.end += n
 		if n > 0 {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha1"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -244,4 +246,83 @@ func FuzzScannerMatchesSplit(f *testing.F) {
 			}
 		}
 	})
+}
+
+// growConfigs are configurations whose MaxSize exceeds the initial ring, so a
+// hint-less stream has to grow it (the small property-suite configs never
+// do).
+func growConfigs() map[string]Config {
+	return map[string]Config{
+		"rabin":   {Algorithm: Rabin, AverageSize: 64 << 10, MinSize: 16 << 10, MaxSize: 4 * minRing, Window: 48},
+		"fastcdc": {Algorithm: FastCDC, AverageSize: 64 << 10, MinSize: 16 << 10, MaxSize: 4 * minRing},
+	}
+}
+
+// shortLenReader reports a remaining length smaller than what it delivers:
+// the hint only picks the first ring size, it is never trusted.
+type shortLenReader struct{ fragmentReader }
+
+func (r *shortLenReader) Len() int { return len(r.data) / 3 }
+
+// TestScannerRingGrowthMatchesSplit: a ring that starts small and doubles up
+// to MaxSize — or starts at a reader's length hint, right or wrong — cuts
+// exactly where Split does, for inputs below, at and far beyond MaxSize.
+func TestScannerRingGrowthMatchesSplit(t *testing.T) {
+	for name, cfg := range growConfigs() {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 1, minRing - 1, minRing, minRing + 1, cfg.MaxSize - 1, cfg.MaxSize, cfg.MaxSize + 1, 5*cfg.MaxSize + 12345} {
+			data := randomBytes(int64(n)+9, n)
+			want := c.Split(data)
+			readers := map[string]io.Reader{
+				"no-hint":    &fragmentReader{data: bytes.Clone(data), sizes: []int{1 << 20}},
+				"fragmented": &fragmentReader{data: bytes.Clone(data), sizes: []int{4097, 1, 70_000, 333}},
+				"len-hint":   bytes.NewReader(data),
+				"short-len":  &shortLenReader{fragmentReader{data: bytes.Clone(data), sizes: []int{50_000}}},
+			}
+			for rname, r := range readers {
+				s := c.Scan(r)
+				got := collect(t, s)
+				t.Run(fmt.Sprintf("%s/%d/%s", name, n, rname), func(t *testing.T) { requireSameChunks(t, want, got) })
+				if s.BufferBytes() > cfg.MaxSize {
+					t.Fatalf("%s/%d/%s: ring grew to %d, beyond MaxSize %d", name, n, rname, s.BufferBytes(), cfg.MaxSize)
+				}
+			}
+		}
+	}
+}
+
+// TestScannerSmallObjectAllocatesSmallRing: the scanner's memory follows the
+// bytes it reads, not MaxSize. Under the production default (16 MiB MaxSize)
+// a 16 KiB object used to allocate — and zero — a 16 MiB ring per Put.
+func TestScannerSmallObjectAllocatesSmallRing(t *testing.T) {
+	c, err := New(Config{}) // production default: 4 MiB average, 16 MiB MaxSize
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Config().MaxSize < 16<<20 {
+		t.Fatalf("default MaxSize %d: this test is about a ring far larger than the object", c.Config().MaxSize)
+	}
+	data := randomBytes(41, 16<<10)
+	want := c.Split(data)
+	for name, mk := range map[string]func() io.Reader{
+		"len-hint": func() io.Reader { return bytes.NewReader(data) },
+		"no-hint":  func() io.Reader { return &fragmentReader{data: bytes.Clone(data), sizes: []int{1 << 20}} },
+	} {
+		r := mk()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := c.Scan(r)
+		got := collect(t, s)
+		runtime.ReadMemStats(&after)
+		requireSameChunks(t, want, got)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: scanning a 16 KiB object allocated %d bytes, want < 1 MiB", name, alloc)
+		}
+		if s.BufferBytes() > minRing {
+			t.Errorf("%s: ring is %d bytes for a 16 KiB object", name, s.BufferBytes())
+		}
+	}
 }

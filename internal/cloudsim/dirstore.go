@@ -70,12 +70,18 @@ func (d *DirStore) session(ctx context.Context) error {
 // files, stray dirs) is ignored by List.
 const filePrefix = "f-"
 
+// nameEscaper and nameUnescaper are built once: List decodes every directory
+// entry, and a Replacer is safe for concurrent use.
+var (
+	nameEscaper   = strings.NewReplacer("%", "%25", "/", "%2F", "\\", "%5C")
+	nameUnescaper = strings.NewReplacer("%2F", "/", "%5C", "\\", "%25", "%")
+)
+
 // encodeName makes an object name filesystem-safe: "%" is escaped first so
 // decoding is unambiguous, path separators cannot escape the root, and the
 // "f-" prefix rules out "." / ".." and temp-file collisions.
 func encodeName(name string) string {
-	r := strings.NewReplacer("%", "%25", "/", "%2F", "\\", "%5C")
-	return filePrefix + r.Replace(name)
+	return filePrefix + nameEscaper.Replace(name)
 }
 
 // decodeName reverses encodeName; ok is false for files List should skip.
@@ -83,8 +89,7 @@ func decodeName(enc string) (string, bool) {
 	if !strings.HasPrefix(enc, filePrefix) {
 		return "", false
 	}
-	r := strings.NewReplacer("%2F", "/", "%5C", "\\", "%25", "%")
-	return r.Replace(enc[len(filePrefix):]), true
+	return nameUnescaper.Replace(enc[len(filePrefix):]), true
 }
 
 // List implements csp.Store.

@@ -221,7 +221,7 @@ func TestClassMetaCSPs(t *testing.T) {
 	head := headOf(t, c, "vault/secret.bin")
 	vid := head.VersionID()
 	for _, name := range env.names {
-		n := len(env.backends[name].ObjectNames(metadata.MetaPrefix + vid))
+		n := len(env.backends[name].ObjectNames(metadata.MetaPrefix + c.metaRecordKey("vault/secret.bin", vid)))
 		dedicated := name == "cspe" || name == "cspf"
 		if dedicated && n == 0 {
 			t.Fatalf("dedicated metadata CSP %s holds no share of %s", name, vid)

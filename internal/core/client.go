@@ -599,10 +599,10 @@ func (c *Client) ShareObjectName(chunkID string, index, t int) string {
 // content-addressed share objects (for oracles auditing provider refcounts).
 func (c *Client) RefToken() string { return c.refToken() }
 
-// MetaShareObjectName returns the provider object name of one metadata
-// share of the given version.
-func (c *Client) MetaShareObjectName(versionID string, index int) string {
-	return metaShareName(versionID, index)
+// MetaShareObjectName returns the provider object name this client writes
+// one metadata share of the given version of a file under.
+func (c *Client) MetaShareObjectName(fileName, versionID string, index int) string {
+	return metaShareName(c.metaRecordKey(fileName, versionID), index)
 }
 
 // Tree exposes the local metadata tree (read-mostly; used by the CLI and

@@ -143,15 +143,16 @@ func (c *Client) chunkBlob(file string, ref metadata.ChunkRef) (*blob, error) {
 	}, nil
 }
 
-// metaBlob describes the record of one version: shares named by the version
-// ID under the user's coder, verified by re-deriving the version ID from the
-// parsed record (a corrupt or tampered share otherwise slips through as a
-// consistent-but-wrong record), read without redundant lanes.
-func (c *Client) metaBlob(file, vid string, t, n int) *blob {
+// metaBlob describes the record of one version: shares named by its record
+// key (metaio.go) under the user's coder, verified by re-deriving the version
+// ID from the parsed record (a corrupt or tampered share otherwise slips
+// through as a consistent-but-wrong record), read without redundant lanes.
+func (c *Client) metaBlob(file, rec string, t, n int) *blob {
+	vid := recordVersion(rec)
 	b := &blob{
 		desc:  "metadata " + vid,
 		coder: c.coder, t: t, n: n,
-		name:    func(i int) string { return metaShareName(vid, i) },
+		name:    func(i int) string { return metaShareName(rec, i) },
 		putKind: opMetaPut, getKind: opMetaGet,
 		putEv: Event{Type: EvMetaPut, File: file},
 		getEv: Event{Type: EvMetaGet},

@@ -115,7 +115,7 @@ type GCStats struct {
 func (c *Client) GC(ctx context.Context) (_ GCStats, err error) {
 	ctx, sp := c.obs.StartOp(ctx, "gc")
 	defer func() { sp.End(err) }()
-	c.syncBestEffort(ctx)
+	c.syncBestEffort(ctx, "")
 
 	// References are per encoding (chunk ID + class): after a lifecycle
 	// demotion both encodings of a chunk coexist, and only the one no

@@ -43,7 +43,7 @@ func newDeletionMarker(prev *metadata.FileMeta, clientID string, now time.Time) 
 func (c *Client) Delete(ctx context.Context, name string) (err error) {
 	ctx, sp := c.obs.StartOp(ctx, "delete")
 	defer func() { sp.End(err) }()
-	c.syncBestEffort(ctx)
+	c.syncBestEffort(ctx, name)
 	return c.deleteLocal(ctx, name)
 }
 
@@ -70,7 +70,7 @@ func (c *Client) deleteLocal(ctx context.Context, name string) error {
 // List returns the files under a directory prefix — [(f, r), ...] =
 // list(s, d). Deleted files are omitted; conflicted files are flagged.
 func (c *Client) List(ctx context.Context, dir string) ([]FileInfo, error) {
-	c.syncBestEffort(ctx)
+	c.syncBestEffort(ctx, "")
 	return c.ListLocal(dir)
 }
 
@@ -108,7 +108,7 @@ func (c *Client) Stat(ctx context.Context, name string) (FileInfo, error) {
 	if m, ok := c.mcache.head(name); ok {
 		return fileInfo(m, false), nil
 	}
-	c.syncBestEffort(ctx)
+	c.syncBestEffort(ctx, name)
 	return c.StatLocal(name)
 }
 
@@ -134,7 +134,7 @@ func (c *Client) ConflictsLocal() []ConflictInfo {
 // "clients can recover previous versions of files by traversing the
 // metadata tree up from the current file version").
 func (c *Client) History(ctx context.Context, name string) ([]FileInfo, error) {
-	c.syncBestEffort(ctx)
+	c.syncBestEffort(ctx, name)
 	chain, err := c.tree.History(name)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchFile, name)
@@ -151,7 +151,7 @@ func (c *Client) History(ctx context.Context, name string) ([]FileInfo, error) {
 // content. No chunk data moves: the restored version reuses the stored
 // shares.
 func (c *Client) Restore(ctx context.Context, name, versionID string) error {
-	c.syncBestEffort(ctx)
+	c.syncBestEffort(ctx, name)
 	old, err := c.tree.Get(versionID)
 	if err != nil {
 		return err

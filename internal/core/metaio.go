@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha1"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
@@ -20,19 +22,52 @@ import (
 // CSPs (the paper stores metadata pieces at *all* CSPs so that clients can
 // always find them — footnote 3). Each share is one object named
 //
-//	cyrus-meta-<versionID>.s<index>
+//	cyrus-meta-<tag>-<versionID>.s<index>
+//
+// where <tag> is a 16-hex-digit keyed hash of the file name (metaTag): every
+// key holder derives the same tag, so the records of one name are found by
+// listing the prefix cyrus-meta-<tag>- — O(versions of that name) entries —
+// instead of the whole namespace. A provider can group the records of one
+// opaque name by it; it learns neither the name nor any content. Records
+// written before the tag existed are named cyrus-meta-<versionID>.s<index>;
+// they match only the whole-prefix listing of a full Sync.
 //
 // The erasure coder's evaluation points are prefix-stable in n, so shares
 // decode with any n ≥ max index: readers need not know how many CSPs
 // existed at write time.
 
-// metaShareName builds the object name of one metadata share.
-func metaShareName(versionID string, index int) string {
-	return fmt.Sprintf("%s%s.s%d", metadata.MetaPrefix, versionID, index)
+// metaTagLen is the length of the name tag in a metadata share name.
+const metaTagLen = 16
+
+// metaTag is the keyed hash of a file name that groups the name's records
+// (the keyHash idiom of shareName, with its own domain label).
+func (c *Client) metaTag(fileName string) string {
+	h := sha1.New()
+	fmt.Fprintf(h, "%s|meta-name|%s", c.keyHash, fileName)
+	return hex.EncodeToString(h.Sum(nil))[:metaTagLen]
 }
 
-// parseMetaShareName splits an object name into version ID and share index.
-func parseMetaShareName(obj string) (versionID string, index int, ok bool) {
+// metaRecordKey returns the record key new shares of a version are written
+// under. A record key is the part of a record's share names between
+// MetaPrefix and ".s<index>": "<tag>-<versionID>", or the bare version ID of
+// a legacy record. Listings are keyed by it, so a record is read, healed and
+// re-placed under the names it was found under.
+func (c *Client) metaRecordKey(fileName, versionID string) string {
+	return c.metaTag(fileName) + "-" + versionID
+}
+
+// recordVersion returns the version ID of a record key.
+func recordVersion(rec string) string {
+	return rec[strings.LastIndexByte(rec, '-')+1:]
+}
+
+// metaShareName builds the object name of one metadata share.
+func metaShareName(rec string, index int) string {
+	return fmt.Sprintf("%s%s.s%d", metadata.MetaPrefix, rec, index)
+}
+
+// parseMetaShareName splits an object name into record key and share index.
+func parseMetaShareName(obj string) (rec string, index int, ok bool) {
 	if !strings.HasPrefix(obj, metadata.MetaPrefix) {
 		return "", 0, false
 	}
@@ -45,14 +80,26 @@ func parseMetaShareName(obj string) (versionID string, index int, ok bool) {
 	if err != nil || idx < 0 {
 		return "", 0, false
 	}
-	return rest[:dot], idx, true
+	rec = rest[:dot]
+	if tag, vid, tagged := strings.Cut(rec, "-"); tagged && (len(tag) != metaTagLen || vid == "" || strings.Contains(vid, "-")) {
+		return "", 0, false
+	}
+	return rec, idx, true
 }
 
 // ParseMetaShareObjectName is the inverse of MetaShareObjectName, exposed
 // for tools that audit raw provider state (the chaos harness classifies
 // every stored object; metadata share names are the only parseable ones).
-func ParseMetaShareObjectName(obj string) (versionID string, index int, ok bool) {
-	return parseMetaShareName(obj)
+// tag is empty for a legacy, untagged name.
+func ParseMetaShareObjectName(obj string) (tag, versionID string, index int, ok bool) {
+	rec, index, ok := parseMetaShareName(obj)
+	if !ok {
+		return "", "", 0, false
+	}
+	if tag, versionID, tagged := strings.Cut(rec, "-"); tagged {
+		return tag, versionID, index, true
+	}
+	return "", rec, index, true
 }
 
 // metaKey is the hashring key for a file's metadata placement. It is
@@ -97,7 +144,7 @@ func (c *Client) metaTargetsBase(fileName string) []string {
 // have.
 func (c *Client) uploadMeta(op *transfer.Op, m *metadata.FileMeta) error {
 	targets := c.metaTargetsFor(m.File.Name)
-	b, shares, err := c.codeMeta(m, targets)
+	b, shares, err := c.codeMeta(m, c.metaRecordKey(m.File.Name, m.VersionID()), targets)
 	if err != nil {
 		return err
 	}
@@ -123,9 +170,10 @@ func (c *Client) uploadMeta(op *transfer.Op, m *metadata.FileMeta) error {
 	return nil
 }
 
-// codeMeta encodes a record for the given placement: share i of the
-// returned blob belongs on targets[i]. The caller releases the shares.
-func (c *Client) codeMeta(m *metadata.FileMeta, targets []string) (*blob, []erasure.Share, error) {
+// codeMeta encodes a record for the given placement, under the given record
+// key: share i of the returned blob belongs on targets[i]. The caller
+// releases the shares.
+func (c *Client) codeMeta(m *metadata.FileMeta, rec string, targets []string) (*blob, []erasure.Share, error) {
 	data, err := metadata.Encode(m)
 	if err != nil {
 		return nil, nil, err
@@ -133,19 +181,20 @@ func (c *Client) codeMeta(m *metadata.FileMeta, targets []string) (*blob, []eras
 	if len(targets) == 0 {
 		return nil, nil, fmt.Errorf("%w: no providers for metadata", ErrNotEnoughCSP)
 	}
-	b := c.metaBlob(m.File.Name, m.VersionID(), min(c.cfg.MetaT, len(targets)), len(targets))
+	b := c.metaBlob(m.File.Name, rec, min(c.cfg.MetaT, len(targets)), len(targets))
 	shares, err := c.encode(b, data)
 	return b, shares, err
 }
 
-// listMetaShares lists the metadata prefix on every reachable provider and
-// returns versionID -> share index -> providers holding that share, plus
+// listMetaShares lists prefix — the whole metadata prefix, or one name's
+// cyrus-meta-<tag>- — on every reachable provider and returns
+// record key -> share index -> providers holding that share, plus
 // the non-share objects under the prefix (the CSP status list) as
 // object name -> providers listing it. complete reports whether every
 // active provider answered the listing: metadata lands with a quorum, not
 // on all providers, so only a listing that covered the full active set is
 // guaranteed to surface every recoverable record.
-func (c *Client) listMetaShares(op *transfer.Op, ctx context.Context) (_ map[string]map[int][]string, _ map[string][]string, complete bool, err error) {
+func (c *Client) listMetaShares(op *transfer.Op, ctx context.Context, prefix string) (_ map[string]map[int][]string, _ map[string][]string, complete bool, err error) {
 	c.mu.Lock()
 	var names []string
 	for name := range c.stores {
@@ -160,7 +209,7 @@ func (c *Client) listMetaShares(op *transfer.Op, ctx context.Context) (_ map[str
 		if c.est.Down(names[i]) {
 			return
 		}
-		infos, err := c.list(op, ctx, names[i], metadata.MetaPrefix)
+		infos, err := c.list(op, ctx, names[i], prefix)
 		results[i], answered[i] = infos, err == nil
 	})
 
@@ -173,15 +222,15 @@ func (c *Client) listMetaShares(op *transfer.Op, ctx context.Context) (_ map[str
 		}
 		listed[name] = true
 		for _, info := range results[i] {
-			vid, idx, ok := parseMetaShareName(info.Name)
+			rec, idx, ok := parseMetaShareName(info.Name)
 			if !ok {
 				extras[info.Name] = append(extras[info.Name], name)
 				continue
 			}
-			if out[vid] == nil {
-				out[vid] = make(map[int][]string)
+			if out[rec] == nil {
+				out[rec] = make(map[int][]string)
 			}
-			out[vid][idx] = append(out[vid][idx], name)
+			out[rec][idx] = append(out[rec][idx], name)
 		}
 	}
 	if len(listed) == 0 {
@@ -199,15 +248,15 @@ func (c *Client) listMetaShares(op *transfer.Op, ctx context.Context) (_ map[str
 // MetaT quorum. Records the batch pass cannot decode — their providers
 // failed, a share came back corrupt, the quorum fell short — fall back to
 // the shared per-blob reader (gatherBlob). Returns the decoded records and
-// the per-version errors of the ones that stayed unreadable.
-func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, vids []string, locs map[string]map[int][]string) (map[string]*metadata.FileMeta, map[string]error) {
+// the errors of the ones that stayed unreadable, both by record key.
+func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, recs []string, locs map[string]map[int][]string) (map[string]*metadata.FileMeta, map[string]error) {
 	// Assignment pass: each record's read plan names one readable holder
 	// for each of its MetaT lowest indices, spreading load by want-list
 	// length; inverted, that is one want-list per provider.
-	plans := make([]metaPlan, len(vids))
+	plans := make([]metaPlan, len(recs))
 	wants := make(map[string][]string) // provider -> object names
-	for i, vid := range vids {
-		plans[i] = c.metaReadPlan(vid, locs[vid], wants)
+	for i, rec := range recs {
+		plans[i] = c.metaReadPlan(rec, locs[rec], wants)
 	}
 
 	providers := make([]string, 0, len(wants))
@@ -219,7 +268,7 @@ func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, vids []str
 	// Fetch pass: one batched attempt per provider, all concurrent under
 	// the operation's in-flight caps.
 	var mu sync.Mutex
-	shares := make(map[string][]erasure.Share, len(vids))
+	shares := make(map[string][]erasure.Share, len(recs))
 	op.Each(len(providers), func(i int) {
 		provider := providers[i]
 		names := wants[provider]
@@ -242,8 +291,8 @@ func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, vids []str
 		c.obs.MetaBatchFetch(provider)
 		mu.Lock()
 		for name, data := range got {
-			if vid, idx, ok := parseMetaShareName(name); ok {
-				shares[vid] = append(shares[vid], erasure.Share{Index: idx, Data: data})
+			if rec, idx, ok := parseMetaShareName(name); ok {
+				shares[rec] = append(shares[rec], erasure.Share{Index: idx, Data: data})
 			}
 		}
 		mu.Unlock()
@@ -253,22 +302,22 @@ func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, vids []str
 	// which shares this operation's failed set (a provider that just failed
 	// its batch is skipped, not re-probed), probes alternate holders, and
 	// widens to surplus shares for error correction.
-	out := make(map[string]*metadata.FileMeta, len(vids))
+	out := make(map[string]*metadata.FileMeta, len(recs))
 	errs := make(map[string]error)
-	for i, vid := range vids {
+	for i, rec := range recs {
 		p := plans[i]
-		b := c.metaBlob("", vid, c.cfg.MetaT, p.n)
-		if ss := shares[vid]; len(ss) >= b.t {
+		b := c.metaBlob("", rec, c.cfg.MetaT, p.n)
+		if ss := shares[rec]; len(ss) >= b.t {
 			if _, _, err := c.decode(b, ss, false); err == nil {
-				out[vid] = b.record
+				out[rec] = b.record
 				continue
 			}
 		}
 		if _, err := c.gatherBlob(op, ctx, b, p.primary, p.fallback); err != nil {
-			errs[vid] = err
+			errs[rec] = err
 			continue
 		}
-		out[vid] = b.record
+		out[rec] = b.record
 	}
 	return out, errs
 }
@@ -287,7 +336,7 @@ type metaPlan struct {
 // metaReadPlan plans one record's read and adds its primary shares to the
 // per-provider want-lists. Of an index's readable holders the one with the
 // shortest want-list serves it, so no provider serves every record alone.
-func (c *Client) metaReadPlan(vid string, byIdx map[int][]string, wants map[string][]string) (p metaPlan) {
+func (c *Client) metaReadPlan(rec string, byIdx map[int][]string, wants map[string][]string) (p metaPlan) {
 	idxs := make([]int, 0, len(byIdx))
 	for idx := range byIdx {
 		idxs = append(idxs, idx)
@@ -310,7 +359,7 @@ func (c *Client) metaReadPlan(vid string, byIdx map[int][]string, wants map[stri
 				}
 			case len(p.primary) < c.cfg.MetaT:
 				p.primary = append(p.primary, l)
-				wants[provider] = append(wants[provider], metaShareName(vid, idx))
+				wants[provider] = append(wants[provider], metaShareName(rec, idx))
 			default:
 				p.fallback = append(p.fallback, l)
 			}
@@ -347,11 +396,11 @@ func (c *Client) repairMetaPlacement(op *transfer.Op, ctx context.Context, locs 
 		width = active
 	}
 	repaired := 0
-	for vid, byIdx := range locs {
+	for rec, byIdx := range locs {
 		if !fullScan && len(byIdx) >= width {
 			continue
 		}
-		m, err := c.tree.Get(vid)
+		m, err := c.tree.Get(recordVersion(rec))
 		if err != nil {
 			continue // not ours to re-place (unreadable or foreign record)
 		}
@@ -365,7 +414,7 @@ func (c *Client) repairMetaPlacement(op *transfer.Op, ctx context.Context, locs 
 		if len(missing) == 0 {
 			continue
 		}
-		b, shares, err := c.codeMeta(m, targets)
+		b, shares, err := c.codeMeta(m, rec, targets)
 		if err != nil {
 			healthy = false
 			continue

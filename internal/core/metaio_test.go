@@ -93,16 +93,28 @@ func TestFetchMetaFromMinimumShares(t *testing.T) {
 
 func TestParseMetaShareName(t *testing.T) {
 	t.Parallel()
-	vid, idx, ok := parseMetaShareName(metaShareName("abc123", 7))
-	if !ok || vid != "abc123" || idx != 7 {
-		t.Fatalf("round trip = %q %d %v", vid, idx, ok)
+	// Both name forms round-trip: legacy (bare version ID) and tagged.
+	for _, rec := range []string{"abc123", "0123456789abcdef-abc123"} {
+		got, idx, ok := parseMetaShareName(metaShareName(rec, 7))
+		if !ok || got != rec || idx != 7 || recordVersion(got) != "abc123" {
+			t.Fatalf("round trip of %q = %q %d %v", rec, got, idx, ok)
+		}
+	}
+	if tag, vid, idx, ok := ParseMetaShareObjectName("cyrus-meta-0123456789abcdef-abc123.s2"); !ok || tag != "0123456789abcdef" || vid != "abc123" || idx != 2 {
+		t.Fatalf("tagged name parsed as %q %q %d %v", tag, vid, idx, ok)
+	}
+	if tag, vid, _, ok := ParseMetaShareObjectName("cyrus-meta-abc123.s2"); !ok || tag != "" || vid != "abc123" {
+		t.Fatalf("legacy name parsed as %q %q %v", tag, vid, ok)
 	}
 	bad := []string{
 		"other-prefix-x.s1",
 		"cyrus-meta-noindex",
 		"cyrus-meta-x.sBAD",
 		"cyrus-meta-x.s-1",
-		"cyrus-meta-.s1", // empty version id
+		"cyrus-meta-.s1",                     // empty version id
+		"cyrus-meta-0123456789abcdef-.s1",    // tag, empty version id
+		"cyrus-meta-short-abc123.s1",         // tag of the wrong length
+		"cyrus-meta-0123456789abcdef-a-b.s1", // a second separator
 	}
 	for _, name := range bad {
 		if _, _, ok := parseMetaShareName(name); ok {

@@ -48,7 +48,7 @@ func TestShardedMetaPlacement(t *testing.T) {
 			t.Fatalf("%s: shard set has %d providers, want 3", name, len(targets))
 		}
 		for _, provider := range env.names {
-			held := len(env.backends[provider].ObjectNames(metadata.MetaPrefix + vid))
+			held := len(env.backends[provider].ObjectNames(metadata.MetaPrefix + w.metaRecordKey(name, vid)))
 			if targets[provider] && held == 0 {
 				t.Errorf("%s: shard member %s holds no metadata share", name, provider)
 			}
@@ -110,7 +110,7 @@ func TestShardRepairAfterChurn(t *testing.T) {
 		}
 		vid := head.VersionID()
 		for i, provider := range w.metaTargetsFor(name) {
-			obj := fmt.Sprintf("%s%s.s%d", metadata.MetaPrefix, vid, i)
+			obj := w.MetaShareObjectName(name, vid, i)
 			if _, ok := env.backends[provider].PeekObject(obj); !ok {
 				t.Errorf("%s: share %d missing on new shard member %s", name, i, provider)
 			}
@@ -368,7 +368,7 @@ func TestBatchFetchFallsBackOnCorruptShare(t *testing.T) {
 
 	// Corrupt share index 0 wherever it lives: the batch pass prefers the
 	// lowest indices, so it will fetch the rotten share and fail to decode.
-	obj := fmt.Sprintf("%s%s.s0", metadata.MetaPrefix, vid)
+	obj := w.MetaShareObjectName("doc", vid, 0)
 	intact := make(map[string][]byte) // holder -> the share's bytes as written
 	for _, name := range env.names {
 		env.backends[name].MutateObject(obj, func(d []byte) []byte {
@@ -415,7 +415,7 @@ func TestMetaSelfHealSkippedOnForeignT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := metaShareName(head.VersionID(), 0)
+	obj := w.MetaShareObjectName("doc", head.VersionID(), 0)
 	env.backends["cspa"].MutateObject(obj, func(d []byte) []byte {
 		d[len(d)/2] ^= 0x5a
 		return d
@@ -462,14 +462,14 @@ func TestGatherBlobToppedUpAfterDuplicateIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vid := head.VersionID()
+	rec := w.metaRecordKey("doc", head.VersionID())
 	// Share i lives on the i-th provider; copy s1 to cspc as churn repair
 	// would.
-	s1, ok := env.backends["cspb"].PeekObject(metaShareName(vid, 1))
+	s1, ok := env.backends["cspb"].PeekObject(metaShareName(rec, 1))
 	if !ok {
 		t.Fatal("share .s1 not on cspb")
 	}
-	env.backends["cspc"].InjectObject(metaShareName(vid, 1), s1, time.Now())
+	env.backends["cspc"].InjectObject(metaShareName(rec, 1), s1, time.Now())
 
 	var stores []csp.Store
 	for _, name := range env.names {
@@ -493,7 +493,7 @@ func TestGatherBlobToppedUpAfterDuplicateIndex(t *testing.T) {
 	} {
 		op := r.engine.Begin(bg)
 		op.MarkFailed("cspa") // the s0 holder just failed its batch
-		b := r.metaBlob("", vid, 2, 5)
+		b := r.metaBlob("", rec, 2, 5)
 		_, err := r.gatherBlob(op, bg, b, []metadata.ShareLoc{loc(0, "cspa"), loc(1, "cspb")}, fallback)
 		op.Finish()
 		if len(fallback) == 1 {
@@ -505,7 +505,7 @@ func TestGatherBlobToppedUpAfterDuplicateIndex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record with t distinct readable shares: %v", err)
 		}
-		if b.record == nil || b.record.VersionID() != vid {
+		if b.record == nil || b.record.VersionID() != head.VersionID() {
 			t.Fatal("gather returned no verified record")
 		}
 	}

@@ -59,7 +59,7 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 	opStart := c.rt.Now()
 	ctx, sp := c.obs.StartOp(ctx, "put")
 	defer func() { sp.End(err) }()
-	c.syncBestEffort(ctx)
+	c.syncBestEffort(ctx, name)
 
 	// The parent version is resolved up front; whether the content is
 	// unchanged is only known once the stream has been consumed.
@@ -93,10 +93,16 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 	depth := c.cfg.PipelineDepth
 	chnk := c.chunkerFor(cls.Name)
 	sc := chnk.Scan(r)
-	// The scanner's ring buffer is data-plane memory too.
-	ringBytes := int64(chnk.Config().MaxSize)
-	c.acctAdd(ringBytes)
-	defer c.acctSub(ringBytes)
+	// The scanner's ring buffer is data-plane memory too. It only ever grows
+	// (with the stream), so the account follows it after every scan.
+	var ringBytes int64
+	acctRing := func() {
+		now := int64(sc.BufferBytes())
+		c.acctAdd(now - ringBytes)
+		ringBytes = now
+	}
+	acctRing()
+	defer func() { c.acctSub(ringBytes) }()
 
 	fileHash := metadata.NewHash()
 	var size int64
@@ -126,6 +132,7 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 			break
 		}
 		ch, serr := sc.Next()
+		acctRing()
 		if serr == io.EOF {
 			break
 		}
@@ -299,7 +306,7 @@ func (c *Client) headForRead(ctx context.Context, name string) (*metadata.FileMe
 	if m, ok := c.mcache.head(name); ok {
 		return m, false, nil
 	}
-	c.syncBestEffort(ctx)
+	c.syncBestEffort(ctx, name)
 	head, conflicted, err := c.tree.Head(name)
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %q", ErrNoSuchFile, name)

@@ -27,30 +27,62 @@ import (
 // precondition for GC's reference-token reconciliation sweep. Availability
 // failures (providers down, shares unfetchable) leave the view partial.
 func (c *Client) Sync(ctx context.Context) (n int, err error) {
+	return c.syncMeta(ctx, "")
+}
+
+// syncMeta is the one list → Missing → fetch → absorb pipeline behind every
+// sync. With name empty it is the full Sync, over the whole metadata prefix.
+// With a file name it is the scoped sync a single-name operation runs first:
+// the same pipeline over that name's prefix, cyrus-meta-<tag>- — O(versions
+// of the name) entries however large the namespace, and exactly as fresh for
+// that name. Everything that needs the whole record set — the CSP status
+// list, the full-view flag GC consumes, metadata re-placement and tree
+// compaction — belongs to the full Sync alone.
+func (c *Client) syncMeta(ctx context.Context, name string) (n int, err error) {
 	ctx, sp := c.obs.StartOp(ctx, "sync")
 	defer func() { sp.End(err) }()
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
+	scoped := name != ""
+	prefix := metadata.MetaPrefix
+	if scoped {
+		prefix += c.metaTag(name) + "-"
+	}
 	full := false
-	defer func() { c.setSyncFullView(full) }()
+	if !scoped {
+		defer func() { c.setSyncFullView(full) }()
+	}
 	// One engine operation spans the listing and every record fetch, so
 	// a provider that times out once is skipped by all later contacts of
 	// the same sync. Individual record failures are tolerated (no Fail):
 	// the sync absorbs what it can and reports the first error alongside.
 	op := c.engine.Begin(ctx)
 	defer op.Finish()
-	locs, extras, complete, err := c.listMetaShares(op, ctx)
+	locs, extras, complete, err := c.listMetaShares(op, ctx, prefix)
 	if err != nil {
 		return 0, err
 	}
-	// Apply any newer CSP status list before deciding placements.
+	// Apply any newer CSP status list before deciding placements (a name's
+	// prefix never matches it, so a scoped listing carries none).
 	c.syncCSPList(op, ctx, extras)
-	vids := make([]string, 0, len(locs))
-	for vid := range locs {
+	// Version ID -> record key; a version held under both name forms is read
+	// under the smaller key, so replays fetch the same objects.
+	recOf := make(map[string]string, len(locs))
+	for rec := range locs {
+		vid := recordVersion(rec)
+		if cur, dup := recOf[vid]; !dup || rec < cur {
+			recOf[vid] = rec
+		}
+	}
+	vids := make([]string, 0, len(recOf))
+	for vid := range recOf {
 		vids = append(vids, vid)
 	}
-	missing := c.tree.Missing(vids)
+	missing := c.tree.Missing(vids) // sorted by version ID; from here on, record keys
+	for i, vid := range missing {
+		missing[i] = recOf[vid]
+	}
 
 	// Batched resolution: one round trip per provider for the common case,
 	// with per-record fallback inside (see fetchMetaBatch).
@@ -58,10 +90,10 @@ func (c *Client) Sync(ctx context.Context) (n int, err error) {
 	var firstErr error
 	unreadableOnly := true
 	fetched, fetchErrs := c.fetchMetaBatch(op, ctx, missing, locs)
-	for _, vid := range missing {
-		err := fetchErrs[vid]
+	for _, rec := range missing {
+		err := fetchErrs[rec]
 		if err == nil {
-			if m, ok := fetched[vid]; ok {
+			if m, ok := fetched[rec]; ok {
 				err = c.absorb(m)
 			} else {
 				continue
@@ -84,6 +116,9 @@ func (c *Client) Sync(ctx context.Context) (n int, err error) {
 			continue
 		}
 		absorbed++
+	}
+	if scoped {
+		return absorbed, firstErr
 	}
 	full = complete && unreadableOnly
 	if full {
@@ -129,12 +164,19 @@ func (c *Client) syncFullView() bool {
 	return c.syncFull
 }
 
-// syncBestEffort runs Sync for the call sites that tolerate staleness
-// (Algorithm 3 line 2 and friends). The operation proceeds either way, but
-// a failure is not swallowed: it is logged and emitted as an EvSyncError
-// event so applications can tell "fresh view" from "serving stale state".
-func (c *Client) syncBestEffort(ctx context.Context) {
-	if _, err := c.Sync(ctx); err != nil {
+// syncBestEffort runs the sync in front of the operations that tolerate
+// staleness (Algorithm 3 line 2 and friends): scoped to name for an operation
+// on one file, full when name is empty. Until a full Sync has seen the whole
+// recoverable state the full one runs either way: only it finds records under
+// legacy names, and a client with a partial view should keep looking. The
+// operation proceeds whatever the outcome, but a failure is not swallowed: it
+// is logged and emitted as an EvSyncError event so applications can tell
+// "fresh view" from "serving stale state".
+func (c *Client) syncBestEffort(ctx context.Context, name string) {
+	if !c.syncFullView() {
+		name = ""
+	}
+	if _, err := c.syncMeta(ctx, name); err != nil {
 		c.logf("best-effort sync failed", "err", err)
 		c.events.emit(Event{Type: EvSyncError, Err: err})
 	}
@@ -155,7 +197,7 @@ func (c *Client) Recover(ctx context.Context) error {
 // Conflicts returns the currently detected file conflicts (both types of
 // Figure 8), after a best-effort sync.
 func (c *Client) Conflicts(ctx context.Context) []ConflictInfo {
-	c.syncBestEffort(ctx)
+	c.syncBestEffort(ctx, "")
 	return c.conflictsLocal()
 }
 

@@ -32,6 +32,7 @@ func (h *Harness) checkpoint(ctx context.Context) {
 	h.checkPlacementAndPrivacy(st)
 	h.checkStructuralDurability(st)
 	h.checkMetaReplication(tree, records, st)
+	h.checkMetaTags(records, st)
 	h.checkBehavioralDurability(ctx)
 	h.report.Checkpoints++
 }
@@ -162,9 +163,17 @@ type worldState struct {
 	chunkShares  map[string][]erasure.Share   // encoding key -> expected shares (content known)
 	shareNames   map[string][]shareKey        // object name -> every encoding it could serve
 	knownVIDs    map[string]bool
+	metaShares   map[string][]metaObject            // version ID -> its share objects, either name form
 	presence     map[string]map[string]map[int]bool // encoding -> csp -> indices physically present
 	intact       map[string]map[int]bool            // encoding -> indices with >= 1 byte-exact copy
 	ghostIndices map[string]map[int]bool            // unknown vid -> meta share indices present
+}
+
+// metaObject is one metadata share object as a provider holds it, parsed
+// from its raw name (tag is empty for a legacy, untagged name).
+type metaObject struct {
+	csp, name, tag string
+	index          int
 }
 
 type shareKey struct {
@@ -204,6 +213,7 @@ func (h *Harness) buildWorldState(records []*metadata.FileMeta) *worldState {
 		chunkShares:  make(map[string][]erasure.Share),
 		shareNames:   make(map[string][]shareKey),
 		knownVIDs:    make(map[string]bool),
+		metaShares:   make(map[string][]metaObject),
 		presence:     make(map[string]map[string]map[int]bool),
 		intact:       make(map[string]map[int]bool),
 		ghostIndices: make(map[string]map[int]bool),
@@ -321,9 +331,11 @@ func (h *Harness) classifyObjects(st *worldState) {
 				}
 				continue
 			}
-			if vid, idx, ok := core.ParseMetaShareObjectName(obj); ok {
+			if tag, vid, idx, ok := core.ParseMetaShareObjectName(obj); ok {
 				if st.knownVIDs[vid] {
-					continue // verified by checkMetaReplication
+					// verified by checkMetaReplication and checkMetaTags
+					st.metaShares[vid] = append(st.metaShares[vid], metaObject{csp: cspName, name: obj, tag: tag, index: idx})
+					continue
 				}
 				if st.ghostIndices[vid] == nil {
 					st.ghostIndices[vid] = make(map[int]bool)
@@ -437,22 +449,50 @@ func (h *Harness) checkMetaReplication(tree *metadata.Tree, records []*metadata.
 		}
 		intact := make(map[int]bool)
 		present := make(map[int]bool)
-		for _, cspName := range h.names {
-			b := h.backends[cspName]
-			for idx := 0; idx < n; idx++ {
-				data, ok := b.PeekObject(h.clients[0].MetaShareObjectName(vid, idx))
-				if !ok {
-					continue
-				}
-				present[idx] = true
-				if bytes.Equal(data, expected[idx].Data) {
-					intact[idx] = true
-				}
+		for _, o := range st.metaShares[vid] {
+			if o.index >= n {
+				continue
+			}
+			present[o.index] = true
+			if data, ok := h.backends[o.csp].PeekObject(o.name); ok && bytes.Equal(data, expected[o.index].Data) {
+				intact[o.index] = true
 			}
 		}
 		if len(intact) < metaT {
 			h.violate("meta-replication", "version %s: %d intact metadata shares (%d present), need %d",
 				short(vid), len(intact), len(present), metaT)
+		}
+	}
+}
+
+// checkMetaTags audits the name tag that scopes a single-name sync, on raw
+// provider state: every tagged record of one file name carries one tag,
+// distinct names carry distinct tags, and that tag is the one every client
+// holding the key derives. A record filed under another tag is invisible to
+// the scoped listing of its name — a lost update for every per-op sync.
+func (h *Harness) checkMetaTags(records []*metadata.FileMeta, st *worldState) {
+	nameOf := make(map[string]string) // tag -> file name
+	for _, m := range records {
+		vid, name := m.VersionID(), m.File.Name
+		tagBy := func(c *core.Client) string {
+			tag, _, _, _ := core.ParseMetaShareObjectName(c.MetaShareObjectName(name, vid, 0))
+			return tag
+		}
+		want := tagBy(h.clients[0])
+		for _, c := range h.clients[1:] {
+			if tag := tagBy(c); tag != want {
+				h.violate("meta-tag", "%s derives tag %s for %s, %s derives %s", c.ID(), tag, name, h.clients[0].ID(), want)
+			}
+		}
+		if other, taken := nameOf[want]; taken && other != name {
+			h.violate("meta-tag", "files %s and %s share the name tag %s", other, name, want)
+		}
+		nameOf[want] = name
+		for _, o := range st.metaShares[vid] {
+			if o.tag != "" && o.tag != want {
+				h.violate("meta-tag", "%s: version %s of %s stored under tag %s, its name's tag is %s",
+					o.csp, short(vid), name, o.tag, want)
+			}
 		}
 	}
 }

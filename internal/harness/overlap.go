@@ -519,7 +519,7 @@ func (w *overlapWorld) checkMetaReplication() {
 		}
 		intact := 0
 		for idx := 0; idx < n; idx++ {
-			name := w.users[u].MetaShareObjectName(aw.VersionID, idx)
+			name := w.users[u].MetaShareObjectName(m.File.Name, aw.VersionID, idx)
 			for _, cspName := range w.names {
 				if data, ok := w.backends[cspName].PeekObject(name); ok && bytes.Equal(data, expected[idx].Data) {
 					intact++

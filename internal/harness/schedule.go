@@ -113,7 +113,7 @@ func (h *Harness) applyStep(ctx context.Context, s Step) {
 }
 
 func isMetaShare(obj string) bool {
-	_, _, ok := core.ParseMetaShareObjectName(obj)
+	_, _, _, ok := core.ParseMetaShareObjectName(obj)
 	return ok
 }
 

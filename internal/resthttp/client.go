@@ -60,9 +60,23 @@ func (s *Store) do(ctx context.Context, method, path string, body io.Reader) (*h
 	return resp, nil
 }
 
+// maxDrainBytes bounds what drainClose reads past the bytes a call used:
+// beyond it, dropping the connection is cheaper than reading on.
+const maxDrainBytes = 256 << 10
+
+// drainClose reads what is left of a response body, then closes it.
+// net/http returns a connection to the keep-alive pool only once its
+// response was read to EOF; closing with anything unread — even the
+// terminal chunk behind a JSON document — discards the socket, and the next
+// call dials a new one.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrainBytes))
+	body.Close()
+}
+
 // mapStatus converts an HTTP status to the csp error taxonomy.
 func (s *Store) mapStatus(resp *http.Response) error {
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 	text := fmt.Sprintf("%s: http %d: %s", s.name, resp.StatusCode, bytes.TrimSpace(msg))
 	switch resp.StatusCode {
@@ -97,7 +111,7 @@ func (s *Store) Authenticate(ctx context.Context, creds csp.Credentials) error {
 	if resp.StatusCode != http.StatusNoContent {
 		return s.mapStatus(resp)
 	}
-	resp.Body.Close()
+	drainClose(resp.Body)
 	s.mu.Lock()
 	s.token = creds.Token
 	s.mu.Unlock()
@@ -113,7 +127,7 @@ func (s *Store) List(ctx context.Context, prefix string) ([]csp.ObjectInfo, erro
 	if resp.StatusCode != http.StatusOK {
 		return nil, s.mapStatus(resp)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	var raw []objectInfoJSON
 	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
 		return nil, fmt.Errorf("%w: %s: bad listing: %v", csp.ErrUnavailable, s.name, err)
@@ -134,7 +148,7 @@ func (s *Store) Upload(ctx context.Context, name string, data []byte) error {
 	if resp.StatusCode != http.StatusCreated {
 		return s.mapStatus(resp)
 	}
-	resp.Body.Close()
+	drainClose(resp.Body)
 	return nil
 }
 
@@ -150,7 +164,7 @@ func (s *Store) UploadFrom(ctx context.Context, name string, r io.Reader) (int64
 	if resp.StatusCode != http.StatusCreated {
 		return cr.n, s.mapStatus(resp)
 	}
-	resp.Body.Close()
+	drainClose(resp.Body)
 	return cr.n, nil
 }
 
@@ -163,7 +177,7 @@ func (s *Store) Download(ctx context.Context, name string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, s.mapStatus(resp)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxObjectBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", csp.ErrUnavailable, s.name, err)
@@ -181,7 +195,7 @@ func (s *Store) DownloadTo(ctx context.Context, name string, w io.Writer) (int64
 	if resp.StatusCode != http.StatusOK {
 		return 0, s.mapStatus(resp)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	n, err := io.Copy(w, resp.Body)
 	if err != nil {
 		return n, fmt.Errorf("%w: %s: %v", csp.ErrUnavailable, s.name, err)
@@ -210,7 +224,7 @@ func (s *Store) Delete(ctx context.Context, name string) error {
 	if resp.StatusCode != http.StatusNoContent {
 		return s.mapStatus(resp)
 	}
-	resp.Body.Close()
+	drainClose(resp.Body)
 	return nil
 }
 

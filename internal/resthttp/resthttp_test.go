@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chunker"
@@ -293,5 +295,58 @@ func TestStreamingUploadTooLargeRejected(t *testing.T) {
 	got, err := s.Download(bg, "ok")
 	if err != nil || string(got) != "fits" {
 		t.Fatalf("Download = %q, %v", got, err)
+	}
+}
+
+// TestStoreReusesOneConnection: net/http returns a connection to the
+// keep-alive pool only when the response body was read to EOF, so a call that
+// closes a body early — List leaving the terminal chunk behind the JSON
+// document, an error path reading 512 bytes of a longer message — costs the
+// next call a fresh dial. Sequential calls through one Store must all ride
+// the connection Authenticate opened.
+func TestStoreReusesOneConnection(t *testing.T) {
+	b := cloudsim.NewBackend("httpcsp1", csp.NameKeyed, 0)
+	srv, err := NewServer(b, "secret", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opened atomic.Int32
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	s := NewStore("httpcsp1", ts.URL, &http.Client{Transport: tr})
+	if err := s.Authenticate(bg, csp.Credentials{Token: "secret"}); err != nil {
+		t.Fatal(err)
+	}
+	// Enough objects that the listing outgrows the server's write buffer and
+	// goes out chunked, as any real namespace's does.
+	for i := 0; i < 200; i++ {
+		if err := s.Upload(bg, fmt.Sprintf("obj-%03d", i), []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		if infos, err := s.List(bg, "obj-"); err != nil || len(infos) != 200 {
+			t.Fatalf("list = %d entries, %v", len(infos), err)
+		}
+		if _, err := s.Download(bg, "obj-007"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Download(bg, "missing"); !errors.Is(err, csp.ErrNotFound) {
+		t.Fatalf("download of a missing object: %v", err)
+	}
+	if _, err := s.List(bg, "obj-"); err != nil {
+		t.Fatal(err)
+	}
+	if n := opened.Load(); n != 1 {
+		t.Fatalf("%d connections opened for sequential calls through one Store, want 1", n)
 	}
 }

@@ -308,11 +308,12 @@ func (o *Op) Each(n int, fn func(i int)) {
 }
 
 // Do executes one attempt under the operation: it skips providers in the
-// failed set (ErrSkipped), acquires the per-CSP and global in-flight
-// slots, runs with retry/backoff per the engine's policy, reports every
-// try, and on final provider-fault failure adds the provider to the
-// failed set. ctx must descend from Context() (pass a span-wrapped child
-// for trace nesting).
+// failed set (ErrSkipped; checked on entry and again under the slot, so an
+// attempt that queued behind a failing sibling is not made), acquires the
+// per-CSP and global in-flight slots, runs with retry/backoff per the
+// engine's policy, reports every try, and on final provider-fault failure
+// adds the provider to the failed set before its slot is released. ctx must
+// descend from Context() (pass a span-wrapped child for trace nesting).
 func (o *Op) Do(ctx context.Context, a Attempt) error {
 	_, err := o.do(ctx, a)
 	return err
@@ -333,6 +334,15 @@ func (o *Op) do(ctx context.Context, a Attempt) (int64, error) {
 			return 0, err
 		}
 		e.sem.acquire(a.CSP)
+		if o.Failed(a.CSP) {
+			// A sibling's attempt exhausted the provider while this one
+			// waited for its slot (or backed off): do not probe it again.
+			e.sem.release(a.CSP)
+			if lastErr != nil {
+				return 0, lastErr
+			}
+			return 0, ErrSkipped
+		}
 		sctx, sp := e.obs.Trace(ctx, "csp."+a.Kind)
 		e.obs.AttemptStart(sctx, a.CSP, a.Kind, try)
 		start := e.rt.Now()
@@ -340,6 +350,12 @@ func (o *Op) do(ctx context.Context, a Attempt) (int64, error) {
 		elapsed := e.rt.Now().Sub(start)
 		e.obs.AttemptEnd(sctx, a.CSP, a.Kind, try, bytes, elapsed, err)
 		sp.End(err)
+		final := err != nil && (!Retryable(err) || try+1 >= e.tun.Attempts || ctx.Err() != nil)
+		if final && ProviderFault(err) {
+			// Marked before the slot is released, so the sibling the
+			// release wakes sees the provider failed under its own slot.
+			o.MarkFailed(a.CSP)
+		}
 		e.sem.release(a.CSP)
 		if e.report != nil {
 			e.report(a.CSP, a.Kind, err, bytes, elapsed)
@@ -350,17 +366,13 @@ func (o *Op) do(ctx context.Context, a Attempt) (int64, error) {
 		if err == nil {
 			return bytes, nil
 		}
-		lastErr = err
-		if !Retryable(err) || try+1 >= e.tun.Attempts || ctx.Err() != nil {
-			break
+		if final {
+			return 0, err
 		}
+		lastErr = err
 		e.obs.TransferRetry(ctx, a.CSP, a.Kind)
 		e.rt.Sleep(e.backoff(a.CSP, a.Kind, try))
 	}
-	if ProviderFault(lastErr) {
-		o.MarkFailed(a.CSP)
-	}
-	return 0, lastErr
 }
 
 // backoff returns the delay before retry number try+1: exponential growth

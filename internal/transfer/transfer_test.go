@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -292,6 +293,51 @@ func TestFailedSetSkips(t *testing.T) {
 			t.Error("failed set leaked across operations")
 		}
 	})
+}
+
+// TestQueuedSiblingSkipsFailedProvider: with one slot per provider, the
+// second attempt passes the failed-set check while the first is still in
+// flight and then queues behind it. The slot is the gate: the sibling leaves
+// the queue only when the first attempt — out of retries — releases it. The
+// provider must be in the failed set by then and the sibling must look again
+// under its slot, so the dead provider is probed once, not twice.
+func TestQueuedSiblingSkipsFailedProvider(t *testing.T) {
+	e, nw := newSimEngine(Tunables{PerCSP: 1, Attempts: 1}, nil)
+	var runs atomic.Int32
+	errs := make([]error, 2)
+	nw.Run(func() {
+		op := e.Begin(context.Background())
+		defer op.Finish()
+		op.Each(2, func(i int) {
+			errs[i] = op.Do(op.Context(), Attempt{
+				CSP:  "cspa",
+				Kind: "download",
+				Run: func(ctx context.Context) (int64, error) {
+					runs.Add(1)
+					nw.Sleep(10 * time.Millisecond)
+					return 0, csp.ErrUnavailable
+				},
+			})
+		})
+	})
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("dead provider probed %d times in one operation, want 1", got)
+	}
+	var failed, skipped int
+	for _, err := range errs {
+		switch {
+		case errors.Is(err, csp.ErrUnavailable):
+			failed++
+		case errors.Is(err, ErrSkipped):
+			skipped++
+		}
+	}
+	if failed != 1 || skipped != 1 {
+		t.Fatalf("outcomes %v, want one ErrUnavailable and one ErrSkipped", errs)
+	}
+	if n := e.sem.inFlight("cspa"); n != 0 {
+		t.Fatalf("%d slots still held after the operation", n)
+	}
 }
 
 // TestFailCancelsSiblings: Op.Fail cancels the operation context so
