@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chunker"
 	"repro/internal/core"
 	"repro/internal/transfer"
 )
@@ -40,6 +41,42 @@ func TestDocKnobsExist(t *testing.T) {
 		}
 		if found == 0 {
 			t.Errorf("%s: no knob tokens matched — did the docs change notation?", doc)
+		}
+	}
+}
+
+// TestDocChunkerDefault: the algorithm README.md and DESIGN.md call the
+// default — in the library example's Chunking.Algorithm comment, the package
+// table line and §7's "Chunker selection" — is the one a zero chunker.Config
+// builds, so the default cannot flip (either way) while the docs, and the
+// upgrade note that goes with them, say otherwise.
+func TestDocChunkerDefault(t *testing.T) {
+	ch, err := chunker.New(chunker.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(ch.Config().Algorithm)
+	claims := map[string][]*regexp.Regexp{
+		"README.md": {
+			regexp.MustCompile("Chunking\\.Algorithm: \"([a-z]+)\" \\(default"),
+			regexp.MustCompile("(?i)chunker/ +content-defined chunking: ([a-z]+) \\(default\\)"),
+		},
+		"DESIGN.md": {
+			regexp.MustCompile("`chunker\\.Config\\.Algorithm` picks the cut-point\\s+rule: `([a-z]+)` \\(default\\)"),
+		},
+	}
+	for doc, res := range claims {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, re := range res {
+			m := re.FindSubmatch(text)
+			if m == nil {
+				t.Errorf("%s: no default-chunker claim matching %s — did the docs change notation?", doc, re)
+			} else if got := strings.ToLower(string(m[1])); got != want {
+				t.Errorf("%s documents %q as the default chunker, chunker.New(chunker.Config{}) builds %q", doc, got, want)
+			}
 		}
 	}
 }

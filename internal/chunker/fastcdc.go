@@ -82,58 +82,78 @@ func log2int(v int) int {
 	return n
 }
 
-// gearCut returns the length of the next chunk starting at data[0] under
-// the FastCDC boundary rule. Mirrors nextBoundary's contract.
-func (c *Chunker) gearCut(data []byte) int {
-	n := len(data)
-	if n <= c.cfg.MinSize {
-		return n
-	}
-	maxLen := n
-	if maxLen > c.cfg.MaxSize {
-		maxLen = c.cfg.MaxSize
-	}
+// gear is the boundary rule of a FastCDC-configured Chunker.
+type gear struct {
+	cfg Config
+	// Normalized-chunking masks: the "small" (harder) mask applies before
+	// the average point, the "large" (easier) one after it; the Sh variants
+	// are the same masks shifted left for the odd-position test of the
+	// two-bytes-per-iteration loop.
+	maskSmall, maskSmallSh uint64
+	maskLarge, maskLargeSh uint64
+}
+
+func newGear(cfg Config) *gear {
+	bits := log2int(cfg.AverageSize)
+	g := &gear{cfg: cfg, maskSmall: spreadMask(bits + 2), maskLarge: spreadMask(bits - 2)}
+	g.maskSmallSh = g.maskSmall << 1
+	g.maskLargeSh = g.maskLarge << 1
+	return g
+}
+
+// cut implements Chunker.cut.
+func (g *gear) cut(data []byte, from int) int {
+	maxLen := min(len(data), g.cfg.MaxSize)
 	// Normalization point: harder mask up to the average size, easier mask
 	// beyond it.
-	normal := c.cfg.AverageSize
-	if normal > maxLen {
-		normal = maxLen
-	}
-	_ = data[maxLen-1] // hoist the bounds check out of the loops
+	normal := min(g.cfg.AverageSize, maxLen)
+	i := max(from, g.cfg.MinSize)
+	if i < maxLen {
+		_ = data[maxLen-1] // hoist the bounds check out of the loops
 
-	var h uint64
-	i := c.cfg.MinSize
-	for ; i+2 <= normal; i += 2 {
-		h = (h << 2) + gearShift2[data[i]]
-		if h&c.maskSmallSh == 0 {
-			return i + 1
+		// Each byte is shifted out of the 64-bit hash after 64 more, so
+		// re-hashing the 64 bytes before a resume point (never reaching
+		// back past MinSize, where hashing starts) restores the hash the
+		// previous call stopped with.
+		var h uint64
+		for _, b := range data[max(i-64, g.cfg.MinSize):i] {
+			h = (h << 1) + gearTable[b]
 		}
-		h += gearTable[data[i+1]]
-		if h&c.maskSmall == 0 {
-			return i + 2
+		for ; i+2 <= normal; i += 2 {
+			h = (h << 2) + gearShift2[data[i]]
+			if h&g.maskSmallSh == 0 {
+				return i + 1
+			}
+			h += gearTable[data[i+1]]
+			if h&g.maskSmall == 0 {
+				return i + 2
+			}
+		}
+		for ; i < normal; i++ {
+			h = (h << 1) + gearTable[data[i]]
+			if h&g.maskSmall == 0 {
+				return i + 1
+			}
+		}
+		for ; i+2 <= maxLen; i += 2 {
+			h = (h << 2) + gearShift2[data[i]]
+			if h&g.maskLargeSh == 0 {
+				return i + 1
+			}
+			h += gearTable[data[i+1]]
+			if h&g.maskLarge == 0 {
+				return i + 2
+			}
+		}
+		for ; i < maxLen; i++ {
+			h = (h << 1) + gearTable[data[i]]
+			if h&g.maskLarge == 0 {
+				return i + 1
+			}
 		}
 	}
-	for ; i < normal; i++ {
-		h = (h << 1) + gearTable[data[i]]
-		if h&c.maskSmall == 0 {
-			return i + 1
-		}
+	if maxLen == g.cfg.MaxSize {
+		return maxLen
 	}
-	for ; i+2 <= maxLen; i += 2 {
-		h = (h << 2) + gearShift2[data[i]]
-		if h&c.maskLargeSh == 0 {
-			return i + 1
-		}
-		h += gearTable[data[i+1]]
-		if h&c.maskLarge == 0 {
-			return i + 2
-		}
-	}
-	for ; i < maxLen; i++ {
-		h = (h << 1) + gearTable[data[i]]
-		if h&c.maskLarge == 0 {
-			return i + 1
-		}
-	}
-	return maxLen
+	return 0
 }

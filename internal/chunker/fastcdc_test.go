@@ -199,6 +199,7 @@ func FuzzSplit(f *testing.F) {
 			if !bytes.Equal(reassemble(chunks), data) {
 				t.Fatalf("%s: chunks do not reassemble to the input", name)
 			}
+			requireSameChunks(t, refSplit(c.Config(), data), chunks)
 			for i, ch := range chunks {
 				if i < len(chunks)-1 && len(ch.Data) < c.Config().MinSize {
 					t.Fatalf("%s: chunk %d below MinSize", name, i)

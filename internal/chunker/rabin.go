@@ -1,11 +1,13 @@
-// Package chunker implements content-defined chunking with Rabin
-// fingerprinting (paper §5.1).
+// Package chunker implements content-defined chunking (paper §5.1): the
+// paper's Rabin fingerprinting (this file) and the FastCDC gear hash
+// (fastcdc.go) that a zero Config selects.
 //
-// A rolling polynomial hash over a sliding window is computed at every byte
-// offset; when the hash modulo a pre-defined integer M equals a pre-defined
-// value K, a chunk boundary is declared. Because boundaries depend only on
-// local content, an edit to a file only changes the chunks whose bytes
-// changed — the property CYRUS's deduplication relies on.
+// A rolling hash is computed at every byte offset; when it matches a
+// pre-defined pattern — for Rabin, the polynomial hash of a sliding window
+// modulo a pre-defined integer M equals a pre-defined value K — a chunk
+// boundary is declared. Because boundaries depend only on local content, an
+// edit to a file only changes the chunks whose bytes changed — the property
+// CYRUS's deduplication relies on.
 package chunker
 
 import (
@@ -91,21 +93,22 @@ func tablesFor(window int) *rabinTables {
 type Algorithm string
 
 const (
-	// Rabin is the compatibility default: the rolling polynomial hash of
-	// paper §5.1. Existing chunk IDs and dedup state were produced by it,
-	// so a zero Config keeps yielding identical boundaries.
+	// Rabin is the rolling polynomial hash of paper §5.1: the explicit
+	// opt-in that paper-figure experiments and boundary fixtures pin, and
+	// that a deployment pins to keep deduplicating against chunks written
+	// before FastCDC became the default.
 	Rabin Algorithm = "rabin"
-	// FastCDC selects the gear-hash chunker (fastcdc.go): ~an order of
-	// magnitude fewer operations per byte, at the cost of different (still
-	// deterministic) boundaries. Switching algorithms re-chunks new
-	// versions; old chunks remain readable since chunk refs carry their
-	// own sizes.
+	// FastCDC is the default: the gear-hash chunker (fastcdc.go), ~4x the
+	// scan rate of Rabin with different (still deterministic) boundaries.
+	// Boundaries are a write-time choice recorded in each chunk ref, so
+	// chunks written under either algorithm stay readable; only dedup
+	// against chunks of the other algorithm is lost.
 	FastCDC Algorithm = "fastcdc"
 )
 
 // Config controls chunk boundary placement.
 type Config struct {
-	// Algorithm picks the chunker. Empty means Rabin.
+	// Algorithm picks the chunker. Empty means FastCDC.
 	Algorithm Algorithm
 	// Window is the sliding-window size in bytes. Default 48.
 	// Rabin only; FastCDC's gear hash has no explicit window.
@@ -134,7 +137,7 @@ const (
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Algorithm == "" {
-		c.Algorithm = Rabin
+		c.Algorithm = FastCDC
 	}
 	if c.Algorithm != Rabin && c.Algorithm != FastCDC {
 		return c, fmt.Errorf("chunker: unknown algorithm %q", c.Algorithm)
@@ -193,16 +196,15 @@ type Chunk struct {
 // Chunker splits byte streams at content-defined boundaries. A Chunker is
 // immutable after construction and safe for concurrent use.
 type Chunker struct {
-	cfg    Config
-	tables *rabinTables // Rabin transition tables; nil for FastCDC
-	mask   uint64       // Rabin boundary mask
-
-	// FastCDC normalized-chunking masks: the "small" (harder) mask applies
-	// before the average point, the "large" (easier) one after it; the Sh
-	// variants are the same masks shifted left for the odd-position test of
-	// the two-bytes-per-iteration loop.
-	maskSmall, maskSmallSh uint64
-	maskLarge, maskLargeSh uint64
+	cfg Config
+	// cut is the boundary rule of cfg.Algorithm (rabin.cut or gear.cut).
+	// data[0] is the first byte of the chunk being cut and positions below
+	// from were searched by an earlier call over a shorter data. It returns
+	// the chunk's length once that is decided — a boundary was found, or
+	// data holds MaxSize bytes — and 0 while the chunk may extend past
+	// len(data): the caller then supplies more bytes and resumes at
+	// from = len(data), or at end of stream takes data as the tail chunk.
+	cut func(data []byte, from int) int
 }
 
 // New returns a Chunker for the given configuration. Zero fields take the
@@ -214,15 +216,10 @@ func New(cfg Config) (*Chunker, error) {
 	}
 	ck := &Chunker{cfg: full}
 	if full.Algorithm == FastCDC {
-		bits := log2int(full.AverageSize)
-		ck.maskSmall = spreadMask(bits + 2)
-		ck.maskLarge = spreadMask(bits - 2)
-		ck.maskSmallSh = ck.maskSmall << 1
-		ck.maskLargeSh = ck.maskLarge << 1
-		return ck, nil
+		ck.cut = newGear(full).cut
+	} else {
+		ck.cut = newRabin(full).cut
 	}
-	ck.tables = tablesFor(full.Window)
-	ck.mask = uint64(full.AverageSize - 1)
 	return ck, nil
 }
 
@@ -243,7 +240,7 @@ func (c *Chunker) Split(data []byte) []Chunk {
 // same Scanner that streams chunks from an io.Reader (in its zero-copy
 // ScanBytes mode), so batch and streaming chunking share one boundary loop.
 func (c *Chunker) SplitTo(dst []Chunk, data []byte) []Chunk {
-	s := Scanner{c: c, buf: data, end: len(data), eof: true}
+	s := c.ScanBytes(data)
 	for {
 		ch, err := s.Next()
 		if err != nil {
@@ -253,37 +250,48 @@ func (c *Chunker) SplitTo(dst []Chunk, data []byte) []Chunk {
 	}
 }
 
-// nextBoundary returns the length of the next chunk starting at data[0].
-func (c *Chunker) nextBoundary(data []byte) int {
-	if len(data) <= c.cfg.MinSize {
-		return len(data)
-	}
-	maxLen := len(data)
-	if maxLen > c.cfg.MaxSize {
-		maxLen = c.cfg.MaxSize
-	}
+// rabin is the boundary rule of a Rabin-configured Chunker.
+type rabin struct {
+	cfg    Config
+	tables *rabinTables
+	mask   uint64
+}
 
-	// Warm the window over the bytes just before the earliest legal
-	// boundary so the hash at position MinSize covers a full window.
-	var h uint64
-	warmStart := c.cfg.MinSize - c.cfg.Window
-	for i := warmStart; i < c.cfg.MinSize; i++ {
-		h = c.roll(h, 0, data[i]) // window fills; nothing to age out yet
-	}
-	for i := c.cfg.MinSize; i < maxLen; i++ {
-		h = c.roll(h, data[i-c.cfg.Window], data[i])
-		if h&c.mask == c.cfg.K&c.mask {
-			return i + 1
+func newRabin(cfg Config) *rabin {
+	return &rabin{cfg: cfg, tables: tablesFor(cfg.Window), mask: uint64(cfg.AverageSize - 1)}
+}
+
+// cut implements Chunker.cut.
+func (r *rabin) cut(data []byte, from int) int {
+	maxLen := min(len(data), r.cfg.MaxSize)
+	// The window hash is a function of the last Window bytes alone, so
+	// warming it over the bytes just before the first position to test —
+	// the earliest legal boundary, or where the previous call stopped —
+	// yields the same hash as one unbroken roll over the chunk.
+	i := max(from, r.cfg.MinSize)
+	if i < maxLen {
+		var h uint64
+		for _, b := range data[i-r.cfg.Window : i] {
+			h = r.roll(h, 0, b) // window fills; nothing to age out yet
+		}
+		for ; i < maxLen; i++ {
+			h = r.roll(h, data[i-r.cfg.Window], data[i])
+			if h&r.mask == r.cfg.K&r.mask {
+				return i + 1
+			}
 		}
 	}
-	return maxLen
+	if maxLen == r.cfg.MaxSize {
+		return maxLen
+	}
+	return 0
 }
 
 // roll advances the hash: ages out `old`, appends `in`. The hash is kept
 // reduced mod Polynomial (degree < 53) throughout.
-func (c *Chunker) roll(h uint64, old, in byte) uint64 {
-	h ^= c.tables.out[old]
+func (r *rabin) roll(h uint64, old, in byte) uint64 {
+	h ^= r.tables.out[old]
 	top := byte(h >> (polyDegree - 8))
 	h = ((h << 8) | uint64(in)) & ((1 << polyDegree) - 1)
-	return h ^ c.tables.mod[top]
+	return h ^ r.tables.mod[top]
 }

@@ -11,7 +11,7 @@ import (
 // buffers.
 func testChunker(t *testing.T) *Chunker {
 	t.Helper()
-	c, err := New(Config{AverageSize: 1024, MinSize: 256, MaxSize: 4096, Window: 48})
+	c, err := New(Config{Algorithm: Rabin, AverageSize: 1024, MinSize: 256, MaxSize: 4096, Window: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +163,11 @@ func TestQuickCoverage(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	cases := []Config{
-		{AverageSize: 1000},                            // not a power of two
-		{AverageSize: 1024, MinSize: 10, Window: 48},   // min < window
-		{AverageSize: 1024, MinSize: 512, MaxSize: 64}, // max < min
-		{Window: 1},                  // window too small
-		{AverageSize: 1024, K: 4096}, // K out of range
+		{AverageSize: 1000},                                            // not a power of two
+		{AverageSize: 1024, MinSize: 512, MaxSize: 64},                 // max < min
+		{Algorithm: Rabin, AverageSize: 1024, MinSize: 10, Window: 48}, // min < window
+		{Algorithm: Rabin, Window: 1},                                  // window too small
+		{Algorithm: Rabin, AverageSize: 1024, K: 4096},                 // K out of range
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -182,6 +182,9 @@ func TestDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := c.Config()
+	if cfg.Algorithm != FastCDC {
+		t.Errorf("default algorithm = %q, want %q", cfg.Algorithm, FastCDC)
+	}
 	if cfg.Window != DefaultWindow {
 		t.Errorf("default window = %d, want %d", cfg.Window, DefaultWindow)
 	}
@@ -239,10 +242,11 @@ func TestRollingHashMatchesDirectHash(t *testing.T) {
 	// The rolled hash at each position must equal the hash computed from
 	// scratch over the same window.
 	const window = 16
-	c, err := New(Config{AverageSize: 256, MinSize: 32, MaxSize: 1024, Window: window})
+	cfg, err := Config{Algorithm: Rabin, AverageSize: 256, MinSize: 32, MaxSize: 1024, Window: window}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := newRabin(cfg)
 	direct := func(win []byte) uint64 {
 		var h uint64
 		for _, b := range win {
@@ -265,7 +269,7 @@ func TestRollingHashMatchesDirectHash(t *testing.T) {
 }
 
 func BenchmarkSplit(b *testing.B) {
-	c, err := New(Config{})
+	c, err := New(Config{Algorithm: Rabin})
 	if err != nil {
 		b.Fatal(err)
 	}

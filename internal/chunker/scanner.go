@@ -4,11 +4,10 @@ import "io"
 
 // Scanner yields the chunks of a byte stream one at a time, holding at most
 // MaxSize bytes of the input in memory. It produces exactly the boundaries
-// Split would: both nextBoundary and gearCut inspect only the first
-// min(len(window), MaxSize) bytes of the remaining input and finalize the
-// tail only at end of stream, so a cut decision made over a full MaxSize
-// window — or over whatever remains once the reader is drained — is the
-// decision Split would have made with the whole file in hand.
+// Split would: a boundary found inside the bytes read so far depends on
+// nothing beyond it, and a chunk that ends without one is finalized only
+// over a full MaxSize window or at end of stream — the decision Split makes
+// with the whole file in hand.
 type Scanner struct {
 	c *Chunker
 	r io.Reader // nil in ScanBytes mode (whole input already in buf)
@@ -26,15 +25,16 @@ type Scanner struct {
 
 // minRing is the ring a streaming Scanner starts with when the reader gives
 // no length hint. Small objects never pay for more; a long stream doubles it
-// up to MaxSize, copying less than 2 × MaxSize bytes in total.
+// as far as its longest chunk needs, copying less than 2 × MaxSize bytes in
+// total.
 const minRing = 64 << 10
 
 // Scan returns a Scanner that chunks the stream read from r. The scanner's
 // ring is sized by the bytes it actually reads: it starts small — or, when r
 // reports its remaining length (Len() int, as bytes.Reader and
 // strings.Reader do), just large enough to hold it — and doubles up to
-// MaxSize, never more. Each call to Next refills the ring, cuts one chunk,
-// and slides the window.
+// MaxSize, never more. Each call to Next slides the bytes read past the
+// previous cut to the front, then reads on until a boundary shows.
 //
 // The Data of a returned Chunk aliases the scanner's internal buffer and is
 // only valid until the next call to Next — callers that keep a chunk must
@@ -75,62 +75,66 @@ func (s *Scanner) Next() (Chunk, error) {
 		return Chunk{}, s.err
 	}
 	if s.r != nil && s.start > 0 {
-		// Slide the unconsumed window to the front to make room to refill.
+		// Slide the read-ahead — less than one fill step — to the front.
 		copy(s.buf, s.buf[s.start:s.end])
 		s.end -= s.start
 		s.start = 0
 	}
-	for !s.eof {
-		if s.end == len(s.buf) {
-			if len(s.buf) >= s.c.cfg.MaxSize {
-				break
+	cfg := &s.c.cfg
+	// Read ahead of the boundary search one step at a time and resume the
+	// search where it stopped, so every byte is searched once and only the
+	// step the cut fell in is left to slide. No chunk but the tail is
+	// shorter than MinSize, which bounds the slide at a quarter byte per
+	// byte scanned.
+	step := max(cfg.MinSize/4, 64)
+	searched := 0
+	for {
+		if !s.eof {
+			if err := s.fill(min(max(searched, cfg.MinSize)+step, cfg.MaxSize)); err != nil {
+				s.err = err
+				return Chunk{}, err
 			}
-			// The stream outgrew the ring before a full MaxSize window was
-			// seen: the cut may depend on bytes not read yet.
+		}
+		window := s.buf[s.start:s.end]
+		if len(window) == 0 {
+			s.err = io.EOF
+			return Chunk{}, io.EOF
+		}
+		cut := s.c.cut(window, searched)
+		if cut == 0 && s.eof {
+			cut = len(window) // the tail chunk
+		}
+		if cut > 0 {
+			ch := Chunk{Offset: s.off, Data: window[:cut]}
+			s.start += cut
+			s.off += int64(cut)
+			return ch, nil
+		}
+		searched = len(window)
+	}
+}
+
+// fill reads until the window holds want (≤ MaxSize) bytes or the stream
+// ends, doubling the ring when the stream has filled it.
+func (s *Scanner) fill(want int) error {
+	for s.end < want && !s.eof {
+		if s.end == len(s.buf) {
 			grown := make([]byte, min(2*len(s.buf), s.c.cfg.MaxSize))
 			copy(grown, s.buf[:s.end])
 			s.buf = grown
 		}
-		n, err := s.r.Read(s.buf[s.end:])
+		n, err := s.r.Read(s.buf[s.end:min(want, len(s.buf))])
 		s.end += n
 		if n > 0 {
 			s.zeroReads = 0
-		} else {
-			s.zeroReads++
-			if s.zeroReads >= 100 {
-				s.err = io.ErrNoProgress
-				return Chunk{}, s.err
-			}
+		} else if s.zeroReads++; s.zeroReads >= 100 {
+			return io.ErrNoProgress
 		}
 		if err == io.EOF {
 			s.eof = true
-			break
-		}
-		if err != nil {
-			s.err = err
-			return Chunk{}, s.err
+		} else if err != nil {
+			return err
 		}
 	}
-	window := s.buf[s.start:s.end]
-	if len(window) == 0 {
-		s.err = io.EOF
-		return Chunk{}, io.EOF
-	}
-	// The window is either MaxSize bytes long (so the cut cannot depend on
-	// bytes beyond it) or holds the entire rest of the stream: either way
-	// the boundary decision is final.
-	cut := s.c.cut(window)
-	ch := Chunk{Offset: s.off, Data: window[:cut]}
-	s.start += cut
-	s.off += int64(cut)
-	return ch, nil
-}
-
-// cut returns the length of the next chunk starting at data[0] under the
-// configured algorithm.
-func (c *Chunker) cut(data []byte) int {
-	if c.cfg.Algorithm == FastCDC {
-		return c.gearCut(data)
-	}
-	return c.nextBoundary(data)
+	return nil
 }

@@ -279,6 +279,7 @@ func TestScannerRingGrowthMatchesSplit(t *testing.T) {
 			readers := map[string]io.Reader{
 				"no-hint":    &fragmentReader{data: bytes.Clone(data), sizes: []int{1 << 20}},
 				"fragmented": &fragmentReader{data: bytes.Clone(data), sizes: []int{4097, 1, 70_000, 333}},
+				"one-byte":   &fragmentReader{data: bytes.Clone(data), sizes: []int{1}},
 				"len-hint":   bytes.NewReader(data),
 				"short-len":  &shortLenReader{fragmentReader{data: bytes.Clone(data), sizes: []int{50_000}}},
 			}
@@ -323,6 +324,96 @@ func TestScannerSmallObjectAllocatesSmallRing(t *testing.T) {
 		}
 		if s.BufferBytes() > minRing {
 			t.Errorf("%s: ring is %d bytes for a 16 KiB object", name, s.BufferBytes())
+		}
+	}
+}
+
+// countingReader counts the bytes the scanner has drawn from the stream.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// hintedReader is a countingReader that also passes on the length hint.
+type hintedReader struct {
+	countingReader
+	len int
+}
+
+func (h *hintedReader) Len() int { return h.len }
+
+// TestScannerReadsAheadOneStepAndAccountsItsRing: under the production
+// default (1 MiB MinSize, 16 MiB MaxSize) the scanner never holds more than a
+// quarter MinSize of the stream beyond the chunk it returns — that read-ahead
+// is all Next slides, where filling the ring to MaxSize first slid ~11.5 MiB
+// per ~4.5 MiB chunk — and BufferBytes reports the ring as it really is: the
+// object for a hinted 16 KiB stream, minRing for an unhinted one, MaxSize for
+// a hinted 32 MiB stream, and for an unhinted one minRing doubled until the
+// longest chunk plus its read-ahead fit.
+func TestScannerReadsAheadOneStepAndAccountsItsRing(t *testing.T) {
+	for _, algo := range []Algorithm{FastCDC, Rabin} {
+		c, err := New(Config{Algorithm: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := c.Config()
+		step := cfg.MinSize / 4
+		for _, n := range []int{16 << 10, 32 << 20} {
+			if algo == Rabin && n > 1<<20 && testing.Short() {
+				continue // three Rabin passes over 32 MiB: ~8 s under -race
+			}
+			data := randomBytes(int64(n), n)
+			want := c.Split(data)
+			for _, hinted := range []bool{true, false} {
+				name := fmt.Sprintf("%s/%d/hinted=%v", algo, n, hinted)
+				cr := &countingReader{r: &fragmentReader{data: bytes.Clone(data), sizes: []int{1 << 30}}}
+				var r io.Reader = cr
+				if hinted {
+					h := &hintedReader{countingReader: countingReader{r: bytes.NewReader(data)}, len: n}
+					cr, r = &h.countingReader, h
+				}
+				s := c.Scan(r)
+				var got []Chunk
+				longest := 0
+				for {
+					ch, err := s.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Fatalf("%s: Next: %v", name, err)
+					}
+					end := ch.Offset + int64(len(ch.Data))
+					if ahead := cr.n - end; ahead > int64(step) {
+						t.Fatalf("%s: chunk ending at %d returned with %d bytes read ahead, want <= %d", name, end, ahead, step)
+					}
+					longest = max(longest, len(ch.Data))
+					got = append(got, Chunk{Offset: ch.Offset, Data: bytes.Clone(ch.Data)})
+				}
+				requireSameChunks(t, want, got)
+
+				ring := s.BufferBytes()
+				switch {
+				case hinted:
+					if wantRing := min(n+1, cfg.MaxSize); ring != wantRing {
+						t.Errorf("%s: ring is %d bytes, want %d", name, ring, wantRing)
+					}
+				case n <= minRing:
+					if ring != minRing {
+						t.Errorf("%s: ring is %d bytes, want minRing %d", name, ring, minRing)
+					}
+				default:
+					if ring < longest || ring > cfg.MaxSize || ring >= 2*(longest+step) {
+						t.Errorf("%s: ring is %d bytes for a longest chunk of %d (step %d, MaxSize %d)", name, ring, longest, step, cfg.MaxSize)
+					}
+				}
+			}
 		}
 	}
 }

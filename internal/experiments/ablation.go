@@ -124,7 +124,7 @@ func AblationChunking(seed int64) (Report, error) {
 		Columns: []string{"avg chunk", "unique chunks", "total chunks", "dedup'd bytes", "stored bytes"},
 	}
 	for _, avg := range []int{16 << 10, 64 << 10, 256 << 10, 1 << 20} {
-		ch, err := chunker.New(chunker.Config{AverageSize: avg})
+		ch, err := chunker.New(chunker.Config{Algorithm: chunker.Rabin, AverageSize: avg})
 		if err != nil {
 			return r, err
 		}

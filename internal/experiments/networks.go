@@ -129,14 +129,16 @@ func noChunking() chunker.Config {
 
 // testbedChunking is the paper's 4 MB-average content-defined chunking,
 // scaled down proportionally for reduced datasets so chunk counts stay
-// comparable.
+// comparable. It pins the paper's Rabin chunker: the figures, the BENCH
+// tables and the margins of TestLoadSchedCrossover are functions of its
+// boundaries, not of whatever the client's default has become.
 func testbedChunking(scale float64) chunker.Config {
 	avg := 4 * MB
 	for scale < 1 && avg > 64<<10 {
 		scale *= 4
 		avg /= 4
 	}
-	return chunker.Config{AverageSize: avg, MinSize: avg / 4, MaxSize: avg * 4}
+	return chunker.Config{Algorithm: chunker.Rabin, AverageSize: avg, MinSize: avg / 4, MaxSize: avg * 4}
 }
 
 // testbedClouds is the paper's §7.2 emulation: four fast clouds at 15 MB/s

@@ -195,8 +195,9 @@ func (o Options) withDefaults() Options {
 
 // chunkingConfig is shared by every client and by the invariant checker
 // (which re-chunks acknowledged contents to recompute expected share
-// bytes).
-var chunkingConfig = chunker.Config{AverageSize: 1024, MinSize: 256, MaxSize: 4096, Window: 48}
+// bytes). Rabin is pinned so a seed keeps replaying the universe it always
+// has.
+var chunkingConfig = chunker.Config{Algorithm: chunker.Rabin, AverageSize: 1024, MinSize: 256, MaxSize: 4096, Window: 48}
 
 // sharedKey is the user key all clients of a run share.
 const sharedKey = "harness-shared-user-key"

@@ -178,7 +178,7 @@ func (s *Store) Download(ctx context.Context, name string) ([]byte, error) {
 		return nil, s.mapStatus(resp)
 	}
 	defer drainClose(resp.Body)
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxObjectBytes+1))
+	data, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", csp.ErrUnavailable, s.name, err)
 	}

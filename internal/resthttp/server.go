@@ -18,6 +18,7 @@
 package resthttp
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -38,6 +39,23 @@ import (
 // maxObjectBytes bounds a single uploaded object (shares are chunk-sized;
 // 1 GiB leaves room for unchunked demo files).
 const maxObjectBytes = 1 << 30
+
+// readBody reads an object body into memory: at most maxObjectBytes+1 bytes,
+// so a caller that must reject an oversized object can tell. declared is the
+// message's Content-Length (-1 when unknown). A plausible one sizes the
+// buffer up front, so the body is written once into memory that is never
+// regrown; it is a hint only — a body that ends short fails with the
+// transport's own error, and one that runs long is still read to the cap.
+func readBody(body io.Reader, declared int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if declared > 0 && declared <= maxObjectBytes {
+		// ReadFrom wants bytes.MinRead spare bytes before the read that
+		// returns io.EOF, or it regrows the buffer to make them.
+		buf.Grow(int(declared) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(io.LimitReader(body, maxObjectBytes+1))
+	return buf.Bytes(), err
+}
 
 // objectInfoJSON is the wire form of csp.ObjectInfo.
 type objectInfoJSON struct {
@@ -300,6 +318,12 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		_, _ = w.Write(data)
 	case http.MethodPut:
+		if r.ContentLength > maxObjectBytes {
+			// Refused on the declared length alone: nothing is read, let
+			// alone buffered, for an upload that cannot be accepted.
+			http.Error(w, "object too large", http.StatusRequestEntityTooLarge)
+			return
+		}
 		if su, ok := s.store.(csp.StreamUploader); ok {
 			// Stream the body into the store; the byte-limit guard errors
 			// (rather than silently truncating) past the cap, which aborts
@@ -316,7 +340,7 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusCreated)
 			return
 		}
-		data, err := io.ReadAll(io.LimitReader(r.Body, maxObjectBytes+1))
+		data, err := readBody(r.Body, r.ContentLength)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
