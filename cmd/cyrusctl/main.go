@@ -467,7 +467,7 @@ func cmdInit(cfgPath string, args []string) error {
 	client := fs.String("client", "", "client id (hostname if empty)")
 	cspToken := fs.String("csptoken", "", "bearer token for http(s) providers")
 	metaShards := fs.Int("metashards", 0, "providers per metadata record (0 = all providers)")
-	metaCache := fs.Int("metacache", 0, "metadata cache entries (0 = cache disabled)")
+	metaCache := fs.Int("metacache", 0, "file names whose reads may skip the metadata sync while fresh (0 = always sync)")
 	retention := fs.Int("retention", 0, "resolved conflict branches kept per file (0 = keep all)")
 	var csps multiFlag
 	fs.Var(&csps, "csp", "provider as name=<dir-path or http(s)://url> (repeatable, need at least t)")

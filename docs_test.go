@@ -92,6 +92,18 @@ func TestCoreOneDataPath(t *testing.T) {
 		"erasure Encode/EncodeTo call":   regexp.MustCompile(`\.EncodeTo\(|oder\.Encode\(`),
 		"DecodeCorrecting call":          regexp.MustCompile(`DecodeCorrecting\(`),
 	}
+	found := coreCallSites(t, sites)
+	for what := range sites {
+		if len(found[what]) != 1 {
+			t.Errorf("internal/core has %d %s sites, want exactly 1 (in datapath.go): %v", len(found[what]), what, found[what])
+		}
+	}
+}
+
+// coreCallSites scans internal/core's non-test, non-comment source lines and
+// returns, per pattern, the file:line of every match.
+func coreCallSites(t *testing.T, sites map[string]*regexp.Regexp) map[string][]string {
+	t.Helper()
 	files, err := filepath.Glob("internal/core/*.go")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no internal/core sources found: %v", err)
@@ -116,9 +128,63 @@ func TestCoreOneDataPath(t *testing.T) {
 			}
 		}
 	}
-	for what := range sites {
-		if len(found[what]) != 1 {
-			t.Errorf("internal/core has %d %s sites, want exactly 1 (in datapath.go): %v", len(found[what]), what, found[what])
+	return found
+}
+
+// TestCoreOneVersionPlane is the duplication guard for internal/core's
+// version plane (version.go, DESIGN.md §5.2): a record is published, a
+// version is checked against its name, and a version's bytes are fetched in
+// exactly one place each (publish, resolve, read), and the best-effort sync
+// has resolve plus the full-sync callers (List, Conflicts, GC) as its only
+// gates — so a second publish tail, a sixth Get body or another cache gate
+// cannot grow back beside them. The record-LRU's byte knob stays deleted.
+func TestCoreOneVersionPlane(t *testing.T) {
+	once := map[string]*regexp.Regexp{
+		"c.uploadMeta( call":     regexp.MustCompile(`c\.uploadMeta\(`),
+		"\"belongs to\" message": regexp.MustCompile(`belongs to`),
+		"c.fetchTo( call":        regexp.MustCompile(`c\.fetchTo\(`),
+	}
+	const syncs = "c.syncBestEffort( call"
+	sites := map[string]*regexp.Regexp{syncs: regexp.MustCompile(`c\.syncBestEffort\(`)}
+	for what, re := range once {
+		sites[what] = re
+	}
+	found := coreCallSites(t, sites)
+	for what := range once {
+		if got := found[what]; len(got) != 1 || !strings.HasPrefix(got[0], "internal/core/version.go:") {
+			t.Errorf("internal/core has %d %s sites, want exactly 1 (in version.go): %v", len(got), what, got)
 		}
+	}
+	if got := found[syncs]; len(got) > 5 {
+		t.Errorf("internal/core has %d %s sites, want at most 5: %v", len(got), syncs, got)
+	}
+
+	gone := "MetaCache" + "Bytes"
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch {
+		case strings.HasSuffix(path, ".go"), path == "README.md", path == "DESIGN.md", path == "EXPERIMENTS.md":
+		default:
+			return nil
+		}
+		text, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if strings.Contains(string(text), gone) {
+			t.Errorf("%s still mentions %s", path, gone)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

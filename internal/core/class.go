@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/chunker"
@@ -30,13 +30,6 @@ type PutOptions struct {
 	Class string
 }
 
-// PutWith is Put with per-request options.
-func (c *Client) PutWith(ctx context.Context, name string, data []byte, opts PutOptions) error {
-	c.acctAdd(int64(len(data)))
-	defer c.acctSub(int64(len(data)))
-	return c.PutReaderWith(ctx, name, bytes.NewReader(data), opts)
-}
-
 // Policy exposes the class-resolution engine (nil when the client is
 // configured without classes).
 func (c *Client) Policy() *policy.Engine { return c.pol }
@@ -51,30 +44,25 @@ func (c *Client) chunkerFor(class string) *chunker.Chunker {
 	return c.chunk
 }
 
-// classActive returns the active providers eligible for a class's chunk
-// shares: the class CSP subset intersected with the active set, or the full
-// active set when the class does not restrict placement.
-func (c *Client) classActive(cls policy.Class) []string {
-	active := c.CSPs()
+// classPool returns the providers among active eligible for a class's chunk
+// shares: the class CSP subset intersected with the active set, or all of
+// active when the class does not restrict placement.
+func classPool(cls policy.Class, active []string) []string {
 	if len(cls.CSPs) == 0 {
 		return active
 	}
-	in := make(map[string]bool, len(cls.CSPs))
-	for _, name := range cls.CSPs {
-		in[name] = true
-	}
 	var out []string
 	for _, name := range active {
-		if in[name] {
+		if slices.Contains(cls.CSPs, name) {
 			out = append(out, name)
 		}
 	}
 	return out
 }
 
-// clusterCountAmong counts distinct platform clusters among the given
-// providers — the n cap for a provider pool.
-func (c *Client) clusterCountAmong(names []string) int {
+// clusterCount counts distinct platform clusters among the given providers —
+// the n cap for a provider pool.
+func (c *Client) clusterCount(names []string) int {
 	if c.cfg.ClusterOf == nil {
 		return len(names)
 	}
@@ -89,44 +77,47 @@ func (c *Client) clusterCountAmong(names []string) int {
 	return len(seen)
 }
 
-// shareParamsFor returns the (t, n) for new chunks of a class. The default
-// class "" is the client-level two-step §4.2 procedure (shareParams).
-// A named class sizes within its own provider pool: an explicit class N may
-// exceed the pool (placement spills to out-of-class providers — durability
-// over affinity — so the cap is the full active cluster count), while an
+// shareParams returns the (t, n) for new chunks of a class: the paper's
+// two-step §4.2 procedure, with the failure probability the conservative
+// maximum over observed per-CSP estimates. The default class "" is the class
+// with no overrides: the client's T, N and Epsilon over every active provider.
+// A named class sizes within its own provider pool: an explicit N may exceed
+// the pool (placement spills to out-of-class providers — durability over
+// affinity — so the cap is the full active cluster count), while an
 // Epsilon-derived N is computed against the class pool, falling back to the
 // full set only when the pool cannot even host t distinct clusters.
-func (c *Client) shareParamsFor(cls policy.Class) (int, int, error) {
-	if cls.Name == "" {
-		return c.shareParams()
-	}
-	t := cls.T
+func (c *Client) shareParams(cls policy.Class) (int, int, error) {
+	t, n, eps := cls.T, cls.N, cls.Epsilon
 	if t == 0 {
 		t = c.cfg.T
 	}
-	pool := c.classActive(cls)
-	maxN := c.clusterCountAmong(pool)
-	if maxN < t {
-		pool = c.CSPs()
-		maxN = c.clusterCount()
+	if cls.Name == "" {
+		n = c.cfg.N
 	}
-	if cls.N > 0 {
-		if full := c.clusterCount(); cls.N > full {
-			return 0, 0, fmt.Errorf("%w: class %q needs %d, have %d clusters", ErrNotEnoughCSP, cls.Name, cls.N, full)
+	if eps == 0 {
+		eps = c.cfg.Epsilon
+	}
+	active := c.CSPs()
+	full := c.clusterCount(active)
+	pool := classPool(cls, active)
+	maxN := c.clusterCount(pool)
+	if maxN < t {
+		pool, maxN = active, full
+	}
+	if n > 0 {
+		if n > full {
+			return 0, 0, fmt.Errorf("%w: class %q needs %d, have %d clusters", ErrNotEnoughCSP, cls.Name, n, full)
 		}
-		return t, cls.N, nil
+		return t, n, nil
 	}
 	if maxN < t {
 		return 0, 0, fmt.Errorf("%w: class %q needs at least %d, have %d clusters", ErrNotEnoughCSP, cls.Name, t, maxN)
-	}
-	eps := cls.Epsilon
-	if eps == 0 {
-		eps = c.cfg.Epsilon
 	}
 	p := c.est.MaxFailureProb(pool, c.cfg.FailureProb)
 	n, err := reliability.MinShares(t, p, eps, maxN)
 	if err != nil {
 		if errors.Is(err, reliability.ErrUnreachable) {
+			// Not enough clouds to hit the bound: store as wide as we can.
 			return t, maxN, nil
 		}
 		return 0, 0, err
@@ -184,9 +175,9 @@ func versionClass(m *metadata.FileMeta) string {
 // ObjectClass reports the class of a file's current version, plus the head
 // modification time the lifecycle scanner ages against. Local-replica only.
 func (c *Client) ObjectClass(name string) (class string, info FileInfo, err error) {
-	head, conflicted, err := c.tree.Head(name)
+	head, conflicted, err := c.resolve(context.TODO(), name, "", noSync)
 	if err != nil {
-		return "", FileInfo{}, fmt.Errorf("%w: %q", ErrNoSuchFile, name)
+		return "", FileInfo{}, err
 	}
 	return versionClass(head), fileInfo(head, conflicted), nil
 }
@@ -243,7 +234,7 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 	if _, ok := c.pol.Class(targetClass); !ok {
 		return false, fmt.Errorf("cyrus: unknown storage class %q", targetClass)
 	}
-	head, _, err := c.headForRead(ctx, name)
+	head, _, err := c.resolve(ctx, name, "", syncUnlessFresh)
 	if err != nil {
 		return false, err
 	}
@@ -254,7 +245,7 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 		return false, nil
 	}
 	cls, _ := c.pol.Class(targetClass)
-	t, n, err := c.shareParamsFor(cls)
+	t, n, err := c.shareParams(cls)
 	if err != nil {
 		return false, err
 	}
@@ -313,13 +304,9 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 	if err := op.Err(); err != nil {
 		return false, err
 	}
-	if err := c.uploadMeta(op, newMeta); err != nil {
+	if err := c.publish(op, newMeta); err != nil {
 		return false, err
 	}
-	if err := c.absorb(newMeta); err != nil {
-		return false, err
-	}
-	c.mcache.storeHead(newMeta)
 	c.logf("re-encoded into class", "file", name, "class", targetClass,
 		"t", t, "n", n, "bytes", movedBytes)
 	return true, nil

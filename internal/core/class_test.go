@@ -89,7 +89,7 @@ func TestClassOverride(t *testing.T) {
 	c := env.client("alice", classConfig)
 
 	// Override beats the rule: a logs/ name forced hot.
-	if err := c.PutWith(bg, "logs/pinned.log", randData(3, 4_000), PutOptions{Class: "hot"}); err != nil {
+	if err := c.PutReaderWith(bg, "logs/pinned.log", bytes.NewReader(randData(3, 4_000)), PutOptions{Class: "hot"}); err != nil {
 		t.Fatal(err)
 	}
 	head := headOf(t, c, "logs/pinned.log")
@@ -99,7 +99,7 @@ func TestClassOverride(t *testing.T) {
 		}
 	}
 	// Unknown override is an error, not a silent fallback.
-	err := c.PutWith(bg, "x", []byte("data"), PutOptions{Class: "glacial"})
+	err := c.PutReaderWith(bg, "x", strings.NewReader("data"), PutOptions{Class: "glacial"})
 	if err == nil || !strings.Contains(err.Error(), "glacial") {
 		t.Fatalf("err = %v", err)
 	}

@@ -85,16 +85,13 @@ type Config struct {
 	// records placed under older shard sets.
 	MetaShards int
 
-	// MetaCacheEntries / MetaCacheBytes bound the version-aware cache of
-	// decoded metadata records (LRU over (name, versionID), verified by
-	// version-ID hash on every hit). While a file's head is cached, read
-	// operations (Stat, GetTo, GetRange) serve it without a metadata round
-	// trip; entries are invalidated whenever sync, supersede, or delete
-	// absorbs a newer record for the name. Both zero (the default)
-	// disables the cache; a zero entry or byte bound alone means
-	// "unbounded in that dimension".
+	// MetaCacheEntries, when positive, lets reads (Stat, History, the Gets)
+	// skip their metadata sync for up to this many file names (LRU) whose
+	// head this client has synced or written and has absorbed no record for
+	// since — a freshness mark over the local tree, verified by version-ID
+	// hash on every hit (DESIGN.md §11). 0 (the default) syncs before every
+	// read.
 	MetaCacheEntries int
-	MetaCacheBytes   int64
 
 	// TreeRetention, when positive, compacts resolved conflict history
 	// after every full-view sync: dead branches (every leaf deleted)
@@ -229,8 +226,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MetaShards > 0 && c.MetaShards < c.MetaT {
 		return c, fmt.Errorf("cyrus: MetaShards=%d < MetaT=%d", c.MetaShards, c.MetaT)
 	}
-	if c.MetaCacheEntries < 0 || c.MetaCacheBytes < 0 {
-		return c, fmt.Errorf("cyrus: MetaCacheEntries=%d, MetaCacheBytes=%d", c.MetaCacheEntries, c.MetaCacheBytes)
+	if c.MetaCacheEntries < 0 {
+		return c, fmt.Errorf("cyrus: MetaCacheEntries=%d", c.MetaCacheEntries)
 	}
 	if c.TreeRetention < 0 {
 		return c, fmt.Errorf("cyrus: TreeRetention=%d", c.TreeRetention)
@@ -287,7 +284,7 @@ type Client struct {
 	rt       vclock.Runtime
 	sel      selector.Selector
 	codec    *codecPool
-	mcache   *metaCache // nil = disabled
+	fresh    *freshSet // nil = disabled
 	keyHash  string
 	log      *slog.Logger  // nil = disabled
 	obs      *obs.Observer // nil = disabled
@@ -372,12 +369,8 @@ func New(cfg Config, stores []csp.Store) (*Client, error) {
 		c.conv = erasure.NewConvergentCoder(full.DedupSecret)
 	}
 	c.codec = newCodecPool(full.CodecWorkers, c.obs)
-	if full.MetaCacheEntries > 0 || full.MetaCacheBytes > 0 {
-		c.mcache = newMetaCache(full.MetaCacheEntries, full.MetaCacheBytes, c.obs)
-		// Invalidation rides the event bus: every absorbed record —
-		// whether from sync, a supersede, or a delete — fires
-		// EvMetaAbsorbed for its file, and the cache drops that name.
-		c.events.subscribe(c.mcache.onEvent)
+	if full.MetaCacheEntries > 0 {
+		c.fresh = newFreshSet(full.MetaCacheEntries, c.tree, c.obs)
 	}
 	// All provider I/O dispatches through one engine: bounded in-flight
 	// slots, taxonomy-driven retries on the client's clock, per-operation
@@ -476,51 +469,6 @@ func (c *Client) store(name string) (csp.Store, bool) {
 	return s, ok
 }
 
-// clusterCount returns the number of distinct platform clusters among the
-// active providers — the cap for n when clustering is enabled.
-func (c *Client) clusterCount() int {
-	active := c.CSPs()
-	if c.cfg.ClusterOf == nil {
-		return len(active)
-	}
-	seen := map[string]bool{}
-	for _, name := range active {
-		cl, ok := c.cfg.ClusterOf[name]
-		if !ok {
-			cl = "\x00" + name
-		}
-		seen[cl] = true
-	}
-	return len(seen)
-}
-
-// shareParams returns the (t, n) to use for new chunks: the paper's
-// two-step §4.2 procedure. The failure probability is the conservative
-// maximum over observed per-CSP estimates.
-func (c *Client) shareParams() (int, int, error) {
-	t := c.cfg.T
-	maxN := c.clusterCount()
-	if c.cfg.N > 0 {
-		if c.cfg.N > maxN {
-			return 0, 0, fmt.Errorf("%w: need %d, have %d clusters", ErrNotEnoughCSP, c.cfg.N, maxN)
-		}
-		return t, c.cfg.N, nil
-	}
-	if maxN < t {
-		return 0, 0, fmt.Errorf("%w: need at least %d, have %d clusters", ErrNotEnoughCSP, t, maxN)
-	}
-	p := c.est.MaxFailureProb(c.CSPs(), c.cfg.FailureProb)
-	n, err := reliability.MinShares(t, p, c.cfg.Epsilon, maxN)
-	if err != nil {
-		if errors.Is(err, reliability.ErrUnreachable) {
-			// Not enough clouds to hit the bound: store as wide as we can.
-			return t, maxN, nil
-		}
-		return 0, 0, err
-	}
-	return t, n, nil
-}
-
 // shareName implements the paper's naming scheme H'(index,
 // H(chunk.content)): opaque to CSPs, recoverable by any key-holding client,
 // and unique per (content, index, t) so re-uploads are idempotent.
@@ -577,7 +525,7 @@ func (c *Client) ID() string { return c.cfg.ClientID }
 // (explicit N, or the epsilon-derived width over the active clusters).
 // Falls back to the raw config when no width is currently achievable.
 func (c *Client) Params() (t, n int) {
-	t, n, err := c.shareParams()
+	t, n, err := c.shareParams(policy.Class{})
 	if err != nil {
 		return c.cfg.T, c.cfg.N
 	}
@@ -611,9 +559,6 @@ func (c *Client) Tree() *metadata.Tree { return c.tree }
 
 // ChunkTable exposes the local global-chunk-table replica.
 func (c *Client) ChunkTable() *metadata.ChunkTable { return c.table }
-
-// Estimator exposes the CSP failure estimator.
-func (c *Client) Estimator() *reliability.Estimator { return c.est }
 
 // Observer exposes the configured observability hook (nil when disabled);
 // tools like `cyrusctl stats` read the scoreboard and registry through it.

@@ -174,7 +174,7 @@ func TestNoSingleCSPCanReconstruct(t *testing.T) {
 	// Count shares per chunk per CSP via the chunk table.
 	for _, m := range c.Tree().All() {
 		for _, ref := range m.Chunks {
-			info, ok := c.ChunkTable().Lookup(ref.ID)
+			info, ok := c.ChunkTable().LookupEnc(ref.ID, "")
 			if !ok {
 				t.Fatalf("chunk %s missing from table", ref.ID[:8])
 			}
@@ -566,7 +566,7 @@ func buildVersion(t *testing.T, c *Client, name string, data []byte, parentVID s
 	for _, ch := range chunks {
 		id := metadata.HashData(ch.Data)
 		ref := metadata.ChunkRef{ID: id, Offset: ch.Offset, Size: int64(len(ch.Data)), T: c.cfg.T, N: c.cfg.N}
-		if info, ok := c.table.Lookup(id); ok {
+		if info, ok := c.table.LookupEnc(id, ""); ok {
 			ref.T, ref.N = info.T, info.N
 			meta.Chunks = append(meta.Chunks, ref)
 			if !seen[id] {

@@ -189,7 +189,7 @@ func TestDedupGCRefcounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.table.AddRef(ref, locs)
+		c.table.AddVersionRef(ref, locs, "")
 		return ref
 	}
 	scatterOrphan(bob, shared)

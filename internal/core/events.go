@@ -24,9 +24,8 @@ const (
 	// place the failure surfaces.
 	EvSyncError
 	// EvMetaAbsorbed fires when a metadata record is merged into the local
-	// tree — from a sync, a supersede, or a delete. The metadata cache
-	// subscribes to it: any absorbed record for a name invalidates that
-	// name's cached entries.
+	// tree — from a sync, or from a version this client published. The
+	// name's fresh mark has been cleared by then.
 	EvMetaAbsorbed
 )
 

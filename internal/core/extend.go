@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -23,37 +22,8 @@ import (
 // GetRange downloads only the chunks covering [offset, offset+length) of
 // the file's current version and returns exactly those bytes. Chunks
 // outside the range are neither selected nor transferred.
-func (c *Client) GetRange(ctx context.Context, name string, offset, length int64) (_ []byte, _ FileInfo, err error) {
-	ctx, sp := c.obs.StartOp(ctx, "get_range")
-	defer func() { sp.End(err) }()
-	head, conflicted, err := c.headForRead(ctx, name)
-	if err != nil {
-		return nil, FileInfo{}, err
-	}
-	info := fileInfo(head, conflicted)
-	if head.File.Deleted {
-		return nil, info, fmt.Errorf("%w: %q", ErrFileDeleted, name)
-	}
-	if offset < 0 || length < 0 || offset > head.File.Size {
-		return nil, info, fmt.Errorf("cyrus: range [%d,%d) outside file of %d bytes", offset, offset+length, head.File.Size)
-	}
-	if length > head.File.Size-offset {
-		length = head.File.Size - offset
-	}
-	if length == 0 {
-		return []byte{}, info, nil
-	}
-
-	// The streaming fetch path does the planning, windowed gather, and
-	// in-order assembly; a range fetch neither migrates nor verifies the
-	// whole-file hash (only the requested chunks are transferred).
-	c.acctAdd(length)
-	defer c.acctSub(length)
-	buf := bytes.NewBuffer(make([]byte, 0, length))
-	if err := c.fetchTo(ctx, head, offset, length, buf, false); err != nil {
-		return nil, info, err
-	}
-	return buf.Bytes(), info, nil
+func (c *Client) GetRange(ctx context.Context, name string, offset, length int64) ([]byte, FileInfo, error) {
+	return c.read(ctx, "get_range", name, "", offset, length, nil, false)
 }
 
 // Import pulls an object the user already stores at one provider (outside

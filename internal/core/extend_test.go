@@ -145,7 +145,7 @@ func TestGCCollectsOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.table.AddRef(ref, locs)
+	c.table.AddVersionRef(ref, locs, "")
 
 	var before int
 	for _, b := range env.backends {

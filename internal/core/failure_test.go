@@ -125,7 +125,7 @@ func TestRemoveCSPAndLazyMigration(t *testing.T) {
 	// All chunks still have full n shares on live CSPs.
 	for _, m := range c.Tree().All() {
 		for _, ref := range m.Chunks {
-			info, ok := c.ChunkTable().Lookup(ref.ID)
+			info, ok := c.ChunkTable().LookupEnc(ref.ID, "")
 			if !ok {
 				continue
 			}
@@ -255,7 +255,7 @@ func TestClusterConstraintRespected(t *testing.T) {
 	}
 	for _, m := range c.Tree().All() {
 		for _, ref := range m.Chunks {
-			info, _ := c.ChunkTable().Lookup(ref.ID)
+			info, _ := c.ChunkTable().LookupEnc(ref.ID, "")
 			amazon := 0
 			for _, cspName := range info.Shares {
 				if clusters[cspName] == "amazon" {

@@ -40,26 +40,23 @@ func newDeletionMarker(prev *metadata.FileMeta, clientID string, now time.Time) 
 // Delete marks a file deleted — delete(s, f). Chunk shares are left alone:
 // other files may reference the same chunks, and previous versions stay
 // recoverable.
-func (c *Client) Delete(ctx context.Context, name string) (err error) {
-	ctx, sp := c.obs.StartOp(ctx, "delete")
-	defer func() { sp.End(err) }()
-	c.syncBestEffort(ctx, name)
-	return c.deleteLocal(ctx, name)
+func (c *Client) Delete(ctx context.Context, name string) error {
+	return c.deleteHead(ctx, name, syncAlways)
 }
 
 // DeleteLocal is Delete without the preceding best-effort sync, for callers
 // that just synced and are resolving a whole directory's worth of files
 // (syncdir's batch pass). The deletion marker still uploads normally.
-func (c *Client) DeleteLocal(ctx context.Context, name string) (err error) {
-	ctx, sp := c.obs.StartOp(ctx, "delete")
-	defer func() { sp.End(err) }()
-	return c.deleteLocal(ctx, name)
+func (c *Client) DeleteLocal(ctx context.Context, name string) error {
+	return c.deleteHead(ctx, name, noSync)
 }
 
-func (c *Client) deleteLocal(ctx context.Context, name string) error {
-	head, _, err := c.tree.Head(name)
+func (c *Client) deleteHead(ctx context.Context, name string, gate syncGate) (err error) {
+	ctx, sp := c.obs.StartOp(ctx, "delete")
+	defer func() { sp.End(err) }()
+	head, _, err := c.resolve(ctx, name, "", gate)
 	if err != nil {
-		return fmt.Errorf("%w: %q", ErrNoSuchFile, name)
+		return err
 	}
 	if head.File.Deleted {
 		return nil // already deleted
@@ -98,28 +95,21 @@ func (c *Client) ListLocal(dir string) ([]FileInfo, error) {
 
 // Stat returns the head version info of a file without downloading data.
 // Deleted files are reported with Deleted set rather than an error, so
-// callers can distinguish "never existed" from "deleted".
-//
-// While the metadata cache holds the file's live head, Stat serves it
-// directly — zero round trips on a warm hit. The cache is invalidated
-// whenever any record for the name is absorbed, so a cached answer is
-// exactly as fresh as CYRUS's eventual consistency already promises.
+// callers can distinguish "never existed" from "deleted". While the name
+// carries a fresh mark (Config.MetaCacheEntries) Stat costs no round trip.
 func (c *Client) Stat(ctx context.Context, name string) (FileInfo, error) {
-	if m, ok := c.mcache.head(name); ok {
-		return fileInfo(m, false), nil
-	}
-	c.syncBestEffort(ctx, name)
-	return c.StatLocal(name)
+	return c.stat(ctx, name, syncUnlessFresh)
 }
 
 // StatLocal is Stat against the local replica only — no sync round trips.
 func (c *Client) StatLocal(name string) (FileInfo, error) {
-	head, conflicted, err := c.tree.Head(name)
+	return c.stat(context.TODO(), name, noSync)
+}
+
+func (c *Client) stat(ctx context.Context, name string, gate syncGate) (FileInfo, error) {
+	head, conflicted, err := c.resolve(ctx, name, "", gate)
 	if err != nil {
-		return FileInfo{}, fmt.Errorf("%w: %q", ErrNoSuchFile, name)
-	}
-	if !conflicted {
-		c.mcache.storeHead(head)
+		return FileInfo{}, err
 	}
 	return fileInfo(head, conflicted), nil
 }
@@ -134,10 +124,12 @@ func (c *Client) ConflictsLocal() []ConflictInfo {
 // "clients can recover previous versions of files by traversing the
 // metadata tree up from the current file version").
 func (c *Client) History(ctx context.Context, name string) ([]FileInfo, error) {
-	c.syncBestEffort(ctx, name)
+	if _, _, err := c.resolve(ctx, name, "", syncUnlessFresh); err != nil {
+		return nil, err
+	}
 	chain, err := c.tree.History(name)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchFile, name)
+		return nil, err
 	}
 	out := make([]FileInfo, 0, len(chain))
 	for _, m := range chain {
@@ -151,20 +143,18 @@ func (c *Client) History(ctx context.Context, name string) ([]FileInfo, error) {
 // content. No chunk data moves: the restored version reuses the stored
 // shares.
 func (c *Client) Restore(ctx context.Context, name, versionID string) error {
-	c.syncBestEffort(ctx, name)
-	old, err := c.tree.Get(versionID)
+	// The head sync has listed every version of the name, so the named one
+	// needs no round trip of its own.
+	head, _, err := c.resolve(ctx, name, "", syncAlways)
 	if err != nil {
 		return err
 	}
-	if old.File.Name != name {
-		return fmt.Errorf("cyrus: version %s belongs to %q, not %q", versionID, old.File.Name, name)
+	old, _, err := c.resolve(ctx, name, versionID, noSync)
+	if err != nil {
+		return err
 	}
 	if old.File.Deleted {
 		return fmt.Errorf("%w: cannot restore a deletion marker", ErrFileDeleted)
-	}
-	head, _, err := c.tree.Head(name)
-	if err != nil {
-		return fmt.Errorf("%w: %q", ErrNoSuchFile, name)
 	}
 	if head.VersionID() == versionID {
 		return nil // already current
@@ -183,8 +173,5 @@ func (c *Client) Restore(ctx context.Context, name, versionID string) error {
 	}
 	op := c.engine.Begin(ctx)
 	defer op.Finish()
-	if err := c.uploadMeta(op, restored); err != nil {
-		return err
-	}
-	return c.absorb(restored)
+	return c.publish(op, restored)
 }

@@ -465,8 +465,8 @@ func (c *Client) absorb(m *metadata.FileMeta) error {
 		// reference tokens against.
 		c.table.AddVersionRef(chunk, m.SharesOf(chunk.ID), m.VersionID())
 	}
-	// Any new record makes the name's cached entries suspect; the cache
-	// subscribes to this event (metacache.go).
+	// Any new record supersedes what the name's fresh mark vouched for.
+	c.fresh.clear(m.File.Name)
 	c.events.emit(Event{Type: EvMetaAbsorbed, File: m.File.Name})
 	return nil
 }

@@ -139,7 +139,7 @@ func TestShardRepairAfterChurn(t *testing.T) {
 	}
 }
 
-// --- version-aware cache ---------------------------------------------------
+// --- round-trip counting ---------------------------------------------------
 
 // metaCountingStore wraps a SimStore and counts operations by kind. It forwards
 // DownloadBatch so the batched path stays one round trip.
@@ -184,133 +184,6 @@ func countingEnv(t *testing.T, env *testEnv, id string, tweak func(*Config)) (*C
 		t.Fatal(err)
 	}
 	return c, &lists, &downloads, &batches
-}
-
-// A warm cache hit serves Stat and Get with ZERO metadata round trips: no
-// listing, no metadata share downloads. This is the acceptance bar for the
-// metadata cache.
-func TestMetaCacheWarmHitZeroMetaRoundTrips(t *testing.T) {
-	t.Parallel()
-	env := newEnv(t, 5)
-	c, lists, downloads, _ := countingEnv(t, env, "alice", func(cfg *Config) {
-		cfg.MetaCacheEntries = 64
-	})
-	data := randData(7, 8000)
-	if err := c.Put(bg, "doc", data); err != nil {
-		t.Fatal(err)
-	}
-
-	// Put populated the cache (read-your-writes): Stat must do no I/O.
-	lists.Store(0)
-	downloads.Store(0)
-	info, err := c.Stat(bg, "doc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size != int64(len(data)) {
-		t.Fatalf("Stat size = %d", info.Size)
-	}
-	if n := lists.Load() + downloads.Load(); n != 0 {
-		t.Fatalf("warm Stat cost %d round trips, want 0", n)
-	}
-
-	// Get still transfers chunk shares, but no metadata listing.
-	got, _, err := c.Get(bg, "doc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("content mismatch")
-	}
-	if n := lists.Load(); n != 0 {
-		t.Fatalf("warm Get ran %d listings, want 0", n)
-	}
-	if c.MetaCacheLen() == 0 {
-		t.Fatal("cache empty after warm operations")
-	}
-}
-
-// Absorbing any record for a name — here a sibling's new version arriving
-// via Sync — must invalidate the cached head, and the next read must serve
-// the new version.
-func TestMetaCacheInvalidatedByRemoteUpdate(t *testing.T) {
-	t.Parallel()
-	env := newEnv(t, 5)
-	cacheCfg := func(cfg *Config) { cfg.MetaCacheEntries = 64 }
-	c1 := env.client("c1", cacheCfg)
-	c2 := env.client("c2", cacheCfg)
-
-	v1 := randData(1, 3000)
-	if err := c1.Put(bg, "shared", v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Stat(bg, "shared"); err != nil { // sync + cache v1
-		t.Fatal(err)
-	}
-	v1id, ok := c2.CachedHeadVersion("shared")
-	if !ok {
-		t.Fatal("v1 not cached after Stat")
-	}
-
-	v2 := randData(2, 3000)
-	if err := c1.Put(bg, "shared", v2); err != nil {
-		t.Fatal(err)
-	}
-
-	// Before c2 syncs, the cache legitimately serves v1 (CYRUS eventual
-	// consistency: remote updates are seen at the next sync).
-	info, err := c2.Stat(bg, "shared")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.VersionID != v1id {
-		t.Fatalf("pre-sync Stat served %s, want cached %s", info.VersionID, v1id)
-	}
-
-	if _, err := c2.Sync(bg); err != nil {
-		t.Fatal(err)
-	}
-	if vid, ok := c2.CachedHeadVersion("shared"); ok && vid == v1id {
-		t.Fatal("absorbing v2 did not invalidate the cached v1 head")
-	}
-	got, info, err := c2.Get(bg, "shared")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, v2) || info.VersionID == v1id {
-		t.Fatal("post-sync read did not serve the new version")
-	}
-
-	// Deletion: markers are never cached, so a deleted file keeps resolving
-	// through sync (a remote recreate must be observable).
-	if err := c1.Delete(bg, "shared"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Sync(bg); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c2.CachedHeadVersion("shared"); ok {
-		t.Fatal("deletion marker cached as a head")
-	}
-	info, err = c2.Stat(bg, "shared")
-	if err != nil || !info.Deleted {
-		t.Fatalf("Stat after delete: info=%+v err=%v", info, err)
-	}
-}
-
-// The cache respects its entry bound via LRU eviction.
-func TestMetaCacheEviction(t *testing.T) {
-	t.Parallel()
-	env := newEnv(t, 5)
-	c := env.client("alice", func(cfg *Config) { cfg.MetaCacheEntries = 4 })
-	for i := 0; i < 10; i++ {
-		if err := c.Put(bg, fmt.Sprintf("f%d", i), randData(int64(i), 600)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := c.MetaCacheLen(); n > 4 {
-		t.Fatalf("cache holds %d entries, bound is 4", n)
-	}
 }
 
 // --- batched metadata fetch ------------------------------------------------

@@ -59,19 +59,19 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 	opStart := c.rt.Now()
 	ctx, sp := c.obs.StartOp(ctx, "put")
 	defer func() { sp.End(err) }()
-	c.syncBestEffort(ctx, name)
 
-	// The parent version is resolved up front; whether the content is
+	// The parent version is resolved up front (Algorithm 2 syncs first: a
+	// version put on a stale head forks the name); whether the content is
 	// unchanged is only known once the stream has been consumed.
 	prevID, oldID := "", ""
 	oldLive := false
-	if head, _, herr := c.tree.Head(name); herr == nil {
+	if head, _, herr := c.resolve(ctx, name, "", syncAlways); herr == nil {
 		prevID = head.VersionID()
 		oldID = head.File.ID
 		oldLive = !head.File.Deleted
 	}
 
-	t, n, err := c.shareParamsFor(cls)
+	t, n, err := c.shareParams(cls)
 	if err != nil {
 		return err
 	}
@@ -237,15 +237,9 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 		meta.Shares = append(meta.Shares, p.locs...)
 	}
 
-	if err := c.uploadMeta(op, meta); err != nil {
+	if err := c.publish(op, meta); err != nil {
 		return err
 	}
-	if err := c.absorb(meta); err != nil {
-		return err
-	}
-	// Read-your-writes: the just-stored version is this client's head until
-	// someone else's record is absorbed (which invalidates the entry).
-	c.mcache.storeHead(meta)
 	c.logf("stored version", "file", name, "version", meta.VersionID()[:8],
 		"bytes", size, "chunks", len(meta.Chunks), "newChunks", len(newPend))
 	c.events.emit(Event{Type: EvFileComplete, File: name, Bytes: size, Duration: c.rt.Now().Sub(opStart)})
@@ -261,60 +255,15 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 // On an error after delivery has started, a correct prefix of the file may
 // already have been written to w; callers writing to a final destination
 // should stage through a temporary file (as syncdir does).
-func (c *Client) GetTo(ctx context.Context, name string, w io.Writer) (_ FileInfo, err error) {
-	ctx, sp := c.obs.StartOp(ctx, "get")
-	defer func() { sp.End(err) }()
-	head, conflicted, err := c.headForRead(ctx, name)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	info := fileInfo(head, conflicted)
-	if head.File.Deleted {
-		return info, fmt.Errorf("%w: %q", ErrFileDeleted, name)
-	}
-	if err := c.fetchTo(ctx, head, 0, head.File.Size, w, true); err != nil {
-		return info, err
-	}
-	return info, nil
+func (c *Client) GetTo(ctx context.Context, name string, w io.Writer) (FileInfo, error) {
+	_, info, err := c.read(ctx, "get", name, "", 0, 0, w, true)
+	return info, err
 }
 
 // GetVersionTo streams a specific version to w — get(s, f, v).
-func (c *Client) GetVersionTo(ctx context.Context, name, versionID string, w io.Writer) (_ FileInfo, err error) {
-	ctx, sp := c.obs.StartOp(ctx, "get")
-	defer func() { sp.End(err) }()
-	m, err := c.tree.Get(versionID)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	if m.File.Name != name {
-		return FileInfo{}, fmt.Errorf("cyrus: version %s belongs to %q, not %q", versionID, m.File.Name, name)
-	}
-	info := fileInfo(m, false)
-	if m.File.Deleted {
-		return info, fmt.Errorf("%w: version %s", ErrFileDeleted, versionID)
-	}
-	if err := c.fetchTo(ctx, m, 0, m.File.Size, w, true); err != nil {
-		return info, err
-	}
-	return info, nil
-}
-
-// headForRead resolves a file's head for the read paths: a cached live
-// head is served with zero metadata round trips; otherwise the best-effort
-// sync runs and the tree's head is returned (and cached if unconflicted).
-func (c *Client) headForRead(ctx context.Context, name string) (*metadata.FileMeta, bool, error) {
-	if m, ok := c.mcache.head(name); ok {
-		return m, false, nil
-	}
-	c.syncBestEffort(ctx, name)
-	head, conflicted, err := c.tree.Head(name)
-	if err != nil {
-		return nil, false, fmt.Errorf("%w: %q", ErrNoSuchFile, name)
-	}
-	if !conflicted {
-		c.mcache.storeHead(head)
-	}
-	return head, conflicted, nil
+func (c *Client) GetVersionTo(ctx context.Context, name, versionID string, w io.Writer) (FileInfo, error) {
+	_, info, err := c.read(ctx, "get", name, versionID, 0, 0, w, true)
+	return info, err
 }
 
 // chunkState is the per-unique-chunk gather plan: all known share

@@ -171,15 +171,18 @@ func (c *Client) syncFullView() bool {
 // legacy names, and a client with a partial view should keep looking. The
 // operation proceeds whatever the outcome, but a failure is not swallowed: it
 // is logged and emitted as an EvSyncError event so applications can tell
-// "fresh view" from "serving stale state".
-func (c *Client) syncBestEffort(ctx context.Context, name string) {
+// "fresh view" from "serving stale state", and reported to the caller (resolve
+// confers no freshness from a sync that failed).
+func (c *Client) syncBestEffort(ctx context.Context, name string) (ok bool) {
 	if !c.syncFullView() {
 		name = ""
 	}
 	if _, err := c.syncMeta(ctx, name); err != nil {
 		c.logf("best-effort sync failed", "err", err)
 		c.events.emit(Event{Type: EvSyncError, Err: err})
+		return false
 	}
+	return true
 }
 
 // Recover rebuilds the client's state purely from the cloud — the paper's
@@ -235,12 +238,8 @@ type ConflictInfo struct {
 // and "prompts users to resolve them"; this is the resolution primitive).
 // The loser versions remain in history and stay recoverable.
 func (c *Client) Resolve(ctx context.Context, name, winnerVersionID string) error {
-	winner, err := c.tree.Get(winnerVersionID)
-	if err != nil {
+	if _, _, err := c.resolve(ctx, name, winnerVersionID, syncUnlessFresh); err != nil {
 		return err
-	}
-	if winner.File.Name != name {
-		return fmt.Errorf("cyrus: version %s belongs to %q, not %q", winnerVersionID, winner.File.Name, name)
 	}
 	for _, cf := range c.tree.Conflicts() {
 		if cf.Name != name {
@@ -262,26 +261,9 @@ func (c *Client) Resolve(ctx context.Context, name, winnerVersionID string) erro
 	return nil
 }
 
-// CachedHeadVersion reports the version ID the metadata cache currently
-// holds as a file's head, if any — the inspection hook the harness's
-// cache-coherence oracle compares against the tree's head.
-func (c *Client) CachedHeadVersion(name string) (string, bool) {
-	return c.mcache.headVersion(name)
-}
-
-// MetaCacheLen returns the number of records resident in the metadata
-// cache (0 when the cache is disabled).
-func (c *Client) MetaCacheLen() int {
-	return c.mcache.len()
-}
-
 // supersede appends a deletion marker on top of the given version.
 func (c *Client) supersede(ctx context.Context, m *metadata.FileMeta) error {
-	del := newDeletionMarker(m, c.cfg.ClientID, c.rt.Now())
 	op := c.engine.Begin(ctx)
 	defer op.Finish()
-	if err := c.uploadMeta(op, del); err != nil {
-		return err
-	}
-	return c.absorb(del)
+	return c.publish(op, newDeletionMarker(m, c.cfg.ClientID, c.rt.Now()))
 }

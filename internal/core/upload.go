@@ -120,7 +120,7 @@ func (c *Client) scatterChunk(op *transfer.Op, file string, ref metadata.ChunkRe
 // placementOrder returns every active CSP in ring order starting at the
 // chunk's position, cluster-constrained when clustering is configured.
 func (c *Client) placementOrder(chunkID string) ([]string, error) {
-	max := c.clusterCount()
+	max := c.clusterCount(c.CSPs())
 	if max == 0 {
 		return nil, ErrNotEnoughCSP
 	}

@@ -144,33 +144,6 @@ type RefStore interface {
 	Refs(ctx context.Context, name string) ([]string, error)
 }
 
-// UploadFrom streams r into the store, using its StreamUploader fast path
-// when present and buffering through memory otherwise.
-func UploadFrom(ctx context.Context, s Store, name string, r io.Reader) (int64, error) {
-	if su, ok := s.(StreamUploader); ok {
-		return su.UploadFrom(ctx, name, r)
-	}
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return int64(len(data)), err
-	}
-	return int64(len(data)), s.Upload(ctx, name, data)
-}
-
-// DownloadTo streams the object into w, using the store's StreamDownloader
-// fast path when present and buffering through memory otherwise.
-func DownloadTo(ctx context.Context, s Store, name string, w io.Writer) (int64, error) {
-	if sd, ok := s.(StreamDownloader); ok {
-		return sd.DownloadTo(ctx, name, w)
-	}
-	data, err := s.Download(ctx, name)
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(data)
-	return int64(n), err
-}
-
 // AuthKind is a provider's authentication mechanism (Table 2).
 type AuthKind string
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"time"
@@ -162,7 +163,7 @@ func Classes(cfg ClassesConfig) (ClassesResult, error) {
 				if float64(i%10) < mix.hotFrac*10 {
 					class = "hot"
 				}
-				if err := up.PutWith(bg, f.name, f.data, core.PutOptions{Class: class}); err != nil {
+				if err := up.PutReaderWith(bg, f.name, bytes.NewReader(f.data), core.PutOptions{Class: class}); err != nil {
 					runErr = fmt.Errorf("put %s (%s): %w", f.name, class, err)
 					return
 				}

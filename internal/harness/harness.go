@@ -127,15 +127,13 @@ type Options struct {
 	// placement's prefix.
 	MetaShards int
 
-	// MetaCacheEntries / MetaCacheBytes enable the version-aware metadata
-	// cache on every client. The checkpoint adds a cache-coherence oracle:
-	// after quiesce, no client may hold a cached head that differs from its
-	// tree's live head (i.e. no client would serve a superseded version
-	// from cache). TreeRetention is deliberately NOT a harness knob: the
+	// MetaCacheEntries enables the metadata freshness marks on every
+	// client. The checkpoint adds a cache-coherence oracle: after quiesce,
+	// no client may hold a mark that differs from its tree's live head
+	// (i.e. no client would serve a superseded version off a mark). TreeRetention is deliberately NOT a harness knob: the
 	// durability oracle re-reads every acknowledged historical version,
 	// which compaction legitimately prunes.
 	MetaCacheEntries int
-	MetaCacheBytes   int64
 
 	// Recorder, when set, tunes the shared observer's flight recorder
 	// (trigger thresholds, ring capacity, dump retention). nil keeps the
@@ -389,7 +387,6 @@ func (h *Harness) buildClient(id, node string, o *obs.Observer) (*core.Client, e
 		MetaT:            h.opts.MetaT,
 		MetaShards:       h.opts.MetaShards,
 		MetaCacheEntries: h.opts.MetaCacheEntries,
-		MetaCacheBytes:   h.opts.MetaCacheBytes,
 		Chunking:         chunkingConfig,
 		ClusterOf:        h.clusters,
 		Obs:              o,

@@ -35,8 +35,8 @@ type ChunkInfo struct {
 
 	// Referencers is the set of referencing version IDs — the per-share
 	// refcount ground truth the dedup GC reconciles provider-side tokens
-	// against. Entries recorded via plain AddRef (no version known) are
-	// counted in Refs but absent here.
+	// against. Entries recorded with no version known (versionID "")
+	// are counted in Refs but absent here.
 	Referencers map[string]bool
 }
 
@@ -58,11 +58,6 @@ func NewChunkTable() *ChunkTable {
 	return &ChunkTable{chunks: make(map[string]*ChunkInfo)}
 }
 
-// Lookup returns a copy of the chunk's default-class info, if stored.
-func (t *ChunkTable) Lookup(chunkID string) (*ChunkInfo, bool) {
-	return t.LookupEnc(chunkID, "")
-}
-
 // LookupEnc returns a copy of the chunk's info under the given storage
 // class, if stored. Dedup reuse is per encoding: a chunk stored hot is not
 // "already stored" for a cold-class write.
@@ -76,32 +71,12 @@ func (t *ChunkTable) LookupEnc(chunkID, class string) (*ChunkInfo, bool) {
 	return c.clone(), true
 }
 
-// Stored reports whether the chunk's default-class shares are already in
-// the cloud.
-func (t *ChunkTable) Stored(chunkID string) bool {
-	return t.StoredEnc(chunkID, "")
-}
-
-// StoredEnc reports whether the chunk's shares under the given class are
-// already in the cloud.
-func (t *ChunkTable) StoredEnc(chunkID, class string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, ok := t.chunks[EncodingKey(chunkID, class)]
-	return ok
-}
-
-// AddRef records a (new or existing) chunk referenced by one more file
-// version. For a new chunk the share locations must be supplied; for an
-// existing one shares may be nil (locations are already known).
-func (t *ChunkTable) AddRef(chunk ChunkRef, shares []ShareLoc) {
-	t.AddVersionRef(chunk, shares, "")
-}
-
-// AddVersionRef is AddRef with the referencing version recorded, feeding
-// the Referencers set the dedup GC uses to reconcile provider-side
-// reference tokens. versionID may be empty when unknown. Re-adding a
-// version already recorded is a no-op for the refcount.
+// AddVersionRef records a (new or existing) chunk referenced by one more
+// file version. For a new chunk the share locations must be supplied; for an
+// existing one shares may be nil (locations are already known). The
+// referencing version feeds the Referencers set the dedup GC uses to
+// reconcile provider-side reference tokens; versionID may be empty when
+// unknown. Re-adding a version already recorded is a no-op for the refcount.
 func (t *ChunkTable) AddVersionRef(chunk ChunkRef, shares []ShareLoc, versionID string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -172,13 +147,8 @@ func (t *ChunkTable) Release(encKey string) (removed []ShareLoc, gone bool) {
 	return removed, true
 }
 
-// MoveShare updates one default-class share's location (lazy migration,
-// paper §5.5).
-func (t *ChunkTable) MoveShare(chunkID string, index int, newCSP string) bool {
-	return t.MoveShareEnc(chunkID, "", index, newCSP)
-}
-
-// MoveShareEnc updates one share's location under the given storage class.
+// MoveShareEnc updates one share's location under the given storage class
+// (lazy migration, paper §5.5).
 func (t *ChunkTable) MoveShareEnc(chunkID, class string, index int, newCSP string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -17,14 +17,14 @@ func TestChunkTableAddLookup(t *testing.T) {
 	t.Parallel()
 	ct := NewChunkTable()
 	c, shares := chunkWithShares("c1", 100, 2, 3)
-	if ct.Stored("c1") {
+	if _, ok := ct.LookupEnc("c1", ""); ok {
 		t.Fatal("empty table claims chunk stored")
 	}
-	ct.AddRef(c, shares)
-	if !ct.Stored("c1") || ct.Len() != 1 {
-		t.Fatal("chunk not stored after AddRef")
+	ct.AddVersionRef(c, shares, "")
+	if ct.Len() != 1 {
+		t.Fatal("chunk not stored after AddVersionRef")
 	}
-	info, ok := ct.Lookup("c1")
+	info, ok := ct.LookupEnc("c1", "")
 	if !ok || info.Refs != 1 || len(info.Shares) != 3 {
 		t.Fatalf("Lookup = %+v, %v", info, ok)
 	}
@@ -33,11 +33,11 @@ func TestChunkTableAddLookup(t *testing.T) {
 	}
 	// Lookup returns a copy.
 	info.Shares[1] = "mutated"
-	info2, _ := ct.Lookup("c1")
+	info2, _ := ct.LookupEnc("c1", "")
 	if info2.Shares[1] == "mutated" {
 		t.Fatal("Lookup aliases table state")
 	}
-	if _, ok := ct.Lookup("missing"); ok {
+	if _, ok := ct.LookupEnc("missing", ""); ok {
 		t.Fatal("Lookup(missing) = ok")
 	}
 }
@@ -46,8 +46,8 @@ func TestChunkTableRefCounting(t *testing.T) {
 	t.Parallel()
 	ct := NewChunkTable()
 	c, shares := chunkWithShares("c1", 100, 2, 3)
-	ct.AddRef(c, shares)
-	ct.AddRef(c, nil) // second referencing version; locations known
+	ct.AddVersionRef(c, shares, "")
+	ct.AddVersionRef(c, nil, "") // second referencing version; locations known
 
 	if _, gone := ct.Release("c1"); gone {
 		t.Fatal("chunk removed while still referenced")
@@ -59,7 +59,7 @@ func TestChunkTableRefCounting(t *testing.T) {
 	if len(removed) != 3 || removed[0].Index != 0 || removed[2].CSP != "csp-c" {
 		t.Fatalf("removed = %+v", removed)
 	}
-	if ct.Stored("c1") {
+	if _, ok := ct.LookupEnc("c1", ""); ok {
 		t.Fatal("chunk still stored after removal")
 	}
 	if _, gone := ct.Release("c1"); gone {
@@ -71,18 +71,18 @@ func TestChunkTableMoveShare(t *testing.T) {
 	t.Parallel()
 	ct := NewChunkTable()
 	c, shares := chunkWithShares("c1", 100, 2, 3)
-	ct.AddRef(c, shares)
-	if !ct.MoveShare("c1", 1, "new-cloud") {
+	ct.AddVersionRef(c, shares, "")
+	if !ct.MoveShareEnc("c1", "", 1, "new-cloud") {
 		t.Fatal("MoveShare failed")
 	}
-	info, _ := ct.Lookup("c1")
+	info, _ := ct.LookupEnc("c1", "")
 	if info.Shares[1] != "new-cloud" {
 		t.Fatalf("share not moved: %v", info.Shares)
 	}
-	if ct.MoveShare("c1", 9, "x") {
+	if ct.MoveShareEnc("c1", "", 9, "x") {
 		t.Fatal("moved nonexistent share index")
 	}
-	if ct.MoveShare("nope", 0, "x") {
+	if ct.MoveShareEnc("nope", "", 0, "x") {
 		t.Fatal("moved share of unknown chunk")
 	}
 }
@@ -92,8 +92,8 @@ func TestChunkTableSharesOn(t *testing.T) {
 	ct := NewChunkTable()
 	c1, s1 := chunkWithShares("c1", 100, 2, 3)
 	c2, s2 := chunkWithShares("c2", 100, 2, 2)
-	ct.AddRef(c1, s1)
-	ct.AddRef(c2, s2)
+	ct.AddVersionRef(c1, s1, "")
+	ct.AddVersionRef(c2, s2, "")
 	got := ct.SharesOn("csp-a")
 	if len(got) != 2 || got[0] != "c1" || got[1] != "c2" {
 		t.Fatalf("SharesOn(csp-a) = %v", got)
@@ -112,8 +112,8 @@ func TestChunkTableTotalStoredBytes(t *testing.T) {
 	ct := NewChunkTable()
 	c1, s1 := chunkWithShares("c1", 100, 2, 3) // share 50, x3 = 150
 	c2, s2 := chunkWithShares("c2", 99, 2, 2)  // share 50 (ceil), x2 = 100
-	ct.AddRef(c1, s1)
-	ct.AddRef(c2, s2)
+	ct.AddVersionRef(c1, s1, "")
+	ct.AddVersionRef(c2, s2, "")
 	if got := ct.TotalStoredBytes(); got != 250 {
 		t.Fatalf("TotalStoredBytes = %d, want 250", got)
 	}
@@ -134,7 +134,7 @@ func TestChunkTableRebuild(t *testing.T) {
 	if ct.Len() != 2 {
 		t.Fatalf("Rebuild: %d unique chunks, want 2", ct.Len())
 	}
-	info, _ := ct.Lookup(m1.Chunks[0].ID)
+	info, _ := ct.LookupEnc(m1.Chunks[0].ID, "")
 	if info.Refs != 2 {
 		t.Fatalf("shared chunk refs = %d, want 2", info.Refs)
 	}

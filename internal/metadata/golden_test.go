@@ -181,9 +181,6 @@ func TestChunkTableEncodings(t *testing.T) {
 	if _, ok := tbl.LookupEnc("c1", "archive"); ok {
 		t.Fatal("lookup under an unwritten class must miss")
 	}
-	if !tbl.StoredEnc("c1", "cold") || !tbl.Stored("c1") {
-		t.Fatal("StoredEnc/Stored miss for present encodings")
-	}
 
 	if !tbl.MoveShareEnc("c1", "cold", 0, "c") {
 		t.Fatal("MoveShareEnc failed")
@@ -200,7 +197,7 @@ func TestChunkTableEncodings(t *testing.T) {
 	if _, gone := tbl.Release(EncodingKey("c1", "cold")); !gone {
 		t.Fatal("cold encoding should release to zero")
 	}
-	if !tbl.Stored("c1") {
+	if _, ok := tbl.LookupEnc("c1", ""); !ok {
 		t.Fatal("releasing the cold encoding dropped the hot one")
 	}
 
