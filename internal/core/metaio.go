@@ -290,8 +290,12 @@ func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, recs []str
 		}
 		c.obs.MetaBatchFetch(provider)
 		mu.Lock()
-		for name, data := range got {
-			if rec, idx, ok := parseMetaShareName(name); ok {
+		// The want-list, not the answer, says which shares this provider
+		// was asked for: a key outside it would enter some record's share
+		// set as a second copy of an index and fail its quorum decode.
+		for _, name := range names {
+			if data, ok := got[name]; ok {
+				rec, idx, _ := parseMetaShareName(name)
 				shares[rec] = append(shares[rec], erasure.Share{Index: idx, Data: data})
 			}
 		}

@@ -222,6 +222,62 @@ func TestSyncBatchedRoundTrips(t *testing.T) {
 	}
 }
 
+// unaskedShareStore answers every batch with one share more than was asked
+// for: the sibling index of the first requested record, carrying bytes that
+// are not that share's.
+type unaskedShareStore struct{ *metaCountingStore }
+
+func (s unaskedShareStore) DownloadBatch(ctx context.Context, names []string) (map[string][]byte, error) {
+	out, err := s.metaCountingStore.DownloadBatch(ctx, names)
+	for _, name := range names {
+		if rec, idx, ok := parseMetaShareName(name); ok && out[name] != nil {
+			out[metaShareName(rec, idx^1)] = out[name]
+			break
+		}
+	}
+	return out, err
+}
+
+// A batch answer is filed by the keys the provider chose, so a key outside
+// that provider's want-list must be dropped: filed, it lands in a record's
+// share set as a second copy of an index, fails the quorum decode and costs
+// a per-record gather that nothing called for.
+func TestBatchFetchDropsSharesItDidNotAskFor(t *testing.T) {
+	t.Parallel()
+	env := newEnv(t, 5)
+	w := env.client("writer", nil)
+	const K = 6
+	for i := 0; i < K; i++ {
+		if err := w.Put(bg, fmt.Sprintf("n/%02d", i), randData(int64(i), 1200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var lists, downloads, batches atomic.Int64
+	var stores []csp.Store
+	for _, name := range env.names {
+		stores = append(stores, unaskedShareStore{&metaCountingStore{
+			Store: cloudsimStore(t, env, name),
+			lists: &lists, downloads: &downloads, batches: &batches,
+		}})
+	}
+	r, err := New(Config{ClientID: "reader", Key: "shared-user-key", T: 2, N: 3}, stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Sync(bg); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(r.Tree().Names()); got != K {
+		t.Fatalf("sync absorbed %d names, want %d", got, K)
+	}
+	if batches.Load() == 0 {
+		t.Fatal("sync never took the batch path")
+	}
+	if n := downloads.Load(); n != 0 {
+		t.Fatalf("an unrequested share in a batch answer cost %d per-record downloads", n)
+	}
+}
+
 // When a share fetched by the batch pass is corrupt, the record must still
 // resolve through the per-record fallback (surplus shares + error
 // correction), not fail the sync.

@@ -3,7 +3,6 @@ package resthttp
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -128,15 +127,15 @@ func (s *Store) List(ctx context.Context, prefix string) ([]csp.ObjectInfo, erro
 		return nil, s.mapStatus(resp)
 	}
 	defer drainClose(resp.Body)
-	var raw []objectInfoJSON
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+	doc, err := readBody(resp.Body, resp.ContentLength)
+	var infos []csp.ObjectInfo
+	if err == nil {
+		infos, err = decodeListing(doc)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%w: %s: bad listing: %v", csp.ErrUnavailable, s.name, err)
 	}
-	out := make([]csp.ObjectInfo, 0, len(raw))
-	for _, o := range raw {
-		out = append(out, csp.ObjectInfo{Name: o.Name, Size: o.Size, Modified: o.Modified})
-	}
-	return out, nil
+	return infos, nil
 }
 
 // Upload implements csp.Store.

@@ -64,6 +64,11 @@ func TestObservabilityEndpoints(t *testing.T) {
 		t.Fatalf("round trip: %v", err)
 	}
 
+	// A batch fetch is filed under its own route label, not under "other".
+	if _, err := stores[0].(*Store).DownloadBatch(bg, []string{"absent"}); err != nil {
+		t.Fatal(err)
+	}
+
 	// /metrics — no bearer token, Prometheus text format.
 	resp, err := http.Get(metricsURL)
 	if err != nil {
@@ -85,7 +90,8 @@ func TestObservabilityEndpoints(t *testing.T) {
 		`cyrus_ops_total{op="put",result="ok"} 1`,
 		`cyrus_events_total`,
 		`cyrus_transfer_bytes_total`,
-		`cyrus_http_requests_total`,
+		`cyrus_http_requests_total{method="POST",route="/v1/batch",code="200"} 1`,
+		`cyrus_http_request_duration_seconds_count{route="/v1/batch"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -194,6 +200,8 @@ func TestRouteLabelBounded(t *testing.T) {
 		"/v1/auth":               "/v1/auth",
 		"/v1/objects":            "/v1/objects",
 		"/v1/objects/a%2Fb":      "/v1/objects/{name}",
+		"/v1/batch":              "/v1/batch",
+		"/v1/batch/x":            "other",
 		"/metrics":               "/metrics",
 		"/healthz":               "/healthz",
 		"/debug/spans":           "/debug/spans",

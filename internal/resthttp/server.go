@@ -10,17 +10,35 @@
 //	GET    /v1/objects/<escaped-name>   -> 200 body
 //	PUT    /v1/objects/<escaped-name>   -> 201
 //	DELETE /v1/objects/<escaped-name>   -> 204
+//	POST   /v1/batch  ["name",...]      -> 200 frames of the objects held
 //
-// Error mapping: 401 unauthorized, 404 not found, 503 unavailable,
-// 507 over capacity. The test/admin endpoints POST /admin/available and
-// POST /admin/fail drive the backend's fault injection for integration
-// tests and demos.
+// The listing schema is closed: every entry carries exactly the members
+// name (string), size (integer) and modified (RFC 3339 string), in any
+// order, and nothing else; both ends handle it with a codec written for that
+// shape (listing.go), and the connector refuses any other document.
+//
+// A batch answers many small objects — metadata shares — in one round trip.
+// The request is a JSON array of at most 1024 names in at most 1 MiB; the
+// response is application/octet-stream with an exact Content-Length, one
+// frame per object the provider holds, in request order, absent objects
+// simply omitted:
+//
+//	uvarint len(name) | name | uvarint len(body) | body
+//
+// and at most 64 MiB in all. A request or a response past a cap is refused
+// with 413 (the request before the store is touched); the connector splits
+// longer want-lists into several requests and rejects an answer that names
+// an object it did not ask for, names one twice, or ends mid-frame.
+//
+// Error mapping: 401 unauthorized, 404 not found, 413 too large, 503
+// unavailable, 507 over capacity. The test/admin endpoints POST
+// /admin/available and POST /admin/fail drive the backend's fault injection
+// for integration tests and demos.
 package resthttp
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -40,28 +58,34 @@ import (
 // 1 GiB leaves room for unchunked demo files).
 const maxObjectBytes = 1 << 30
 
-// readBody reads an object body into memory: at most maxObjectBytes+1 bytes,
-// so a caller that must reject an oversized object can tell. declared is the
-// message's Content-Length (-1 when unknown). A plausible one sizes the
-// buffer up front, so the body is written once into memory that is never
-// regrown; it is a hint only — a body that ends short fails with the
-// transport's own error, and one that runs long is still read to the cap.
+// readBody reads an object body into memory, capped at maxObjectBytes.
 func readBody(body io.Reader, declared int64) ([]byte, error) {
+	return readCapped(body, declared, maxObjectBytes)
+}
+
+// readCapped reads a message body into memory; one longer than limit fails
+// with errTooLarge once limit+1 bytes were read. declared is the message's
+// Content-Length (-1 when unknown). A plausible one sizes the buffer up
+// front, so the body is written once into memory that is never regrown; it
+// is a hint only — a body that ends short fails with the transport's own
+// error, and one that runs long is still read to the cap.
+func readCapped(body io.Reader, declared, limit int64) ([]byte, error) {
 	var buf bytes.Buffer
-	if declared > 0 && declared <= maxObjectBytes {
+	if declared > 0 && declared <= limit {
 		// ReadFrom wants bytes.MinRead spare bytes before the read that
 		// returns io.EOF, or it regrows the buffer to make them.
 		buf.Grow(int(declared) + bytes.MinRead)
 	}
-	_, err := buf.ReadFrom(io.LimitReader(body, maxObjectBytes+1))
+	_, err := buf.ReadFrom(&cappedReader{r: body, left: limit + 1})
 	return buf.Bytes(), err
 }
 
-// objectInfoJSON is the wire form of csp.ObjectInfo.
-type objectInfoJSON struct {
-	Name     string    `json:"name"`
-	Size     int64     `json:"size"`
-	Modified time.Time `json:"modified"`
+// writeSized sends a response body held in memory, declaring its length so
+// the receiving readCapped sizes its buffer once.
+func writeSized(w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body) // a failed write means the client went away
 }
 
 // Server serves one provider. Create with NewServer and mount its Handler.
@@ -119,6 +143,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/auth", s.handleAuth)
 	mux.HandleFunc("/v1/objects", s.handleList)
 	mux.HandleFunc("/v1/objects/", s.handleObject)
+	mux.HandleFunc("/v1/batch", s.handleBatch)
 	if s.admin {
 		mux.HandleFunc("/admin/available", s.handleAvailable)
 		mux.HandleFunc("/admin/fail", s.handleFail)
@@ -163,7 +188,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // single value "other", so label cardinality stays bounded.
 func routeLabel(path string) string {
 	switch path {
-	case "/v1/auth", "/v1/objects", "/metrics", "/healthz", "/debug/spans",
+	case "/v1/auth", "/v1/objects", "/v1/batch", "/metrics", "/healthz", "/debug/spans",
 		"/debug/flightrecorder", "/admin/available", "/admin/fail":
 		return path
 	}
@@ -177,11 +202,11 @@ func routeLabel(path string) string {
 	}
 }
 
-// errTooLarge aborts a streamed upload that exceeds maxObjectBytes.
-var errTooLarge = errors.New("resthttp: object exceeds size limit")
+// errTooLarge ends the read of a body that runs past its cap.
+var errTooLarge = errors.New("resthttp: body exceeds size limit")
 
-// cappedReader is the streaming form of the per-object LimitReader guard:
-// it returns errTooLarge instead of io.EOF once the cap is consumed, so a
+// cappedReader is a LimitReader that fails instead of truncating: it
+// returns errTooLarge instead of io.EOF once the cap is consumed, so a
 // too-large body fails the upload rather than committing a truncated
 // object.
 type cappedReader struct {
@@ -273,14 +298,12 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	out := make([]objectInfoJSON, 0, len(infos))
-	for _, i := range infos {
-		out = append(out, objectInfoJSON{Name: i.Name, Size: i.Size, Modified: i.Modified})
+	doc, err := appendListing(make([]byte, 0, 128*len(infos)+3), infos)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out); err != nil {
-		return // client went away
-	}
+	writeSized(w, "application/json", doc)
 }
 
 func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
@@ -314,9 +337,7 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		_, _ = w.Write(data)
+		writeSized(w, "application/octet-stream", data)
 	case http.MethodPut:
 		if r.ContentLength > maxObjectBytes {
 			// Refused on the declared length alone: nothing is read, let
@@ -341,12 +362,12 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		data, err := readBody(r.Body, r.ContentLength)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if len(data) > maxObjectBytes {
+		switch {
+		case errors.Is(err, errTooLarge):
 			http.Error(w, "object too large", http.StatusRequestEntityTooLarge)
+			return
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		if err := s.store.Upload(r.Context(), name, data); err != nil {
