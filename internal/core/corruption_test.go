@@ -17,15 +17,20 @@ import (
 )
 
 // corruptOneShare flips a byte in one stored chunk-share object at the
-// given provider and returns the object name, or "" if none found.
-func corruptOneShare(t *testing.T, b *cloudsim.Backend) string {
+// given provider and returns the object name, or "" if none found. A
+// non-nil of restricts the choice to the object names it holds.
+func corruptOneShare(t *testing.T, b *cloudsim.Backend, of map[string]bool) string {
 	t.Helper()
 	s := cloudsim.NewSimStore(b)
 	if err := s.Authenticate(context.Background(), csp.Credentials{Token: "t"}); err != nil {
 		t.Fatal(err)
 	}
 	infos, err := s.List(bg, SharePrefix)
-	if err != nil || len(infos) == 0 {
+	if err != nil {
+		return ""
+	}
+	infos = slices.DeleteFunc(infos, func(info csp.ObjectInfo) bool { return of != nil && !of[info.Name] })
+	if len(infos) == 0 {
 		return ""
 	}
 	name := infos[0].Name
@@ -54,7 +59,7 @@ func TestDownloadCorrectsCorruptShare(t *testing.T) {
 	// Corrupt one share object in place at some provider.
 	var corruptedAt string
 	for name, b := range env.backends {
-		if obj := corruptOneShare(t, b); obj != "" {
+		if obj := corruptOneShare(t, b, nil); obj != "" {
 			corruptedAt = name
 			break
 		}
@@ -255,19 +260,31 @@ func TestDownloadFailsCleanlyWhenUncorrectable(t *testing.T) {
 	if err := c.Put(bg, "doc", data); err != nil {
 		t.Fatal(err)
 	}
-	corrupted := 0
-	for _, b := range env.backends {
-		if obj := corruptOneShare(t, b); obj != "" {
-			corrupted++
+	// The document is about three chunks: both bad shares must belong to the
+	// same one, or each chunk still decodes from its clean pair.
+	head, _, err := c.Tree().Head("doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := head.Chunks[0]
+	ofChunk := make(map[string]bool)
+	for i := 0; i < ref.N; i++ {
+		name, err := c.shareNameFor(ref, i)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if corrupted == 2 {
-			break
+		ofChunk[name] = true
+	}
+	corrupted := 0
+	for _, name := range env.names { // sorted: the same two providers every run
+		if corrupted < 2 && corruptOneShare(t, env.backends[name], ofChunk) != "" {
+			corrupted++
 		}
 	}
 	if corrupted < 2 {
-		t.Skip("could not corrupt two shares")
+		t.Fatalf("corrupted %d shares of chunk %s, want 2", corrupted, ref.ID)
 	}
-	_, _, err := c.Get(bg, "doc")
+	_, _, err = c.Get(bg, "doc")
 	if err == nil {
 		t.Fatal("uncorrectable corruption returned data")
 	}

@@ -157,6 +157,12 @@ func TestHeaderValidation(t *testing.T) {
 		t.Fatalf("bad version err = %v, want ErrBadShareHeader", err)
 	}
 
+	zeroT := Share{Index: 0, Data: append([]byte(nil), shares[0].Data...)}
+	zeroT.Data[1] = 0 // used to divide by it
+	if _, err := c.Decode([]Share{zeroT, shares[1]}, 3); !errors.Is(err, ErrBadShareHeader) {
+		t.Fatalf("t=0 header err = %v, want ErrBadShareHeader", err)
+	}
+
 	mismatched := Share{Index: 2, Data: append([]byte(nil), shares[0].Data...)}
 	if _, err := c.Decode([]Share{mismatched, shares[1]}, 3); !errors.Is(err, ErrBadShareHeader) {
 		t.Fatalf("index mismatch err = %v, want ErrBadShareHeader", err)

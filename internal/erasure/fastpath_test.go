@@ -122,8 +122,9 @@ func TestEncodeToZeroAlloc(t *testing.T) {
 }
 
 // TestDecodeIntoZeroAlloc is the decode-side allocation guard: warm inverse
-// cache + reused output buffer = no allocations, including the surplus
-// verification path.
+// cache + an output buffer with room for the t whole stripes = no
+// allocations, including the surplus verification path; Decode, which owns
+// no buffer, allocates its result and nothing else.
 func TestDecodeIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation makes sync.Pool allocate")
@@ -146,7 +147,7 @@ func TestDecodeIntoZeroAlloc(t *testing.T) {
 
 	for _, set := range map[string][]Share{"exact": shares[:tt], "surplus": shares} {
 		set := set
-		out := make([]byte, 0, len(data))
+		out := make([]byte, 0, len(data)+tt-1)
 		for i := 0; i < 3; i++ { // warm inverse cache and scratch
 			if out, err = coder.DecodeInto(out[:0], set, n); err != nil {
 				t.Fatal(err)
@@ -164,6 +165,63 @@ func TestDecodeIntoZeroAlloc(t *testing.T) {
 		}
 		if !bytes.Equal(out, data) {
 			t.Fatal("DecodeInto round-trip mismatch")
+		}
+
+		allocs = testing.AllocsPerRun(100, func() {
+			out, err = coder.Decode(set, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Fatalf("steady-state Decode (%d shares) allocates %.2f times per call, want 1: the result", len(set), allocs)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatal("Decode round-trip mismatch")
+		}
+	}
+}
+
+// TestDecodeIntoAppends pins what DecodeInto does to the buffer it is
+// handed: bytes already in dst survive in front of the chunk, whether the
+// chunk is reconstructed in dst's spare capacity or dst has to grow — which
+// it does when the capacity holds the chunk but not the padding of its last
+// stripe (dataLen % t != 0).
+func TestDecodeIntoAppends(t *testing.T) {
+	coder := NewCoder("append-key")
+	const tt, n = 3, 5
+	data := make([]byte, 1000) // 1000 % 3 == 1: the stripes take 1002 bytes
+	rand.New(rand.NewSource(4)).Read(data)
+	shares, err := coder.Encode(data, tt, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ReleaseShares(shares)
+	prefix := []byte("bytes already in dst")
+
+	for _, tc := range []struct {
+		name   string
+		prefix []byte
+		spare  int
+		grows  bool
+	}{
+		{"room for the stripes", nil, len(data) + tt - 1, false},
+		{"room for the chunk only", nil, len(data), true},
+		{"prefix, room for the stripes", prefix, len(data) + tt - 1, false},
+		{"prefix, room for the chunk only", prefix, len(data), true},
+		{"prefix, no room", prefix, 0, true},
+	} {
+		dst := make([]byte, len(tc.prefix), len(tc.prefix)+tc.spare)
+		copy(dst, tc.prefix)
+		out, err := coder.DecodeInto(dst, shares[1:1+tt], n)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(out[:len(tc.prefix)], tc.prefix) || !bytes.Equal(out[len(tc.prefix):], data) {
+			t.Fatalf("%s: got %d bytes, want the %d-byte prefix followed by the %d-byte chunk", tc.name, len(out), len(tc.prefix), len(data))
+		}
+		if grew := &out[:1][0] != &dst[:1][0]; grew != tc.grows {
+			t.Fatalf("%s: dst reallocated = %v, want %v", tc.name, grew, tc.grows)
 		}
 	}
 }

@@ -86,12 +86,12 @@ type encodeScratch struct {
 var encodeScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
 
 // decodeScratch holds everything Decode needs between calls: the dedup
-// index table, the contiguous stripe backing, and the surplus-check buffer.
+// index table, the stripe views into the caller's buffer, and the
+// surplus-check buffer.
 type decodeScratch struct {
 	pos     [MaxN]int32 // pos[i]-1 = position in the share slice holding index i; 0 = absent
 	idxs    []int       // distinct share indices, ascending
-	backing []byte      // t*words contiguous stripe rows; output = backing[:dataLen]
-	stripes [][]byte    // row views into backing
+	stripes [][]byte    // the t stripes, consecutive runs of the output buffer
 	check   []byte      // surplus re-encode comparison buffer
 	key     []byte      // inverse-cache key under construction
 }

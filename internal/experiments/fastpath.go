@@ -57,8 +57,10 @@ type FastPathResult struct {
 // erasure.{encode,decode}_mbps), not by an in-tree replica of older code:
 //
 //   - Codec: encode/decode one chunk at (2,4), (3,6), (4,8) through
-//     Coder.EncodeTo/DecodeInto: cached matrices, pooled buffers, fused
-//     word-wide kernels.
+//     Coder.EncodeTo/DecodeInto: cached matrices, pooled buffers, decode
+//     in place, and whichever gf256 kernel init selected — the AVX2
+//     shuffle kernel on amd64 CPUs that have it, the fused word-wide one
+//     everywhere else — so absolute MB/s depends on the machine's GOARCH.
 //   - Chunking: Rabin vs FastCDC over the same input and size targets.
 //   - End to end: Put and Get of the scaled Table-4 dataset on the 4-fast/
 //     3-slow simulated testbed, timing in virtual seconds (compute runs at

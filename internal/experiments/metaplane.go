@@ -306,8 +306,8 @@ func MetaPlane(cfg MetaPlaneConfig) (MetaPlaneResult, error) {
 	res.WarmGetMetaRTs = readN.reads()
 
 	res.Report = Report{
-		ID:    "8",
-		Title: "metadata plane: batched resolve, warm cache, shard fan-out",
+		ID:      "8",
+		Title:   "metadata plane: batched resolve, warm cache, shard fan-out",
 		Columns: []string{"metric", "value"},
 		Rows: [][]string{
 			{"files", fmt.Sprintf("%d", res.Files)},

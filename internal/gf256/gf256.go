@@ -105,9 +105,9 @@ func Pow(a byte, e int) byte {
 }
 
 // nibbleTables[c] holds the split multiplication tables for multiplier c:
-// c*b = lo[b&0x0F] ^ hi[b>>4]. Splitting by nibble turns the slice kernels
-// into two table lookups and a XOR per byte, with no branches and no
-// log/exp index arithmetic — the standard erasure-coding fast path. The
+// c*b = lo[b&0x0F] ^ hi[b>>4]. A 16-entry table is exactly what one byte
+// shuffle instruction looks up, so the pair is the operand of the vector
+// kernels (kernel_amd64.s): two shuffles and a XOR multiply 32 bytes. The
 // full set is 256 multipliers x 32 bytes = 8 KiB, built once at init.
 var nibbleTables [256][2][16]byte
 
@@ -138,10 +138,11 @@ func mulSlow(a, b byte) byte {
 }
 
 // mulTable[c][x] = c*x: the two nibble lookups of nibbleTables flattened
-// into one 256-entry product row per multiplier. The fast kernels index it
-// once per byte instead of twice, halving the load traffic that dominates a
-// table-driven GF kernel; one row is 4 cache lines, so the active rows of
-// an encode stay resident in L1. 64 KiB total, built once at init.
+// into one 256-entry product row per multiplier. The word-wide kernels
+// index it once per byte instead of twice, halving the load traffic that
+// dominates a table-driven GF kernel; one row is 4 cache lines, so the
+// active rows of an encode stay resident in L1. 64 KiB total, built once at
+// init.
 var mulTable [256][256]byte
 
 func init() {
@@ -152,10 +153,34 @@ func init() {
 	}
 }
 
+// vecMul and vecMulAdd are the vector kernels: dst = c*src and dst ^= c*src
+// over len(src) bytes, a multiple of vecWidth, with c given as its
+// nibbleTables entry. kernel_amd64.go sets them once at init when CPUID
+// reports AVX2; they stay nil on every other build and CPU, where the
+// word-wide kernels below do all the work. Those also take what the vector
+// kernels leave: tails under vecWidth and the short rows of matrix.go.
+var vecMul, vecMulAdd func(tbl *[2][16]byte, dst, src []byte)
+
+// vecWidth is the bytes one vector step multiplies.
+const vecWidth = 32
+
+// vecBlock is how far MulAddSlices walks src before it turns to the next
+// row: a block of the source and of each of up to 7 rows fit a 32 KiB L1
+// together and stay there while the rows take their turns. Block sizes from
+// 1 to 64 KiB measured the same on 1 MiB stripes.
+const vecBlock = 4 << 10
+
+// vecLen returns how many leading bytes of an n-byte slice go to the vector
+// kernels: n rounded down to vecWidth, or 0 without one.
+func vecLen(n int) int {
+	if vecMulAdd == nil {
+		return 0
+	}
+	return n &^ (vecWidth - 1)
+}
+
 // MulSlice sets dst[i] = c * src[i] for all i. dst and src must have equal
-// length; they may alias. The main loop runs 8 bytes per iteration: one
-// 64-bit load of the source, eight unrolled product-table lookups (one per
-// lane), one 64-bit store — with a scalar tail for the last len%8 bytes.
+// length; they may alias.
 func MulSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("gf256: MulSlice length mismatch %d != %d", len(dst), len(src)))
@@ -168,6 +193,71 @@ func MulSlice(c byte, dst, src []byte) {
 		copy(dst, src)
 		return
 	}
+	n := vecLen(len(src))
+	if n > 0 {
+		vecMul(&nibbleTables[c], dst[:n], src[:n])
+	}
+	mulSliceWords(c, dst[n:], src[n:])
+}
+
+// MulAddSlice sets dst[i] ^= c * src[i] for all i: a fused
+// multiply-accumulate, the inner loop of Reed-Solomon encoding.
+func MulAddSlice(c byte, dst, src []byte) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("gf256: MulAddSlice length mismatch %d != %d", len(dst), len(src)))
+	}
+	if c == 0 {
+		return
+	}
+	n := vecLen(len(src))
+	if n > 0 {
+		vecMulAdd(&nibbleTables[c], dst[:n], src[:n])
+	}
+	mulAddSliceWords(c, dst[n:], src[n:])
+}
+
+// MulAddSlices applies one source stripe to many destination rows in a
+// single pass: dsts[r][i] ^= cs[r] * src[i] for every row r. Each input
+// byte is read from memory once no matter how many rows consume it — the
+// encode loop over n shares becomes O(len) source loads instead of
+// O(n*len): the vector path walks src in vecBlock pieces and applies each
+// piece to every row while it is in L1, the word-wide path loads each source
+// word once for all rows. Rows with cs[r] == 0 are skipped. Every dsts[r]
+// must have the same length as src.
+func MulAddSlices(cs []byte, dsts [][]byte, src []byte) {
+	if len(cs) != len(dsts) {
+		panic(fmt.Sprintf("gf256: MulAddSlices rows mismatch %d coefficients != %d destinations", len(cs), len(dsts)))
+	}
+	for r := range dsts {
+		if len(dsts[r]) != len(src) {
+			panic(fmt.Sprintf("gf256: MulAddSlices length mismatch row %d: %d != %d", r, len(dsts[r]), len(src)))
+		}
+	}
+	n := vecLen(len(src))
+	if n == 0 {
+		mulAddSlicesWords(cs, dsts, src)
+		return
+	}
+	for lo := 0; lo < n; lo += vecBlock {
+		hi := min(lo+vecBlock, n)
+		for r, c := range cs {
+			if c != 0 {
+				vecMulAdd(&nibbleTables[c], dsts[r][lo:hi], src[lo:hi])
+			}
+		}
+	}
+	for r, c := range cs {
+		if c != 0 {
+			mulAddSliceWords(c, dsts[r][n:], src[n:])
+		}
+	}
+}
+
+// mulSliceWords is the portable dst = c*src for c > 1. The main loop runs 8
+// bytes per iteration: one 64-bit load of the source, eight unrolled
+// product-table lookups (one per lane), one 64-bit store — with a scalar
+// tail for the last len%8 bytes.
+func mulSliceWords(c byte, dst, src []byte) {
 	tb := &mulTable[c]
 	n := len(src) &^ 7
 	for i := 0; i < n; i += 8 {
@@ -187,16 +277,9 @@ func MulSlice(c byte, dst, src []byte) {
 	}
 }
 
-// MulAddSlice sets dst[i] ^= c * src[i] for all i: a fused
-// multiply-accumulate, the inner loop of Reed-Solomon encoding. Word-wide
-// like MulSlice; c == 1 degenerates to a 64-bit XOR.
-func MulAddSlice(c byte, dst, src []byte) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("gf256: MulAddSlice length mismatch %d != %d", len(dst), len(src)))
-	}
-	if c == 0 {
-		return
-	}
+// mulAddSliceWords is the portable dst ^= c*src for c > 0. Word-wide like
+// mulSliceWords; c == 1 degenerates to a 64-bit XOR.
+func mulAddSliceWords(c byte, dst, src []byte) {
 	n := len(src) &^ 7
 	if c == 1 {
 		for i := 0; i < n; i += 8 {
@@ -228,22 +311,10 @@ func MulAddSlice(c byte, dst, src []byte) {
 	}
 }
 
-// MulAddSlices applies one source stripe to many destination rows in a
-// single pass: dsts[r][i] ^= cs[r] * src[i] for every row r. The outer loop
-// walks src one 64-bit word at a time, so each input byte is read from
-// memory once no matter how many rows consume it — the encode loop over n
-// shares becomes O(len) source loads instead of O(n*len). Rows with
-// cs[r] == 0 are skipped; cs[r] == 1 rows take the XOR-only path. Every
-// dsts[r] must have the same length as src.
-func MulAddSlices(cs []byte, dsts [][]byte, src []byte) {
-	if len(cs) != len(dsts) {
-		panic(fmt.Sprintf("gf256: MulAddSlices rows mismatch %d coefficients != %d destinations", len(cs), len(dsts)))
-	}
-	for r := range dsts {
-		if len(dsts[r]) != len(src) {
-			panic(fmt.Sprintf("gf256: MulAddSlices length mismatch row %d: %d != %d", r, len(dsts[r]), len(src)))
-		}
-	}
+// mulAddSlicesWords is the portable MulAddSlices: the outer loop walks src
+// one 64-bit word at a time and applies it to every row. Rows with
+// cs[r] == 0 are skipped; cs[r] == 1 rows take the XOR-only path.
+func mulAddSlicesWords(cs []byte, dsts [][]byte, src []byte) {
 	n := len(src) &^ 7
 	for i := 0; i < n; i += 8 {
 		sw := binary.LittleEndian.Uint64(src[i : i+8])
@@ -277,46 +348,6 @@ func MulAddSlices(cs []byte, dsts [][]byte, src []byte) {
 			}
 			dsts[r][i] ^= mulTable[c][s]
 		}
-	}
-}
-
-// mulSliceGeneric is the byte-at-a-time MulSlice, kept as the scalar
-// reference implementation the kernel cross-check tests compare the
-// word-wide paths against.
-func mulSliceGeneric(c byte, dst, src []byte) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("gf256: MulSlice length mismatch %d != %d", len(dst), len(src)))
-	}
-	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	if c == 1 {
-		copy(dst, src)
-		return
-	}
-	lo := &nibbleTables[c][0]
-	hi := &nibbleTables[c][1]
-	for i, s := range src {
-		dst[i] = lo[s&0x0F] ^ hi[s>>4]
-	}
-}
-
-// mulAddSliceGeneric is the byte-at-a-time MulAddSlice, kept as the scalar
-// reference for the cross-check tests.
-func mulAddSliceGeneric(c byte, dst, src []byte) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("gf256: MulAddSlice length mismatch %d != %d", len(dst), len(src)))
-	}
-	if c == 0 {
-		return
-	}
-	lo := &nibbleTables[c][0]
-	hi := &nibbleTables[c][1]
-	for i, s := range src {
-		dst[i] ^= lo[s&0x0F] ^ hi[s>>4]
 	}
 }
 
