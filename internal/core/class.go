@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/chunker"
+	"repro/internal/erasure"
 	"repro/internal/metadata"
 	"repro/internal/policy"
 	"repro/internal/reliability"
@@ -290,15 +291,16 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 			continue
 		}
 		st := states[ref.EncodingKey()]
-		data, gerr := c.gatherChunk(op, name, st.ref, st.shares, pick[ref.EncodingKey()])
+		data, buf, gerr := c.gatherChunk(op, name, st.ref, st.shares, pick[ref.EncodingKey()])
 		if gerr != nil {
 			return false, gerr
 		}
 		locs, serr := c.scatterChunk(op, name, newRef, data)
+		movedBytes += int64(len(data))
+		erasure.PutDataBuf(buf) // the scatter has joined: nothing reads the plaintext any more
 		if serr != nil {
 			return false, serr
 		}
-		movedBytes += int64(len(data))
 		newMeta.Shares = append(newMeta.Shares, locs...)
 	}
 	if err := op.Err(); err != nil {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/chunker"
 	"repro/internal/cloudsim"
 	"repro/internal/csp"
+	"repro/internal/metadata"
 	"repro/internal/netsim"
 )
 
@@ -43,6 +44,20 @@ func corruptOneShare(t *testing.T, b *cloudsim.Backend, of map[string]bool) stri
 		t.Fatal(err)
 	}
 	return name
+}
+
+// shareNamesOf returns the object names of the chunk's n shares, as a set.
+func shareNamesOf(t *testing.T, c *Client, ref metadata.ChunkRef) map[string]bool {
+	t.Helper()
+	names := make(map[string]bool)
+	for i := 0; i < ref.N; i++ {
+		name, err := c.shareNameFor(ref, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names[name] = true
+	}
+	return names
 }
 
 func TestDownloadCorrectsCorruptShare(t *testing.T) {
@@ -267,14 +282,7 @@ func TestDownloadFailsCleanlyWhenUncorrectable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := head.Chunks[0]
-	ofChunk := make(map[string]bool)
-	for i := 0; i < ref.N; i++ {
-		name, err := c.shareNameFor(ref, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ofChunk[name] = true
-	}
+	ofChunk := shareNamesOf(t, c, ref)
 	corrupted := 0
 	for _, name := range env.names { // sorted: the same two providers every run
 		if corrupted < 2 && corruptOneShare(t, env.backends[name], ofChunk) != "" {

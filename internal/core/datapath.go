@@ -96,7 +96,8 @@ type blob struct {
 	coder *erasure.Coder
 	t, n  int
 	// size is the plaintext length when known before decoding (chunks): it
-	// feeds the codec byte counters and the hedge deadline prediction.
+	// feeds the codec byte counters and the hedge deadline prediction, and
+	// lets decode reconstruct into a pooled buffer of that size.
 	size int64
 	// name returns the object name of share i.
 	name func(i int) string
@@ -243,18 +244,33 @@ func (c *Client) putCASShare(ctx context.Context, cspName string, store csp.Stor
 // decode reconstructs the blob from shares and checks the result's
 // identity, on the codec pool; correcting selects the error-correcting
 // decoder, which also reports the shares it found corrupt.
-func (c *Client) decode(b *blob, shares []erasure.Share, correcting bool) (data []byte, corrupt []int, err error) {
+//
+// A blob of known size (a chunk) is reconstructed in a pooled buffer with
+// room for its t stripes, so the codec neither allocates nor zeroes one per
+// chunk. That buffer comes back as buf and belongs to the caller, who hands it
+// to erasure.PutDataBuf once nothing reads data any more; buf is nil — and
+// data ordinary garbage-collected memory — for metadata records, for the
+// correcting decoder, and on error.
+func (c *Client) decode(b *blob, shares []erasure.Share, correcting bool) (data []byte, buf *[]byte, corrupt []int, err error) {
 	c.codec.run("decode", b.size, func() {
-		if correcting {
+		switch {
+		case correcting:
 			data, corrupt, err = b.coder.DecodeCorrecting(shares, erasure.MaxN)
-		} else {
+		case b.size > 0:
+			buf = erasure.GetDataBuf(int(b.size) + b.t - 1)
+			data, err = b.coder.DecodeInto((*buf)[:0], shares, erasure.MaxN)
+		default:
 			data, err = b.coder.Decode(shares, erasure.MaxN)
 		}
 		if err == nil {
 			err = b.verify(data)
 		}
+		if err != nil {
+			erasure.PutDataBuf(buf)
+			data, buf = nil, nil
+		}
 	})
-	return data, corrupt, err
+	return data, buf, corrupt, err
 }
 
 // errUndecodable marks a blob fetched with quorum that does not decode to
@@ -280,7 +296,10 @@ var errUndecodable = fmt.Errorf("%w: undecodable", ErrDamaged)
 // errored shares given surplus). Shares it identifies as corrupt are
 // overwritten with correct bytes where they were fetched (self-heal, best
 // effort).
-func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, primary, fallback []metadata.ShareLoc) ([]byte, error) {
+//
+// The plaintext comes with decode's ownership contract: a non-nil buf is the
+// pooled buffer behind data, the caller's to release.
+func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, primary, fallback []metadata.ShareLoc) (data []byte, buf *[]byte, err error) {
 	// got and from are written by attempt closures, which a gather loser may
 	// still execute after Gather — or this function — has returned: every
 	// access stays under mu and the decodes below work on snapshots. Only
@@ -363,11 +382,10 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 		shares, held = snapshot()
 	}
 	if len(shares) < b.t {
-		return nil, fmt.Errorf("%w: %s: %d of %d shares (last error: %w)", ErrDamaged, b.desc, len(shares), b.t, gerr)
+		return nil, nil, fmt.Errorf("%w: %s: %d of %d shares (last error: %w)", ErrDamaged, b.desc, len(shares), b.t, gerr)
 	}
-	data, _, err := c.decode(b, shares, false)
-	if err == nil {
-		return data, nil
+	if data, buf, _, err = c.decode(b, shares, false); err == nil {
+		return data, buf, nil
 	}
 
 	// Widen, in plan order so replays launch identically. Locations that
@@ -381,9 +399,9 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 	wide.Need = len(wide.Primary)
 	_ = op.Gather(ctx, wide)
 	shares, held = snapshot()
-	data, corrupt, err := c.decode(b, shares, true)
+	data, _, corrupt, err := c.decode(b, shares, true)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s uncorrectable from %d shares: %v", errUndecodable, b.desc, len(shares), err)
+		return nil, nil, fmt.Errorf("%w: %s uncorrectable from %d shares: %v", errUndecodable, b.desc, len(shares), err)
 	}
 	if len(corrupt) > 0 {
 		c.logf("corrected corrupt shares", "blob", b.desc, "indices", fmt.Sprint(corrupt))
@@ -403,7 +421,7 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 			erasure.ReleaseShares(good)
 		}
 	}
-	return data, nil
+	return data, nil, nil
 }
 
 // readable reports whether a provider may serve share downloads: it must

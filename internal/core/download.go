@@ -25,14 +25,16 @@ func (c *Client) GetVersion(ctx context.Context, name, versionID string) ([]byte
 
 // gatherChunk reads one chunk through the data path's verified k-of-n
 // gather (gatherBlob): a lane per source the optimizer picked, every other
-// stored, readable location as the shared fallback pool.
-func (c *Client) gatherChunk(op *transfer.Op, file string, ref metadata.ChunkRef, locations map[int]string, sources []string) (_ []byte, err error) {
+// stored, readable location as the shared fallback pool. buf, when not nil,
+// is the pooled buffer behind data: the caller releases it
+// (erasure.PutDataBuf) after its last read of data.
+func (c *Client) gatherChunk(op *transfer.Op, file string, ref metadata.ChunkRef, locations map[int]string, sources []string) (data []byte, buf *[]byte, err error) {
 	chunkStart := c.rt.Now()
 	ctx, chunkSpan := c.obs.Trace(op.Context(), "chunk.gather")
 	defer func() { chunkSpan.End(err) }()
 	b, err := c.chunkBlob(file, ref)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	primary := make([]metadata.ShareLoc, len(sources))
 	var fallback []metadata.ShareLoc
@@ -44,10 +46,10 @@ func (c *Client) gatherChunk(op *transfer.Op, file string, ref metadata.ChunkRef
 		}
 	}
 	slices.SortFunc(fallback, func(x, y metadata.ShareLoc) int { return strings.Compare(x.CSP, y.CSP) })
-	data, err := c.gatherBlob(op, ctx, b, primary, fallback)
+	data, buf, err = c.gatherBlob(op, ctx, b, primary, fallback)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	c.events.emit(Event{Type: EvChunkComplete, File: file, ChunkID: ref.ID, Duration: c.rt.Now().Sub(chunkStart)})
-	return data, nil
+	return data, buf, nil
 }

@@ -312,12 +312,12 @@ func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, recs []str
 		p := plans[i]
 		b := c.metaBlob("", rec, c.cfg.MetaT, p.n)
 		if ss := shares[rec]; len(ss) >= b.t {
-			if _, _, err := c.decode(b, ss, false); err == nil {
+			if _, _, _, err := c.decode(b, ss, false); err == nil {
 				out[rec] = b.record
 				continue
 			}
 		}
-		if _, err := c.gatherBlob(op, ctx, b, p.primary, p.fallback); err != nil {
+		if _, _, err := c.gatherBlob(op, ctx, b, p.primary, p.fallback); err != nil {
 			errs[rec] = err
 			continue
 		}

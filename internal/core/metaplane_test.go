@@ -423,7 +423,7 @@ func TestGatherBlobToppedUpAfterDuplicateIndex(t *testing.T) {
 		op := r.engine.Begin(bg)
 		op.MarkFailed("cspa") // the s0 holder just failed its batch
 		b := r.metaBlob("", rec, 2, 5)
-		_, err := r.gatherBlob(op, bg, b, []metadata.ShareLoc{loc(0, "cspa"), loc(1, "cspb")}, fallback)
+		_, _, err := r.gatherBlob(op, bg, b, []metadata.ShareLoc{loc(0, "cspa"), loc(1, "cspb")}, fallback)
 		op.Finish()
 		if len(fallback) == 1 {
 			if !errors.Is(err, ErrDamaged) || errors.Is(err, errUndecodable) || strings.Contains(err.Error(), "%!") {

@@ -395,10 +395,13 @@ func (c *Client) planGather(m *metadata.FileMeta, wanted []metadata.ChunkRef) (m
 
 // gatherRes is one unique chunk's decoded plaintext in the download
 // window; uses counts the window entries (chunk occurrences) still
-// waiting to deliver it.
+// waiting to deliver it. buf is the pooled buffer behind data (nil after a
+// correcting decode): deliver returns it to the pool with the chunk's last
+// occurrence, on every exit.
 type gatherRes struct {
 	g    vclock.Group
 	data []byte
+	buf  *[]byte
 	err  error
 	done atomic.Bool
 	uses int
@@ -495,7 +498,8 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 				c.migrateStaleShares(ctx, m.File.Name, states[key].ref, states[key].shares, e.res.data)
 			}
 			c.acctSub(int64(len(e.res.data)))
-			e.res.data = nil
+			erasure.PutDataBuf(e.res.buf)
+			e.res.data, e.res.buf = nil, nil
 		}
 		c.obs.PipelineInflight("get", len(live))
 	}
@@ -522,12 +526,12 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 			c.obs.PipelineInflight("get", len(live))
 			c.rt.Go(func() {
 				defer res.g.Done()
-				data, gerr := c.gatherChunk(op, m.File.Name, st.ref, st.shares, pick[key])
+				data, buf, gerr := c.gatherChunk(op, m.File.Name, st.ref, st.shares, pick[key])
 				if gerr != nil {
 					res.err = gerr
 					op.Fail(gerr)
 				} else {
-					res.data = data
+					res.data, res.buf = data, buf
 					c.acctAdd(int64(len(data)))
 				}
 				res.done.Store(true)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -235,10 +237,243 @@ func TestStreamingFaultInjectionReleasesBuffers(t *testing.T) {
 		t.Fatal("post-chaos round trip mismatch")
 	}
 
-	if got := erasure.LiveBuffers(); got != base {
-		t.Fatalf("live pooled buffers = %d, want %d (pool grew under fault injection)", got, base)
+	settled := func(what string, clients ...*Client) {
+		t.Helper()
+		if got := erasure.LiveBuffers(); got != base {
+			t.Fatalf("%s: live pooled buffers = %d, want %d (a pooled buffer was not returned)", what, got, base)
+		}
+		for _, cl := range clients {
+			if cur, _ := cl.BufferBytes(); cur != 0 {
+				t.Fatalf("%s: accounted data-plane bytes = %d, want 0", what, cur)
+			}
+		}
 	}
-	if cur, _ := c.BufferBytes(); cur != 0 {
-		t.Fatalf("accounted data-plane bytes = %d, want 0", cur)
+	settled("fault injection", c)
+
+	// The read window decodes every chunk into a pooled buffer it owns until
+	// the chunk's last occurrence is delivered. Each way out of a read has
+	// to give those back.
+	rep := repeatingData(7)
+	if err := c.PutReader(bg, "chaos/repeats", bytes.NewReader(rep)); err != nil {
+		t.Fatal(err)
+	}
+	if n := maxChunkRepeats(t, c, "chaos/repeats"); n < 2 {
+		t.Fatalf("repeating input: no chunk occurs twice (max %d)", n)
+	}
+	out.Reset()
+	if _, err := c.GetTo(bg, "chaos/repeats", &out); err != nil || !bytes.Equal(out.Bytes(), rep) {
+		t.Fatalf("GetTo of repeating chunks: err %v, %d of %d bytes", err, out.Len(), len(rep))
+	}
+	settled("repeated chunks", c)
+
+	part, _, err := c.GetRange(bg, "chaos/repeats", 5_000, 30_000)
+	if err != nil || !bytes.Equal(part, rep[5_000:35_000]) {
+		t.Fatalf("GetRange: %v", err)
+	}
+	settled("GetRange", c)
+
+	// A writer that fails, and a caller that gives up, while chunks are
+	// resident in the window.
+	if _, err := c.GetTo(bg, "chaos/repeats", &failingWriter{after: 9_000}); err == nil {
+		t.Fatal("GetTo into a failing writer succeeded")
+	}
+	settled("failing writer", c)
+	ctx, cancel := context.WithCancel(bg)
+	_, err = c.GetTo(ctx, "chaos/repeats", &failingWriter{after: 9_000, onFail: cancel})
+	cancel()
+	if err == nil {
+		t.Fatal("GetTo under a cancelled context succeeded")
+	}
+	settled("cancellation", c)
+
+	// A corrupt share: the first decode fails its verify (its buffer goes
+	// back before the read widens) and the correcting decoder takes over —
+	// with the surplus of (2,4) it corrects one bad share, with (2,3) and
+	// two bad shares of a chunk the read fails.
+	for _, n := range []int{4, 3} {
+		cenv := newEnv(t, 4)
+		cc := cenv.client("alice", func(cfg *Config) { cfg.N = n })
+		cdata := randData(70, 5_000)
+		if err := cc.Put(bg, "doc", cdata); err != nil {
+			t.Fatal(err)
+		}
+		corruptShareOfEveryChunk(t, cenv, cc, "doc", 5-n)
+		got, _, err := cc.Get(bg, "doc")
+		if n == 4 && (err != nil || !bytes.Equal(got, cdata)) {
+			t.Fatalf("(2,4) read through a corrupt share: %v", err)
+		}
+		if n == 3 && err == nil {
+			t.Fatal("(2,3) read through two corrupt shares of a chunk returned data")
+		}
+		settled(fmt.Sprintf("corrupt share at n=%d", n), cc)
+	}
+
+	// ReencodeClass owns each gathered chunk until its scatter has joined,
+	// and gives it back when the scatter fails too: the cold class wants
+	// three providers and only the two that serve the read are up.
+	renv := newEnv(t, 6)
+	rc := renv.client("alice", classConfig)
+	if err := rc.Put(bg, "docs/aging.bin", randData(5, 20_000)); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range renv.names[2:] {
+		renv.backends[name].SetAvailable(false)
+	}
+	if _, err := rc.ReencodeClass(bg, "docs/aging.bin", "cold"); err == nil {
+		t.Fatal("ReencodeClass with two providers up succeeded")
+	}
+	settled("ReencodeClass, scatter failed", rc)
+	for _, name := range renv.names {
+		renv.backends[name].SetAvailable(true)
+	}
+	if changed, err := rc.ReencodeClass(bg, "docs/aging.bin", "cold"); err != nil || !changed {
+		t.Fatalf("ReencodeClass: changed %v, err %v", changed, err)
+	}
+	settled("ReencodeClass", rc)
+}
+
+// repeatingData is content whose chunks repeat, close enough together that
+// a repeat finds its chunk still resident in the read window (gatherRes.uses
+// above 1): runs of one byte cut into identical maximum-size chunks, with
+// unique content between them.
+func repeatingData(seed int64) []byte {
+	var b []byte
+	for i := 0; i < 3; i++ {
+		b = append(b, make([]byte, 24<<10)...)
+		b = append(b, randData(seed+int64(i), 6<<10)...)
+	}
+	return b
+}
+
+// maxChunkRepeats returns how often the most frequent chunk of the file's
+// head version occurs in it.
+func maxChunkRepeats(t *testing.T, c *Client, name string) int {
+	t.Helper()
+	count := make(map[string]int)
+	most := 0
+	for _, ref := range headOf(t, c, name).Chunks {
+		count[ref.ID]++
+		most = max(most, count[ref.ID])
+	}
+	return most
+}
+
+// failingWriter accepts after bytes and then fails every Write, calling
+// onFail (if set) first.
+type failingWriter struct {
+	after  int
+	onFail func()
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.after -= len(p); w.after < 0 {
+		if w.onFail != nil {
+			w.onFail()
+		}
+		return 0, errors.New("writer full")
+	}
+	return len(p), nil
+}
+
+// corruptShareOfEveryChunk flips a byte in k stored shares of every chunk of
+// the file's head version.
+func corruptShareOfEveryChunk(t *testing.T, env *testEnv, c *Client, file string, k int) {
+	t.Helper()
+	for _, ref := range headOf(t, c, file).Chunks {
+		ofChunk := shareNamesOf(t, c, ref)
+		done := 0
+		for _, name := range env.names {
+			if done < k && corruptOneShare(t, env.backends[name], ofChunk) != "" {
+				done++
+			}
+		}
+		if done < k {
+			t.Fatalf("corrupted %d shares of chunk %s, want %d", done, ref.ID[:8], k)
+		}
+	}
+}
+
+// TestPooledPlaintextOutlivesItsReaders is the use-after-release check the
+// leak counter cannot make. With the pool scribbling over every buffer the
+// moment it is returned, a read window of 1 and of 3 delivers a file whose
+// chunks repeat, while one provider is stale — so lazy migration re-encodes
+// each chunk's plaintext after delivery, the last reader there is. The output
+// must be byte-exact and every migrated share consistent with its siblings:
+// a share encoded from a buffer already released would carry the scribble.
+// Not parallel: the poison switch is process-global.
+func TestPooledPlaintextOutlivesItsReaders(t *testing.T) {
+	erasure.PoisonOnRelease.Store(true)
+	defer erasure.PoisonOnRelease.Store(false)
+	base := erasure.LiveBuffers()
+
+	for _, depth := range []int{1, 3} {
+		env := newEnv(t, 5)
+		c := env.client("alice", func(cfg *Config) { cfg.PipelineDepth = depth })
+		data := repeatingData(int64(depth))
+		if err := c.PutReader(bg, "doc", bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+		if n := maxChunkRepeats(t, c, "doc"); n < 2 {
+			t.Fatalf("repeating input: no chunk occurs twice (max %d)", n)
+		}
+		var victim string
+		for _, name := range env.names {
+			if len(c.ChunkTable().SharesOn(name)) > 0 {
+				victim = name
+				break
+			}
+		}
+		if err := c.RemoveCSP(bg, victim); err != nil {
+			t.Fatal(err)
+		}
+
+		var out bytes.Buffer
+		if _, err := c.GetTo(bg, "doc", &out); err != nil {
+			t.Fatalf("depth %d: GetTo: %v", depth, err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("depth %d: GetTo delivered bytes that differ from the input", depth)
+		}
+		if left := c.ChunkTable().SharesOn(victim); len(left) != 0 {
+			t.Fatalf("depth %d: %d chunks still on the removed provider: nothing migrated", depth, len(left))
+		}
+
+		// Every chunk's n shares, where the table now says they are, decode
+		// together (surplus shares are checked against the reconstruction) to
+		// the chunk's identity.
+		for _, ref := range headOf(t, c, "doc").Chunks {
+			info, ok := c.ChunkTable().LookupEnc(ref.ID, ref.Class)
+			if !ok {
+				t.Fatalf("chunk %s not in the table", ref.ID[:8])
+			}
+			b, err := c.chunkBlob("doc", ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var shares []erasure.Share
+			for idx, cspName := range info.Shares {
+				shares = append(shares, erasure.Share{Index: idx, Data: snapshotObject(t, env.backends[cspName], b.name(idx))})
+			}
+			plain, err := b.coder.Decode(shares, erasure.MaxN)
+			if err == nil {
+				err = b.verify(plain)
+			}
+			if len(shares) != ref.N || err != nil {
+				t.Fatalf("depth %d: chunk %s after migration: %d shares, %v", depth, ref.ID[:8], len(shares), err)
+			}
+		}
+
+		// A range read and a second full read, now with nothing to migrate.
+		part, _, err := c.GetRange(bg, "doc", 3_000, 40_000)
+		if err != nil || !bytes.Equal(part, data[3_000:43_000]) {
+			t.Fatalf("depth %d: GetRange: %v", depth, err)
+		}
+		got, _, err := c.Get(bg, "doc")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("depth %d: Get after migration: %v", depth, err)
+		}
+	}
+	if got := erasure.LiveBuffers(); got != base {
+		t.Fatalf("live pooled buffers = %d, want %d", got, base)
 	}
 }

@@ -67,11 +67,24 @@ func GetDataBuf(n int) *[]byte {
 	return &b
 }
 
+// PoisonOnRelease makes PutDataBuf scribble over every buffer it takes back.
+// LiveBuffers counts leaks but cannot see a reader that kept a buffer past
+// its release; with the poison on, such a reader gets garbage at once, not
+// only when the pool happens to hand the buffer out again. Tests of buffer
+// lifetimes set it; nothing else does.
+var PoisonOnRelease atomic.Bool
+
 // PutDataBuf returns a buffer obtained from GetDataBuf to the pool. Safe to
 // call with nil (no-op).
 func PutDataBuf(bp *[]byte) {
 	if bp == nil {
 		return
+	}
+	if PoisonOnRelease.Load() {
+		b := (*bp)[:cap(*bp)]
+		for i := range b {
+			b[i] = 0xDB
+		}
 	}
 	liveBufs.Add(-1)
 	dataBufPool.Put(bp)

@@ -64,39 +64,3 @@ loop:
 
 done:
 	RET
-
-// func cpuHasAVX2() bool
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-
-	// Leaf 7 must exist.
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JB   no
-
-	// CPUID.1:ECX bits 27 (OSXSAVE) and 28 (AVX).
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  no
-
-	// XCR0 bits 1 and 2: the OS saves XMM and YMM state.
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-
-	// CPUID.7.0:EBX bit 5 (AVX2).
-	MOVL  $7, AX
-	XORL  CX, CX
-	CPUID
-	TESTL $0x20, BX
-	JZ    no
-	MOVB  $1, ret+0(FP)
-
-no:
-	RET

@@ -21,6 +21,8 @@ import (
 	"hash"
 	"strings"
 	"time"
+
+	"repro/internal/sha1ni"
 )
 
 // MetaPrefix is the object-name prefix under which metadata records are
@@ -158,16 +160,19 @@ func (m *FileMeta) SharesOf(chunkID string) []ShareLoc {
 	return out
 }
 
-// HashData returns the SHA-1 hex digest used for file and chunk IDs.
+// HashData returns the SHA-1 hex digest used for file and chunk IDs. It and
+// NewHash are the content hashes — every stored byte passes through them — so
+// they run on internal/sha1ni (SHA-NI where the CPU has it, crypto/sha1
+// otherwise; same digest); the small keyed hashes stay on crypto/sha1.
 func HashData(data []byte) string {
-	sum := sha1.Sum(data)
+	sum := sha1ni.Sum(data)
 	return hex.EncodeToString(sum[:])
 }
 
 // NewHash returns an incremental hasher producing the same digest as
 // HashData, for callers that stream content instead of buffering it; read
 // the result with HashSum.
-func NewHash() hash.Hash { return sha1.New() }
+func NewHash() hash.Hash { return sha1ni.New() }
 
 // HashSum finishes an incremental NewHash digest in HashData's hex form.
 func HashSum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }

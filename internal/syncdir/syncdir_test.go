@@ -14,6 +14,7 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/core"
 	"repro/internal/csp"
+	"repro/internal/metadata"
 )
 
 var bg = context.Background()
@@ -381,5 +382,64 @@ func TestWatchLoop(t *testing.T) {
 	}
 	if got := readFile(t, dirB, "w.txt"); got != "watched" {
 		t.Fatalf("watch did not pull the file: %q", got)
+	}
+}
+
+// TestDownloadRecordsContentHash pins what downloadLocal relies on: the hash
+// a download pass records in the state file — taken from the version's
+// record, not recomputed over the written bytes — is the hash of the content,
+// so the next pass's edit detection (hashFile == entry.Hash) keeps working. A
+// zero-length file is the version fetchTo returns early on.
+func TestDownloadRecordsContentHash(t *testing.T) {
+	w := newWorld(t)
+	_, dirA, syA := w.device("alice")
+	_, dirB, syB := w.device("bob")
+
+	contents := map[string]string{
+		"empty.txt":    "",
+		"one.txt":      "a single chunk",
+		"dir/many.bin": strings.Repeat("several chunks of content. ", 2000),
+	}
+	for rel, content := range contents {
+		writeFile(t, dirA, rel, content)
+	}
+	if _, err := syA.Sync(bg); err != nil {
+		t.Fatal(err)
+	}
+	actions, err := syB.Sync(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ops(actions, "download"); len(got) != len(contents) {
+		t.Fatalf("downloads = %v", got)
+	}
+	for rel, content := range contents {
+		if got := readFile(t, dirB, rel); got != content {
+			t.Fatalf("%s: propagated %d bytes, want %d", rel, len(got), len(content))
+		}
+		e := syB.idx.Files[rel]
+		if e == nil {
+			t.Fatalf("%s: no state entry after download", rel)
+		}
+		if want := metadata.HashData([]byte(content)); e.Hash != want {
+			t.Errorf("%s: state hash %s, want %s", rel, e.Hash, want)
+		}
+		onDisk, err := hashFile(filepath.Join(dirB, filepath.FromSlash(rel)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Hash != onDisk {
+			t.Errorf("%s: state hash %s, file on disk hashes to %s", rel, e.Hash, onDisk)
+		}
+	}
+	// The recorded hashes hold a second pass quiet even when mtimes move.
+	for rel := range contents {
+		now := time.Now().Add(time.Hour)
+		if err := os.Chtimes(filepath.Join(dirB, filepath.FromSlash(rel)), now, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if actions, err = syB.Sync(bg); err != nil || len(actions) != 0 {
+		t.Fatalf("second pass after touch: actions %v, err %v", actions, err)
 	}
 }
