@@ -236,6 +236,9 @@ func NewLifecycleFileState(path string) (LifecycleState, error) {
 	return lifecycle.NewFileState(path)
 }
 
-// HashData exposes the content-hash used for file and chunk identities
-// (hex SHA-1), for callers that want to verify data out of band.
+// HashData exposes the content hash used for chunk identities (hex SHA-1),
+// for callers that want to verify data out of band. It gives chunk identity
+// only: the file identity of a new version is a hash of its chunk-ID list,
+// not of the content (records written before format v2 carry the content
+// hash).
 func HashData(data []byte) string { return metadata.HashData(data) }

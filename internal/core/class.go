@@ -267,6 +267,9 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 			Size:     head.File.Size,
 			Modified: c.rt.Now(),
 		},
+		// Class and (t, n) are not part of either file ID form, so the ID
+		// carries over unchanged in its own form.
+		IDForm: head.IDForm,
 	}
 	seen := make(map[string]bool)
 	var movedBytes int64

@@ -34,7 +34,7 @@ func newDeletionMarker(prev *metadata.FileMeta, clientID string, now time.Time) 
 		Name:     prev.File.Name,
 		Deleted:  true,
 		Modified: now,
-	}}
+	}, IDForm: prev.IDForm}
 }
 
 // Delete marks a file deleted — delete(s, f). Chunk shares are left alone:
@@ -170,6 +170,7 @@ func (c *Client) Restore(ctx context.Context, name, versionID string) error {
 		},
 		Chunks: append([]metadata.ChunkRef(nil), old.Chunks...),
 		Shares: append([]metadata.ShareLoc(nil), old.Shares...),
+		IDForm: old.IDForm,
 	}
 	op := c.engine.Begin(ctx)
 	defer op.Finish()

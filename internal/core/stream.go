@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash"
 	"io"
 	"sort"
 	"sync/atomic"
@@ -104,7 +105,6 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 	acctRing()
 	defer func() { c.acctSub(ringBytes) }()
 
-	fileHash := metadata.NewHash()
 	var size int64
 	seenInFile := make(map[string]bool)
 	var window []*putPending // launched, not yet joined (≤ depth)
@@ -142,7 +142,6 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 			break
 		}
 		size += int64(len(ch.Data))
-		fileHash.Write(ch.Data)
 
 		// Hash the chunk on the codec pool (bounded CPU slots, overlapping
 		// the scatters of earlier chunks).
@@ -225,13 +224,18 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 		return err
 	}
 
-	fileID := metadata.HashSum(fileHash)
+	// The file ID is the hash of the chunk list (format v2): every byte was
+	// hashed once, for its chunk ID, and is not hashed again for the file.
+	fileID := metadata.FileID(meta.Chunks)
 	if oldLive && oldID == fileID {
 		// Unchanged content: no new version. Any chunks scattered above
 		// were content-addressed re-uploads of existing objects (idempotent).
+		// A v1 head never matches (its content-hash ID is domain-separated
+		// from every list hash), so identical content over a v1 head
+		// publishes one v2 version, and re-puts after that are no-ops.
 		return nil
 	}
-	meta.File.ID = fileID
+	meta.File.ID, meta.IDForm = fileID, metadata.ChunkListID
 	meta.File.Size = size
 	for _, p := range newPend {
 		meta.Shares = append(meta.Shares, p.locs...)
@@ -410,9 +414,14 @@ type gatherRes struct {
 // fetchTo gathers the chunks of [offset, offset+length) of version m and
 // writes exactly those bytes to w, in order, holding at most PipelineDepth
 // decoded chunks at once. When full is set (whole-file fetches) it also
-// verifies the reassembled content hash, lazily migrates stale shares per
-// chunk while its plaintext is resident, and emits EvFileComplete —
-// matching the batch Get; range fetches (GetRange) do neither.
+// lazily migrates stale shares per chunk while its plaintext is resident and
+// emits EvFileComplete — matching the batch Get; range fetches (GetRange) do
+// neither.
+//
+// Every chunk is checked against its ID as it decodes. For a v2 record that
+// is the whole-file verify: Validate proved the chunk list hashes to File.ID
+// when the record entered the tree. A full read of a v1 record (read-only
+// legacy) still hashes the reassembled content against its content-hash ID.
 func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, length int64, w io.Writer, full bool) error {
 	if length == 0 || len(m.Chunks) == 0 {
 		return nil
@@ -451,7 +460,10 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 	depth := c.cfg.PipelineDepth
 	live := make(map[string]*gatherRes) // encoding key -> resident result
 	var window []occEntry
-	var fileHash = metadata.NewHash()
+	var contentHash hash.Hash // v1 full reads only
+	if full && m.IDForm == metadata.ContentID {
+		contentHash = metadata.NewHash()
+	}
 	var firstErr error
 
 	// deliver pops the oldest window entry: joins its gather, writes the
@@ -475,8 +487,8 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 			hi := min(e.ref.Offset+e.ref.Size, offset+length)
 			seg := e.res.data[lo-e.ref.Offset : hi-e.ref.Offset]
 			_, dsp := c.obs.Trace(ctx, "chunk.deliver")
-			if full {
-				fileHash.Write(seg)
+			if contentHash != nil {
+				contentHash.Write(seg)
 			}
 			_, werr := w.Write(seg)
 			dsp.End(werr)
@@ -549,13 +561,15 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 	if err := op.Err(); err != nil {
 		return err
 	}
-	if full {
-		if got := metadata.HashSum(fileHash); got != m.File.ID {
+	if contentHash != nil {
+		if got := metadata.HashSum(contentHash); got != m.File.ID {
 			// The mismatching bytes have already been streamed to w — the
 			// error tells the caller to discard them.
 			return fmt.Errorf("%w: file %q reassembled to %s, metadata says %s",
 				ErrDamaged, m.File.Name, got[:8], m.File.ID[:8])
 		}
+	}
+	if full {
 		c.events.emit(Event{Type: EvFileComplete, File: m.File.Name, Bytes: m.File.Size, Duration: c.rt.Now().Sub(fetchStart)})
 	}
 	return nil

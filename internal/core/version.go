@@ -78,7 +78,7 @@ func (c *Client) resolve(ctx context.Context, name, versionID string, gate syncG
 // GetRange: resolve the version, refuse a deletion marker, and stream the
 // bytes to w — or, with w nil, into a buffer accounted as resident for the
 // fetch and returned. A full read covers the whole version (offset and length
-// are ignored), verifies the file hash and lazily migrates stale shares; a
+// are ignored), verifies the file identity and lazily migrates stale shares; a
 // range read clamps length to the file and does neither (see fetchTo).
 func (c *Client) read(ctx context.Context, span, name, versionID string, offset, length int64, w io.Writer, full bool) (_ []byte, info FileInfo, err error) {
 	ctx, sp := c.obs.StartOp(ctx, span)

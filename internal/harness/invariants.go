@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -39,8 +40,8 @@ func (h *Harness) checkpoint(ctx context.Context) {
 
 // absorbDemotions folds lifecycle-published versions into the durability
 // oracle. A demotion republishes acknowledged content under a new version
-// ID the workload never acked; any non-deleted record whose content hash
-// matches an acknowledged write of the same file is that write's demoted
+// ID the workload never acked; any non-deleted record that holds the bytes
+// of an acknowledged write (metadata.FileMeta.Holds) is that write's demoted
 // (or re-encoded) form and must satisfy the same read-back guarantee —
 // the behavioral durability sweep then re-reads it through its own class's
 // encoding. Records that match nothing are left alone: an unacked version
@@ -49,19 +50,20 @@ func (h *Harness) absorbDemotions(records []*metadata.FileMeta) {
 	if len(h.opts.Classes) == 0 {
 		return
 	}
-	byHash := make(map[string][]byte, len(h.acked))
+	bySize := make(map[int64][][]byte)
 	for _, aw := range h.acked {
-		byHash[metadata.HashData(aw.Data)] = aw.Data
+		bySize[int64(len(aw.Data))] = append(bySize[int64(len(aw.Data))], aw.Data)
 	}
 	for _, m := range records {
 		vid := m.VersionID()
 		if _, known := h.ackedByVID[vid]; known || m.File.Deleted {
 			continue
 		}
-		data, ok := byHash[m.File.ID]
-		if !ok {
+		i := slices.IndexFunc(bySize[m.File.Size], m.Holds)
+		if i < 0 {
 			continue
 		}
+		data := bySize[m.File.Size][i]
 		h.ackedByVID[vid] = data
 		h.acked = append(h.acked, AckedWrite{File: m.File.Name, VersionID: vid, Client: "lifecycle", Data: data})
 	}

@@ -66,7 +66,7 @@ func (h *Harness) doPut(ctx context.Context, c *core.Client, name string) {
 		h.report.FailedPuts++
 		return
 	}
-	vid := h.findVersion(c, name, metadata.HashData(data))
+	vid := h.findVersion(c, name, data)
 	if vid == "" {
 		h.violate("read", "acked Put of %s not visible in the writer's own tree", name)
 		return
@@ -108,13 +108,13 @@ func (r *raggedReader) Read(p []byte) (int, error) {
 // findVersion locates the version node serving the given content for the
 // file. The head covers the common case; after conflicting writes the
 // acked version may be a non-head leaf, so fall back to a full scan.
-func (h *Harness) findVersion(c *core.Client, name, contentID string) string {
-	if head, _, err := c.Tree().Head(name); err == nil && head.File.ID == contentID {
+func (h *Harness) findVersion(c *core.Client, name string, data []byte) string {
+	if head, _, err := c.Tree().Head(name); err == nil && head.Holds(data) {
 		return head.VersionID()
 	}
 	best := ""
 	for _, m := range c.Tree().All() {
-		if m.File.Name != name || m.File.ID != contentID || m.File.Deleted {
+		if m.File.Name != name || !m.Holds(data) {
 			continue
 		}
 		if vid := m.VersionID(); vid > best {

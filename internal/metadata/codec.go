@@ -13,7 +13,7 @@ import (
 // fixed field order), versioned, and compact: metadata records are uploaded
 // to every metadata CSP on every file change, so size matters.
 //
-// Layout (big endian):
+// Layout (big endian), the same in every format version:
 //
 //	magic "CYRM" | u8 version |
 //	FileMap:  str ID | str PrevID | str ClientID | str Name |
@@ -32,6 +32,11 @@ import (
 //	ShareMap: u32 count | per share: str chunkID | u16 index | str csp
 //
 // Strings are u16 length-prefixed UTF-8.
+//
+// The version byte is the record's FileMeta.IDForm, through formatVersion:
+// 1 is the content-hash file ID every record before format v2 carries (read,
+// never written, by new versions), 2 the chunk-list hash (FileID). Nothing
+// else differs, so a decoded v1 record re-encodes to its original bytes.
 
 var (
 	magic = [4]byte{'C', 'Y', 'R', 'M'}
@@ -40,7 +45,9 @@ var (
 	ErrBadRecord = errors.New("metadata: malformed record")
 )
 
-const codecVersion = 1
+// formatVersion is the version byte each file ID form encodes as; Decode maps
+// a version byte back through the same table, its one format dispatch.
+var formatVersion = [...]byte{ContentID: 1, ChunkListID: 2}
 
 // casFlag marks a content-addressed chunk in the high bit of the encoded t.
 const casFlag = 0x8000
@@ -60,7 +67,7 @@ func Encode(m *FileMeta) ([]byte, error) {
 	}
 	var b bytes.Buffer
 	b.Write(magic[:])
-	b.WriteByte(codecVersion)
+	b.WriteByte(formatVersion[m.IDForm])
 	writeString(&b, m.File.ID)
 	writeString(&b, m.File.PrevID)
 	writeString(&b, m.File.ClientID)
@@ -138,10 +145,12 @@ func Decode(data []byte) (*FileMeta, error) {
 	if mg != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadRecord)
 	}
-	if v := r.u8(); v != codecVersion {
+	v := r.u8()
+	form := bytes.IndexByte(formatVersion[:], v)
+	if form < 0 {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadRecord, v)
 	}
-	m := &FileMeta{}
+	m := &FileMeta{IDForm: IDForm(form)}
 	m.File.ID = r.str()
 	m.File.PrevID = r.str()
 	m.File.ClientID = r.str()

@@ -16,9 +16,11 @@ package metadata
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"io"
 	"strings"
 	"time"
 
@@ -31,7 +33,7 @@ const MetaPrefix = "cyrus-meta-"
 
 // FileMap is the identity table of a version node (paper Figure 6).
 type FileMap struct {
-	ID       string    // SHA-1 (hex) of the file content
+	ID       string    // file identity, in the record's FileMeta.IDForm
 	PrevID   string    // version ID of the parent node; "" for new files
 	ClientID string    // client that created this version
 	Name     string    // user-visible file name
@@ -92,11 +94,81 @@ type FileMeta struct {
 	File   FileMap
 	Chunks []ChunkRef
 	Shares []ShareLoc
+
+	// IDForm says how File.ID was derived, and so which format version the
+	// record encodes as (codec.go). The zero value is the v1 content hash.
+	IDForm IDForm
 }
 
-// VersionID uniquely identifies the version node. The content hash alone
-// is not unique (a revert re-creates old content), so the version identity
-// covers content, parent, name, and creator.
+// IDForm is the form of a record's file identity.
+type IDForm uint8
+
+const (
+	// ContentID (format v1): File.ID is HashData of the whole content. No
+	// new version is written in it; a full read of one still hashes the
+	// content to check it.
+	ContentID IDForm = iota
+	// ChunkListID (format v2): File.ID is FileID(Chunks), checked by
+	// Validate. Every new version is written in it.
+	ChunkListID
+)
+
+// fileIDLabel domain-separates a v2 file ID from v1 content hashes: no chunk
+// list hashes to the content ID of any file.
+const fileIDLabel = "cyrus-file-v2"
+
+// FileID is the v2 file identity: SHA-1 over a domain label and, per chunk in
+// file order, its 20 raw ID bytes and its size (big-endian u64). A chunk is
+// checked against its own ID whenever it is decoded, so a record whose chunk
+// list hashes to its File.ID vouches for the whole content without a second
+// pass over the bytes. It returns "" if a chunk ID is not a HashData digest.
+func FileID(chunks []ChunkRef) string {
+	h := NewHash()
+	io.WriteString(h, fileIDLabel)
+	var row [sha1ni.Size + 8]byte
+	for _, c := range chunks {
+		if len(c.ID) != 2*sha1ni.Size {
+			return ""
+		}
+		if _, err := hex.Decode(row[:sha1ni.Size], []byte(c.ID)); err != nil {
+			return ""
+		}
+		binary.BigEndian.PutUint64(row[sha1ni.Size:], uint64(c.Size))
+		h.Write(row[:])
+	}
+	return HashSum(h)
+}
+
+// Holds reports whether data is the content of this (live) version: its
+// size, every chunk's byte range against the chunk's ID, and the file ID in
+// the record's own form — the content hash for v1, the chunk-list hash for
+// v2. Callers matching bytes to records need not know which form they hold.
+func (m *FileMeta) Holds(data []byte) bool {
+	if m.File.Deleted || int64(len(data)) != m.File.Size {
+		return false
+	}
+	var off int64
+	for _, c := range m.Chunks {
+		if c.Offset != off || c.Size <= 0 || c.Size > int64(len(data))-off || HashData(data[off:off+c.Size]) != c.ID {
+			return false
+		}
+		off += c.Size
+	}
+	if off != int64(len(data)) {
+		return false
+	}
+	switch m.IDForm {
+	case ContentID:
+		return HashData(data) == m.File.ID
+	case ChunkListID:
+		return FileID(m.Chunks) == m.File.ID
+	}
+	return false
+}
+
+// VersionID uniquely identifies the version node. The file ID alone is not
+// unique (a revert re-creates old content), so the version identity covers
+// the file ID, parent, name, and creator.
 func (m *FileMeta) VersionID() string {
 	h := sha1.New()
 	fmt.Fprintf(h, "%s|%s|%s|%s|%t", m.File.ID, m.File.PrevID, m.File.Name, m.File.ClientID, m.File.Deleted)
@@ -141,6 +213,12 @@ func (m *FileMeta) Validate() error {
 	if !m.File.Deleted && total != m.File.Size {
 		return fmt.Errorf("metadata: %q: chunks cover %d bytes, file size %d", m.File.Name, total, m.File.Size)
 	}
+	switch {
+	case int(m.IDForm) >= len(formatVersion):
+		return fmt.Errorf("metadata: %q: unknown file ID form %d", m.File.Name, m.IDForm)
+	case m.IDForm == ChunkListID && !m.File.Deleted && FileID(m.Chunks) != m.File.ID:
+		return fmt.Errorf("metadata: %q: file ID %.8s is not the hash of its chunk list", m.File.Name, m.File.ID)
+	}
 	return nil
 }
 
@@ -160,10 +238,11 @@ func (m *FileMeta) SharesOf(chunkID string) []ShareLoc {
 	return out
 }
 
-// HashData returns the SHA-1 hex digest used for file and chunk IDs. It and
-// NewHash are the content hashes — every stored byte passes through them — so
-// they run on internal/sha1ni (SHA-NI where the CPU has it, crypto/sha1
-// otherwise; same digest); the small keyed hashes stay on crypto/sha1.
+// HashData returns the SHA-1 hex digest used for chunk IDs (and for v1 file
+// IDs; a v2 file ID is FileID, a hash of chunk IDs). It and NewHash are the
+// content hashes — every stored byte passes through them once — so they run
+// on internal/sha1ni (SHA-NI where the CPU has it, crypto/sha1 otherwise;
+// same digest); the small keyed hashes stay on crypto/sha1.
 func HashData(data []byte) string {
 	sum := sha1ni.Sum(data)
 	return hex.EncodeToString(sum[:])

@@ -250,16 +250,9 @@ func (s *Syncer) Sync(ctx context.Context) ([]Action, error) {
 		// The listing already pinned the head version, so fetch exactly it
 		// (GetVersionTo does not re-sync; a concurrent newer upload is
 		// picked up by the next pass, as before).
-		info, err := s.downloadLocal(fi.Name, func(w io.Writer) (core.FileInfo, error) {
+		hash, info, err := s.downloadLocal(fi.Name, func(w io.Writer) (core.FileInfo, error) {
 			return s.client.GetVersionTo(ctx, fi.Name, fi.VersionID, w)
 		})
-		if err != nil {
-			return actions, fmt.Errorf("syncdir: download %s: %w", fi.Name, err)
-		}
-		// The content hash of what was written is the record's file ID: a
-		// full read fails its whole-file verify on any other bytes, so the
-		// download is not hashed a third time here.
-		rec, err := s.client.Tree().Get(info.VersionID)
 		if err != nil {
 			return actions, fmt.Errorf("syncdir: download %s: %w", fi.Name, err)
 		}
@@ -268,7 +261,7 @@ func (s *Syncer) Sync(ctx context.Context) ([]Action, error) {
 			return actions, err
 		}
 		s.idx.Files[fi.Name] = &entry{
-			Hash: rec.File.ID, Modified: st.ModTime(), Size: info.Size,
+			Hash: hash, Modified: st.ModTime(), Size: info.Size,
 			VersionID: info.VersionID,
 		}
 		actions = append(actions, Action{Op: "download", Name: fi.Name})
@@ -302,7 +295,7 @@ func (s *Syncer) Sync(ctx context.Context) ([]Action, error) {
 			copyName := conflictCopyName(cf.Name, s.loserClient(v.VersionID), v.VersionID)
 			versionID := v.VersionID
 			var fetchErr error
-			if _, err := s.downloadLocal(copyName, func(w io.Writer) (core.FileInfo, error) {
+			if _, _, err := s.downloadLocal(copyName, func(w io.Writer) (core.FileInfo, error) {
 				info, ferr := s.client.GetVersionTo(ctx, cf.Name, versionID, w)
 				fetchErr = ferr
 				return info, ferr
@@ -372,39 +365,40 @@ func conflictCopyName(name, clientID, versionID string) string {
 // downloadLocal streams a remote version into place under the root via
 // fetch, writing through a sibling temp file and renaming on success — an
 // interrupted download never leaves a torn file, and memory stays bounded
-// by the client's pipeline window. It returns the fetched version's info.
-// fetch must be a full read (GetTo / GetVersionTo): those verify the bytes
-// they wrote against the version's content hash, which is why nothing here
-// hashes them again.
-func (s *Syncer) downloadLocal(rel string, fetch func(io.Writer) (core.FileInfo, error)) (core.FileInfo, error) {
+// by the client's pipeline window. It returns the content hash of the
+// written bytes (computed while streaming: the index records SHA-1 of the
+// local file, which a v2 record's file ID is not) and the fetched version's
+// info.
+func (s *Syncer) downloadLocal(rel string, fetch func(io.Writer) (core.FileInfo, error)) (string, core.FileInfo, error) {
 	dst := filepath.Join(s.root, filepath.FromSlash(rel))
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return core.FileInfo{}, err
+		return "", core.FileInfo{}, err
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(dst), ".cyrus-partial-*")
 	if err != nil {
-		return core.FileInfo{}, err
+		return "", core.FileInfo{}, err
 	}
 	tmpName := tmp.Name()
-	info, err := fetch(tmp)
+	h := metadata.NewHash()
+	info, err := fetch(io.MultiWriter(tmp, h))
 	if err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
-		return core.FileInfo{}, err
+		return "", core.FileInfo{}, err
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
-		return core.FileInfo{}, err
+		return "", core.FileInfo{}, err
 	}
 	if err := os.Chmod(tmpName, 0o644); err != nil {
 		os.Remove(tmpName)
-		return core.FileInfo{}, err
+		return "", core.FileInfo{}, err
 	}
 	if err := os.Rename(tmpName, dst); err != nil {
 		os.Remove(tmpName)
-		return core.FileInfo{}, err
+		return "", core.FileInfo{}, err
 	}
-	return info, nil
+	return metadata.HashSum(h), info, nil
 }
 
 // hashFile computes a local file's content hash without buffering it.
