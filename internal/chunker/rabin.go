@@ -189,8 +189,10 @@ func (c Config) withDefaults() (Config, error) {
 
 // Chunk is one content-defined piece of a file.
 type Chunk struct {
-	Offset int64  // byte offset within the file
-	Data   []byte // sub-slice of the input buffer (not copied)
+	Offset int64 // byte offset within the file
+	// Data is a sub-slice of the input (Split, ScanBytes: not copied) or of
+	// the pooled buffer a streaming Scanner read the chunk into.
+	Data []byte
 }
 
 // Chunker splits byte streams at content-defined boundaries. A Chunker is

@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/bufpool"
 )
 
 // fragmentReader feeds its payload in adversarially sized fragments: every
@@ -201,12 +203,16 @@ func (stuckReader) Read(p []byte) (int, error) { return 0, nil }
 
 // FuzzScannerMatchesSplit fuzzes both the payload and the fragmentation
 // schedule, asserting scanner/split cut-point and hash equivalence for both
-// algorithms.
+// algorithms. It keeps every chunk whose buffer it takes (which of the first
+// eight, the fuzzer picks) to the end of the scan, with the pool poisoning
+// each buffer the scanner gives back, so a chunk sharing bytes with a released
+// buffer, or a read-ahead carried from one after its release, shows up as a
+// mismatch.
 func FuzzScannerMatchesSplit(f *testing.F) {
-	f.Add([]byte(nil), uint8(1))
-	f.Add([]byte("hello world"), uint8(3))
-	f.Add(bytes.Repeat([]byte{0xAB}, 9000), uint8(0))
-	f.Add(randomBytes(28, 20_000), uint8(200))
+	f.Add([]byte(nil), uint8(1), uint8(0xFF))
+	f.Add([]byte("hello world"), uint8(3), uint8(0))
+	f.Add(bytes.Repeat([]byte{0xAB}, 9000), uint8(0), uint8(0x55))
+	f.Add(randomBytes(28, 20_000), uint8(200), uint8(0xA3))
 	chunkers := make(map[string]*Chunker)
 	for name, cfg := range algoConfigs() {
 		c, err := New(cfg)
@@ -215,7 +221,10 @@ func FuzzScannerMatchesSplit(f *testing.F) {
 		}
 		chunkers[name] = c
 	}
-	f.Fuzz(func(t *testing.T, data []byte, frag uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, frag, keep uint8) {
+		bufpool.PoisonOnRelease.Store(true)
+		defer bufpool.PoisonOnRelease.Store(false)
+		base := bufpool.Live()
 		// Derive a fragmentation schedule from the fuzzed byte: 0 means
 		// 1-byte reads; otherwise a small cycle seeded by frag.
 		sizes := []int{1}
@@ -225,8 +234,9 @@ func FuzzScannerMatchesSplit(f *testing.F) {
 		for name, c := range chunkers {
 			want := c.Split(data)
 			var got []Chunk
+			var bufs []*[]byte
 			s := c.Scan(&fragmentReader{data: append([]byte(nil), data...), sizes: sizes})
-			for {
+			for i := 0; ; i++ {
 				ch, err := s.Next()
 				if err == io.EOF {
 					break
@@ -234,7 +244,12 @@ func FuzzScannerMatchesSplit(f *testing.F) {
 				if err != nil {
 					t.Fatalf("%s: Next: %v", name, err)
 				}
-				got = append(got, Chunk{Offset: ch.Offset, Data: append([]byte(nil), ch.Data...)})
+				if i < 8 && keep>>i&1 == 1 {
+					bufs = append(bufs, s.Take())
+				} else {
+					ch.Data = append([]byte(nil), ch.Data...)
+				}
+				got = append(got, ch)
 			}
 			if len(want) != len(got) {
 				t.Fatalf("%s: chunk count mismatch: split %d, scan %d", name, len(want), len(got))
@@ -243,6 +258,49 @@ func FuzzScannerMatchesSplit(f *testing.F) {
 				if want[i].Offset != got[i].Offset || !bytes.Equal(want[i].Data, got[i].Data) {
 					t.Fatalf("%s: chunk %d differs between Split and Scanner", name, i)
 				}
+			}
+			for _, bp := range bufs {
+				bufpool.Put(bp)
+			}
+			if live := bufpool.Live(); live != base {
+				t.Fatalf("%s: %d pooled buffers not given back", name, live-base)
+			}
+		}
+	})
+}
+
+// TestPoolCapFollowsDefaultMaxSize pins the buffer pool's cap to what it is
+// derived from: three of the default chunker's largest chunks.
+func TestPoolCapFollowsDefaultMaxSize(t *testing.T) {
+	c, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 3 * c.Config().MaxSize; bufpool.KeepBytes != want {
+		t.Fatalf("bufpool.KeepBytes = %d, want 3 × default MaxSize = %d", bufpool.KeepBytes, want)
+	}
+}
+
+// TestScannerCloseGivesBuffersBack: a caller that stops early — after a
+// chunk it did not take, or mid-stream — gets every pooled buffer back with
+// Close, and Next fails after it.
+func TestScannerCloseGivesBuffersBack(t *testing.T) {
+	base := bufpool.Live()
+	eachAlgo(t, func(t *testing.T, c *Chunker) {
+		data := randomBytes(35, 50_000)
+		for stop := 0; stop < 4; stop++ {
+			s := c.Scan(&fragmentReader{data: bytes.Clone(data), sizes: []int{777}})
+			for i := 0; i < stop; i++ {
+				if _, err := s.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Close()
+			if _, err := s.Next(); err == nil {
+				t.Fatal("Next after Close succeeded")
+			}
+			if live := bufpool.Live(); live != base {
+				t.Fatalf("stopped after %d chunks: %d pooled buffers not given back", stop, live-base)
 			}
 		}
 	})
@@ -351,12 +409,16 @@ func (h *hintedReader) Len() int { return h.len }
 // TestScannerReadsAheadOneStepAndAccountsItsRing: under the production
 // default (1 MiB MinSize, 16 MiB MaxSize) the scanner never holds more than a
 // quarter MinSize of the stream beyond the chunk it returns — that read-ahead
-// is all Next slides, where filling the ring to MaxSize first slid ~11.5 MiB
-// per ~4.5 MiB chunk — and BufferBytes reports the ring as it really is: the
-// object for a hinted 16 KiB stream, minRing for an unhinted one, MaxSize for
-// a hinted 32 MiB stream, and for an unhinted one minRing doubled until the
-// longest chunk plus its read-ahead fit.
+// is all it carries into the next chunk's buffer, where a ring filled to
+// MaxSize first slid ~11.5 MiB per ~4.5 MiB chunk. Every chunk is a prefix of
+// a buffer of its own that Take hands over and that stays intact to the end
+// of the scan: the object plus one byte for a hinted 16 KiB stream, minRing
+// for an unhinted one, and for a 32 MiB stream at most two average chunks, or
+// for a chunk that outgrew that, less than twice the chunk and its read-ahead.
+// Between chunks BufferBytes reports only the buffer the read-ahead sits in,
+// and nothing once the stream is drained.
 func TestScannerReadsAheadOneStepAndAccountsItsRing(t *testing.T) {
+	base := bufpool.Live()
 	for _, algo := range []Algorithm{FastCDC, Rabin} {
 		c, err := New(Config{Algorithm: algo})
 		if err != nil {
@@ -380,7 +442,7 @@ func TestScannerReadsAheadOneStepAndAccountsItsRing(t *testing.T) {
 				}
 				s := c.Scan(r)
 				var got []Chunk
-				longest := 0
+				var bufs []*[]byte
 				for {
 					ch, err := s.Next()
 					if err == io.EOF {
@@ -393,27 +455,40 @@ func TestScannerReadsAheadOneStepAndAccountsItsRing(t *testing.T) {
 					if ahead := cr.n - end; ahead > int64(step) {
 						t.Fatalf("%s: chunk ending at %d returned with %d bytes read ahead, want <= %d", name, end, ahead, step)
 					}
-					longest = max(longest, len(ch.Data))
-					got = append(got, Chunk{Offset: ch.Offset, Data: bytes.Clone(ch.Data)})
+					bp := s.Take()
+					if bp == nil || len(*bp) < len(ch.Data) || &(*bp)[0] != &ch.Data[0] {
+						t.Fatalf("%s: chunk at %d is not a prefix of the buffer Take hands over", name, ch.Offset)
+					}
+					size := len(*bp)
+					switch {
+					case n <= minRing && hinted:
+						if size != n+1 {
+							t.Errorf("%s: buffer is %d bytes, want %d", name, size, n+1)
+						}
+					case n <= minRing:
+						if size != minRing {
+							t.Errorf("%s: buffer is %d bytes, want minRing %d", name, size, minRing)
+						}
+					case size > cfg.MaxSize || size > 2*cfg.AverageSize && size >= 2*(len(ch.Data)+step):
+						t.Errorf("%s: %d-byte chunk in a %d-byte buffer (average %d, step %d, MaxSize %d)", name, len(ch.Data), size, cfg.AverageSize, step, cfg.MaxSize)
+					}
+					if held := s.BufferBytes(); held > 2*cfg.AverageSize {
+						t.Errorf("%s: %d bytes held for the read-ahead of the next chunk", name, held)
+					}
+					got = append(got, ch)
+					bufs = append(bufs, bp)
 				}
 				requireSameChunks(t, want, got)
-
-				ring := s.BufferBytes()
-				switch {
-				case hinted:
-					if wantRing := min(n+1, cfg.MaxSize); ring != wantRing {
-						t.Errorf("%s: ring is %d bytes, want %d", name, ring, wantRing)
-					}
-				case n <= minRing:
-					if ring != minRing {
-						t.Errorf("%s: ring is %d bytes, want minRing %d", name, ring, minRing)
-					}
-				default:
-					if ring < longest || ring > cfg.MaxSize || ring >= 2*(longest+step) {
-						t.Errorf("%s: ring is %d bytes for a longest chunk of %d (step %d, MaxSize %d)", name, ring, longest, step, cfg.MaxSize)
-					}
+				if held := s.BufferBytes(); held != 0 {
+					t.Errorf("%s: drained scanner still holds %d bytes", name, held)
+				}
+				for _, bp := range bufs {
+					bufpool.Put(bp)
 				}
 			}
 		}
+	}
+	if live := bufpool.Live(); live != base {
+		t.Fatalf("%d pooled buffers not given back", live-base)
 	}
 }

@@ -271,6 +271,17 @@ func (b *Backend) upload(name string, data []byte, now time.Time) error {
 }
 
 func (b *Backend) download(name string) ([]byte, error) {
+	data, err := b.view(name)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), data...), nil
+}
+
+// view is download without the copy: the stored bytes themselves, which
+// the caller must not modify. Stored versions are never written in place
+// (MutateObject swaps in a new slice), so reading them needs no lock.
+func (b *Backend) view(name string) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if err := b.gateLocked(); err != nil {
@@ -283,7 +294,7 @@ func (b *Backend) download(name string) ([]byte, error) {
 	latest := vs[len(vs)-1]
 	b.downloads++
 	b.bytesOut += int64(len(latest.data))
-	return append([]byte(nil), latest.data...), nil
+	return latest.data, nil
 }
 
 func (b *Backend) list(prefix string) ([]csp.ObjectInfo, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -164,6 +165,24 @@ func (s *SimStore) Download(ctx context.Context, name string) ([]byte, error) {
 	return data, nil
 }
 
+// DownloadTo implements csp.StreamDownloader: Download's costs, with the
+// stored bytes written straight to w instead of copied into a new slice.
+func (s *SimStore) DownloadTo(ctx context.Context, name string, w io.Writer) (int64, error) {
+	if err := s.session(ctx); err != nil {
+		return 0, err
+	}
+	data, err := s.backend.view(name)
+	if err != nil {
+		_ = s.charge(0, netsim.Down, true)
+		return 0, err
+	}
+	if err := s.charge(int64(len(data)), netsim.Down, false); err != nil {
+		return 0, err
+	}
+	n, err := w.Write(data)
+	return int64(n), err
+}
+
 // DownloadBatch implements csp.BatchDownloader: many objects for one
 // control round trip plus the summed payload transfer. Missing objects are
 // omitted from the result; availability failures abort the whole batch
@@ -256,7 +275,8 @@ func (s *SimStore) Refs(ctx context.Context, name string) ([]string, error) {
 }
 
 var (
-	_ csp.Store           = (*SimStore)(nil)
-	_ csp.RefStore        = (*SimStore)(nil)
-	_ csp.BatchDownloader = (*SimStore)(nil)
+	_ csp.Store            = (*SimStore)(nil)
+	_ csp.RefStore         = (*SimStore)(nil)
+	_ csp.BatchDownloader  = (*SimStore)(nil)
+	_ csp.StreamDownloader = (*SimStore)(nil)
 )

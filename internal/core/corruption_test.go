@@ -5,14 +5,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chunker"
 	"repro/internal/cloudsim"
 	"repro/internal/csp"
+	"repro/internal/erasure"
 	"repro/internal/metadata"
 	"repro/internal/netsim"
 )
@@ -298,5 +303,186 @@ func TestDownloadFailsCleanlyWhenUncorrectable(t *testing.T) {
 	}
 	if !errors.Is(err, ErrDamaged) {
 		t.Fatalf("err = %v, want ErrDamaged", err)
+	}
+}
+
+// wrappedClient builds a (2,3) client over the env's providers, each behind
+// wrap.
+func wrappedClient(t *testing.T, env *testEnv, tweak func(*Config), wrap func(csp.Store) csp.Store) *Client {
+	t.Helper()
+	var stores []csp.Store
+	for _, name := range env.names {
+		s := cloudsim.NewSimStore(env.backends[name])
+		if err := s.Authenticate(bg, csp.Credentials{Token: "t"}); err != nil {
+			t.Fatal(err)
+		}
+		stores = append(stores, wrap(s))
+	}
+	cfg := Config{ClientID: "alice", Key: "shared-user-key", T: 2, N: 3,
+		Chunking: chunker.Config{AverageSize: 1024, MinSize: 256, MaxSize: 4096}}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	c, err := New(cfg, stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// longBodyStore, once armed, appends tail to every chunk-share body it
+// serves: a provider handing back more bytes than the share holds.
+type longBodyStore struct {
+	csp.Store
+	tail  []byte
+	armed atomic.Bool
+
+	mu     sync.Mutex
+	served []string // share names served while armed
+}
+
+func (s *longBodyStore) DownloadTo(ctx context.Context, name string, w io.Writer) (int64, error) {
+	n, err := csp.DownloadTo(ctx, s.Store, name, w)
+	if err != nil || !s.armed.Load() || !strings.HasPrefix(name, SharePrefix) {
+		return n, err
+	}
+	s.mu.Lock()
+	s.served = append(s.served, name)
+	s.mu.Unlock()
+	m, err := w.Write(s.tail)
+	return n + int64(m), err
+}
+
+// TestOverlongShareBodyFailsThatShareOnly: a share body with 1 MiB of
+// garbage behind it fails its download as a damaged share — once, with no
+// retry against the same provider — and the read completes from the other
+// locations. The client never takes in the garbage: the read allocates far
+// less than the 1 MiB it was sent, and every pooled buffer comes back.
+// Not parallel: it measures the process's allocations.
+func TestOverlongShareBodyFailsThatShareOnly(t *testing.T) {
+	env := newEnv(t, 3)
+	stores := make(map[string]*longBodyStore)
+	c := wrappedClient(t, env, nil, func(s csp.Store) csp.Store {
+		ls := &longBodyStore{Store: s, tail: make([]byte, 1<<20)}
+		stores[s.Name()] = ls
+		return ls
+	})
+	data := randData(74, 3_000)
+	if err := c.Put(bg, "doc", data); err != nil {
+		t.Fatal(err)
+	}
+	// Arm a provider this reader actually fetches from.
+	var mu sync.Mutex
+	var fetchedFrom string
+	c.Subscribe(func(ev Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ev.Type == EvShareGet && ev.Err == nil && fetchedFrom == "" {
+			fetchedFrom = ev.CSP
+		}
+	})
+	if _, _, err := c.Get(bg, "doc"); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	victim := stores[fetchedFrom]
+	mu.Unlock()
+	victim.armed.Store(true)
+
+	base := erasure.LiveBuffers()
+	var out bytes.Buffer
+	out.Grow(len(data))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.GetTo(bg, "doc", &out)
+	runtime.ReadMemStats(&after)
+	if err != nil || !bytes.Equal(out.Bytes(), data) {
+		t.Fatalf("GetTo with an overlong share body: %v (%d of %d bytes)", err, out.Len(), len(data))
+	}
+	victim.mu.Lock()
+	served := slices.Clone(victim.served)
+	victim.mu.Unlock()
+	if len(served) == 0 {
+		t.Fatalf("%s served no share once armed: nothing was tested", fetchedFrom)
+	}
+	n := len(served)
+	slices.Sort(served)
+	if distinct := len(slices.Compact(served)); distinct != n {
+		t.Errorf("an overlong share was fetched again from the same provider (%d downloads of %d shares)", n, distinct)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 512<<10 {
+		t.Errorf("the read allocated %d bytes with a 1 MiB tail behind a share", alloc)
+	}
+	if got := erasure.LiveBuffers(); got != base {
+		t.Errorf("live pooled buffers = %d, want %d", got, base)
+	}
+}
+
+// holdFirst holds the first chunk-share download its stores serve, after
+// the body has landed in the client's sink, until release closes: a
+// provider slow enough that the read completes without it.
+type holdFirst struct {
+	once    sync.Once
+	release chan struct{}
+}
+
+type holdingStore struct {
+	csp.Store
+	h *holdFirst
+}
+
+func (s *holdingStore) DownloadTo(ctx context.Context, name string, w io.Writer) (int64, error) {
+	n, err := csp.DownloadTo(ctx, s.Store, name, w)
+	first := false
+	if strings.HasPrefix(name, SharePrefix) {
+		s.h.once.Do(func() { first = true })
+	}
+	if first {
+		<-s.h.release
+	}
+	return n, err
+}
+
+// TestRaceLoserGivesItsShareBufferBack: with a racing read, the lane held up
+// at a slow provider loses; its share lands after GetTo has returned and the
+// gather has given its own buffers back, and it gives its buffer back too.
+// Not parallel: the live-buffer counter is process-global.
+func TestRaceLoserGivesItsShareBufferBack(t *testing.T) {
+	env := newEnv(t, 3)
+	h := &holdFirst{release: make(chan struct{})}
+	c := wrappedClient(t, env, func(cfg *Config) { cfg.RaceReads = 1 }, func(s csp.Store) csp.Store {
+		return &holdingStore{Store: s, h: h}
+	})
+	data := randData(75, 200) // one chunk
+	if err := c.Put(bg, "doc", data); err != nil {
+		t.Fatal(err)
+	}
+	gets := make(chan Event, 8)
+	c.Subscribe(func(ev Event) {
+		if ev.Type == EvShareGet {
+			gets <- ev
+		}
+	})
+	base := erasure.LiveBuffers()
+	var out bytes.Buffer
+	if _, err := c.GetTo(bg, "doc", &out); err != nil || !bytes.Equal(out.Bytes(), data) {
+		close(h.release)
+		t.Fatalf("GetTo with a held provider: %v", err)
+	}
+	if got := erasure.LiveBuffers(); got != base+1 {
+		t.Errorf("live pooled buffers while the loser is held = %d, want %d", got, base+1)
+	}
+	for len(gets) > 0 {
+		<-gets // the winners'
+	}
+	close(h.release)
+	select {
+	case <-gets:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the held download never finished")
+	}
+	if got := erasure.LiveBuffers(); got != base {
+		t.Fatalf("live pooled buffers after the loser landed = %d, want %d", got, base)
 	}
 }

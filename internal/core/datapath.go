@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"maps"
 	"slices"
 	"sync"
@@ -289,6 +290,10 @@ var errUndecodable = fmt.Errorf("%w: undecodable", ErrDamaged)
 // Config.RaceReads up to that many lanes at t=0 instead. Losers are
 // cancelled the moment t shares land.
 //
+// Each share is downloaded into a pooled sink no larger than the share the
+// record implies (shareSink); every held share goes back to the pool when
+// gatherBlob returns.
+//
 // If the t shares do not decode to the blob's identity, one of them is
 // corrupt (bit rot, a tampering provider). The read then widens — the same
 // gather again over every remaining readable location — and hands everything
@@ -300,33 +305,56 @@ var errUndecodable = fmt.Errorf("%w: undecodable", ErrDamaged)
 // The plaintext comes with decode's ownership contract: a non-nil buf is the
 // pooled buffer behind data, the caller's to release.
 func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, primary, fallback []metadata.ShareLoc) (data []byte, buf *[]byte, err error) {
-	// got and from are written by attempt closures, which a gather loser may
-	// still execute after Gather — or this function — has returned: every
-	// access stays under mu and the decodes below work on snapshots. Only
-	// the first copy of an index to land is kept, so every held share has
-	// one known source.
+	// got, bufs, from and done are written by attempt closures, which a
+	// gather loser may still execute after Gather — or this function — has
+	// returned: every access stays under mu and the decodes below work on
+	// snapshots. Only the first copy of an index to land is kept, so every
+	// held share has one known source; any other body, and any that lands
+	// once this function is done, goes straight back to the pool.
 	var mu sync.Mutex
 	var got []erasure.Share
+	var bufs []*[]byte           // the pooled bodies behind got
 	from := make(map[int]string) // share index -> provider the held copy came from
+	done := false
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		done = true
+		for _, bp := range bufs {
+			erasure.PutDataBuf(bp)
+		}
+	}()
 	snapshot := func() ([]erasure.Share, map[int]string) {
 		mu.Lock()
 		defer mu.Unlock()
 		return slices.Clone(got), maps.Clone(from)
 	}
+	var shareSize int64 // 0: unknown until the record decodes (metadata)
+	if b.size > 0 {
+		shareSize = erasure.ShareSize(b.size, b.t)
+	}
 	fetch := func(l metadata.ShareLoc) transfer.Attempt {
 		ev := b.getEv
 		ev.Index = l.Index
 		return c.attempt(l.CSP, b.getKind, &ev, func(actx context.Context, store csp.Store) (int64, error) {
-			data, err := store.Download(actx, b.name(l.Index))
-			if err == nil {
-				mu.Lock()
-				if _, dup := from[l.Index]; !dup {
-					got = append(got, erasure.Share{Index: l.Index, Data: data})
-					from[l.Index] = l.CSP
-				}
-				mu.Unlock()
+			sink := newShareSink(shareSize)
+			n, err := csp.DownloadTo(actx, store, b.name(l.Index), sink)
+			if sink.long {
+				err = fmt.Errorf("%w: %s share %d on %s runs past %d bytes", errShareTooLong, b.desc, l.Index, l.CSP, shareSize)
 			}
-			return int64(len(data)), err
+			mu.Lock()
+			_, dup := from[l.Index]
+			keep := err == nil && !dup && !done
+			if keep {
+				got = append(got, erasure.Share{Index: l.Index, Data: sink.bytes()})
+				bufs = append(bufs, sink.bp)
+				from[l.Index] = l.CSP
+			}
+			mu.Unlock()
+			if !keep {
+				erasure.PutDataBuf(sink.bp)
+			}
+			return n, err
 		})
 	}
 
@@ -423,6 +451,93 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 	}
 	return data, nil, nil
 }
+
+// errShareTooLong fails a share download whose body runs past the share
+// size its record implies. The bytes are damaged, not late: the attempt is
+// not retried against the same provider (transfer.ErrRejected), and its lane
+// walks on to the next location.
+var errShareTooLong = fmt.Errorf("%w: %w: share body too long", ErrDamaged, transfer.ErrRejected)
+
+// metaShareStart is the first buffer of a sink whose size is unknown (a
+// metadata share); the sink doubles it for a larger record.
+const metaShareStart = 4 << 10
+
+// shareSink is the io.Writer a share download lands in: a pooled buffer,
+// filled through ReadFrom — which io.Copy, and so every StreamDownloader built
+// on it, prefers to Write — straight from the connection. Given the share's
+// size it never holds more: a longer body fails the download (long) instead
+// of growing the buffer. Without one (a metadata share, whose size only its
+// record knows) the buffer doubles in the pool as the body needs.
+type shareSink struct {
+	bp    *[]byte
+	n     int  // bytes written
+	limit bool // len(*bp) is the share's size
+	long  bool // the body ran past the share's size
+	probe [1]byte
+}
+
+func newShareSink(size int64) *shareSink {
+	if size > 0 {
+		return &shareSink{bp: erasure.GetDataBuf(int(size)), limit: true}
+	}
+	return &shareSink{bp: erasure.GetDataBuf(metaShareStart)}
+}
+
+// room reports whether another byte fits, growing an unlimited sink.
+func (s *shareSink) room() bool {
+	if s.n < len(*s.bp) {
+		return true
+	}
+	if s.limit {
+		return false
+	}
+	grown := erasure.GetDataBuf(2 * len(*s.bp))
+	copy(*grown, (*s.bp)[:s.n])
+	erasure.PutDataBuf(s.bp)
+	s.bp = grown
+	return true
+}
+
+func (s *shareSink) Write(p []byte) (int, error) {
+	written := 0
+	for len(p) > 0 {
+		if !s.room() {
+			s.long = true
+			return written, errShareTooLong
+		}
+		k := copy((*s.bp)[s.n:], p)
+		s.n += k
+		written += k
+		p = p[k:]
+	}
+	return written, nil
+}
+
+func (s *shareSink) ReadFrom(r io.Reader) (int64, error) {
+	var read int64
+	for {
+		var k int
+		var err error
+		if s.room() {
+			k, err = r.Read((*s.bp)[s.n:])
+			s.n += k
+			read += int64(k)
+		} else if k, err = r.Read(s.probe[:]); k > 0 {
+			// A full sink of known size, and the body goes on.
+			s.long = true
+			return read, errShareTooLong
+		}
+		if err == io.EOF {
+			return read, nil
+		}
+		if err != nil {
+			return read, err
+		}
+	}
+}
+
+// bytes returns the share as downloaded.
+func (s *shareSink) bytes() []byte { return (*s.bp)[:s.n] }
 
 // readable reports whether a provider may serve share downloads: it must
 // exist and not be failed; removed providers remain readable until their

@@ -23,9 +23,11 @@ import (
 // identical code runs under netsim virtual time.
 
 // putPending is one new chunk in flight through the upload window: its
-// plaintext is held in a pooled buffer until the scatter joins.
+// plaintext stays in the pooled buffer the scanner read it into until the
+// scatter joins.
 type putPending struct {
 	ref  metadata.ChunkRef
+	data []byte
 	buf  *[]byte
 	g    vclock.Group
 	locs []metadata.ShareLoc
@@ -94,16 +96,24 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 	depth := c.cfg.PipelineDepth
 	chnk := c.chunkerFor(cls.Name)
 	sc := chnk.Scan(r)
-	// The scanner's ring buffer is data-plane memory too. It only ever grows
-	// (with the stream), so the account follows it after every scan.
-	var ringBytes int64
-	acctRing := func() {
+	defer sc.Close()
+	// The buffer the scanner holds between chunks, with the next chunk's
+	// read-ahead in it, is data-plane memory too: the account follows it
+	// after every scan. Each chunk's own buffer is this Put's once taken; it
+	// is accounted until given back, when the chunk's scatter joins or, for
+	// a chunk that is not uploaded, at once.
+	var scanBytes int64
+	acctScan := func() {
 		now := int64(sc.BufferBytes())
-		c.acctAdd(now - ringBytes)
-		ringBytes = now
+		c.acctAdd(now - scanBytes) // each call ignores a change of the other sign
+		c.acctSub(scanBytes - now)
+		scanBytes = now
 	}
-	acctRing()
-	defer func() { c.acctSub(ringBytes) }()
+	defer func() { c.acctSub(scanBytes) }()
+	giveBack := func(bp *[]byte) {
+		c.acctSub(int64(len(*bp)))
+		erasure.PutDataBuf(bp)
+	}
 
 	var size int64
 	seenInFile := make(map[string]bool)
@@ -132,7 +142,11 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 			break
 		}
 		ch, serr := sc.Next()
-		acctRing()
+		bp := sc.Take()
+		if bp != nil {
+			c.acctAdd(int64(len(*bp)))
+		}
+		acctScan()
 		if serr == io.EOF {
 			break
 		}
@@ -165,11 +179,13 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 				}
 				seenInFile[id] = true
 			}
+			giveBack(bp)
 			continue
 		}
 		ref := metadata.ChunkRef{ID: id, Offset: ch.Offset, Size: int64(len(ch.Data)), T: t, N: n, CAS: c.cfg.DedupMode, Class: cls.Name}
 		meta.Chunks = append(meta.Chunks, ref)
 		if seenInFile[id] {
+			giveBack(bp)
 			continue
 		}
 		seenInFile[id] = true
@@ -184,25 +200,22 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 			}
 		}
 		if firstErr != nil {
+			giveBack(bp)
 			break
 		}
 
-		// Copy the scanner's window into a pooled buffer (the scanner
-		// reuses its ring on the next iteration) and scatter concurrently.
-		bp := erasure.GetDataBuf(len(ch.Data))
-		copy(*bp, ch.Data)
-		c.acctAdd(int64(len(ch.Data)))
-		p := &putPending{ref: ref, buf: bp, g: c.rt.NewGroup()}
+		// Scatter concurrently, straight from the buffer the scanner read
+		// the chunk into.
+		p := &putPending{ref: ref, data: ch.Data, buf: bp, g: c.rt.NewGroup()}
 		p.g.Add(1)
 		newPend = append(newPend, p)
 		window = append(window, p)
 		c.obs.PipelineInflight("put", len(window))
 		c.rt.Go(func() {
 			defer p.g.Done()
-			locs, serr := c.scatterChunk(op, name, p.ref, *p.buf)
-			c.acctSub(int64(len(*p.buf)))
-			erasure.PutDataBuf(p.buf)
-			p.buf = nil
+			locs, serr := c.scatterChunk(op, name, p.ref, p.data)
+			giveBack(p.buf)
+			p.data, p.buf = nil, nil
 			if serr != nil {
 				p.err = serr
 				op.Fail(serr)

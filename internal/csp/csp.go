@@ -81,6 +81,21 @@ type StreamDownloader interface {
 	DownloadTo(ctx context.Context, name string, w io.Writer) (int64, error)
 }
 
+// DownloadTo writes the named object to w, through the store's
+// StreamDownloader when present and one Download and one Write otherwise.
+// It returns the bytes written; on error a prefix may already have been.
+func DownloadTo(ctx context.Context, s Store, name string, w io.Writer) (int64, error) {
+	if sd, ok := s.(StreamDownloader); ok {
+		return sd.DownloadTo(ctx, name, w)
+	}
+	data, err := s.Download(ctx, name)
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(data)
+	return int64(n), err
+}
+
 // BatchDownloader is an optional Store capability: fetch many objects in
 // one provider round trip. Missing objects are simply absent from the
 // result map — a batch with some unknown names is not an error. Real

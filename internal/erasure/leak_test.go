@@ -3,7 +3,6 @@ package erasure
 import (
 	"bytes"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -78,14 +77,10 @@ func TestLiveBuffersBalancedOnErrorPaths(t *testing.T) {
 // TestDataBufZeroAlloc pins the data-buffer pool's steady state: a warm
 // Get/Put cycle of a constant size allocates nothing.
 func TestDataBufZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation makes sync.Pool allocate")
-	}
 	const size = 32 * 1024
 	for i := 0; i < 4; i++ { // warm the pool
 		PutDataBuf(GetDataBuf(size))
 	}
-	runtime.GC()
 	allocs := testing.AllocsPerRun(100, func() {
 		bp := GetDataBuf(size)
 		(*bp)[0] = 1

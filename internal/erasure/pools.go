@@ -3,92 +3,37 @@ package erasure
 import (
 	"encoding/binary"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/bufpool"
 	"repro/internal/gf256"
 )
 
 // Buffer and scratch pooling for the zero-alloc steady state.
 //
 // Ownership contract: every Share returned by Encode/EncodeTo carries a
-// pooled backing buffer. Callers that are done with a share (its bytes have
-// been handed to a provider, or copied) call Release to recycle the buffer;
-// callers that retain Data simply never Release — the pool only reuses
-// buffers explicitly returned to it, so forgetting Release costs garbage,
-// never correctness. After Release the share's Data must not be touched.
-
-// shareBufPool recycles share backing buffers (header + payload). Shared
-// across coders: buffers carry no key-derived state.
-var shareBufPool sync.Pool
-
-// liveBufs counts pool-managed buffers currently checked out (share buffers
-// plus data buffers). A steady-state client returns to its baseline after
-// every operation — including failed ones — so tests can pin "the pool does
-// not silently grow under fault injection" to this number.
-var liveBufs atomic.Int64
+// buffer from the data path's one pool (internal/bufpool). Callers that are
+// done with a share (its bytes have been handed to a provider, or copied)
+// call Release to give the buffer back; callers that retain Data simply never
+// Release — forgetting costs garbage, never correctness. After Release the
+// share's Data must not be touched.
 
 // LiveBuffers reports the number of pooled buffers currently checked out
-// and not yet released. Exposed for leak regression tests.
-func LiveBuffers() int64 { return liveBufs.Load() }
+// and not yet released: shares, and every other buffer of the pool the data
+// path draws from. Exposed for leak regression tests.
+func LiveBuffers() int64 { return bufpool.Live() }
 
-// getShareBuf returns a pooled buffer of length n, allocating only when the
-// pool is empty or its buffer is too small.
-func getShareBuf(n int) *[]byte {
-	liveBufs.Add(1)
-	if v := shareBufPool.Get(); v != nil {
-		bp := v.(*[]byte)
-		if cap(*bp) >= n {
-			*bp = (*bp)[:n]
-			return bp
-		}
-	}
-	b := make([]byte, n)
-	return &b
-}
-
-// dataBufPool recycles plaintext chunk buffers for the streaming pipeline:
-// a windowed PutReader copies each scanned chunk out of the scanner's ring
-// into one of these so encoding can overlap the next scan.
-var dataBufPool sync.Pool
+// PoisonOnRelease is bufpool.PoisonOnRelease: with it on, every buffer given
+// back to the pool is scribbled over at once.
+var PoisonOnRelease = &bufpool.PoisonOnRelease
 
 // GetDataBuf returns a pooled plaintext buffer of length n. Same ownership
 // contract as share buffers: pass it back to PutDataBuf when done, never
 // touch the slice afterwards; forgetting costs garbage, not correctness.
-func GetDataBuf(n int) *[]byte {
-	liveBufs.Add(1)
-	if v := dataBufPool.Get(); v != nil {
-		bp := v.(*[]byte)
-		if cap(*bp) >= n {
-			*bp = (*bp)[:n]
-			return bp
-		}
-	}
-	b := make([]byte, n)
-	return &b
-}
+func GetDataBuf(n int) *[]byte { return bufpool.Get(n) }
 
-// PoisonOnRelease makes PutDataBuf scribble over every buffer it takes back.
-// LiveBuffers counts leaks but cannot see a reader that kept a buffer past
-// its release; with the poison on, such a reader gets garbage at once, not
-// only when the pool happens to hand the buffer out again. Tests of buffer
-// lifetimes set it; nothing else does.
-var PoisonOnRelease atomic.Bool
-
-// PutDataBuf returns a buffer obtained from GetDataBuf to the pool. Safe to
-// call with nil (no-op).
-func PutDataBuf(bp *[]byte) {
-	if bp == nil {
-		return
-	}
-	if PoisonOnRelease.Load() {
-		b := (*bp)[:cap(*bp)]
-		for i := range b {
-			b[i] = 0xDB
-		}
-	}
-	liveBufs.Add(-1)
-	dataBufPool.Put(bp)
-}
+// PutDataBuf returns a pooled buffer to the pool. Safe to call with nil
+// (no-op).
+func PutDataBuf(bp *[]byte) { bufpool.Put(bp) }
 
 // encodeScratch holds the per-call slice headers EncodeTo needs: the payload
 // row views the fused kernel writes into.

@@ -215,3 +215,23 @@ func TestServerPutBuffersDeclaredLengthOnceAndEnforcesTheCap(t *testing.T) {
 type neverEnding struct{}
 
 func (neverEnding) Read(p []byte) (int, error) { return len(p), nil }
+
+// TestSimulatedBackendServesDeclaredLength: an object of the in-memory
+// backend goes out under its Content-Length, not chunked, though the
+// simulated store can stream it — so a client's Download sizes its buffer
+// once and a small body carries no chunk framing.
+func TestSimulatedBackendServesDeclaredLength(t *testing.T) {
+	s, _ := provider(t, "csp1", "secret", true)
+	payload := bytes.Repeat([]byte("share"), 20_000)
+	if err := s.Upload(bg, "obj", payload); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := s.do(bg, http.MethodGet, "/v1/objects/obj", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainClose(resp.Body)
+	if resp.ContentLength != int64(len(payload)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("GET of a %d-byte object: Content-Length %d, Transfer-Encoding %v", len(payload), resp.ContentLength, resp.TransferEncoding)
+	}
+}

@@ -318,7 +318,10 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		if sd, ok := s.store.(csp.StreamDownloader); ok {
+		// A simulated backend's object is already in memory: it goes out in
+		// one write under its Content-Length, which a client's Download sizes
+		// its buffer by. Only other stores stream.
+		if sd, ok := s.store.(csp.StreamDownloader); ok && s.backend == nil {
 			// Stream the body: the store pipes object bytes straight to the
 			// response (chunked transfer; length is unknown up front). An
 			// error after the first byte can only abort the connection.

@@ -192,10 +192,16 @@ type Attempt struct {
 	Done func(err error, bytes int64, elapsed time.Duration)
 }
 
+// ErrRejected marks an attempt whose provider answered with a payload the
+// caller refuses, such as a share body longer than its record allows. Like a
+// missing object it is a definite answer about the object: the attempt is
+// not retried, and the provider is not marked failed.
+var ErrRejected = errors.New("transfer: payload rejected")
+
 // Retryable classifies an attempt error: transient provider trouble
 // (csp.ErrUnavailable, unclassified transport errors) is worth retrying
-// on the same provider; definite answers (missing object, bad
-// credentials, full provider, existing object) and context cancellation
+// on the same provider; definite answers (missing object, rejected payload,
+// bad credentials, full provider, existing object) and context cancellation
 // are not.
 func Retryable(err error) bool {
 	switch {
@@ -203,6 +209,7 @@ func Retryable(err error) bool {
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, csp.ErrNotFound),
+		errors.Is(err, ErrRejected),
 		errors.Is(err, csp.ErrUnauthorized),
 		errors.Is(err, csp.ErrOverCapacity),
 		errors.Is(err, csp.ErrExists):
@@ -213,13 +220,15 @@ func Retryable(err error) bool {
 
 // ProviderFault reports whether an attempt error indicts the provider
 // (feeding the per-operation failed set). Context cancellation says
-// nothing about the provider, and a missing object is a valid answer.
+// nothing about the provider, and a missing object or a rejected payload is
+// a valid answer about one object.
 func ProviderFault(err error) bool {
 	switch {
 	case err == nil,
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, csp.ErrNotFound):
+		errors.Is(err, csp.ErrNotFound),
+		errors.Is(err, ErrRejected):
 		return false
 	}
 	return true

@@ -69,6 +69,7 @@ func TestClassifiers(t *testing.T) {
 		{context.Canceled, false, false},
 		{context.DeadlineExceeded, false, false},
 		{csp.ErrNotFound, false, false},
+		{fmt.Errorf("share 2 runs long: %w", ErrRejected), false, false},
 		{csp.ErrUnauthorized, false, true},
 		{csp.ErrOverCapacity, false, true},
 		{csp.ErrExists, false, true},
