@@ -85,18 +85,6 @@ var runners = []runner{
 		res, err := experiments.Figure19(experiments.TrialConfig{Seed: o.seed})
 		return res.Report, err
 	}},
-	{"3", "transfer engine: Put/Get throughput + straggler hedging on 4-fast/3-slow", func(o options) (experiments.Report, error) {
-		res, err := experiments.TransferEngine(experiments.TransferEngineConfig{Scale: o.scale, Seed: o.seed})
-		return res.Report, err
-	}},
-	{"4", "client compute fast path: codec and chunking throughput", func(o options) (experiments.Report, error) {
-		res, err := experiments.FastPath(experiments.FastPathConfig{Seed: o.seed})
-		return res.Report, err
-	}},
-	{"5", "streaming data plane: PutReader/GetTo memory, TTFB, throughput vs whole-file", func(o options) (experiments.Report, error) {
-		res, err := experiments.Pipeline(experiments.PipelineConfig{Scale: o.scale, Seed: o.seed})
-		return res.Report, err
-	}},
 	{"6", "convergent dedup: raw CSP bytes and dedup ratio vs overlap at (2,4)/(3,6), two users", func(o options) (experiments.Report, error) {
 		res, err := experiments.Dedup(experiments.DedupConfig{Seed: o.seed})
 		return res.Report, err
@@ -205,10 +193,8 @@ type benchResult struct {
 func datasetBytes(id string, opts options) int64 {
 	const paperDataset = 638 << 20 // Table 4's 638 MB testbed dataset
 	switch id {
-	case "table4", "fig14", "fig15", "3":
+	case "table4", "fig14", "fig15":
 		return int64(opts.scale * paperDataset)
-	case "5":
-		return int64(opts.scale * (256 << 20)) // the streaming benchmark's 256 MiB object
 	case "fig12":
 		return int64(opts.chunkMB) << 20
 	case "fig16":

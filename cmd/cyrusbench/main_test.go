@@ -13,13 +13,12 @@ import (
 
 func TestRunnerRegistryIsComplete(t *testing.T) {
 	// Every table/figure in the paper's evaluation plus the ablations, the
-	// transfer-engine benchmark, the compute fast-path benchmark, the
-	// streaming-pipeline benchmark, the convergent-dedup sweep, the
-	// metadata-plane benchmark, the load-adaptive redundancy sweep, and
-	// the storage-class cost/latency frontier.
+	// convergent-dedup sweep, the metadata-plane benchmark, the
+	// load-adaptive redundancy sweep, and the storage-class cost/latency
+	// frontier.
 	want := []string{
 		"table1", "table2", "table4", "fig3", "fig12", "fig13",
-		"fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "3", "4", "5", "6", "8", "9", "10",
+		"fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "6", "8", "9", "10",
 		"ablation-selector", "ablation-chunking", "ablation-ring",
 		"ablation-migration", "ablation-concurrency", "ablation-metadata",
 	}
@@ -120,7 +119,6 @@ func TestDatasetBytes(t *testing.T) {
 		"fig14":  638 << 20,
 		"fig12":  8 << 20,
 		"fig16":  40 << 20,
-		"5":      256 << 20,
 		"6":      2 * 12 * (32 << 10) * 8,
 		"fig19":  20 << 20,
 		"9":      48 * (256 << 10),

@@ -91,9 +91,9 @@ func run(args []string) error {
 	if cmd == "flightdump" && hasFlag(rest, "-url") {
 		// Remote mode needs no config file: the dump comes from a running
 		// server's /debug/flightrecorder endpoint.
-		return cmdFlightdump(context.Background(), nil, rest)
+		return cmdFlightdump(context.Background(), nil, nil, rest)
 	}
-	client, err := openClient(*cfgPath)
+	client, o, err := openClient(*cfgPath)
 	if err != nil {
 		return err
 	}
@@ -126,11 +126,11 @@ func run(args []string) error {
 	case "probe":
 		return cmdProbe(ctx, client)
 	case "stats":
-		return cmdStats(ctx, client, rest)
+		return cmdStats(ctx, client, o, rest)
 	case "flightdump":
-		return cmdFlightdump(ctx, client, rest)
+		return cmdFlightdump(ctx, client, o, rest)
 	case "top":
-		return cmdTop(ctx, client, rest)
+		return cmdTop(ctx, client, o, rest)
 	case "reinstate":
 		return cmdReinstate(ctx, client, rest)
 	case "classes":
@@ -227,15 +227,11 @@ func cmdProbe(ctx context.Context, c *cyrus.Client) error {
 // estimates, marked-down state, the metadata records the hashring routes to
 // each provider (shard skew), and the metadata cache hit ratio. -json adds
 // the full metrics snapshot.
-func cmdStats(ctx context.Context, c *cyrus.Client, args []string) error {
+func cmdStats(ctx context.Context, c *cyrus.Client, o *cyrus.Observer, args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	asJSON := fs.Bool("json", false, "emit JSON (scoreboard plus metrics snapshot)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	o := c.Observer()
-	if o == nil {
-		return fmt.Errorf("stats: client has no observer attached")
 	}
 	if _, err := c.Sync(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "stats: sync:", err)
@@ -290,7 +286,7 @@ func hasFlag(args []string, name string) bool {
 // running server's /debug/flightrecorder (POST forces a fresh dump there);
 // without it, it opens the local cloud, syncs once to generate activity,
 // forces a manual dump, and prints it.
-func cmdFlightdump(ctx context.Context, c *cyrus.Client, args []string) error {
+func cmdFlightdump(ctx context.Context, c *cyrus.Client, o *cyrus.Observer, args []string) error {
 	fs := flag.NewFlagSet("flightdump", flag.ContinueOnError)
 	url := fs.String("url", "", "base URL of a running server (fetches its /debug/flightrecorder)")
 	out := fs.String("o", "", "write the dump to this file instead of stdout")
@@ -311,10 +307,6 @@ func cmdFlightdump(ctx context.Context, c *cyrus.Client, args []string) error {
 			return err
 		}
 	} else {
-		o := c.Observer()
-		if o == nil {
-			return fmt.Errorf("flightdump: client has no observer attached")
-		}
 		if _, err := c.Sync(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "flightdump: sync:", err)
 		}
@@ -343,17 +335,13 @@ func cmdFlightdump(ctx context.Context, c *cyrus.Client, args []string) error {
 // the iterations (0 = until interrupted); -json replaces the table with
 // one JSON document per refresh carrying the full load vector (current
 // sample plus the retained window) for machine consumers.
-func cmdTop(ctx context.Context, c *cyrus.Client, args []string) error {
+func cmdTop(ctx context.Context, c *cyrus.Client, o *cyrus.Observer, args []string) error {
 	fs := flag.NewFlagSet("top", flag.ContinueOnError)
 	interval := fs.Duration("interval", 2*time.Second, "refresh interval")
 	count := fs.Int("count", 0, "iterations before exiting (0 = run until interrupted)")
 	asJSON := fs.Bool("json", false, "emit one JSON document per refresh instead of the table")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	o := c.Observer()
-	if o == nil {
-		return fmt.Errorf("top: client has no observer attached")
 	}
 	for i := 0; *count == 0 || i < *count; i++ {
 		if i > 0 {
@@ -544,14 +532,16 @@ func cmdInit(cfgPath string, args []string) error {
 	return nil
 }
 
-func openClient(cfgPath string) (*cyrus.Client, error) {
+// openClient builds the client the config file describes, with the
+// observer that stats, flightdump and top read.
+func openClient(cfgPath string) (*cyrus.Client, *cyrus.Observer, error) {
 	raw, err := os.ReadFile(cfgPath)
 	if err != nil {
-		return nil, fmt.Errorf("read config: %w (run 'cyrusctl init' first)", err)
+		return nil, nil, fmt.Errorf("read config: %w (run 'cyrusctl init' first)", err)
 	}
 	var cfg config
 	if err := json.Unmarshal(raw, &cfg); err != nil {
-		return nil, fmt.Errorf("parse config: %w", err)
+		return nil, nil, fmt.Errorf("parse config: %w", err)
 	}
 	var stores []cyrus.Store
 	ctx := context.Background()
@@ -564,16 +554,17 @@ func openClient(cfgPath string) (*cyrus.Client, error) {
 		} else {
 			ds, err := cyrus.NewDirStore(e.Name, e.Path)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			s = ds
 		}
 		if err := s.Authenticate(ctx, cyrus.Credentials{Token: token}); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		stores = append(stores, s)
 	}
-	return cyrus.New(cyrus.Config{
+	o := cyrus.NewObserver()
+	c, err := cyrus.New(cyrus.Config{
 		ClientID:         cfg.ClientID,
 		Key:              cfg.Key,
 		T:                cfg.T,
@@ -584,8 +575,9 @@ func openClient(cfgPath string) (*cyrus.Client, error) {
 		Classes:          cfg.Classes,
 		ClassRules:       cfg.ClassRules,
 		DefaultClass:     cfg.DefaultClass,
-		Obs:              cyrus.NewObserver(),
+		Obs:              o,
 	}, stores)
+	return c, o, err
 }
 
 // cmdClasses syncs once and prints every configured storage class next to

@@ -32,7 +32,7 @@ const maxChunk = 16 << 20
 
 // KeepBytes caps the bytes the pool holds between uses: three of the default
 // chunker's largest chunks, most of what one 32 MiB Put or Get has in flight
-// ((PipelineDepth + 2) chunk buffers and their shares). Measured, not
+// (pipeline depth 4 + 2 chunk buffers and their shares). Measured, not
 // guessed (EXPERIMENTS, beside Fig. 12): with this cap a large-object
 // benchmark run peaks below the resident memory of a client without the
 // pool; with five chunks' worth it peaks a third higher, for no CPU saving

@@ -98,7 +98,7 @@ func (c *Client) shareParams(cls policy.Class) (int, int, error) {
 	if eps == 0 {
 		eps = c.cfg.Epsilon
 	}
-	active := c.CSPs()
+	active := c.activeCSPs()
 	full := c.clusterCount(active)
 	pool := classPool(cls, active)
 	maxN := c.clusterCount(pool)
@@ -114,7 +114,7 @@ func (c *Client) shareParams(cls policy.Class) (int, int, error) {
 	if maxN < t {
 		return 0, 0, fmt.Errorf("%w: class %q needs at least %d, have %d clusters", ErrNotEnoughCSP, cls.Name, t, maxN)
 	}
-	p := c.est.MaxFailureProb(pool, c.cfg.FailureProb)
+	p := c.est.MaxFailureProb(pool, failureProbPrior)
 	n, err := reliability.MinShares(t, p, eps, maxN)
 	if err != nil {
 		if errors.Is(err, reliability.ErrUnreachable) {
@@ -333,7 +333,7 @@ func (c *Client) metaTargetsForClass(fileName string, fallback []string) []strin
 		return fallback
 	}
 	activeSet := make(map[string]bool)
-	for _, name := range c.CSPs() {
+	for _, name := range c.activeCSPs() {
 		activeSet[name] = true
 	}
 	var picked []string

@@ -65,11 +65,9 @@ type Config struct {
 	// derived from Epsilon and the estimated CSP failure probability via
 	// Eq. (1).
 	N int
-	// Epsilon is the reliability bound used when N == 0. Default 1e-4.
+	// Epsilon is the reliability bound used when N == 0, in (0, 1).
+	// Default 1e-4.
 	Epsilon float64
-	// FailureProb is the fallback per-CSP failure probability when there
-	// is no contact history. Default 0.002 (≈ 18 downtime-hours/year).
-	FailureProb float64
 
 	// MetaT is the privacy level for metadata records, shared to all
 	// metadata CSPs. Default 2.
@@ -146,9 +144,6 @@ type Config struct {
 	// LinkBps seeds the per-CSP bandwidth estimates (bytes/second) used by
 	// the selector before any transfers have been observed. Optional.
 	LinkBps map[string]float64
-	// ClientBps is the client's aggregate downlink cap estimate for the
-	// selector. 0 = unconstrained.
-	ClientBps float64
 
 	// FailureThreshold is how long a CSP must be consistently unreachable
 	// before it is counted as failed. Default 24h.
@@ -159,9 +154,9 @@ type Config struct {
 	// logging entirely.
 	Logger *slog.Logger
 
-	// Transfer bounds the transfer engine: global and per-CSP in-flight
-	// caps, the retry/backoff policy, and download hedging. Zero values
-	// take the engine's documented defaults.
+	// Transfer bounds the transfer engine: its global in-flight cap and
+	// its download-hedging deadline. Zero values take the engine's
+	// documented defaults.
 	Transfer transfer.Tunables
 
 	// RaceReads changes the launch schedule of a chunk gather's redundant
@@ -179,21 +174,21 @@ type Config struct {
 	// virtual durations. One observer may be shared by several clients.
 	// nil disables instrumentation entirely.
 	Obs *obs.Observer
+}
 
-	// CodecWorkers bounds concurrent CPU-heavy codec jobs (chunk hashing,
-	// erasure encode/decode). Default: GOMAXPROCS. CPU work runs through
-	// this pool, decoupled from the transfer engine's in-flight slots, so
-	// coding one chunk overlaps with transferring another.
-	CodecWorkers int
-
-	// PipelineDepth bounds how many chunks the streaming Put/Get pipeline
+// Fixed client policy. No caller has ever run with other values.
+const (
+	// pipelineDepth bounds how many chunks the streaming Put/Get pipeline
 	// (PutReader/GetTo) holds resident at once: chunk k+1 is scanned,
 	// hashed, and encoded while chunk k's shares are still in flight, but
-	// never more than PipelineDepth plaintext chunk buffers exist
-	// concurrently, so client memory is O(PipelineDepth × MaxSize × n/t)
-	// instead of O(file). Default 4.
-	PipelineDepth int
-}
+	// never more than pipelineDepth plaintext chunk buffers exist
+	// concurrently, so client memory is O(pipelineDepth × MaxSize × n/t)
+	// instead of O(file).
+	pipelineDepth = 4
+	// failureProbPrior is the per-CSP failure probability Eq. (1) assumes
+	// for a provider with no contact history (≈ 18 downtime-hours/year).
+	failureProbPrior = 0.002
+)
 
 func (c Config) withDefaults() (Config, error) {
 	if c.ClientID == "" {
@@ -214,11 +209,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Epsilon == 0 {
 		c.Epsilon = 1e-4
 	}
-	if c.FailureProb == 0 {
-		c.FailureProb = 0.002
+	if c.Epsilon < 0 || c.Epsilon >= 1 {
+		return c, fmt.Errorf("cyrus: Epsilon=%g, want 0 < Epsilon < 1", c.Epsilon)
 	}
 	if c.MetaT == 0 {
 		c.MetaT = 2
+	}
+	if c.MetaT < 0 {
+		return c, fmt.Errorf("cyrus: MetaT=%d", c.MetaT)
 	}
 	if c.MetaShards < 0 {
 		return c, fmt.Errorf("cyrus: MetaShards=%d", c.MetaShards)
@@ -246,12 +244,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.FailureThreshold == 0 {
 		c.FailureThreshold = 24 * time.Hour
-	}
-	if c.PipelineDepth == 0 {
-		c.PipelineDepth = 4
-	}
-	if c.PipelineDepth < 1 {
-		return c, fmt.Errorf("cyrus: PipelineDepth=%d", c.PipelineDepth)
 	}
 	return c, nil
 }
@@ -288,6 +280,7 @@ type Client struct {
 	keyHash  string
 	log      *slog.Logger  // nil = disabled
 	obs      *obs.Observer // nil = disabled
+	depth    int           // pipelineDepth; the package's tests vary it
 
 	// ringEpoch counts ring-membership changes; the chunk table remembers
 	// the epoch metadata placements were last reconciled under, so a sync
@@ -302,8 +295,7 @@ type Client struct {
 
 	// Accounted data-plane payload bytes currently resident (plaintext
 	// chunk buffers in the streaming window, plus whole-file buffers on the
-	// batch wrappers) and the high-water mark. The streaming-vs-batch
-	// memory experiment reads these through BufferBytes.
+	// batch wrappers) and the high-water mark, read through BufferBytes.
 	bufCur  atomic.Int64
 	bufPeak atomic.Int64
 }
@@ -361,6 +353,7 @@ func New(cfg Config, stores []csp.Store) (*Client, error) {
 		obs:      full.Obs,
 		stores:   make(map[string]csp.Store),
 		removed:  make(map[string]bool),
+		depth:    pipelineDepth,
 	}
 	if full.DedupSecret != "" {
 		// Built whenever the secret is present — not only in DedupMode — so
@@ -368,7 +361,7 @@ func New(cfg Config, stores []csp.Store) (*Client, error) {
 		// shares written by its dedup-enabled peers.
 		c.conv = erasure.NewConvergentCoder(full.DedupSecret)
 	}
-	c.codec = newCodecPool(full.CodecWorkers, c.obs)
+	c.codec = newCodecPool(c.obs)
 	if full.MetaCacheEntries > 0 {
 		c.fresh = newFreshSet(full.MetaCacheEntries, c.tree, c.obs)
 	}
@@ -446,8 +439,8 @@ func (c *Client) RemoveCSP(ctx context.Context, name string) error {
 	return c.publishCSPList(ctx)
 }
 
-// CSPs returns the names of providers currently eligible for uploads.
-func (c *Client) CSPs() []string {
+// activeCSPs returns the names of providers currently eligible for uploads.
+func (c *Client) activeCSPs() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []string
@@ -560,10 +553,6 @@ func (c *Client) Tree() *metadata.Tree { return c.tree }
 // ChunkTable exposes the local global-chunk-table replica.
 func (c *Client) ChunkTable() *metadata.ChunkTable { return c.table }
 
-// Observer exposes the configured observability hook (nil when disabled);
-// tools like `cyrusctl stats` read the scoreboard and registry through it.
-func (c *Client) Observer() *obs.Observer { return c.obs }
-
 // Engine exposes the transfer engine (for tests asserting on its caps).
 func (c *Client) Engine() *transfer.Engine { return c.engine }
 
@@ -594,23 +583,14 @@ func (c *Client) acctSub(n int64) {
 }
 
 // BufferBytes reports the accounted data-plane payload bytes currently
-// resident and the high-water mark since construction (or the last
-// ResetBufferPeak). The streaming pipeline accounts each plaintext chunk
-// buffer for exactly its residency window; the batch Put/Get wrappers
-// additionally account their whole-file buffers — so the gap between the
-// two paths' peaks is the memory the pipeline saves.
+// resident and the high-water mark since construction. The streaming
+// pipeline accounts each plaintext chunk buffer for exactly its residency
+// window; the batch Put/Get wrappers additionally account their whole-file
+// buffers — so the gap between the two paths' peaks is the memory the
+// pipeline saves.
 func (c *Client) BufferBytes() (cur, peak int64) {
 	return c.bufCur.Load(), c.bufPeak.Load()
 }
-
-// ResetBufferPeak rearms the high-water mark (for per-phase measurements).
-func (c *Client) ResetBufferPeak() {
-	c.bufPeak.Store(c.bufCur.Load())
-}
-
-// PipelineDepth reports the effective streaming-window depth (the
-// configured Config.PipelineDepth, or the default when unset).
-func (c *Client) PipelineDepth() int { return c.cfg.PipelineDepth }
 
 // hedgeAfter predicts how long a share download from the given provider
 // should take — the scoreboard's request-latency EWMA plus the payload

@@ -30,13 +30,9 @@ type codecPool struct {
 	obs   *obs.Observer
 }
 
-// newCodecPool builds a pool of the given width; parallel <= 0 means
-// GOMAXPROCS — one CPU job per core.
-func newCodecPool(parallel int, o *obs.Observer) *codecPool {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	return &codecPool{slots: make(chan struct{}, parallel), obs: o}
+// newCodecPool builds a pool GOMAXPROCS wide: one CPU job per core.
+func newCodecPool(o *obs.Observer) *codecPool {
+	return &codecPool{slots: make(chan struct{}, runtime.GOMAXPROCS(0)), obs: o}
 }
 
 // run executes fn once a slot is free, blocking the caller until then.

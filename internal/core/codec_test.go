@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +14,8 @@ import (
 // no more than w jobs ever run concurrently, and every job runs.
 func TestCodecPoolBounds(t *testing.T) {
 	const width, jobs = 2, 16
-	p := newCodecPool(width, nil)
+	p := newCodecPool(nil)
+	p.slots = make(chan struct{}, width)
 
 	var running, peak, done atomic.Int64
 	gate := make(chan struct{}) // holds jobs inside the slot to force contention
@@ -46,10 +48,13 @@ func TestCodecPoolBounds(t *testing.T) {
 	}
 }
 
-// TestCodecPoolNilObserver: the pool must be nil-safe on metrics (clients
-// without Config.Obs run the same code path).
+// TestCodecPoolNilObserver: the pool is one slot per core, and nil-safe on
+// metrics (clients without Config.Obs run the same code path).
 func TestCodecPoolNilObserver(t *testing.T) {
-	p := newCodecPool(0, nil) // 0 => GOMAXPROCS default
+	p := newCodecPool(nil)
+	if got, want := cap(p.slots), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("codec pool width = %d, want GOMAXPROCS %d", got, want)
+	}
 	ran := false
 	p.run("chunk", 123, func() { ran = true })
 	if !ran {
@@ -99,18 +104,5 @@ func TestCodecMetrics(t *testing.T) {
 	}
 	if busy := find(obs.MetricCodecBusy); busy != 0 {
 		t.Errorf("codec_busy = %v after quiescence, want 0", busy)
-	}
-}
-
-// TestCodecWorkersConfig: an explicit CodecWorkers width is honored (the
-// pool's slot capacity equals the configured value).
-func TestCodecWorkersConfig(t *testing.T) {
-	env := newEnv(t, 5)
-	c := env.client("c1", func(cfg *Config) { cfg.CodecWorkers = 3 })
-	if got := cap(c.codec.slots); got != 3 {
-		t.Fatalf("codec pool width = %d, want 3", got)
-	}
-	if err := c.Put(context.Background(), "f", randData(2, 32*1024)); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/csp"
 	"repro/internal/metadata"
+	"repro/internal/policy"
 )
 
 // testEnv is a set of shared backends plus helpers to build clients over
@@ -148,16 +149,37 @@ func TestPutValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: New rejects every setting that could only fail
+// later, at the first Put (a negative MetaT reaches the erasure coder, an
+// Epsilon outside (0, 1) the reliability solver), and accepts the zero
+// values that take defaults.
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
-	if _, err := New(Config{Key: "k"}, nil); err == nil {
-		t.Fatal("missing ClientID accepted")
+	classEps := func(eps float64) []policy.Class { return []policy.Class{{Name: "x", Epsilon: eps}} }
+	cases := []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"missing ClientID", Config{Key: "k"}, false},
+		{"missing Key", Config{ClientID: "c"}, false},
+		{"N < T", Config{ClientID: "c", Key: "k", T: 3, N: 2}, false},
+		{"negative MetaT", Config{ClientID: "c", Key: "k", MetaT: -1}, false},
+		{"negative Epsilon", Config{ClientID: "c", Key: "k", Epsilon: -1}, false},
+		{"Epsilon 1", Config{ClientID: "c", Key: "k", Epsilon: 1}, false},
+		{"Epsilon 2", Config{ClientID: "c", Key: "k", Epsilon: 2}, false},
+		{"class Epsilon 2", Config{ClientID: "c", Key: "k", Classes: classEps(2)}, false},
+		{"negative class Epsilon", Config{ClientID: "c", Key: "k", Classes: classEps(-0.5)}, false},
+		{"defaults", Config{ClientID: "c", Key: "k"}, true},
+		{"Epsilon 0.5", Config{ClientID: "c", Key: "k", Epsilon: 0.5}, true},
+		{"class Epsilon inherited", Config{ClientID: "c", Key: "k", Classes: classEps(0)}, true},
+		{"class Epsilon 1e-6", Config{ClientID: "c", Key: "k", Classes: classEps(1e-6)}, true},
 	}
-	if _, err := New(Config{ClientID: "c"}, nil); err == nil {
-		t.Fatal("missing Key accepted")
-	}
-	if _, err := New(Config{ClientID: "c", Key: "k", T: 3, N: 2}, nil); err == nil {
-		t.Fatal("N < T accepted")
+	for _, tc := range cases {
+		_, err := New(tc.cfg, nil)
+		if ok := err == nil; ok != tc.ok {
+			t.Errorf("%s: New err = %v, want accepted = %v", tc.name, err, tc.ok)
+		}
 	}
 }
 

@@ -88,7 +88,7 @@ func (c *Client) publishCSPList(ctx context.Context) error {
 	c.mu.Unlock()
 
 	data := encodeCSPList(removed)
-	targets := c.CSPs()
+	targets := c.activeCSPs()
 	if len(targets) == 0 {
 		return fmt.Errorf("%w: no providers to publish the CSP list", ErrNotEnoughCSP)
 	}

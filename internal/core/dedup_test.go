@@ -282,7 +282,7 @@ func TestDedupGCPartialViewSkipsSweep(t *testing.T) {
 		t.Fatalf("setup: %d orphan objects, want %d", orphanObjs(), ref.N)
 	}
 
-	victim := alice.CSPs()[0]
+	victim := alice.activeCSPs()[0]
 	env.backends[victim].SetAvailable(false)
 	if _, err := dev2.GC(bg); err != nil {
 		t.Fatal(err)
@@ -320,7 +320,7 @@ func TestDedupMigrateThenGC(t *testing.T) {
 	if err := alice.Put(bg, "doc", data); err != nil {
 		t.Fatal(err)
 	}
-	victim := alice.CSPs()[0]
+	victim := alice.activeCSPs()[0]
 	if err := alice.RemoveCSP(bg, victim); err != nil {
 		t.Fatal(err)
 	}

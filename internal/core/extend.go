@@ -208,7 +208,7 @@ func (c *Client) gcReconcileCAS(op *transfer.Op, ctx context.Context, referenced
 		keep    bool // referenced: assert our token; else release it
 	}
 	var asserts, releases []action
-	for _, cspName := range c.CSPs() {
+	for _, cspName := range c.activeCSPs() {
 		store, ok := c.store(cspName)
 		if !ok {
 			continue

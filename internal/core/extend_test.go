@@ -220,14 +220,14 @@ func TestCSPListPropagation(t *testing.T) {
 
 	// Alice removes a provider; bob learns it through his next sync and
 	// stops uploading there.
-	victim := alice.CSPs()[0]
+	victim := alice.activeCSPs()[0]
 	if err := alice.RemoveCSP(bg, victim); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bob.Sync(bg); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range bob.CSPs() {
+	for _, name := range bob.activeCSPs() {
 		if name == victim {
 			t.Fatalf("bob still considers %s eligible", victim)
 		}
@@ -248,7 +248,7 @@ func TestCSPListPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, name := range bob.CSPs() {
+	for _, name := range bob.activeCSPs() {
 		if name == victim {
 			found = true
 		}
@@ -290,14 +290,14 @@ func TestProbeFailedRecovers(t *testing.T) {
 	env.backends["cspa"].SetAvailable(false)
 	_ = c.Put(bg, "f1", randData(49, 2_000))
 	_ = c.Put(bg, "f2", randData(50, 2_000))
-	if !c.Estimator().Down("cspa") {
+	if !c.est.Down("cspa") {
 		t.Fatal("setup: cspa not down")
 	}
 	// Probe while still down: nothing recovers.
 	if rec := c.ProbeFailed(bg); len(rec) != 0 {
 		t.Fatalf("recovered %v while down", rec)
 	}
-	if !c.Estimator().Down("cspa") {
+	if !c.est.Down("cspa") {
 		t.Fatal("probe cleared a still-down CSP")
 	}
 	// Provider comes back; probe clears it.
@@ -306,7 +306,7 @@ func TestProbeFailedRecovers(t *testing.T) {
 	if len(rec) != 1 || rec[0] != "cspa" {
 		t.Fatalf("recovered = %v", rec)
 	}
-	if c.Estimator().Down("cspa") {
+	if c.est.Down("cspa") {
 		t.Fatal("cspa still marked down after successful probe")
 	}
 	// Subsequent uploads may use it again.

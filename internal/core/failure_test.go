@@ -166,8 +166,8 @@ func TestAddCSPExpandsPlacement(t *testing.T) {
 	if err := c.AddCSP(s); err == nil {
 		t.Fatal("duplicate AddCSP accepted")
 	}
-	if got := len(c.CSPs()); got != 4 {
-		t.Fatalf("CSPs() = %d", got)
+	if got := len(c.activeCSPs()); got != 4 {
+		t.Fatalf("activeCSPs() = %d", got)
 	}
 	// New uploads may now use cspz; upload several files and expect some
 	// shares (or metadata) to land there.
@@ -289,11 +289,11 @@ func TestAutomaticNFromEpsilon(t *testing.T) {
 	env := newEnv(t, 6)
 	c := env.client("alice", func(cfg *Config) {
 		cfg.N = 0
-		cfg.Epsilon = 1e-4
-		cfg.FailureProb = 0.01
+		cfg.Epsilon = 1e-6
 	})
-	// t=2, p=0.01: F(2)=0.0199, F(3)=0.000298, F(4)=~3.9e-6 <= 1e-4 at n=3?
-	// F(3,2,0.01) = p^3 + 3(1-p)p^2 = 1e-6 + 2.97e-4 = 2.98e-4 > 1e-4 -> n=4.
+	// t=2 at the prior p=0.002 (no provider has failed a contact):
+	// F(3) = p^3 + 3(1-p)p^2 ≈ 1.2e-5 > 1e-6, F(4) ≈ 4p^3 ≈ 3.2e-8 <= 1e-6
+	// -> n=4.
 	if err := c.Put(bg, "doc", randData(31, 1000)); err != nil {
 		t.Fatal(err)
 	}
@@ -346,13 +346,13 @@ func TestEstimatorMarksRepeatedFailures(t *testing.T) {
 	env.backends["cspa"].SetAvailable(false)
 	_ = c.Put(bg, "doc", randData(33, 2000))
 	_ = c.Put(bg, "doc2", randData(34, 2000))
-	if !c.Estimator().Down("cspa") {
+	if !c.est.Down("cspa") {
 		t.Fatal("estimator did not mark failing CSP down")
 	}
 	// Recovery: the paper periodically re-checks; a later success clears.
 	env.backends["cspa"].SetAvailable(true)
-	c.Estimator().RecordSuccess("cspa", time.Now())
-	if c.Estimator().Down("cspa") {
+	c.est.RecordSuccess("cspa", time.Now())
+	if c.est.Down("cspa") {
 		t.Fatal("estimator did not clear after success")
 	}
 }

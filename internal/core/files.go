@@ -114,12 +114,6 @@ func (c *Client) stat(ctx context.Context, name string, gate syncGate) (FileInfo
 	return fileInfo(head, conflicted), nil
 }
 
-// ConflictsLocal is Conflicts against the local replica only — no sync
-// round trips (sync.go holds the syncing variant).
-func (c *Client) ConflictsLocal() []ConflictInfo {
-	return c.conflictsLocal()
-}
-
 // History returns the version chain of a file, newest first (paper §5.4:
 // "clients can recover previous versions of files by traversing the
 // metadata tree up from the current file version").

@@ -121,7 +121,7 @@ func (c *Client) metaTargetsFor(fileName string) []string {
 }
 
 func (c *Client) metaTargetsBase(fileName string) []string {
-	active := c.CSPs()
+	active := c.activeCSPs()
 	m := c.cfg.MetaShards
 	if m <= 0 || m >= len(active) {
 		return active
@@ -236,7 +236,7 @@ func (c *Client) listMetaShares(op *transfer.Op, ctx context.Context, prefix str
 	if len(listed) == 0 {
 		return nil, nil, false, fmt.Errorf("%w: no provider reachable for metadata listing", csp.ErrUnavailable)
 	}
-	complete = !slices.ContainsFunc(c.CSPs(), func(name string) bool { return !listed[name] })
+	complete = !slices.ContainsFunc(c.activeCSPs(), func(name string) bool { return !listed[name] })
 	return out, extras, complete, nil
 }
 
@@ -396,7 +396,7 @@ func (c *Client) metaReadPlan(rec string, byIdx map[int][]string, wants map[stri
 func (c *Client) repairMetaPlacement(op *transfer.Op, ctx context.Context, locs map[string]map[int][]string, fullScan bool) (healthy bool) {
 	healthy = true
 	width := c.cfg.MetaShards
-	if active := len(c.CSPs()); width > active {
+	if active := len(c.activeCSPs()); width > active {
 		width = active
 	}
 	repaired := 0

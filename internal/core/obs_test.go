@@ -113,12 +113,12 @@ func TestObserverBridge(t *testing.T) {
 }
 
 // TestObserverDisabled: a client without Config.Obs runs exactly as before
-// and exposes a nil Observer.
+// with a nil observer.
 func TestObserverDisabled(t *testing.T) {
 	env := newEnv(t, 5)
 	c := env.client("c1", nil)
-	if c.Observer() != nil {
-		t.Fatal("Observer() != nil without Config.Obs")
+	if c.obs != nil {
+		t.Fatal("observer set without Config.Obs")
 	}
 	ctx := context.Background()
 	if err := c.Put(ctx, "f", randData(1, 2048)); err != nil {

@@ -17,8 +17,8 @@ import (
 // Streaming data plane (DESIGN.md §8): bounded-memory, pipelined Put/Get.
 //
 // PutReader and GetTo run a windowed pipeline over the chunk sequence: at
-// most Config.PipelineDepth chunks are resident at once, so client memory
-// is O(PipelineDepth × MaxSize × n/t) instead of O(file). The window
+// most pipelineDepth chunks are resident at once, so client memory is
+// O(pipelineDepth × MaxSize × n/t) instead of O(file). The window
 // blocks only through vclock.Runtime groups — never raw channels — so the
 // identical code runs under netsim virtual time.
 
@@ -93,7 +93,7 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 	op := c.engine.Begin(ctx)
 	defer op.Finish()
 
-	depth := c.cfg.PipelineDepth
+	depth := c.depth
 	chnk := c.chunkerFor(cls.Name)
 	sc := chnk.Scan(r)
 	defer sc.Close()
@@ -265,7 +265,7 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 
 // GetTo streams the current version of a file to w — get(s, f) without
 // materializing the file. Chunks are gathered through the same
-// PipelineDepth window (per-chunk hedging preserved) and delivered to w
+// pipelineDepth window (per-chunk hedging preserved) and delivered to w
 // strictly in file order, so the first byte reaches w while later chunks
 // are still in flight.
 //
@@ -366,7 +366,7 @@ func (c *Client) planGather(m *metadata.FileMeta, wanted []metadata.ChunkRef) (m
 	}
 	pick := make(map[string][]string)
 	for t, states := range byT {
-		in := selector.Instance{T: t, ClientBps: c.cfg.ClientBps, LinkBps: map[string]float64{}}
+		in := selector.Instance{T: t, LinkBps: map[string]float64{}}
 		for _, st := range states {
 			in.Chunks = append(in.Chunks, selector.Chunk{
 				ID:        st.ref.EncodingKey(),
@@ -425,7 +425,7 @@ type gatherRes struct {
 }
 
 // fetchTo gathers the chunks of [offset, offset+length) of version m and
-// writes exactly those bytes to w, in order, holding at most PipelineDepth
+// writes exactly those bytes to w, in order, holding at most pipelineDepth
 // decoded chunks at once. When full is set (whole-file fetches) it also
 // lazily migrates stale shares per chunk while its plaintext is resident and
 // emits EvFileComplete — matching the batch Get; range fetches (GetRange) do
@@ -470,7 +470,7 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 		ref metadata.ChunkRef
 		res *gatherRes
 	}
-	depth := c.cfg.PipelineDepth
+	depth := c.depth
 	live := make(map[string]*gatherRes) // encoding key -> resident result
 	var window []occEntry
 	var contentHash hash.Hash // v1 full reads only

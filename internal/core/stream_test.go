@@ -137,16 +137,17 @@ func TestStreamingGoldenEquivalence(t *testing.T) {
 
 // TestPutReaderMemoryBounded pins the window invariant: streaming a file
 // many times larger than the window keeps the accounted data-plane memory
-// at O(PipelineDepth × MaxSize), not O(file).
+// at O(pipelineDepth × MaxSize), not O(file).
 func TestPutReaderMemoryBounded(t *testing.T) {
 	env := newEnv(t, 5)
 	const depth = 2
-	c := env.client("alice", func(cfg *Config) { cfg.PipelineDepth = depth })
+	c := env.client("alice", nil)
+	c.depth = depth
 	// Default test chunking: MaxSize 4096. 2 MiB => ~2k chunks.
 	const size = 2 << 20
 	data := randData(3, size)
 
-	c.ResetBufferPeak()
+	c.resetBufferPeak()
 	if err := c.PutReader(bg, "stream/mem.bin", bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestPutReaderMemoryBounded(t *testing.T) {
 		t.Fatalf("PutReader peak %d not far below file size %d", peak, size)
 	}
 
-	c.ResetBufferPeak()
+	c.resetBufferPeak()
 	if _, err := c.GetTo(bg, "stream/mem.bin", io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestPutReaderMemoryBounded(t *testing.T) {
 
 	// The batch wrappers account the whole-file buffer: their peak is the
 	// contrast the streaming experiment measures.
-	c.ResetBufferPeak()
+	c.resetBufferPeak()
 	gotAll, _, err := c.Get(bg, "stream/mem.bin")
 	if err != nil || !bytes.Equal(gotAll, data) {
 		t.Fatalf("Get: %v", err)
@@ -195,7 +196,8 @@ func TestPutReaderMemoryBounded(t *testing.T) {
 // Not parallel: the live-buffer counter is process-global.
 func TestStreamingFaultInjectionReleasesBuffers(t *testing.T) {
 	env := newEnv(t, 5)
-	c := env.client("alice", func(cfg *Config) { cfg.PipelineDepth = 3 })
+	c := env.client("alice", nil)
+	c.depth = 3
 	rng := rand.New(rand.NewSource(99))
 	base := erasure.LiveBuffers()
 
@@ -408,7 +410,8 @@ func TestPooledPlaintextOutlivesItsReaders(t *testing.T) {
 
 	for _, depth := range []int{1, 3} {
 		env := newEnv(t, 5)
-		c := env.client("alice", func(cfg *Config) { cfg.PipelineDepth = depth })
+		c := env.client("alice", nil)
+		c.depth = depth
 		data := repeatingData(int64(depth))
 		if err := c.PutReader(bg, "doc", bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
@@ -475,5 +478,68 @@ func TestPooledPlaintextOutlivesItsReaders(t *testing.T) {
 	}
 	if got := erasure.LiveBuffers(); got != base {
 		t.Fatalf("live pooled buffers = %d, want %d", got, base)
+	}
+}
+
+// firstByteWriter stamps the clock reading at the first byte written through
+// it.
+type firstByteWriter struct {
+	now  func() time.Time
+	at   time.Time
+	seen bool
+}
+
+func (f *firstByteWriter) Write(p []byte) (int, error) {
+	if !f.seen && len(p) > 0 {
+		f.seen, f.at = true, f.now()
+	}
+	return len(p), nil
+}
+
+// TestGetToFirstByteBeforeWholeFileGet: GetTo hands chunk 0 to the writer as
+// soon as it is gathered, while a whole-file Get cannot release any byte
+// before its last chunk lands. On the testbed links, in virtual time, the
+// first byte of a 4 MiB GetTo (64 KiB average chunks) arrives in under half
+// the time a Get of the same file takes (the Get runs second, with the
+// warmer estimates).
+func TestGetToFirstByteBeforeWholeFileGet(t *testing.T) {
+	t.Parallel()
+	net, stores, linkBps := testbedNet(t)
+	data := randData(7, 4<<20)
+	var ttfb, whole time.Duration
+	net.Run(func() {
+		c, err := New(Config{
+			ClientID: "alice", Key: "k", T: 2, N: 3, Runtime: net, LinkBps: linkBps,
+			Chunking: chunker.Config{AverageSize: 64 << 10, MinSize: 16 << 10, MaxSize: 256 << 10},
+		}, stores())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := c.PutReader(bg, "big.bin", bytes.NewReader(data)); err != nil {
+			t.Error(err)
+			return
+		}
+		start := net.Now()
+		fw := &firstByteWriter{now: net.Now}
+		if _, err := c.GetTo(bg, "big.bin", fw); err != nil {
+			t.Error(err)
+			return
+		}
+		ttfb = fw.at.Sub(start)
+		start = net.Now()
+		got, _, err := c.Get(bg, "big.bin")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("Get: %v", err)
+			return
+		}
+		whole = net.Now().Sub(start)
+	})
+	if t.Failed() {
+		return
+	}
+	t.Logf("GetTo first byte after %v, whole-file Get %v", ttfb, whole)
+	if ttfb <= 0 || ttfb*2 > whole {
+		t.Fatalf("GetTo first byte after %v, whole-file Get %v: want under half", ttfb, whole)
 	}
 }

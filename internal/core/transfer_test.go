@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/csp"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/transfer"
 )
 
@@ -102,19 +104,22 @@ func (s *countingStore) Upload(ctx context.Context, name string, data []byte) er
 }
 
 // TestFailedProviderProbedOncePerOperation is the regression test for the
-// redundant-probing bug: within one Put, a provider that exhausted its
-// retries must be skipped by every subsequent share's fallback walk (and by
-// the metadata scatter), not re-probed from scratch per share.
+// redundant-probing bug: within one Put, a provider whose attempt failed for
+// good must be skipped by every subsequent share's fallback walk (and by the
+// metadata scatter), not re-probed from scratch per share. The provider is
+// full, a definite fault: its first attempt is final, so the count does not
+// depend on the engine's retry policy. (A transient fault is retried after a
+// backoff, and siblings may probe the provider during it: it is not failed
+// yet. The engine's own tests pin that side.)
 func TestFailedProviderProbedOncePerOperation(t *testing.T) {
 	t.Parallel()
-	env := newEnv(t, 5)
-	env.backends["cspa"].SetAvailable(false)
+	env := newEnvWithCapacity(t, map[string]int64{"cspa": 1})
 	counting := &countingStore{Store: cloudsim.NewSimStore(env.backends["cspa"])}
-	// MaxInFlight 1 + Attempts 1 serializes every attempt with no retry:
-	// the first share to touch the down provider marks it failed, and any
-	// further probe in the same Put is provably redundant.
+	// MaxInFlight 1 serializes every attempt: the first share to touch the
+	// full provider marks it failed, and any further probe in the same Put is
+	// provably redundant.
 	c := env.clientReplacing("alice", func(cfg *Config) {
-		cfg.Transfer = transfer.Tunables{MaxInFlight: 1, Attempts: 1}
+		cfg.Transfer = transfer.Tunables{MaxInFlight: 1}
 	}, map[string]csp.Store{"cspa": counting})
 
 	// ~20 chunks x 3 shares over 5 providers: many shares would walk to
@@ -123,18 +128,18 @@ func TestFailedProviderProbedOncePerOperation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := int(counting.uploads.Load()); got != 1 {
-		t.Fatalf("down provider probed %d times in one Put, want exactly 1 (then skipped via the failed set)", got)
+		t.Fatalf("full provider probed %d times in one Put, want exactly 1 (then skipped via the failed set)", got)
 	}
 }
 
 // TestPerCSPInFlightCapUnderNetsim drives the full client stack under
-// deterministic virtual time with a configured per-CSP cap and verifies the
-// engine's high-water mark never exceeded it on any provider — the
+// deterministic virtual time and verifies the engine's per-CSP high-water
+// mark reached its cap and never exceeded it on any provider — the
 // straggler-isolation property the paper's §4.3 scheduling depends on.
 func TestPerCSPInFlightCapUnderNetsim(t *testing.T) {
 	t.Parallel()
 	const MB = 1 << 20
-	const perCSP = 2
+	const perCSP = 4 // the engine's per-provider cap
 	net := netsim.New(time.Time{})
 	net.AddNode("client", netsim.NodeConfig{})
 	names := []string{"w", "x", "y", "z"}
@@ -150,7 +155,7 @@ func TestPerCSPInFlightCapUnderNetsim(t *testing.T) {
 		ClientID: "alice", Key: "k", T: 2, N: 3,
 		Chunking: chunker.Config{AverageSize: 256 << 10, MinSize: 64 << 10, MaxSize: 512 << 10},
 		Runtime:  net,
-		Transfer: transfer.Tunables{MaxInFlight: 16, PerCSP: perCSP},
+		Transfer: transfer.Tunables{MaxInFlight: 16},
 	}
 	c, err := New(cfg, stores)
 	if err != nil {
@@ -178,7 +183,7 @@ func TestPerCSPInFlightCapUnderNetsim(t *testing.T) {
 	for _, name := range names {
 		p := c.Engine().PeakInFlight(name)
 		if p > perCSP {
-			t.Errorf("provider %s peak in-flight %d exceeds configured cap %d", name, p, perCSP)
+			t.Errorf("provider %s peak in-flight %d exceeds the cap %d", name, p, perCSP)
 		}
 		if p == perCSP {
 			sawLoad = true
@@ -187,4 +192,119 @@ func TestPerCSPInFlightCapUnderNetsim(t *testing.T) {
 	if !sawLoad {
 		t.Error("no provider ever reached the cap — scenario exercised nothing")
 	}
+}
+
+// testbedNet builds the paper's §7.2 emulation on a virtual-time network:
+// four fast providers at 15 MB/s and three slow ones at 2 MB/s, 1 ms RTT.
+// stores gives one client its own authenticated views of the providers; call
+// it inside net.Run. linkBps is the download-rate table to seed a selector.
+func testbedNet(t *testing.T) (net *netsim.Network, stores func() []csp.Store, linkBps map[string]float64) {
+	t.Helper()
+	const MB = 1 << 20
+	net = netsim.New(time.Time{})
+	net.AddNode("client", netsim.NodeConfig{})
+	backends := make(map[string]*cloudsim.Backend)
+	linkBps = make(map[string]float64)
+	var names []string
+	for i, name := range []string{"fast1", "fast2", "fast3", "fast4", "slow1", "slow2", "slow3"} {
+		bps := float64(15 * MB)
+		if i >= 4 {
+			bps = 2 * MB
+		}
+		net.SetLink("client", name, netsim.LinkConfig{RTT: time.Millisecond, UpBps: bps, DownBps: bps})
+		backends[name] = cloudsim.NewBackend(name, csp.NameKeyed, 0)
+		linkBps[name] = bps
+		names = append(names, name)
+	}
+	stores = func() []csp.Store {
+		var out []csp.Store
+		for _, name := range names {
+			s := cloudsim.NewSimStore(backends[name],
+				cloudsim.WithTransport(cloudsim.NodeTransport{Net: net, Node: "client"}),
+				cloudsim.WithClock(net.Now))
+			if err := s.Authenticate(bg, csp.Credentials{Token: "t"}); err != nil {
+				t.Error(err)
+			}
+			out = append(out, s)
+		}
+		return out
+	}
+	return net, stores, linkBps
+}
+
+// TestHedgingBeatsStraggler: a straggler is a provider that keeps answering,
+// but at a crawl, so retry and failover never fire and only a hedge helps.
+// A warm pass teaches the downloader's selector and latency EWMAs that fast1
+// is fast; then fast1's downlink collapses to 0.05 MB/s, and the first Get
+// after the collapse still routes shares through it. With the closed-loop
+// hedge that Get is at least 1.5x faster than under a policy that never
+// hedges, and at least one backup lane wins.
+func TestHedgingBeatsStraggler(t *testing.T) {
+	t.Parallel()
+	plain, _ := stragglerGet(t, false)
+	hedged, wins := stragglerGet(t, true)
+	if t.Failed() {
+		return
+	}
+	t.Logf("first Get after the collapse: unhedged %v, hedged %v, %v hedge wins", plain, hedged, wins)
+	if hedged*3 > plain*2 {
+		t.Errorf("hedging did not help: unhedged %v vs hedged %v", plain, hedged)
+	}
+	if wins == 0 {
+		t.Error("no hedge backup lane ever won despite a straggling provider")
+	}
+}
+
+// stragglerGet runs TestHedgingBeatsStraggler's scenario in a fresh world and
+// returns the virtual duration of the first Get after fast1 collapses and the
+// downloader's hedge wins.
+func stragglerGet(t *testing.T, hedged bool) (time.Duration, float64) {
+	t.Helper()
+	const MB = 1 << 20
+	net, stores, linkBps := testbedNet(t)
+	chunking := chunker.Config{AverageSize: 64 << 10, MinSize: 16 << 10, MaxSize: 256 << 10}
+	sizes := []int{2 * MB, 768 << 10, 512 << 10, 384 << 10, 256 << 10, 128 << 10}
+	o := obs.NewObserver()
+	var took time.Duration
+	net.Run(func() {
+		up, err := New(Config{ClientID: "uploader", Key: "k", T: 2, N: 3, Chunking: chunking, Runtime: net, LinkBps: linkBps}, stores())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i, n := range sizes {
+			if err := up.Put(bg, fmt.Sprintf("f%d", i), randData(int64(200+i), n)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		cfg := Config{ClientID: "downloader", Key: "k", T: 2, N: 3, Chunking: chunking, Runtime: net, LinkBps: linkBps, Obs: o}
+		if !hedged {
+			cfg.Transfer.HedgePolicy = func(string, time.Duration) time.Duration { return 0 }
+		}
+		dl, err := New(cfg, stores())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := dl.Recover(bg); err != nil {
+			t.Error(err)
+			return
+		}
+		for i := range sizes {
+			if _, _, err := dl.Get(bg, fmt.Sprintf("f%d", i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		net.SetLink("client", "fast1", netsim.LinkConfig{RTT: time.Millisecond, UpBps: 15 * MB, DownBps: 0.05 * MB})
+		start := net.Now()
+		if _, _, err := dl.Get(bg, "f0"); err != nil {
+			t.Error(err)
+			return
+		}
+		took = net.Now().Sub(start)
+	})
+	wins, _ := o.Registry().Snapshot().Find(obs.MetricTransferHedges, map[string]string{"result": "win"})
+	return took, wins.Value
 }

@@ -13,8 +13,7 @@ import (
 
 // Put uploads a file — put(s, f), Algorithm 2. It is the batch wrapper
 // over PutReader: the whole-file buffer is accounted as resident for its
-// duration (the streaming path accounts only its PipelineDepth window,
-// which is what the memory experiment compares).
+// duration (the streaming path accounts only its pipelineDepth window).
 func (c *Client) Put(ctx context.Context, name string, data []byte) error {
 	c.acctAdd(int64(len(data)))
 	defer c.acctSub(int64(len(data)))
@@ -120,7 +119,7 @@ func (c *Client) scatterChunk(op *transfer.Op, file string, ref metadata.ChunkRe
 // placementOrder returns every active CSP in ring order starting at the
 // chunk's position, cluster-constrained when clustering is configured.
 func (c *Client) placementOrder(chunkID string) ([]string, error) {
-	max := c.clusterCount(c.CSPs())
+	max := c.clusterCount(c.activeCSPs())
 	if max == 0 {
 		return nil, ErrNotEnoughCSP
 	}

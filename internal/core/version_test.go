@@ -53,7 +53,7 @@ func TestMetaCacheWarmHitZeroMetaRoundTrips(t *testing.T) {
 	if n := lists.Load(); n != 0 {
 		t.Fatalf("warm Get ran %d listings, want 0", n)
 	}
-	if c.MetaCacheLen() == 0 {
+	if c.metaCacheLen() == 0 {
 		t.Fatal("cache empty after warm operations")
 	}
 }
@@ -136,7 +136,7 @@ func TestMetaCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := c.MetaCacheLen(); n > 4 {
+	if n := c.metaCacheLen(); n > 4 {
 		t.Fatalf("cache holds %d entries, bound is 4", n)
 	}
 }
@@ -393,7 +393,7 @@ func TestFreshMarksConcurrent(t *testing.T) {
 			t.Errorf("%s: mark %s survives, tree head %v (conflicted %v, err %v)", name, vid, head, conflicted, err)
 		}
 	}
-	if n := c.MetaCacheLen(); n > 2 {
+	if n := c.metaCacheLen(); n > 2 {
 		t.Errorf("%d names marked, bound is 2", n)
 	}
 }

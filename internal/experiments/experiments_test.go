@@ -420,73 +420,6 @@ func TestAblationConcurrencyShape(t *testing.T) {
 	}
 }
 
-func TestTransferEngineHedgingBeatsStraggler(t *testing.T) {
-	res, err := TransferEngine(TransferEngineConfig{Scale: 0.02, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Report.Rows) != 4 {
-		t.Fatalf("rows = %d", len(res.Report.Rows))
-	}
-	if res.PutSeconds <= 0 || res.GetSeconds <= 0 {
-		t.Fatalf("non-positive phase times: put %.2f get %.2f", res.PutSeconds, res.GetSeconds)
-	}
-	// The straggler serves shares without erroring, so retries and failover
-	// never fire — the hedged gather must be measurably faster than the
-	// unhedged one (acceptance bar: at least 1.5x).
-	if res.HedgedStrag*1.5 > res.PlainStrag {
-		t.Fatalf("hedging did not help: unhedged %.1fs vs hedged %.1fs", res.PlainStrag, res.HedgedStrag)
-	}
-	if res.HedgeWins == 0 {
-		t.Fatal("no hedge backup lane ever won despite a straggling provider")
-	}
-}
-
-func TestPipelineStreamingBounds(t *testing.T) {
-	// A small scale keeps the test quick; the acceptance ratios below are
-	// scale-free (window bound vs file size, streaming vs whole-file).
-	res, err := Pipeline(PipelineConfig{Scale: 0.05, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stream.PutSeconds <= 0 || res.Stream.GetSeconds <= 0 {
-		t.Fatalf("non-positive streaming phase times: put %.2f get %.2f",
-			res.Stream.PutSeconds, res.Stream.GetSeconds)
-	}
-	// Window invariant: streaming peaks stay under (depth+2) x max chunk.
-	if res.Stream.PutPeak > res.WindowBound || res.Stream.GetPeak > res.WindowBound {
-		t.Fatalf("streaming peaks %d/%d exceed window bound %d",
-			res.Stream.PutPeak, res.Stream.GetPeak, res.WindowBound)
-	}
-	// Acceptance bar: streaming peak memory at least 4x below whole-file.
-	if res.Stream.PutPeak*4 > res.Whole.PutPeak {
-		t.Fatalf("put peak: streaming %d not 4x below whole-file %d",
-			res.Stream.PutPeak, res.Whole.PutPeak)
-	}
-	if res.Stream.GetPeak*4 > res.Whole.GetPeak {
-		t.Fatalf("get peak: streaming %d not 4x below whole-file %d",
-			res.Stream.GetPeak, res.Whole.GetPeak)
-	}
-	// No throughput regression: both planes ride the same pipeline, so the
-	// streaming plane must stay within 10% of whole-file virtual time.
-	if res.Stream.PutSeconds > res.Whole.PutSeconds*1.1 {
-		t.Fatalf("streaming put %.2fs regressed vs whole-file %.2fs",
-			res.Stream.PutSeconds, res.Whole.PutSeconds)
-	}
-	if res.Stream.GetSeconds > res.Whole.GetSeconds*1.1 {
-		t.Fatalf("streaming get %.2fs regressed vs whole-file %.2fs",
-			res.Stream.GetSeconds, res.Whole.GetSeconds)
-	}
-	// GetTo must surface its first byte well before the whole object lands.
-	if res.Stream.TTFB*2 > res.Whole.TTFB {
-		t.Fatalf("streaming TTFB %.3fs not well below whole-file %.3fs",
-			res.Stream.TTFB, res.Whole.TTFB)
-	}
-	if len(res.Report.Rows) != 5 {
-		t.Fatalf("rows = %d", len(res.Report.Rows))
-	}
-}
-
 func TestDedupSweep(t *testing.T) {
 	// Small files keep the sweep quick; the acceptance bars are size-free
 	// (ratios of measured CSP bytes).

@@ -220,7 +220,7 @@ func LoadSched(cfg LoadSchedConfig) (LoadSchedResult, error) {
 				return
 			}
 			// Warm pass: teaches the bandwidth tracker and arms the
-			// hedge controller (HedgeMinSamples) on every provider.
+			// hedge controller (its minimum-sample guard) on every provider.
 			for _, f := range files {
 				if _, _, err := dl.Get(bg, f.Name); err != nil {
 					runErr = fmt.Errorf("warm get %s: %w", f.Name, err)

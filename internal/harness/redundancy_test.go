@@ -16,10 +16,7 @@ import (
 // estimates stale and tempts the hedger exactly when redundancy is least
 // affordable.
 func stormOptions(seed int64, tweak func(*transfer.Tunables)) Options {
-	tun := transfer.Tunables{
-		MaxInFlight:     2,
-		HedgeMinSamples: 4,
-	}
+	tun := transfer.Tunables{MaxInFlight: 2}
 	if tweak != nil {
 		tweak(&tun)
 	}

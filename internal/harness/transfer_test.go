@@ -12,19 +12,16 @@ import (
 // engine: a multi-client virtual-time workload where two providers' links
 // collapse to a few percent of their bandwidth mid-run. The run must (a)
 // keep every system-wide invariant — in particular all replicas converge —
-// and (b) never exceed the configured per-CSP in-flight cap on any
-// provider, even while slow links pile transfers up behind the stragglers.
+// and (b) never exceed the engine's per-CSP in-flight cap on any provider,
+// even while slow links pile transfers up behind the stragglers.
 func TestTransferCapsUnderSlowLinks(t *testing.T) {
-	const perCSP = 2
+	const perCSP = 4 // the engine's per-provider cap
 	rep := runScenario(t, Options{
-		Seed:    baseSeed(t),
-		Virtual: true,
-		Clients: 2,
-		Ops:     90,
-		Transfer: transfer.Tunables{
-			MaxInFlight: 8,
-			PerCSP:      perCSP,
-		},
+		Seed:     baseSeed(t),
+		Virtual:  true,
+		Clients:  2,
+		Ops:      90,
+		Transfer: transfer.Tunables{MaxInFlight: 8},
 		Schedule: Schedule{
 			{At: 15, Act: SlowLink, CSP: "cspb", Factor: 0.05},
 			{At: 30, Act: SlowLink, CSP: "cspd", Factor: 0.03},

@@ -109,6 +109,9 @@ func NewEngine(classes []Class, rules []Rule, defaultClass string) (*Engine, err
 		if c.T < 0 || c.N < 0 || (c.T > 0 && c.N > 0 && c.N < c.T) {
 			return nil, fmt.Errorf("policy: class %q: bad (t,n)=(%d,%d)", c.Name, c.T, c.N)
 		}
+		if c.Epsilon < 0 || c.Epsilon >= 1 {
+			return nil, fmt.Errorf("policy: class %q: Epsilon=%g, want 0 < Epsilon < 1 (0 inherits)", c.Name, c.Epsilon)
+		}
 		if c.DemoteAfter < 0 {
 			return nil, fmt.Errorf("policy: class %q: negative DemoteAfter", c.Name)
 		}

@@ -282,18 +282,18 @@ func (s *Syncer) Sync(ctx context.Context) ([]Action, error) {
 		}
 	}
 
-	// 4. Materialize and resolve conflicts.
-	for _, cf := range s.client.ConflictsLocal() {
+	// 4. Materialize and resolve conflicts, read from the local replica.
+	tree := s.client.Tree()
+	for _, cf := range tree.Conflicts() {
 		winner, err := s.client.StatLocal(cf.Name)
 		if err != nil {
 			continue
 		}
-		for _, v := range cf.Versions {
-			if v.VersionID == winner.VersionID || v.Deleted {
+		for _, versionID := range cf.Versions {
+			if v, err := tree.Get(versionID); err != nil || versionID == winner.VersionID || v.File.Deleted {
 				continue
 			}
-			copyName := conflictCopyName(cf.Name, s.loserClient(v.VersionID), v.VersionID)
-			versionID := v.VersionID
+			copyName := conflictCopyName(cf.Name, s.loserClient(versionID), versionID)
 			var fetchErr error
 			if _, _, err := s.downloadLocal(copyName, func(w io.Writer) (core.FileInfo, error) {
 				info, ferr := s.client.GetVersionTo(ctx, cf.Name, versionID, w)

@@ -28,7 +28,7 @@ func TestGatherSchedules(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, nw := newSimEngine(Tunables{Attempts: 1}, nil)
+			e, nw := newOneTryEngine(Tunables{}, nil)
 			var mu sync.Mutex
 			var landed []string
 			att := func(name string, d time.Duration) Attempt {

@@ -16,10 +16,10 @@ import (
 //	                 └───── hedgeController ──────┘  (win/loss feedback)
 //
 // Three decisions are made per hedge, in order. (1) Arming: a provider
-// whose EWMA was fed by fewer than HedgeMinSamples successes does not
+// whose EWMA was fed by fewer than hedgeMinSamples successes does not
 // hedge at all — a cold estimate seeded from one fast sample would fire a
-// hedge storm. (2) Suppression: past the Ghosh crossover (queue depth or
-// provider saturation over HedgeLoadThreshold) redundancy is withheld
+// hedge storm. (2) Suppression: past the Ghosh crossover (queue depth
+// over hedgeLoadThreshold of the in-flight capacity) redundancy is withheld
 // entirely, because an extra request would join the congestion it is
 // dodging. (3) Deadline: the trigger delay is the per-CSP effective
 // multiple times the predicted completion under current load,
@@ -114,7 +114,7 @@ func (e *Engine) HedgeAfter(ctx context.Context, cspName string, expected time.D
 
 // HedgeState is the closed loop's arming/suppression decision: why a hedge
 // against the provider would currently be withheld — "cold" (its EWMA not
-// yet fed by HedgeMinSamples successes), "load" (past the utilization
+// yet fed by hedgeMinSamples successes), "load" (past the utilization
 // crossover) — or "" when a hedge would arm. Always "" without an observer
 // (no sensors) or under a HedgePolicy (which owns the decision).
 // `cyrusctl top` renders this as the per-provider suppression indicator.
@@ -122,7 +122,7 @@ func (e *Engine) HedgeState(cspName string) string {
 	if e.obs == nil || e.tun.HedgePolicy != nil {
 		return ""
 	}
-	if e.tun.HedgeMinSamples > 0 && e.obs.Health().Samples(cspName) < int64(e.tun.HedgeMinSamples) {
+	if e.obs.Health().Samples(cspName) < hedgeMinSamples {
 		return "cold"
 	}
 	if !e.LoadPermits() {
@@ -133,7 +133,7 @@ func (e *Engine) HedgeState(cspName string) string {
 
 // LoadPermits is the Ghosh crossover test against the live load vector:
 // whether launching a purely redundant attempt is currently sound. It
-// turns false once the global admission queue reaches HedgeLoadThreshold
+// turns false once the global admission queue reaches hedgeLoadThreshold
 // of the in-flight capacity. The signal is deliberately global, not
 // per-CSP — a redundant request costs a global slot and lands on a
 // *different* provider than the slow primary, so a saturated primary is an
@@ -141,6 +141,5 @@ func (e *Engine) HedgeState(cspName string) string {
 // redundant request would only join the queue it is trying to beat. True
 // without an observer (no load signal, assume idle).
 func (e *Engine) LoadPermits() bool {
-	thr := e.tun.HedgeLoadThreshold
-	return thr < 0 || float64(e.obs.QueueDepthNow()) < thr*float64(e.tun.MaxInFlight)
+	return float64(e.obs.QueueDepthNow()) < hedgeLoadThreshold*float64(e.tun.MaxInFlight)
 }

@@ -19,11 +19,11 @@ func warm(o *obs.Observer, cspName string, n int, latency time.Duration) {
 
 // TestHedgeColdStartArming is the cold-start hedge-storm regression: a
 // provider whose EWMA was seeded by a single anomalously fast sample must
-// not arm hedging until HedgeMinSamples successes have been observed.
+// not arm hedging until hedgeMinSamples successes have been observed.
 func TestHedgeColdStartArming(t *testing.T) {
 	ctx := context.Background()
 	o := obs.NewObserver()
-	e, _ := newSimEngine(Tunables{HedgeMinSamples: 4}, o)
+	e, _ := newSimEngine(Tunables{}, o)
 
 	// One fast sample: the pre-fix engine would hedge off this EWMA.
 	warm(o, "cspa", 1, time.Millisecond)
@@ -38,9 +38,13 @@ func TestHedgeColdStartArming(t *testing.T) {
 		t.Fatalf("hedge_suppressed{cspa,cold} = %v %v, want >= 1", p.Value, ok)
 	}
 
-	warm(o, "cspa", 3, time.Millisecond)
+	warm(o, "cspa", hedgeMinSamples-2, time.Millisecond)
+	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got != 0 {
+		t.Fatalf("provider one success short of arming armed: HedgeAfter = %v", got)
+	}
+	warm(o, "cspa", 1, time.Millisecond)
 	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got == 0 {
-		t.Fatal("provider with HedgeMinSamples successes did not arm")
+		t.Fatal("provider with hedgeMinSamples successes did not arm")
 	}
 	if st := e.HedgeState("cspa"); st != "" {
 		t.Fatalf("armed provider HedgeState = %q, want \"\"", st)
@@ -48,13 +52,13 @@ func TestHedgeColdStartArming(t *testing.T) {
 }
 
 // TestHedgeLoadSuppression: once the global admission queue crosses
-// HedgeLoadThreshold x MaxInFlight, hedges are withheld (Ghosh's
+// hedgeLoadThreshold x MaxInFlight, hedges are withheld (Ghosh's
 // crossover) and counted; redundant race lanes are refused too.
 func TestHedgeLoadSuppression(t *testing.T) {
 	ctx := context.Background()
 	o := obs.NewObserver()
-	e, _ := newSimEngine(Tunables{MaxInFlight: 8, HedgeMinSamples: 1}, o)
-	warm(o, "cspa", 8, 10*time.Millisecond)
+	e, _ := newSimEngine(Tunables{MaxInFlight: 8}, o)
+	warm(o, "cspa", hedgeMinSamples, 10*time.Millisecond)
 
 	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got == 0 {
 		t.Fatal("idle engine suppressed a hedge")
@@ -78,14 +82,6 @@ func TestHedgeLoadSuppression(t *testing.T) {
 	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got == 0 {
 		t.Fatal("drained engine still suppressed")
 	}
-
-	// Negative threshold disables suppression entirely.
-	off, _ := newSimEngine(Tunables{MaxInFlight: 8, HedgeLoadThreshold: -1, HedgeMinSamples: 1}, o)
-	o.TransferQueueDepth(8)
-	if got := off.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got == 0 {
-		t.Fatal("HedgeLoadThreshold<0 did not disable suppression")
-	}
-	o.TransferQueueDepth(0)
 }
 
 // TestHedgeDeadlineTracksLoad: the trigger delay scales with the
@@ -94,8 +90,8 @@ func TestHedgeLoadSuppression(t *testing.T) {
 func TestHedgeDeadlineTracksLoad(t *testing.T) {
 	ctx := context.Background()
 	o := obs.NewObserver()
-	e, _ := newSimEngine(Tunables{HedgeMultiple: 3, HedgeMinSamples: 1}, o)
-	warm(o, "cspa", 4, 10*time.Millisecond)
+	e, _ := newSimEngine(Tunables{HedgeMultiple: 3}, o)
+	warm(o, "cspa", hedgeMinSamples, 10*time.Millisecond)
 
 	idle := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond)
 	if idle != 300*time.Millisecond {
@@ -151,7 +147,7 @@ func TestHedgeAdaptiveMultiple(t *testing.T) {
 // the per-CSP win/loss counters and move the adaptive multiple.
 func TestHedgeOutcomeAccounting(t *testing.T) {
 	o := obs.NewObserver()
-	e, nw := newSimEngine(Tunables{Attempts: 1}, o)
+	e, nw := newOneTryEngine(Tunables{}, o)
 	o.SetClock(nw.Now)
 
 	nw.Run(func() {
@@ -200,7 +196,7 @@ func TestHedgeOutcomeAccounting(t *testing.T) {
 // waste.
 func TestRaceQuorum(t *testing.T) {
 	o := obs.NewObserver()
-	e, nw := newSimEngine(Tunables{Attempts: 1}, o)
+	e, nw := newOneTryEngine(Tunables{}, o)
 	o.SetClock(nw.Now)
 
 	att := func(name string, d time.Duration, bytes int64) Attempt {
@@ -241,7 +237,7 @@ func TestRaceQuorum(t *testing.T) {
 // never answers usefully.
 func TestRaceRedundantLane(t *testing.T) {
 	o := obs.NewObserver()
-	e, nw := newSimEngine(Tunables{Attempts: 1}, o)
+	e, nw := newOneTryEngine(Tunables{}, o)
 	o.SetClock(nw.Now)
 
 	nw.Run(func() {
@@ -275,7 +271,7 @@ func TestRaceRedundantLane(t *testing.T) {
 // TestRaceExhaustion: fewer successes than the quorum yields the last
 // meaningful provider error.
 func TestRaceExhaustion(t *testing.T) {
-	e, nw := newSimEngine(Tunables{Attempts: 1}, nil)
+	e, nw := newOneTryEngine(Tunables{}, nil)
 	nw.Run(func() {
 		op := e.Begin(context.Background())
 		defer op.Finish()
@@ -296,7 +292,7 @@ func TestRaceExhaustion(t *testing.T) {
 // not launched — the race degrades to the primary fan-out.
 func TestRaceSuppressedExtras(t *testing.T) {
 	o := obs.NewObserver()
-	e, nw := newSimEngine(Tunables{MaxInFlight: 8, Attempts: 1}, o)
+	e, nw := newOneTryEngine(Tunables{MaxInFlight: 8}, o)
 	o.SetClock(nw.Now)
 	o.TransferQueueDepth(6) // past 0.75 x 8
 

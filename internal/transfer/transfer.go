@@ -45,40 +45,19 @@ import (
 // not made, and the caller should walk to its next candidate.
 var ErrSkipped = errors.New("transfer: provider skipped (failed earlier in this operation)")
 
-// Tunables bound the engine's scheduling and retry behavior. Zero values
-// take the documented defaults.
+// Tunables bound the engine's scheduling. Zero values take the documented
+// defaults. The rest of the engine's policy (per-provider cap, retries,
+// backoff, hedge arming and suppression) is fixed: see the constants below.
 type Tunables struct {
 	// MaxInFlight caps concurrently executing attempts across all
 	// providers. Default 32.
 	MaxInFlight int
-	// PerCSP caps concurrently executing attempts per provider. Default 4.
-	PerCSP int
-	// Attempts is how many times a transient failure is tried per
-	// provider (1 = no retry). Default 2.
-	Attempts int
-	// BaseBackoff is the delay before the first retry; it doubles per
-	// attempt up to MaxBackoff. Default 25ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the backoff growth. Default 2s.
-	MaxBackoff time.Duration
 	// HedgeMultiple scales the expected attempt latency into the hedge
 	// trigger delay: a backup download launches after
 	// HedgeMultiple x expected. Default 3. Under the load-adaptive
 	// controller this is the starting point the per-CSP effective
 	// multiple is tuned from.
 	HedgeMultiple float64
-	// HedgeLoadThreshold is the Ghosh-crossover utilization bound: hedges
-	// and redundant race lanes are suppressed once the global admission
-	// queue holds HedgeLoadThreshold x MaxInFlight waiting attempts.
-	// Past that point a redundant request joins the congestion it is
-	// trying to dodge. Default 0.75; negative disables suppression.
-	HedgeLoadThreshold float64
-	// HedgeMinSamples arms hedging against a provider only after this
-	// many successful contacts have fed its latency EWMA — the cold-start
-	// guard: an EWMA seeded from one anomalously fast sample would
-	// otherwise hedge nearly every request. Default 8; negative arms
-	// immediately.
-	HedgeMinSamples int
 	// HedgePolicy, when set, replaces the closed loop's hedge deadline:
 	// HedgeAfter returns its result verbatim, with no arming, suppression
 	// or adaptive multiple. nil (the default) is the closed loop, the only
@@ -91,37 +70,42 @@ type Tunables struct {
 // against it (0 when unknown) to a hedge trigger delay; 0 means no hedge.
 type HedgePolicy func(cspName string, expected time.Duration) time.Duration
 
-// hedgeFloor is the minimum hedge delay: below this, scheduling noise
-// (not provider slowness) dominates and hedging would just double load.
-const hedgeFloor = 50 * time.Millisecond
+// The engine's fixed policy. No caller has ever run with other values; this
+// package's tests lower the attempts and the per-provider cap through the
+// Engine and semaphore fields that hold them.
+const (
+	// hedgeFloor is the minimum hedge delay: below this, scheduling noise
+	// (not provider slowness) dominates and hedging would just double load.
+	hedgeFloor = 50 * time.Millisecond
+	// perCSPCap caps concurrently executing attempts per provider (at most
+	// MaxInFlight).
+	perCSPCap = 4
+	// attemptsPerProvider is how many times a transient failure is tried
+	// per provider (1 = no retry).
+	attemptsPerProvider = 2
+	// baseBackoff is the delay before the first retry; it doubles per
+	// attempt up to maxBackoff.
+	baseBackoff = 25 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+	// hedgeLoadThreshold is the Ghosh-crossover utilization bound: hedges
+	// and redundant race lanes are suppressed once the global admission
+	// queue holds hedgeLoadThreshold x MaxInFlight waiting attempts. Past
+	// that point a redundant request joins the congestion it is trying to
+	// dodge.
+	hedgeLoadThreshold = 0.75
+	// hedgeMinSamples arms hedging against a provider only after this many
+	// successful contacts have fed its latency EWMA — the cold-start guard:
+	// an EWMA seeded from one anomalously fast sample would otherwise hedge
+	// nearly every request.
+	hedgeMinSamples = 8
+)
 
 func (t Tunables) withDefaults() Tunables {
 	if t.MaxInFlight == 0 {
 		t.MaxInFlight = 32
 	}
-	if t.PerCSP == 0 {
-		t.PerCSP = 4
-	}
-	if t.PerCSP > t.MaxInFlight {
-		t.PerCSP = t.MaxInFlight
-	}
-	if t.Attempts == 0 {
-		t.Attempts = 2
-	}
-	if t.BaseBackoff == 0 {
-		t.BaseBackoff = 25 * time.Millisecond
-	}
-	if t.MaxBackoff == 0 {
-		t.MaxBackoff = 2 * time.Second
-	}
 	if t.HedgeMultiple == 0 {
 		t.HedgeMultiple = 3
-	}
-	if t.HedgeLoadThreshold == 0 {
-		t.HedgeLoadThreshold = 0.75
-	}
-	if t.HedgeMinSamples == 0 {
-		t.HedgeMinSamples = 8
 	}
 	return t
 }
@@ -141,7 +125,7 @@ type Config struct {
 	// estimator/scoreboard/bandwidth path identical to the pre-engine
 	// code. Optional.
 	Report func(cspName, kind string, err error, bytes int64, elapsed time.Duration)
-	// Tunables bound scheduling and retries.
+	// Tunables bound scheduling and hedging.
 	Tunables Tunables
 }
 
@@ -154,6 +138,8 @@ type Engine struct {
 	tun    Tunables
 	sem    *semaphore
 	hedge  *hedgeController
+	// attempts is attemptsPerProvider; this package's tests lower it.
+	attempts int
 }
 
 // New builds an engine. Config.Runtime is required.
@@ -163,17 +149,15 @@ func New(cfg Config) *Engine {
 	}
 	tun := cfg.Tunables.withDefaults()
 	return &Engine{
-		rt:     cfg.Runtime,
-		obs:    cfg.Obs,
-		report: cfg.Report,
-		tun:    tun,
-		sem:    newSemaphore(cfg.Runtime, cfg.Obs, tun.MaxInFlight, tun.PerCSP),
-		hedge:  newHedgeController(tun.HedgeMultiple),
+		rt:       cfg.Runtime,
+		obs:      cfg.Obs,
+		report:   cfg.Report,
+		tun:      tun,
+		sem:      newSemaphore(cfg.Runtime, cfg.Obs, tun.MaxInFlight, min(perCSPCap, tun.MaxInFlight)),
+		hedge:    newHedgeController(tun.HedgeMultiple),
+		attempts: attemptsPerProvider,
 	}
 }
-
-// Tunables returns the engine's effective (defaulted) tunables.
-func (e *Engine) Tunables() Tunables { return e.tun }
 
 // PeakInFlight returns the highest concurrent in-flight attempt count the
 // engine has observed for one provider — the deterministic witness the
@@ -359,7 +343,7 @@ func (o *Op) do(ctx context.Context, a Attempt) (int64, error) {
 		elapsed := e.rt.Now().Sub(start)
 		e.obs.AttemptEnd(sctx, a.CSP, a.Kind, try, bytes, elapsed, err)
 		sp.End(err)
-		final := err != nil && (!Retryable(err) || try+1 >= e.tun.Attempts || ctx.Err() != nil)
+		final := err != nil && (!Retryable(err) || try+1 >= e.attempts || ctx.Err() != nil)
 		if final && ProviderFault(err) {
 			// Marked before the slot is released, so the sibling the
 			// release wakes sees the provider failed under its own slot.
@@ -385,14 +369,14 @@ func (o *Op) do(ctx context.Context, a Attempt) (int64, error) {
 }
 
 // backoff returns the delay before retry number try+1: exponential growth
-// from BaseBackoff capped at MaxBackoff, with +/-25% jitter derived from
+// from baseBackoff capped at maxBackoff, with +/-25% jitter derived from
 // a hash of (csp, kind, try) — deterministic, so netsim runs replay
 // identically regardless of goroutine interleaving, yet decorrelated
 // across providers and shares.
 func (e *Engine) backoff(cspName, kind string, try int) time.Duration {
-	d := e.tun.BaseBackoff << uint(try)
-	if d > e.tun.MaxBackoff || d <= 0 {
-		d = e.tun.MaxBackoff
+	d := baseBackoff << uint(try)
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(cspName))

@@ -23,6 +23,14 @@ func newSimEngine(tun Tunables, o *obs.Observer) (*Engine, *netsim.Network) {
 	return e, nw
 }
 
+// newOneTryEngine is newSimEngine with retries off: every failure is final
+// at its first try.
+func newOneTryEngine(tun Tunables, o *obs.Observer) (*Engine, *netsim.Network) {
+	e, nw := newSimEngine(tun, o)
+	e.attempts = 1
+	return e, nw
+}
+
 // hedged is the single-source hedge schedule: one primary, one success
 // needed, one backup lane from next at the deadline (0 = none).
 func hedged(primary Attempt, after time.Duration, next func() (Attempt, bool)) Gather {
@@ -45,16 +53,13 @@ func sleepAttempt(rt vclock.Runtime, cspName string, d time.Duration) Attempt {
 }
 
 func TestTunablesDefaults(t *testing.T) {
-	tun := Tunables{}.withDefaults()
-	if tun.MaxInFlight != 32 || tun.PerCSP != 4 || tun.Attempts != 2 {
-		t.Fatalf("unexpected defaults: %+v", tun)
+	e, _ := newSimEngine(Tunables{}, nil)
+	if e.tun.MaxInFlight != 32 || e.tun.HedgeMultiple != 3 || e.sem.perCap != 4 || e.attempts != 2 {
+		t.Fatalf("unexpected defaults: %+v, per-CSP cap %d, attempts %d", e.tun, e.sem.perCap, e.attempts)
 	}
-	if tun.BaseBackoff != 25*time.Millisecond || tun.MaxBackoff != 2*time.Second {
-		t.Fatalf("unexpected backoff defaults: %+v", tun)
-	}
-	clamped := Tunables{MaxInFlight: 2, PerCSP: 10}.withDefaults()
-	if clamped.PerCSP != 2 {
-		t.Fatalf("PerCSP not clamped to MaxInFlight: %+v", clamped)
+	clamped, _ := newSimEngine(Tunables{MaxInFlight: 2}, nil)
+	if clamped.sem.perCap != 2 {
+		t.Fatalf("per-CSP cap %d not clamped to MaxInFlight 2", clamped.sem.perCap)
 	}
 }
 
@@ -91,7 +96,8 @@ func TestClassifiers(t *testing.T) {
 // held both the per-CSP and the global in-flight ceilings, while still
 // letting every attempt through.
 func TestCapsBound(t *testing.T) {
-	e, nw := newSimEngine(Tunables{MaxInFlight: 5, PerCSP: 2}, nil)
+	e, nw := newSimEngine(Tunables{MaxInFlight: 5}, nil)
+	e.sem.perCap = 2
 
 	var mu sync.Mutex
 	cur, peak := 0, 0
@@ -156,8 +162,8 @@ func TestRetryBackoff(t *testing.T) {
 		Report: func(cspName, kind string, err error, bytes int64, elapsed time.Duration) {
 			reports = append(reports, fmt.Sprintf("%s/%s err=%v", cspName, kind, err != nil))
 		},
-		Tunables: Tunables{Attempts: 3, BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second},
 	})
+	e.attempts = 3
 
 	tries := 0
 	var elapsed time.Duration
@@ -197,7 +203,8 @@ func TestRetryBackoff(t *testing.T) {
 // TestNonRetryableStops: a definite answer (NotFound) is returned at once
 // without burning further attempts, and does not poison the failed set.
 func TestNonRetryableStops(t *testing.T) {
-	e, nw := newSimEngine(Tunables{Attempts: 3}, nil)
+	e, nw := newSimEngine(Tunables{}, nil)
+	e.attempts = 3
 	tries := 0
 	nw.Run(func() {
 		op := e.Begin(context.Background())
@@ -233,10 +240,7 @@ func TestBackoffDeterministic(t *testing.T) {
 		if a != b {
 			t.Errorf("try %d: backoff differs across engines: %v vs %v", try, a, b)
 		}
-		base := e1.tun.BaseBackoff << uint(try)
-		if base > e1.tun.MaxBackoff {
-			base = e1.tun.MaxBackoff
-		}
+		base := min(baseBackoff<<uint(try), maxBackoff)
 		lo := time.Duration(float64(base) * 0.75)
 		hi := time.Duration(float64(base) * 1.25)
 		if a < lo || a > hi {
@@ -251,7 +255,7 @@ func TestBackoffDeterministic(t *testing.T) {
 // TestFailedSetSkips: once a provider burns its retries, sibling attempts
 // of the same operation get ErrSkipped without invoking Run again.
 func TestFailedSetSkips(t *testing.T) {
-	e, nw := newSimEngine(Tunables{Attempts: 2, BaseBackoff: time.Millisecond}, nil)
+	e, nw := newSimEngine(Tunables{}, nil)
 	runs := 0
 	nw.Run(func() {
 		op := e.Begin(context.Background())
@@ -303,7 +307,8 @@ func TestFailedSetSkips(t *testing.T) {
 // provider must be in the failed set by then and the sibling must look again
 // under its slot, so the dead provider is probed once, not twice.
 func TestQueuedSiblingSkipsFailedProvider(t *testing.T) {
-	e, nw := newSimEngine(Tunables{PerCSP: 1, Attempts: 1}, nil)
+	e, nw := newOneTryEngine(Tunables{}, nil)
+	e.sem.perCap = 1
 	var runs atomic.Int32
 	errs := make([]error, 2)
 	nw.Run(func() {
@@ -345,7 +350,7 @@ func TestQueuedSiblingSkipsFailedProvider(t *testing.T) {
 // in-flight sibling attempts observe cancellation instead of finishing
 // doomed work (the Put wasted-work bug).
 func TestFailCancelsSiblings(t *testing.T) {
-	e, nw := newSimEngine(Tunables{Attempts: 1}, nil)
+	e, nw := newOneTryEngine(Tunables{}, nil)
 	var sawCancel bool
 	nw.Run(func() {
 		op := e.Begin(context.Background())
@@ -414,7 +419,7 @@ func TestDoAfterCancelReturnsPromptly(t *testing.T) {
 // and the hedge counters record both the launch and the win.
 func TestHedgeWin(t *testing.T) {
 	o := obs.NewObserver()
-	e, nw := newSimEngine(Tunables{Attempts: 1}, o)
+	e, nw := newOneTryEngine(Tunables{}, o)
 	o.SetClock(nw.Now)
 
 	var winner string
@@ -475,7 +480,7 @@ func TestHedgeWin(t *testing.T) {
 // backup lane parked.
 func TestHedgeNotLaunchedWhenFast(t *testing.T) {
 	o := obs.NewObserver()
-	e, nw := newSimEngine(Tunables{Attempts: 1}, o)
+	e, nw := newOneTryEngine(Tunables{}, o)
 	o.SetClock(nw.Now)
 
 	nw.Run(func() {
@@ -506,7 +511,7 @@ func TestHedgeNotLaunchedWhenFast(t *testing.T) {
 // TestHedgeSequentialFailover: under a policy that never hedges the walk
 // degrades to ordered failover and still finds the good provider.
 func TestHedgeSequentialFailover(t *testing.T) {
-	e, nw := newSimEngine(Tunables{Attempts: 1, HedgePolicy: noHedge}, nil)
+	e, nw := newOneTryEngine(Tunables{HedgePolicy: noHedge}, nil)
 	var order []string
 	nw.Run(func() {
 		op := e.Begin(context.Background())
@@ -551,7 +556,7 @@ func TestHedgeSequentialFailover(t *testing.T) {
 // TestHedgeAllFail: when every lane exhausts, the last meaningful error
 // comes back (not a cancellation artifact).
 func TestHedgeAllFail(t *testing.T) {
-	e, nw := newSimEngine(Tunables{Attempts: 1}, nil)
+	e, nw := newOneTryEngine(Tunables{}, nil)
 	nw.Run(func() {
 		op := e.Begin(context.Background())
 		defer op.Finish()
@@ -599,7 +604,8 @@ func TestHedgeAfter(t *testing.T) {
 // in-flight peak gauge through obs.
 func TestQueueMetrics(t *testing.T) {
 	o := obs.NewObserver()
-	e, nw := newSimEngine(Tunables{MaxInFlight: 8, PerCSP: 1}, o)
+	e, nw := newSimEngine(Tunables{MaxInFlight: 8}, o)
+	e.sem.perCap = 1
 	o.SetClock(nw.Now)
 
 	nw.Run(func() {
@@ -635,7 +641,8 @@ func TestQueueMetrics(t *testing.T) {
 // completion out.
 func TestDeterministicReplay(t *testing.T) {
 	run := func() time.Duration {
-		e, nw := newSimEngine(Tunables{MaxInFlight: 4, PerCSP: 2, BaseBackoff: 20 * time.Millisecond}, nil)
+		e, nw := newSimEngine(Tunables{MaxInFlight: 4}, nil)
+		e.sem.perCap = 2
 		var elapsed time.Duration
 		nw.Run(func() {
 			op := e.Begin(context.Background())
@@ -677,14 +684,12 @@ func TestDeterministicReplay(t *testing.T) {
 func TestEngineRace(t *testing.T) {
 	o := obs.NewObserver()
 	e := New(Config{
-		Runtime: vclock.Real(),
-		Obs:     o,
-		Report:  func(string, string, error, int64, time.Duration) {},
-		Tunables: Tunables{
-			MaxInFlight: 8, PerCSP: 2, Attempts: 2,
-			BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond,
-		},
+		Runtime:  vclock.Real(),
+		Obs:      o,
+		Report:   func(string, string, error, int64, time.Duration) {},
+		Tunables: Tunables{MaxInFlight: 8},
 	})
+	e.sem.perCap = 2
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		w := w
@@ -731,7 +736,7 @@ func TestEngineRace(t *testing.T) {
 // error, and a provider-fault failure still feeds the shared failed set
 // so later attempts against that provider are skipped.
 func TestEachPerAttemptOutcomes(t *testing.T) {
-	e, nw := newSimEngine(Tunables{Attempts: 1}, nil)
+	e, nw := newOneTryEngine(Tunables{}, nil)
 
 	var errs []error
 	nw.Run(func() {
