@@ -6,7 +6,12 @@
 //	cyrusbench -exp fig14 -scale 0.25   # one experiment, scaled dataset
 //	cyrusbench -list                    # what is available
 //
-// Every experiment is deterministic for a given -seed. Absolute numbers
+// An experiment's inputs are fixed by -seed, but not every output replays
+// identically: Figure 12 and experiment 8's Stat ops/sec and p99 rows
+// measure real CPU time, and experiment 9 keeps many gets in flight at
+// once, so the order in which goroutines woken at the same virtual instant
+// reach shared client state is up to the Go scheduler and most of its
+// cells differ from run to run. Absolute numbers
 // depend on the simulated network profiles (see DESIGN.md); the shapes —
 // orderings, ratios, crossovers — are the reproduction targets recorded in
 // EXPERIMENTS.md.

@@ -330,11 +330,10 @@ func cmdFlightdump(ctx context.Context, c *cyrus.Client, o *cyrus.Observer, args
 
 // cmdTop is a live per-CSP load view: every interval it syncs (touching
 // every reachable provider) and redraws a table of in-flight counts, queue
-// depth, latency EWMA, predicted completion time, the hedge controller's
-// per-provider suppression state, and the SLO burn counters. -count bounds
-// the iterations (0 = until interrupted); -json replaces the table with
-// one JSON document per refresh carrying the full load vector (current
-// sample plus the retained window) for machine consumers.
+// depth, latency EWMA, the success count that arms hedging, the hedge
+// controller's per-provider suppression state, and the SLO burn counters.
+// -count bounds the iterations (0 = until interrupted); -json replaces the
+// table with one JSON document per refresh for machine consumers.
 func cmdTop(ctx context.Context, c *cyrus.Client, o *cyrus.Observer, args []string) error {
 	fs := flag.NewFlagSet("top", flag.ContinueOnError)
 	interval := fs.Duration("interval", 2*time.Second, "refresh interval")
@@ -375,25 +374,52 @@ func hedgeFlag(state string) string {
 	return state
 }
 
+// topRow is one provider's line of `top`: the scoreboard's EWMA, success
+// count and down state, the engine's two load gauges, and its hedge gate.
+type topRow struct {
+	CSP                string  `json:"csp"`
+	InFlight           int     `json:"in_flight"`
+	QueueDepth         int     `json:"queue_depth"` // global: the admission queue spans providers
+	EWMALatencySeconds float64 `json:"ewma_latency_seconds"`
+	Samples            int64   `json:"samples"` // successes; hedging arms at 8
+	Down               bool    `json:"down"`
+	HedgeState         string  `json:"hedge_state"` // "" = a hedge would arm
+}
+
+// topRows builds one row per provider the scoreboard has seen, sorted by
+// name.
+func topRows(c *cyrus.Client, s cyrus.MetricsSnapshot, o *cyrus.Observer) []topRow {
+	queue, _ := s.Find(cyrus.MetricTransferQueueDepth, nil)
+	var rows []topRow
+	for _, h := range o.Health().Snapshot() {
+		inFlight, _ := s.Find(cyrus.MetricTransferInFlight, map[string]string{"csp": h.CSP})
+		rows = append(rows, topRow{
+			CSP:                h.CSP,
+			InFlight:           int(inFlight.Value),
+			QueueDepth:         int(queue.Value),
+			EWMALatencySeconds: h.LatencyEWMASeconds,
+			Samples:            h.Successes,
+			Down:               h.Down,
+			HedgeState:         c.Engine().HedgeState(h.CSP),
+		})
+	}
+	return rows
+}
+
 func printTop(c *cyrus.Client, o *cyrus.Observer) {
 	fmt.Printf("-- %s --\n", time.Now().Format("15:04:05"))
-	fmt.Printf("%-12s %8s %6s %10s %12s %8s %-6s %-5s\n",
-		"CSP", "INFLIGHT", "QUEUE", "EWMA(ms)", "PREDICT(ms)", "SAMPLES", "STATE", "HEDGE")
-	health := map[string]cyrus.CSPHealth{}
-	for _, h := range o.Health().Snapshot() {
-		health[h.CSP] = h
-	}
-	for _, l := range o.LoadStats() {
+	fmt.Printf("%-12s %8s %6s %10s %8s %-6s %-5s\n",
+		"CSP", "INFLIGHT", "QUEUE", "EWMA(ms)", "SAMPLES", "STATE", "HEDGE")
+	s := o.Registry().Snapshot()
+	for _, r := range topRows(c, s, o) {
 		state := "up"
-		if health[l.CSP].Down {
+		if r.Down {
 			state = "DOWN"
 		}
-		fmt.Printf("%-12s %8d %6d %10.2f %12.2f %8d %-6s %-5s\n",
-			l.CSP, l.Current.InFlight, l.Current.QueueDepth,
-			l.Current.EWMALatencySeconds*1000, l.Current.PredictedSeconds*1000,
-			len(l.Window), state, hedgeFlag(c.Engine().HedgeState(l.CSP)))
+		fmt.Printf("%-12s %8d %6d %10.2f %8d %-6s %-5s\n",
+			r.CSP, r.InFlight, r.QueueDepth, r.EWMALatencySeconds*1000,
+			r.Samples, state, hedgeFlag(r.HedgeState))
 	}
-	s := o.Registry().Snapshot()
 	for _, op := range []string{"put", "get", "sync", "migrate", "gc"} {
 		okP, _ := s.Find(cyrus.MetricSLOOK, map[string]string{"op": op})
 		brP, hasBr := s.Find(cyrus.MetricSLOBreach, map[string]string{"op": op})
@@ -404,35 +430,11 @@ func printTop(c *cyrus.Client, o *cyrus.Observer) {
 	}
 }
 
-// topCSPJSON is one provider row of the -json output: the observer's full
-// load vector plus scoreboard and hedge-gate state.
-type topCSPJSON struct {
-	cyrus.CSPLoad
-	Down       bool   `json:"down"`
-	HedgeState string `json:"hedge_state"` // "" = a hedge would arm
-}
-
-// topJSON is one -json refresh document.
-type topJSON struct {
-	Time       time.Time    `json:"time"`
-	QueueDepth int          `json:"queue_depth"`
-	CSPs       []topCSPJSON `json:"csps"`
-}
-
 func printTopJSON(c *cyrus.Client, o *cyrus.Observer) error {
-	health := map[string]cyrus.CSPHealth{}
-	for _, h := range o.Health().Snapshot() {
-		health[h.CSP] = h
-	}
-	doc := topJSON{Time: time.Now(), QueueDepth: o.QueueDepthNow()}
-	for _, l := range o.LoadStats() {
-		doc.CSPs = append(doc.CSPs, topCSPJSON{
-			CSPLoad:    l,
-			Down:       health[l.CSP].Down,
-			HedgeState: c.Engine().HedgeState(l.CSP),
-		})
-	}
-	data, err := json.Marshal(doc)
+	data, err := json.Marshal(struct {
+		Time time.Time `json:"time"`
+		CSPs []topRow  `json:"csps"`
+	}{time.Now(), topRows(c, o.Registry().Snapshot(), o)})
 	if err != nil {
 		return err
 	}

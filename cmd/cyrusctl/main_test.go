@@ -165,8 +165,8 @@ func TestCLIFlightdumpAndTop(t *testing.T) {
 	mustCtl(t, cfg, "top", "-count", "1", "-interval", "1ms")
 
 	// -json replaces the table with one machine-readable document per
-	// refresh: every provider row carries the full load vector plus the
-	// hedge gate's state.
+	// refresh: every provider row carries the engine's load gauges, the
+	// scoreboard's EWMA, success count and down state, and the hedge gate.
 	old := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -184,22 +184,23 @@ func TestCLIFlightdumpAndTop(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		QueueDepth *int `json:"queue_depth"`
-		CSPs       []struct {
-			CSP        string          `json:"csp"`
-			Current    json.RawMessage `json:"current"`
-			HedgeState *string         `json:"hedge_state"`
-		} `json:"csps"`
+		CSPs []map[string]json.RawMessage `json:"csps"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("top -json output is not JSON: %v\n%s", err, raw)
 	}
-	if doc.QueueDepth == nil || len(doc.CSPs) == 0 {
-		t.Fatalf("top -json missing queue depth or provider rows: %s", raw)
+	if len(doc.CSPs) == 0 {
+		t.Fatalf("top -json has no provider rows: %s", raw)
 	}
-	for _, c := range doc.CSPs {
-		if c.CSP == "" || len(c.Current) == 0 || c.HedgeState == nil {
-			t.Errorf("top -json row incomplete: %+v", c)
+	for _, row := range doc.CSPs {
+		for _, field := range []string{"csp", "in_flight", "queue_depth", "ewma_latency_seconds", "samples", "down", "hedge_state"} {
+			if _, ok := row[field]; !ok {
+				t.Errorf("top -json row lacks %q: %s", field, raw)
+			}
+		}
+		var samples int64
+		if err := json.Unmarshal(row["samples"], &samples); err != nil || samples == 0 {
+			t.Errorf("top -json row samples = %s, want the provider's success count after a put", row["samples"])
 		}
 	}
 }

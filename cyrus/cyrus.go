@@ -83,19 +83,14 @@ type (
 	CSPHealth = obs.CSPHealth
 	// MetricsSnapshot is a point-in-time copy of an Observer's registry.
 	MetricsSnapshot = obs.Snapshot
-	// ObserverOptions tunes an observer built with NewObserverWith (span
-	// ring size, SLO objectives, flight recorder, load telemetry).
+	// ObserverOptions tunes an observer built with NewObserverWith (SLO
+	// objectives, flight recorder).
 	ObserverOptions = obs.Options
 	// FlightDump is one flight-recorder snapshot (trigger, event ring,
 	// open spans).
 	FlightDump = obs.FlightDump
 	// FlightEvent is one structured entry in the flight-recorder ring.
 	FlightEvent = obs.FlightEvent
-	// CSPLoad is one provider's load-telemetry view (current sample plus
-	// the retained window).
-	CSPLoad = obs.CSPLoad
-	// LoadSample is one sampled point of a provider's load vector.
-	LoadSample = obs.LoadSample
 
 	// StorageClass is one named storage-class definition: a CSP subset,
 	// per-class (t, n) or Epsilon, chunking, tier, and optional lifecycle
@@ -138,6 +133,10 @@ const (
 	FlightTriggerInvariant = obs.TriggerInvariant
 	MetricSLOOK            = obs.MetricSLOOK
 	MetricSLOBreach        = obs.MetricSLOBreach
+	// Transfer-engine load gauges: attempts in flight per provider
+	// (labeled {csp}) and attempts waiting for a slot.
+	MetricTransferInFlight   = obs.MetricTransferInFlight
+	MetricTransferQueueDepth = obs.MetricTransferQueueDepth
 	// Metadata cache counters (hit ratio = hits / (hits + misses)).
 	MetricMetaCacheHits   = obs.MetricMetaCacheHits
 	MetricMetaCacheMisses = obs.MetricMetaCacheMisses
@@ -184,8 +183,7 @@ func New(cfg Config, stores []Store) (*Client, error) {
 func NewObserver() *Observer { return obs.NewObserver() }
 
 // NewObserverWith builds an observability bundle with explicit options
-// (flight-recorder tuning, SLO objectives, span-ring and load-window
-// sizes).
+// (flight-recorder tuning, SLO objectives).
 func NewObserverWith(opts ObserverOptions) *Observer { return obs.NewObserverWith(opts) }
 
 // NewDirStore returns a provider backed by a local directory — the

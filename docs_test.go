@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/chunker"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/transfer"
 )
 
@@ -59,6 +60,8 @@ func TestKnobBudget(t *testing.T) {
 		{"core.Config fields", reflect.TypeOf(core.Config{}).NumField(), 24},
 		{"transfer.Tunables fields", reflect.TypeOf(transfer.Tunables{}).NumField(), 3},
 		{"exported *core.Client methods", reflect.TypeOf(&core.Client{}).NumMethod(), 42},
+		{"obs.Options fields", reflect.TypeOf(obs.Options{}).NumField(), 2},
+		{"obs.RecorderConfig fields", reflect.TypeOf(obs.RecorderConfig{}).NumField(), 5},
 	}
 	for _, b := range budgets {
 		t.Logf("%s = %d (budget %d)", b.what, b.got, b.max)
@@ -161,8 +164,10 @@ func coreCallSites(t *testing.T, sites map[string]*regexp.Regexp) map[string][]s
 // has resolve plus the full-sync callers (List, Conflicts, GC) as its only
 // gates — so a second publish tail, a sixth Get body or another cache gate
 // cannot grow back beside them. The record-LRU's byte knob stays deleted, and
-// so do the knobs that became constants: no source file or doc names one with
-// its owner, or bare where the name means nothing else in the tree.
+// so do the knobs that became constants and the observer-side load plumbing
+// (the engine reads its load from its own semaphore): no source file or doc
+// names one with its owner, or bare where the name means nothing else in the
+// tree.
 func TestCoreOneVersionPlane(t *testing.T) {
 	once := map[string]*regexp.Regexp{
 		"c.uploadMeta( call":     regexp.MustCompile(`c\.uploadMeta\(`),
@@ -186,6 +191,7 @@ func TestCoreOneVersionPlane(t *testing.T) {
 
 	gone := []*regexp.Regexp{
 		regexp.MustCompile(`\b(MetaCacheBytes|CodecWorkers|PipelineDepth|BaseBackoff|HedgeLoadThreshold|HedgeMinSamples)\b`),
+		regexp.MustCompile(`\b(LoadStats|CurrentLoad|QueueDepthNow|LoadConfig|LoadVector|LoadAware|SpanRing|DumpDir)\b`),
 		regexp.MustCompile(`\b(Config|Transfer|Tunables)\.(ClientBps|FailureProb|PerCSP|Attempts|MaxBackoff)\b`),
 	}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
@@ -219,4 +225,78 @@ func TestCoreOneVersionPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDocMetricsRegistered is the metric drift guard: every Metric* constant
+// in internal/obs/registry.go has a README.md table row under its full name,
+// and every cyrus_* name README.md, DESIGN.md and EXPERIMENTS.md quote is a
+// registered constant. Brace lists expand (`cyrus_codec_{encode,decode}_…`),
+// a trailing label set is dropped (`cyrus_transfer_inflight{csp}`), and a
+// prefix form (`cyrus_hedge_*`) must prefix at least one constant.
+func TestDocMetricsRegistered(t *testing.T) {
+	src, err := os.ReadFile("internal/obs/registry.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\s+Metric\w+\s+=\s+"(cyrus_\w+)"`).FindAllSubmatch(src, -1) {
+		registered[string(m[1])] = true
+	}
+	if len(registered) == 0 {
+		t.Fatal("no Metric* constants found in internal/obs/registry.go")
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range registered {
+		if !strings.Contains(string(readme), "| `"+name+"` |") {
+			t.Errorf("README.md has no metric table row for %s", name)
+		}
+	}
+
+	token := regexp.MustCompile(`cyrus_[a-z0-9_]*(?:\{[a-z0-9_,]+\}[a-z0-9_]*)*\*?`)
+	labels := regexp.MustCompile(`([a-z0-9}])\{[a-z0-9_,]+\}$`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tok := range token.FindAllString(string(text), -1) {
+			for _, name := range expandBraces(labels.ReplaceAllString(tok, "$1")) {
+				if prefix, ok := strings.CutSuffix(name, "*"); ok {
+					if !anyHasPrefix(registered, prefix) {
+						t.Errorf("%s quotes %s (from %q), which prefixes no registered metric", doc, name, tok)
+					}
+				} else if !registered[name] {
+					t.Errorf("%s quotes %s (from %q), which is not a registered metric", doc, name, tok)
+				}
+			}
+		}
+	}
+}
+
+var braceList = regexp.MustCompile(`\{([a-z0-9_,]+)\}`)
+
+// expandBraces turns each {a,b} list in a quoted metric name into one name
+// per alternative.
+func expandBraces(name string) []string {
+	loc := braceList.FindStringSubmatchIndex(name)
+	if loc == nil {
+		return []string{name}
+	}
+	var out []string
+	for _, alt := range strings.Split(name[loc[2]:loc[3]], ",") {
+		out = append(out, expandBraces(name[:loc[0]]+alt+name[loc[1]:])...)
+	}
+	return out
+}
+
+func anyHasPrefix(set map[string]bool, prefix string) bool {
+	for name := range set {
+		if strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	return false
 }

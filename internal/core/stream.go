@@ -377,25 +377,6 @@ func (c *Client) planGather(m *metadata.FileMeta, wanted []metadata.ChunkRef) (m
 				in.LinkBps[cspName] = c.bw.estimate(cspName)
 			}
 		}
-		if c.obs != nil {
-			// Snapshot the live load vector once per instance so a
-			// load-aware selector ranks by predicted completion under
-			// current load; selectors that ignore it are unaffected.
-			lv := &selector.LoadVector{
-				PredictedSeconds: make(map[string]float64, len(in.LinkBps)),
-				InFlight:         make(map[string]int, len(in.LinkBps)),
-			}
-			for cspName := range in.LinkBps {
-				if s, ok := c.obs.CurrentLoad(cspName); ok {
-					lv.PredictedSeconds[cspName] = s.PredictedSeconds
-					lv.InFlight[cspName] = s.InFlight
-					if s.QueueDepth > lv.QueueDepth {
-						lv.QueueDepth = s.QueueDepth
-					}
-				}
-			}
-			in.Load = lv
-		}
 		a, err := sel.Select(in)
 		if err != nil {
 			return nil, nil, fmt.Errorf("cyrus: download selection: %w", err)

@@ -148,12 +148,14 @@ func loadSchedClient() netsim.NodeConfig {
 // adaptive policy suppresses hedges past the threshold and should track
 // nohedge at high load while keeping the rescue at low load.
 //
-// The sweep is shape-deterministic for a given seed: orderings and ratios
-// are stable, but the storm cells (static, ewma at high load) jitter a few
-// percent across runs — hundreds of hedge watchdogs waking at the same
-// virtual instants as transfer completions race on engine state, the one
-// interleaving netsim cannot pin down. The acceptance margins in
-// TestLoadSchedCrossover are set wide enough to absorb it.
+// The seed fixes the dataset and the arrival schedule, not the result:
+// open-loop arrivals keep many gets in flight, and goroutines woken at the
+// same virtual instant — arrivals, transfer completions, semaphore
+// hand-offs and, when hedging, watchdogs — reach the engine's semaphore,
+// the bandwidth tracker and the latency EWMA in a real-time order netsim
+// does not fix. Most cells therefore differ from run to run, the unhedged
+// ones included; the orderings hold, and the acceptance margins in
+// TestLoadSchedCrossover are set wide enough to absorb the spread.
 func LoadSched(cfg LoadSchedConfig) (LoadSchedResult, error) {
 	cfg.defaults()
 	// Equal-size files, unlike the Table-4 mix the other experiments use:

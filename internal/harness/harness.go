@@ -157,10 +157,6 @@ type Options struct {
 	// transitions — and the flight-recorder triggers hanging off them —
 	// within a few virtual seconds must lower it.
 	FailureThreshold time.Duration
-
-	// SLOObjectives overrides per-op latency objectives on the shared
-	// observer (netsim latencies sit far below the WAN defaults).
-	SLOObjectives map[string]time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -298,7 +294,7 @@ func New(opts Options) (*Harness, error) {
 		coder:      erasure.NewCoder(sharedKey),
 		migrators:  make(map[int]*lifecycle.Migrator),
 	}
-	oo := obs.Options{SLOObjectives: opts.SLOObjectives}
+	var oo obs.Options
 	if opts.Recorder != nil {
 		oo.Recorder = *opts.Recorder
 	}

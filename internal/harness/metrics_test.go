@@ -69,10 +69,9 @@ func TestMetricsSnapshot(t *testing.T) {
 // per-event-type totals must match exactly. Pipeline stall counts are
 // excluded entirely: whether the streaming scan loop blocks on a full
 // window is a race between the scanner and the transfer goroutines, not a
-// function of the seeded schedule. The SLO, flight-trigger, and
-// load-sample counters are likewise excluded: they classify real-time
-// latencies and real-time sample spacing, which goroutine scheduling (not
-// the seed) determines in a non-virtual run.
+// function of the seeded schedule. The SLO and flight-trigger counters are
+// likewise excluded: they classify real-time latencies, which goroutine
+// scheduling (not the seed) determines in a non-virtual run.
 func TestMetricsSnapshotDeterministic(t *testing.T) {
 	opts := Options{Seed: baseSeed(t), Ops: 60}
 	a := runScenario(t, opts)
@@ -82,7 +81,6 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 		obs.MetricSLOOK:          true,
 		obs.MetricSLOBreach:      true,
 		obs.MetricFlightTriggers: true,
-		obs.MetricLoadSamples:    true,
 	}
 	counters := func(s *obs.Snapshot) map[string]float64 {
 		out := map[string]float64{}

@@ -32,10 +32,9 @@ type Observer struct {
 	openSpans  openSpanTable
 	started    time.Time
 
-	// Deep-diagnosis layer: flight recorder, SLO tracker, load telemetry.
-	rec  *FlightRecorder
-	slo  *sloTracker
-	load *loadTracker
+	// Deep-diagnosis layer: flight recorder and SLO tracker.
+	rec *FlightRecorder
+	slo *sloTracker
 
 	// Pre-registered instrument families (see the Metric* constants).
 	opDur     *HistogramVec
@@ -103,18 +102,12 @@ type Observer struct {
 // Options tunes an Observer beyond the defaults. The zero value is valid
 // and equivalent to NewObserver().
 type Options struct {
-	// SpanRing overrides the finished-span ring capacity (default 512).
-	// Open spans are pinned separately and never evicted, so this only
-	// bounds post-hoc history depth.
-	SpanRing int
 	// SLOObjectives merges per-op latency objectives over
 	// DefaultSLOObjectives (positive sets, negative removes, zero skips).
 	SLOObjectives map[string]time.Duration
 	// Recorder tunes the flight recorder (ring capacity, trigger
-	// thresholds, dump retention and directory).
+	// thresholds, dump retention).
 	Recorder RecorderConfig
-	// Load tunes the per-CSP load-telemetry windows.
-	Load LoadConfig
 }
 
 // NewObserver builds an Observer with a fresh registry, scoreboard, and
@@ -131,7 +124,6 @@ func NewObserverWith(opts Options) *Observer {
 		health:  NewScoreboard(),
 		clock:   time.Now,
 		started: time.Now(),
-		ring:    spanRing{size: opts.SpanRing},
 
 		opDur:     reg.Histogram(MetricOpDuration, "Client operation latency by op.", nil, "op"),
 		opsTotal:  reg.Counter(MetricOpsTotal, "Client operations by op and result.", "op", "result"),
@@ -186,17 +178,7 @@ func NewObserverWith(opts Options) *Observer {
 	}
 	o.rec = newFlightRecorder(o, opts.Recorder)
 	o.slo = newSLOTracker(reg, opts.SLOObjectives)
-	o.load = newLoadTracker(o, opts.Load)
 	return o
-}
-
-// Recorder returns the observer's flight recorder (nil for a nil
-// Observer).
-func (o *Observer) Recorder() *FlightRecorder {
-	if o == nil {
-		return nil
-	}
-	return o.rec
 }
 
 // FlightDump forces a flight-recorder dump now. reasonClass should be one
@@ -297,7 +279,6 @@ func (o *Observer) CSPRequest(cspName string, err error, elapsed time.Duration) 
 	if err == nil {
 		o.cspReqDur.With(cspName).Observe(elapsed.Seconds())
 		o.health.RecordSuccess(cspName, at, elapsed)
-		o.load.contact(cspName)
 		return
 	}
 	o.health.RecordFailure(cspName, at, err)
@@ -348,14 +329,12 @@ func (o *Observer) TransferEvent(eventType, cspName, dir string, bytes int64, er
 }
 
 // TransferInFlight records a provider's current in-flight attempt count
-// (the transfer engine's per-CSP gauge) and samples the load-telemetry
-// window. Nil-safe.
+// (the transfer engine's per-CSP gauge). Nil-safe.
 func (o *Observer) TransferInFlight(cspName string, n int) {
 	if o == nil || cspName == "" {
 		return
 	}
 	o.xferInFlight.With(cspName).Set(float64(n))
-	o.load.inFlight(cspName, n)
 }
 
 // TransferInFlightPeak records a provider's high-water in-flight count.
@@ -375,7 +354,6 @@ func (o *Observer) TransferQueueDepth(n int) {
 		return
 	}
 	o.xferQueue.With().Set(float64(n))
-	o.load.queueDepth(n)
 }
 
 // AttemptStart records one transfer-engine attempt starting against a
@@ -433,8 +411,8 @@ func (o *Observer) TransferHedge(ctx context.Context, result string) {
 
 // HedgeSuppressed counts one hedge the load-adaptive controller withheld.
 // reason is "cold" (provider not yet armed by enough latency samples) or
-// "load" (the Ghosh crossover: provider or engine past the utilization
-// threshold). Nil-safe.
+// "load" (the Ghosh crossover: the engine's admission queue past the
+// utilization threshold). Nil-safe.
 func (o *Observer) HedgeSuppressed(ctx context.Context, cspName, reason string) {
 	if o == nil || cspName == "" {
 		return
@@ -603,13 +581,12 @@ type flightBody struct {
 	Dumps     []FlightDump  `json:"dumps"`
 	Events    []FlightEvent `json:"events"`
 	OpenSpans []SpanRecord  `json:"open_spans"`
-	Load      []CSPLoad     `json:"load"`
 }
 
 // FlightHandler serves the flight recorder (/debug/flightrecorder): GET
-// returns the retained dumps, the live event ring, the pinned open spans,
-// and the load-telemetry windows; POST forces a manual dump and returns
-// it. Nil-safe: a nil Observer serves 404.
+// returns the retained dumps, the live event ring and the pinned open
+// spans; POST forces a manual dump and returns it. Nil-safe: a nil
+// Observer serves 404.
 func (o *Observer) FlightHandler() http.Handler {
 	if o == nil {
 		return http.NotFoundHandler()
@@ -625,7 +602,6 @@ func (o *Observer) FlightHandler() http.Handler {
 			Dumps:     o.FlightDumps(),
 			Events:    o.FlightEvents(),
 			OpenSpans: o.OpenSpans(),
-			Load:      o.LoadStats(),
 		})
 	})
 }

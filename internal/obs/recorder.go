@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 )
@@ -21,9 +18,9 @@ import (
 // and what the providers were doing at the time.
 //
 // The recorder is deliberately cheap on the hot path (one mutex'd append
-// per event) and bounded everywhere: the ring evicts oldest-first, retained
-// dumps are capped, and file dumps only happen when a dump directory is
-// configured.
+// per event) and bounded everywhere: the ring evicts oldest-first and
+// retained dumps are capped. It writes no files; a caller that wants a dump
+// on disk marshals one (the chaos harness tests do, to CYRUS_FLIGHT_OUT).
 
 // Flight-event kinds. Kind strings are stable: dumps are consumed by
 // cyrusctl flightdump, CI artifacts, and the harness oracles.
@@ -87,9 +84,6 @@ type RecorderConfig struct {
 	TriggerFloor time.Duration
 	// MaxDumps bounds retained in-memory dumps (oldest evicted). Default 8.
 	MaxDumps int
-	// DumpDir, when set, additionally writes each dump to
-	// <DumpDir>/flight-<seq>.json (best effort).
-	DumpDir string
 }
 
 func (c RecorderConfig) withDefaults() RecorderConfig {
@@ -163,14 +157,6 @@ func newFlightRecorder(o *Observer, cfg RecorderConfig) *FlightRecorder {
 	}
 }
 
-// Config returns the recorder's effective (defaulted) configuration.
-func (r *FlightRecorder) Config() RecorderConfig {
-	if r == nil {
-		return RecorderConfig{}
-	}
-	return r.cfg
-}
-
 // record appends one event and returns it with Seq/At stamped. The caller
 // must NOT hold r.mu.
 func (r *FlightRecorder) record(ev FlightEvent) FlightEvent {
@@ -206,7 +192,6 @@ func (r *FlightRecorder) spanClosed(ev FlightEvent, isOp bool) {
 		return
 	}
 	ev.At = r.o.now()
-	var dump *FlightDump
 	r.mu.Lock()
 	r.seq++
 	ev.Seq = r.seq
@@ -224,8 +209,7 @@ func (r *FlightRecorder) spanClosed(ev FlightEvent, isOp bool) {
 			reason := fmt.Sprintf("%s: op=%s elapsed=%s ewma=%s x%.1f",
 				TriggerLatency, ev.Op, ev.Duration,
 				time.Duration(st.ewma*float64(time.Second)), sec/st.ewma)
-			d := r.dumpLocked(reason, TriggerLatency, &ev)
-			dump = &d
+			r.dumpLocked(reason, TriggerLatency, &ev)
 		}
 		st.samples++
 		if st.ewma == 0 {
@@ -235,7 +219,6 @@ func (r *FlightRecorder) spanClosed(ev FlightEvent, isOp bool) {
 		}
 	}
 	r.mu.Unlock()
-	r.writeDump(dump)
 }
 
 // cspTransition records a provider up/down transition and fires the
@@ -249,17 +232,14 @@ func (r *FlightRecorder) cspTransition(cspName string, down bool) {
 		kind = FlightCSPDown
 	}
 	ev := FlightEvent{Kind: kind, CSP: cspName, At: r.o.now()}
-	var dump *FlightDump
 	r.mu.Lock()
 	r.seq++
 	ev.Seq = r.seq
 	r.pushLocked(ev)
 	if down {
-		d := r.dumpLocked(fmt.Sprintf("%s: csp=%s", TriggerCSPDown, cspName), TriggerCSPDown, &ev)
-		dump = &d
+		r.dumpLocked(fmt.Sprintf("%s: csp=%s", TriggerCSPDown, cspName), TriggerCSPDown, &ev)
 	}
 	r.mu.Unlock()
-	r.writeDump(dump)
 }
 
 // Dump snapshots the ring now, under the given reason class and free-form
@@ -273,10 +253,8 @@ func (r *FlightRecorder) Dump(reasonClass, detail string) FlightDump {
 		reason += ": " + detail
 	}
 	r.mu.Lock()
-	d := r.dumpLocked(reason, reasonClass, nil)
-	r.mu.Unlock()
-	r.writeDump(&d)
-	return d
+	defer r.mu.Unlock()
+	return r.dumpLocked(reason, reasonClass, nil)
 }
 
 // dumpLocked builds, retains, and counts one dump. Caller holds r.mu. It
@@ -336,19 +314,4 @@ func (r *FlightRecorder) Dumps() []FlightDump {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]FlightDump(nil), r.dumps...)
-}
-
-// writeDump persists one dump to the configured directory, best effort —
-// a diagnosis artifact must never fail the operation it is diagnosing.
-func (r *FlightRecorder) writeDump(d *FlightDump) {
-	if r == nil || d == nil || r.cfg.DumpDir == "" {
-		return
-	}
-	data, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return
-	}
-	_ = os.MkdirAll(r.cfg.DumpDir, 0o755)
-	path := filepath.Join(r.cfg.DumpDir, fmt.Sprintf("flight-%d.json", d.Seq))
-	_ = os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,11 +2,7 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -158,33 +154,12 @@ func TestRecorderRingBounds(t *testing.T) {
 	}
 }
 
-// TestRecorderDumpDir: dumps are additionally written as JSON files when
-// a directory is configured.
-func TestRecorderDumpDir(t *testing.T) {
-	dir := t.TempDir()
-	o := NewObserverWith(Options{Recorder: RecorderConfig{DumpDir: dir}})
-	_, sp := o.Trace(context.Background(), "x")
-	sp.End(errors.New("boom"))
-	o.FlightDump(TriggerManual, "test")
-	data, err := os.ReadFile(filepath.Join(dir, "flight-1.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d FlightDump
-	if err := json.Unmarshal(data, &d); err != nil {
-		t.Fatalf("dump file is not JSON: %v", err)
-	}
-	if d.Seq != 1 || len(d.Events) == 0 {
-		t.Errorf("dump file = seq %d with %d events, want populated seq 1", d.Seq, len(d.Events))
-	}
-}
-
 // TestOpenSpanPinning: long-lived parents stay visible in OpenSpans (and
 // in dumps) regardless of how many finished children churn the span ring.
 func TestOpenSpanPinning(t *testing.T) {
 	o := NewObserver()
 	ctx, parent := o.StartOp(context.Background(), "put")
-	for i := 0; i < defaultSpanRing+50; i++ {
+	for i := 0; i < spanRingSize+50; i++ {
 		_, sp := o.Trace(ctx, "child")
 		sp.End(nil)
 	}
@@ -199,19 +174,6 @@ func TestOpenSpanPinning(t *testing.T) {
 	parent.End(nil)
 	if n := len(o.OpenSpans()); n != 0 {
 		t.Errorf("open spans after End = %d, want 0", n)
-	}
-}
-
-// TestSpanRingConfigurable: Options.SpanRing overrides the finished-span
-// ring capacity.
-func TestSpanRingConfigurable(t *testing.T) {
-	o := NewObserverWith(Options{SpanRing: 4})
-	for i := 0; i < 10; i++ {
-		_, sp := o.Trace(context.Background(), "s")
-		sp.End(nil)
-	}
-	if n := len(o.RecentSpans()); n != 4 {
-		t.Errorf("ring holds %d spans, want the configured 4", n)
 	}
 }
 
@@ -272,94 +234,43 @@ func TestSLOClassification(t *testing.T) {
 	}
 }
 
-// TestLoadTelemetry: in-flight updates and provider contacts sample the
-// per-CSP window, with predicted completion stacking the EWMA behind the
-// current in-flight count.
+// TestLoadTelemetry: the transfer engine's load gauges record exactly what
+// the engine hands them — per-CSP in-flight, its high-water mark and the
+// global admission-queue depth. The observer only records them; the engine
+// reads its load from its own semaphore.
 func TestLoadTelemetry(t *testing.T) {
-	clk := newFakeClock()
-	o := NewObserverWith(Options{Load: LoadConfig{Window: 4, SampleInterval: -1}})
-	o.SetClock(clk.now)
-
-	o.CSPRequest("cspa", nil, 100*time.Millisecond) // EWMA = 0.1s
+	o := NewObserver()
 	o.TransferInFlight("cspa", 3)
-	loads := o.LoadStats()
-	if len(loads) != 1 || loads[0].CSP != "cspa" {
-		t.Fatalf("loads = %+v, want one cspa entry", loads)
-	}
-	cur := loads[0].Current
-	if cur.InFlight != 3 || cur.EWMALatencySeconds != 0.1 {
-		t.Errorf("current = %+v, want in-flight 3, ewma 0.1", cur)
-	}
-	if want := 0.1 * 4; cur.PredictedSeconds != want {
-		t.Errorf("predicted = %v, want ewma x (1+inflight) = %v", cur.PredictedSeconds, want)
-	}
-
-	// The window is bounded: 10 more samples keep only the last 4.
-	for i := 0; i < 10; i++ {
-		clk.advance(time.Second)
-		o.TransferInFlight("cspa", i)
-	}
-	loads = o.LoadStats()
-	if n := len(loads[0].Window); n != 4 {
-		t.Errorf("window holds %d samples, want 4", n)
-	}
-	if got := loads[0].Current.InFlight; got != 9 {
-		t.Errorf("current in-flight = %d, want the last sample's 9", got)
-	}
-	s := o.Registry().Snapshot()
-	if p, ok := s.Find(MetricLoadEWMA, map[string]string{"csp": "cspa"}); !ok || p.Value != 0.1 {
-		t.Errorf("load_ewma{cspa} = %+v (found=%v), want 0.1", p, ok)
-	}
-	if _, ok := s.Find(MetricLoadPredicted, map[string]string{"csp": "cspa"}); !ok {
-		t.Error("snapshot missing load_predicted gauge")
-	}
-}
-
-// TestLoadSampleSpacing: the sample-interval gate drops samples that
-// arrive faster than the window wants.
-func TestLoadSampleSpacing(t *testing.T) {
-	clk := newFakeClock()
-	o := NewObserverWith(Options{Load: LoadConfig{Window: 16, SampleInterval: 100 * time.Millisecond}})
-	o.SetClock(clk.now)
-	for i := 0; i < 10; i++ {
-		o.TransferInFlight("cspa", i) // same instant: only the first lands
-	}
-	if n := len(o.LoadStats()[0].Window); n != 1 {
-		t.Errorf("window holds %d samples at one instant, want 1", n)
-	}
-	clk.advance(time.Second)
+	o.TransferInFlightPeak("cspa", 3)
 	o.TransferInFlight("cspa", 1)
-	if n := len(o.LoadStats()[0].Window); n != 2 {
-		t.Errorf("window holds %d samples after spacing elapsed, want 2", n)
-	}
-	// The decrement to idle bypasses the gate: without it the window's
-	// newest sample would report the provider as loaded forever.
-	o.TransferInFlight("cspa", 0)
-	loads := o.LoadStats()
-	if n := len(loads[0].Window); n != 3 {
-		t.Errorf("window holds %d samples after idle transition, want 3", n)
-	}
-	if got := loads[0].Current.InFlight; got != 0 {
-		t.Errorf("current in-flight after idle transition = %d, want 0", got)
+	o.TransferQueueDepth(7)
+	s := o.Registry().Snapshot()
+	for _, c := range []struct {
+		name   string
+		labels map[string]string
+		want   float64
+	}{
+		{MetricTransferInFlight, map[string]string{"csp": "cspa"}, 1},
+		{MetricTransferInFlightPeak, map[string]string{"csp": "cspa"}, 3},
+		{MetricTransferQueueDepth, nil, 7},
+	} {
+		if p, ok := s.Find(c.name, c.labels); !ok || p.Value != c.want {
+			t.Errorf("%s%v = %+v (found=%v), want %v", c.name, c.labels, p, ok, c.want)
+		}
 	}
 }
 
 // TestNewFamiliesExposition extends the golden-exposition coverage to the
-// SLO counters, objective gauge, load gauges, and trigger counter: exact
-// Prometheus 0.0.4 sample lines must appear in the rendered text.
+// SLO counters, objective gauge, transfer in-flight gauge, and trigger
+// counter: exact Prometheus 0.0.4 sample lines must appear in the rendered
+// text.
 func TestNewFamiliesExposition(t *testing.T) {
 	clk := newFakeClock()
-	o := NewObserverWith(Options{
-		SLOObjectives: map[string]time.Duration{"put": time.Second},
-		// Both load events land at the same fake-clock instant; keep the
-		// spacing gate from dropping the second.
-		Load: LoadConfig{SampleInterval: -1},
-	})
+	o := NewObserverWith(Options{SLOObjectives: map[string]time.Duration{"put": time.Second}})
 	o.SetClock(clk.now)
 
 	opSpan(o, clk, "put", 500*time.Millisecond, nil) // ok
 	opSpan(o, clk, "put", 2*time.Second, nil)        // breach
-	o.CSPRequest("cspa", nil, 200*time.Millisecond)
 	o.TransferInFlight("cspa", 1)
 	o.FlightDump(TriggerManual, "exposition")
 
@@ -371,10 +282,8 @@ func TestNewFamiliesExposition(t *testing.T) {
 		MetricSLOOK + `{op="put"} 1`,
 		MetricSLOBreach + `{op="put"} 1`,
 		MetricSLOObjective + `{op="put"} 1`,
-		"# TYPE " + MetricLoadEWMA + " gauge",
-		MetricLoadEWMA + `{csp="cspa"} 0.2`,
-		MetricLoadPredicted + `{csp="cspa"} 0.4`,
-		MetricLoadSamples + `{csp="cspa"} 2`,
+		"# TYPE " + MetricTransferInFlight + " gauge",
+		MetricTransferInFlight + `{csp="cspa"} 1`,
 		MetricFlightTriggers + `{reason="manual"} 1`,
 	} {
 		if !strings.Contains(text, want) {
@@ -425,7 +334,6 @@ func TestRecorderConcurrency(t *testing.T) {
 			_ = o.FlightEvents()
 			_ = o.FlightDumps()
 			_ = o.OpenSpans()
-			_ = o.LoadStats()
 			var b strings.Builder
 			o.Registry().WritePrometheus(&b)
 		}

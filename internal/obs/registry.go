@@ -85,12 +85,6 @@ const (
 	// Flight recorder (obs/recorder.go).
 	MetricFlightTriggers = "cyrus_flight_triggers_total"
 
-	// Load telemetry (obs/loadstats.go): the load-aware scheduler's input
-	// vector, sampled on transfer-engine events.
-	MetricLoadEWMA      = "cyrus_load_ewma_latency_seconds"
-	MetricLoadPredicted = "cyrus_load_predicted_completion_seconds"
-	MetricLoadSamples   = "cyrus_load_samples_total"
-
 	// Load-adaptive redundancy scheduling (internal/transfer): hedge
 	// suppression and win/loss accounting for the adaptive controller,
 	// plus race-read fan-out and cancelled-byte waste.

@@ -33,11 +33,10 @@ type SpanRecord struct {
 	Open     bool          `json:"open,omitempty"`
 }
 
-// defaultSpanRing bounds the recent-span buffer when Options.SpanRing is
-// unset. Long-lived parent spans are no longer at the ring's mercy: open
-// spans live in a separate pinned table until they end (see openSpans), so
-// the ring only ever holds finished spans.
-const defaultSpanRing = 512
+// spanRingSize bounds the recent-span buffer. Long-lived parent spans are
+// not at the ring's mercy: open spans live in a separate pinned table until
+// they end (see openSpans), so the ring only ever holds finished spans.
+const spanRingSize = 512
 
 // Span is one in-flight operation. A nil *Span is valid and inert, so
 // instrumented code never branches on whether observability is enabled.
@@ -232,7 +231,6 @@ func (o *Observer) OpenSpans() []SpanRecord {
 // spanRing is the bounded buffer of recently finished spans.
 type spanRing struct {
 	mu   sync.Mutex
-	size int
 	recs []SpanRecord
 	pos  int
 	full bool
@@ -242,10 +240,7 @@ func (r *spanRing) push(rec SpanRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.recs == nil {
-		if r.size <= 0 {
-			r.size = defaultSpanRing
-		}
-		r.recs = make([]SpanRecord, r.size)
+		r.recs = make([]SpanRecord, spanRingSize)
 	}
 	r.recs[r.pos] = rec
 	r.pos = (r.pos + 1) % len(r.recs)

@@ -93,13 +93,13 @@ func TestNilObserverIsInert(t *testing.T) {
 
 func TestSpanRingWraps(t *testing.T) {
 	o := NewObserver()
-	for i := 0; i < defaultSpanRing+10; i++ {
+	for i := 0; i < spanRingSize+10; i++ {
 		_, sp := o.Trace(context.Background(), "s")
 		sp.End(nil)
 	}
 	recs := o.RecentSpans()
-	if len(recs) != defaultSpanRing {
-		t.Fatalf("ring holds %d, want %d", len(recs), defaultSpanRing)
+	if len(recs) != spanRingSize {
+		t.Fatalf("ring holds %d, want %d", len(recs), spanRingSize)
 	}
 	// Oldest-first: the first buffered span is the 11th started (id 11).
 	if recs[0].ID != 11 {

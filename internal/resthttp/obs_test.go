@@ -137,7 +137,6 @@ func TestObservabilityEndpoints(t *testing.T) {
 	var fb struct {
 		Dumps  []obs.FlightDump  `json:"dumps"`
 		Events []obs.FlightEvent `json:"events"`
-		Load   []obs.CSPLoad     `json:"load"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&fb)
 	resp.Body.Close()
@@ -146,9 +145,6 @@ func TestObservabilityEndpoints(t *testing.T) {
 	}
 	if len(fb.Events) == 0 {
 		t.Error("/debug/flightrecorder carries no events after put/get")
-	}
-	if len(fb.Load) == 0 {
-		t.Error("/debug/flightrecorder carries no load telemetry after put/get")
 	}
 	resp, err = http.Post(flightURL, "application/json", nil)
 	if err != nil {

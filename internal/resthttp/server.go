@@ -128,8 +128,7 @@ func NewStoreServer(store csp.Store, token string) (*Server, error) {
 
 // SetObserver attaches an observability layer: /metrics (Prometheus text),
 // /healthz (scoreboard JSON), /debug/spans, /debug/flightrecorder (flight
-// recorder dumps, event ring, open spans, and load telemetry; POST forces
-// a dump), and net/http/pprof under /debug/pprof/, plus per-request HTTP
+// recorder dumps, event ring and open spans; POST forces a dump), and net/http/pprof under /debug/pprof/, plus per-request HTTP
 // metrics. These endpoints are served
 // without bearer auth — they expose operational state, never object data,
 // and scrapers don't carry tokens. The pprof cmdline endpoint is

@@ -2,7 +2,7 @@ package selector
 
 // Restricted filters each chunk's candidate sources down to a per-chunk
 // allowed set — the storage-class CSP subset the chunk was written under —
-// before delegating to an inner selector (Optimized, LoadAware, ...). The
+// before delegating to an inner selector (Optimized by default). The
 // restriction is a preference, not a straitjacket: when fewer than T
 // allowed sources still hold shares (class providers degraded, shares
 // migrated out of the subset), that chunk keeps its full source list, so a

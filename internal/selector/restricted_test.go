@@ -53,17 +53,13 @@ func TestRestrictedFallsBackBelowT(t *testing.T) {
 	}
 }
 
-// TestRestrictedComposesWithLoadAware checks the wrapper delegates to a
-// load-aware inner selector and still respects the class subset.
-func TestRestrictedComposesWithLoadAware(t *testing.T) {
+// TestRestrictedComposesWithInner checks the wrapper delegates to the
+// inner selector it is given and still respects the class subset.
+func TestRestrictedComposesWithInner(t *testing.T) {
 	in := restrictedInstance()
-	in.Load = &LoadVector{
-		PredictedSeconds: map[string]float64{"a": 0.5, "b": 0.1, "x": 0, "y": 0},
-		InFlight:         map[string]int{"a": 3},
-	}
 	s := Restricted{
 		Allowed: map[string]map[string]bool{"c1": {"a": true, "b": true}},
-		Inner:   LoadAware{},
+		Inner:   Greedy{},
 	}
 	a, err := s.Select(in)
 	if err != nil {
@@ -71,10 +67,10 @@ func TestRestrictedComposesWithLoadAware(t *testing.T) {
 	}
 	for _, c := range a.Pick["c1"] {
 		if c != "a" && c != "b" {
-			t.Fatalf("c1 picked out-of-class source %s under load: %v", c, a.Pick["c1"])
+			t.Fatalf("c1 picked out-of-class source %s: %v", c, a.Pick["c1"])
 		}
 	}
-	if s.Name() != "restricted+loadaware" {
+	if s.Name() != "restricted+greedy" {
 		t.Fatalf("Name() = %q", s.Name())
 	}
 }

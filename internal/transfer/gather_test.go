@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/vclock"
 )
 
@@ -85,10 +84,9 @@ func TestGatherSchedules(t *testing.T) {
 // instead of parking on its latch forever. Real clock, so a hang is a hang
 // (netsim would panic on the deadlock instead).
 func TestGatherNoLane(t *testing.T) {
-	o := obs.NewObserver()
-	e := New(Config{Runtime: vclock.Real(), Obs: o, Tunables: Tunables{MaxInFlight: 8}})
-	o.TransferQueueDepth(6) // past 0.75 x 8: race lanes are withheld
-	defer o.TransferQueueDepth(0)
+	e := New(Config{Runtime: vclock.Real(), Tunables: Tunables{MaxInFlight: 8}})
+	release := park(e, vclock.Real(), "cspb", 10) // 6 queued: past 0.75 x 8, race lanes are withheld
+	defer release()
 	supply := func() (Attempt, bool) { return sleepAttempt(vclock.Real(), "cspa", 0), true }
 
 	for name, g := range map[string]Gather{

@@ -7,13 +7,14 @@ import (
 )
 
 // Load-adaptive hedge scheduling: the actuator half of the redundancy
-// control loop (ROADMAP item 5). The sensors live in obs/loadstats.go —
-// per-CSP in-flight, global admission-queue depth, and the scoreboard's
-// latency EWMA. This file closes the loop:
+// control loop (ROADMAP item 5). The sensors are this engine's semaphore
+// (per-CSP in-flight, global admission-queue depth) and the observer's
+// scoreboard (latency EWMA and the success count that arms it). This file
+// closes the loop:
 //
-//	loadstats ──► HedgeAfter / LoadPermits ──► Op.Gather (hedge and race lanes)
-//	                 ▲                            │
-//	                 └───── hedgeController ──────┘  (win/loss feedback)
+//	semaphore.load ──► HedgeAfter / LoadPermits ──► Op.Gather (hedge and race lanes)
+//	scoreboard ──────┘       ▲                            │
+//	                         └───── hedgeController ──────┘  (win/loss feedback)
 //
 // Three decisions are made per hedge, in order. (1) Arming: a provider
 // whose EWMA was fed by fewer than hedgeMinSamples successes does not
@@ -24,8 +25,13 @@ import (
 // dodging. (3) Deadline: the trigger delay is the per-CSP effective
 // multiple times the predicted completion under current load,
 // expected x (1 + in-flight), not the open-loop HedgeMultiple x EWMA.
-// Every input is a deterministic function of recorded transfer events, so
-// netsim runs replay identically.
+// The load is this engine's own: clients sharing one observer never steer
+// off each other's queues. Every input is read at the moment of the
+// decision, so a netsim run replays only as far as the order of its events
+// does: goroutines woken at the same virtual instant (transfer completions,
+// admissions, hedge watchdogs) reach this state in a real-time order netsim
+// does not fix, and a run with many attempts in flight differs from run to
+// run.
 
 const (
 	// hedgeWinDecay shrinks a provider's effective multiple after a backup
@@ -90,10 +96,9 @@ func (e *Engine) HedgeMultipleFor(cspName string) float64 { return e.hedge.multi
 // Tunables.HedgePolicy decides alone. Otherwise this is the closed loop: no
 // hedge while the expectation is unknown or HedgeState withholds it
 // (counted in cyrus_hedge_suppressed_total), else the provider's effective
-// multiple times the predicted completion under current load. Without an
-// observer there is no load to read and the deadline degenerates to
-// multiple x expected. Callers treat 0 as "sequential failover only". ctx is
-// only used to stamp flight-recorder events.
+// multiple times the predicted completion under this engine's load.
+// Callers treat 0 as "sequential failover only". ctx is only used to stamp
+// flight-recorder events.
 func (e *Engine) HedgeAfter(ctx context.Context, cspName string, expected time.Duration) time.Duration {
 	if p := e.tun.HedgePolicy; p != nil {
 		return p(cspName, expected)
@@ -107,8 +112,8 @@ func (e *Engine) HedgeAfter(ctx context.Context, cspName string, expected time.D
 	}
 	// Predicted completion under current load: the expectation stacked
 	// behind the attempts already in flight at this provider.
-	load, _ := e.obs.CurrentLoad(cspName)
-	predicted := float64(expected) * float64(1+load.InFlight)
+	inFlight, _ := e.sem.load(cspName)
+	predicted := float64(expected) * float64(1+inFlight)
 	return max(time.Duration(e.hedge.multiple(cspName)*predicted), hedgeFloor)
 }
 
@@ -116,8 +121,9 @@ func (e *Engine) HedgeAfter(ctx context.Context, cspName string, expected time.D
 // against the provider would currently be withheld — "cold" (its EWMA not
 // yet fed by hedgeMinSamples successes), "load" (past the utilization
 // crossover) — or "" when a hedge would arm. Always "" without an observer
-// (no sensors) or under a HedgePolicy (which owns the decision).
-// `cyrusctl top` renders this as the per-provider suppression indicator.
+// (no latency EWMA to arm on) or under a HedgePolicy (which owns the
+// decision). `cyrusctl top` renders this as the per-provider suppression
+// indicator.
 func (e *Engine) HedgeState(cspName string) string {
 	if e.obs == nil || e.tun.HedgePolicy != nil {
 		return ""
@@ -131,15 +137,15 @@ func (e *Engine) HedgeState(cspName string) string {
 	return ""
 }
 
-// LoadPermits is the Ghosh crossover test against the live load vector:
-// whether launching a purely redundant attempt is currently sound. It
-// turns false once the global admission queue reaches hedgeLoadThreshold
-// of the in-flight capacity. The signal is deliberately global, not
-// per-CSP — a redundant request costs a global slot and lands on a
-// *different* provider than the slow primary, so a saturated primary is an
-// argument for hedging away from it, while a saturated engine means the
-// redundant request would only join the queue it is trying to beat. True
-// without an observer (no load signal, assume idle).
+// LoadPermits is the Ghosh crossover test against this engine's admission
+// queue: whether launching a purely redundant attempt is currently sound.
+// It turns false once the queue reaches hedgeLoadThreshold of the
+// in-flight capacity. The signal is deliberately global, not per-CSP — a
+// redundant request costs a global slot and lands on a *different*
+// provider than the slow primary, so a saturated primary is an argument for
+// hedging away from it, while a saturated engine means the redundant
+// request would only join the queue it is trying to beat.
 func (e *Engine) LoadPermits() bool {
-	return float64(e.obs.QueueDepthNow()) < hedgeLoadThreshold*float64(e.tun.MaxInFlight)
+	_, queued := e.sem.load("")
+	return float64(queued) < hedgeLoadThreshold*float64(e.tun.MaxInFlight)
 }

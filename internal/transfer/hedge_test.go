@@ -51,36 +51,38 @@ func TestHedgeColdStartArming(t *testing.T) {
 	}
 }
 
-// TestHedgeLoadSuppression: once the global admission queue crosses
+// TestHedgeLoadSuppression: once the engine's admission queue crosses
 // hedgeLoadThreshold x MaxInFlight, hedges are withheld (Ghosh's
 // crossover) and counted; redundant race lanes are refused too.
 func TestHedgeLoadSuppression(t *testing.T) {
 	ctx := context.Background()
 	o := obs.NewObserver()
-	e, _ := newSimEngine(Tunables{MaxInFlight: 8}, o)
+	e, nw := newSimEngine(Tunables{MaxInFlight: 8}, o)
 	warm(o, "cspa", hedgeMinSamples, 10*time.Millisecond)
 
-	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got == 0 {
-		t.Fatal("idle engine suppressed a hedge")
-	}
-	o.TransferQueueDepth(6) // 6 >= 0.75 x 8
-	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got != 0 {
-		t.Fatalf("overloaded engine armed a hedge: HedgeAfter = %v, want 0", got)
-	}
-	if st := e.HedgeState("cspa"); st != "load" {
-		t.Fatalf("HedgeState = %q, want load", st)
-	}
-	if e.LoadPermits() {
-		t.Fatal("LoadPermits = true past the crossover")
-	}
+	nw.Run(func() {
+		if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got == 0 {
+			t.Error("idle engine suppressed a hedge")
+		}
+		// 4 run (the per-provider cap), 6 queue: 6 >= 0.75 x 8.
+		release := park(e, nw, "cspa", 10)
+		if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got != 0 {
+			t.Errorf("overloaded engine armed a hedge: HedgeAfter = %v, want 0", got)
+		}
+		if st := e.HedgeState("cspa"); st != "load" {
+			t.Errorf("HedgeState = %q, want load", st)
+		}
+		if e.LoadPermits() {
+			t.Error("LoadPermits = true past the crossover")
+		}
+		release()
+		if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got == 0 {
+			t.Error("drained engine still suppressed")
+		}
+	})
 	p, ok := o.Registry().Snapshot().Find(obs.MetricHedgeSuppressed, map[string]string{"csp": "cspa", "reason": "load"})
 	if !ok || p.Value < 1 {
 		t.Fatalf("hedge_suppressed{cspa,load} = %v %v, want >= 1", p.Value, ok)
-	}
-
-	o.TransferQueueDepth(0)
-	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got == 0 {
-		t.Fatal("drained engine still suppressed")
 	}
 }
 
@@ -90,29 +92,62 @@ func TestHedgeLoadSuppression(t *testing.T) {
 func TestHedgeDeadlineTracksLoad(t *testing.T) {
 	ctx := context.Background()
 	o := obs.NewObserver()
-	e, _ := newSimEngine(Tunables{HedgeMultiple: 3}, o)
+	e, nw := newSimEngine(Tunables{HedgeMultiple: 3}, o)
 	warm(o, "cspa", hedgeMinSamples, 10*time.Millisecond)
 
-	idle := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond)
-	if idle != 300*time.Millisecond {
-		t.Fatalf("idle deadline = %v, want 300ms", idle)
-	}
-	o.TransferInFlight("cspa", 3)
-	loaded := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond)
-	if loaded != 4*idle {
-		t.Fatalf("deadline under 3 in flight = %v, want %v", loaded, 4*idle)
-	}
-	o.TransferInFlight("cspa", 0)
+	nw.Run(func() {
+		idle := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond)
+		if idle != 300*time.Millisecond {
+			t.Errorf("idle deadline = %v, want 300ms", idle)
+		}
+		release := park(e, nw, "cspa", 3)
+		if loaded := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); loaded != 4*idle {
+			t.Errorf("deadline under 3 in flight = %v, want %v", loaded, 4*idle)
+		}
+		release()
+	})
 
 	// An injected open-loop policy sets the deadline regardless of load.
-	st, _ := newSimEngine(Tunables{HedgePolicy: func(_ string, expected time.Duration) time.Duration {
+	st, nw := newSimEngine(Tunables{HedgePolicy: func(_ string, expected time.Duration) time.Duration {
 		return 3 * expected
 	}}, o)
-	o.TransferInFlight("cspa", 3)
-	if got := st.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got != 300*time.Millisecond {
-		t.Fatalf("static deadline = %v, want 300ms", got)
-	}
-	o.TransferInFlight("cspa", 0)
+	nw.Run(func() {
+		release := park(st, nw, "cspa", 3)
+		if got := st.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got != 300*time.Millisecond {
+			t.Errorf("static deadline = %v, want 300ms", got)
+		}
+		release()
+	})
+}
+
+// TestSharedObserverDoesNotSteer: clients may share one observer, but each
+// engine's hedge and race gates read only its own load. With engine A
+// saturated (4 running, 4 queued on cspa), an idle engine B on the same
+// observer still permits redundancy and keeps its idle hedge deadline.
+func TestSharedObserverDoesNotSteer(t *testing.T) {
+	ctx := context.Background()
+	o := obs.NewObserver()
+	a, nw := newSimEngine(Tunables{MaxInFlight: 4}, o)
+	b, _ := newSimEngine(Tunables{MaxInFlight: 4}, o)
+	warm(o, "cspa", hedgeMinSamples, 10*time.Millisecond)
+	idle := b.HedgeAfter(ctx, "cspa", 100*time.Millisecond)
+
+	nw.Run(func() {
+		release := park(a, nw, "cspa", 8)
+		defer release()
+		if a.LoadPermits() {
+			t.Error("saturated engine A permits redundancy")
+		}
+		if !b.LoadPermits() {
+			t.Error("idle engine B withholds redundancy on A's queue")
+		}
+		if st := b.HedgeState("cspa"); st == "load" {
+			t.Errorf("idle engine B HedgeState = %q, want not load", st)
+		}
+		if got := b.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got != idle {
+			t.Errorf("idle engine B HedgeAfter = %v under A's load, want its idle %v", got, idle)
+		}
+	})
 }
 
 // TestHedgeAdaptiveMultiple: wins shrink a provider's effective multiple,
@@ -294,12 +329,13 @@ func TestRaceSuppressedExtras(t *testing.T) {
 	o := obs.NewObserver()
 	e, nw := newOneTryEngine(Tunables{MaxInFlight: 8}, o)
 	o.SetClock(nw.Now)
-	o.TransferQueueDepth(6) // past 0.75 x 8
 
 	nw.Run(func() {
+		release := park(e, nw, "cspa", 10) // 6 queued: past 0.75 x 8
+		defer release()
 		op := e.Begin(context.Background())
 		defer op.Finish()
-		atts := []Attempt{sleepAttempt(nw, "cspa", time.Millisecond)}
+		atts := []Attempt{sleepAttempt(nw, "cspc", time.Millisecond)}
 		err := op.Gather(op.Context(), Gather{Need: 1, Primary: atts, Race: 2, Next: func() (Attempt, bool) {
 			return sleepAttempt(nw, "cspb", time.Millisecond), true
 		}})
@@ -307,7 +343,6 @@ func TestRaceSuppressedExtras(t *testing.T) {
 			t.Errorf("race: %v", err)
 		}
 	})
-	o.TransferQueueDepth(0)
 
 	if p, ok := o.Registry().Snapshot().Find(obs.MetricRaceLaunched, map[string]string{"csp": "cspb"}); ok && p.Value != 0 {
 		t.Errorf("race_launched{cspb} = %v under load, want 0", p.Value)

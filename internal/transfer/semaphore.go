@@ -12,6 +12,10 @@ import (
 // under both real goroutines and netsim virtual time. Slots are handed
 // off releaser-to-waiter in FIFO order per admissibility: release scans
 // the queue and admits every waiter the freed capacity now allows.
+//
+// It is also the engine's only load sensor: the hedge and race gates read
+// load, and the in-flight and queue-depth gauges it sets under mu carry
+// the same values for the observer to record.
 type semaphore struct {
 	rt  vclock.Runtime
 	obs *obs.Observer
@@ -90,11 +94,12 @@ func (s *semaphore) release(cspName string) {
 	s.mu.Unlock()
 }
 
-// inFlight returns the current in-flight count for one provider (tests).
-func (s *semaphore) inFlight(cspName string) int {
+// load returns one provider's attempts in flight and the attempts parked
+// waiting for a slot on any provider (the admission queue is global).
+func (s *semaphore) load(cspName string) (inFlight, queued int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.used[cspName]
+	return s.used[cspName], len(s.waiters)
 }
 
 // peakInFlight returns the high-water in-flight count for one provider.

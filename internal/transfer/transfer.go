@@ -20,7 +20,7 @@
 //     doomed sibling transfers stop instead of finishing wasted work);
 //   - one k-out-of-n gather (Op.Gather) for every quorum read, with
 //     redundant lanes — race reads at t=0, a hedge at the primary's
-//     deadline — launched only while load telemetry says they can pay.
+//     deadline — launched only while the engine's own load says they can pay.
 //
 // Everything blocks only through vclock.Runtime primitives (Group.Wait,
 // Sleep) — never on raw channels — so the engine is safe under netsim

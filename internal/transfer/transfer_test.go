@@ -52,6 +52,38 @@ func sleepAttempt(rt vclock.Runtime, cspName string, d time.Duration) Attempt {
 	}
 }
 
+// park holds n attempts against cspName on e until the returned release is
+// called: as many as the caps admit run (blocked inside Run), the rest wait
+// in the admission queue. It returns once every attempt is running or
+// queued, so the engine's load is exactly what the caller parked. release
+// lets them all finish and joins them.
+func park(e *Engine, rt vclock.Runtime, cspName string, n int) (release func()) {
+	hold, done := rt.NewGroup(), rt.NewGroup()
+	hold.Add(1)
+	done.Add(n)
+	op := e.Begin(context.Background())
+	for i := 0; i < n; i++ {
+		rt.Go(func() {
+			defer done.Done()
+			_ = op.Do(op.Context(), Attempt{CSP: cspName, Kind: "download", Run: func(context.Context) (int64, error) {
+				hold.Wait()
+				return 1, nil
+			}})
+		})
+	}
+	for {
+		if inFlight, queued := e.sem.load(cspName); inFlight+queued == n {
+			break
+		}
+		rt.Sleep(time.Millisecond)
+	}
+	return func() {
+		hold.Done()
+		done.Wait()
+		op.Finish()
+	}
+}
+
 func TestTunablesDefaults(t *testing.T) {
 	e, _ := newSimEngine(Tunables{}, nil)
 	if e.tun.MaxInFlight != 32 || e.tun.HedgeMultiple != 3 || e.sem.perCap != 4 || e.attempts != 2 {
@@ -341,7 +373,7 @@ func TestQueuedSiblingSkipsFailedProvider(t *testing.T) {
 	if failed != 1 || skipped != 1 {
 		t.Fatalf("outcomes %v, want one ErrUnavailable and one ErrSkipped", errs)
 	}
-	if n := e.sem.inFlight("cspa"); n != 0 {
+	if n, _ := e.sem.load("cspa"); n != 0 {
 		t.Fatalf("%d slots still held after the operation", n)
 	}
 }
@@ -579,9 +611,9 @@ func TestHedgeAllFail(t *testing.T) {
 	})
 }
 
-// TestHedgeAfter converts expected latency into trigger delays. Without
-// an observer there is no load signal, so the engine takes the open-loop
-// HedgeMultiple path.
+// TestHedgeAfter converts expected latency into trigger delays. Without an
+// observer nothing arms or suppresses a hedge, and an idle engine's
+// deadline is HedgeMultiple x expected.
 func TestHedgeAfter(t *testing.T) {
 	ctx := context.Background()
 	e, _ := newSimEngine(Tunables{HedgeMultiple: 3}, nil)
