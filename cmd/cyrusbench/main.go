@@ -108,7 +108,7 @@ var runners = []runner{
 		res, err := experiments.Classes(experiments.ClassesConfig{Seed: o.seed})
 		return res.Report, err
 	}},
-	{"ablation-selector", "Algorithm 1 vs its pieces vs exhaustive", func(o options) (experiments.Report, error) {
+	{"ablation-selector", "Algorithm 1 vs baselines vs exhaustive", func(o options) (experiments.Report, error) {
 		return experiments.AblationSelector(o.seed)
 	}},
 	{"ablation-chunking", "chunk size vs dedup on edit workload", func(o options) (experiments.Report, error) {

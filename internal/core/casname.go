@@ -51,8 +51,11 @@ func parseCASShareName(obj string) (tag string, index, t int, ok bool) {
 	if !strings.HasPrefix(rest, ".s") || tDot < 2 {
 		return "", 0, 0, false
 	}
+	if !canonicalDecimal(rest[2:tDot]) || !canonicalDecimal(rest[tDot+2:]) {
+		return "", 0, 0, false
+	}
 	index, err := strconv.Atoi(rest[2:tDot])
-	if err != nil || index < 0 {
+	if err != nil {
 		return "", 0, 0, false
 	}
 	t, err = strconv.Atoi(rest[tDot+2:])
@@ -60,6 +63,22 @@ func parseCASShareName(obj string) (tag string, index, t int, ok bool) {
 		return "", 0, 0, false
 	}
 	return tag, index, t, true
+}
+
+// canonicalDecimal reports whether s is a number as the object-name builders
+// print it: digits only, no sign, and no leading zero unless s is "0". The
+// parsers accept nothing else, so no share index or list sequence has a
+// second spelling that a listing could hold beside the first.
+func canonicalDecimal(s string) bool {
+	if s == "" || (len(s) > 1 && s[0] == '0') {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // ParseCASShareObjectName is the inverse of the dedup-mode ShareObjectName,

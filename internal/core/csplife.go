@@ -38,8 +38,11 @@ func parseCSPListName(obj string) (int64, bool) {
 	if !strings.HasPrefix(obj, cspListStem) {
 		return 0, false
 	}
+	if !canonicalDecimal(obj[len(cspListStem):]) {
+		return 0, false
+	}
 	seq, err := strconv.ParseInt(obj[len(cspListStem):], 10, 64)
-	if err != nil || seq < 0 {
+	if err != nil {
 		return 0, false
 	}
 	return seq, true

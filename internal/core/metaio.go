@@ -76,8 +76,11 @@ func parseMetaShareName(obj string) (rec string, index int, ok bool) {
 	if dot <= 0 {
 		return "", 0, false
 	}
+	if !canonicalDecimal(rest[dot+2:]) {
+		return "", 0, false
+	}
 	idx, err := strconv.Atoi(rest[dot+2:])
-	if err != nil || idx < 0 {
+	if err != nil {
 		return "", 0, false
 	}
 	rec = rest[:dot]

@@ -11,10 +11,9 @@ import (
 	"repro/internal/workload"
 )
 
-// AblationSelector quantifies the pieces of Algorithm 1: the full
-// optimizer, the optimizer without the LP relaxation (proportional-split
-// warm start only), and the baselines, against the exhaustive optimum on
-// instances small enough to enumerate.
+// AblationSelector compares Algorithm 1's online branch-and-bound and the
+// baselines against the exhaustive optimum on instances small enough to
+// enumerate.
 func AblationSelector(seed int64) (Report, error) {
 	links := map[string]float64{
 		"fast1": 15 * MB, "fast2": 15 * MB, "slow1": 2 * MB, "slow2": 2 * MB, "slow3": 2 * MB,
@@ -22,9 +21,9 @@ func AblationSelector(seed int64) (Report, error) {
 	csps := []string{"fast1", "fast2", "slow1", "slow2", "slow3"}
 	r := Report{
 		ID:      "ablation-selector",
-		Title:   "Downlink selection: Algorithm 1 vs its pieces vs exhaustive optimum",
+		Title:   "Downlink selection: Algorithm 1 vs baselines vs exhaustive optimum",
 		Columns: []string{"chunks", "policy", "makespan", "vs optimal"},
-		Notes:   []string{"small instances (exhaustive search feasible); LP-off = branch-and-bound stage over a proportional-split warm start"},
+		Notes:   []string{"small instances (exhaustive search feasible); cyrus = per-chunk branch-and-bound over water-filled bandwidths from a bandwidth-proportional split (no LP relaxation)"},
 	}
 	for _, nChunks := range []int{3, 5, 7} {
 		in := selector.Instance{T: 2, LinkBps: links}
@@ -41,7 +40,6 @@ func AblationSelector(seed int64) (Report, error) {
 			sel  selector.Selector
 		}{
 			{"cyrus (full)", selector.Optimized{}},
-			{"cyrus (LP off)", selector.Optimized{MaxLPCells: 1}},
 			{"greedy (DepSky)", selector.Greedy{}},
 			{"heuristic (RR)", selector.RoundRobin{}},
 			{"random", selector.Random{Seed: seed}},

@@ -353,8 +353,20 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 18 { // 3 sizes x (5 policies + exhaustive)
+	if len(r.Rows) != 15 { // 3 sizes x (4 policies + exhaustive)
 		t.Fatalf("selector ablation rows = %d", len(r.Rows))
+	}
+	cyrusRows := 0
+	for _, row := range r.Rows {
+		if row[1] == "cyrus (full)" {
+			cyrusRows++
+			if row[3] != "1.00x" {
+				t.Errorf("cyrus at %s chunks reads %s of the exhaustive optimum, want 1.00x", row[0], row[3])
+			}
+		}
+	}
+	if cyrusRows != 3 {
+		t.Fatalf("selector ablation has %d cyrus rows, want 3", cyrusRows)
 	}
 
 	r, err = AblationChunking(1)

@@ -3,38 +3,19 @@ package selector
 import (
 	"math"
 	"sort"
-
-	"repro/internal/lp"
 )
 
-// Optimized is Algorithm 1: convexified relaxation + per-chunk
-// branch-and-bound, applied online.
-type Optimized struct {
-	// Rounds of alternation between the d-LP and the β water-filling when
-	// solving the relaxation (default 3).
-	RelaxRounds int
-	// MaxLPCells bounds the size (chunks × CSPs) of the relaxation LP; for
-	// larger instances the initial fractional loads come from a
-	// proportional-split heuristic instead (the per-chunk integral stage is
-	// identical). Default 2000.
-	MaxLPCells int
-}
+// Optimized is Algorithm 1's online stage: fractional loads from a
+// bandwidth-proportional split, then per-chunk branch-and-bound.
+type Optimized struct{}
 
 // Name implements Selector.
 func (Optimized) Name() string { return "cyrus" }
 
 // Select implements Selector.
-func (o Optimized) Select(in Instance) (*Assignment, error) {
+func (Optimized) Select(in Instance) (*Assignment, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
-	}
-	rounds := o.RelaxRounds
-	if rounds <= 0 {
-		rounds = 3
-	}
-	maxCells := o.MaxLPCells
-	if maxCells <= 0 {
-		maxCells = 2000
 	}
 
 	csps := sortedCSPs(in)
@@ -43,13 +24,8 @@ func (o Optimized) Select(in Instance) (*Assignment, error) {
 		cIdx[c] = i
 	}
 
-	// Stage 1: fractional loads from the convexified relaxation.
-	var frac [][]float64 // frac[r][c] in [0,1]
-	if len(in.Chunks)*len(csps) <= maxCells {
-		frac = o.solveRelaxation(in, csps, cIdx, rounds)
-	} else {
-		frac = proportionalSplit(in, csps, cIdx)
-	}
+	// Stage 1: fractional loads, frac[r][c] in [0,1].
+	frac := proportionalSplit(in, csps, cIdx)
 
 	// Fractional remaining load per CSP (shrinks as chunks are fixed).
 	fracLoad := make([]float64, len(csps))
@@ -76,8 +52,8 @@ func (o Optimized) Select(in Instance) (*Assignment, error) {
 		ch := in.Chunks[r]
 		// Remove this chunk's fractional contribution; β is re-derived by
 		// water-filling over the combined (integral + remaining
-		// fractional) loads — the "re-solve the convex approximation, fix
-		// the resulting bandwidths" step.
+		// fractional) loads — Algorithm 1's "fix the resulting bandwidths"
+		// step.
 		for c := range csps {
 			fracLoad[c] -= frac[r][c] * float64(ch.ShareSize)
 			if fracLoad[c] < 0 {
@@ -149,8 +125,8 @@ func bestSubset(ch Chunk, t int, cIdx map[string]int, load []float64, beta []flo
 
 // waterfill computes the bandwidth allocation β minimizing max_c load_c/β_c
 // subject to Σβ_c ≤ clientBps and β_c ≤ β̄_c: the closed-form inner
-// optimization of the relaxation. With no client cap every link runs at its
-// maximum.
+// optimization of problem (5)–(7) for fixed loads. With no client cap every
+// link runs at its maximum.
 func waterfill(load []float64, csps []string, in Instance) []float64 {
 	beta := make([]float64, len(csps))
 	caps := make([]float64, len(csps))
@@ -223,99 +199,8 @@ func used(load, caps []float64, y float64) float64 {
 	return s
 }
 
-// solveRelaxation alternates the d-LP (fixed β) with water-filling (fixed
-// d) on the convexified problem and returns the fractional d matrix.
-func (o Optimized) solveRelaxation(in Instance, csps []string, cIdx map[string]int, rounds int) [][]float64 {
-	R, C := len(in.Chunks), len(csps)
-	frac := proportionalSplit(in, csps, cIdx)
-
-	// Secant over-estimator of D̂² = (alpha·d + gamma)² on d ∈ [0,1]:
-	// slope·d + intercept with slope = alpha² + 2·alpha·gamma and
-	// intercept = gamma². Convexity of D̂² makes the secant an
-	// over-estimator, preserving feasibility of the true constraints.
-	slope := alpha*alpha + 2*alpha*gamma
-	intercept := gamma * gamma
-
-	for round := 0; round < rounds; round++ {
-		// β from water-filling on current fractional loads.
-		load := make([]float64, C)
-		for r, ch := range in.Chunks {
-			for c := 0; c < C; c++ {
-				load[c] += frac[r][c] * float64(ch.ShareSize)
-			}
-		}
-		beta := waterfill(load, csps, in)
-
-		// LP over d (R*C vars) + y (1 var): minimize y subject to
-		//   Σ_r b_r (slope·d_rc + intercept·u_rc)/β_c ≤ y      ∀c
-		//   Σ_c d_rc = t                                       ∀r
-		//   0 ≤ d_rc ≤ u_rc
-		nv := R*C + 1
-		prob := lp.NewProblem(nv)
-		obj := make([]float64, nv)
-		obj[nv-1] = 1
-		if err := prob.SetObjective(obj); err != nil {
-			return frac
-		}
-		stored := make([][]bool, R)
-		for r, ch := range in.Chunks {
-			stored[r] = make([]bool, C)
-			for _, c := range ch.StoredOn {
-				stored[r][cIdx[c]] = true
-			}
-		}
-		for c := 0; c < C; c++ {
-			row := make([]float64, nv)
-			fixed := 0.0
-			for r, ch := range in.Chunks {
-				if stored[r][c] {
-					row[r*C+c] = float64(ch.ShareSize) * slope / beta[c]
-					fixed += float64(ch.ShareSize) * intercept / beta[c]
-				}
-			}
-			row[nv-1] = -1
-			if err := prob.AddConstraint(row, lp.LE, -fixed); err != nil {
-				return frac
-			}
-		}
-		for r := 0; r < R; r++ {
-			row := make([]float64, nv)
-			for c := 0; c < C; c++ {
-				if stored[r][c] {
-					row[r*C+c] = 1
-				}
-			}
-			if err := prob.AddConstraint(row, lp.EQ, float64(in.T)); err != nil {
-				return frac
-			}
-			for c := 0; c < C; c++ {
-				if stored[r][c] {
-					if err := prob.AddUpperBound(r*C+c, 1); err != nil {
-						return frac
-					}
-				} else {
-					if err := prob.AddUpperBound(r*C+c, 0); err != nil {
-						return frac
-					}
-				}
-			}
-		}
-		sol, err := prob.Solve()
-		if err != nil {
-			return frac // fall back to the current fractional loads
-		}
-		for r := 0; r < R; r++ {
-			for c := 0; c < C; c++ {
-				frac[r][c] = clamp01(sol.X[r*C+c])
-			}
-		}
-	}
-	return frac
-}
-
 // proportionalSplit spreads each chunk's t shares across its stored CSPs
-// proportional to link bandwidth — the large-instance fallback and the
-// relaxation's starting point.
+// proportional to link bandwidth.
 func proportionalSplit(in Instance, csps []string, cIdx map[string]int) [][]float64 {
 	frac := make([][]float64, len(in.Chunks))
 	for r, ch := range in.Chunks {

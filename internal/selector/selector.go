@@ -7,21 +7,22 @@
 // the indicator d_{r,c} and bandwidths β_c to minimize the completion time
 // y = max_c Σ_r b_r d_{r,c} / β_c.
 //
-// The exact problem is a non-convex mixed-integer program. Following the
-// paper, Optimized solves it approximately and online:
+// The exact problem is a non-convex mixed-integer program. Optimized solves
+// it approximately and online:
 //
-//  1. Convexify: substitute D̂_{r,c} = 3^¼·d/2 + 3^-¼/2, the closest linear
-//     over-estimator of d^½, and relax d to [0,1]. Because D̂² ≥ d on
-//     [0,1], any solution of the relaxed problem satisfies the original
-//     load constraints. We solve the relaxation by alternating an LP in d
-//     (for fixed β; D̂² is upper-bounded by its secant, keeping the
-//     over-estimation property) with a closed-form water-filling in β (for
-//     fixed d).
-//  2. Fix the bandwidths β_c, then make chunk η's d_{η,c} integral with a
-//     branch-and-bound over the C(t, |stored|) selections, bounding
-//     partial selections by the best completed makespan; fix the result
-//     and move to chunk η+1 (chunks are visited largest-share-first, and β
-//     is re-water-filled as integral load accumulates).
+//  1. Fractional loads: spread each chunk's t shares over the CSPs that
+//     store it in proportion to their link bandwidth β̄_c, capped at one
+//     share per CSP. The paper gets these loads from a convexified LP
+//     relaxation instead. On the placements this client makes, the
+//     branch-and-bound below picks the same sources from either start,
+//     and the LP cost more than the rest of Select combined, so it is not
+//     built (DESIGN.md §4 has the measurements).
+//  2. Fix the bandwidths β_c by water-filling the current loads, then make
+//     chunk η's d_{η,c} integral with a branch-and-bound over the
+//     C(t, |stored|) selections, bounding partial selections by the best
+//     completed makespan; fix the result and move to chunk η+1 (chunks are
+//     visited largest-share-first, and β is re-water-filled as integral
+//     load replaces fractional load).
 //
 // Baselines: Random (uniform t-subset), RoundRobin (the paper's
 // "heuristic"), and Greedy (DepSky's fastest-CSPs-always policy).
@@ -30,14 +31,7 @@ package selector
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
-)
-
-// Convexification constants from the paper: D̂ = alpha·d + gamma.
-var (
-	alpha = math.Pow(3, 0.25) / 2  // 3^¼ / 2
-	gamma = math.Pow(3, -0.25) / 2 // 3^-¼ / 2
 )
 
 // Chunk is one unit of download work.
@@ -86,9 +80,8 @@ var ErrInfeasible = errors.New("selector: infeasible instance")
 
 // Assignment is the output: which CSPs serve each chunk.
 type Assignment struct {
-	Pick      map[string][]string // chunk ID -> chosen CSPs (sorted, len T)
-	Makespan  float64             // predicted completion time, seconds
-	Bandwidth map[string]float64  // chosen β_c
+	Pick     map[string][]string // chunk ID -> chosen CSPs (sorted, len T)
+	Makespan float64             // predicted completion time, seconds
 }
 
 // LoadBytes recomputes the per-CSP byte loads of the assignment.
@@ -151,14 +144,8 @@ func sortedCSPs(in Instance) []string {
 }
 
 func finish(in Instance, pick map[string][]string) *Assignment {
-	a := &Assignment{Pick: pick, Makespan: PredictMakespan(in, pick)}
-	a.Bandwidth = make(map[string]float64)
-	for c, l := range a.LoadBytes(in) {
-		_ = l
-		a.Bandwidth[c] = in.LinkBps[c]
-	}
 	for id := range pick {
 		sort.Strings(pick[id])
 	}
-	return a
+	return &Assignment{Pick: pick, Makespan: PredictMakespan(in, pick)}
 }
