@@ -222,22 +222,72 @@ func cmdProbe(ctx context.Context, c *cyrus.Client) error {
 	return nil
 }
 
+// cspRow is one provider's line of `stats`, read back from the observer:
+// request counts, the client's link model as its gauges export it, the
+// marked-down state, and the newest failed attempt in the flight ring.
+type cspRow struct {
+	CSP                string  `json:"csp"`
+	Successes          int64   `json:"successes"`
+	Failures           int64   `json:"failures"`
+	LatencyEWMASeconds float64 `json:"latency_ewma_seconds"`
+	DownlinkBps        float64 `json:"downlink_bps,omitempty"`
+	UplinkBps          float64 `json:"uplink_bps,omitempty"`
+	Down               bool    `json:"down"`
+	LastError          string  `json:"last_error,omitempty"`
+}
+
+// cspRows builds one row per provider the client has contacted, sorted by
+// name.
+func cspRows(s cyrus.MetricsSnapshot, events []cyrus.FlightEvent) []cspRow {
+	var rows []cspRow
+	at := map[string]int{}
+	for _, p := range s.Metrics {
+		if p.Name != cyrus.MetricCSPRequests {
+			continue
+		}
+		name := p.Labels["csp"]
+		i, ok := at[name]
+		if !ok {
+			i = len(rows)
+			at[name] = i
+			csp := map[string]string{"csp": name}
+			lat, _ := s.Find(cyrus.MetricCSPLatencyEWMA, csp)
+			down, _ := s.Find(cyrus.MetricCSPBandwidth, map[string]string{"csp": name, "dir": "down"})
+			up, _ := s.Find(cyrus.MetricCSPBandwidth, map[string]string{"csp": name, "dir": "up"})
+			state, _ := s.Find(cyrus.MetricCSPDown, csp)
+			rows = append(rows, cspRow{CSP: name, LatencyEWMASeconds: lat.Value,
+				DownlinkBps: down.Value, UplinkBps: up.Value, Down: state.Value == 1})
+		}
+		if p.Labels["result"] == "ok" {
+			rows[i].Successes = int64(p.Value)
+		} else {
+			rows[i].Failures = int64(p.Value)
+		}
+	}
+	for _, ev := range events {
+		if i, ok := at[ev.CSP]; ok && ev.Kind == cyrus.FlightAttemptEnd && ev.Err != "" {
+			rows[i].LastError = ev.Err
+		}
+	}
+	return rows
+}
+
 // cmdStats syncs once (touching every reachable provider) and dumps the
-// observability scoreboard: per-CSP request counts, latency EWMA, link
-// estimates, marked-down state, the metadata records the hashring routes to
-// each provider (shard skew), and the metadata cache hit ratio. -json adds
-// the full metrics snapshot.
+// per-CSP view the observer recorded: request counts, latency EWMA, link
+// estimates, marked-down state, last error, the metadata records the
+// hashring routes to each provider (shard skew), and the metadata cache hit
+// ratio. -json adds the full metrics snapshot.
 func cmdStats(ctx context.Context, c *cyrus.Client, o *cyrus.Observer, args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
-	asJSON := fs.Bool("json", false, "emit JSON (scoreboard plus metrics snapshot)")
+	asJSON := fs.Bool("json", false, "emit JSON (per-CSP rows plus metrics snapshot)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if _, err := c.Sync(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "stats: sync:", err)
 	}
-	rows := o.Health().Snapshot()
 	snap := o.Registry().Snapshot()
+	rows := cspRows(snap, o.FlightEvents())
 	hits, _ := snap.Find(cyrus.MetricMetaCacheHits, nil)
 	misses, _ := snap.Find(cyrus.MetricMetaCacheMisses, nil)
 	hitRatio := 0.0
@@ -247,7 +297,7 @@ func cmdStats(ctx context.Context, c *cyrus.Client, o *cyrus.Observer, args []st
 	shards := c.MetaShardCounts()
 	if *asJSON {
 		out := struct {
-			CSPs              []cyrus.CSPHealth     `json:"csps"`
+			CSPs              []cspRow              `json:"csps"`
 			MetaCacheHitRatio float64               `json:"meta_cache_hit_ratio"`
 			ShardRecords      map[string]int        `json:"shard_records,omitempty"`
 			Metrics           cyrus.MetricsSnapshot `json:"metrics"`
@@ -332,6 +382,8 @@ func cmdFlightdump(ctx context.Context, c *cyrus.Client, o *cyrus.Observer, args
 // every reachable provider) and redraws a table of in-flight counts, queue
 // depth, latency EWMA, the success count that arms hedging, the hedge
 // controller's per-provider suppression state, and the SLO burn counters.
+// The provider columns come from the observer's registry; HEDGE is the
+// engine's HedgeState over the registry's success count.
 // -count bounds the iterations (0 = until interrupted); -json replaces the
 // table with one JSON document per refresh for machine consumers.
 func cmdTop(ctx context.Context, c *cyrus.Client, o *cyrus.Observer, args []string) error {
@@ -374,7 +426,7 @@ func hedgeFlag(state string) string {
 	return state
 }
 
-// topRow is one provider's line of `top`: the scoreboard's EWMA, success
+// topRow is one provider's line of `top`: the link model's EWMA, success
 // count and down state, the engine's two load gauges, and its hedge gate.
 type topRow struct {
 	CSP                string  `json:"csp"`
@@ -386,21 +438,21 @@ type topRow struct {
 	HedgeState         string  `json:"hedge_state"` // "" = a hedge would arm
 }
 
-// topRows builds one row per provider the scoreboard has seen, sorted by
+// topRows builds one row per provider the client has contacted, sorted by
 // name.
-func topRows(c *cyrus.Client, s cyrus.MetricsSnapshot, o *cyrus.Observer) []topRow {
+func topRows(c *cyrus.Client, s cyrus.MetricsSnapshot) []topRow {
 	queue, _ := s.Find(cyrus.MetricTransferQueueDepth, nil)
 	var rows []topRow
-	for _, h := range o.Health().Snapshot() {
-		inFlight, _ := s.Find(cyrus.MetricTransferInFlight, map[string]string{"csp": h.CSP})
+	for _, r := range cspRows(s, nil) {
+		inFlight, _ := s.Find(cyrus.MetricTransferInFlight, map[string]string{"csp": r.CSP})
 		rows = append(rows, topRow{
-			CSP:                h.CSP,
+			CSP:                r.CSP,
 			InFlight:           int(inFlight.Value),
 			QueueDepth:         int(queue.Value),
-			EWMALatencySeconds: h.LatencyEWMASeconds,
-			Samples:            h.Successes,
-			Down:               h.Down,
-			HedgeState:         c.Engine().HedgeState(h.CSP),
+			EWMALatencySeconds: r.LatencyEWMASeconds,
+			Samples:            r.Successes,
+			Down:               r.Down,
+			HedgeState:         c.Engine().HedgeState(r.CSP, r.Successes),
 		})
 	}
 	return rows
@@ -411,7 +463,7 @@ func printTop(c *cyrus.Client, o *cyrus.Observer) {
 	fmt.Printf("%-12s %8s %6s %10s %8s %-6s %-5s\n",
 		"CSP", "INFLIGHT", "QUEUE", "EWMA(ms)", "SAMPLES", "STATE", "HEDGE")
 	s := o.Registry().Snapshot()
-	for _, r := range topRows(c, s, o) {
+	for _, r := range topRows(c, s) {
 		state := "up"
 		if r.Down {
 			state = "DOWN"
@@ -434,7 +486,7 @@ func printTopJSON(c *cyrus.Client, o *cyrus.Observer) error {
 	data, err := json.Marshal(struct {
 		Time time.Time `json:"time"`
 		CSPs []topRow  `json:"csps"`
-	}{time.Now(), topRows(c, o.Registry().Snapshot(), o)})
+	}{time.Now(), topRows(c, o.Registry().Snapshot())})
 	if err != nil {
 		return err
 	}

@@ -1,12 +1,18 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/cyrus"
 )
 
 // ctl drives the CLI entry point directly.
@@ -166,7 +172,7 @@ func TestCLIFlightdumpAndTop(t *testing.T) {
 
 	// -json replaces the table with one machine-readable document per
 	// refresh: every provider row carries the engine's load gauges, the
-	// scoreboard's EWMA, success count and down state, and the hedge gate.
+	// link model's EWMA, success count and down state, and the hedge gate.
 	old := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -202,5 +208,28 @@ func TestCLIFlightdumpAndTop(t *testing.T) {
 		if err := json.Unmarshal(row["samples"], &samples); err != nil || samples == 0 {
 			t.Errorf("top -json row samples = %s, want the provider's success count after a put", row["samples"])
 		}
+	}
+}
+
+// TestCSPRowsFromRegistry: the per-provider rows of stats and top are read
+// from the observer alone — request counts, the link-model gauges, the
+// down gauge, and the newest failed attempt in the flight ring.
+func TestCSPRowsFromRegistry(t *testing.T) {
+	o := cyrus.NewObserver()
+	ctx := context.Background()
+	o.CSPRequest("a", nil, time.Millisecond)
+	o.CSPLink("a", 2e6, 1e6, 0.25)
+	o.CSPRequest("b", errors.New("boom"), 0)
+	o.AttemptEnd(ctx, "b", "download", 0, 0, 0, errors.New("older"))
+	o.AttemptEnd(ctx, "b", "download", 1, 0, 0, errors.New("newest"))
+	o.AttemptEnd(ctx, "b", "download", 2, 0, 0, nil)
+	o.CSPDownState("b", true)
+	got := cspRows(o.Registry().Snapshot(), o.FlightEvents())
+	want := []cspRow{
+		{CSP: "a", Successes: 1, LatencyEWMASeconds: 0.25, DownlinkBps: 2e6, UplinkBps: 1e6},
+		{CSP: "b", Failures: 1, Down: true, LastError: "newest"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("rows = %+v, want %+v", got, want)
 	}
 }

@@ -76,11 +76,9 @@ type (
 	GCStats = core.GCStats
 
 	// Observer is the observability bundle (metrics registry, span tracer,
-	// CSP health scoreboard). Attach one via Config.Obs; a nil Observer
-	// disables all instrumentation.
+	// flight recorder). Attach one via Config.Obs; a nil Observer disables
+	// all instrumentation and changes nothing else the client does.
 	Observer = obs.Observer
-	// CSPHealth is one provider's scoreboard row.
-	CSPHealth = obs.CSPHealth
 	// MetricsSnapshot is a point-in-time copy of an Observer's registry.
 	MetricsSnapshot = obs.Snapshot
 	// ObserverOptions tunes an observer built with NewObserverWith (SLO
@@ -131,8 +129,16 @@ type (
 const (
 	FlightTriggerManual    = obs.TriggerManual
 	FlightTriggerInvariant = obs.TriggerInvariant
+	FlightAttemptEnd       = obs.FlightAttemptEnd
 	MetricSLOOK            = obs.MetricSLOOK
 	MetricSLOBreach        = obs.MetricSLOBreach
+	// Per-provider request counters (labeled {csp,result}), marked-down
+	// state, and the client's link model: bandwidth (labeled {csp,dir}) and
+	// request-latency EWMA.
+	MetricCSPRequests    = obs.MetricCSPRequests
+	MetricCSPDown        = obs.MetricCSPDown
+	MetricCSPBandwidth   = obs.MetricCSPBandwidth
+	MetricCSPLatencyEWMA = obs.MetricCSPLatencyEWMA
 	// Transfer-engine load gauges: attempts in flight per provider
 	// (labeled {csp}) and attempts waiting for a slot.
 	MetricTransferInFlight   = obs.MetricTransferInFlight

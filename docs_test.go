@@ -165,9 +165,10 @@ func coreCallSites(t *testing.T, sites map[string]*regexp.Regexp) map[string][]s
 // gates — so a second publish tail, a sixth Get body or another cache gate
 // cannot grow back beside them. The record-LRU's byte knob stays deleted, and
 // so do the knobs that became constants, the observer-side load plumbing (the
-// engine reads its load from its own semaphore) and the selector's LP stage
-// with its simplex package: no source file or doc names one with its owner,
-// or bare where the name means nothing else in the tree.
+// engine reads its load from its own semaphore), the selector's LP stage
+// with its simplex package and the observer's scoreboard (the client keeps
+// its own link model): no source file or doc names one with its owner, or
+// bare where the name means nothing else in the tree.
 func TestCoreOneVersionPlane(t *testing.T) {
 	once := map[string]*regexp.Regexp{
 		"c.uploadMeta( call":     regexp.MustCompile(`c\.uploadMeta\(`),
@@ -195,6 +196,8 @@ func TestCoreOneVersionPlane(t *testing.T) {
 		regexp.MustCompile(`\b(Config|Transfer|Tunables)\.(ClientBps|FailureProb|PerCSP|Attempts|MaxBackoff)\b`),
 		regexp.MustCompile(`\b(MaxLPCells|RelaxRounds|solveRelaxation)\b`),
 		regexp.MustCompile(`internal/lp\b`),
+		regexp.MustCompile(`\b(Scoreboard|NewScoreboard|CSPHealth|SetBandwidth)\b`),
+		regexp.MustCompile(`\.Health\(\)`),
 	}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {

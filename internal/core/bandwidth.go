@@ -5,15 +5,25 @@ import (
 	"time"
 )
 
-// bandwidthTracker keeps per-CSP downlink estimates from observed
-// transfers — the paper's "each client maintains local bandwidth statistics
-// to all CSPs" (footnote 7). Estimates are exponentially weighted moving
-// averages seeded from configuration (or a conservative default).
-type bandwidthTracker struct {
+// linkModel is the client's per-CSP link model — the paper's "each client
+// maintains local bandwidth statistics to all CSPs" (footnote 7), extended
+// with what this client's own hedge gate reads: a request-latency EWMA and
+// the success count that arms it. Every estimate is fed by recordResult
+// alone, so two clients never share one, whatever observer they report to.
+// Down state and the failure prior live in reliability.Estimator.
+type linkModel struct {
 	mu    sync.Mutex
-	est   map[string]float64 // downlink (what the selector consumes)
-	upEst map[string]float64 // uplink (observability only)
+	links map[string]*link
 	seeds map[string]float64
+}
+
+// link is one provider's estimates. Zero rates and latency mean nothing
+// has been observed yet.
+type link struct {
+	downBps float64 // what the selector consumes
+	upBps   float64
+	latency float64 // seconds, EWMA over successful contacts
+	samples int64   // successful contacts, the hedge gate's arming count
 }
 
 // defaultSeedBps is used for CSPs with no configured seed and no
@@ -23,75 +33,82 @@ const defaultSeedBps = 1 << 20
 // ewmaWeight is the weight of a new observation.
 const ewmaWeight = 0.3
 
-func newBandwidthTracker(seeds map[string]float64) *bandwidthTracker {
-	t := &bandwidthTracker{est: make(map[string]float64), upEst: make(map[string]float64), seeds: make(map[string]float64)}
+func newLinkModel(seeds map[string]float64) *linkModel {
+	m := &linkModel{links: make(map[string]*link), seeds: make(map[string]float64)}
 	for k, v := range seeds {
 		if v > 0 {
-			t.seeds[k] = v
+			m.seeds[k] = v
 		}
 	}
-	return t
+	return m
 }
 
-// estimate returns the current bytes/second estimate for a CSP.
-func (t *bandwidthTracker) estimate(name string) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if v, ok := t.est[name]; ok {
-		return v
+// fold folds one new sample into an EWMA whose zero value means empty.
+func fold(cur, sample float64) float64 {
+	if cur == 0 {
+		return sample
 	}
-	if v, ok := t.seeds[name]; ok {
+	return (1-ewmaWeight)*cur + ewmaWeight*sample
+}
+
+// estimateLocked returns the downlink estimate: observed, else seeded,
+// else defaultSeedBps.
+func (m *linkModel) estimateLocked(name string) float64 {
+	if l, ok := m.links[name]; ok && l.downBps > 0 {
+		return l.downBps
+	}
+	if v, ok := m.seeds[name]; ok {
 		return v
 	}
 	return defaultSeedBps
 }
 
-// observe folds one completed transfer into the estimate. Transfers that
-// took no measurable time (instant simulated stores) are ignored.
-func (t *bandwidthTracker) observe(name string, bytes int64, elapsed time.Duration) {
-	if bytes <= 0 || elapsed <= 0 {
-		return
-	}
-	rate := float64(bytes) / elapsed.Seconds()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cur, ok := t.est[name]; ok {
-		t.est[name] = (1-ewmaWeight)*cur + ewmaWeight*rate
-	} else {
-		t.est[name] = rate
-	}
+// estimate returns the current downlink bytes/second estimate for a CSP.
+func (m *linkModel) estimate(name string) float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.estimateLocked(name)
 }
 
-// observeUp folds one completed upload into the uplink estimate. Uplink
-// rates are tracked separately from the downlink estimates the selector
-// consumes (links are asymmetric); they surface through the observability
-// scoreboard and bandwidth gauges.
-func (t *bandwidthTracker) observeUp(name string, bytes int64, elapsed time.Duration) {
-	if bytes <= 0 || elapsed <= 0 {
-		return
+// latency returns a CSP's request-latency EWMA (0 when none was observed)
+// and the number of successful contacts behind it.
+func (m *linkModel) latency(name string) (time.Duration, int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	l, ok := m.links[name]
+	if !ok {
+		return 0, 0
 	}
-	rate := float64(bytes) / elapsed.Seconds()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cur, ok := t.upEst[name]; ok {
-		t.upEst[name] = (1-ewmaWeight)*cur + ewmaWeight*rate
-	} else {
-		t.upEst[name] = rate
-	}
+	return time.Duration(l.latency * float64(time.Second)), l.samples
 }
 
-// estimateUp returns the uplink estimate, or 0 when nothing was observed.
-func (t *bandwidthTracker) estimateUp(name string) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.upEst[name]
-}
-
-// snapshot returns estimates for the given CSPs.
-func (t *bandwidthTracker) snapshot(names []string) map[string]float64 {
-	out := make(map[string]float64, len(names))
-	for _, n := range names {
-		out[n] = t.estimate(n)
+// success folds one successful contact in: it counts, its latency joins
+// the EWMA, and a download's or upload's rate joins that direction's
+// estimate. Contacts that took no measurable time (instant simulated
+// stores) are counted but change no estimate. It returns the link's state
+// after the update, with the downlink as estimate reports it.
+func (m *linkModel) success(name, op string, bytes int64, elapsed time.Duration) link {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	l, ok := m.links[name]
+	if !ok {
+		l = &link{}
+		m.links[name] = l
 	}
+	l.samples++
+	if elapsed > 0 {
+		l.latency = fold(l.latency, elapsed.Seconds())
+		if bytes > 0 {
+			rate := float64(bytes) / elapsed.Seconds()
+			switch op {
+			case opDownload:
+				l.downBps = fold(l.downBps, rate)
+			case opUpload:
+				l.upBps = fold(l.upBps, rate)
+			}
+		}
+	}
+	out := *l
+	out.downBps = m.estimateLocked(name)
 	return out
 }

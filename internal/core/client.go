@@ -167,12 +167,13 @@ type Config struct {
 	// deadline hedges.
 	RaceReads int
 
-	// Obs, when set, receives metrics, spans, and per-CSP health from
+	// Obs, when set, receives metrics, spans, and per-CSP state from
 	// every operation: op latency histograms, provider request counters,
-	// the event→metric bridge, and the scoreboard. The observer's clock is
-	// re-pointed at this client's Runtime, so virtual-time runs record
-	// virtual durations. One observer may be shared by several clients.
-	// nil disables instrumentation entirely.
+	// the event→metric bridge, and the link-model gauges. The observer's
+	// clock is re-pointed at this client's Runtime, so virtual-time runs
+	// record virtual durations. One observer may be shared by several
+	// clients; it only records, so nothing the client decides depends on
+	// it. nil disables instrumentation entirely.
 	Obs *obs.Observer
 }
 
@@ -270,7 +271,7 @@ type Client struct {
 	tree     *metadata.Tree
 	table    *metadata.ChunkTable
 	est      *reliability.Estimator
-	bw       *bandwidthTracker
+	links    *linkModel
 	events   *eventBus
 	engine   *transfer.Engine
 	rt       vclock.Runtime
@@ -344,7 +345,7 @@ func New(cfg Config, stores []csp.Store) (*Client, error) {
 		tree:     metadata.NewTree(),
 		table:    metadata.NewChunkTable(),
 		est:      reliability.NewEstimator(full.FailureThreshold),
-		bw:       newBandwidthTracker(full.LinkBps),
+		links:    newLinkModel(full.LinkBps),
 		events:   newEventBus(),
 		rt:       full.Runtime,
 		sel:      full.Selector,
@@ -593,25 +594,21 @@ func (c *Client) BufferBytes() (cur, peak int64) {
 }
 
 // hedgeAfter predicts how long a share download from the given provider
-// should take — the scoreboard's request-latency EWMA plus the payload
-// over the estimated downlink — and converts it into the engine's
-// load-adaptive hedge trigger delay (which may withhold the hedge
-// entirely: cold provider, or load past the Ghosh crossover). Without an
-// Observer there is no latency EWMA, so hedging is off (0) and gathers
-// fall back to plain sequential failover; the obs-less latency
-// experiments are bit-identical to the pre-engine code path.
+// should take — this client's request-latency EWMA plus the payload over
+// its downlink estimate — and converts it into the engine's load-adaptive
+// hedge trigger delay (which may withhold the hedge entirely: cold
+// provider, or load past the Ghosh crossover). Until a latency has been
+// observed there is nothing to predict, and the gather falls back to plain
+// sequential failover.
 func (c *Client) hedgeAfter(ctx context.Context, cspName string, bytes int64) time.Duration {
-	if c.obs == nil {
-		return 0
-	}
-	expected := c.obs.Health().Latency(cspName)
+	expected, samples := c.links.latency(cspName)
 	if expected <= 0 {
 		return 0
 	}
-	if bw := c.bw.estimate(cspName); bw > 0 && bytes > 0 {
+	if bw := c.links.estimate(cspName); bw > 0 && bytes > 0 {
 		expected += time.Duration(float64(bytes) / bw * float64(time.Second))
 	}
-	return c.engine.HedgeAfter(ctx, cspName, expected)
+	return c.engine.HedgeAfter(ctx, cspName, expected, samples)
 }
 
 // Subscribe registers an event handler (asynchronous transfer events,
@@ -622,11 +619,10 @@ func (c *Client) Subscribe(fn func(Event)) { c.events.subscribe(fn) }
 // recordResult is the single sink for provider-contact outcomes: every
 // upload, download, list, and delete lands here with its payload size and
 // elapsed time (on the runtime clock). Successes feed the failure
-// estimator, the bandwidth estimator (downloads the downlink estimate the
-// selector consumes, uploads the uplink estimate), and the observability
-// scoreboard; failures feed the estimator's outage tracking and the same
-// scoreboard — so selector inputs and the health view agree on one data
-// path. op is one of the op* constants in observe.go.
+// estimator and the link model (latency, arming count, and the downlink
+// estimate the selector consumes); failures feed the estimator's outage
+// tracking. The observer only records what these two hold. op is one of
+// the op* constants in observe.go.
 func (c *Client) recordResult(name, op string, err error, bytes int64, elapsed time.Duration) {
 	now := c.rt.Now()
 	if err == nil {
@@ -637,16 +633,9 @@ func (c *Client) recordResult(name, op string, err error, bytes int64, elapsed t
 		if _, recovered := c.est.RecordSuccess(name, now); recovered {
 			c.obs.CSPDownState(name, false)
 		}
-		switch op {
-		case opDownload:
-			c.bw.observe(name, bytes, elapsed)
-		case opUpload:
-			c.bw.observeUp(name, bytes, elapsed)
-		}
+		l := c.links.success(name, op, bytes, elapsed)
 		c.obs.CSPRequest(name, nil, elapsed)
-		if c.obs != nil {
-			c.obs.CSPBandwidth(name, c.bw.estimate(name), c.bw.estimateUp(name))
-		}
+		c.obs.CSPLink(name, l.downBps, l.upBps, l.latency)
 		return
 	}
 	c.obs.CSPRequest(name, err, elapsed)

@@ -219,8 +219,8 @@ func (c *Client) ProbeFailed(ctx context.Context) []string {
 	sort.Strings(down)
 
 	// Probes run through the engine like any other traffic: bounded slots,
-	// the standard retry policy, and results recorded on the health
-	// scoreboard — a provider that answers any attempt counts as back.
+	// the standard retry policy, and results recorded through
+	// recordResult — a provider that answers any attempt counts as back.
 	op := c.engine.Begin(ctx)
 	defer op.Finish()
 	var mu sync.Mutex

@@ -78,26 +78,19 @@ func TestObserverBridge(t *testing.T) {
 		}
 	}
 
-	// The CSP request path fed the scoreboard: every contacted provider has
-	// successes and no provider is down.
-	rows := o.Health().Snapshot()
-	if len(rows) == 0 {
-		t.Fatal("scoreboard is empty after Put/Get")
-	}
-	for _, r := range rows {
-		if r.Successes == 0 {
-			t.Errorf("scoreboard %s has no successes", r.CSP)
-		}
-		if r.Down {
-			t.Errorf("scoreboard %s marked down in a healthy run", r.CSP)
+	// The CSP request path recorded every contact: some provider has
+	// successes, and no provider is marked down in a healthy run.
+	okPoints := 0
+	for _, p := range s.Metrics {
+		switch {
+		case p.Name == obs.MetricCSPRequests && p.Labels["result"] == "ok" && p.Value > 0:
+			okPoints++
+		case p.Name == obs.MetricCSPDown && p.Value != 0:
+			t.Errorf("csp_down{csp=%s} = %v in a healthy run", p.Labels["csp"], p.Value)
 		}
 	}
-
-	// Share downloads fed the selector's downlink estimate through the same
-	// recordResult path (instant sim stores observe zero elapsed, which the
-	// tracker ignores — the histogram still counts the request).
-	if p, ok := s.Find(obs.MetricCSPRequests, map[string]string{"result": "ok"}); !ok || p.Value == 0 {
-		t.Errorf("csp_requests_total{result=ok} = %+v (found=%v), want > 0", p, ok)
+	if okPoints == 0 {
+		t.Error("csp_requests_total{result=ok} recorded nothing after Put/Get")
 	}
 
 	// Selector decisions were counted.

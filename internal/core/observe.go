@@ -7,17 +7,18 @@ package core
 //     and cyrus_ops_total{op,result};
 //   - provider contacts flow through recordResult (client.go) into
 //     cyrus_csp_requests_total{csp,result}, the success-latency histogram,
-//     the bandwidth gauges, and the health scoreboard;
+//     and the link-model gauges (bandwidth, latency EWMA);
 //   - transfer events are bridged from the event bus by observeEvent into
 //     cyrus_events_total{type} and cyrus_transfer_bytes_total{csp,dir}.
 //
-// All of it is inert when Config.Obs is nil.
+// All of it is inert when Config.Obs is nil, and none of it is read back:
+// the client behaves the same with or without an observer.
 
 // Provider-contact operation identifiers for recordResult. Chunk-share
-// transfers ("upload"/"download") feed the bandwidth estimators; metadata
+// transfers ("upload"/"download") feed the bandwidth estimates; metadata
 // and control-plane contacts ("meta_put"/"meta_get"/"list"/"delete") are
-// latency-dominated small objects and feed only the estimator, counters,
-// and scoreboard.
+// latency-dominated small objects and feed only the failure estimator, the
+// latency EWMA and the counters.
 const (
 	opUpload   = "upload"
 	opDownload = "download"

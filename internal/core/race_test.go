@@ -72,8 +72,8 @@ func TestRaceReadGolden(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		// Two reads: the first with a cold scoreboard, the second with
-		// telemetry warmed — both must be byte-exact.
+		// Two reads: the first with a cold link model, the second with
+		// it warmed — both must be byte-exact.
 		for i := 0; i < 2; i++ {
 			var err error
 			got, _, err = c.Get(bg, "golden.bin")

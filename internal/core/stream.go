@@ -374,7 +374,7 @@ func (c *Client) planGather(m *metadata.FileMeta, wanted []metadata.ChunkRef) (m
 				StoredOn:  st.usable,
 			})
 			for _, cspName := range st.usable {
-				in.LinkBps[cspName] = c.bw.estimate(cspName)
+				in.LinkBps[cspName] = c.links.estimate(cspName)
 			}
 		}
 		a, err := sel.Select(in)

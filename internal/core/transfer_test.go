@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -241,30 +243,57 @@ func testbedNet(t *testing.T) (net *netsim.Network, stores func() []csp.Store, l
 // hedges, and at least one backup lane wins.
 func TestHedgingBeatsStraggler(t *testing.T) {
 	t.Parallel()
-	plain, _ := stragglerGet(t, false)
-	hedged, wins := stragglerGet(t, true)
+	plain, _ := stragglerGet(t, func(cfg *Config) {
+		cfg.Transfer.HedgePolicy = func(string, time.Duration) time.Duration { return 0 }
+	})
+	o := obs.NewObserver()
+	hedged, _ := stragglerGet(t, func(cfg *Config) { cfg.Obs = o })
 	if t.Failed() {
 		return
 	}
-	t.Logf("first Get after the collapse: unhedged %v, hedged %v, %v hedge wins", plain, hedged, wins)
+	wins, _ := o.Registry().Snapshot().Find(obs.MetricTransferHedges, map[string]string{"result": "win"})
+	t.Logf("first Get after the collapse: unhedged %v, hedged %v, %v hedge wins", plain, hedged, wins.Value)
 	if hedged*3 > plain*2 {
 		t.Errorf("hedging did not help: unhedged %v vs hedged %v", plain, hedged)
 	}
-	if wins == 0 {
+	if wins.Value == 0 {
 		t.Error("no hedge backup lane ever won despite a straggling provider")
 	}
 }
 
-// stragglerGet runs TestHedgingBeatsStraggler's scenario in a fresh world and
-// returns the virtual duration of the first Get after fast1 collapses and the
-// downloader's hedge wins.
-func stragglerGet(t *testing.T, hedged bool) (time.Duration, float64) {
+// TestObserverDoesNotChangeTransfers: attaching an observer changes nothing
+// the client does. The straggler workload — sequential Gets, one provider
+// collapsing — makes the same transfers against every provider with Obs nil
+// as with Obs set, and the observed run did hedge, so the comparison covers
+// the hedge gate.
+func TestObserverDoesNotChangeTransfers(t *testing.T) {
+	t.Parallel()
+	_, bare := stragglerGet(t, nil)
+	o := obs.NewObserver()
+	_, observed := stragglerGet(t, func(cfg *Config) { cfg.Obs = o })
+	if t.Failed() {
+		return
+	}
+	if !maps.Equal(bare, observed) {
+		t.Errorf("transfers per provider: Obs nil %v, Obs set %v", bare, observed)
+	}
+	if p, _ := o.Registry().Snapshot().Find(obs.MetricTransferHedges, map[string]string{"result": "launched"}); p.Value == 0 {
+		t.Error("no hedge launched in the observed run: the comparison exercised no hedge gate")
+	}
+}
+
+// stragglerGet runs TestHedgingBeatsStraggler's scenario in a fresh world,
+// with the downloader's Config adjusted by tweak. It returns the virtual
+// duration of the first Get after fast1 collapses and how many share and
+// metadata transfers the downloader started per provider, losers included.
+func stragglerGet(t *testing.T, tweak func(*Config)) (time.Duration, map[string]int) {
 	t.Helper()
 	const MB = 1 << 20
 	net, stores, linkBps := testbedNet(t)
 	chunking := chunker.Config{AverageSize: 64 << 10, MinSize: 16 << 10, MaxSize: 256 << 10}
 	sizes := []int{2 * MB, 768 << 10, 512 << 10, 384 << 10, 256 << 10, 128 << 10}
-	o := obs.NewObserver()
+	var mu sync.Mutex
+	calls := map[string]int{}
 	var took time.Duration
 	net.Run(func() {
 		up, err := New(Config{ClientID: "uploader", Key: "k", T: 2, N: 3, Chunking: chunking, Runtime: net, LinkBps: linkBps}, stores())
@@ -278,15 +307,22 @@ func stragglerGet(t *testing.T, hedged bool) (time.Duration, float64) {
 				return
 			}
 		}
-		cfg := Config{ClientID: "downloader", Key: "k", T: 2, N: 3, Chunking: chunking, Runtime: net, LinkBps: linkBps, Obs: o}
-		if !hedged {
-			cfg.Transfer.HedgePolicy = func(string, time.Duration) time.Duration { return 0 }
+		cfg := Config{ClientID: "downloader", Key: "k", T: 2, N: 3, Chunking: chunking, Runtime: net, LinkBps: linkBps}
+		if tweak != nil {
+			tweak(&cfg)
 		}
 		dl, err := New(cfg, stores())
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		dl.Subscribe(func(ev Event) {
+			if ev.CSP != "" {
+				mu.Lock()
+				calls[ev.CSP]++
+				mu.Unlock()
+			}
+		})
 		if err := dl.Recover(bg); err != nil {
 			t.Error(err)
 			return
@@ -304,7 +340,10 @@ func stragglerGet(t *testing.T, hedged bool) (time.Duration, float64) {
 			return
 		}
 		took = net.Now().Sub(start)
+		// Let losers still on the slow link drain into the count.
+		net.Sleep(time.Minute)
 	})
-	wins, _ := o.Registry().Snapshot().Find(obs.MetricTransferHedges, map[string]string{"result": "win"})
-	return took, wins.Value
+	mu.Lock()
+	defer mu.Unlock()
+	return took, maps.Clone(calls)
 }

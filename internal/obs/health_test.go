@@ -1,63 +1,40 @@
 package obs
 
 import (
-	"errors"
-	"math"
+	"encoding/json"
+	"net/http/httptest"
 	"testing"
-	"time"
 )
 
-func TestScoreboard(t *testing.T) {
-	s := NewScoreboard()
-	t0 := time.Date(2015, 4, 21, 0, 0, 0, 0, time.UTC)
-
-	s.RecordSuccess("alpha", t0, 100*time.Millisecond)
-	s.RecordSuccess("alpha", t0.Add(time.Second), 200*time.Millisecond)
-	s.RecordFailure("beta", t0, errors.New("unavailable"))
-	s.SetDown("beta", true)
-	s.SetBandwidth("alpha", 1<<20, 1<<19)
-	s.SetBandwidth("alpha", 0, 0) // zero = unknown, must not clobber
-
-	rows := s.Snapshot()
-	if len(rows) != 2 || rows[0].CSP != "alpha" || rows[1].CSP != "beta" {
-		t.Fatalf("snapshot = %+v, want sorted [alpha beta]", rows)
+// TestHealthzReadsDownGauges: /healthz reports "degraded" while any
+// cyrus_csp_down gauge reads 1 and "ok" once every provider recovered.
+func TestHealthzReadsDownGauges(t *testing.T) {
+	o := NewObserver()
+	status := func() string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		o.HealthzHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		var body healthzBody
+		if err := json.NewDecoder(rec.Body).Decode(&body); err != nil || rec.Code != 200 {
+			t.Fatalf("/healthz code %d: %v", rec.Code, err)
+		}
+		return body.Status
 	}
-	a := rows[0]
-	if a.Successes != 2 || a.Failures != 0 {
-		t.Errorf("alpha counts = %d/%d, want 2/0", a.Successes, a.Failures)
+	if got := status(); got != "ok" {
+		t.Fatalf("fresh observer: status %q, want ok", got)
 	}
-	// EWMA: 0.1 seeded, then 0.7*0.1 + 0.3*0.2 = 0.13.
-	if math.Abs(a.LatencyEWMASeconds-0.13) > 1e-9 {
-		t.Errorf("alpha latency EWMA = %v, want 0.13", a.LatencyEWMASeconds)
+	o.CSPDownState("alpha", false)
+	o.CSPDownState("beta", true)
+	o.CSPDownState("gamma", true)
+	if got := status(); got != "degraded" {
+		t.Fatalf("beta and gamma down: status %q, want degraded", got)
 	}
-	if a.DownlinkBps != 1<<20 || a.UplinkBps != 1<<19 {
-		t.Errorf("alpha bandwidth = %v/%v, want %v/%v", a.DownlinkBps, a.UplinkBps, float64(1<<20), float64(1<<19))
+	o.CSPDownState("beta", false)
+	if got := status(); got != "degraded" {
+		t.Fatalf("gamma still down: status %q, want degraded", got)
 	}
-	b := rows[1]
-	if !b.Down || b.Failures != 1 || b.LastError != "unavailable" {
-		t.Errorf("beta = %+v, want down with 1 failure and last error", b)
-	}
-	if !s.AnyDown() {
-		t.Error("AnyDown = false with beta down")
-	}
-
-	// Success clears the error and recovery clears the down flag.
-	s.RecordSuccess("beta", t0.Add(2*time.Second), 0)
-	s.SetDown("beta", false)
-	rows = s.Snapshot()
-	if rows[1].LastError != "" || rows[1].Down {
-		t.Errorf("beta after recovery = %+v, want clean", rows[1])
-	}
-	if s.AnyDown() {
-		t.Error("AnyDown = true after recovery")
-	}
-}
-
-func TestScoreboardZeroLatencyCounted(t *testing.T) {
-	s := NewScoreboard()
-	s.RecordSuccess("a", time.Now(), 0)
-	rows := s.Snapshot()
-	if rows[0].Successes != 1 || rows[0].LatencyEWMASeconds != 0 {
-		t.Errorf("zero-latency success mishandled: %+v", rows[0])
+	o.CSPDownState("gamma", false)
+	if got := status(); got != "ok" {
+		t.Fatalf("all recovered: status %q, want ok", got)
 	}
 }

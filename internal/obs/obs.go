@@ -10,10 +10,11 @@ import (
 	"time"
 )
 
-// Observer bundles the three observability pieces — metrics registry, span
-// tracer state, and CSP health scoreboard — behind nil-safe methods, so
-// core.Client instruments unconditionally and a nil Observer costs one
-// pointer comparison per call site.
+// Observer bundles the observability pieces — metrics registry, span
+// tracer state, flight recorder and SLO tracker — behind nil-safe methods,
+// so core.Client instruments unconditionally and a nil Observer costs one
+// pointer comparison per call site. It only records: nothing the client
+// decides reads it back.
 //
 // One Observer may be shared by several clients (the chaos harness runs
 // all its clients against one, producing a single aggregate snapshot per
@@ -21,8 +22,7 @@ import (
 // client's vclock.Runtime: core.New points it at the runtime's Now, so
 // netsim virtual-time runs record virtual durations.
 type Observer struct {
-	reg    *Registry
-	health *Scoreboard
+	reg *Registry
 
 	clockMu sync.RWMutex
 	clock   func() time.Time
@@ -44,6 +44,7 @@ type Observer struct {
 	cspReqDur *HistogramVec
 	cspDown   *GaugeVec
 	cspBw     *GaugeVec
+	cspLat    *GaugeVec
 	evTotal   *CounterVec
 	xferBytes *CounterVec
 	selPicks  *CounterVec
@@ -110,8 +111,8 @@ type Options struct {
 	Recorder RecorderConfig
 }
 
-// NewObserver builds an Observer with a fresh registry, scoreboard, and
-// the real clock (core.New re-points the clock at the client's runtime).
+// NewObserver builds an Observer with a fresh registry and the real clock
+// (core.New re-points the clock at the client's runtime).
 func NewObserver() *Observer {
 	return NewObserverWith(Options{})
 }
@@ -121,7 +122,6 @@ func NewObserverWith(opts Options) *Observer {
 	reg := NewRegistry()
 	o := &Observer{
 		reg:     reg,
-		health:  NewScoreboard(),
 		clock:   time.Now,
 		started: time.Now(),
 
@@ -132,6 +132,7 @@ func NewObserverWith(opts Options) *Observer {
 		cspReqDur: reg.Histogram(MetricCSPRequestDuration, "Successful provider request latency by csp.", nil, "csp"),
 		cspDown:   reg.Gauge(MetricCSPDown, "1 while the failure estimator counts the csp as failed.", "csp"),
 		cspBw:     reg.Gauge(MetricCSPBandwidth, "Estimated link bandwidth by csp and direction.", "csp", "dir"),
+		cspLat:    reg.Gauge(MetricCSPLatencyEWMA, "The client's request-latency EWMA by csp, the hedge deadline's base.", "csp"),
 		evTotal:   reg.Counter(MetricEventsTotal, "Transfer-layer events by type.", "type"),
 		xferBytes: reg.Counter(MetricTransferBytes, "Payload bytes moved by csp and direction.", "csp", "dir"),
 		selPicks:  reg.Counter(MetricSelectorPicks, "Download-source selector decisions by csp.", "csp"),
@@ -219,14 +220,6 @@ func (o *Observer) Registry() *Registry {
 	return o.reg
 }
 
-// Health returns the CSP scoreboard (nil for a nil Observer).
-func (o *Observer) Health() *Scoreboard {
-	if o == nil {
-		return nil
-	}
-	return o.health
-}
-
 // SetClock re-points duration measurement at the given clock (the client's
 // vclock.Runtime Now). Nil-safe; a nil fn is ignored.
 func (o *Observer) SetClock(fn func() time.Time) {
@@ -266,22 +259,16 @@ func (o *Observer) RecentSpans() []SpanRecord {
 	return o.ring.recent()
 }
 
-// CSPRequest records one provider contact: the request counter, the
-// success-latency histogram, and the scoreboard. This is the single data
-// path both the selector's inputs and the health view hang off
-// (core.recordResult). Nil-safe.
+// CSPRequest records one provider contact: the request counter and the
+// success-latency histogram (core.recordResult). Nil-safe.
 func (o *Observer) CSPRequest(cspName string, err error, elapsed time.Duration) {
 	if o == nil || cspName == "" {
 		return
 	}
 	o.cspReq.With(cspName, resultLabel(err)).Inc()
-	at := o.now()
 	if err == nil {
 		o.cspReqDur.With(cspName).Observe(elapsed.Seconds())
-		o.health.RecordSuccess(cspName, at, elapsed)
-		return
 	}
-	o.health.RecordFailure(cspName, at, err)
 }
 
 // CSPDownState records a marked-down transition of the failure estimator.
@@ -295,13 +282,13 @@ func (o *Observer) CSPDownState(cspName string, down bool) {
 		v = 1
 	}
 	o.cspDown.With(cspName).Set(v)
-	o.health.SetDown(cspName, down)
 	o.rec.cspTransition(cspName, down)
 }
 
-// CSPBandwidth records the client's current link estimates (bytes/second;
-// zero values mean unknown). Nil-safe.
-func (o *Observer) CSPBandwidth(cspName string, downBps, upBps float64) {
+// CSPLink records the client's current link model for one provider:
+// bandwidth in bytes/second and the request-latency EWMA in seconds (zero
+// values mean unknown and leave the gauge alone). Nil-safe.
+func (o *Observer) CSPLink(cspName string, downBps, upBps, latencySeconds float64) {
 	if o == nil || cspName == "" {
 		return
 	}
@@ -311,7 +298,9 @@ func (o *Observer) CSPBandwidth(cspName string, downBps, upBps float64) {
 	if upBps > 0 {
 		o.cspBw.With(cspName, "up").Set(upBps)
 	}
-	o.health.SetBandwidth(cspName, downBps, upBps)
+	if latencySeconds > 0 {
+		o.cspLat.With(cspName).Set(latencySeconds)
+	}
 }
 
 // TransferEvent is the event→metric bridge: core subscribes it to the
@@ -540,13 +529,12 @@ func (o *Observer) MetricsHandler() http.Handler {
 
 // healthzBody is the /healthz JSON shape.
 type healthzBody struct {
-	Status        string      `json:"status"` // "ok" or "degraded"
-	UptimeSeconds float64     `json:"uptime_seconds"`
-	CSPs          []CSPHealth `json:"csps"`
+	Status        string  `json:"status"` // "ok" or "degraded"
+	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// HealthzHandler serves the scoreboard as JSON: 200 with status "ok" when
-// no provider is marked down, "degraded" otherwise (still 200 — the
+// HealthzHandler serves liveness as JSON: 200 with status "ok" while no
+// cyrus_csp_down gauge reads 1, "degraded" otherwise (still 200 — the
 // process itself is healthy; per-CSP state is payload, not liveness).
 func (o *Observer) HealthzHandler() http.Handler {
 	if o == nil {
@@ -556,9 +544,12 @@ func (o *Observer) HealthzHandler() http.Handler {
 		o.clockMu.RLock()
 		started := o.started
 		o.clockMu.RUnlock()
-		body := healthzBody{Status: "ok", UptimeSeconds: o.now().Sub(started).Seconds(), CSPs: o.health.Snapshot()}
-		if o.health.AnyDown() {
-			body.Status = "degraded"
+		body := healthzBody{Status: "ok", UptimeSeconds: o.now().Sub(started).Seconds()}
+		_, children := o.cspDown.f.sortedChildren()
+		for _, g := range children {
+			if g.(*Gauge).Value() == 1 {
+				body.Status = "degraded"
+			}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(body)

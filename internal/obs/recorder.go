@@ -125,8 +125,8 @@ type opLatency struct {
 }
 
 // triggerEWMAWeight smooths the per-op latency estimate. It matches the
-// scoreboard's request-latency smoothing so "anomalous" means the same
-// thing at both layers.
+// client link model's request-latency smoothing so "anomalous" means the
+// same thing at both layers.
 const triggerEWMAWeight = 0.3
 
 // FlightRecorder is the bounded event ring plus trigger machinery. All

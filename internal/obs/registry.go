@@ -2,7 +2,7 @@
 // concurrent metrics registry (counters, gauges, fixed-bucket histograms)
 // with Prometheus text-format and expvar export, lightweight span tracing
 // driven by the client's vclock.Runtime clock (so netsim virtual-time runs
-// trace correctly), and a per-CSP health scoreboard.
+// trace correctly), and a flight recorder with SLO burn counters.
 //
 // The package deliberately depends on nothing outside the standard
 // library: internal/core feeds it, internal/resthttp serves it, and the
@@ -35,6 +35,7 @@ const (
 	MetricCSPRequestDuration = "cyrus_csp_request_duration_seconds"
 	MetricCSPDown            = "cyrus_csp_down"
 	MetricCSPBandwidth       = "cyrus_csp_bandwidth_bytes_per_second"
+	MetricCSPLatencyEWMA     = "cyrus_csp_latency_ewma_seconds"
 	MetricEventsTotal        = "cyrus_events_total"
 	MetricTransferBytes      = "cyrus_transfer_bytes_total"
 	MetricSelectorPicks      = "cyrus_selector_picks_total"

@@ -82,11 +82,11 @@ func TestNilObserverIsInert(t *testing.T) {
 	sp3.End(nil)
 	o.CSPRequest("a", nil, time.Second)
 	o.CSPDownState("a", true)
-	o.CSPBandwidth("a", 1, 1)
+	o.CSPLink("a", 1, 1, 1)
 	o.TransferEvent("PUT", "a", "up", 10, nil)
 	o.SelectorPick("a")
 	o.SetClock(time.Now)
-	if o.Registry() != nil || o.Health() != nil || o.RecentSpans() != nil {
+	if o.Registry() != nil || o.RecentSpans() != nil {
 		t.Error("nil observer leaked non-nil state")
 	}
 }

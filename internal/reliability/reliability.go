@@ -188,7 +188,7 @@ func (e *Estimator) state(csp string) *cspState {
 // returns the CSP's down state after the call (always false) and whether
 // this call changed it — i.e. a down→up recovery. Returning the transition
 // from under the estimator's own lock lets callers drive per-transition
-// hooks (gauges, scoreboards) without a racy read-then-record sequence.
+// hooks (gauges, flight events) without a racy read-then-record sequence.
 func (e *Estimator) RecordSuccess(csp string, now time.Time) (down, changed bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -98,22 +98,21 @@ func TestObservabilityEndpoints(t *testing.T) {
 		}
 	}
 
-	// /healthz — 200 JSON with all providers healthy.
+	// /healthz — 200 JSON, ok with all providers healthy.
 	resp, err = http.Get(healthzURL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var hz struct {
-		Status string          `json:"status"`
-		CSPs   []obs.CSPHealth `json:"csps"`
+		Status string `json:"status"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&hz)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz status=%d err=%v", resp.StatusCode, err)
 	}
-	if hz.Status != "ok" || len(hz.CSPs) != 3 {
-		t.Errorf("/healthz = %+v, want ok with 3 csps", hz)
+	if hz.Status != "ok" {
+		t.Errorf("/healthz = %+v, want ok", hz)
 	}
 
 	// /debug/pprof/ index responds.

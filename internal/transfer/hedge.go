@@ -7,14 +7,14 @@ import (
 )
 
 // Load-adaptive hedge scheduling: the actuator half of the redundancy
-// control loop (ROADMAP item 5). The sensors are this engine's semaphore
-// (per-CSP in-flight, global admission-queue depth) and the observer's
-// scoreboard (latency EWMA and the success count that arms it). This file
-// closes the loop:
+// control loop. The sensors are this engine's semaphore (per-CSP
+// in-flight, global admission-queue depth) and the caller's link model,
+// whose latency EWMA and arming count arrive as HedgeAfter's arguments.
+// This file closes the loop:
 //
-//	semaphore.load ──► HedgeAfter / LoadPermits ──► Op.Gather (hedge and race lanes)
-//	scoreboard ──────┘       ▲                            │
-//	                         └───── hedgeController ──────┘  (win/loss feedback)
+//	semaphore.load ─────────► HedgeAfter / LoadPermits ──► Op.Gather (hedge and race lanes)
+//	expected, samples (args) ┘       ▲                            │
+//	                                 └───── hedgeController ──────┘  (win/loss feedback)
 //
 // Three decisions are made per hedge, in order. (1) Arming: a provider
 // whose EWMA was fed by fewer than hedgeMinSamples successes does not
@@ -25,8 +25,8 @@ import (
 // dodging. (3) Deadline: the trigger delay is the per-CSP effective
 // multiple times the predicted completion under current load,
 // expected x (1 + in-flight), not the open-loop HedgeMultiple x EWMA.
-// The load is this engine's own: clients sharing one observer never steer
-// off each other's queues. Every input is read at the moment of the
+// The load and the latency are this client's own: clients sharing one
+// observer never steer off each other's queues or samples. Every input is read at the moment of the
 // decision, so a netsim run replays only as far as the order of its events
 // does: goroutines woken at the same virtual instant (transfer completions,
 // admissions, hedge watchdogs) reach this state in a real-time order netsim
@@ -92,21 +92,22 @@ func (h *hedgeController) outcome(cspName string, win bool) {
 func (e *Engine) HedgeMultipleFor(cspName string) float64 { return e.hedge.multiple(cspName) }
 
 // HedgeAfter converts an expected attempt latency into the hedge trigger
-// delay for one provider, or 0 when no hedge should arm. A configured
-// Tunables.HedgePolicy decides alone. Otherwise this is the closed loop: no
-// hedge while the expectation is unknown or HedgeState withholds it
-// (counted in cyrus_hedge_suppressed_total), else the provider's effective
-// multiple times the predicted completion under this engine's load.
-// Callers treat 0 as "sequential failover only". ctx is only used to stamp
-// flight-recorder events.
-func (e *Engine) HedgeAfter(ctx context.Context, cspName string, expected time.Duration) time.Duration {
+// delay for one provider, or 0 when no hedge should arm. samples is how
+// many successful contacts the caller's latency estimate rests on. A
+// configured Tunables.HedgePolicy decides alone. Otherwise this is the
+// closed loop: no hedge while the expectation is unknown or HedgeState
+// withholds it (counted in cyrus_hedge_suppressed_total), else the
+// provider's effective multiple times the predicted completion under this
+// engine's load. Callers treat 0 as "sequential failover only". ctx is only
+// used to stamp flight-recorder events.
+func (e *Engine) HedgeAfter(ctx context.Context, cspName string, expected time.Duration, samples int64) time.Duration {
 	if p := e.tun.HedgePolicy; p != nil {
 		return p(cspName, expected)
 	}
 	if expected <= 0 {
 		return 0
 	}
-	if reason := e.HedgeState(cspName); reason != "" {
+	if reason := e.HedgeState(cspName, samples); reason != "" {
 		e.obs.HedgeSuppressed(ctx, cspName, reason)
 		return 0
 	}
@@ -118,17 +119,16 @@ func (e *Engine) HedgeAfter(ctx context.Context, cspName string, expected time.D
 }
 
 // HedgeState is the closed loop's arming/suppression decision: why a hedge
-// against the provider would currently be withheld — "cold" (its EWMA not
-// yet fed by hedgeMinSamples successes), "load" (past the utilization
-// crossover) — or "" when a hedge would arm. Always "" without an observer
-// (no latency EWMA to arm on) or under a HedgePolicy (which owns the
-// decision). `cyrusctl top` renders this as the per-provider suppression
-// indicator.
-func (e *Engine) HedgeState(cspName string) string {
-	if e.obs == nil || e.tun.HedgePolicy != nil {
+// against the provider would currently be withheld — "cold" (its latency
+// estimate rests on fewer than hedgeMinSamples successes), "load" (past the
+// utilization crossover) — or "" when a hedge would arm. Always "" under a
+// HedgePolicy (which owns the decision). `cyrusctl top` renders this as the
+// per-provider suppression indicator.
+func (e *Engine) HedgeState(cspName string, samples int64) string {
+	if e.tun.HedgePolicy != nil {
 		return ""
 	}
-	if e.obs.Health().Samples(cspName) < hedgeMinSamples {
+	if samples < hedgeMinSamples {
 		return "cold"
 	}
 	if !e.LoadPermits() {

@@ -9,14 +9,6 @@ import (
 	"repro/internal/obs"
 )
 
-// warm feeds n successful contacts into the observer's scoreboard so the
-// provider's EWMA is armed with the given latency.
-func warm(o *obs.Observer, cspName string, n int, latency time.Duration) {
-	for i := 0; i < n; i++ {
-		o.CSPRequest(cspName, nil, latency)
-	}
-}
-
 // TestHedgeColdStartArming is the cold-start hedge-storm regression: a
 // provider whose EWMA was seeded by a single anomalously fast sample must
 // not arm hedging until hedgeMinSamples successes have been observed.
@@ -25,12 +17,11 @@ func TestHedgeColdStartArming(t *testing.T) {
 	o := obs.NewObserver()
 	e, _ := newSimEngine(Tunables{}, o)
 
-	// One fast sample: the pre-fix engine would hedge off this EWMA.
-	warm(o, "cspa", 1, time.Millisecond)
-	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got != 0 {
+	// One sample: the pre-fix engine would hedge off this EWMA.
+	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond, 1); got != 0 {
 		t.Fatalf("cold provider armed a hedge: HedgeAfter = %v, want 0", got)
 	}
-	if st := e.HedgeState("cspa"); st != "cold" {
+	if st := e.HedgeState("cspa", 1); st != "cold" {
 		t.Fatalf("HedgeState = %q, want cold", st)
 	}
 	p, ok := o.Registry().Snapshot().Find(obs.MetricHedgeSuppressed, map[string]string{"csp": "cspa", "reason": "cold"})
@@ -38,15 +29,13 @@ func TestHedgeColdStartArming(t *testing.T) {
 		t.Fatalf("hedge_suppressed{cspa,cold} = %v %v, want >= 1", p.Value, ok)
 	}
 
-	warm(o, "cspa", hedgeMinSamples-2, time.Millisecond)
-	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got != 0 {
+	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond, hedgeMinSamples-1); got != 0 {
 		t.Fatalf("provider one success short of arming armed: HedgeAfter = %v", got)
 	}
-	warm(o, "cspa", 1, time.Millisecond)
-	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got == 0 {
+	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond, hedgeMinSamples); got == 0 {
 		t.Fatal("provider with hedgeMinSamples successes did not arm")
 	}
-	if st := e.HedgeState("cspa"); st != "" {
+	if st := e.HedgeState("cspa", hedgeMinSamples); st != "" {
 		t.Fatalf("armed provider HedgeState = %q, want \"\"", st)
 	}
 }
@@ -58,25 +47,24 @@ func TestHedgeLoadSuppression(t *testing.T) {
 	ctx := context.Background()
 	o := obs.NewObserver()
 	e, nw := newSimEngine(Tunables{MaxInFlight: 8}, o)
-	warm(o, "cspa", hedgeMinSamples, 10*time.Millisecond)
 
 	nw.Run(func() {
-		if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got == 0 {
+		if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond, hedgeMinSamples); got == 0 {
 			t.Error("idle engine suppressed a hedge")
 		}
 		// 4 run (the per-provider cap), 6 queue: 6 >= 0.75 x 8.
 		release := park(e, nw, "cspa", 10)
-		if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got != 0 {
+		if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond, hedgeMinSamples); got != 0 {
 			t.Errorf("overloaded engine armed a hedge: HedgeAfter = %v, want 0", got)
 		}
-		if st := e.HedgeState("cspa"); st != "load" {
+		if st := e.HedgeState("cspa", hedgeMinSamples); st != "load" {
 			t.Errorf("HedgeState = %q, want load", st)
 		}
 		if e.LoadPermits() {
 			t.Error("LoadPermits = true past the crossover")
 		}
 		release()
-		if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got == 0 {
+		if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond, hedgeMinSamples); got == 0 {
 			t.Error("drained engine still suppressed")
 		}
 	})
@@ -93,15 +81,14 @@ func TestHedgeDeadlineTracksLoad(t *testing.T) {
 	ctx := context.Background()
 	o := obs.NewObserver()
 	e, nw := newSimEngine(Tunables{HedgeMultiple: 3}, o)
-	warm(o, "cspa", hedgeMinSamples, 10*time.Millisecond)
 
 	nw.Run(func() {
-		idle := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond)
+		idle := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond, hedgeMinSamples)
 		if idle != 300*time.Millisecond {
 			t.Errorf("idle deadline = %v, want 300ms", idle)
 		}
 		release := park(e, nw, "cspa", 3)
-		if loaded := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); loaded != 4*idle {
+		if loaded := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond, hedgeMinSamples); loaded != 4*idle {
 			t.Errorf("deadline under 3 in flight = %v, want %v", loaded, 4*idle)
 		}
 		release()
@@ -113,7 +100,7 @@ func TestHedgeDeadlineTracksLoad(t *testing.T) {
 	}}, o)
 	nw.Run(func() {
 		release := park(st, nw, "cspa", 3)
-		if got := st.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got != 300*time.Millisecond {
+		if got := st.HedgeAfter(ctx, "cspa", 100*time.Millisecond, hedgeMinSamples); got != 300*time.Millisecond {
 			t.Errorf("static deadline = %v, want 300ms", got)
 		}
 		release()
@@ -121,16 +108,17 @@ func TestHedgeDeadlineTracksLoad(t *testing.T) {
 }
 
 // TestSharedObserverDoesNotSteer: clients may share one observer, but each
-// engine's hedge and race gates read only its own load. With engine A
-// saturated (4 running, 4 queued on cspa), an idle engine B on the same
-// observer still permits redundancy and keeps its idle hedge deadline.
+// engine's hedge and race gates read only its own load (and the latency and
+// arming count its caller passes; core.TestSharedObserverDoesNotSteer
+// covers those). With engine A saturated (4 running, 4 queued on cspa), an
+// idle engine B on the same observer still permits redundancy and keeps its
+// idle hedge deadline.
 func TestSharedObserverDoesNotSteer(t *testing.T) {
 	ctx := context.Background()
 	o := obs.NewObserver()
 	a, nw := newSimEngine(Tunables{MaxInFlight: 4}, o)
 	b, _ := newSimEngine(Tunables{MaxInFlight: 4}, o)
-	warm(o, "cspa", hedgeMinSamples, 10*time.Millisecond)
-	idle := b.HedgeAfter(ctx, "cspa", 100*time.Millisecond)
+	idle := b.HedgeAfter(ctx, "cspa", 100*time.Millisecond, hedgeMinSamples)
 
 	nw.Run(func() {
 		release := park(a, nw, "cspa", 8)
@@ -141,10 +129,10 @@ func TestSharedObserverDoesNotSteer(t *testing.T) {
 		if !b.LoadPermits() {
 			t.Error("idle engine B withholds redundancy on A's queue")
 		}
-		if st := b.HedgeState("cspa"); st == "load" {
+		if st := b.HedgeState("cspa", hedgeMinSamples); st == "load" {
 			t.Errorf("idle engine B HedgeState = %q, want not load", st)
 		}
-		if got := b.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got != idle {
+		if got := b.HedgeAfter(ctx, "cspa", 100*time.Millisecond, hedgeMinSamples); got != idle {
 			t.Errorf("idle engine B HedgeAfter = %v under A's load, want its idle %v", got, idle)
 		}
 	})
@@ -280,7 +268,10 @@ func TestRaceRedundantLane(t *testing.T) {
 		defer op.Finish()
 		atts := []Attempt{
 			sleepAttempt(nw, "cspa", 10*time.Millisecond),
+			// The dead primary fails only after the race lane, launched at
+			// t=0, has drawn cspb from Next.
 			{CSP: "deadcsp", Kind: "download", Run: func(ctx context.Context) (int64, error) {
+				nw.Sleep(5 * time.Millisecond)
 				return 0, csp.ErrUnavailable
 			}},
 		}

@@ -94,9 +94,9 @@ const (
 	// dodge.
 	hedgeLoadThreshold = 0.75
 	// hedgeMinSamples arms hedging against a provider only after this many
-	// successful contacts have fed its latency EWMA — the cold-start guard:
-	// an EWMA seeded from one anomalously fast sample would otherwise hedge
-	// nearly every request.
+	// successful contacts have fed the caller's latency EWMA — the
+	// cold-start guard: an EWMA seeded from one anomalously fast sample
+	// would otherwise hedge nearly every request.
 	hedgeMinSamples = 8
 )
 
@@ -121,9 +121,9 @@ type Config struct {
 	Obs *obs.Observer
 	// Report is called once per finished attempt with the provider name,
 	// the operation kind, the outcome, payload bytes, and elapsed time on
-	// the Runtime clock — core points this at recordResult, keeping the
-	// estimator/scoreboard/bandwidth path identical to the pre-engine
-	// code. Optional.
+	// the Runtime clock — core points this at recordResult, which feeds
+	// the failure estimator and the link model HedgeAfter's arguments come
+	// from. Optional.
 	Report func(cspName, kind string, err error, bytes int64, elapsed time.Duration)
 	// Tunables bound scheduling and hedging.
 	Tunables Tunables

@@ -575,7 +575,7 @@ func TestHedgeSequentialFailover(t *testing.T) {
 				},
 			}, true
 		}
-		if err := op.Gather(op.Context(), hedged(bad, e.HedgeAfter(op.Context(), "deadcsp", time.Millisecond), next)); err != nil {
+		if err := op.Gather(op.Context(), hedged(bad, e.HedgeAfter(op.Context(), "deadcsp", time.Millisecond, hedgeMinSamples), next)); err != nil {
 			t.Errorf("Gather: %v", err)
 		}
 	})
@@ -612,22 +612,22 @@ func TestHedgeAllFail(t *testing.T) {
 }
 
 // TestHedgeAfter converts expected latency into trigger delays. Without an
-// observer nothing arms or suppresses a hedge, and an idle engine's
-// deadline is HedgeMultiple x expected.
+// observer an armed idle engine's deadline is HedgeMultiple x expected, as
+// with one: the observer plays no part in the decision.
 func TestHedgeAfter(t *testing.T) {
 	ctx := context.Background()
 	e, _ := newSimEngine(Tunables{HedgeMultiple: 3}, nil)
-	if got := e.HedgeAfter(ctx, "cspa", 0); got != 0 {
+	if got := e.HedgeAfter(ctx, "cspa", 0, hedgeMinSamples); got != 0 {
 		t.Errorf("unknown expectation: HedgeAfter(0) = %v, want 0", got)
 	}
-	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond); got != 300*time.Millisecond {
+	if got := e.HedgeAfter(ctx, "cspa", 100*time.Millisecond, hedgeMinSamples); got != 300*time.Millisecond {
 		t.Errorf("HedgeAfter(100ms) = %v, want 300ms", got)
 	}
-	if got := e.HedgeAfter(ctx, "cspa", time.Millisecond); got != hedgeFloor {
+	if got := e.HedgeAfter(ctx, "cspa", time.Millisecond, hedgeMinSamples); got != hedgeFloor {
 		t.Errorf("HedgeAfter(1ms) = %v, want the %v floor", got, hedgeFloor)
 	}
 	off, _ := newSimEngine(Tunables{HedgePolicy: noHedge}, nil)
-	if got := off.HedgeAfter(ctx, "cspa", time.Second); got != 0 {
+	if got := off.HedgeAfter(ctx, "cspa", time.Second, hedgeMinSamples); got != 0 {
 		t.Errorf("never-hedge policy: HedgeAfter = %v, want 0", got)
 	}
 }
