@@ -46,7 +46,7 @@ func main() {
 	identity := flag.String("identity", "name-keyed", "object identity model: name-keyed (overwrite) or id-keyed (duplicate)")
 	dir := flag.String("dir", "", "serve objects from this directory (durable; streams bodies end to end) instead of memory")
 	admin := flag.Bool("admin", false, "expose fault-injection admin endpoints (testing only; memory backend only)")
-	withObs := flag.Bool("obs", true, "serve /metrics, /healthz, /debug/pprof/, /debug/spans")
+	withObs := flag.Bool("obs", true, "serve /metrics, /healthz, /debug/flightrecorder, /debug/pprof/")
 	flag.Parse()
 
 	tok, err := resolveToken(*token, *tokenFile)

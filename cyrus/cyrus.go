@@ -70,8 +70,6 @@ type (
 	FileInfo = core.FileInfo
 	// ConflictInfo describes a detected concurrent-update conflict.
 	ConflictInfo = core.ConflictInfo
-	// Event is an asynchronous transfer notification.
-	Event = core.Event
 	// GCStats reports what a garbage collection removed.
 	GCStats = core.GCStats
 
@@ -98,7 +96,7 @@ type (
 	// wins); configure via Config.ClassRules.
 	ClassRule = policy.Rule
 	// PutOptions carries per-request write options (e.g. a storage-class
-	// override) for Client.PutWith / Client.PutReaderWith.
+	// override) for Client.PutReaderWith.
 	PutOptions = core.PutOptions
 	// ClassUsage is one class's live object/byte tally from
 	// Client.ClassStats.

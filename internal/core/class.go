@@ -294,11 +294,11 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 			continue
 		}
 		st := states[ref.EncodingKey()]
-		data, buf, gerr := c.gatherChunk(op, name, st.ref, st.shares, pick[ref.EncodingKey()])
+		data, buf, gerr := c.gatherChunk(op, st.ref, st.shares, pick[ref.EncodingKey()])
 		if gerr != nil {
 			return false, gerr
 		}
-		locs, serr := c.scatterChunk(op, name, newRef, data)
+		locs, serr := c.scatterChunk(op, newRef, data)
 		movedBytes += int64(len(data))
 		erasure.PutDataBuf(buf) // the scatter has joined: nothing reads the plaintext any more
 		if serr != nil {

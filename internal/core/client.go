@@ -168,8 +168,9 @@ type Config struct {
 	RaceReads int
 
 	// Obs, when set, receives metrics, spans, and per-CSP state from
-	// every operation: op latency histograms, provider request counters,
-	// the event→metric bridge, and the link-model gauges. The observer's
+	// every operation: op latency histograms, provider request and byte
+	// counters, one attempt record per provider try in the flight
+	// recorder, and the link-model gauges. The observer's
 	// clock is re-pointed at this client's Runtime, so virtual-time runs
 	// record virtual durations. One observer may be shared by several
 	// clients; it only records, so nothing the client decides depends on
@@ -272,7 +273,6 @@ type Client struct {
 	table    *metadata.ChunkTable
 	est      *reliability.Estimator
 	links    *linkModel
-	events   *eventBus
 	engine   *transfer.Engine
 	rt       vclock.Runtime
 	sel      selector.Selector
@@ -346,7 +346,6 @@ func New(cfg Config, stores []csp.Store) (*Client, error) {
 		table:    metadata.NewChunkTable(),
 		est:      reliability.NewEstimator(full.FailureThreshold),
 		links:    newLinkModel(full.LinkBps),
-		events:   newEventBus(),
 		rt:       full.Runtime,
 		sel:      full.Selector,
 		keyHash:  hex.EncodeToString(sum[:]),
@@ -376,11 +375,8 @@ func New(cfg Config, stores []csp.Store) (*Client, error) {
 		Tunables: full.Transfer,
 	})
 	if c.obs != nil {
-		// Durations must follow this client's notion of time, and the
-		// bridge turns transfer events into metrics without any subscriber
-		// re-deriving timing.
+		// Durations must follow this client's notion of time.
 		c.obs.SetClock(c.rt.Now)
-		c.events.subscribe(c.observeEvent)
 	}
 	for _, s := range stores {
 		if err := c.AddCSP(s); err != nil {
@@ -611,18 +607,14 @@ func (c *Client) hedgeAfter(ctx context.Context, cspName string, bytes int64) ti
 	return c.engine.HedgeAfter(ctx, cspName, expected, samples)
 }
 
-// Subscribe registers an event handler (asynchronous transfer events,
-// paper §5.3). Handlers must be fast and must not call back into the
-// client.
-func (c *Client) Subscribe(fn func(Event)) { c.events.subscribe(fn) }
-
 // recordResult is the single sink for provider-contact outcomes: every
 // upload, download, list, and delete lands here with its payload size and
-// elapsed time (on the runtime clock). Successes feed the failure
-// estimator and the link model (latency, arming count, and the downlink
-// estimate the selector consumes); failures feed the estimator's outage
-// tracking. The observer only records what these two hold. op is one of
-// the op* constants in observe.go.
+// elapsed time (on the runtime clock), once per try. Successes feed the
+// failure estimator and the link model (latency, arming count, and the
+// downlink estimate the selector consumes); failures feed the estimator's
+// outage tracking. The observer only records what these two hold, plus the
+// payload bytes of successful tries. op is one of the op* constants in
+// observe.go.
 func (c *Client) recordResult(name, op string, err error, bytes int64, elapsed time.Duration) {
 	now := c.rt.Now()
 	if err == nil {
@@ -635,6 +627,7 @@ func (c *Client) recordResult(name, op string, err error, bytes int64, elapsed t
 		}
 		l := c.links.success(name, op, bytes, elapsed)
 		c.obs.CSPRequest(name, nil, elapsed)
+		c.obs.TransferBytes(name, opDir(op), bytes)
 		c.obs.CSPLink(name, l.downBps, l.upBps, l.latency)
 		return
 	}

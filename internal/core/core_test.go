@@ -602,7 +602,7 @@ func buildVersion(t *testing.T, c *Client, name string, data []byte, parentVID s
 		meta.Chunks = append(meta.Chunks, ref)
 		if !seen[id] {
 			sop := c.engine.Begin(bg)
-			locs, err := c.scatterChunk(sop, name, ref, ch.Data)
+			locs, err := c.scatterChunk(sop, ref, ch.Data)
 			sop.Finish()
 			if err != nil {
 				t.Fatal(err)

@@ -110,8 +110,8 @@ func TestDownloadCorrectsCorruptShare(t *testing.T) {
 
 // correctingReplay builds a fresh five-provider netsim world with distinct
 // links, stores one (2,5) chunk, corrupts a share the reader is known to
-// fetch, and returns the EvShareGet sequence ("index@csp") of the read that
-// has to widen and correct.
+// fetch, and returns the share-download sequence ("index@csp") of the read
+// that has to widen and correct.
 func correctingReplay(t *testing.T) []string {
 	t.Helper()
 	const MB = 1 << 20
@@ -119,14 +119,22 @@ func correctingReplay(t *testing.T) []string {
 	net.AddNode("client", netsim.NodeConfig{})
 	backends := make(map[string]*cloudsim.Backend)
 	var stores []csp.Store
+	var mu sync.Mutex
+	var gets []transferRec
 	for i, name := range []string{"v", "w", "x", "y", "z"} {
 		net.SetLink("client", name, netsim.LinkConfig{
 			RTT: time.Duration(5+5*i) * time.Millisecond, UpBps: 4 * MB, DownBps: float64(2+3*i) * MB,
 		})
 		backends[name] = cloudsim.NewBackend(name, csp.NameKeyed, 0)
-		stores = append(stores, cloudsim.NewSimStore(backends[name],
+		stores = append(stores, recording(func(r transferRec) {
+			if r.isShareGet() {
+				mu.Lock()
+				gets = append(gets, r)
+				mu.Unlock()
+			}
+		})(cloudsim.NewSimStore(backends[name],
 			cloudsim.WithTransport(cloudsim.NodeTransport{Net: net, Node: "client"}),
-			cloudsim.WithClock(net.Now)))
+			cloudsim.WithClock(net.Now))))
 	}
 	c, err := New(Config{
 		ClientID: "alice", Key: "k", T: 2, N: 5, Runtime: net,
@@ -135,15 +143,6 @@ func correctingReplay(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var gets []Event
-	c.Subscribe(func(ev Event) {
-		if ev.Type == EvShareGet {
-			mu.Lock()
-			gets = append(gets, ev)
-			mu.Unlock()
-		}
-	})
 	data := randData(73, 64<<10) // below MinSize: one chunk
 	net.Run(func() {
 		for _, s := range stores {
@@ -165,12 +164,11 @@ func correctingReplay(t *testing.T) []string {
 		target := gets[0]
 		gets = nil
 		mu.Unlock()
-		obj := c.ShareObjectName(target.ChunkID, target.Index, 2)
-		if !backends[target.CSP].MutateObject(obj, func(d []byte) []byte {
+		if !backends[target.CSP].MutateObject(target.Name, func(d []byte) []byte {
 			d[len(d)-1] ^= 0x5A
 			return d
 		}) {
-			t.Errorf("share object %s not found on %s", obj, target.CSP)
+			t.Errorf("share object %s not found on %s", target.Name, target.CSP)
 			return
 		}
 		got, _, err := c.Get(bg, "doc")
@@ -178,11 +176,19 @@ func correctingReplay(t *testing.T) []string {
 			t.Errorf("corrected read: %v", err)
 		}
 	})
+	head, _, err := c.Tree().Head("doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := make(map[string]int)
+	for i := 0; i < head.Chunks[0].N; i++ {
+		index[c.ShareObjectName(head.Chunks[0].ID, i, 2)] = i
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	var seq []string
-	for _, ev := range gets {
-		seq = append(seq, fmt.Sprintf("%d@%s", ev.Index, ev.CSP))
+	for _, r := range gets {
+		seq = append(seq, fmt.Sprintf("%d@%s", index[r.Name], r.CSP))
 	}
 	return seq
 }
@@ -190,30 +196,24 @@ func correctingReplay(t *testing.T) []string {
 func TestDownloadSelfHealsCorruptShare(t *testing.T) {
 	t.Parallel()
 	env := newEnv(t, 4)
-	c := env.client("alice", func(cfg *Config) { cfg.N = 4 })
+	// The downloader fetches only T of the N shares, and which T is the
+	// selector's choice — corrupting an arbitrary share may corrupt one
+	// that is never fetched (and so, correctly, never healed). Learn an
+	// actually-fetched share from the stores and corrupt that.
+	var mu sync.Mutex
+	var fetched []transferRec
+	c := wrappedClient(t, env, func(cfg *Config) { cfg.N = 4 }, recording(func(r transferRec) {
+		if r.isShareGet() && r.Err == nil {
+			mu.Lock()
+			fetched = append(fetched, r)
+			mu.Unlock()
+		}
+	}))
 	data := randData(71, 200) // single chunk: one (share, provider) pick to reason about
 	if err := c.Put(bg, "doc", data); err != nil {
 		t.Fatal(err)
 	}
 
-	// The downloader fetches only T of the N shares, and which T is the
-	// selector's choice — corrupting an arbitrary share may corrupt one
-	// that is never fetched (and so, correctly, never healed). Learn an
-	// actually-fetched share from the event stream and corrupt that.
-	var mu sync.Mutex
-	type fetchedShare struct {
-		chunk string
-		index int
-		csp   string
-	}
-	var fetched []fetchedShare
-	c.Subscribe(func(ev Event) {
-		if ev.Type == EvShareGet && ev.Err == nil {
-			mu.Lock()
-			fetched = append(fetched, fetchedShare{ev.ChunkID, ev.Index, ev.CSP})
-			mu.Unlock()
-		}
-	})
 	if _, _, err := c.Get(bg, "doc"); err != nil {
 		t.Fatal(err)
 	}
@@ -225,13 +225,13 @@ func TestDownloadSelfHealsCorruptShare(t *testing.T) {
 	target := fetched[0]
 	mu.Unlock()
 
-	victim := env.backends[target.csp]
-	objName := c.ShareObjectName(target.chunk, target.index, 2)
+	victim := env.backends[target.CSP]
+	objName := target.Name
 	if !victim.MutateObject(objName, func(d []byte) []byte {
 		d[len(d)-1] ^= 0x5A
 		return d
 	}) {
-		t.Fatalf("share object %s not found on %s", objName, target.csp)
+		t.Fatalf("share object %s not found on %s", objName, target.CSP)
 	}
 	before := snapshotObject(t, victim, objName)
 
@@ -362,25 +362,25 @@ func (s *longBodyStore) DownloadTo(ctx context.Context, name string, w io.Writer
 func TestOverlongShareBodyFailsThatShareOnly(t *testing.T) {
 	env := newEnv(t, 3)
 	stores := make(map[string]*longBodyStore)
+	// Arm a provider this reader actually fetches from.
+	var mu sync.Mutex
+	var fetchedFrom string
+	record := recording(func(r transferRec) {
+		mu.Lock()
+		defer mu.Unlock()
+		if r.isShareGet() && r.Err == nil && fetchedFrom == "" {
+			fetchedFrom = r.CSP
+		}
+	})
 	c := wrappedClient(t, env, nil, func(s csp.Store) csp.Store {
 		ls := &longBodyStore{Store: s, tail: make([]byte, 1<<20)}
 		stores[s.Name()] = ls
-		return ls
+		return record(ls)
 	})
 	data := randData(74, 3_000)
 	if err := c.Put(bg, "doc", data); err != nil {
 		t.Fatal(err)
 	}
-	// Arm a provider this reader actually fetches from.
-	var mu sync.Mutex
-	var fetchedFrom string
-	c.Subscribe(func(ev Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		if ev.Type == EvShareGet && ev.Err == nil && fetchedFrom == "" {
-			fetchedFrom = ev.CSP
-		}
-	})
 	if _, _, err := c.Get(bg, "doc"); err != nil {
 		t.Fatal(err)
 	}
@@ -451,19 +451,19 @@ func (s *holdingStore) DownloadTo(ctx context.Context, name string, w io.Writer)
 func TestRaceLoserGivesItsShareBufferBack(t *testing.T) {
 	env := newEnv(t, 3)
 	h := &holdFirst{release: make(chan struct{})}
+	gets := make(chan transferRec, 8)
+	record := recording(func(r transferRec) {
+		if r.isShareGet() {
+			gets <- r
+		}
+	})
 	c := wrappedClient(t, env, func(cfg *Config) { cfg.RaceReads = 1 }, func(s csp.Store) csp.Store {
-		return &holdingStore{Store: s, h: h}
+		return record(&holdingStore{Store: s, h: h})
 	})
 	data := randData(75, 200) // one chunk
 	if err := c.Put(bg, "doc", data); err != nil {
 		t.Fatal(err)
 	}
-	gets := make(chan Event, 8)
-	c.Subscribe(func(ev Event) {
-		if ev.Type == EvShareGet {
-			gets <- ev
-		}
-	})
 	base := erasure.LiveBuffers()
 	var out bytes.Buffer
 	if _, err := c.GetTo(bg, "doc", &out); err != nil || !bytes.Equal(out.Bytes(), data) {
@@ -481,6 +481,10 @@ func TestRaceLoserGivesItsShareBufferBack(t *testing.T) {
 	case <-gets:
 	case <-time.After(10 * time.Second):
 		t.Fatal("the held download never finished")
+	}
+	// The store answered; the attempt hands its sink back right after.
+	for deadline := time.Now().Add(10 * time.Second); erasure.LiveBuffers() != base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if got := erasure.LiveBuffers(); got != base {
 		t.Fatalf("live pooled buffers after the loser landed = %d, want %d", got, base)

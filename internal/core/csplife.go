@@ -105,7 +105,7 @@ func (c *Client) publishCSPList(ctx context.Context) error {
 	succeeded := 0
 	op.Each(len(targets), func(i int) {
 		target := targets[i]
-		err := c.call(op, ctx, target, opMetaPut, nil, func(actx context.Context, store csp.Store) (int64, error) {
+		err := c.call(op, ctx, target, opMetaPut, func(actx context.Context, store csp.Store) (int64, error) {
 			return int64(len(data)), store.Upload(actx, cspListName(seq), data)
 		})
 		if err != nil {
@@ -115,7 +115,7 @@ func (c *Client) publishCSPList(ctx context.Context) error {
 		succeeded++
 		mu.Unlock()
 		if seq > 1 {
-			_ = c.call(op, ctx, target, opDelete, nil, func(actx context.Context, store csp.Store) (int64, error) {
+			_ = c.call(op, ctx, target, opDelete, func(actx context.Context, store csp.Store) (int64, error) {
 				return 0, store.Delete(actx, cspListName(seq-1))
 			})
 		}

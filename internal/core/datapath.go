@@ -8,7 +8,6 @@ import (
 	"maps"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/csp"
 	"repro/internal/erasure"
@@ -39,11 +38,10 @@ func errProviderVanished(name string) error {
 }
 
 // attempt builds the engine attempt for one contact with a provider. run
-// receives the provider's store and returns the payload byte count. ev, when
-// set, is the template of the transfer event emitted after every execution
-// of run, retries included (CSP, Bytes, Duration and Err are filled in).
-func (c *Client) attempt(cspName, kind string, ev *Event, run func(ctx context.Context, store csp.Store) (int64, error)) transfer.Attempt {
-	a := transfer.Attempt{
+// receives the provider's store and returns the payload byte count; the
+// engine reports every execution of run, retries included, to recordResult.
+func (c *Client) attempt(cspName, kind string, run func(ctx context.Context, store csp.Store) (int64, error)) transfer.Attempt {
+	return transfer.Attempt{
 		CSP:  cspName,
 		Kind: kind,
 		Run: func(actx context.Context) (int64, error) {
@@ -54,25 +52,17 @@ func (c *Client) attempt(cspName, kind string, ev *Event, run func(ctx context.C
 			return run(actx, store)
 		},
 	}
-	if ev != nil {
-		a.Done = func(err error, bytes int64, elapsed time.Duration) {
-			e := *ev
-			e.CSP, e.Bytes, e.Duration, e.Err = cspName, bytes, elapsed, err
-			c.events.emit(e)
-		}
-	}
-	return a
 }
 
 // call runs one provider contact under the operation (transfer.Op.Do:
 // failed-set skip, in-flight slots, retries).
-func (c *Client) call(op *transfer.Op, ctx context.Context, cspName, kind string, ev *Event, run func(ctx context.Context, store csp.Store) (int64, error)) error {
-	return op.Do(ctx, c.attempt(cspName, kind, ev, run))
+func (c *Client) call(op *transfer.Op, ctx context.Context, cspName, kind string, run func(ctx context.Context, store csp.Store) (int64, error)) error {
+	return op.Do(ctx, c.attempt(cspName, kind, run))
 }
 
 // list lists one provider's objects under prefix.
 func (c *Client) list(op *transfer.Op, ctx context.Context, cspName, prefix string) (infos []csp.ObjectInfo, err error) {
-	err = c.call(op, ctx, cspName, opList, nil, func(actx context.Context, store csp.Store) (int64, error) {
+	err = c.call(op, ctx, cspName, opList, func(actx context.Context, store csp.Store) (int64, error) {
 		var lerr error
 		infos, lerr = store.List(actx, prefix)
 		return 0, lerr
@@ -82,7 +72,7 @@ func (c *Client) list(op *transfer.Op, ctx context.Context, cspName, prefix stri
 
 // download fetches one whole object from one provider.
 func (c *Client) download(op *transfer.Op, ctx context.Context, cspName, kind, name string) (data []byte, err error) {
-	err = c.call(op, ctx, cspName, kind, nil, func(actx context.Context, store csp.Store) (int64, error) {
+	err = c.call(op, ctx, cspName, kind, func(actx context.Context, store csp.Store) (int64, error) {
 		var derr error
 		data, derr = store.Download(actx, name)
 		return int64(len(data)), derr
@@ -109,14 +99,13 @@ type blob struct {
 	record *metadata.FileMeta
 
 	putKind, getKind string // engine op kinds (observe.go)
-	putEv, getEv     Event  // transfer event templates; Index is filled per share
 	cas              bool   // content-addressed, refcounted share objects (dedup mode)
 	hedged           bool   // reads may launch redundant lanes (hedge or race)
 }
 
 // chunkBlob describes a chunk: key-derived or content-addressed share
 // names, verified by the chunk ID, read with hedged or raced lanes.
-func (c *Client) chunkBlob(file string, ref metadata.ChunkRef) (*blob, error) {
+func (c *Client) chunkBlob(ref metadata.ChunkRef) (*blob, error) {
 	// CAS chunks code with the content-derived coder, so every client
 	// sharing the deployment secret produces byte-identical shares.
 	// coderFor fails fast when the secret is missing, so shareNameFor below
@@ -139,9 +128,7 @@ func (c *Client) chunkBlob(file string, ref metadata.ChunkRef) (*blob, error) {
 			return nil
 		},
 		putKind: opUpload, getKind: opDownload,
-		putEv: Event{Type: EvSharePut, File: file, ChunkID: ref.ID},
-		getEv: Event{Type: EvShareGet, File: file, ChunkID: ref.ID},
-		cas:   ref.CAS, hedged: true,
+		cas: ref.CAS, hedged: true,
 	}, nil
 }
 
@@ -149,15 +136,13 @@ func (c *Client) chunkBlob(file string, ref metadata.ChunkRef) (*blob, error) {
 // key (metaio.go) under the user's coder, verified by re-deriving the version
 // ID from the parsed record (a corrupt or tampered share otherwise slips
 // through as a consistent-but-wrong record), read without redundant lanes.
-func (c *Client) metaBlob(file, rec string, t, n int) *blob {
+func (c *Client) metaBlob(rec string, t, n int) *blob {
 	vid := recordVersion(rec)
 	b := &blob{
 		desc:  "metadata " + vid,
 		coder: c.coder, t: t, n: n,
 		name:    func(i int) string { return metaShareName(rec, i) },
 		putKind: opMetaPut, getKind: opMetaGet,
-		putEv: Event{Type: EvMetaPut, File: file},
-		getEv: Event{Type: EvMetaGet},
 	}
 	b.verify = func(data []byte) error {
 		m, err := metadata.Decode(data)
@@ -192,9 +177,7 @@ func (c *Client) encode(b *blob, data []byte) (shares []erasure.Share, err error
 // Upload leaves the provider's reference tokens — independent of object
 // content — untouched.
 func (c *Client) putShare(op *transfer.Op, ctx context.Context, b *blob, shares []erasure.Share, i int, target string, overwrite bool) error {
-	ev := b.putEv
-	ev.Index = i
-	return c.call(op, ctx, target, b.putKind, &ev, func(actx context.Context, store csp.Store) (int64, error) {
+	return c.call(op, ctx, target, b.putKind, func(actx context.Context, store csp.Store) (int64, error) {
 		if b.cas && !overwrite {
 			return c.putCASShare(actx, target, store, b.name(i), shares[i].Data)
 		}
@@ -334,9 +317,7 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 		shareSize = erasure.ShareSize(b.size, b.t)
 	}
 	fetch := func(l metadata.ShareLoc) transfer.Attempt {
-		ev := b.getEv
-		ev.Index = l.Index
-		return c.attempt(l.CSP, b.getKind, &ev, func(actx context.Context, store csp.Store) (int64, error) {
+		return c.attempt(l.CSP, b.getKind, func(actx context.Context, store csp.Store) (int64, error) {
 			sink := newShareSink(shareSize)
 			n, err := csp.DownloadTo(actx, store, b.name(l.Index), sink)
 			if sink.long {

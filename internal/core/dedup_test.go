@@ -184,7 +184,7 @@ func TestDedupGCRefcounts(t *testing.T) {
 	scatterOrphan := func(c *Client, data []byte) metadata.ChunkRef {
 		ref := metadata.ChunkRef{ID: metadata.HashData(data), Size: int64(len(data)), T: 2, N: 3, CAS: true}
 		sop := c.engine.Begin(bg)
-		locs, err := c.scatterChunk(sop, "orphan", ref, data)
+		locs, err := c.scatterChunk(sop, ref, data)
 		sop.Finish()
 		if err != nil {
 			t.Fatal(err)
@@ -262,7 +262,7 @@ func TestDedupGCPartialViewSkipsSweep(t *testing.T) {
 	orphan := randData(67, 210)
 	ref := metadata.ChunkRef{ID: metadata.HashData(orphan), Size: int64(len(orphan)), T: 2, N: 3, CAS: true}
 	sop := alice.engine.Begin(bg)
-	if _, err := alice.scatterChunk(sop, "orphan", ref, orphan); err != nil {
+	if _, err := alice.scatterChunk(sop, ref, orphan); err != nil {
 		t.Fatal(err)
 	}
 	sop.Finish()

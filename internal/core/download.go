@@ -28,11 +28,10 @@ func (c *Client) GetVersion(ctx context.Context, name, versionID string) ([]byte
 // stored, readable location as the shared fallback pool. buf, when not nil,
 // is the pooled buffer behind data: the caller releases it
 // (erasure.PutDataBuf) after its last read of data.
-func (c *Client) gatherChunk(op *transfer.Op, file string, ref metadata.ChunkRef, locations map[int]string, sources []string) (data []byte, buf *[]byte, err error) {
-	chunkStart := c.rt.Now()
+func (c *Client) gatherChunk(op *transfer.Op, ref metadata.ChunkRef, locations map[int]string, sources []string) (data []byte, buf *[]byte, err error) {
 	ctx, chunkSpan := c.obs.Trace(op.Context(), "chunk.gather")
 	defer func() { chunkSpan.End(err) }()
-	b, err := c.chunkBlob(file, ref)
+	b, err := c.chunkBlob(ref)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -50,6 +49,5 @@ func (c *Client) gatherChunk(op *transfer.Op, file string, ref metadata.ChunkRef
 	if err != nil {
 		return nil, nil, err
 	}
-	c.events.emit(Event{Type: EvChunkComplete, File: file, ChunkID: ref.ID, Duration: c.rt.Now().Sub(chunkStart)})
 	return data, buf, nil
 }

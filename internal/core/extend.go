@@ -149,7 +149,7 @@ func (c *Client) GC(ctx context.Context) (_ GCStats, err error) {
 				kind = opRef
 				handled[cspName+"|"+name] = true
 			}
-			err := c.call(op, ctx, cspName, kind, nil, func(actx context.Context, store csp.Store) (int64, error) {
+			err := c.call(op, ctx, cspName, kind, func(actx context.Context, store csp.Store) (int64, error) {
 				if info.CAS {
 					r, err := rs.DelRef(actx, name, c.refToken())
 					removed = r
@@ -242,7 +242,7 @@ func (c *Client) gcReconcileCAS(op *transfer.Op, ctx context.Context, referenced
 	// token before any release could drain the object's token set.
 	op.Each(len(asserts), func(i int) {
 		a := asserts[i]
-		_ = c.call(op, ctx, a.cspName, opRef, nil, func(actx context.Context, _ csp.Store) (int64, error) {
+		_ = c.call(op, ctx, a.cspName, opRef, func(actx context.Context, _ csp.Store) (int64, error) {
 			err := a.rs.AddRef(actx, a.name, token)
 			if errIsNotFound(err) {
 				err = nil // deleted since the listing; nothing to assert on
@@ -257,7 +257,7 @@ func (c *Client) gcReconcileCAS(op *transfer.Op, ctx context.Context, referenced
 	errs := make([]error, len(releases))
 	op.Each(len(releases), func(i int) {
 		a := releases[i]
-		errs[i] = c.call(op, ctx, a.cspName, opRef, nil, func(actx context.Context, _ csp.Store) (int64, error) {
+		errs[i] = c.call(op, ctx, a.cspName, opRef, func(actx context.Context, _ csp.Store) (int64, error) {
 			r, err := a.rs.DelRef(actx, a.name, token)
 			removed[i] = r
 			return 0, err

@@ -140,7 +140,7 @@ func TestGCCollectsOrphans(t *testing.T) {
 	orphan := randData(44, 3_000)
 	ref := metadata.ChunkRef{ID: metadata.HashData(orphan), Size: int64(len(orphan)), T: 2, N: 3}
 	sop := c.engine.Begin(bg)
-	locs, err := c.scatterChunk(sop, "orphan", ref, orphan)
+	locs, err := c.scatterChunk(sop, ref, orphan)
 	sop.Finish()
 	if err != nil {
 		t.Fatal(err)

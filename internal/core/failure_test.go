@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -303,37 +302,6 @@ func TestAutomaticNFromEpsilon(t *testing.T) {
 				t.Fatalf("derived n = %d, want 4", ref.N)
 			}
 		}
-	}
-}
-
-func TestEventsEmitted(t *testing.T) {
-	t.Parallel()
-	env := newEnv(t, 4)
-	c := env.client("alice", nil)
-	var mu sync.Mutex
-	counts := map[EventType]int{}
-	c.Subscribe(func(ev Event) {
-		mu.Lock()
-		counts[ev.Type]++
-		mu.Unlock()
-	})
-	data := randData(32, 5000)
-	if err := c.Put(bg, "doc", data); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Get(bg, "doc"); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if counts[EvSharePut] == 0 || counts[EvMetaPut] == 0 {
-		t.Fatalf("upload events missing: %v", counts)
-	}
-	if counts[EvShareGet] == 0 {
-		t.Fatalf("download events missing: %v", counts)
-	}
-	if counts[EvChunkComplete] == 0 || counts[EvFileComplete] < 2 {
-		t.Fatalf("aggregate events missing: %v", counts)
 	}
 }
 

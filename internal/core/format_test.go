@@ -32,7 +32,7 @@ func injectRecord(t *testing.T, env *testEnv, c *Client, name, vid string, raw [
 	t.Helper()
 	rec := c.metaRecordKey(name, vid)
 	targets := c.metaTargetsFor(name)
-	b := c.metaBlob(name, rec, min(c.cfg.MetaT, len(targets)), len(targets))
+	b := c.metaBlob(rec, min(c.cfg.MetaT, len(targets)), len(targets))
 	shares, err := c.encode(b, raw)
 	if err != nil {
 		t.Fatal(err)

@@ -184,7 +184,7 @@ func (c *Client) codeMeta(m *metadata.FileMeta, rec string, targets []string) (*
 	if len(targets) == 0 {
 		return nil, nil, fmt.Errorf("%w: no providers for metadata", ErrNotEnoughCSP)
 	}
-	b := c.metaBlob(m.File.Name, rec, min(c.cfg.MetaT, len(targets)), len(targets))
+	b := c.metaBlob(rec, min(c.cfg.MetaT, len(targets)), len(targets))
 	shares, err := c.encode(b, data)
 	return b, shares, err
 }
@@ -277,7 +277,7 @@ func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, recs []str
 		names := wants[provider]
 		sort.Strings(names)
 		var got map[string][]byte
-		err := c.call(op, ctx, provider, opMetaGet, &Event{Type: EvMetaGet}, func(actx context.Context, store csp.Store) (int64, error) {
+		err := c.call(op, ctx, provider, opMetaGet, func(actx context.Context, store csp.Store) (int64, error) {
 			out, err := csp.DownloadBatch(actx, store, names)
 			var bytes int64
 			for _, d := range out {
@@ -313,7 +313,7 @@ func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, recs []str
 	errs := make(map[string]error)
 	for i, rec := range recs {
 		p := plans[i]
-		b := c.metaBlob("", rec, c.cfg.MetaT, p.n)
+		b := c.metaBlob(rec, c.cfg.MetaT, p.n)
 		if ss := shares[rec]; len(ss) >= b.t {
 			if _, _, _, err := c.decode(b, ss, false); err == nil {
 				out[rec] = b.record
@@ -442,16 +442,13 @@ func (c *Client) repairMetaPlacement(op *transfer.Op, ctx context.Context, locs 
 
 // MetaShardCounts returns, per provider, how many known file names the
 // current ring routes metadata to — the shard-skew view `cyrusctl stats`
-// renders. It also refreshes the cyrus_metashard_records gauge.
+// renders.
 func (c *Client) MetaShardCounts() map[string]int {
 	out := make(map[string]int)
 	for _, name := range c.tree.Names() {
 		for _, target := range c.metaTargetsFor(name) {
 			out[target]++
 		}
-	}
-	for cspName, n := range out {
-		c.obs.MetaShardRecords(cspName, n)
 	}
 	return out
 }
@@ -474,7 +471,6 @@ func (c *Client) absorb(m *metadata.FileMeta) error {
 	}
 	// Any new record supersedes what the name's fresh mark vouched for.
 	c.fresh.clear(m.File.Name)
-	c.events.emit(Event{Type: EvMetaAbsorbed, File: m.File.Name})
 	return nil
 }
 

@@ -422,7 +422,7 @@ func TestGatherBlobToppedUpAfterDuplicateIndex(t *testing.T) {
 	} {
 		op := r.engine.Begin(bg)
 		op.MarkFailed("cspa") // the s0 holder just failed its batch
-		b := r.metaBlob("", rec, 2, 5)
+		b := r.metaBlob(rec, 2, 5)
 		_, _, err := r.gatherBlob(op, bg, b, []metadata.ShareLoc{loc(0, "cspa"), loc(1, "cspb")}, fallback)
 		op.Finish()
 		if len(fallback) == 1 {

@@ -18,7 +18,7 @@ import (
 // Migration is best-effort: failures leave the old location in place (the
 // chunk remains readable through its surviving shares) and will be retried
 // on the next download.
-func (c *Client) migrateStaleShares(ctx context.Context, file string, ref metadata.ChunkRef, locs map[int]string, data []byte) {
+func (c *Client) migrateStaleShares(ctx context.Context, ref metadata.ChunkRef, locs map[int]string, data []byte) {
 	var stale []int
 	holding := make(map[string]bool)
 	for idx, cspName := range locs {
@@ -41,7 +41,7 @@ func (c *Client) migrateStaleShares(ctx context.Context, file string, ref metada
 	// probe is one round trip beside the n listing probes each target already
 	// cost) and registers our reference token, so refcounted GC covers the
 	// copy. chunkBlob only fails without the deployment secret: no migration.
-	b, err := c.chunkBlob(file, ref)
+	b, err := c.chunkBlob(ref)
 	if err != nil {
 		return
 	}

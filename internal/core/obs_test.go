@@ -2,38 +2,91 @@ package core
 
 import (
 	"context"
+	"io"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/chunker"
+	"repro/internal/csp"
 	"repro/internal/obs"
 )
 
+// transferRec is one object transfer a recordingStore served.
+type transferRec struct {
+	CSP   string
+	Name  string // "" for a batch
+	Up    bool   // an upload; otherwise a download
+	Bytes int64  // payload moved
+	Err   error
+}
+
+// recordingStore hands rec every object upload and download it serves — a
+// batch is one download of its summed bytes — after the wrapped store
+// answered. It keeps the streaming and batch reads of the store it wraps
+// (RefStore is not forwarded: dedup falls back to plain uploads).
+type recordingStore struct {
+	csp.Store
+	rec func(transferRec)
+}
+
+// recording wraps stores for wrappedClient.
+func recording(rec func(transferRec)) func(csp.Store) csp.Store {
+	return func(s csp.Store) csp.Store { return &recordingStore{Store: s, rec: rec} }
+}
+
+func (s *recordingStore) Upload(ctx context.Context, name string, data []byte) error {
+	err := s.Store.Upload(ctx, name, data)
+	s.rec(transferRec{CSP: s.Name(), Name: name, Up: true, Bytes: int64(len(data)), Err: err})
+	return err
+}
+
+func (s *recordingStore) Download(ctx context.Context, name string) ([]byte, error) {
+	data, err := s.Store.Download(ctx, name)
+	s.rec(transferRec{CSP: s.Name(), Name: name, Bytes: int64(len(data)), Err: err})
+	return data, err
+}
+
+func (s *recordingStore) DownloadTo(ctx context.Context, name string, w io.Writer) (int64, error) {
+	n, err := csp.DownloadTo(ctx, s.Store, name, w)
+	s.rec(transferRec{CSP: s.Name(), Name: name, Bytes: n, Err: err})
+	return n, err
+}
+
+func (s *recordingStore) DownloadBatch(ctx context.Context, names []string) (map[string][]byte, error) {
+	out, err := csp.DownloadBatch(ctx, s.Store, names)
+	var n int64
+	for _, d := range out {
+		n += int64(len(d))
+	}
+	s.rec(transferRec{CSP: s.Name(), Bytes: n, Err: err})
+	return out, err
+}
+
+// isShareGet reports a chunk-share download.
+func (r transferRec) isShareGet() bool { return !r.Up && strings.HasPrefix(r.Name, SharePrefix) }
+
 // TestObserverBridge drives a real Put/Get through a client wired to an
-// Observer and checks that the event→metric bridge, the op spans, and the
-// recordResult path all agree with an independent event subscription.
+// Observer and checks that the op spans, the recordResult path and the
+// transfer byte counters agree with what the providers actually served.
 func TestObserverBridge(t *testing.T) {
 	env := newEnv(t, 5)
 	o := obs.NewObserver()
-	c := env.client("c1", func(cfg *Config) { cfg.Obs = o })
-
-	// Independent tally of the same event stream the bridge consumes.
+	// Independent tally of the payload the stores moved, successes only.
 	var mu sync.Mutex
-	evCount := map[string]int{}
-	evBytes := map[string]int64{} // csp+dir payload bytes, successes only
-	c.Subscribe(func(ev Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		evCount[ev.Type.String()]++
-		if ev.Err == nil && ev.CSP != "" && ev.Bytes > 0 {
-			switch ev.Type {
-			case EvSharePut, EvMetaPut:
-				evBytes[ev.CSP+"/up"] += ev.Bytes
-			case EvShareGet, EvMetaGet:
-				evBytes[ev.CSP+"/down"] += ev.Bytes
-			}
+	served := map[string]int64{} // csp+"/"+dir
+	c := wrappedClient(t, env, func(cfg *Config) { cfg.Obs = o }, recording(func(r transferRec) {
+		if r.Err != nil || r.Bytes == 0 {
+			return
 		}
-	})
+		dir := "/down"
+		if r.Up {
+			dir = "/up"
+		}
+		mu.Lock()
+		served[r.CSP+dir] += r.Bytes
+		mu.Unlock()
+	}))
 
 	ctx := context.Background()
 	data := randData(7, 8192)
@@ -59,22 +112,23 @@ func TestObserverBridge(t *testing.T) {
 		}
 	}
 
-	// Event counters must equal the independent subscriber's tally.
+	// Transfer byte counters must equal the stores' per-csp/dir sums, both
+	// ways round.
 	mu.Lock()
 	defer mu.Unlock()
-	for typ, n := range evCount {
-		p, ok := s.Find(obs.MetricEventsTotal, map[string]string{"type": typ})
-		if !ok || int(p.Value) != n {
-			t.Errorf("events_total{type=%q} = %v (found=%v), want %d", typ, p.Value, ok, n)
-		}
+	if len(served) == 0 {
+		t.Fatal("the stores served no payload")
 	}
-
-	// Transfer byte counters must match the subscriber's per-csp/dir sums.
-	for key, want := range evBytes {
+	for key, want := range served {
 		cspName, dir, _ := strings.Cut(key, "/")
 		p, ok := s.Find(obs.MetricTransferBytes, map[string]string{"csp": cspName, "dir": dir})
 		if !ok || int64(p.Value) != want {
 			t.Errorf("transfer_bytes{csp=%s,dir=%s} = %v (found=%v), want %d", cspName, dir, p.Value, ok, want)
+		}
+	}
+	for _, p := range s.Metrics {
+		if key := p.Labels["csp"] + "/" + p.Labels["dir"]; p.Name == obs.MetricTransferBytes && served[key] == 0 {
+			t.Errorf("transfer_bytes{csp=%s,dir=%s} = %v, but the store moved nothing", p.Labels["csp"], p.Labels["dir"], p.Value)
 		}
 	}
 
@@ -105,6 +159,53 @@ func TestObserverBridge(t *testing.T) {
 	}
 }
 
+// TestOneRecordPerTry: the observer records each provider try exactly once,
+// as one attempt.start and one attempt.end flight event stamped with the
+// enclosing span — there is no per-try span — so a small Put's flight
+// events are its spans' open/close pairs plus one pair per try.
+func TestOneRecordPerTry(t *testing.T) {
+	env := newEnv(t, 4)
+	o := obs.NewObserver()
+	c := env.client("c1", func(cfg *Config) {
+		cfg.Obs = o
+		cfg.Chunking = chunker.Config{AverageSize: 64 << 10} // one chunk
+	})
+	if err := c.Put(context.Background(), "f", randData(3, 16<<10)); err != nil {
+		t.Fatal(err)
+	}
+	var tries float64
+	for _, p := range o.Registry().Snapshot().Metrics {
+		if p.Name == obs.MetricCSPRequests {
+			tries += p.Value
+		}
+	}
+	kinds := map[string]int{}
+	for _, ev := range o.FlightEvents() {
+		kinds[ev.Kind]++
+		switch {
+		case ev.Kind == obs.FlightSpanOpen && strings.HasPrefix(ev.Name, "csp."):
+			t.Errorf("a per-try span %q was opened", ev.Name)
+		case ev.Kind == obs.FlightAttemptEnd && (ev.Span == 0 || ev.Duration < 0):
+			t.Errorf("attempt.end %+v lacks its enclosing span or a duration", ev)
+		}
+	}
+	t.Logf("%d tries, flight events %v", int(tries), kinds)
+	if tries == 0 {
+		t.Fatal("the Put made no provider contact")
+	}
+	for _, k := range []string{obs.FlightAttemptStart, obs.FlightAttemptEnd} {
+		if kinds[k] != int(tries) {
+			t.Errorf("%d %s events for %v tries, want one per try", kinds[k], k, tries)
+		}
+	}
+	if kinds[obs.FlightSpanOpen] != kinds[obs.FlightSpanClose] {
+		t.Errorf("%d span.open vs %d span.close", kinds[obs.FlightSpanOpen], kinds[obs.FlightSpanClose])
+	}
+	if other := len(o.FlightEvents()) - 2*int(tries) - 2*kinds[obs.FlightSpanClose]; other != 0 {
+		t.Errorf("%d flight events beyond the span pairs and one pair per try: %v", other, kinds)
+	}
+}
+
 // TestObserverDisabled: a client without Config.Obs runs exactly as before
 // with a nil observer.
 func TestObserverDisabled(t *testing.T) {
@@ -119,35 +220,5 @@ func TestObserverDisabled(t *testing.T) {
 	}
 	if _, _, err := c.Get(ctx, "f"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestEventDurations: share/meta/chunk/file events carry durations from the
-// client's runtime clock (zero under the instant test stores is fine for
-// share events, but FileComplete wraps the whole op and must be set when a
-// virtual clock advances — here we only assert the field is populated
-// without error, i.e. non-negative).
-func TestEventDurations(t *testing.T) {
-	env := newEnv(t, 5)
-	c := env.client("c1", func(cfg *Config) { cfg.Obs = obs.NewObserver() })
-	var mu sync.Mutex
-	sawFileComplete := false
-	c.Subscribe(func(ev Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		if ev.Duration < 0 {
-			t.Errorf("event %s has negative duration %v", ev.Type, ev.Duration)
-		}
-		if ev.Type == EvFileComplete {
-			sawFileComplete = true
-		}
-	})
-	if err := c.Put(context.Background(), "f", randData(3, 4096)); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if !sawFileComplete {
-		t.Error("no FileComplete event observed")
 	}
 }

@@ -7,9 +7,10 @@ package core
 //     and cyrus_ops_total{op,result};
 //   - provider contacts flow through recordResult (client.go) into
 //     cyrus_csp_requests_total{csp,result}, the success-latency histogram,
-//     and the link-model gauges (bandwidth, latency EWMA);
-//   - transfer events are bridged from the event bus by observeEvent into
-//     cyrus_events_total{type} and cyrus_transfer_bytes_total{csp,dir}.
+//     cyrus_transfer_bytes_total{csp,dir} and the link-model gauges
+//     (bandwidth, latency EWMA);
+//   - the transfer engine records each try once, as an attempt.start /
+//     attempt.end flight-event pair stamped with the enclosing span.
 //
 // All of it is inert when Config.Obs is nil, and none of it is read back:
 // the client behaves the same with or without an observer.
@@ -29,16 +30,15 @@ const (
 	opRef      = "ref" // reference-token ops on content-addressed shares
 )
 
-// observeEvent is the event→metric bridge, subscribed to the client's own
-// event bus when observability is configured. Like any subscriber it must
-// be fast and must not call back into the client.
-func (c *Client) observeEvent(ev Event) {
-	dir := ""
-	switch ev.Type {
-	case EvSharePut, EvMetaPut:
-		dir = "up"
-	case EvShareGet, EvMetaGet:
-		dir = "down"
+// opDir is the cyrus_transfer_bytes_total direction of a provider-contact
+// operation: payload moves up for uploads and metadata puts, down for
+// downloads and metadata gets, and not at all ("") for the rest.
+func opDir(op string) string {
+	switch op {
+	case opUpload, opMetaPut:
+		return "up"
+	case opDownload, opMetaGet:
+		return "down"
 	}
-	c.obs.TransferEvent(ev.Type.String(), ev.CSP, dir, ev.Bytes, ev.Err)
+	return ""
 }

@@ -59,7 +59,6 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 	if err != nil {
 		return err
 	}
-	opStart := c.rt.Now()
 	ctx, sp := c.obs.StartOp(ctx, "put")
 	defer func() { sp.End(err) }()
 
@@ -213,7 +212,7 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 		c.obs.PipelineInflight("put", len(window))
 		c.rt.Go(func() {
 			defer p.g.Done()
-			locs, serr := c.scatterChunk(op, name, p.ref, p.data)
+			locs, serr := c.scatterChunk(op, p.ref, p.data)
 			giveBack(p.buf)
 			p.data, p.buf = nil, nil
 			if serr != nil {
@@ -259,7 +258,6 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 	}
 	c.logf("stored version", "file", name, "version", meta.VersionID()[:8],
 		"bytes", size, "chunks", len(meta.Chunks), "newChunks", len(newPend))
-	c.events.emit(Event{Type: EvFileComplete, File: name, Bytes: size, Duration: c.rt.Now().Sub(opStart)})
 	return nil
 }
 
@@ -408,9 +406,8 @@ type gatherRes struct {
 // fetchTo gathers the chunks of [offset, offset+length) of version m and
 // writes exactly those bytes to w, in order, holding at most pipelineDepth
 // decoded chunks at once. When full is set (whole-file fetches) it also
-// lazily migrates stale shares per chunk while its plaintext is resident and
-// emits EvFileComplete — matching the batch Get; range fetches (GetRange) do
-// neither.
+// lazily migrates stale shares per chunk while its plaintext is resident —
+// matching the batch Get; range fetches (GetRange) do not.
 //
 // Every chunk is checked against its ID as it decodes. For a v2 record that
 // is the whole-file verify: Validate proved the chunk list hashes to File.ID
@@ -420,7 +417,6 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 	if length == 0 || len(m.Chunks) == 0 {
 		return nil
 	}
-	fetchStart := c.rt.Now()
 
 	// Chunk occurrences overlapping the byte range, in file order.
 	var wanted []metadata.ChunkRef
@@ -501,7 +497,7 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 				// The plan is per encoding (chunk ID + class): mid-demotion
 				// the same content exists under two encodings, and each
 				// migrates within its own class's placement preference.
-				c.migrateStaleShares(ctx, m.File.Name, states[key].ref, states[key].shares, e.res.data)
+				c.migrateStaleShares(ctx, states[key].ref, states[key].shares, e.res.data)
 			}
 			c.acctSub(int64(len(e.res.data)))
 			erasure.PutDataBuf(e.res.buf)
@@ -532,7 +528,7 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 			c.obs.PipelineInflight("get", len(live))
 			c.rt.Go(func() {
 				defer res.g.Done()
-				data, buf, gerr := c.gatherChunk(op, m.File.Name, st.ref, st.shares, pick[key])
+				data, buf, gerr := c.gatherChunk(op, st.ref, st.shares, pick[key])
 				if gerr != nil {
 					res.err = gerr
 					op.Fail(gerr)
@@ -562,9 +558,6 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 			return fmt.Errorf("%w: file %q reassembled to %s, metadata says %s",
 				ErrDamaged, m.File.Name, got[:8], m.File.ID[:8])
 		}
-	}
-	if full {
-		c.events.emit(Event{Type: EvFileComplete, File: m.File.Name, Bytes: m.File.Size, Duration: c.rt.Now().Sub(fetchStart)})
 	}
 	return nil
 }

@@ -449,7 +449,7 @@ func TestPooledPlaintextOutlivesItsReaders(t *testing.T) {
 			if !ok {
 				t.Fatalf("chunk %s not in the table", ref.ID[:8])
 			}
-			b, err := c.chunkBlob("doc", ref)
+			b, err := c.chunkBlob(ref)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -170,16 +170,15 @@ func (c *Client) syncFullView() bool {
 // recoverable state the full one runs either way: only it finds records under
 // legacy names, and a client with a partial view should keep looking. The
 // operation proceeds whatever the outcome, but a failure is not swallowed: it
-// is logged and emitted as an EvSyncError event so applications can tell
-// "fresh view" from "serving stale state", and reported to the caller (resolve
-// confers no freshness from a sync that failed).
+// is logged, counted as a failed sync op (cyrus_ops_total{op="sync"}) so
+// applications can tell "fresh view" from "serving stale state", and reported
+// to the caller (resolve confers no freshness from a sync that failed).
 func (c *Client) syncBestEffort(ctx context.Context, name string) (ok bool) {
 	if !c.syncFullView() {
 		name = ""
 	}
 	if _, err := c.syncMeta(ctx, name); err != nil {
 		c.logf("best-effort sync failed", "err", err)
-		c.events.emit(Event{Type: EvSyncError, Err: err})
 		return false
 	}
 	return true

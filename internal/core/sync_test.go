@@ -10,6 +10,7 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/csp"
 	"repro/internal/metadata"
+	"repro/internal/obs"
 )
 
 // Sync's contract under partial failure: it returns the number of records
@@ -117,8 +118,8 @@ func TestSyncCancelledContextMidFanout(t *testing.T) {
 }
 
 // Get's pre-read sync is best-effort by design (Algorithm 3 line 2 serves
-// the local replica), but the failure must surface through the event
-// channel so applications can tell a fresh view from a stale one.
+// the local replica), but the failure must surface as a failed sync op so
+// applications can tell a fresh view from a stale one.
 func TestGetSurfacesSyncErrorEvent(t *testing.T) {
 	t.Parallel()
 	env := newEnv(t, 5)
@@ -128,19 +129,11 @@ func TestGetSurfacesSyncErrorEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := env.client("reader", nil)
+	o := obs.NewObserver()
+	r := env.client("reader", func(cfg *Config) { cfg.Obs = o })
 	if err := r.Recover(bg); err != nil {
 		t.Fatal(err)
 	}
-	var syncErrs atomic.Int32
-	r.Subscribe(func(ev Event) {
-		if ev.Type == EvSyncError {
-			if ev.Err == nil {
-				t.Error("EvSyncError carried no error")
-			}
-			syncErrs.Add(1)
-		}
-	})
 
 	// Two injected faults per provider: the transfer engine retries each
 	// List once, so both attempts must fail for the sync to fail. The
@@ -155,8 +148,8 @@ func TestGetSurfacesSyncErrorEvent(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("Get served wrong bytes")
 	}
-	if n := syncErrs.Load(); n != 1 {
-		t.Fatalf("EvSyncError fired %d times, want 1", n)
+	if p, _ := o.Registry().Snapshot().Find(obs.MetricOpsTotal, map[string]string{"op": "sync", "result": "error"}); p.Value != 1 {
+		t.Fatalf("ops_total{op=sync,result=error} = %v, want 1", p.Value)
 	}
 }
 

@@ -251,12 +251,17 @@ func TestHedgingBeatsStraggler(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	wins, _ := o.Registry().Snapshot().Find(obs.MetricTransferHedges, map[string]string{"result": "win"})
-	t.Logf("first Get after the collapse: unhedged %v, hedged %v, %v hedge wins", plain, hedged, wins.Value)
+	var wins float64
+	for _, p := range o.Registry().Snapshot().Metrics {
+		if p.Name == obs.MetricHedgeWins {
+			wins += p.Value
+		}
+	}
+	t.Logf("first Get after the collapse: unhedged %v, hedged %v, %v hedge wins", plain, hedged, wins)
 	if hedged*3 > plain*2 {
 		t.Errorf("hedging did not help: unhedged %v vs hedged %v", plain, hedged)
 	}
-	if wins.Value == 0 {
+	if wins == 0 {
 		t.Error("no hedge backup lane ever won despite a straggling provider")
 	}
 }
@@ -284,8 +289,9 @@ func TestObserverDoesNotChangeTransfers(t *testing.T) {
 
 // stragglerGet runs TestHedgingBeatsStraggler's scenario in a fresh world,
 // with the downloader's Config adjusted by tweak. It returns the virtual
-// duration of the first Get after fast1 collapses and how many share and
-// metadata transfers the downloader started per provider, losers included.
+// duration of the first Get after fast1 collapses and how many object
+// transfers (uploads and downloads; listings aside) the downloader's stores
+// served per provider, losers included.
 func stragglerGet(t *testing.T, tweak func(*Config)) (time.Duration, map[string]int) {
 	t.Helper()
 	const MB = 1 << 20
@@ -311,18 +317,19 @@ func stragglerGet(t *testing.T, tweak func(*Config)) (time.Duration, map[string]
 		if tweak != nil {
 			tweak(&cfg)
 		}
-		dl, err := New(cfg, stores())
+		var dlStores []csp.Store
+		for _, s := range stores() {
+			dlStores = append(dlStores, recording(func(r transferRec) {
+				mu.Lock()
+				calls[r.CSP]++
+				mu.Unlock()
+			})(s))
+		}
+		dl, err := New(cfg, dlStores)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		dl.Subscribe(func(ev Event) {
-			if ev.CSP != "" {
-				mu.Lock()
-				calls[ev.CSP]++
-				mu.Unlock()
-			}
-		})
 		if err := dl.Recover(bg); err != nil {
 			t.Error(err)
 			return

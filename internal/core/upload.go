@@ -28,8 +28,7 @@ func (c *Client) Put(ctx context.Context, name string, data []byte) error {
 // in-flight slots, taxonomy-driven retries, and the shared failed set
 // (a provider that exhausted its retries for one share is skipped by
 // every other share's fallback walk).
-func (c *Client) scatterChunk(op *transfer.Op, file string, ref metadata.ChunkRef, data []byte) (_ []metadata.ShareLoc, err error) {
-	chunkStart := c.rt.Now()
+func (c *Client) scatterChunk(op *transfer.Op, ref metadata.ChunkRef, data []byte) (_ []metadata.ShareLoc, err error) {
 	ctx, chunkSpan := c.obs.Trace(op.Context(), "chunk.scatter")
 	defer func() { chunkSpan.End(err) }()
 	// Full preference order: every eligible CSP, cluster-constrained,
@@ -44,7 +43,7 @@ func (c *Client) scatterChunk(op *transfer.Op, file string, ref metadata.ChunkRe
 	}
 	// Shares use pooled buffers, returned once every upload has finished
 	// (op.Each joins before this function returns on every path).
-	b, err := c.chunkBlob(file, ref)
+	b, err := c.chunkBlob(ref)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +111,6 @@ func (c *Client) scatterChunk(op *transfer.Op, file string, ref metadata.ChunkRe
 	if len(locs) != ref.N {
 		return nil, fmt.Errorf("cyrus: chunk %s: stored %d of %d shares", ref.ID[:8], len(locs), ref.N)
 	}
-	c.events.emit(Event{Type: EvChunkComplete, File: file, ChunkID: ref.ID, Duration: c.rt.Now().Sub(chunkStart)})
 	return locs, nil
 }
 

@@ -32,7 +32,6 @@ func TestMetricsSnapshot(t *testing.T) {
 	for _, name := range []string{
 		obs.MetricOpDuration,
 		obs.MetricCSPRequests,
-		obs.MetricEventsTotal,
 		obs.MetricTransferBytes,
 		obs.MetricSpanDuration,
 	} {

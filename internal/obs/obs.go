@@ -28,7 +28,6 @@ type Observer struct {
 	clock   func() time.Time
 
 	nextSpanID atomic.Uint64
-	ring       spanRing
 	openSpans  openSpanTable
 	started    time.Time
 
@@ -45,7 +44,6 @@ type Observer struct {
 	cspDown   *GaugeVec
 	cspBw     *GaugeVec
 	cspLat    *GaugeVec
-	evTotal   *CounterVec
 	xferBytes *CounterVec
 	selPicks  *CounterVec
 
@@ -87,7 +85,6 @@ type Observer struct {
 	metaCacheMisses  *CounterVec
 	metaCacheEvicts  *CounterVec
 	metaCacheInvalid *CounterVec
-	metaShardRecords *GaugeVec
 	metaBatchFetches *CounterVec
 
 	// Storage-class and lifecycle-migration instrument families
@@ -133,7 +130,6 @@ func NewObserverWith(opts Options) *Observer {
 		cspDown:   reg.Gauge(MetricCSPDown, "1 while the failure estimator counts the csp as failed.", "csp"),
 		cspBw:     reg.Gauge(MetricCSPBandwidth, "Estimated link bandwidth by csp and direction.", "csp", "dir"),
 		cspLat:    reg.Gauge(MetricCSPLatencyEWMA, "The client's request-latency EWMA by csp, the hedge deadline's base.", "csp"),
-		evTotal:   reg.Counter(MetricEventsTotal, "Transfer-layer events by type.", "type"),
 		xferBytes: reg.Counter(MetricTransferBytes, "Payload bytes moved by csp and direction.", "csp", "dir"),
 		selPicks:  reg.Counter(MetricSelectorPicks, "Download-source selector decisions by csp.", "csp"),
 
@@ -141,7 +137,7 @@ func NewObserverWith(opts Options) *Observer {
 		xferPeak:     reg.Gauge(MetricTransferInFlightPeak, "High-water in-flight attempt count by csp.", "csp"),
 		xferQueue:    reg.Gauge(MetricTransferQueueDepth, "Attempts waiting for an in-flight slot."),
 		xferRetries:  reg.Counter(MetricTransferRetries, "Transfer-engine retries by csp and kind.", "csp", "kind"),
-		xferHedges:   reg.Counter(MetricTransferHedges, "Hedged downloads by result (launched, win).", "result"),
+		xferHedges:   reg.Counter(MetricTransferHedges, "Hedged-download backup lanes launched (result=launched).", "result"),
 
 		hedgeSuppressed: reg.Counter(MetricHedgeSuppressed, "Hedges withheld by the load-adaptive controller, by csp and reason (cold, load).", "csp", "reason"),
 		hedgeWins:       reg.Counter(MetricHedgeWins, "Hedged gathers where the backup lane won, by primary csp.", "csp"),
@@ -167,7 +163,6 @@ func NewObserverWith(opts Options) *Observer {
 		metaCacheMisses:  reg.Counter(MetricMetaCacheMisses, "Metadata record reads that had to decode or fetch."),
 		metaCacheEvicts:  reg.Counter(MetricMetaCacheEvictions, "Metadata cache entries evicted by the LRU bound."),
 		metaCacheInvalid: reg.Counter(MetricMetaCacheInvalidations, "Metadata cache entries invalidated by sync, supersede, or delete."),
-		metaShardRecords: reg.Gauge(MetricMetaShardRecords, "Metadata records placed per shard (csp).", "csp"),
 		metaBatchFetches: reg.Counter(MetricMetaBatchFetches, "Batched metadata fetches by csp (one counts a whole batch round trip).", "csp"),
 
 		classBytes:   reg.Gauge(MetricClassBytes, "Logical bytes of live file heads by storage class.", "class"),
@@ -248,17 +243,6 @@ func (o *Observer) Now() time.Time {
 	return o.now()
 }
 
-// pushSpan appends a finished span to the ring.
-func (o *Observer) pushSpan(rec SpanRecord) { o.ring.push(rec) }
-
-// RecentSpans returns the buffered finished spans, oldest first. Nil-safe.
-func (o *Observer) RecentSpans() []SpanRecord {
-	if o == nil {
-		return nil
-	}
-	return o.ring.recent()
-}
-
 // CSPRequest records one provider contact: the request counter and the
 // success-latency histogram (core.recordResult). Nil-safe.
 func (o *Observer) CSPRequest(cspName string, err error, elapsed time.Duration) {
@@ -303,18 +287,14 @@ func (o *Observer) CSPLink(cspName string, downBps, upBps, latencySeconds float6
 	}
 }
 
-// TransferEvent is the event→metric bridge: core subscribes it to the
-// client's event bus, so every transfer-layer event increments the event
-// counter and successful payloads add to the per-direction byte counters.
-// dir is "up", "down", or "" for non-transfer events. Nil-safe.
-func (o *Observer) TransferEvent(eventType, cspName, dir string, bytes int64, err error) {
-	if o == nil {
+// TransferBytes adds the payload of one successful provider try to the
+// per-direction byte counter (core.recordResult). dir is "up" or "down";
+// "" (a list, a delete) records nothing. Nil-safe.
+func (o *Observer) TransferBytes(cspName, dir string, bytes int64) {
+	if o == nil || cspName == "" || dir == "" || bytes <= 0 {
 		return
 	}
-	o.evTotal.With(eventType).Inc()
-	if err == nil && cspName != "" && dir != "" && bytes > 0 {
-		o.xferBytes.With(cspName, dir).Add(bytes)
-	}
+	o.xferBytes.With(cspName, dir).Add(bytes)
 }
 
 // TransferInFlight records a provider's current in-flight attempt count
@@ -354,7 +334,18 @@ func (o *Observer) AttemptStart(ctx context.Context, cspName, kind string, try i
 	}
 	span, trace, op := SpanFromContext(ctx)
 	o.rec.record(FlightEvent{Kind: FlightAttemptStart, Trace: trace, Span: span, Op: op,
-		Name: kind, CSP: cspName, Detail: "try=" + strconv.Itoa(try)})
+		Name: kind, CSP: cspName, Detail: tryDetail(try)})
+}
+
+// tryDetails are the attempt records' Detail strings for the tries the
+// engine makes, built once instead of twice per try.
+var tryDetails = [...]string{"try=0", "try=1", "try=2", "try=3"}
+
+func tryDetail(try int) string {
+	if try >= 0 && try < len(tryDetails) {
+		return tryDetails[try]
+	}
+	return "try=" + strconv.Itoa(try)
 }
 
 // AttemptEnd records one transfer-engine attempt finishing. Nil-safe.
@@ -364,7 +355,7 @@ func (o *Observer) AttemptEnd(ctx context.Context, cspName, kind string, try int
 	}
 	span, trace, op := SpanFromContext(ctx)
 	ev := FlightEvent{Kind: FlightAttemptEnd, Trace: trace, Span: span, Op: op,
-		Name: kind, CSP: cspName, Detail: "try=" + strconv.Itoa(try), Bytes: bytes, Duration: elapsed}
+		Name: kind, CSP: cspName, Detail: tryDetail(try), Bytes: bytes, Duration: elapsed}
 	if err != nil {
 		ev.Err = err.Error()
 	}
@@ -382,20 +373,16 @@ func (o *Observer) TransferRetry(ctx context.Context, cspName, kind string) {
 	o.rec.record(FlightEvent{Kind: FlightRetry, Trace: trace, Span: span, Op: op, Name: kind, CSP: cspName})
 }
 
-// TransferHedge counts hedged-download lifecycle points: result is
-// "launched" when a backup lane starts, "win" when a backup's attempt
-// beats the primary. Nil-safe.
-func (o *Observer) TransferHedge(ctx context.Context, result string) {
-	if o == nil || result == "" {
+// TransferHedge counts one hedged-download backup lane launching and
+// records it in the flight recorder; HedgeOutcome records how it resolved.
+// Nil-safe.
+func (o *Observer) TransferHedge(ctx context.Context) {
+	if o == nil {
 		return
 	}
-	o.xferHedges.With(result).Inc()
+	o.xferHedges.With("launched").Inc()
 	span, trace, op := SpanFromContext(ctx)
-	kind := FlightHedgeLaunch
-	if result == "win" {
-		kind = FlightHedgeWin
-	}
-	o.rec.record(FlightEvent{Kind: kind, Trace: trace, Span: span, Op: op, Detail: result})
+	o.rec.record(FlightEvent{Kind: FlightHedgeLaunch, Trace: trace, Span: span, Op: op})
 }
 
 // HedgeSuppressed counts one hedge the load-adaptive controller withheld.
@@ -420,13 +407,15 @@ func (o *Observer) HedgeOutcome(ctx context.Context, cspName string, win bool) {
 	if o == nil || cspName == "" {
 		return
 	}
+	kind := FlightHedgeLoss
 	if win {
+		kind = FlightHedgeWin
 		o.hedgeWins.With(cspName).Inc()
-		return // the hedge.win flight event is recorded by TransferHedge
+	} else {
+		o.hedgeLosses.With(cspName).Inc()
 	}
-	o.hedgeLosses.With(cspName).Inc()
 	span, trace, op := SpanFromContext(ctx)
-	o.rec.record(FlightEvent{Kind: FlightHedgeLoss, Trace: trace, Span: span, Op: op, CSP: cspName})
+	o.rec.record(FlightEvent{Kind: kind, Trace: trace, Span: span, Op: op, CSP: cspName})
 }
 
 // RaceLaunched counts one redundant race-read lane starting against a
@@ -556,17 +545,6 @@ func (o *Observer) HealthzHandler() http.Handler {
 	})
 }
 
-// SpansHandler serves the recent-span ring as JSON (/debug/spans).
-func (o *Observer) SpansHandler() http.Handler {
-	if o == nil {
-		return http.NotFoundHandler()
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(o.RecentSpans())
-	})
-}
-
 // flightBody is the /debug/flightrecorder JSON shape.
 type flightBody struct {
 	Dumps     []FlightDump  `json:"dumps"`
@@ -653,16 +631,6 @@ func (o *Observer) MetaCacheInvalidate(n int) {
 		return
 	}
 	o.metaCacheInvalid.With().Add(int64(n))
-}
-
-// MetaShardRecords records how many metadata records this client has placed
-// on (or resolved from) the given shard — the skew view `cyrusctl stats`
-// shows. Nil-safe.
-func (o *Observer) MetaShardRecords(cspName string, n int) {
-	if o == nil || cspName == "" {
-		return
-	}
-	o.metaShardRecords.With(cspName).Set(float64(n))
 }
 
 // MetaBatchFetch counts one batched metadata round trip against a provider.

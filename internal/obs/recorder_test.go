@@ -155,11 +155,11 @@ func TestRecorderRingBounds(t *testing.T) {
 }
 
 // TestOpenSpanPinning: long-lived parents stay visible in OpenSpans (and
-// in dumps) regardless of how many finished children churn the span ring.
+// in dumps) regardless of how many finished children churn the flight ring.
 func TestOpenSpanPinning(t *testing.T) {
 	o := NewObserver()
 	ctx, parent := o.StartOp(context.Background(), "put")
-	for i := 0; i < spanRingSize+50; i++ {
+	for i := 0; i < 3000; i++ { // 6000 events: past the 4096-event ring
 		_, sp := o.Trace(ctx, "child")
 		sp.End(nil)
 	}
@@ -183,7 +183,7 @@ func TestTraceIDPropagation(t *testing.T) {
 	o := NewObserver()
 	ctx, root := o.StartOp(context.Background(), "get")
 	cctx, child := o.Trace(ctx, "chunk.gather")
-	_, grand := o.Trace(cctx, "csp.download")
+	_, grand := o.Trace(cctx, "grandchild")
 	spanID, traceID, op := SpanFromContext(cctx)
 	if spanID != child.id || traceID != root.id || op != "get" {
 		t.Errorf("SpanFromContext = (%d, %d, %q), want (%d, %d, get)", spanID, traceID, op, child.id, root.id)
@@ -194,8 +194,7 @@ func TestTraceIDPropagation(t *testing.T) {
 	grand.End(nil)
 	child.End(nil)
 	root.End(nil)
-	recs := o.RecentSpans()
-	for _, r := range recs {
+	for _, r := range closedSpans(o) {
 		if r.Trace != root.id {
 			t.Errorf("span %s trace = %d, want %d", r.Name, r.Trace, root.id)
 		}
@@ -317,7 +316,7 @@ func TestRecorderConcurrency(t *testing.T) {
 				o.AttemptStart(ctx, cspName, "download", 0)
 				o.AttemptEnd(ctx, cspName, "download", 0, 128, time.Millisecond, nil)
 				o.TransferRetry(ctx, cspName, "download")
-				o.TransferHedge(ctx, "launched")
+				o.TransferHedge(ctx)
 				o.TransferInFlight(cspName, i%4)
 				o.CSPRequest(cspName, nil, time.Millisecond)
 				o.CSPDownState(cspName, i%7 == 0)

@@ -36,7 +36,6 @@ const (
 	MetricCSPDown            = "cyrus_csp_down"
 	MetricCSPBandwidth       = "cyrus_csp_bandwidth_bytes_per_second"
 	MetricCSPLatencyEWMA     = "cyrus_csp_latency_ewma_seconds"
-	MetricEventsTotal        = "cyrus_events_total"
 	MetricTransferBytes      = "cyrus_transfer_bytes_total"
 	MetricSelectorPicks      = "cyrus_selector_picks_total"
 	MetricHTTPRequests       = "cyrus_http_requests_total"
@@ -74,7 +73,6 @@ const (
 	MetricMetaCacheMisses        = "cyrus_metacache_misses_total"
 	MetricMetaCacheEvictions     = "cyrus_metacache_evictions_total"
 	MetricMetaCacheInvalidations = "cyrus_metacache_invalidations_total"
-	MetricMetaShardRecords       = "cyrus_metashard_records"
 	MetricMetaBatchFetches       = "cyrus_metashard_batch_fetches_total"
 
 	// SLO tracking (obs/slo.go): per-op burn counters against the

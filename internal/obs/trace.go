@@ -8,9 +8,9 @@ import (
 
 // Span tracing. Spans are deliberately minimal — a name, a start instant,
 // a duration, a parent — because their consumers are histograms (every
-// span observes cyrus_span_duration_seconds), a bounded in-memory ring for
-// debugging (/debug/spans), and the flight recorder, not a distributed
-// trace backend. Durations come from the Observer's clock, which core
+// span observes cyrus_span_duration_seconds) and the flight recorder (every
+// span writes span.open and span.close; open spans stay pinned for dumps),
+// not a distributed trace backend. Durations come from the Observer's clock, which core
 // wires to the client's vclock.Runtime: under netsim the recorded
 // durations are virtual-time durations, exactly what the latency
 // experiments need.
@@ -20,7 +20,7 @@ import (
 // stitch one operation's attempts, retries, and hedges back together
 // after the fact.
 
-// SpanRecord is one span in the ring buffer or an open-span table entry.
+// SpanRecord is one open-span table entry.
 type SpanRecord struct {
 	ID       uint64        `json:"id"`
 	Parent   uint64        `json:"parent,omitempty"`
@@ -29,14 +29,8 @@ type SpanRecord struct {
 	Op       string        `json:"op,omitempty"`
 	Start    time.Time     `json:"start"`
 	Duration time.Duration `json:"duration_ns"`
-	Err      string        `json:"err,omitempty"`
 	Open     bool          `json:"open,omitempty"`
 }
-
-// spanRingSize bounds the recent-span buffer. Long-lived parent spans are
-// not at the ring's mercy: open spans live in a separate pinned table until
-// they end (see openSpans), so the ring only ever holds finished spans.
-const spanRingSize = 512
 
 // Span is one in-flight operation. A nil *Span is valid and inert, so
 // instrumented code never branches on whether observability is enabled.
@@ -132,10 +126,9 @@ func (o *Observer) startSpan(ctx context.Context, name, op string) (context.Cont
 }
 
 // End finishes the span: its duration is observed into the span histogram
-// (and the op histogram/counters/SLO for StartOp spans), the record is
-// pushed into the ring, and the close is folded into the flight recorder
-// (which may fire the latency-anomaly trigger for op spans). Nil-safe; err
-// may be nil.
+// (and the op histogram/counters/SLO for StartOp spans), the span leaves the
+// open table, and the close is folded into the flight recorder (which may
+// fire the latency-anomaly trigger for op spans). Nil-safe; err may be nil.
 func (s *Span) End(err error) {
 	if s == nil {
 		return
@@ -151,12 +144,7 @@ func (s *Span) End(err error) {
 			o.slo.observe(s.op, d)
 		}
 	}
-	rec := SpanRecord{ID: s.id, Parent: s.parent, Trace: s.trace, Name: s.name, Op: s.op, Start: s.start, Duration: d}
-	if err != nil {
-		rec.Err = err.Error()
-	}
 	o.openSpans.remove(s.id)
-	o.pushSpan(rec)
 	ev := FlightEvent{Kind: FlightSpanClose, Trace: s.trace, Span: s.id, Op: s.rootOp, Name: s.name, Duration: d}
 	if err != nil {
 		ev.Err = err.Error()
@@ -172,9 +160,9 @@ func resultLabel(err error) string {
 }
 
 // openSpanTable pins in-flight spans so long-lived parents (streaming
-// Put/Get) stay visible however many children churn through the finished
-// ring. The table has its own lock and never calls into the recorder or
-// the ring, so there is no lock ordering with either.
+// Put/Get) stay visible in dumps however many events churn through the
+// flight ring. The table has its own lock and never calls into the
+// recorder, so there is no lock ordering with it.
 type openSpanTable struct {
 	mu    sync.Mutex
 	spans map[uint64]*Span
@@ -226,41 +214,4 @@ func (o *Observer) OpenSpans() []SpanRecord {
 		return nil
 	}
 	return o.openSpans.snapshot(o.now())
-}
-
-// spanRing is the bounded buffer of recently finished spans.
-type spanRing struct {
-	mu   sync.Mutex
-	recs []SpanRecord
-	pos  int
-	full bool
-}
-
-func (r *spanRing) push(rec SpanRecord) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.recs == nil {
-		r.recs = make([]SpanRecord, spanRingSize)
-	}
-	r.recs[r.pos] = rec
-	r.pos = (r.pos + 1) % len(r.recs)
-	if r.pos == 0 {
-		r.full = true
-	}
-}
-
-// recent returns the buffered spans oldest-first.
-func (r *spanRing) recent() []SpanRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.recs == nil {
-		return nil
-	}
-	if !r.full {
-		return append([]SpanRecord(nil), r.recs[:r.pos]...)
-	}
-	out := make([]SpanRecord, 0, len(r.recs))
-	out = append(out, r.recs[r.pos:]...)
-	out = append(out, r.recs[:r.pos]...)
-	return out
 }

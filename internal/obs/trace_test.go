@@ -13,6 +13,18 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
+// closedSpans returns the span.close events of the flight ring, oldest
+// first.
+func closedSpans(o *Observer) []FlightEvent {
+	var out []FlightEvent
+	for _, ev := range o.FlightEvents() {
+		if ev.Kind == FlightSpanClose {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 func TestSpanHierarchyAndOpMetrics(t *testing.T) {
 	o := NewObserver()
 	clk := &fakeClock{t: time.Date(2015, 4, 21, 0, 0, 0, 0, time.UTC)}
@@ -22,19 +34,19 @@ func TestSpanHierarchyAndOpMetrics(t *testing.T) {
 	clk.advance(10 * time.Millisecond)
 	_, child := Trace(ctx, "chunk.scatter") // found via context observer
 	clk.advance(30 * time.Millisecond)
+	if open := o.OpenSpans(); len(open) != 2 || open[1].Parent != open[0].ID {
+		t.Errorf("open spans = %+v, want the op and its child", open)
+	}
 	child.End(nil)
 	op.End(nil)
 
-	recs := o.RecentSpans()
+	recs := closedSpans(o)
 	if len(recs) != 2 {
 		t.Fatalf("got %d spans, want 2", len(recs))
 	}
 	// Ring is oldest-first: the child ended before the op.
 	if recs[0].Name != "chunk.scatter" || recs[1].Name != "core.put" {
 		t.Fatalf("span order = %q, %q", recs[0].Name, recs[1].Name)
-	}
-	if recs[0].Parent != recs[1].ID {
-		t.Errorf("child parent = %d, want op id %d", recs[0].Parent, recs[1].ID)
 	}
 	if recs[0].Duration != 30*time.Millisecond {
 		t.Errorf("child duration = %v, want 30ms (virtual)", recs[0].Duration)
@@ -66,7 +78,7 @@ func TestSpanErrorResult(t *testing.T) {
 	if p, ok := s.Find(MetricOpsTotal, map[string]string{"op": "get", "result": "error"}); !ok || p.Value != 1 {
 		t.Errorf("ops_total{op=get,result=error} = %+v, %v; want 1", p, ok)
 	}
-	recs := o.RecentSpans()
+	recs := closedSpans(o)
 	if len(recs) != 1 || recs[0].Err != "boom" {
 		t.Errorf("span record = %+v, want Err=boom", recs)
 	}
@@ -83,26 +95,10 @@ func TestNilObserverIsInert(t *testing.T) {
 	o.CSPRequest("a", nil, time.Second)
 	o.CSPDownState("a", true)
 	o.CSPLink("a", 1, 1, 1)
-	o.TransferEvent("PUT", "a", "up", 10, nil)
+	o.TransferBytes("a", "up", 10)
 	o.SelectorPick("a")
 	o.SetClock(time.Now)
-	if o.Registry() != nil || o.RecentSpans() != nil {
+	if o.Registry() != nil || o.FlightEvents() != nil || o.OpenSpans() != nil {
 		t.Error("nil observer leaked non-nil state")
-	}
-}
-
-func TestSpanRingWraps(t *testing.T) {
-	o := NewObserver()
-	for i := 0; i < spanRingSize+10; i++ {
-		_, sp := o.Trace(context.Background(), "s")
-		sp.End(nil)
-	}
-	recs := o.RecentSpans()
-	if len(recs) != spanRingSize {
-		t.Fatalf("ring holds %d, want %d", len(recs), spanRingSize)
-	}
-	// Oldest-first: the first buffered span is the 11th started (id 11).
-	if recs[0].ID != 11 {
-		t.Errorf("oldest span id = %d, want 11", recs[0].ID)
 	}
 }

@@ -88,7 +88,6 @@ func TestObservabilityEndpoints(t *testing.T) {
 		`cyrus_op_duration_seconds_bucket{op="get",le=`,
 		`cyrus_csp_requests_total{csp="obscsp1",result="ok"}`,
 		`cyrus_ops_total{op="put",result="ok"} 1`,
-		`cyrus_events_total`,
 		`cyrus_transfer_bytes_total`,
 		`cyrus_http_requests_total{method="POST",route="/v1/batch",code="200"} 1`,
 		`cyrus_http_request_duration_seconds_count{route="/v1/batch"} 1`,
@@ -199,7 +198,6 @@ func TestRouteLabelBounded(t *testing.T) {
 		"/v1/batch/x":            "other",
 		"/metrics":               "/metrics",
 		"/healthz":               "/healthz",
-		"/debug/spans":           "/debug/spans",
 		"/debug/flightrecorder":  "/debug/flightrecorder",
 		"/debug/pprof/heap":      "/debug/pprof/",
 		"/admin/available":       "/admin/available",

@@ -127,10 +127,10 @@ func NewStoreServer(store csp.Store, token string) (*Server, error) {
 }
 
 // SetObserver attaches an observability layer: /metrics (Prometheus text),
-// /healthz (JSON status, degraded while a provider is marked down), /debug/spans, /debug/flightrecorder (flight
-// recorder dumps, event ring and open spans; POST forces a dump), and net/http/pprof under /debug/pprof/, plus per-request HTTP
-// metrics. These endpoints are served
-// without bearer auth — they expose operational state, never object data,
+// /healthz (JSON status, degraded while a provider is marked down),
+// /debug/flightrecorder (flight recorder dumps, event ring and open spans;
+// POST forces a dump), and net/http/pprof under /debug/pprof/, plus
+// per-request HTTP metrics. These endpoints are served without bearer auth — they expose operational state, never object data,
 // and scrapers don't carry tokens. The pprof cmdline endpoint is
 // deliberately NOT registered: it would return the process argv, which can
 // carry the bearer token (cyruscsp -token). Call before Handler.
@@ -152,7 +152,6 @@ func (s *Server) Handler() http.Handler {
 	}
 	mux.Handle("/metrics", s.obs.MetricsHandler())
 	mux.Handle("/healthz", s.obs.HealthzHandler())
-	mux.Handle("/debug/spans", s.obs.SpansHandler())
 	mux.Handle("/debug/flightrecorder", s.obs.FlightHandler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	// No pprof.Cmdline: argv may contain the bearer token, and these
@@ -187,7 +186,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // single value "other", so label cardinality stays bounded.
 func routeLabel(path string) string {
 	switch path {
-	case "/v1/auth", "/v1/objects", "/v1/batch", "/metrics", "/healthz", "/debug/spans",
+	case "/v1/auth", "/v1/objects", "/v1/batch", "/metrics", "/healthz",
 		"/debug/flightrecorder", "/admin/available", "/admin/fail":
 		return path
 	}

@@ -173,12 +173,9 @@ func (s *Syncer) Sync(ctx context.Context) ([]Action, error) {
 	// all remote state below is read from the refreshed local replica
 	// (StatLocal/ListLocal/...), not re-synced per file. The sync is
 	// best-effort, like the per-operation syncs it replaces: a pass over a
-	// stale replica is still correct, just less fresh.
-	if _, err := s.client.Sync(ctx); err != nil {
-		// Proceed on the local replica; the client already surfaced the
-		// failure through its event bus.
-		_ = err
-	}
+	// stale replica is still correct, just less fresh. A failed sync is
+	// counted as cyrus_ops_total{op="sync",result="error"}.
+	_, _ = s.client.Sync(ctx)
 
 	locals, err := s.scan()
 	if err != nil {

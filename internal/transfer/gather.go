@@ -156,9 +156,6 @@ func (o *Op) Gather(ctx context.Context, g Gather) error {
 					// the outcome as soon as Gather returns.
 					hedge[slot] = hedgeClosed
 					primary := g.Primary[slot].CSP
-					if backup {
-						e.obs.TransferHedge(gctx, "win")
-					}
 					e.obs.HedgeOutcome(gctx, primary, backup)
 					e.hedge.outcome(primary, backup)
 				}
@@ -194,7 +191,7 @@ func (o *Op) Gather(ctx context.Context, g Gather) error {
 			}
 			mu.Unlock()
 			if fire {
-				e.obs.TransferHedge(gctx, "launched")
+				e.obs.TransferHedge(gctx)
 				lane(nil, i, true)
 			}
 		})

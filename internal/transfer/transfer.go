@@ -116,8 +116,9 @@ type Config struct {
 	// own, so production and netsim runs share this code path).
 	Runtime vclock.Runtime
 	// Obs receives the engine metrics (queue depth, in-flight gauges,
-	// retry and hedge counters) and the per-attempt spans. nil disables
-	// instrumentation.
+	// retry and hedge counters) and one attempt.start/attempt.end flight
+	// event pair per try, stamped with the span the context carries. nil
+	// disables instrumentation.
 	Obs *obs.Observer
 	// Report is called once per finished attempt with the provider name,
 	// the operation kind, the outcome, payload bytes, and elapsed time on
@@ -166,14 +167,12 @@ func (e *Engine) PeakInFlight(cspName string) int { return e.sem.peakInFlight(cs
 
 // Attempt is one provider contact. Run performs the I/O and returns the
 // payload byte count (uploads report the intended payload size even on
-// failure, mirroring the pre-engine accounting). Done, when set, is
-// invoked after every execution of Run — including retries — with the
-// outcome; call sites use it to emit their transfer events.
+// failure, mirroring the pre-engine accounting). The engine reports every
+// execution of Run, retries included, to Config.Report.
 type Attempt struct {
 	CSP  string
 	Kind string // one of core's recordResult op identifiers ("upload", "download", ...)
 	Run  func(ctx context.Context) (bytes int64, err error)
-	Done func(err error, bytes int64, elapsed time.Duration)
 }
 
 // ErrRejected marks an attempt whose provider answered with a payload the
@@ -238,8 +237,8 @@ func (e *Engine) Begin(ctx context.Context) *Op {
 }
 
 // Context returns the operation context; it is cancelled by Fail and
-// Finish. Derive spans and pass the result to Do/Gather so attempt spans
-// nest correctly.
+// Finish. Derive spans and pass the result to Do/Gather so attempt records
+// carry the enclosing span.
 func (o *Op) Context() context.Context { return o.ctx }
 
 // Finish releases the operation's context resources. Always defer it.
@@ -306,7 +305,7 @@ func (o *Op) Each(n int, fn func(i int)) {
 // per-CSP and global in-flight slots, runs with retry/backoff per the
 // engine's policy, reports every try, and on final provider-fault failure
 // adds the provider to the failed set before its slot is released. ctx must
-// descend from Context() (pass a span-wrapped child for trace nesting).
+// descend from Context() (pass a span-wrapped child to stamp the attempts).
 func (o *Op) Do(ctx context.Context, a Attempt) error {
 	_, err := o.do(ctx, a)
 	return err
@@ -336,13 +335,11 @@ func (o *Op) do(ctx context.Context, a Attempt) (int64, error) {
 			}
 			return 0, ErrSkipped
 		}
-		sctx, sp := e.obs.Trace(ctx, "csp."+a.Kind)
-		e.obs.AttemptStart(sctx, a.CSP, a.Kind, try)
+		e.obs.AttemptStart(ctx, a.CSP, a.Kind, try)
 		start := e.rt.Now()
 		bytes, err := a.Run(ctx)
 		elapsed := e.rt.Now().Sub(start)
-		e.obs.AttemptEnd(sctx, a.CSP, a.Kind, try, bytes, elapsed, err)
-		sp.End(err)
+		e.obs.AttemptEnd(ctx, a.CSP, a.Kind, try, bytes, elapsed, err)
 		final := err != nil && (!Retryable(err) || try+1 >= e.attempts || ctx.Err() != nil)
 		if final && ProviderFault(err) {
 			// Marked before the slot is released, so the sibling the
@@ -352,9 +349,6 @@ func (o *Op) do(ctx context.Context, a Attempt) (int64, error) {
 		e.sem.release(a.CSP)
 		if e.report != nil {
 			e.report(a.CSP, a.Kind, err, bytes, elapsed)
-		}
-		if a.Done != nil {
-			a.Done(err, bytes, elapsed)
 		}
 		if err == nil {
 			return bytes, nil

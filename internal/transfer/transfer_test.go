@@ -503,8 +503,8 @@ func TestHedgeWin(t *testing.T) {
 	if p, ok := s.Find(obs.MetricTransferHedges, map[string]string{"result": "launched"}); !ok || p.Value != 1 {
 		t.Errorf("hedges_total{result=launched} = %+v (found=%v), want 1", p, ok)
 	}
-	if p, ok := s.Find(obs.MetricTransferHedges, map[string]string{"result": "win"}); !ok || p.Value != 1 {
-		t.Errorf("hedges_total{result=win} = %+v (found=%v), want 1", p, ok)
+	if p, ok := s.Find(obs.MetricHedgeWins, nil); !ok || p.Value != 1 {
+		t.Errorf("hedge_wins_total = %+v (found=%v), want 1", p, ok)
 	}
 }
 
@@ -741,7 +741,6 @@ func TestEngineRace(t *testing.T) {
 						}
 						return 32, nil
 					},
-					Done: func(error, int64, time.Duration) {},
 				}
 				if i%3 == 0 {
 					fallback := sleepAttempt(vclock.Real(), "cspf", 0)
