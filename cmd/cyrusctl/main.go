@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -472,14 +473,28 @@ func printTop(c *cyrus.Client, o *cyrus.Observer) {
 			r.CSP, r.InFlight, r.QueueDepth, r.EWMALatencySeconds*1000,
 			r.Samples, state, hedgeFlag(r.HedgeState))
 	}
-	for _, op := range []string{"put", "get", "sync", "migrate", "gc"} {
+	for _, line := range sloLines(o, s) {
+		fmt.Println(line)
+	}
+}
+
+// sloLines renders one line per op of the observer's objective table, in
+// op order, for every op that has finished at least once.
+func sloLines(o *cyrus.Observer, s cyrus.MetricsSnapshot) []string {
+	var ops, lines []string
+	for op := range o.SLOObjectives() {
+		ops = append(ops, op)
+	}
+	slices.Sort(ops)
+	for _, op := range ops {
 		okP, _ := s.Find(cyrus.MetricSLOOK, map[string]string{"op": op})
-		brP, hasBr := s.Find(cyrus.MetricSLOBreach, map[string]string{"op": op})
-		if okP.Value == 0 && (!hasBr || brP.Value == 0) {
+		brP, _ := s.Find(cyrus.MetricSLOBreach, map[string]string{"op": op})
+		if okP.Value == 0 && brP.Value == 0 {
 			continue
 		}
-		fmt.Printf("slo %-8s ok=%.0f breach=%.0f\n", op, okP.Value, brP.Value)
+		lines = append(lines, fmt.Sprintf("slo %-8s ok=%.0f breach=%.0f", op, okP.Value, brP.Value))
 	}
+	return lines
 }
 
 func printTopJSON(c *cyrus.Client, o *cyrus.Observer) error {

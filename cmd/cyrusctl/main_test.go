@@ -211,6 +211,26 @@ func TestCLIFlightdumpAndTop(t *testing.T) {
 	}
 }
 
+// TestTopSLOLines: top prints one SLO line per op of the observer's
+// objective table that has finished at least once, get_range and delete
+// included, in op order.
+func TestTopSLOLines(t *testing.T) {
+	o := cyrus.NewObserver()
+	for _, op := range []string{"put", "get_range", "delete", "get_range"} {
+		_, sp := o.StartOp(context.Background(), op)
+		sp.End(nil)
+	}
+	got := sloLines(o, o.Registry().Snapshot())
+	want := []string{
+		"slo delete   ok=1 breach=0",
+		"slo get_range ok=2 breach=0",
+		"slo put      ok=1 breach=0",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("slo lines = %q, want %q", got, want)
+	}
+}
+
 // TestCSPRowsFromRegistry: the per-provider rows of stats and top are read
 // from the observer alone — request counts, the link-model gauges, the
 // down gauge, and the newest failed attempt in the flight ring.

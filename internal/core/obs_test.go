@@ -206,6 +206,24 @@ func TestOneRecordPerTry(t *testing.T) {
 	}
 }
 
+// TestGetRangeIsSLOClassified: a range read is checked against the
+// get_range objective, under the op name the client opens its span with.
+func TestGetRangeIsSLOClassified(t *testing.T) {
+	env := newEnv(t, 4)
+	o := obs.NewObserver()
+	c := env.client("c1", func(cfg *Config) { cfg.Obs = o })
+	ctx := context.Background()
+	if err := c.Put(ctx, "f", randData(4, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.GetRange(ctx, "f", 100, 200); err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := o.Registry().Snapshot().Find(obs.MetricSLOOK, map[string]string{"op": "get_range"}); !ok || p.Value != 1 {
+		t.Errorf("%s{op=get_range} = %v (present %v), want 1", obs.MetricSLOOK, p.Value, ok)
+	}
+}
+
 // TestObserverDisabled: a client without Config.Obs runs exactly as before
 // with a nil observer.
 func TestObserverDisabled(t *testing.T) {

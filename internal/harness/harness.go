@@ -19,7 +19,17 @@
 //     metadata share of a known version, or the CSP status list), and
 //     deletion never removes data that other versions still reference;
 //   - convergence: after a full sync all clients agree on the version
-//     tree, on every file's head, and on the detected conflicts.
+//     tree, on every file's head, and on the detected conflicts;
+//   - refcount (dedup runs): every content-addressed object carries the
+//     reference token of each user whose records reference it, every token
+//     belongs to a user who referenced or tried to upload that content, and
+//     no object survives with zero tokens.
+//
+// A run may host several users (Options.Users) with distinct keys on the
+// same providers; every check above then runs per user — each user's
+// clients converge among themselves, and each user's writes are re-read
+// and its shares recomputed under that user's key — while dedup runs share
+// one content-addressed namespace across all of them.
 //
 // The driver is deterministic: the operation mix and the fault schedule
 // derive only from the seed and the scripted Schedule, so a failing run
@@ -36,6 +46,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -59,7 +70,8 @@ type Options struct {
 	// are reproducible.
 	Seed int64
 
-	Clients   int // concurrent clients (default 2)
+	Users     int // distinct users; client i belongs to user i % Users (default 1)
+	Clients   int // concurrent clients (default 2, at least Users)
 	Providers int // simulated CSPs (default 5)
 	T         int // chunk privacy level (default 2)
 	N         int // shares per chunk (default 3)
@@ -117,7 +129,8 @@ type Options struct {
 	// share objects, refcounted GC) with a run-wide deployment secret. All
 	// invariants are checked unchanged — shared shares must not weaken
 	// durability, placement, or t-privacy — and the expected share bytes
-	// are recomputed with the content-derived coders.
+	// are recomputed with the content-derived coders; the refcount oracle
+	// audits every content-addressed object's reference tokens.
 	Dedup bool
 
 	// MetaShards, when positive, enables hashring-sharded metadata
@@ -160,9 +173,13 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
+	if o.Users == 0 {
+		o.Users = 1
+	}
 	if o.Clients == 0 {
 		o.Clients = 2
 	}
+	o.Clients = max(o.Clients, o.Users)
 	if o.Providers == 0 {
 		o.Providers = 5
 	}
@@ -193,8 +210,17 @@ func (o Options) withDefaults() Options {
 // has.
 var chunkingConfig = chunker.Config{Algorithm: chunker.Rabin, AverageSize: 1024, MinSize: 256, MaxSize: 4096, Window: 48}
 
-// sharedKey is the user key all clients of a run share.
+// sharedKey is the key of user 0, the only user of a single-user run.
 const sharedKey = "harness-shared-user-key"
+
+// userKey returns user u's key: sharedKey for user 0, so single-user seeds
+// replay unchanged, and a distinct key for every other user.
+func userKey(u int) string {
+	if u == 0 {
+		return sharedKey
+	}
+	return fmt.Sprintf("harness-user%d-key", u)
+}
 
 // harnessDedupSecret is the deployment secret of dedup-mode runs.
 const harnessDedupSecret = "harness-deployment-secret"
@@ -204,12 +230,13 @@ type AckedWrite struct {
 	File      string
 	VersionID string
 	Client    string
+	User      int
 	Data      []byte
 }
 
 // Violation is one invariant breach found by a checkpoint.
 type Violation struct {
-	Invariant string // durability | placement | privacy | meta-replication | garbage | convergence | read | cache
+	Invariant string // durability | placement | privacy | meta-replication | garbage | convergence | read | cache | meta-tag | refcount
 	Detail    string
 }
 
@@ -258,16 +285,16 @@ type Harness struct {
 	clusters map[string]string // provider -> platform; nil unless Clustered
 	clients  []*core.Client
 	chunk    *chunker.Chunker
-	coder    *erasure.Coder
+	coders   []*erasure.Coder         // per user: its key's share coder
 	conv     *erasure.ConvergentCoder // nil unless Dedup
 	obs      *obs.Observer            // shared by all workload clients
 
 	acked      []AckedWrite
 	ackedByVID map[string][]byte
-	lastAcked  map[string][]byte // file -> last acknowledged content
-	failedPuts [][]byte          // contents of failed Puts (expected residue)
-	corrupted  map[string]bool   // csp + "/" + object: harness-injected rot
-	sabotaged  bool              // Break* injection already performed
+	lastAcked  []map[string][]byte // per user: file -> last acknowledged content
+	tried      [][][]byte          // per user: contents of every Put, acked or not (expected residue)
+	corrupted  map[string]bool     // csp + "/" + object: harness-injected rot
+	sabotaged  bool                // Break* injection already performed
 
 	migrators map[int]*lifecycle.Migrator // lazily built per client index
 	lifeGroup vclock.Group                // joins in-flight Demote runs
@@ -289,10 +316,13 @@ func New(opts Options) (*Harness, error) {
 		rng:        rand.New(rand.NewSource(opts.Seed)),
 		backends:   make(map[string]*cloudsim.Backend),
 		ackedByVID: make(map[string][]byte),
-		lastAcked:  make(map[string][]byte),
+		tried:      make([][][]byte, opts.Users),
 		corrupted:  make(map[string]bool),
-		coder:      erasure.NewCoder(sharedKey),
 		migrators:  make(map[int]*lifecycle.Migrator),
+	}
+	for u := 0; u < opts.Users; u++ {
+		h.coders = append(h.coders, erasure.NewCoder(userKey(u)))
+		h.lastAcked = append(h.lastAcked, make(map[string][]byte))
 	}
 	var oo obs.Options
 	if opts.Recorder != nil {
@@ -342,7 +372,7 @@ func New(opts Options) (*Harness, error) {
 					h.net.SetLink(node, cspName, defaultLink)
 				}
 			}
-			c, err := h.buildClient(id, node, h.obs)
+			c, err := h.buildClient(id, i%opts.Users, node, h.obs)
 			if err != nil {
 				buildErr = err
 				return
@@ -369,15 +399,16 @@ func New(opts Options) (*Harness, error) {
 	return h, nil
 }
 
-// buildClient assembles one authenticated client. With node == "" the
-// client's stores bypass the network (instant transfers, real clock);
-// otherwise operations are charged to that netsim node's links. o is the
-// observer to instrument with (nil disables instrumentation — inspector
-// clients stay out of the workload's metrics).
-func (h *Harness) buildClient(id, node string, o *obs.Observer) (*core.Client, error) {
+// buildClient assembles one authenticated client of user u. With node ==
+// "" the client's stores bypass the network (instant transfers, real
+// clock); otherwise operations are charged to that netsim node's links. o
+// is the observer to instrument with (nil disables instrumentation —
+// inspector clients, the paper's recover() device with only the key and
+// the provider accounts, stay out of the workload's metrics).
+func (h *Harness) buildClient(id string, u int, node string, o *obs.Observer) (*core.Client, error) {
 	cfg := core.Config{
 		ClientID:         id,
-		Key:              sharedKey,
+		Key:              userKey(u),
 		T:                h.opts.T,
 		N:                h.opts.N,
 		MetaT:            h.opts.MetaT,
@@ -416,11 +447,9 @@ func (h *Harness) buildClient(id, node string, o *obs.Observer) (*core.Client, e
 	return core.New(cfg, stores)
 }
 
-// inspector builds a fresh transport-less client used by the invariant
-// checks — the paper's recover() device: only the key and the provider
-// accounts, no local state.
-func (h *Harness) inspector(id string) (*core.Client, error) {
-	return h.buildClient(id, "", nil)
+// userOf returns the user a workload client belongs to.
+func (h *Harness) userOf(c *core.Client) int {
+	return slices.Index(h.clients, c) % h.opts.Users
 }
 
 // now returns the run's notion of wall-clock time.

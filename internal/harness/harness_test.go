@@ -6,11 +6,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cloudsim"
+	"repro/internal/csp"
+	"repro/internal/metadata"
 	"repro/internal/policy"
 )
 
@@ -344,6 +348,27 @@ func TestScenarios(t *testing.T) {
 				},
 			},
 		},
+		{
+			// Two users with distinct keys share the providers in dedup
+			// mode under the dedup-crash-gc schedule: the workload's random
+			// GCs run across both users' reference tokens inside and
+			// outside the outage and blind-sync windows, and every oracle
+			// runs per user, the refcount oracle included.
+			name: "dedup-two-users-crash-gc",
+			opts: Options{
+				Users:   2,
+				Clients: 4,
+				Dedup:   true,
+				Schedule: Schedule{
+					{At: 20, Act: Crash, CSP: "cspb"},
+					{At: 45, Act: BlindSync},
+					{At: 60, Act: Restart, CSP: "cspb"},
+					{At: 80, Act: Checkpoint},
+					{At: 100, Act: Crash, CSP: "cspd"},
+					{At: 130, Act: Restart, CSP: "cspd"},
+				},
+			},
+		},
 	}
 	for i, sc := range scenarios {
 		sc := sc
@@ -374,6 +399,55 @@ func TestSeededPlacementBugCaught(t *testing.T) {
 	}
 	if !placement || !privacy {
 		t.Fatalf("seeded placement bug not caught (placement=%v privacy=%v):\n%s", placement, privacy, rep)
+	}
+}
+
+// TestSeededRefcountBugCaught proves the refcount oracle has teeth: after
+// a clean two-user dedup run, dropping one referencing user's token from a
+// shared CAS object and planting a CAS object with no token at all must
+// each trip it.
+func TestSeededRefcountBugCaught(t *testing.T) {
+	t.Parallel()
+	h, err := New(Options{Seed: baseSeed(t), Ops: 40, Users: 2, Dedup: true})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if rep := h.Run(context.Background()); len(rep.Violations) > 0 {
+		t.Fatalf("clean run reported violations:\n%s", rep)
+	}
+	ctx := context.Background()
+	shared := seqData(9, 200)
+	for _, c := range h.clients[:2] {
+		h.record(c, "shared", shared, c.Put(ctx, "shared", shared))
+	}
+	dropped := h.clients[0].ShareObjectName(metadata.HashData(shared), 0, h.opts.T)
+	for _, name := range h.names {
+		if _, ok := h.backends[name].PeekObject(dropped); !ok {
+			continue
+		}
+		raw := cloudsim.NewSimStore(h.backends[name])
+		if err := raw.Authenticate(ctx, csp.Credentials{Token: "seeded"}); err != nil {
+			t.Fatal(err)
+		}
+		if removed, err := raw.DelRef(ctx, dropped, h.clients[1].RefToken()); err != nil || removed {
+			t.Fatalf("dropping user 1's token: removed=%v err=%v", removed, err)
+		}
+		break
+	}
+	planted := h.clients[0].ShareObjectName(metadata.HashData(seqData(10, 200)), 0, h.opts.T)
+	h.backends[h.names[0]].InjectObject(planted, seqData(10, 100), time.Now())
+
+	h.report.Violations = nil
+	h.checkpoint(ctx)
+	t.Logf("%s", &h.report)
+	caught := func(invariant, obj string) bool {
+		return slices.ContainsFunc(h.report.Violations, func(v Violation) bool {
+			return v.Invariant == invariant && strings.Contains(v.Detail, obj)
+		})
+	}
+	if !caught("refcount", dropped) || !caught("refcount", planted) || !caught("garbage", planted) {
+		t.Fatalf("seeded refcount bugs not caught (dropped token %v, zero-token object %v, its garbage %v)",
+			caught("refcount", dropped), caught("refcount", planted), caught("garbage", planted))
 	}
 }
 

@@ -22,18 +22,15 @@ func (h *Harness) checkpoint(ctx context.Context) {
 	h.checkConvergence()
 	h.checkCacheCoherence()
 
-	tree := h.clients[0].Tree()
-	records := tree.All()
-	h.absorbDemotions(records)
-	h.report.Versions = len(records)
-
-	st := h.buildWorldState(records)
+	st := h.buildWorldState()
+	h.absorbDemotions(st)
+	h.report.Versions = len(st.records)
 	h.report.Chunks = len(st.chunkRefs)
 	h.classifyObjects(st)
 	h.checkPlacementAndPrivacy(st)
 	h.checkStructuralDurability(st)
-	h.checkMetaReplication(tree, records, st)
-	h.checkMetaTags(records, st)
+	h.checkMetaReplication(st)
+	h.checkMetaTags(st)
 	h.checkBehavioralDurability(ctx)
 	h.report.Checkpoints++
 }
@@ -46,26 +43,26 @@ func (h *Harness) checkpoint(ctx context.Context) {
 // the behavioral durability sweep then re-reads it through its own class's
 // encoding. Records that match nothing are left alone: an unacked version
 // a Get serves is still flagged by the read oracle.
-func (h *Harness) absorbDemotions(records []*metadata.FileMeta) {
+func (h *Harness) absorbDemotions(st *worldState) {
 	if len(h.opts.Classes) == 0 {
 		return
 	}
-	bySize := make(map[int64][][]byte)
-	for _, aw := range h.acked {
-		bySize[int64(len(aw.Data))] = append(bySize[int64(len(aw.Data))], aw.Data)
-	}
-	for _, m := range records {
+	acked := h.acked // the writes acknowledged before this pass
+	for _, m := range st.records {
 		vid := m.VersionID()
 		if _, known := h.ackedByVID[vid]; known || m.File.Deleted {
 			continue
 		}
-		i := slices.IndexFunc(bySize[m.File.Size], m.Holds)
+		u := st.owner[vid]
+		i := slices.IndexFunc(acked, func(aw AckedWrite) bool {
+			return aw.User == u && int64(len(aw.Data)) == m.File.Size && m.Holds(aw.Data)
+		})
 		if i < 0 {
 			continue
 		}
-		data := bySize[m.File.Size][i]
+		data := acked[i].Data
 		h.ackedByVID[vid] = data
-		h.acked = append(h.acked, AckedWrite{File: m.File.Name, VersionID: vid, Client: "lifecycle", Data: data})
+		h.acked = append(h.acked, AckedWrite{File: m.File.Name, VersionID: vid, Client: "lifecycle", User: u, Data: data})
 	}
 }
 
@@ -90,26 +87,22 @@ func (h *Harness) quiesce(ctx context.Context) {
 	}
 }
 
-// checkConvergence verifies all clients agree on the version set, on every
-// file's head, and on the detected conflicts.
+// checkConvergence verifies every client agrees with its user's first
+// client on the version set, on every file's head, and on the detected
+// conflicts (users never see each other's records).
 func (h *Harness) checkConvergence() {
-	ref := h.clients[0]
-	refIDs := ref.Tree().VersionIDs()
-	refConf := fmt.Sprint(ref.Tree().Conflicts())
-	for _, c := range h.clients[1:] {
-		ids := c.Tree().VersionIDs()
+	for i := h.opts.Users; i < len(h.clients); i++ {
+		ref, c := h.clients[i%h.opts.Users], h.clients[i]
+		refIDs, ids := ref.Tree().VersionIDs(), c.Tree().VersionIDs()
+		refConf, conf := fmt.Sprint(ref.Tree().Conflicts()), fmt.Sprint(c.Tree().Conflicts())
 		if !equalStrings(refIDs, ids) {
 			h.violate("convergence", "%s and %s disagree on the version set (%d vs %d records)",
 				ref.ID(), c.ID(), len(refIDs), len(ids))
-			continue
-		}
-		if conf := fmt.Sprint(c.Tree().Conflicts()); conf != refConf {
+		} else if conf != refConf {
 			h.violate("convergence", "%s and %s disagree on conflicts: %s vs %s", ref.ID(), c.ID(), refConf, conf)
 		}
-	}
-	for _, name := range ref.Tree().Names() {
-		h0, conflicted0, err0 := ref.Tree().Head(name)
-		for _, c := range h.clients[1:] {
+		for _, name := range ref.Tree().Names() {
+			h0, conflicted0, err0 := ref.Tree().Head(name)
 			hc, conflictedC, errC := c.Tree().Head(name)
 			if (err0 == nil) != (errC == nil) || conflicted0 != conflictedC {
 				h.violate("convergence", "%s and %s disagree on head state of %s", ref.ID(), c.ID(), name)
@@ -159,12 +152,18 @@ func (h *Harness) checkCacheCoherence() {
 // by *encoding key* — metadata.EncodingKey(chunkID, class) — not by chunk
 // ID: a lifecycle demotion legitimately leaves two coexisting encodings of
 // one chunk (the hot original, still referenced by old versions, and the
-// cold re-encode), each with its own (t, n).
+// cold re-encode), each with its own (t, n). Without dedup each user names
+// and codes its shares under its own key, so the key is also scoped by
+// user (encKey).
 type worldState struct {
-	chunkRefs    map[string]metadata.ChunkRef // encoding key -> referenced encoding
-	chunkShares  map[string][]erasure.Share   // encoding key -> expected shares (content known)
-	shareNames   map[string][]shareKey        // object name -> every encoding it could serve
-	knownVIDs    map[string]bool
+	records      []*metadata.FileMeta               // every user's converged records
+	owner        map[string]int                     // version ID -> user whose record it is
+	tokenUser    map[string]int                     // reference token -> its user
+	refUsers     map[string]map[int]bool            // encoding key -> users whose records reference it
+	tried        map[string]map[int]bool            // chunk ID -> users who tried to upload it
+	chunkRefs    map[string]metadata.ChunkRef       // encoding key -> referenced encoding
+	chunkShares  map[string][]erasure.Share         // encoding key -> expected shares (content known)
+	shareNames   map[string][]shareKey              // object name -> every encoding it could serve
 	metaShares   map[string][]metaObject            // version ID -> its share objects, either name form
 	presence     map[string]map[string]map[int]bool // encoding -> csp -> indices physically present
 	intact       map[string]map[int]bool            // encoding -> indices with >= 1 byte-exact copy
@@ -209,19 +208,51 @@ func (h *Harness) classEncodings() []encodingCandidate {
 	return out
 }
 
-func (h *Harness) buildWorldState(records []*metadata.FileMeta) *worldState {
+// encKey is the world-state key of one encoding of a chunk stored by user
+// u: the plain encoding key, scoped by user unless the shares are
+// content-addressed (dedup) or the user is user 0.
+func (h *Harness) encKey(u int, id, class string) string {
+	ek := metadata.EncodingKey(id, class)
+	if h.conv == nil && u > 0 {
+		ek = fmt.Sprintf("u%d:%s", u, ek)
+	}
+	return ek
+}
+
+// addUser adds user u to the set m[key].
+func addUser(m map[string]map[int]bool, key string, u int) {
+	if m[key] == nil {
+		m[key] = make(map[int]bool)
+	}
+	m[key][u] = true
+}
+
+// buildWorldState gathers every user's records (from the user's first
+// client, converged by now) and recomputes the expected shares of every
+// content any user tried to upload.
+func (h *Harness) buildWorldState() *worldState {
 	st := &worldState{
+		owner:        make(map[string]int),
+		tokenUser:    make(map[string]int),
+		refUsers:     make(map[string]map[int]bool),
+		tried:        make(map[string]map[int]bool),
 		chunkRefs:    make(map[string]metadata.ChunkRef),
 		chunkShares:  make(map[string][]erasure.Share),
 		shareNames:   make(map[string][]shareKey),
-		knownVIDs:    make(map[string]bool),
 		metaShares:   make(map[string][]metaObject),
 		presence:     make(map[string]map[string]map[int]bool),
 		intact:       make(map[string]map[int]bool),
 		ghostIndices: make(map[string]map[int]bool),
 	}
-	for _, m := range records {
-		st.knownVIDs[m.VersionID()] = true
+	for u := 0; u < h.opts.Users; u++ {
+		st.tokenUser[h.clients[u].RefToken()] = u
+		for _, m := range h.clients[u].Tree().All() {
+			st.records = append(st.records, m)
+			st.owner[m.VersionID()] = u
+		}
+	}
+	for _, m := range st.records {
+		u := st.owner[m.VersionID()]
 		for _, ref := range m.Chunks {
 			// A version's chunks are published atomically, so they all carry
 			// the class the write (or re-encode) resolved — a mix means a
@@ -230,41 +261,45 @@ func (h *Harness) buildWorldState(records []*metadata.FileMeta) *worldState {
 				h.violate("placement", "version %s mixes storage classes %q and %q (torn class transition)",
 					short(m.VersionID()), m.Chunks[0].Class, ref.Class)
 			}
-			ek := metadata.EncodingKey(ref.ID, ref.Class)
+			ek := h.encKey(u, ref.ID, ref.Class)
 			if prev, ok := st.chunkRefs[ek]; ok && (prev.T != ref.T || prev.N != ref.N) {
 				h.violate("placement", "chunk %s class %q referenced with conflicting parameters (%d,%d) vs (%d,%d)",
 					short(ref.ID), ref.Class, prev.T, prev.N, ref.T, ref.N)
 				continue
 			}
 			st.chunkRefs[ek] = ref
+			addUser(st.refUsers, ek, u)
 		}
 	}
 
 	// Recompute expected share bytes for every chunk whose content the
 	// oracle knows (all of them, unless a Put raced a crash so oddly that
 	// even its residue is unknowable — impossible here, since the oracle
-	// records contents before the Put runs).
-	naming := h.clients[0]
+	// records contents before the Put runs). Shares are named through a
+	// client of the uploading user.
 	candidates := h.classEncodings()
 	seen := make(map[string]bool)
-	addContent := func(data []byte) {
+	addContent := func(u int, data []byte) {
+		naming := h.clients[u]
 		for _, chunk := range h.chunk.Split(data) {
 			id := metadata.HashData(chunk.Data)
-			if seen[id] {
+			addUser(st.tried, id, u)
+			sk := h.encKey(u, id, "")
+			if seen[sk] {
 				continue
 			}
-			seen[id] = true
+			seen[sk] = true
 			// Dedup runs disperse with the content-derived coder, so the
 			// expected bytes come from it too (the names below already do:
 			// the naming client is in dedup mode whenever the run is).
-			coder := h.coder
+			coder := h.coders[u]
 			if h.conv != nil {
 				coder = h.conv.For(id)
 			}
 			// Every referenced encoding of this chunk gets its expected
 			// share bytes recomputed under its own (t, n).
 			for _, cand := range candidates {
-				ek := metadata.EncodingKey(id, cand.class)
+				ek := h.encKey(u, id, cand.class)
 				ref, referenced := st.chunkRefs[ek]
 				t, n := cand.t, cand.n
 				if referenced {
@@ -287,11 +322,10 @@ func (h *Harness) buildWorldState(records []*metadata.FileMeta) *worldState {
 			}
 		}
 	}
-	for _, aw := range h.acked {
-		addContent(aw.Data)
-	}
-	for _, data := range h.failedPuts {
-		addContent(data)
+	for u, contents := range h.tried {
+		for _, data := range contents {
+			addContent(u, data)
+		}
 	}
 	return st
 }
@@ -301,10 +335,14 @@ func (h *Harness) buildWorldState(records []*metadata.FileMeta) *worldState {
 // residue of a failed metadata upload, or the CSP status list. Anything
 // else is garbage — and a metadata record durable enough to be readable
 // (>= MetaT shares) that no client's tree contains is a lost update.
+// Dedup runs audit every content-addressed object's tokens (checkRefcount).
 func (h *Harness) classifyObjects(st *worldState) {
 	for _, cspName := range h.names {
 		b := h.backends[cspName]
 		for _, obj := range b.ObjectNames("") {
+			if h.conv != nil && core.IsCASShareObjectName(obj) {
+				h.checkRefcount(st, cspName, obj)
+			}
 			if keys, ok := st.shareNames[obj]; ok {
 				// One object name can serve several encodings (share names
 				// depend on t, not class): account it toward every
@@ -334,7 +372,7 @@ func (h *Harness) classifyObjects(st *worldState) {
 				continue
 			}
 			if tag, vid, idx, ok := core.ParseMetaShareObjectName(obj); ok {
-				if st.knownVIDs[vid] {
+				if _, known := st.owner[vid]; known {
 					// verified by checkMetaReplication and checkMetaTags
 					st.metaShares[vid] = append(st.metaShares[vid], metaObject{csp: cspName, name: obj, tag: tag, index: idx})
 					continue
@@ -355,6 +393,34 @@ func (h *Harness) classifyObjects(st *worldState) {
 		if len(idxs) >= h.opts.MetaT {
 			h.violate("garbage", "version %s is recoverable from %d metadata shares but in no client's tree (lost update)",
 				short(vid), len(idxs))
+		}
+	}
+}
+
+// checkRefcount audits one content-addressed object's provider-side token
+// set: no object survives its last token, every token is that of a user who
+// referenced or tried to upload the object's content, and every user whose
+// records reference the object holds a token on it.
+func (h *Harness) checkRefcount(st *worldState, cspName, obj string) {
+	toks := h.backends[cspName].RefTokens(obj)
+	if len(toks) == 0 {
+		h.violate("refcount", "%s: %s has zero reference tokens but still exists", cspName, obj)
+		return
+	}
+	keys := st.shareNames[obj]
+	var id string
+	if len(keys) > 0 {
+		id, _ = metadata.SplitEncodingKey(keys[0].enc)
+	}
+	for _, tok := range toks {
+		if u, ok := st.tokenUser[tok]; !ok || !st.tried[id][u] {
+			h.violate("refcount", "%s: %s carries token %s of no user who referenced or uploaded it", cspName, obj, tok)
+		}
+	}
+	for u := 0; u < h.opts.Users; u++ {
+		referenced := slices.ContainsFunc(keys, func(k shareKey) bool { return st.refUsers[k.enc][u] })
+		if referenced && !slices.Contains(toks, h.clients[u].RefToken()) {
+			h.violate("refcount", "%s: %s lacks the token of user %d, whose records reference it", cspName, obj, u)
 		}
 	}
 }
@@ -428,23 +494,24 @@ func (h *Harness) checkStructuralDurability(st *worldState) {
 }
 
 // checkMetaReplication recomputes the expected bytes of every metadata
-// share (the codec is deterministic and the coder's evaluation points are
-// prefix-stable in n) and verifies each version stays recoverable from at
-// least MetaT intact shares spread over the providers.
-func (h *Harness) checkMetaReplication(tree *metadata.Tree, records []*metadata.FileMeta, st *worldState) {
+// share with its record owner's coder (the codec is deterministic and the
+// coder's evaluation points are prefix-stable in n) and verifies each
+// version stays recoverable from at least MetaT intact shares spread over
+// the providers.
+func (h *Harness) checkMetaReplication(st *worldState) {
 	n := len(h.names)
 	metaT := h.opts.MetaT
 	if metaT > n {
 		metaT = n
 	}
-	for _, m := range records {
+	for _, m := range st.records {
 		vid := m.VersionID()
 		blob, err := metadata.Encode(m)
 		if err != nil {
 			h.violate("meta-replication", "version %s does not re-encode: %v", short(vid), err)
 			continue
 		}
-		expected, err := h.coder.Encode(blob, metaT, n)
+		expected, err := h.coders[st.owner[vid]].Encode(blob, metaT, n)
 		if err != nil {
 			h.violate("meta-replication", "version %s share recomputation failed: %v", short(vid), err)
 			continue
@@ -469,27 +536,29 @@ func (h *Harness) checkMetaReplication(tree *metadata.Tree, records []*metadata.
 
 // checkMetaTags audits the name tag that scopes a single-name sync, on raw
 // provider state: every tagged record of one file name carries one tag,
-// distinct names carry distinct tags, and that tag is the one every client
-// holding the key derives. A record filed under another tag is invisible to
-// the scoped listing of its name — a lost update for every per-op sync.
-func (h *Harness) checkMetaTags(records []*metadata.FileMeta, st *worldState) {
-	nameOf := make(map[string]string) // tag -> file name
-	for _, m := range records {
-		vid, name := m.VersionID(), m.File.Name
+// distinct names of one user carry distinct tags, and that tag is the one
+// every client holding the user's key derives. A record filed under another
+// tag is invisible to the scoped listing of its name — a lost update for
+// every per-op sync.
+func (h *Harness) checkMetaTags(st *worldState) {
+	nameOf := make(map[string]string) // user/tag -> file name
+	for _, m := range st.records {
+		vid, name, u := m.VersionID(), m.File.Name, st.owner[m.VersionID()]
 		tagBy := func(c *core.Client) string {
 			tag, _, _, _ := core.ParseMetaShareObjectName(c.MetaShareObjectName(name, vid, 0))
 			return tag
 		}
-		want := tagBy(h.clients[0])
-		for _, c := range h.clients[1:] {
-			if tag := tagBy(c); tag != want {
-				h.violate("meta-tag", "%s derives tag %s for %s, %s derives %s", c.ID(), tag, name, h.clients[0].ID(), want)
+		want := tagBy(h.clients[u])
+		for i := u + h.opts.Users; i < len(h.clients); i += h.opts.Users {
+			if tag := tagBy(h.clients[i]); tag != want {
+				h.violate("meta-tag", "%s derives tag %s for %s, %s derives %s", h.clients[i].ID(), tag, name, h.clients[u].ID(), want)
 			}
 		}
-		if other, taken := nameOf[want]; taken && other != name {
+		key := fmt.Sprint(u, "/", want)
+		if other, taken := nameOf[key]; taken && other != name {
 			h.violate("meta-tag", "files %s and %s share the name tag %s", other, name, want)
 		}
-		nameOf[want] = name
+		nameOf[key] = name
 		for _, o := range st.metaShares[vid] {
 			if o.tag != "" && o.tag != want {
 				h.violate("meta-tag", "%s: version %s of %s stored under tag %s, its name's tag is %s",
@@ -501,8 +570,9 @@ func (h *Harness) checkMetaTags(records []*metadata.FileMeta, st *worldState) {
 
 // checkBehavioralDurability is the end-to-end read check: for every
 // provider subset of the configured kill size, fail the subset, build a
-// fresh client from nothing but the key and the accounts (the paper's
-// recover()), and re-read every acknowledged write byte-for-byte.
+// fresh client of each user from nothing but the user's key and the
+// accounts (the paper's recover()), and re-read every write that user
+// acknowledged byte-for-byte.
 func (h *Harness) checkBehavioralDurability(ctx context.Context) {
 	kills := h.opts.N - h.opts.T
 	if h.opts.CheckKills > 0 {
@@ -524,16 +594,26 @@ func (h *Harness) checkBehavioralDurability(ctx context.Context) {
 		for _, name := range subset {
 			h.backends[name].SetAvailable(false)
 		}
-		insp, err := h.inspector(fmt.Sprintf("inspector-%d-%d", h.report.Checkpoints, si))
-		if err != nil {
-			h.violate("durability", "building recovery client failed: %v", err)
-		} else {
+		for u := 0; u < h.opts.Users; u++ {
+			id := fmt.Sprintf("inspector-%d-%d", h.report.Checkpoints, si)
+			if u > 0 {
+				id += fmt.Sprintf("-u%d", u)
+			}
+			insp, err := h.buildClient(id, u, "", nil)
+			if err != nil {
+				h.violate("durability", "building recovery client failed: %v", err)
+				continue
+			}
 			// Sync errors are tolerated here only because residue of failed
-			// metadata uploads is unreadable by design; any acked version
-			// the sync failed to absorb is caught by the reads below.
+			// metadata uploads, and other users' records, are unreadable by
+			// design; any acked version the sync failed to absorb is caught
+			// by the reads below.
 			_, _ = insp.Sync(ctx)
 			insp.ChunkTable().Rebuild(insp.Tree().All())
 			for _, aw := range writes {
+				if aw.User != u {
+					continue
+				}
 				got, _, err := insp.GetVersion(ctx, aw.File, aw.VersionID)
 				if err != nil {
 					h.violate("durability", "with %v failed: %s version %s unreadable: %v",

@@ -42,13 +42,11 @@ func (h *Harness) step(ctx context.Context, i int) {
 	}
 }
 
-// doPut uploads fresh or edited content and, on acknowledgment, records
-// the (file, version, bytes) triple in the durability oracle. Failed Puts
-// are recorded too: their chunk shares are legitimate residue that the
-// garbage check must account for.
+// doPut uploads fresh or edited content of the client's user and records
+// the outcome.
 func (h *Harness) doPut(ctx context.Context, c *core.Client, name string) {
 	var data []byte
-	if last, ok := h.lastAcked[name]; ok && h.rng.Intn(2) == 0 {
+	if last, ok := h.lastAcked[h.userOf(c)][name]; ok && h.rng.Intn(2) == 0 {
 		data = append(append([]byte{}, last...), h.randBytes(1+h.rng.Intn(256))...)
 	} else {
 		data = h.randBytes(1 + h.rng.Intn(h.opts.MaxBytes))
@@ -61,8 +59,17 @@ func (h *Harness) doPut(ctx context.Context, c *core.Client, name string) {
 	} else {
 		err = c.Put(ctx, name, data)
 	}
+	h.record(c, name, data, err)
+}
+
+// record folds the outcome of client c's Put of data as name into the
+// oracle: every tried content is expected residue for the garbage check,
+// and on acknowledgment the (file, version, bytes) triple joins the
+// durability oracle.
+func (h *Harness) record(c *core.Client, name string, data []byte, err error) {
+	u := h.userOf(c)
+	h.tried[u] = append(h.tried[u], data)
 	if err != nil {
-		h.failedPuts = append(h.failedPuts, data)
 		h.report.FailedPuts++
 		return
 	}
@@ -71,9 +78,9 @@ func (h *Harness) doPut(ctx context.Context, c *core.Client, name string) {
 		h.violate("read", "acked Put of %s not visible in the writer's own tree", name)
 		return
 	}
-	h.acked = append(h.acked, AckedWrite{File: name, VersionID: vid, Client: c.ID(), Data: data})
+	h.acked = append(h.acked, AckedWrite{File: name, VersionID: vid, Client: c.ID(), User: u, Data: data})
 	h.ackedByVID[vid] = data
-	h.lastAcked[name] = data
+	h.lastAcked[u][name] = data
 	h.report.Acked++
 	h.report.AckedVIDs = append(h.report.AckedVIDs, vid)
 	if (h.opts.BreakPlacement || h.opts.BreakDurability) && !h.sabotaged {
@@ -151,7 +158,7 @@ func (h *Harness) doGet(ctx context.Context, c *core.Client, name string, i int)
 		// concurrently with the workload). The read is legitimate iff the
 		// bytes are exactly some acknowledged write of this file.
 		for _, aw := range h.acked {
-			if aw.File == name && bytes.Equal(got, aw.Data) {
+			if aw.File == name && aw.User == h.userOf(c) && bytes.Equal(got, aw.Data) {
 				h.ackedByVID[info.VersionID] = aw.Data
 				want, ok = aw.Data, true
 				break
@@ -171,7 +178,7 @@ func (h *Harness) doGet(ctx context.Context, c *core.Client, name string, i int)
 // doRange reads a random slice and checks it against the acknowledged
 // content of whichever version the client served.
 func (h *Harness) doRange(ctx context.Context, c *core.Client, name string, i int) {
-	last := h.lastAcked[name]
+	last := h.lastAcked[h.userOf(c)][name]
 	if len(last) == 0 {
 		return
 	}
@@ -186,7 +193,7 @@ func (h *Harness) doRange(ctx context.Context, c *core.Client, name string, i in
 	if !ok && len(h.opts.Classes) > 0 {
 		// Same demoted-version allowance as doGet, matched on the slice.
 		for _, aw := range h.acked {
-			if aw.File != name || off >= len(aw.Data) {
+			if aw.File != name || aw.User != h.userOf(c) || off >= len(aw.Data) {
 				continue
 			}
 			end := off + ln

@@ -17,13 +17,13 @@ import (
 // for WAN-dispersed storage; netsim experiments override them via
 // Options.SLOObjectives.
 var DefaultSLOObjectives = map[string]time.Duration{
-	"put":      5 * time.Second,
-	"get":      2 * time.Second,
-	"getrange": 2 * time.Second,
-	"sync":     2 * time.Second,
-	"delete":   2 * time.Second,
-	"migrate":  10 * time.Second,
-	"gc":       10 * time.Second,
+	"put":       5 * time.Second,
+	"get":       2 * time.Second,
+	"get_range": 2 * time.Second,
+	"sync":      2 * time.Second,
+	"delete":    2 * time.Second,
+	"migrate":   10 * time.Second,
+	"gc":        10 * time.Second,
 }
 
 // sloTracker owns the objective table and the burn counters. It is nil on
