@@ -224,8 +224,9 @@ func cmdProbe(ctx context.Context, c *cyrus.Client) error {
 }
 
 // cspRow is one provider's line of `stats`, read back from the observer:
-// request counts, the client's link model as its gauges export it, the
-// marked-down state, and the newest failed attempt in the flight ring.
+// request counts (the request histogram's _count by result), the client's
+// link model as its gauges export it, the marked-down state, and the
+// newest failed attempt in the flight ring.
 type cspRow struct {
 	CSP                string  `json:"csp"`
 	Successes          int64   `json:"successes"`
@@ -243,7 +244,7 @@ func cspRows(s cyrus.MetricsSnapshot, events []cyrus.FlightEvent) []cspRow {
 	var rows []cspRow
 	at := map[string]int{}
 	for _, p := range s.Metrics {
-		if p.Name != cyrus.MetricCSPRequests {
+		if p.Name != cyrus.MetricCSPRequestDuration {
 			continue
 		}
 		name := p.Labels["csp"]
@@ -260,9 +261,9 @@ func cspRows(s cyrus.MetricsSnapshot, events []cyrus.FlightEvent) []cspRow {
 				DownlinkBps: down.Value, UplinkBps: up.Value, Down: state.Value == 1})
 		}
 		if p.Labels["result"] == "ok" {
-			rows[i].Successes = int64(p.Value)
+			rows[i].Successes = int64(p.Count)
 		} else {
-			rows[i].Failures = int64(p.Value)
+			rows[i].Failures = int64(p.Count)
 		}
 	}
 	for _, ev := range events {

@@ -130,13 +130,13 @@ const (
 	FlightAttemptEnd       = obs.FlightAttemptEnd
 	MetricSLOOK            = obs.MetricSLOOK
 	MetricSLOBreach        = obs.MetricSLOBreach
-	// Per-provider request counters (labeled {csp,result}), marked-down
-	// state, and the client's link model: bandwidth (labeled {csp,dir}) and
-	// request-latency EWMA.
-	MetricCSPRequests    = obs.MetricCSPRequests
-	MetricCSPDown        = obs.MetricCSPDown
-	MetricCSPBandwidth   = obs.MetricCSPBandwidth
-	MetricCSPLatencyEWMA = obs.MetricCSPLatencyEWMA
+	// Per-provider request histogram (labeled {csp,result}; its count is
+	// the request count), marked-down state, and the client's link model:
+	// bandwidth (labeled {csp,dir}) and request-latency EWMA.
+	MetricCSPRequestDuration = obs.MetricCSPRequestDuration
+	MetricCSPDown            = obs.MetricCSPDown
+	MetricCSPBandwidth       = obs.MetricCSPBandwidth
+	MetricCSPLatencyEWMA     = obs.MetricCSPLatencyEWMA
 	// Transfer-engine load gauges: attempts in flight per provider
 	// (labeled {csp}) and attempts waiting for a slot.
 	MetricTransferInFlight   = obs.MetricTransferInFlight

@@ -85,9 +85,9 @@ func (s *Scanner) BufferBytes() int {
 
 // Take hands the caller the pooled buffer behind the chunk Next returned
 // last: that chunk's Data is a prefix of *Take() and stays valid through
-// later calls to Next. The caller gives the buffer back with bufpool.Put (or
-// erasure.PutDataBuf) once nothing reads it. Take returns nil in ScanBytes
-// mode, before the first chunk, and when the buffer was already taken.
+// later calls to Next. The caller gives the buffer back with bufpool.Put
+// once nothing reads it. Take returns nil in ScanBytes mode, before the
+// first chunk, and when the buffer was already taken.
 func (s *Scanner) Take() *[]byte {
 	bp := s.given
 	s.given = nil

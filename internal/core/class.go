@@ -7,8 +7,8 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/bufpool"
 	"repro/internal/chunker"
-	"repro/internal/erasure"
 	"repro/internal/metadata"
 	"repro/internal/policy"
 	"repro/internal/reliability"
@@ -272,7 +272,6 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 		IDForm: head.IDForm,
 	}
 	seen := make(map[string]bool)
-	var movedBytes int64
 	for _, ref := range head.Chunks {
 		newRef := ref
 		newRef.T, newRef.N, newRef.Class = t, n, targetClass
@@ -299,8 +298,7 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 			return false, gerr
 		}
 		locs, serr := c.scatterChunk(op, newRef, data)
-		movedBytes += int64(len(data))
-		erasure.PutDataBuf(buf) // the scatter has joined: nothing reads the plaintext any more
+		bufpool.Put(buf) // the scatter has joined: nothing reads the plaintext any more
 		if serr != nil {
 			return false, serr
 		}
@@ -312,8 +310,6 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 	if err := c.publish(op, newMeta); err != nil {
 		return false, err
 	}
-	c.logf("re-encoded into class", "file", name, "class", targetClass,
-		"t", t, "n", n, "bytes", movedBytes)
 	return true, nil
 }
 

@@ -19,7 +19,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -149,11 +148,6 @@ type Config struct {
 	// before it is counted as failed. Default 24h.
 	FailureThreshold time.Duration
 
-	// Logger, when set, receives structured operational events (uploads,
-	// downloads, migrations, provider state changes). nil disables
-	// logging entirely.
-	Logger *slog.Logger
-
 	// Transfer bounds the transfer engine: its global in-flight cap and
 	// its download-hedging deadline. Zero values take the engine's
 	// documented defaults.
@@ -279,7 +273,6 @@ type Client struct {
 	codec    *codecPool
 	fresh    *freshSet // nil = disabled
 	keyHash  string
-	log      *slog.Logger  // nil = disabled
 	obs      *obs.Observer // nil = disabled
 	depth    int           // pipelineDepth; the package's tests vary it
 
@@ -349,7 +342,6 @@ func New(cfg Config, stores []csp.Store) (*Client, error) {
 		rt:       full.Runtime,
 		sel:      full.Selector,
 		keyHash:  hex.EncodeToString(sum[:]),
-		log:      full.Logger,
 		obs:      full.Obs,
 		stores:   make(map[string]csp.Store),
 		removed:  make(map[string]bool),
@@ -554,7 +546,7 @@ func (c *Client) ChunkTable() *metadata.ChunkTable { return c.table }
 func (c *Client) Engine() *transfer.Engine { return c.engine }
 
 // acctAdd accounts n data-plane payload bytes as resident, updating the
-// high-water mark and the pipeline buffer gauges.
+// high-water mark and the pipeline buffer gauge.
 func (c *Client) acctAdd(n int64) {
 	if n <= 0 {
 		return
@@ -564,10 +556,7 @@ func (c *Client) acctAdd(n int64) {
 	for cur > peak && !c.bufPeak.CompareAndSwap(peak, cur) {
 		peak = c.bufPeak.Load()
 	}
-	if cur > peak {
-		peak = cur
-	}
-	c.obs.PipelineBufferBytes(cur, peak)
+	c.obs.PipelineBufferBytes(cur)
 }
 
 // acctSub releases n previously accounted bytes.
@@ -575,8 +564,7 @@ func (c *Client) acctSub(n int64) {
 	if n <= 0 {
 		return
 	}
-	cur := c.bufCur.Add(-n)
-	c.obs.PipelineBufferBytes(cur, c.bufPeak.Load())
+	c.obs.PipelineBufferBytes(c.bufCur.Add(-n))
 }
 
 // BufferBytes reports the accounted data-plane payload bytes currently
@@ -634,15 +622,7 @@ func (c *Client) recordResult(name, op string, err error, bytes int64, elapsed t
 	c.obs.CSPRequest(name, err, elapsed)
 	if errors.Is(err, csp.ErrUnavailable) {
 		if down, changed := c.est.RecordFailure(name, now); down && changed {
-			c.logf("provider marked failed", "csp", name)
 			c.obs.CSPDownState(name, true)
 		}
-	}
-}
-
-// logf emits one structured log line when logging is configured.
-func (c *Client) logf(msg string, args ...any) {
-	if c.log != nil {
-		c.log.Info(msg, args...)
 	}
 }

@@ -14,12 +14,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/chunker"
 	"repro/internal/cloudsim"
 	"repro/internal/csp"
-	"repro/internal/erasure"
 	"repro/internal/metadata"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
 
 // corruptOneShare flips a byte in one stored chunk-share object at the
@@ -202,7 +203,8 @@ func TestDownloadSelfHealsCorruptShare(t *testing.T) {
 	// actually-fetched share from the stores and corrupt that.
 	var mu sync.Mutex
 	var fetched []transferRec
-	c := wrappedClient(t, env, func(cfg *Config) { cfg.N = 4 }, recording(func(r transferRec) {
+	o := obs.NewObserver()
+	c := wrappedClient(t, env, func(cfg *Config) { cfg.N = 4; cfg.Obs = o }, recording(func(r transferRec) {
 		if r.isShareGet() && r.Err == nil {
 			mu.Lock()
 			fetched = append(fetched, r)
@@ -247,6 +249,12 @@ func TestDownloadSelfHealsCorruptShare(t *testing.T) {
 	}
 	if !healed {
 		t.Fatal("corrupt share was not healed in place")
+	}
+	// The correction is on record: a shares.corrected flight note.
+	if !slices.ContainsFunc(o.FlightEvents(), func(ev obs.FlightEvent) bool {
+		return ev.Kind == obs.FlightNote && ev.Name == "shares.corrected"
+	}) {
+		t.Error("the correction left no shares.corrected flight note")
 	}
 	// Once healed, a plain decode path works again.
 	got, _, err := c.Get(bg, "doc")
@@ -389,7 +397,7 @@ func TestOverlongShareBodyFailsThatShareOnly(t *testing.T) {
 	mu.Unlock()
 	victim.armed.Store(true)
 
-	base := erasure.LiveBuffers()
+	base := bufpool.Live()
 	var out bytes.Buffer
 	out.Grow(len(data))
 	runtime.GC()
@@ -414,7 +422,7 @@ func TestOverlongShareBodyFailsThatShareOnly(t *testing.T) {
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 512<<10 {
 		t.Errorf("the read allocated %d bytes with a 1 MiB tail behind a share", alloc)
 	}
-	if got := erasure.LiveBuffers(); got != base {
+	if got := bufpool.Live(); got != base {
 		t.Errorf("live pooled buffers = %d, want %d", got, base)
 	}
 }
@@ -464,13 +472,13 @@ func TestRaceLoserGivesItsShareBufferBack(t *testing.T) {
 	if err := c.Put(bg, "doc", data); err != nil {
 		t.Fatal(err)
 	}
-	base := erasure.LiveBuffers()
+	base := bufpool.Live()
 	var out bytes.Buffer
 	if _, err := c.GetTo(bg, "doc", &out); err != nil || !bytes.Equal(out.Bytes(), data) {
 		close(h.release)
 		t.Fatalf("GetTo with a held provider: %v", err)
 	}
-	if got := erasure.LiveBuffers(); got != base+1 {
+	if got := bufpool.Live(); got != base+1 {
 		t.Errorf("live pooled buffers while the loser is held = %d, want %d", got, base+1)
 	}
 	for len(gets) > 0 {
@@ -483,10 +491,10 @@ func TestRaceLoserGivesItsShareBufferBack(t *testing.T) {
 		t.Fatal("the held download never finished")
 	}
 	// The store answered; the attempt hands its sink back right after.
-	for deadline := time.Now().Add(10 * time.Second); erasure.LiveBuffers() != base && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(10 * time.Second); bufpool.Live() != base && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	if got := erasure.LiveBuffers(); got != base {
+	if got := bufpool.Live(); got != base {
 		t.Fatalf("live pooled buffers after the loser landed = %d, want %d", got, base)
 	}
 }

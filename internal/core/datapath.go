@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/bufpool"
 	"repro/internal/csp"
 	"repro/internal/erasure"
 	"repro/internal/metadata"
@@ -232,7 +233,7 @@ func (c *Client) putCASShare(ctx context.Context, cspName string, store csp.Stor
 // A blob of known size (a chunk) is reconstructed in a pooled buffer with
 // room for its t stripes, so the codec neither allocates nor zeroes one per
 // chunk. That buffer comes back as buf and belongs to the caller, who hands it
-// to erasure.PutDataBuf once nothing reads data any more; buf is nil — and
+// to bufpool.Put once nothing reads data any more; buf is nil — and
 // data ordinary garbage-collected memory — for metadata records, for the
 // correcting decoder, and on error.
 func (c *Client) decode(b *blob, shares []erasure.Share, correcting bool) (data []byte, buf *[]byte, corrupt []int, err error) {
@@ -241,7 +242,7 @@ func (c *Client) decode(b *blob, shares []erasure.Share, correcting bool) (data 
 		case correcting:
 			data, corrupt, err = b.coder.DecodeCorrecting(shares, erasure.MaxN)
 		case b.size > 0:
-			buf = erasure.GetDataBuf(int(b.size) + b.t - 1)
+			buf = bufpool.Get(int(b.size) + b.t - 1)
 			data, err = b.coder.DecodeInto((*buf)[:0], shares, erasure.MaxN)
 		default:
 			data, err = b.coder.Decode(shares, erasure.MaxN)
@@ -250,7 +251,7 @@ func (c *Client) decode(b *blob, shares []erasure.Share, correcting bool) (data 
 			err = b.verify(data)
 		}
 		if err != nil {
-			erasure.PutDataBuf(buf)
+			bufpool.Put(buf)
 			data, buf = nil, nil
 		}
 	})
@@ -304,7 +305,7 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 		defer mu.Unlock()
 		done = true
 		for _, bp := range bufs {
-			erasure.PutDataBuf(bp)
+			bufpool.Put(bp)
 		}
 	}()
 	snapshot := func() ([]erasure.Share, map[int]string) {
@@ -333,7 +334,7 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 			}
 			mu.Unlock()
 			if !keep {
-				erasure.PutDataBuf(sink.bp)
+				bufpool.Put(sink.bp)
 			}
 			return n, err
 		})
@@ -413,7 +414,7 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 		return nil, nil, fmt.Errorf("%w: %s uncorrectable from %d shares: %v", errUndecodable, b.desc, len(shares), err)
 	}
 	if len(corrupt) > 0 {
-		c.logf("corrected corrupt shares", "blob", b.desc, "indices", fmt.Sprint(corrupt))
+		c.obs.Note(ctx, "shares.corrected", b.desc+" indices="+fmt.Sprint(corrupt))
 		if good, err := c.encode(b, data); err == nil {
 			// Heal only when the re-encode reproduces an intact share as
 			// fetched: a blob written under another t than the descriptor's
@@ -459,9 +460,9 @@ type shareSink struct {
 
 func newShareSink(size int64) *shareSink {
 	if size > 0 {
-		return &shareSink{bp: erasure.GetDataBuf(int(size)), limit: true}
+		return &shareSink{bp: bufpool.Get(int(size)), limit: true}
 	}
-	return &shareSink{bp: erasure.GetDataBuf(metaShareStart)}
+	return &shareSink{bp: bufpool.Get(metaShareStart)}
 }
 
 // room reports whether another byte fits, growing an unlimited sink.
@@ -472,9 +473,9 @@ func (s *shareSink) room() bool {
 	if s.limit {
 		return false
 	}
-	grown := erasure.GetDataBuf(2 * len(*s.bp))
+	grown := bufpool.Get(2 * len(*s.bp))
 	copy(*grown, (*s.bp)[:s.n])
-	erasure.PutDataBuf(s.bp)
+	bufpool.Put(s.bp)
 	s.bp = grown
 	return true
 }

@@ -27,7 +27,7 @@ func (c *Client) GetVersion(ctx context.Context, name, versionID string) ([]byte
 // gather (gatherBlob): a lane per source the optimizer picked, every other
 // stored, readable location as the shared fallback pool. buf, when not nil,
 // is the pooled buffer behind data: the caller releases it
-// (erasure.PutDataBuf) after its last read of data.
+// (bufpool.Put) after its last read of data.
 func (c *Client) gatherChunk(op *transfer.Op, ref metadata.ChunkRef, locations map[int]string, sources []string) (data []byte, buf *[]byte, err error) {
 	ctx, chunkSpan := c.obs.Trace(op.Context(), "chunk.gather")
 	defer func() { chunkSpan.End(err) }()

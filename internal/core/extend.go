@@ -174,7 +174,7 @@ func (c *Client) GC(ctx context.Context) (_ GCStats, err error) {
 		if c.syncFullView() {
 			c.gcReconcileCAS(op, ctx, referenced, handled, &stats)
 		} else {
-			c.logf("skipping CAS reconciliation sweep: last sync saw a partial view")
+			c.obs.Note(ctx, "gc.cas_sweep_skipped", "last sync saw a partial view")
 		}
 	}
 	return stats, nil

@@ -2,45 +2,29 @@ package core
 
 import (
 	"bytes"
-	"log/slog"
-	"strings"
-	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
-// lockedBuf is a goroutine-safe log sink.
-type lockedBuf struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (l *lockedBuf) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.Write(p)
-}
-
-func (l *lockedBuf) String() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.String()
-}
-
-func TestStructuredLogging(t *testing.T) {
+// TestStoreAndMigrationRecorded: the facts the client once logged — a
+// stored version, a migrated share — are op records of the observer: the
+// put and migrate op spans in cyrus_op_duration_seconds, and the migrated
+// share's new home in the chunk table.
+func TestStoreAndMigrationRecorded(t *testing.T) {
 	t.Parallel()
 	env := newEnv(t, 5)
-	var sink lockedBuf
-	logger := slog.New(slog.NewTextHandler(&sink, nil))
-	c := env.client("alice", func(cfg *Config) { cfg.Logger = logger })
+	o := obs.NewObserver()
+	c := env.client("alice", func(cfg *Config) { cfg.Obs = o })
 
 	data := randData(90, 4_000)
 	if err := c.Put(bg, "doc", data); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sink.String(), "stored version") {
-		t.Fatalf("no store log line:\n%s", sink.String())
+	if p, ok := o.Registry().Snapshot().Find(obs.MetricOpDuration, map[string]string{"op": "put", "result": "ok"}); !ok || p.Count != 1 {
+		t.Fatalf("put ops recorded = %d (found %v), want 1", p.Count, ok)
 	}
-	// Removal + download triggers migration logging.
+	// Removal + download triggers migration.
 	var victim string
 	for name := range env.backends {
 		if len(c.ChunkTable().SharesOn(name)) > 0 {
@@ -54,20 +38,11 @@ func TestStructuredLogging(t *testing.T) {
 	if _, _, err := c.Get(bg, "doc"); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sink.String(), "migrated share") {
-		t.Fatalf("no migration log line:\n%s", sink.String())
+	if p, ok := o.Registry().Snapshot().Find(obs.MetricOpDuration, map[string]string{"op": "migrate", "result": "ok"}); !ok || p.Count == 0 {
+		t.Fatalf("no migrate op recorded (found %v)", ok)
 	}
-}
-
-func TestNilLoggerIsSilentAndSafe(t *testing.T) {
-	t.Parallel()
-	env := newEnv(t, 4)
-	c := env.client("alice", nil) // Logger nil
-	if err := c.Put(bg, "doc", randData(91, 1_000)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Get(bg, "doc"); err != nil {
-		t.Fatal(err)
+	if left := c.ChunkTable().SharesOn(victim); len(left) > 0 {
+		t.Fatalf("%d shares still placed on removed provider %s", len(left), victim)
 	}
 }
 

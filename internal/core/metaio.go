@@ -435,7 +435,7 @@ func (c *Client) repairMetaPlacement(op *transfer.Op, ctx context.Context, locs 
 		repaired++
 	}
 	if repaired > 0 {
-		c.logf("re-placed sharded metadata", "records", repaired)
+		c.obs.Note(ctx, "meta.replaced", "records="+strconv.Itoa(repaired))
 	}
 	return healthy
 }

@@ -95,7 +95,6 @@ func (c *Client) migrateStaleShares(ctx context.Context, ref metadata.ChunkRef, 
 			return
 		}
 		c.table.MoveShareEnc(ref.ID, ref.Class, idx, target)
-		c.logf("migrated share", "chunk", ref.ID[:8], "index", idx, "to", target)
 		// The source copy is deliberately NOT deleted. Old metadata
 		// records still list it, and a fresh client recovering from
 		// nothing but the cloud locates shares through those records —

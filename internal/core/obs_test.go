@@ -103,12 +103,12 @@ func TestObserverBridge(t *testing.T) {
 
 	s := o.Registry().Snapshot()
 
-	// Op counters: exactly one put and one get, both ok; sync spans ran
+	// Op counts: exactly one put and one get, both ok; sync spans ran
 	// inside both (best-effort sync) plus by themselves never here.
 	for _, op := range []string{"put", "get"} {
-		p, ok := s.Find(obs.MetricOpsTotal, map[string]string{"op": op, "result": "ok"})
-		if !ok || p.Value != 1 {
-			t.Errorf("ops_total{op=%s,result=ok} = %v (found=%v), want 1", op, p.Value, ok)
+		p, ok := s.Find(obs.MetricOpDuration, map[string]string{"op": op, "result": "ok"})
+		if !ok || p.Count != 1 {
+			t.Errorf("op_duration_seconds_count{op=%s,result=ok} = %v (found=%v), want 1", op, p.Count, ok)
 		}
 	}
 
@@ -137,14 +137,14 @@ func TestObserverBridge(t *testing.T) {
 	okPoints := 0
 	for _, p := range s.Metrics {
 		switch {
-		case p.Name == obs.MetricCSPRequests && p.Labels["result"] == "ok" && p.Value > 0:
+		case p.Name == obs.MetricCSPRequestDuration && p.Labels["result"] == "ok" && p.Count > 0:
 			okPoints++
 		case p.Name == obs.MetricCSPDown && p.Value != 0:
 			t.Errorf("csp_down{csp=%s} = %v in a healthy run", p.Labels["csp"], p.Value)
 		}
 	}
 	if okPoints == 0 {
-		t.Error("csp_requests_total{result=ok} recorded nothing after Put/Get")
+		t.Error("csp_request_duration_seconds{result=ok} recorded nothing after Put/Get")
 	}
 
 	// Selector decisions were counted.
@@ -173,12 +173,7 @@ func TestOneRecordPerTry(t *testing.T) {
 	if err := c.Put(context.Background(), "f", randData(3, 16<<10)); err != nil {
 		t.Fatal(err)
 	}
-	var tries float64
-	for _, p := range o.Registry().Snapshot().Metrics {
-		if p.Name == obs.MetricCSPRequests {
-			tries += p.Value
-		}
-	}
+	tries := histCount(o.Registry().Snapshot(), obs.MetricCSPRequestDuration)
 	kinds := map[string]int{}
 	for _, ev := range o.FlightEvents() {
 		kinds[ev.Kind]++
@@ -189,20 +184,103 @@ func TestOneRecordPerTry(t *testing.T) {
 			t.Errorf("attempt.end %+v lacks its enclosing span or a duration", ev)
 		}
 	}
-	t.Logf("%d tries, flight events %v", int(tries), kinds)
+	t.Logf("%d tries, flight events %v", tries, kinds)
 	if tries == 0 {
 		t.Fatal("the Put made no provider contact")
 	}
 	for _, k := range []string{obs.FlightAttemptStart, obs.FlightAttemptEnd} {
-		if kinds[k] != int(tries) {
-			t.Errorf("%d %s events for %v tries, want one per try", kinds[k], k, tries)
+		if kinds[k] != tries {
+			t.Errorf("%d %s events for %d tries, want one per try", kinds[k], k, tries)
 		}
 	}
 	if kinds[obs.FlightSpanOpen] != kinds[obs.FlightSpanClose] {
 		t.Errorf("%d span.open vs %d span.close", kinds[obs.FlightSpanOpen], kinds[obs.FlightSpanClose])
 	}
-	if other := len(o.FlightEvents()) - 2*int(tries) - 2*kinds[obs.FlightSpanClose]; other != 0 {
+	if other := len(o.FlightEvents()) - 2*tries - 2*kinds[obs.FlightSpanClose]; other != 0 {
 		t.Errorf("%d flight events beyond the span pairs and one pair per try: %v", other, kinds)
+	}
+}
+
+// histCount sums the _count of every series of one histogram family.
+func histCount(s obs.Snapshot, name string) int {
+	n := 0
+	for _, p := range s.Metrics {
+		if p.Name == name {
+			n += int(p.Count)
+		}
+	}
+	return n
+}
+
+// TestOneRecordPerFact: each fact the client observes lands in one series.
+// An op finish is one cyrus_op_duration_seconds{op,result} sample (op spans
+// stay out of the child-span histogram), and a provider try is one
+// cyrus_csp_request_duration_seconds sample, failed tries included, next to
+// its one attempt.end flight event.
+func TestOneRecordPerFact(t *testing.T) {
+	env := newEnv(t, 4)
+	o := obs.NewObserver()
+	c := env.client("c1", func(cfg *Config) { cfg.Obs = o })
+	ctx := context.Background()
+	if err := c.Put(ctx, "f", randData(5, 16<<10)); err != nil {
+		t.Fatal(err)
+	}
+	env.backends[env.names[0]].FailNext(1) // one failed try, which the engine retries
+	if _, _, err := c.Get(ctx, "f"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Get(ctx, "missing"); err == nil {
+		t.Fatal("Get of a missing name succeeded")
+	}
+	s := o.Registry().Snapshot()
+
+	for _, p := range s.Metrics {
+		if p.Name == obs.MetricSpanDuration && strings.HasPrefix(p.Labels["span"], "core.") {
+			t.Errorf("op span %s is also in %s", p.Labels["span"], obs.MetricSpanDuration)
+		}
+	}
+
+	// The ops run are the op spans that closed: the put, both gets, and
+	// the best-effort syncs inside them.
+	ran := map[[2]string]uint64{}
+	tries, failed := 0, 0
+	for _, ev := range o.FlightEvents() {
+		switch {
+		case ev.Kind == obs.FlightSpanClose && strings.HasPrefix(ev.Name, "core."):
+			result := "ok"
+			if ev.Err != "" {
+				result = "error"
+			}
+			ran[[2]string{ev.Op, result}]++
+		case ev.Kind == obs.FlightAttemptEnd:
+			tries++
+			if ev.Err != "" {
+				failed++
+			}
+		}
+	}
+	for _, want := range [][2]string{{"put", "ok"}, {"get", "ok"}, {"get", "error"}} {
+		if ran[want] != 1 {
+			t.Errorf("%d %s ops closed with result %s, want 1", ran[want], want[0], want[1])
+		}
+	}
+	ops := 0
+	for key, n := range ran {
+		ops += int(n)
+		p, ok := s.Find(obs.MetricOpDuration, map[string]string{"op": key[0], "result": key[1]})
+		if !ok || p.Count != n {
+			t.Errorf("%s_count{op=%s,result=%s} = %d (found %v), want %d", obs.MetricOpDuration, key[0], key[1], p.Count, ok, n)
+		}
+	}
+	if got := histCount(s, obs.MetricOpDuration); got != ops {
+		t.Errorf("%s counts %d ops, %d ran", obs.MetricOpDuration, got, ops)
+	}
+
+	if failed == 0 {
+		t.Fatal("no provider try failed: the injected fault never hit")
+	}
+	if got := histCount(s, obs.MetricCSPRequestDuration); got != tries {
+		t.Errorf("%s counts %d tries, %d attempt.end events", obs.MetricCSPRequestDuration, got, tries)
 	}
 }
 

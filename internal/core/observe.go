@@ -1,16 +1,20 @@
 package core
 
-// Observability wiring. The client instruments at three levels:
+// Observability wiring. The client records each fact once, at one of four
+// levels:
 //
 //   - operations (Put/Get/GetRange/Sync/Delete/GC/migrate) open a span via
-//     Observer.StartOp, which on End feeds cyrus_op_duration_seconds{op}
-//     and cyrus_ops_total{op,result};
+//     Observer.StartOp, which on End feeds
+//     cyrus_op_duration_seconds{op,result} (its _count is the op count);
 //   - provider contacts flow through recordResult (client.go) into
-//     cyrus_csp_requests_total{csp,result}, the success-latency histogram,
-//     cyrus_transfer_bytes_total{csp,dir} and the link-model gauges
-//     (bandwidth, latency EWMA);
+//     cyrus_csp_request_duration_seconds{csp,result} (its _count is the
+//     request count), cyrus_transfer_bytes_total{csp,dir} and the
+//     link-model gauges (bandwidth, latency EWMA);
 //   - the transfer engine records each try once, as an attempt.start /
-//     attempt.end flight-event pair stamped with the enclosing span.
+//     attempt.end flight-event pair stamped with the enclosing span;
+//   - the repairs the client makes on its own (corrected shares, re-placed
+//     metadata, a compacted version tree, a skipped CAS sweep) are one
+//     "note" flight event each (Observer.Note).
 //
 // All of it is inert when Config.Obs is nil, and none of it is read back:
 // the client behaves the same with or without an observer.

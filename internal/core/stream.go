@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/bufpool"
 	"repro/internal/erasure"
 	"repro/internal/metadata"
 	"repro/internal/selector"
@@ -111,7 +112,7 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 	defer func() { c.acctSub(scanBytes) }()
 	giveBack := func(bp *[]byte) {
 		c.acctSub(int64(len(*bp)))
-		erasure.PutDataBuf(bp)
+		bufpool.Put(bp)
 	}
 
 	var size int64
@@ -253,12 +254,7 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 		meta.Shares = append(meta.Shares, p.locs...)
 	}
 
-	if err := c.publish(op, meta); err != nil {
-		return err
-	}
-	c.logf("stored version", "file", name, "version", meta.VersionID()[:8],
-		"bytes", size, "chunks", len(meta.Chunks), "newChunks", len(newPend))
-	return nil
+	return c.publish(op, meta)
 }
 
 // GetTo streams the current version of a file to w — get(s, f) without
@@ -500,7 +496,7 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 				c.migrateStaleShares(ctx, states[key].ref, states[key].shares, e.res.data)
 			}
 			c.acctSub(int64(len(e.res.data)))
-			erasure.PutDataBuf(e.res.buf)
+			bufpool.Put(e.res.buf)
 			e.res.data, e.res.buf = nil, nil
 		}
 		c.obs.PipelineInflight("get", len(live))

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/chunker"
 	"repro/internal/erasure"
 	"repro/internal/vclock"
@@ -199,7 +200,7 @@ func TestStreamingFaultInjectionReleasesBuffers(t *testing.T) {
 	c := env.client("alice", nil)
 	c.depth = 3
 	rng := rand.New(rand.NewSource(99))
-	base := erasure.LiveBuffers()
+	base := bufpool.Live()
 
 	for round := 0; round < 25; round++ {
 		name := fmt.Sprintf("chaos/f%d", round%6)
@@ -241,7 +242,7 @@ func TestStreamingFaultInjectionReleasesBuffers(t *testing.T) {
 
 	settled := func(what string, clients ...*Client) {
 		t.Helper()
-		if got := erasure.LiveBuffers(); got != base {
+		if got := bufpool.Live(); got != base {
 			t.Fatalf("%s: live pooled buffers = %d, want %d (a pooled buffer was not returned)", what, got, base)
 		}
 		for _, cl := range clients {
@@ -404,9 +405,9 @@ func corruptShareOfEveryChunk(t *testing.T, env *testEnv, c *Client, file string
 // a share encoded from a buffer already released would carry the scribble.
 // Not parallel: the poison switch is process-global.
 func TestPooledPlaintextOutlivesItsReaders(t *testing.T) {
-	erasure.PoisonOnRelease.Store(true)
-	defer erasure.PoisonOnRelease.Store(false)
-	base := erasure.LiveBuffers()
+	bufpool.PoisonOnRelease.Store(true)
+	defer bufpool.PoisonOnRelease.Store(false)
+	base := bufpool.Live()
 
 	for _, depth := range []int{1, 3} {
 		env := newEnv(t, 5)
@@ -476,7 +477,7 @@ func TestPooledPlaintextOutlivesItsReaders(t *testing.T) {
 			t.Fatalf("depth %d: Get after migration: %v", depth, err)
 		}
 	}
-	if got := erasure.LiveBuffers(); got != base {
+	if got := bufpool.Live(); got != base {
 		t.Fatalf("live pooled buffers = %d, want %d", got, base)
 	}
 }

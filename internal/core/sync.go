@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/metadata"
 )
@@ -143,7 +144,7 @@ func (c *Client) syncMeta(ctx context.Context, name string) (n int, err error) {
 		}
 		if c.cfg.TreeRetention > 0 {
 			if pruned := c.tree.Compact(c.cfg.TreeRetention); pruned > 0 {
-				c.logf("compacted version tree", "pruned", pruned)
+				c.obs.Note(ctx, "tree.compacted", "pruned="+strconv.Itoa(pruned))
 			}
 		}
 	}
@@ -170,18 +171,16 @@ func (c *Client) syncFullView() bool {
 // recoverable state the full one runs either way: only it finds records under
 // legacy names, and a client with a partial view should keep looking. The
 // operation proceeds whatever the outcome, but a failure is not swallowed: it
-// is logged, counted as a failed sync op (cyrus_ops_total{op="sync"}) so
-// applications can tell "fresh view" from "serving stale state", and reported
-// to the caller (resolve confers no freshness from a sync that failed).
+// is recorded as a failed sync op (cyrus_op_duration_seconds{op="sync",
+// result="error"}) so applications can tell "fresh view" from "serving stale
+// state", and reported to the caller (resolve confers no freshness from a
+// sync that failed).
 func (c *Client) syncBestEffort(ctx context.Context, name string) (ok bool) {
 	if !c.syncFullView() {
 		name = ""
 	}
-	if _, err := c.syncMeta(ctx, name); err != nil {
-		c.logf("best-effort sync failed", "err", err)
-		return false
-	}
-	return true
+	_, err := c.syncMeta(ctx, name)
+	return err == nil
 }
 
 // Recover rebuilds the client's state purely from the cloud — the paper's

@@ -148,8 +148,8 @@ func TestGetSurfacesSyncErrorEvent(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("Get served wrong bytes")
 	}
-	if p, _ := o.Registry().Snapshot().Find(obs.MetricOpsTotal, map[string]string{"op": "sync", "result": "error"}); p.Value != 1 {
-		t.Fatalf("ops_total{op=sync,result=error} = %v, want 1", p.Value)
+	if p, _ := o.Registry().Snapshot().Find(obs.MetricOpDuration, map[string]string{"op": "sync", "result": "error"}); p.Count != 1 {
+		t.Fatalf("op_duration_seconds_count{op=sync,result=error} = %v, want 1", p.Count)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/bufpool"
 )
 
 // TestLiveBuffersBalancedOnErrorPaths pins the pool-lifetime contract the
@@ -15,7 +17,7 @@ import (
 func TestLiveBuffersBalancedOnErrorPaths(t *testing.T) {
 	coder := NewCoder("leak-key")
 	rng := rand.New(rand.NewSource(7))
-	base := LiveBuffers()
+	base := bufpool.Live()
 	const tt, n = 3, 6
 
 	for round := 0; round < 50; round++ {
@@ -56,21 +58,21 @@ func TestLiveBuffersBalancedOnErrorPaths(t *testing.T) {
 		}
 	}
 
-	if got := LiveBuffers(); got != base {
+	if got := bufpool.Live(); got != base {
 		t.Fatalf("live pooled buffers = %d, want %d (pool grew under fault injection)", got, base)
 	}
 
 	// The raw data-buffer pool balances too.
 	for i := 0; i < 10; i++ {
-		bp := GetDataBuf(1 + rng.Intn(64*1024))
+		bp := bufpool.Get(1 + rng.Intn(64*1024))
 		if bp == nil || len(*bp) == 0 {
-			t.Fatal("GetDataBuf returned an unusable buffer")
+			t.Fatal("bufpool.Get returned an unusable buffer")
 		}
-		PutDataBuf(bp)
+		bufpool.Put(bp)
 	}
-	PutDataBuf(nil) // nil-safe
-	if got := LiveBuffers(); got != base {
-		t.Fatalf("live pooled buffers after GetDataBuf/PutDataBuf = %d, want %d", got, base)
+	bufpool.Put(nil) // nil-safe
+	if got := bufpool.Live(); got != base {
+		t.Fatalf("live pooled buffers after bufpool.Get/Put = %d, want %d", got, base)
 	}
 }
 
@@ -79,14 +81,14 @@ func TestLiveBuffersBalancedOnErrorPaths(t *testing.T) {
 func TestDataBufZeroAlloc(t *testing.T) {
 	const size = 32 * 1024
 	for i := 0; i < 4; i++ { // warm the pool
-		PutDataBuf(GetDataBuf(size))
+		bufpool.Put(bufpool.Get(size))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		bp := GetDataBuf(size)
+		bp := bufpool.Get(size)
 		(*bp)[0] = 1
-		PutDataBuf(bp)
+		bufpool.Put(bp)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state GetDataBuf/PutDataBuf allocates %.2f times per call, want 0", allocs)
+		t.Fatalf("steady-state bufpool.Get/Put allocates %.2f times per call, want 0", allocs)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"sync"
 
-	"repro/internal/bufpool"
 	"repro/internal/gf256"
 )
 
@@ -16,24 +15,6 @@ import (
 // call Release to give the buffer back; callers that retain Data simply never
 // Release — forgetting costs garbage, never correctness. After Release the
 // share's Data must not be touched.
-
-// LiveBuffers reports the number of pooled buffers currently checked out
-// and not yet released: shares, and every other buffer of the pool the data
-// path draws from. Exposed for leak regression tests.
-func LiveBuffers() int64 { return bufpool.Live() }
-
-// PoisonOnRelease is bufpool.PoisonOnRelease: with it on, every buffer given
-// back to the pool is scribbled over at once.
-var PoisonOnRelease = &bufpool.PoisonOnRelease
-
-// GetDataBuf returns a pooled plaintext buffer of length n. Same ownership
-// contract as share buffers: pass it back to PutDataBuf when done, never
-// touch the slice afterwards; forgetting costs garbage, not correctness.
-func GetDataBuf(n int) *[]byte { return bufpool.Get(n) }
-
-// PutDataBuf returns a pooled buffer to the pool. Safe to call with nil
-// (no-op).
-func PutDataBuf(bp *[]byte) { bufpool.Put(bp) }
 
 // encodeScratch holds the per-call slice headers EncodeTo needs: the payload
 // row views the fused kernel writes into.

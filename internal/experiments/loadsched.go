@@ -318,13 +318,11 @@ func LoadSched(cfg LoadSchedConfig) (LoadSchedResult, error) {
 			Load:       load,
 			P50:        percentile(latencies, 0.50),
 			P99:        percentile(latencies, 0.99),
+			Hedges:     counter(s, obs.MetricTransferHedges),
 			Suppressed: counter(s, obs.MetricHedgeSuppressed),
 			Wins:       counter(s, obs.MetricHedgeWins),
 			Losses:     counter(s, obs.MetricHedgeLosses),
 			RaceWaste:  int64(counter(s, obs.MetricRaceCancelledBytes)),
-		}
-		if p, ok := s.Find(obs.MetricTransferHedges, map[string]string{"result": "launched"}); ok {
-			cell.Hedges = int(p.Value)
 		}
 		return cell, nil
 	}

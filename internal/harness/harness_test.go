@@ -38,6 +38,14 @@ func baseSeed(t *testing.T) int64 {
 // uploads them as artifacts so anomalies stay diagnosable post-hoc.
 func runScenario(t *testing.T, opts Options) *Report {
 	t.Helper()
+	_, rep := runHarness(t, opts)
+	return rep
+}
+
+// runHarness is runScenario that also hands back the harness, for tests
+// that read its clients after the run.
+func runHarness(t *testing.T, opts Options) (*Harness, *Report) {
+	t.Helper()
 	h, err := New(opts)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -53,7 +61,7 @@ func runScenario(t *testing.T, opts Options) *Report {
 	if rep.Acked == 0 {
 		t.Errorf("no Put was ever acknowledged — the scenario exercised nothing")
 	}
-	return rep
+	return h, rep
 }
 
 // writeFlightDumps exports a failed run's flight dumps to the directory

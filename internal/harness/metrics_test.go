@@ -26,12 +26,12 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	s := *rep.Metrics
 
-	if p, ok := s.Find(obs.MetricOpsTotal, map[string]string{"op": "put", "result": "ok"}); !ok || int(p.Value) != rep.Acked {
-		t.Errorf("ops_total{op=put,result=ok} = %+v (found=%v), want %d (acked puts)", p, ok, rep.Acked)
+	if p, ok := s.Find(obs.MetricOpDuration, map[string]string{"op": "put", "result": "ok"}); !ok || int(p.Count) != rep.Acked {
+		t.Errorf("op_duration_seconds_count{op=put,result=ok} = %+v (found=%v), want %d (acked puts)", p, ok, rep.Acked)
 	}
 	for _, name := range []string{
 		obs.MetricOpDuration,
-		obs.MetricCSPRequests,
+		obs.MetricCSPRequestDuration,
 		obs.MetricTransferBytes,
 		obs.MetricSpanDuration,
 	} {
@@ -40,8 +40,8 @@ func TestMetricsSnapshot(t *testing.T) {
 		}
 	}
 	// The crash left failed contacts behind.
-	if p, ok := s.Find(obs.MetricCSPRequests, map[string]string{"csp": "cspb", "result": "error"}); !ok || p.Value == 0 {
-		t.Errorf("csp_requests_total{csp=cspb,result=error} = %+v (found=%v), want > 0 after crash window", p, ok)
+	if p, ok := s.Find(obs.MetricCSPRequestDuration, map[string]string{"csp": "cspb", "result": "error"}); !ok || p.Count == 0 {
+		t.Errorf("csp_request_duration_seconds_count{csp=cspb,result=error} = %+v (found=%v), want > 0 after crash window", p, ok)
 	}
 
 	if out := os.Getenv("CYRUS_METRICS_OUT"); out != "" {
@@ -62,7 +62,8 @@ func TestMetricsSnapshot(t *testing.T) {
 }
 
 // TestMetricsSnapshotDeterministic: two runs of the same scenario produce
-// identical counter totals. Which provider serves a given download can vary
+// identical counter totals, and identical op and provider-request counts
+// (the _count of those two histograms). Which provider serves a given download can vary
 // with goroutine scheduling (selector tie-breaks on estimated bandwidth), so
 // counters are aggregated across the csp label before comparing; per-op and
 // per-event-type totals must match exactly. Pipeline stall counts are
@@ -81,10 +82,15 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 		obs.MetricSLOBreach:      true,
 		obs.MetricFlightTriggers: true,
 	}
+	counted := map[string]bool{obs.MetricOpDuration: true, obs.MetricCSPRequestDuration: true}
 	counters := func(s *obs.Snapshot) map[string]float64 {
 		out := map[string]float64{}
 		for _, p := range s.Metrics {
-			if p.Type != "counter" || excluded[p.Name] {
+			v := p.Value
+			switch {
+			case counted[p.Name]:
+				v = float64(p.Count)
+			case p.Type != "counter" || excluded[p.Name]:
 				continue
 			}
 			key := p.Name
@@ -93,7 +99,7 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 					key += "|" + k + "=" + v
 				}
 			}
-			out[key] += p.Value
+			out[key] += v
 		}
 		return out
 	}

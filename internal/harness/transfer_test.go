@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/transfer"
 )
 
@@ -16,7 +15,7 @@ import (
 // even while slow links pile transfers up behind the stragglers.
 func TestTransferCapsUnderSlowLinks(t *testing.T) {
 	const perCSP = 4 // the engine's per-provider cap
-	rep := runScenario(t, Options{
+	h, rep := runHarness(t, Options{
 		Seed:     baseSeed(t),
 		Virtual:  true,
 		Clients:  2,
@@ -30,32 +29,24 @@ func TestTransferCapsUnderSlowLinks(t *testing.T) {
 		},
 	})
 
-	// runScenario already failed the test on any invariant violation
-	// (durability, placement, privacy, convergence, ...). Here: the engine
-	// must have kept the per-CSP cap. Both workload clients share the
-	// observer, but every Set on the peak gauge carries one engine's own
-	// high-water mark, so the snapshot value never legitimately exceeds
-	// the cap.
-	if rep.Metrics == nil {
-		t.Fatal("report carries no metrics snapshot")
-	}
-	s := *rep.Metrics
-	bound := float64(perCSP)
+	// runHarness already failed the test on any invariant violation
+	// (durability, placement, privacy, convergence, ...). Here: each
+	// client's engine must have kept the per-CSP cap.
 	sawPeak := false
-	for i := 0; i < 5; i++ {
-		name := fmt.Sprintf("csp%c", 'a'+i)
-		p, ok := s.Find(obs.MetricTransferInFlightPeak, map[string]string{"csp": name})
-		if !ok {
-			continue
-		}
-		sawPeak = true
-		if p.Value > bound {
-			t.Errorf("provider %s in-flight peak %.0f exceeds bound %.0f (cap %d x 2 clients)",
-				name, p.Value, bound, perCSP)
+	for ci, c := range h.clients {
+		for i := 0; i < 5; i++ {
+			name := fmt.Sprintf("csp%c", 'a'+i)
+			p := c.Engine().PeakInFlight(name)
+			if p > 0 {
+				sawPeak = true
+			}
+			if p > perCSP {
+				t.Errorf("client %d: provider %s in-flight peak %d exceeds the cap %d", ci, name, p, perCSP)
+			}
 		}
 	}
 	if !sawPeak {
-		t.Fatal("no per-CSP in-flight peak gauge in the snapshot — engine metrics not wired")
+		t.Fatal("no engine recorded an in-flight attempt")
 	}
 	if rep.Acked == 0 {
 		t.Fatal("no Put acknowledged under slow links")

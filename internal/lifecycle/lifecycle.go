@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -66,8 +65,6 @@ type Config struct {
 	Runtime vclock.Runtime
 	// Obs receives the lifecycle metric families. nil disables.
 	Obs *obs.Observer
-	// Logger, when set, receives per-job log lines.
-	Logger *slog.Logger
 }
 
 // Migrator scans for demotable objects and drains the job queue.
@@ -77,7 +74,6 @@ type Migrator struct {
 	workers int
 	rt      vclock.Runtime
 	obs     *obs.Observer
-	log     *slog.Logger
 
 	mu      sync.Mutex
 	pending map[string]Job // keyed by object name
@@ -107,7 +103,6 @@ func New(cfg Config) (*Migrator, error) {
 		workers: cfg.Workers,
 		rt:      cfg.Runtime,
 		obs:     cfg.Obs,
-		log:     cfg.Logger,
 		pending: make(map[string]Job),
 	}
 	jobs, err := cfg.State.Load()
@@ -232,30 +227,30 @@ func (m *Migrator) Run(ctx context.Context) (migrated, failed int) {
 
 // runJob executes one demotion end to end and reports success. The
 // checkpoint is cleared only after the re-encode returned — never before —
-// so a crash anywhere inside leaves the job queued.
+// so a crash anywhere inside leaves the job queued. A checkpoint that
+// cannot be cleared fails the job the same way: it stays queued, and the
+// next Run finds the head already in the target class (a no-op re-encode)
+// and clears it then.
 func (m *Migrator) runJob(ctx context.Context, j Job) bool {
 	_, fi, err := m.client.ObjectClass(j.Name)
-	size := fi.Size
 	if err == nil && !fi.Deleted {
-		if _, rerr := m.client.ReencodeClass(ctx, j.Name, j.Target); rerr != nil {
+		changed, rerr := m.client.ReencodeClass(ctx, j.Name, j.Target)
+		if rerr != nil {
 			m.obs.LifecycleFailure()
-			if m.log != nil {
-				m.log.Warn("lifecycle demotion failed", "file", j.Name, "target", j.Target, "err", rerr)
-			}
 			return false
 		}
-		m.obs.LifecycleMigration(size)
-		if m.log != nil {
-			m.log.Info("lifecycle demoted", "file", j.Name, "from", j.From, "to", j.Target, "bytes", size)
+		if changed {
+			m.obs.LifecycleMigration(fi.Size)
 		}
 	}
 	// Deleted or vanished objects drop out of the queue silently — there
 	// is nothing left to demote.
+	if err := m.state.Clear(j.Name); err != nil {
+		m.obs.LifecycleFailure()
+		return false
+	}
 	m.mu.Lock()
 	delete(m.pending, j.Name)
 	m.mu.Unlock()
-	if cerr := m.state.Clear(j.Name); cerr != nil && m.log != nil {
-		m.log.Warn("lifecycle checkpoint clear failed", "file", j.Name, "err", cerr)
-	}
 	return true
 }

@@ -3,6 +3,7 @@ package lifecycle
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/core"
 	"repro/internal/csp"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/vclock"
 )
@@ -229,6 +231,85 @@ func TestFailedJobsStayQueued(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("mismatch after recovery")
+	}
+}
+
+// clearFailsOnce is a State whose first Clear fails.
+type clearFailsOnce struct {
+	*MemState
+	failed bool
+}
+
+func (s *clearFailsOnce) Clear(name string) error {
+	if !s.failed {
+		s.failed = true
+		return errors.New("checkpoint store unavailable")
+	}
+	return s.MemState.Clear(name)
+}
+
+// TestClearFailureKeepsJobQueued: a demotion whose checkpoint cannot be
+// cleared is a failed job — it stays pending and checkpointed, and counts
+// in cyrus_lifecycle_failures_total. The next Run finds the head already
+// in the target class, publishes nothing, and clears the checkpoint.
+func TestClearFailureKeepsJobQueued(t *testing.T) {
+	t.Parallel()
+	w := newWorld(t)
+	c := w.client("alice")
+	if err := c.Put(bg, "docs/a", randData(40, 12_000)); err != nil {
+		t.Fatal(err)
+	}
+	st := &clearFailsOnce{MemState: NewMemState()}
+	o := obs.NewObserver()
+	m, err := New(Config{Client: c, State: st, Obs: o,
+		Runtime: shiftedRuntime{vclock.Real(), 2 * time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := m.Scan(bg); err != nil || n != 1 {
+		t.Fatalf("scan = (%d, %v)", n, err)
+	}
+	counts := func() (migrations, failures float64) {
+		s := o.Registry().Snapshot()
+		mp, _ := s.Find(obs.MetricLifecycleMigrations, nil)
+		fp, _ := s.Find(obs.MetricLifecycleFailures, nil)
+		return mp.Value, fp.Value
+	}
+
+	if migrated, failed := m.Run(bg); migrated != 0 || failed != 1 {
+		t.Fatalf("run with a failing clear = (%d, %d), want (0, 1)", migrated, failed)
+	}
+	if got := classOf(t, c, "docs/a"); got != "cold" {
+		t.Fatalf("class after the re-encode = %q", got)
+	}
+	if len(m.Pending()) != 1 {
+		t.Fatalf("pending = %+v, want the job kept", m.Pending())
+	}
+	if jobs, _ := st.Load(); len(jobs) != 1 {
+		t.Fatalf("checkpoints = %+v, want the job kept", jobs)
+	}
+	if mig, fail := counts(); mig != 1 || fail != 1 {
+		t.Fatalf("migrations, failures = %v, %v; want 1, 1", mig, fail)
+	}
+	_, before, err := c.ObjectClass("docs/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if migrated, failed := m.Run(bg); migrated != 1 || failed != 0 {
+		t.Fatalf("retry run = (%d, %d), want (1, 0)", migrated, failed)
+	}
+	if len(m.Pending()) != 0 {
+		t.Fatalf("pending = %+v after the retry", m.Pending())
+	}
+	if jobs, _ := st.Load(); len(jobs) != 0 {
+		t.Fatalf("checkpoints not cleared by the retry: %+v", jobs)
+	}
+	if _, after, _ := c.ObjectClass("docs/a"); after.VersionID != before.VersionID {
+		t.Fatalf("the retry published version %s over %s: the re-encode was not a no-op", after.VersionID, before.VersionID)
+	}
+	if mig, fail := counts(); mig != 1 || fail != 1 {
+		t.Fatalf("migrations, failures = %v, %v after the retry; want 1, 1", mig, fail)
 	}
 }
 

@@ -37,9 +37,7 @@ type Observer struct {
 
 	// Pre-registered instrument families (see the Metric* constants).
 	opDur     *HistogramVec
-	opsTotal  *CounterVec
 	spanDur   *HistogramVec
-	cspReq    *CounterVec
 	cspReqDur *HistogramVec
 	cspDown   *GaugeVec
 	cspBw     *GaugeVec
@@ -49,7 +47,6 @@ type Observer struct {
 
 	// Transfer-engine instrument families (internal/transfer).
 	xferInFlight *GaugeVec
-	xferPeak     *GaugeVec
 	xferQueue    *GaugeVec
 	xferRetries  *CounterVec
 	xferHedges   *CounterVec
@@ -72,7 +69,6 @@ type Observer struct {
 	pipeInflight *GaugeVec
 	pipeStalls   *CounterVec
 	pipeBufBytes *GaugeVec
-	pipeBufPeak  *GaugeVec
 
 	// Convergent-dedup instrument families (core's CAS upload path).
 	dedupHits       *CounterVec
@@ -122,11 +118,9 @@ func NewObserverWith(opts Options) *Observer {
 		clock:   time.Now,
 		started: time.Now(),
 
-		opDur:     reg.Histogram(MetricOpDuration, "Client operation latency by op.", nil, "op"),
-		opsTotal:  reg.Counter(MetricOpsTotal, "Client operations by op and result.", "op", "result"),
-		spanDur:   reg.Histogram(MetricSpanDuration, "Span durations by span name.", nil, "span"),
-		cspReq:    reg.Counter(MetricCSPRequests, "Provider requests by csp and result.", "csp", "result"),
-		cspReqDur: reg.Histogram(MetricCSPRequestDuration, "Successful provider request latency by csp.", nil, "csp"),
+		opDur:     reg.Histogram(MetricOpDuration, "Client operation latency by op and result; _count is the op count.", nil, "op", "result"),
+		spanDur:   reg.Histogram(MetricSpanDuration, "Child span durations by span name (op spans are in the op histogram).", nil, "span"),
+		cspReqDur: reg.Histogram(MetricCSPRequestDuration, "Provider request latency by csp and result; _count is the request count.", nil, "csp", "result"),
 		cspDown:   reg.Gauge(MetricCSPDown, "1 while the failure estimator counts the csp as failed.", "csp"),
 		cspBw:     reg.Gauge(MetricCSPBandwidth, "Estimated link bandwidth by csp and direction.", "csp", "dir"),
 		cspLat:    reg.Gauge(MetricCSPLatencyEWMA, "The client's request-latency EWMA by csp, the hedge deadline's base.", "csp"),
@@ -134,10 +128,9 @@ func NewObserverWith(opts Options) *Observer {
 		selPicks:  reg.Counter(MetricSelectorPicks, "Download-source selector decisions by csp.", "csp"),
 
 		xferInFlight: reg.Gauge(MetricTransferInFlight, "Transfer-engine attempts currently in flight by csp.", "csp"),
-		xferPeak:     reg.Gauge(MetricTransferInFlightPeak, "High-water in-flight attempt count by csp.", "csp"),
 		xferQueue:    reg.Gauge(MetricTransferQueueDepth, "Attempts waiting for an in-flight slot."),
 		xferRetries:  reg.Counter(MetricTransferRetries, "Transfer-engine retries by csp and kind.", "csp", "kind"),
-		xferHedges:   reg.Counter(MetricTransferHedges, "Hedged-download backup lanes launched (result=launched).", "result"),
+		xferHedges:   reg.Counter(MetricTransferHedges, "Hedged-download backup lanes launched."),
 
 		hedgeSuppressed: reg.Counter(MetricHedgeSuppressed, "Hedges withheld by the load-adaptive controller, by csp and reason (cold, load).", "csp", "reason"),
 		hedgeWins:       reg.Counter(MetricHedgeWins, "Hedged gathers where the backup lane won, by primary csp.", "csp"),
@@ -153,7 +146,6 @@ func NewObserverWith(opts Options) *Observer {
 		pipeInflight: reg.Gauge(MetricPipelineInflight, "Chunks resident in the streaming Put/Get window by direction.", "dir"),
 		pipeStalls:   reg.Counter(MetricPipelineStalls, "Times the streaming pipeline blocked on a full window by direction.", "dir"),
 		pipeBufBytes: reg.Gauge(MetricPipelineBufferBytes, "Accounted data-plane payload bytes currently resident."),
-		pipeBufPeak:  reg.Gauge(MetricPipelineBufferPeak, "High-water accounted data-plane payload bytes."),
 
 		dedupHits:       reg.Counter(MetricDedupHits, "Share uploads avoided because the csp already held the object.", "csp"),
 		dedupMisses:     reg.Counter(MetricDedupMisses, "Content-addressed shares actually stored by csp.", "csp"),
@@ -169,7 +161,7 @@ func NewObserverWith(opts Options) *Observer {
 		classObjects: reg.Gauge(MetricClassObjects, "Live file heads by storage class.", "class"),
 		lcMigrations: reg.Counter(MetricLifecycleMigrations, "Lifecycle demotions completed (new placement at quorum)."),
 		lcBytes:      reg.Counter(MetricLifecycleBytes, "Logical bytes re-encoded by completed lifecycle demotions."),
-		lcFailures:   reg.Counter(MetricLifecycleFailures, "Lifecycle demotion jobs that exhausted their attempts."),
+		lcFailures:   reg.Counter(MetricLifecycleFailures, "Lifecycle demotion jobs that failed (re-encode or checkpoint clear) and stayed queued."),
 		lcQueue:      reg.Gauge(MetricLifecycleQueueDepth, "Lifecycle demotion jobs currently queued or running."),
 	}
 	o.rec = newFlightRecorder(o, opts.Recorder)
@@ -243,16 +235,13 @@ func (o *Observer) Now() time.Time {
 	return o.now()
 }
 
-// CSPRequest records one provider contact: the request counter and the
-// success-latency histogram (core.recordResult). Nil-safe.
+// CSPRequest records one provider contact in the request histogram, by
+// result (core.recordResult). Nil-safe.
 func (o *Observer) CSPRequest(cspName string, err error, elapsed time.Duration) {
 	if o == nil || cspName == "" {
 		return
 	}
-	o.cspReq.With(cspName, resultLabel(err)).Inc()
-	if err == nil {
-		o.cspReqDur.With(cspName).Observe(elapsed.Seconds())
-	}
+	o.cspReqDur.With(cspName, resultLabel(err)).Observe(elapsed.Seconds())
 }
 
 // CSPDownState records a marked-down transition of the failure estimator.
@@ -304,16 +293,6 @@ func (o *Observer) TransferInFlight(cspName string, n int) {
 		return
 	}
 	o.xferInFlight.With(cspName).Set(float64(n))
-}
-
-// TransferInFlightPeak records a provider's high-water in-flight count.
-// The gauge only ever rises, so end-of-run snapshots expose the maximum
-// concurrency the engine allowed (what the cap tests assert). Nil-safe.
-func (o *Observer) TransferInFlightPeak(cspName string, n int) {
-	if o == nil || cspName == "" {
-		return
-	}
-	o.xferPeak.With(cspName).Set(float64(n))
 }
 
 // TransferQueueDepth records how many attempts are parked waiting for an
@@ -380,7 +359,7 @@ func (o *Observer) TransferHedge(ctx context.Context) {
 	if o == nil {
 		return
 	}
-	o.xferHedges.With("launched").Inc()
+	o.xferHedges.With().Inc()
 	span, trace, op := SpanFromContext(ctx)
 	o.rec.record(FlightEvent{Kind: FlightHedgeLaunch, Trace: trace, Span: span, Op: op})
 }
@@ -488,13 +467,23 @@ func (o *Observer) PipelineStall(ctx context.Context, dir string) {
 }
 
 // PipelineBufferBytes records the accounted data-plane payload bytes
-// currently resident and the run's high-water mark. Nil-safe.
-func (o *Observer) PipelineBufferBytes(cur, peak int64) {
+// currently resident (Client.BufferBytes holds the high-water mark).
+// Nil-safe.
+func (o *Observer) PipelineBufferBytes(cur int64) {
 	if o == nil {
 		return
 	}
 	o.pipeBufBytes.With().Set(float64(cur))
-	o.pipeBufPeak.With().Set(float64(peak))
+}
+
+// Note records one FlightNote event: a repair, compaction or skipped sweep
+// the client decided on by itself. Nil-safe.
+func (o *Observer) Note(ctx context.Context, name, detail string) {
+	if o == nil {
+		return
+	}
+	span, trace, op := SpanFromContext(ctx)
+	o.rec.record(FlightEvent{Kind: FlightNote, Trace: trace, Span: span, Op: op, Name: name, Detail: detail})
 }
 
 // SelectorPick counts one chunk-download source decision per chosen csp,
@@ -676,8 +665,8 @@ func (o *Observer) LifecycleMigration(bytes int64) {
 	}
 }
 
-// LifecycleFailure records one demotion job that exhausted its attempts.
-// Nil-safe.
+// LifecycleFailure records one demotion job that failed and stayed queued:
+// its re-encode or its checkpoint clear returned an error. Nil-safe.
 func (o *Observer) LifecycleFailure() {
 	if o == nil {
 		return

@@ -9,13 +9,14 @@ import (
 // Flight recorder: the deep-diagnosis layer. Every structurally interesting
 // moment in the transfer plane — span open/close, transfer attempts and
 // their retries, hedge launches and wins, CSP up/down transitions, pipeline
-// stalls — is appended to one bounded ring of structured events. When a
-// trigger fires (an operation's latency exceeds a configurable multiple of
-// its own EWMA, a provider transitions to down, a harness invariant breaks,
-// or an explicit API call), the ring is snapshotted into a FlightDump: a
-// post-mortem that reconstructs the distributed anatomy of the anomaly —
-// which attempts ran where, what was retried, whether a hedge was launched,
-// and what the providers were doing at the time.
+// stalls, and the client's own repairs (notes) — is appended to one bounded
+// ring of structured events. When a trigger fires (an operation's latency
+// exceeds a configurable multiple of its own EWMA, a provider transitions
+// to down, a harness invariant breaks, or an explicit API call), the ring
+// is snapshotted into a FlightDump: a post-mortem that reconstructs the
+// distributed anatomy of the anomaly — which attempts ran where, what was
+// retried, whether a hedge was launched, and what the providers were doing
+// at the time.
 //
 // The recorder is deliberately cheap on the hot path (one mutex'd append
 // per event) and bounded everywhere: the ring evicts oldest-first and
@@ -39,6 +40,10 @@ const (
 	FlightCSPDown      = "csp.down"
 	FlightCSPUp        = "csp.up"
 	FlightStall        = "pipeline.stall"
+	// FlightNote is a step the client took on its own that no op span,
+	// counter or other event records: Name says which (shares.corrected,
+	// meta.replaced, tree.compacted, gc.cas_sweep_skipped), Detail how much.
+	FlightNote = "note"
 )
 
 // Trigger reasons (the `reason` label of cyrus_flight_triggers_total and

@@ -217,8 +217,8 @@ func TestSLOClassification(t *testing.T) {
 	if p, ok := s.Find(MetricSLOBreach, map[string]string{"op": "put"}); !ok || p.Value != 1 {
 		t.Errorf("slo_breach{put} = %+v (found=%v), want 1", p, ok)
 	}
-	if p, ok := s.Find(MetricSLOObjective, map[string]string{"op": "put"}); !ok || p.Value != 0.05 {
-		t.Errorf("slo_objective{put} = %+v (found=%v), want 0.05", p, ok)
+	if obj := o.SLOObjectives(); obj["put"] != 50*time.Millisecond {
+		t.Errorf("objective for put = %v, want 50ms", obj["put"])
 	}
 
 	// A negative objective removes the default: the op is not tracked.
@@ -234,13 +234,12 @@ func TestSLOClassification(t *testing.T) {
 }
 
 // TestLoadTelemetry: the transfer engine's load gauges record exactly what
-// the engine hands them — per-CSP in-flight, its high-water mark and the
-// global admission-queue depth. The observer only records them; the engine
-// reads its load from its own semaphore.
+// the engine hands them — per-CSP in-flight and the global admission-queue
+// depth. The observer only records them; the engine reads its load (and
+// keeps its high-water mark, Engine.PeakInFlight) from its own semaphore.
 func TestLoadTelemetry(t *testing.T) {
 	o := NewObserver()
 	o.TransferInFlight("cspa", 3)
-	o.TransferInFlightPeak("cspa", 3)
 	o.TransferInFlight("cspa", 1)
 	o.TransferQueueDepth(7)
 	s := o.Registry().Snapshot()
@@ -250,7 +249,6 @@ func TestLoadTelemetry(t *testing.T) {
 		want   float64
 	}{
 		{MetricTransferInFlight, map[string]string{"csp": "cspa"}, 1},
-		{MetricTransferInFlightPeak, map[string]string{"csp": "cspa"}, 3},
 		{MetricTransferQueueDepth, nil, 7},
 	} {
 		if p, ok := s.Find(c.name, c.labels); !ok || p.Value != c.want {
@@ -260,8 +258,7 @@ func TestLoadTelemetry(t *testing.T) {
 }
 
 // TestNewFamiliesExposition extends the golden-exposition coverage to the
-// SLO counters, objective gauge, transfer in-flight gauge, and trigger
-// counter: exact Prometheus 0.0.4 sample lines must appear in the rendered
+// SLO counters, transfer in-flight gauge, and trigger counter: exact Prometheus 0.0.4 sample lines must appear in the rendered
 // text.
 func TestNewFamiliesExposition(t *testing.T) {
 	clk := newFakeClock()
@@ -280,7 +277,6 @@ func TestNewFamiliesExposition(t *testing.T) {
 		"# TYPE " + MetricSLOOK + " counter",
 		MetricSLOOK + `{op="put"} 1`,
 		MetricSLOBreach + `{op="put"} 1`,
-		MetricSLOObjective + `{op="put"} 1`,
 		"# TYPE " + MetricTransferInFlight + " gauge",
 		MetricTransferInFlight + `{csp="cspa"} 1`,
 		MetricFlightTriggers + `{reason="manual"} 1`,
@@ -342,7 +338,7 @@ func TestRecorderConcurrency(t *testing.T) {
 		t.Fatal("no events recorded under concurrency")
 	}
 	s := o.Registry().Snapshot()
-	if p, ok := s.Find(MetricOpsTotal, map[string]string{"op": "get", "result": "ok"}); !ok || int(p.Value) != workers*iters {
-		t.Errorf("ops_total{get,ok} = %+v (found=%v), want %d", p, ok, workers*iters)
+	if p, ok := s.Find(MetricOpDuration, map[string]string{"op": "get", "result": "ok"}); !ok || int(p.Count) != workers*iters {
+		t.Errorf("op_duration{get,ok} count = %+v (found=%v), want %d", p, ok, workers*iters)
 	}
 }

@@ -29,24 +29,20 @@ import (
 // identifier, `result` is "ok" or "error".
 const (
 	MetricOpDuration         = "cyrus_op_duration_seconds"
-	MetricOpsTotal           = "cyrus_ops_total"
 	MetricSpanDuration       = "cyrus_span_duration_seconds"
-	MetricCSPRequests        = "cyrus_csp_requests_total"
 	MetricCSPRequestDuration = "cyrus_csp_request_duration_seconds"
 	MetricCSPDown            = "cyrus_csp_down"
 	MetricCSPBandwidth       = "cyrus_csp_bandwidth_bytes_per_second"
 	MetricCSPLatencyEWMA     = "cyrus_csp_latency_ewma_seconds"
 	MetricTransferBytes      = "cyrus_transfer_bytes_total"
 	MetricSelectorPicks      = "cyrus_selector_picks_total"
-	MetricHTTPRequests       = "cyrus_http_requests_total"
 	MetricHTTPDuration       = "cyrus_http_request_duration_seconds"
 
 	// Transfer-engine instrumentation (internal/transfer).
-	MetricTransferInFlight     = "cyrus_transfer_inflight"
-	MetricTransferInFlightPeak = "cyrus_transfer_inflight_peak"
-	MetricTransferQueueDepth   = "cyrus_transfer_queue_depth"
-	MetricTransferRetries      = "cyrus_transfer_retries_total"
-	MetricTransferHedges       = "cyrus_transfer_hedges_total"
+	MetricTransferInFlight   = "cyrus_transfer_inflight"
+	MetricTransferQueueDepth = "cyrus_transfer_queue_depth"
+	MetricTransferRetries    = "cyrus_transfer_retries_total"
+	MetricTransferHedges     = "cyrus_transfer_hedges_total"
 
 	// Codec fast-path instrumentation (core's CPU worker pool).
 	MetricCodecEncodeBytes = "cyrus_codec_encode_bytes_total"
@@ -58,7 +54,6 @@ const (
 	MetricPipelineInflight    = "cyrus_pipeline_inflight_chunks"
 	MetricPipelineStalls      = "cyrus_pipeline_stalls_total"
 	MetricPipelineBufferBytes = "cyrus_pipeline_buffer_bytes"
-	MetricPipelineBufferPeak  = "cyrus_pipeline_buffer_peak_bytes"
 
 	// Convergent-dedup instrumentation (core's content-addressed upload
 	// path): a hit is a share the provider already held (probe only, no
@@ -77,9 +72,8 @@ const (
 
 	// SLO tracking (obs/slo.go): per-op burn counters against the
 	// configured latency objectives.
-	MetricSLOOK        = "cyrus_slo_ok_total"
-	MetricSLOBreach    = "cyrus_slo_breach_total"
-	MetricSLOObjective = "cyrus_slo_objective_seconds"
+	MetricSLOOK     = "cyrus_slo_ok_total"
+	MetricSLOBreach = "cyrus_slo_breach_total"
 
 	// Flight recorder (obs/recorder.go).
 	MetricFlightTriggers = "cyrus_flight_triggers_total"

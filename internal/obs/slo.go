@@ -8,9 +8,10 @@ import (
 // Per-operation SLO tracking. Every top-level operation span that closes is
 // checked against a per-op latency objective; the outcome feeds two burn
 // counters (cyrus_slo_ok_total / cyrus_slo_breach_total, both labelled by
-// op) and the objective itself is exported as a gauge so dashboards can
-// compute burn rates without out-of-band configuration. Ops with no
-// configured objective are not tracked — silence, not a default pass.
+// op). A burn rate needs only those two: breach / (ok + breach). The
+// objectives themselves are configuration (Options.SLOObjectives,
+// Observer.SLOObjectives), not a series. Ops with no configured objective
+// are not tracked — silence, not a default pass.
 
 // DefaultSLOObjectives are the per-op latency objectives applied when the
 // caller configures none. They are intentionally loose client-side targets
@@ -26,13 +27,12 @@ var DefaultSLOObjectives = map[string]time.Duration{
 	"gc":        10 * time.Second,
 }
 
-// sloTracker owns the objective table and the burn counters. It is nil on
-// a nil Observer and its methods are only called from Span.End, which is
-// already nil-guarded.
+// sloTracker owns the objective table and the burn counters. Every
+// Observer has one; its methods are only called from Span.End and
+// SLOObjectives, which are already nil-guarded.
 type sloTracker struct {
 	okTotal     *CounterVec // cyrus_slo_ok_total{op}
 	breachTotal *CounterVec // cyrus_slo_breach_total{op}
-	objective   *GaugeVec   // cyrus_slo_objective_seconds{op}
 
 	mu  sync.RWMutex
 	obj map[string]time.Duration
@@ -42,7 +42,6 @@ func newSLOTracker(reg *Registry, objectives map[string]time.Duration) *sloTrack
 	t := &sloTracker{
 		okTotal:     reg.Counter(MetricSLOOK, "Operations that finished within their latency objective, by op.", "op"),
 		breachTotal: reg.Counter(MetricSLOBreach, "Operations that exceeded their latency objective, by op.", "op"),
-		objective:   reg.Gauge(MetricSLOObjective, "Configured per-op latency objective in seconds.", "op"),
 		obj:         make(map[string]time.Duration),
 	}
 	t.merge(DefaultSLOObjectives)
@@ -60,10 +59,8 @@ func (t *sloTracker) merge(objectives map[string]time.Duration) {
 		switch {
 		case d > 0:
 			t.obj[op] = d
-			t.objective.With(op).Set(d.Seconds())
 		case d < 0:
 			delete(t.obj, op)
-			t.objective.With(op).Set(0)
 		}
 	}
 }
@@ -85,7 +82,7 @@ func (t *sloTracker) observe(op string, elapsed time.Duration) {
 
 // SLOObjectives returns a copy of the current objective table. Nil-safe.
 func (o *Observer) SLOObjectives() map[string]time.Duration {
-	if o == nil || o.slo == nil {
+	if o == nil {
 		return nil
 	}
 	o.slo.mu.RLock()

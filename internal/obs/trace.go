@@ -7,12 +7,13 @@ import (
 )
 
 // Span tracing. Spans are deliberately minimal — a name, a start instant,
-// a duration, a parent — because their consumers are histograms (every
-// span observes cyrus_span_duration_seconds) and the flight recorder (every
-// span writes span.open and span.close; open spans stay pinned for dumps),
-// not a distributed trace backend. Durations come from the Observer's clock, which core
-// wires to the client's vclock.Runtime: under netsim the recorded
-// durations are virtual-time durations, exactly what the latency
+// a duration, a parent — because their consumers are histograms (an op
+// span observes cyrus_op_duration_seconds, a child span
+// cyrus_span_duration_seconds) and the flight recorder (every span writes
+// span.open and span.close; open spans stay pinned for dumps), not a
+// distributed trace backend. Durations come from the Observer's clock,
+// which core wires to the client's vclock.Runtime: under netsim the
+// recorded durations are virtual-time durations, exactly what the latency
 // experiments need.
 //
 // Every span additionally carries a trace ID — the span ID of the
@@ -90,10 +91,10 @@ func (o *Observer) Trace(ctx context.Context, name string) (context.Context, *Sp
 	return o.startSpan(ctx, name, "")
 }
 
-// StartOp starts a top-level operation span: in addition to the span
-// histogram, ending it observes cyrus_op_duration_seconds{op}, increments
-// cyrus_ops_total{op,result}, classifies the latency against the op's SLO
-// objective, and arms the flight recorder's latency-anomaly trigger.
+// StartOp starts a top-level operation span: ending it observes
+// cyrus_op_duration_seconds{op,result} (whose _count is the op count)
+// instead of the span histogram, classifies the latency against the op's
+// SLO objective, and arms the flight recorder's latency-anomaly trigger.
 // Nil-safe.
 func (o *Observer) StartOp(ctx context.Context, op string) (context.Context, *Span) {
 	return o.startSpan(ctx, "core."+op, op)
@@ -125,24 +126,22 @@ func (o *Observer) startSpan(ctx context.Context, name, op string) (context.Cont
 	return ctx, sp
 }
 
-// End finishes the span: its duration is observed into the span histogram
-// (and the op histogram/counters/SLO for StartOp spans), the span leaves the
-// open table, and the close is folded into the flight recorder (which may
-// fire the latency-anomaly trigger for op spans). Nil-safe; err may be nil.
+// End finishes the span: its duration is observed into the op histogram
+// and the SLO counters for StartOp spans, into the span histogram for
+// child spans; the span leaves the open table, and the close is folded
+// into the flight recorder (which may fire the latency-anomaly trigger for
+// op spans). Nil-safe; err may be nil.
 func (s *Span) End(err error) {
 	if s == nil {
 		return
 	}
 	o := s.o
 	d := o.now().Sub(s.start)
-	sec := d.Seconds()
-	o.spanDur.With(s.name).Observe(sec)
 	if s.op != "" {
-		o.opDur.With(s.op).Observe(sec)
-		o.opsTotal.With(s.op, resultLabel(err)).Inc()
-		if o.slo != nil {
-			o.slo.observe(s.op, d)
-		}
+		o.opDur.With(s.op, resultLabel(err)).Observe(d.Seconds())
+		o.slo.observe(s.op, d)
+	} else {
+		o.spanDur.With(s.name).Observe(d.Seconds())
 	}
 	o.openSpans.remove(s.id)
 	ev := FlightEvent{Kind: FlightSpanClose, Trace: s.trace, Span: s.id, Op: s.rootOp, Name: s.name, Duration: d}

@@ -56,17 +56,17 @@ func TestSpanHierarchyAndOpMetrics(t *testing.T) {
 	}
 
 	s := o.Registry().Snapshot()
-	p, ok := s.Find(MetricOpsTotal, map[string]string{"op": "put", "result": "ok"})
-	if !ok || p.Value != 1 {
-		t.Errorf("ops_total{op=put,result=ok} = %+v, %v; want 1", p, ok)
-	}
-	p, ok = s.Find(MetricOpDuration, map[string]string{"op": "put"})
+	p, ok := s.Find(MetricOpDuration, map[string]string{"op": "put", "result": "ok"})
 	if !ok || p.Count != 1 {
-		t.Errorf("op_duration{op=put} = %+v, %v; want count 1", p, ok)
+		t.Errorf("op_duration{op=put,result=ok} = %+v, %v; want count 1", p, ok)
 	}
 	p, ok = s.Find(MetricSpanDuration, map[string]string{"span": "chunk.scatter"})
 	if !ok || p.Count != 1 {
 		t.Errorf("span_duration{span=chunk.scatter} = %+v, %v; want count 1", p, ok)
+	}
+	// The op span is recorded once, in the op histogram only.
+	if p, ok := s.Find(MetricSpanDuration, map[string]string{"span": "core.put"}); ok {
+		t.Errorf("span_duration{span=core.put} = %+v: the op span is recorded twice", p)
 	}
 }
 
@@ -75,8 +75,8 @@ func TestSpanErrorResult(t *testing.T) {
 	_, sp := o.StartOp(context.Background(), "get")
 	sp.End(errors.New("boom"))
 	s := o.Registry().Snapshot()
-	if p, ok := s.Find(MetricOpsTotal, map[string]string{"op": "get", "result": "error"}); !ok || p.Value != 1 {
-		t.Errorf("ops_total{op=get,result=error} = %+v, %v; want 1", p, ok)
+	if p, ok := s.Find(MetricOpDuration, map[string]string{"op": "get", "result": "error"}); !ok || p.Count != 1 {
+		t.Errorf("op_duration{op=get,result=error} = %+v, %v; want count 1", p, ok)
 	}
 	recs := closedSpans(o)
 	if len(recs) != 1 || recs[0].Err != "boom" {
@@ -97,6 +97,8 @@ func TestNilObserverIsInert(t *testing.T) {
 	o.CSPLink("a", 1, 1, 1)
 	o.TransferBytes("a", "up", 10)
 	o.SelectorPick("a")
+	o.Note(ctx, "tree.compacted", "pruned=1")
+	o.PipelineBufferBytes(1)
 	o.SetClock(time.Now)
 	if o.Registry() != nil || o.FlightEvents() != nil || o.OpenSpans() != nil {
 		t.Error("nil observer leaked non-nil state")

@@ -162,21 +162,18 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// instrument wraps the mux with HTTP request metrics: a counter by method,
-// route, and status class, and a latency histogram by route. Routes are the
-// mux patterns (object names collapse into one label value), so label
+// instrument wraps the mux with one HTTP request histogram by method, route
+// and status code; its _count is the request count. Routes are the mux
+// patterns (object names collapse into one label value), so label
 // cardinality stays bounded.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	reg := s.obs.Registry()
-	reqs := reg.Counter(obs.MetricHTTPRequests, "HTTP requests by method, route, and status code.", "method", "route", "code")
-	durs := reg.Histogram(obs.MetricHTTPDuration, "HTTP request latency by route.", nil, "route")
+	durs := reg.Histogram(obs.MetricHTTPDuration, "HTTP request latency by method, route, and status code.", nil, "method", "route", "code")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
-		route := routeLabel(r.URL.Path)
-		reqs.With(r.Method, route, strconv.Itoa(sw.code)).Inc()
-		durs.With(route).Observe(time.Since(start).Seconds())
+		durs.With(r.Method, routeLabel(r.URL.Path), strconv.Itoa(sw.code)).Observe(time.Since(start).Seconds())
 	})
 }
 

@@ -174,7 +174,7 @@ func (s *Syncer) Sync(ctx context.Context) ([]Action, error) {
 	// (StatLocal/ListLocal/...), not re-synced per file. The sync is
 	// best-effort, like the per-operation syncs it replaces: a pass over a
 	// stale replica is still correct, just less fresh. A failed sync is
-	// counted as cyrus_ops_total{op="sync",result="error"}.
+	// recorded as cyrus_op_duration_seconds{op="sync",result="error"}.
 	_, _ = s.client.Sync(ctx)
 
 	locals, err := s.scan()

@@ -54,7 +54,6 @@ func (s *semaphore) admitLocked(cspName string) bool {
 	s.used[cspName]++
 	if s.used[cspName] > s.peak[cspName] {
 		s.peak[cspName] = s.used[cspName]
-		s.obs.TransferInFlightPeak(cspName, s.peak[cspName])
 	}
 	s.obs.TransferInFlight(cspName, s.used[cspName])
 	return true
