@@ -94,7 +94,7 @@ func run(args []string) error {
 		// server's /debug/flightrecorder endpoint.
 		return cmdFlightdump(context.Background(), nil, nil, rest)
 	}
-	client, o, err := openClient(*cfgPath)
+	client, o, cfg, err := openClient(*cfgPath)
 	if err != nil {
 		return err
 	}
@@ -135,7 +135,7 @@ func run(args []string) error {
 	case "reinstate":
 		return cmdReinstate(ctx, client, rest)
 	case "classes":
-		return cmdClasses(ctx, client, rest)
+		return cmdClasses(ctx, client, cfg, rest)
 	case "reencode":
 		return cmdReencode(ctx, client, rest)
 	case "rmcsp":
@@ -603,15 +603,16 @@ func cmdInit(cfgPath string, args []string) error {
 }
 
 // openClient builds the client the config file describes, with the
-// observer that stats, flightdump and top read.
-func openClient(cfgPath string) (*cyrus.Client, *cyrus.Observer, error) {
+// observer that stats, flightdump and top read, and returns the parsed
+// config beside it.
+func openClient(cfgPath string) (*cyrus.Client, *cyrus.Observer, config, error) {
+	var cfg config
 	raw, err := os.ReadFile(cfgPath)
 	if err != nil {
-		return nil, nil, fmt.Errorf("read config: %w (run 'cyrusctl init' first)", err)
+		return nil, nil, cfg, fmt.Errorf("read config: %w (run 'cyrusctl init' first)", err)
 	}
-	var cfg config
 	if err := json.Unmarshal(raw, &cfg); err != nil {
-		return nil, nil, fmt.Errorf("parse config: %w", err)
+		return nil, nil, cfg, fmt.Errorf("parse config: %w", err)
 	}
 	var stores []cyrus.Store
 	ctx := context.Background()
@@ -624,12 +625,12 @@ func openClient(cfgPath string) (*cyrus.Client, *cyrus.Observer, error) {
 		} else {
 			ds, err := cyrus.NewDirStore(e.Name, e.Path)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, cfg, err
 			}
 			s = ds
 		}
 		if err := s.Authenticate(ctx, cyrus.Credentials{Token: token}); err != nil {
-			return nil, nil, err
+			return nil, nil, cfg, err
 		}
 		stores = append(stores, s)
 	}
@@ -647,14 +648,15 @@ func openClient(cfgPath string) (*cyrus.Client, *cyrus.Observer, error) {
 		DefaultClass:     cfg.DefaultClass,
 		Obs:              o,
 	}, stores)
-	return c, o, err
+	return c, o, cfg, err
 }
 
-// cmdClasses syncs once and prints every configured storage class next to
-// its live usage: tier, effective (t, n), CSP subset, lifecycle demotion
-// rule, and the per-class object/byte tallies (which also refresh the
-// cyrus_class_* gauges). -json emits the same as one document.
-func cmdClasses(ctx context.Context, c *cyrus.Client, args []string) error {
+// cmdClasses syncs once and prints every storage class the client reports
+// (ClassStats, which also refreshes the cyrus_class_* gauges), the default
+// class first: tier, the (t, n) new chunks are stored at, CSP subset,
+// lifecycle demotion rule, and the object/byte tallies — then the config
+// file's default class and rules. -json emits the same as one document.
+func cmdClasses(ctx context.Context, c *cyrus.Client, cfg config, args []string) error {
 	fs := flag.NewFlagSet("classes", flag.ContinueOnError)
 	asJSON := fs.Bool("json", false, "emit JSON instead of the table")
 	if err := fs.Parse(args); err != nil {
@@ -663,54 +665,45 @@ func cmdClasses(ctx context.Context, c *cyrus.Client, args []string) error {
 	if _, err := c.Sync(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "classes: sync:", err)
 	}
-	pol := c.Policy()
-	usage := c.ClassStats()
+	stats := c.ClassStats()
 	if *asJSON {
 		out := struct {
 			DefaultClass string                      `json:"default_class,omitempty"`
-			Classes      []cyrus.StorageClass        `json:"classes,omitempty"`
 			Rules        []cyrus.ClassRule           `json:"rules,omitempty"`
-			Usage        map[string]cyrus.ClassUsage `json:"usage"`
-		}{DefaultClass: pol.DefaultClass(), Classes: pol.Classes(), Rules: pol.Rules(), Usage: usage}
+			Classes      map[string]cyrus.ClassUsage `json:"classes"`
+		}{DefaultClass: cfg.DefaultClass, Rules: cfg.ClassRules, Classes: stats}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(out)
 	}
 	fmt.Printf("%-12s %-5s %3s %3s %-24s %-20s %8s %12s\n",
 		"CLASS", "TIER", "T", "N", "CSPS", "DEMOTE", "OBJECTS", "BYTES")
-	row := func(name, tier string, t, n int, csps []string, demote string) {
-		u := usage[name]
+	names := make([]string, 0, len(stats))
+	for name := range stats {
+		names = append(names, name)
+	}
+	slices.Sort(names) // "" (the default class) first
+	for _, name := range names {
+		u := stats[name]
 		label := name
-		if name == "" {
+		if label == "" {
 			label = "(default)"
 		}
 		cspCol := "(all)"
-		if len(csps) > 0 {
-			cspCol = strings.Join(csps, ",")
-		}
-		fmt.Printf("%-12s %-5s %3d %3d %-24s %-20s %8d %12d\n",
-			label, tier, t, n, cspCol, demote, u.Objects, u.Bytes)
-	}
-	defT, defN := c.Params()
-	row("", cyrus.TierHot, defT, defN, nil, "")
-	for _, cls := range pol.Classes() {
-		t, n := cls.T, cls.N
-		if t == 0 {
-			t = defT
-		}
-		if n == 0 {
-			n = defN
+		if len(u.Class.CSPs) > 0 {
+			cspCol = strings.Join(u.Class.CSPs, ",")
 		}
 		demote := ""
-		if cls.DemoteTo != "" {
-			demote = fmt.Sprintf("%s -> %s", cls.DemoteAfter, cls.DemoteTo)
+		if u.Class.DemoteTo != "" {
+			demote = fmt.Sprintf("%s -> %s", u.Class.DemoteAfter, u.Class.DemoteTo)
 		}
-		row(cls.Name, cls.Tier, t, n, cls.CSPs, demote)
+		fmt.Printf("%-12s %-5s %3d %3d %-24s %-20s %8d %12d\n",
+			label, u.Class.Tier, u.T, u.N, cspCol, demote, u.Objects, u.Bytes)
 	}
-	if def := pol.DefaultClass(); def != "" {
-		fmt.Printf("default class: %s\n", def)
+	if cfg.DefaultClass != "" {
+		fmt.Printf("default class: %s\n", cfg.DefaultClass)
 	}
-	for _, r := range pol.Rules() {
+	for _, r := range cfg.ClassRules {
 		fmt.Printf("rule: %-24s -> %s\n", r.Prefix+"*", r.Class)
 	}
 	return nil

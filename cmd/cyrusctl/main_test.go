@@ -28,6 +28,29 @@ func mustCtl(t *testing.T, cfg string, args ...string) {
 	}
 }
 
+// ctlStdout drives the CLI entry point and returns what it printed to
+// stdout.
+func ctlStdout(t *testing.T, cfg string, args ...string) []byte {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	runErr := ctl(t, cfg, args...)
+	w.Close()
+	os.Stdout = old
+	if runErr != nil {
+		t.Fatalf("cyrusctl %v: %v", args, runErr)
+	}
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // setup initializes a 3-provider cloud in a temp dir and returns the
 // config path and working dir.
 func setup(t *testing.T) (cfg, dir string) {
@@ -119,6 +142,39 @@ func TestCLIImportAndCSPLifecycle(t *testing.T) {
 	}
 }
 
+// TestCLIClasses: `classes -json` reports the (t, n) each class's new chunks
+// are stored at. A named class with N 0 never takes the client's N: it
+// derives n from its own Epsilon, or the client's, over its CSP pool — (2,3)
+// over a three-provider subset, (2,5) for Epsilon 1e-9 over six providers —
+// while the default class keeps the client's explicit (2,4).
+func TestCLIClasses(t *testing.T) {
+	dir := t.TempDir()
+	cfg := filepath.Join(dir, "cloud.json")
+	args := []string{"init", "-t", "2", "-n", "4",
+		"-class", "trio,t=2,csps=a+b+c", "-class", "wide,t=2,epsilon=1e-9"}
+	for _, p := range []string{"a", "b", "c", "d", "e", "f"} {
+		if err := os.MkdirAll(filepath.Join(dir, p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		args = append(args, "-csp", p+"="+filepath.Join(dir, p))
+	}
+	mustCtl(t, cfg, args...)
+	raw := ctlStdout(t, cfg, "classes", "-json")
+	var doc struct {
+		Classes map[string]struct{ T, N int } `json:"classes"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("classes -json: %v\n%s", err, raw)
+	}
+	for name, want := range map[string][2]int{"": {2, 4}, "trio": {2, 3}, "wide": {2, 5}} {
+		got, ok := doc.Classes[name]
+		if !ok || got.T != want[0] || got.N != want[1] {
+			t.Errorf("class %q: (t, n) = (%d, %d) (listed %v), want (%d, %d)\n%s", name, got.T, got.N, ok, want[0], want[1], raw)
+		}
+	}
+	mustCtl(t, cfg, "classes")
+}
+
 func TestCLIErrors(t *testing.T) {
 	if err := run(nil); err == nil || !strings.Contains(err.Error(), "usage") {
 		t.Fatalf("no-args err = %v", err)
@@ -173,22 +229,7 @@ func TestCLIFlightdumpAndTop(t *testing.T) {
 	// -json replaces the table with one machine-readable document per
 	// refresh: every provider row carries the engine's load gauges, the
 	// link model's EWMA, success count and down state, and the hedge gate.
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	topErr := ctl(t, cfg, "top", "-count", "1", "-interval", "1ms", "-json")
-	w.Close()
-	os.Stdout = old
-	if topErr != nil {
-		t.Fatalf("top -json: %v", topErr)
-	}
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := ctlStdout(t, cfg, "top", "-count", "1", "-interval", "1ms", "-json")
 	var doc struct {
 		CSPs []map[string]json.RawMessage `json:"csps"`
 	}

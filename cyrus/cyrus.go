@@ -95,11 +95,12 @@ type (
 	// ClassRule maps a name-prefix to a storage class (longest prefix
 	// wins); configure via Config.ClassRules.
 	ClassRule = policy.Rule
-	// PutOptions carries per-request write options (e.g. a storage-class
-	// override) for Client.PutReaderWith.
+	// PutOptions carries the per-request storage-class override for
+	// Client.PutReaderWith.
 	PutOptions = core.PutOptions
-	// ClassUsage is one class's live object/byte tally from
-	// Client.ClassStats.
+	// ClassUsage is one storage class as Client.ClassStats reports it: the
+	// definition, the (t, n) its new chunks are stored at now, and its live
+	// object/byte tally.
 	ClassUsage = core.ClassUsage
 	// LifecycleMigrator demotes idle objects to colder classes in the
 	// background; build one with NewLifecycle.

@@ -1,6 +1,7 @@
 package cyrus_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"log"
@@ -57,8 +58,9 @@ func ExampleClient_History() {
 	hist, _ := client.History(ctx, "doc")
 	fmt.Println("versions:", len(hist))
 
-	old, _, _ := client.GetVersion(ctx, "doc", hist[len(hist)-1].VersionID)
-	fmt.Printf("oldest: %s\n", old)
+	var old bytes.Buffer
+	_, _ = client.GetVersionTo(ctx, "doc", hist[len(hist)-1].VersionID, &old)
+	fmt.Printf("oldest: %s\n", old.Bytes())
 
 	_ = client.Restore(ctx, "doc", hist[len(hist)-1].VersionID)
 	cur, _, _ := client.Get(ctx, "doc")

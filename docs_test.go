@@ -61,7 +61,7 @@ func TestKnobBudget(t *testing.T) {
 		{"core.Config fields", reflect.TypeOf(core.Config{}).NumField(), 23},
 		{"lifecycle.Config fields", reflect.TypeOf(lifecycle.Config{}).NumField(), 5},
 		{"transfer.Tunables fields", reflect.TypeOf(transfer.Tunables{}).NumField(), 3},
-		{"exported *core.Client methods", reflect.TypeOf(&core.Client{}).NumMethod(), 41},
+		{"exported *core.Client methods", reflect.TypeOf(&core.Client{}).NumMethod(), 33},
 		{"obs.Options fields", reflect.TypeOf(obs.Options{}).NumField(), 2},
 		{"obs.RecorderConfig fields", reflect.TypeOf(obs.RecorderConfig{}).NumField(), 5},
 	}
@@ -113,18 +113,34 @@ func TestDocChunkerDefault(t *testing.T) {
 // path (datapath.go, DESIGN.md §5.1): non-test code in the package may build
 // a transfer.Attempt, call the erasure encoder, and call the correcting
 // decoder in exactly one place each, so a second hand-rolled provider call,
-// encode-then-upload copy or k-of-n reader cannot grow back beside it.
+// encode-then-upload copy or k-of-n reader cannot grow back beside it. Object
+// names are built in one file, names.go (core.Names), so a second
+// CAS-vs-keyed dispatch or key-hash derivation cannot grow back either: the
+// keyed share prefix, the CAS name builder, the ".s<index>" share-name
+// format and the key hash appear nowhere else.
 func TestCoreOneDataPath(t *testing.T) {
+	const naming = "object-name construction"
 	sites := map[string]*regexp.Regexp{
 		"transfer.Attempt{ construction": regexp.MustCompile(`transfer\.Attempt\{`),
 		"erasure Encode/EncodeTo call":   regexp.MustCompile(`\.EncodeTo\(|oder\.Encode\(`),
 		"DecodeCorrecting call":          regexp.MustCompile(`DecodeCorrecting\(`),
+		naming:                           regexp.MustCompile(`SharePrefix \+|casShareName\(|\.s%d|keyHash`),
 	}
 	found := coreCallSites(t, sites)
 	for what := range sites {
+		if what == naming {
+			continue
+		}
 		if len(found[what]) != 1 {
 			t.Errorf("internal/core has %d %s sites, want exactly 1 (in datapath.go): %v", len(found[what]), what, found[what])
 		}
+	}
+	files := map[string]bool{}
+	for _, site := range found[naming] {
+		files[site[:strings.LastIndexByte(site, ':')]] = true
+	}
+	if len(files) != 1 || !files["internal/core/names.go"] {
+		t.Errorf("internal/core has %s sites in %d files, want names.go only: %v", naming, len(files), found[naming])
 	}
 }
 
@@ -164,7 +180,7 @@ func coreCallSites(t *testing.T, sites map[string]*regexp.Regexp) map[string][]s
 // version is checked against its name, and a version's bytes are fetched in
 // exactly one place each (publish, resolve, read), and the best-effort sync
 // has resolve plus the full-sync callers (List, Conflicts, GC) as its only
-// gates — so a second publish tail, a sixth Get body or another cache gate
+// gates — so a second publish tail, a fifth Get body or another cache gate
 // cannot grow back beside them. The record-LRU's byte knob stays deleted, and
 // so do the knobs that became constants, the observer-side load plumbing (the
 // engine reads its load from its own semaphore), the selector's LP stage
@@ -206,6 +222,8 @@ func TestCoreOneVersionPlane(t *testing.T) {
 		regexp.MustCompile(`\b(eventBus|EvShareGet|EvSyncError|TransferEvent|RecentSpans|SpansHandler|MetaShardRecords)\b`),
 		regexp.MustCompile(`\.Subscribe\(`),
 		regexp.MustCompile(`/debug/spans`),
+		regexp.MustCompile(`\b(ObjectClass|ShareObjectName|MetaShareObjectName)\b`),
+		regexp.MustCompile(`\.(GetVersion|Params|Policy)\(`),
 	}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {

@@ -90,9 +90,9 @@ func main() {
 	for _, v := range hist {
 		fmt.Printf("  %.8s  %d bytes  %s\n", v.VersionID, v.Size, v.Modified.Format("15:04:05"))
 	}
-	old, _, err := client.GetVersion(ctx, "manifesto.txt", hist[len(hist)-1].VersionID)
-	if err != nil {
+	var old bytes.Buffer
+	if _, err := client.GetVersionTo(ctx, "manifesto.txt", hist[len(hist)-1].VersionID, &old); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fetched original version: %d bytes, intact=%v\n", len(old), bytes.Equal(old, content))
+	fmt.Printf("fetched original version: %d bytes, intact=%v\n", old.Len(), bytes.Equal(old.Bytes(), content))
 }

@@ -92,7 +92,7 @@ func TestMixedChunkerVersionChain(t *testing.T) {
 		t.Fatalf("History = %d versions, %v; want %d", len(hist), err, len(versions))
 	}
 	for i, want := range versions {
-		got, info, err := reader.GetVersion(bg, "doc", ids[i])
+		got, info, err := getVersion(bg, reader, "doc", ids[i])
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("GetVersion v%d: %d bytes, %v", i+1, len(got), err)
 		}

@@ -31,10 +31,6 @@ type PutOptions struct {
 	Class string
 }
 
-// Policy exposes the class-resolution engine (nil when the client is
-// configured without classes).
-func (c *Client) Policy() *policy.Engine { return c.pol }
-
 // chunkerFor returns the chunker for a class: the class override when one
 // is configured, the client chunker otherwise. Chunking only affects fresh
 // writes — existing chunk boundaries are immutable content addresses.
@@ -173,31 +169,29 @@ func versionClass(m *metadata.FileMeta) string {
 	return m.Chunks[0].Class
 }
 
-// ObjectClass reports the class of a file's current version, plus the head
-// modification time the lifecycle scanner ages against. Local-replica only.
-func (c *Client) ObjectClass(name string) (class string, info FileInfo, err error) {
-	head, conflicted, err := c.resolve(context.TODO(), name, "", noSync)
-	if err != nil {
-		return "", FileInfo{}, err
-	}
-	return versionClass(head), fileInfo(head, conflicted), nil
-}
-
-// ClassUsage aggregates the live objects of one storage class.
+// ClassUsage is one storage class as the client sees it now: its
+// definition, the (t, n) new chunks of the class are stored at, and its live
+// objects.
 type ClassUsage struct {
+	Class   policy.Class // the definition; the default class "" is {Tier: hot}
+	T, N    int          // for a chunk stored now; 0, 0 when no width is achievable
 	Objects int
 	Bytes   int64 // logical file bytes (pre-encoding)
 }
 
-// ClassStats returns per-class object and byte counts over the live heads
-// of the local replica, and refreshes the cyrus_class_objects /
-// cyrus_class_bytes gauges. Every configured class is reported (and its
-// gauges written) even when empty, so a drained class reads 0 instead of
-// holding its last value.
+// ClassStats reports every configured class and the default class "": the
+// definition, its current (t, n), and the object and byte counts over the
+// live heads of the local replica. It refreshes the cyrus_class_objects /
+// cyrus_class_bytes gauges, writing every class even when empty, so a
+// drained class reads 0 instead of holding its last value.
 func (c *Client) ClassStats() map[string]ClassUsage {
-	out := map[string]ClassUsage{"": {}}
-	for _, cls := range c.pol.Classes() {
-		out[cls.Name] = ClassUsage{}
+	out := map[string]ClassUsage{}
+	for _, cls := range append([]policy.Class{{Tier: policy.TierHot}}, c.pol.Classes()...) {
+		u := ClassUsage{Class: cls}
+		if t, n, err := c.shareParams(cls); err == nil {
+			u.T, u.N = t, n
+		}
+		out[cls.Name] = u
 	}
 	for _, name := range c.tree.Names() {
 		head, _, err := c.tree.Head(name)

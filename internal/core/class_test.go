@@ -177,7 +177,7 @@ func TestReencodeClassDemotion(t *testing.T) {
 	// ...and the pre-demotion version still resolves: source copies are
 	// never deleted, so mid-transition readers holding the old head lose
 	// nothing.
-	old, _, err := c.GetVersion(bg, "docs/aging.bin", oldHead.VersionID())
+	old, _, err := getVersion(bg, c, "docs/aging.bin", oldHead.VersionID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestClassMetaCSPs(t *testing.T) {
 	head := headOf(t, c, "vault/secret.bin")
 	vid := head.VersionID()
 	for _, name := range env.names {
-		n := len(env.backends[name].ObjectNames(metadata.MetaPrefix + c.metaRecordKey("vault/secret.bin", vid)))
+		n := len(env.backends[name].ObjectNames(metadata.MetaPrefix + c.names.recordKey("vault/secret.bin", vid)))
 		dedicated := name == "cspe" || name == "cspf"
 		if dedicated && n == 0 {
 			t.Fatalf("dedicated metadata CSP %s holds no share of %s", name, vid)

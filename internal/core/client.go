@@ -15,8 +15,6 @@ package core
 
 import (
 	"context"
-	"crypto/sha1"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -36,9 +34,6 @@ import (
 	"repro/internal/transfer"
 	"repro/internal/vclock"
 )
-
-// SharePrefix is the object-name prefix for chunk shares.
-const SharePrefix = "cyrus-share-"
 
 // Errors returned by the client.
 var (
@@ -250,15 +245,20 @@ type FileInfo struct {
 	Size       int64
 	Modified   time.Time
 	VersionID  string
+	Class      string // storage class the version's content is stored under
 	Deleted    bool
 	Conflicted bool
 }
 
 // Client is a CYRUS endpoint. It is safe for concurrent use.
 type Client struct {
-	cfg      Config
-	coder    *erasure.Coder
-	conv     *erasure.ConvergentCoder // nil unless DedupSecret configured
+	cfg   Config
+	coder *erasure.Coder
+	// names also holds the convergent coder CAS chunks code with. It is
+	// built whenever DedupSecret is set — not only in DedupMode — so a
+	// client with dedup switched off still reads (and GCs) CAS shares
+	// written by its dedup-enabled peers.
+	names    Names
 	chunk    *chunker.Chunker
 	pol      *policy.Engine              // class resolution; nil = no classes
 	chunkers map[string]*chunker.Chunker // per-class override chunkers
@@ -271,8 +271,7 @@ type Client struct {
 	rt       vclock.Runtime
 	sel      selector.Selector
 	codec    *codecPool
-	fresh    *freshSet // nil = disabled
-	keyHash  string
+	fresh    *freshSet     // nil = disabled
 	obs      *obs.Observer // nil = disabled
 	depth    int           // pipelineDepth; the package's tests vary it
 
@@ -327,10 +326,10 @@ func New(cfg Config, stores []csp.Store) (*Client, error) {
 		}
 		chunkers[cls.Name] = cch
 	}
-	sum := sha1.Sum([]byte(full.Key))
 	c := &Client{
 		cfg:      full,
 		coder:    erasure.NewCoder(full.Key),
+		names:    NewNames(full.Key, full.DedupSecret),
 		chunk:    ch,
 		pol:      pol,
 		chunkers: chunkers,
@@ -341,17 +340,10 @@ func New(cfg Config, stores []csp.Store) (*Client, error) {
 		links:    newLinkModel(full.LinkBps),
 		rt:       full.Runtime,
 		sel:      full.Selector,
-		keyHash:  hex.EncodeToString(sum[:]),
 		obs:      full.Obs,
 		stores:   make(map[string]csp.Store),
 		removed:  make(map[string]bool),
 		depth:    pipelineDepth,
-	}
-	if full.DedupSecret != "" {
-		// Built whenever the secret is present — not only in DedupMode — so
-		// a client with dedup switched off can still read (and GC) CAS
-		// shares written by its dedup-enabled peers.
-		c.conv = erasure.NewConvergentCoder(full.DedupSecret)
 	}
 	c.codec = newCodecPool(c.obs)
 	if full.MetaCacheEntries > 0 {
@@ -451,28 +443,6 @@ func (c *Client) store(name string) (csp.Store, bool) {
 	return s, ok
 }
 
-// shareName implements the paper's naming scheme H'(index,
-// H(chunk.content)): opaque to CSPs, recoverable by any key-holding client,
-// and unique per (content, index, t) so re-uploads are idempotent.
-func (c *Client) shareName(chunkID string, index, t int) string {
-	h := sha1.New()
-	fmt.Fprintf(h, "%s|%s|%d|%d", c.keyHash, chunkID, index, t)
-	return SharePrefix + hex.EncodeToString(h.Sum(nil))
-}
-
-// shareNameFor returns the object name for one share of the chunk,
-// dispatching on the chunk's addressing mode: content-addressed names for
-// CAS chunks (dedup mode), key-derived names otherwise.
-func (c *Client) shareNameFor(ref metadata.ChunkRef, index int) (string, error) {
-	if !ref.CAS {
-		return c.shareName(ref.ID, index, ref.T), nil
-	}
-	if c.conv == nil {
-		return "", fmt.Errorf("cyrus: chunk %s is content-addressed but no DedupSecret is configured", ref.ID)
-	}
-	return casShareName(c.conv.Tag(ref.ID), index, ref.T), nil
-}
-
 // coderFor returns the erasure coder matching the chunk's addressing mode:
 // the content-derived convergent coder for CAS chunks, the per-user coder
 // otherwise.
@@ -480,59 +450,10 @@ func (c *Client) coderFor(ref metadata.ChunkRef) (*erasure.Coder, error) {
 	if !ref.CAS {
 		return c.coder, nil
 	}
-	if c.conv == nil {
+	if c.names.conv == nil {
 		return nil, fmt.Errorf("cyrus: chunk %s is content-addressed but no DedupSecret is configured", ref.ID)
 	}
-	return c.conv.For(ref.ID), nil
-}
-
-// refToken is this user's reference token on content-addressed share
-// objects: one token per user key, so a CAS object's token set counts the
-// users referencing it. Not version-scoped — share upload happens before
-// the referencing version's ID exists.
-func (c *Client) refToken() string {
-	return c.keyHash[:16]
-}
-
-// Inspection hooks. The chaos harness (internal/harness) audits provider
-// state from outside the client, which requires recomputing the key-derived
-// object names and knowing the configured quorums. These accessors expose
-// exactly that — no mutable internals.
-
-// ID returns the configured ClientID.
-func (c *Client) ID() string { return c.cfg.ClientID }
-
-// Params reports the client-wide default encoding parameters: the
-// configured T and the n a new chunk would be stored at right now
-// (explicit N, or the epsilon-derived width over the active clusters).
-// Falls back to the raw config when no width is currently achievable.
-func (c *Client) Params() (t, n int) {
-	t, n, err := c.shareParams(policy.Class{})
-	if err != nil {
-		return c.cfg.T, c.cfg.N
-	}
-	return t, n
-}
-
-// ShareObjectName returns the provider object name under which share
-// `index` of the given chunk is stored at privacy level t, following the
-// client's addressing mode: content-addressed names in dedup mode,
-// key-derived names otherwise.
-func (c *Client) ShareObjectName(chunkID string, index, t int) string {
-	if c.cfg.DedupMode && c.conv != nil {
-		return casShareName(c.conv.Tag(chunkID), index, t)
-	}
-	return c.shareName(chunkID, index, t)
-}
-
-// RefToken exposes the user-scoped reference token this client stamps on
-// content-addressed share objects (for oracles auditing provider refcounts).
-func (c *Client) RefToken() string { return c.refToken() }
-
-// MetaShareObjectName returns the provider object name this client writes
-// one metadata share of the given version of a file under.
-func (c *Client) MetaShareObjectName(fileName, versionID string, index int) string {
-	return metaShareName(c.metaRecordKey(fileName, versionID), index)
+	return c.names.conv.For(ref.ID), nil
 }
 
 // Tree exposes the local metadata tree (read-mostly; used by the CLI and

@@ -320,7 +320,7 @@ func TestVersioningAndHistory(t *testing.T) {
 		t.Fatalf("history order wrong: %+v", hist)
 	}
 	// Old version still downloadable.
-	old, _, err := c.GetVersion(bg, "doc", hist[1].VersionID)
+	old, _, err := getVersion(bg, c, "doc", hist[1].VersionID)
 	if err != nil || !bytes.Equal(old, v1) {
 		t.Fatalf("old version: %v", err)
 	}

@@ -57,7 +57,7 @@ func shareNamesOf(t *testing.T, c *Client, ref metadata.ChunkRef) map[string]boo
 	t.Helper()
 	names := make(map[string]bool)
 	for i := 0; i < ref.N; i++ {
-		name, err := c.shareNameFor(ref, i)
+		name, err := c.names.Share(ref, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,8 @@ func correctingReplay(t *testing.T) []string {
 	}
 	index := make(map[string]int)
 	for i := 0; i < head.Chunks[0].N; i++ {
-		index[c.ShareObjectName(head.Chunks[0].ID, i, 2)] = i
+		name, _ := c.names.Share(head.Chunks[0], i)
+		index[name] = i
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -109,7 +109,7 @@ type blob struct {
 func (c *Client) chunkBlob(ref metadata.ChunkRef) (*blob, error) {
 	// CAS chunks code with the content-derived coder, so every client
 	// sharing the deployment secret produces byte-identical shares.
-	// coderFor fails fast when the secret is missing, so shareNameFor below
+	// coderFor fails fast when the secret is missing, so names.Share below
 	// cannot.
 	coder, err := c.coderFor(ref)
 	if err != nil {
@@ -119,7 +119,7 @@ func (c *Client) chunkBlob(ref metadata.ChunkRef) (*blob, error) {
 		desc:  "chunk " + ref.ID[:8],
 		coder: coder, t: ref.T, n: ref.N, size: ref.Size,
 		name: func(i int) string {
-			name, _ := c.shareNameFor(ref, i)
+			name, _ := c.names.Share(ref, i)
 			return name
 		},
 		verify: func(data []byte) error {
@@ -203,7 +203,7 @@ func (c *Client) putCASShare(ctx context.Context, cspName string, store csp.Stor
 	if !ok {
 		return int64(len(data)), store.Upload(ctx, name, data)
 	}
-	token := c.refToken()
+	token := c.names.RefToken()
 	err := rs.AddRef(ctx, name, token)
 	if err == nil {
 		c.obs.DedupHit(cspName, int64(len(data)))

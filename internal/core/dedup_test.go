@@ -36,14 +36,10 @@ func (e *testEnv) casObjects() map[string][]byte {
 // golden convergent vectors (same secret, same chunk).
 func TestCASShareNameGolden(t *testing.T) {
 	t.Parallel()
-	env := newEnv(t, 4)
-	c := env.client("alice", func(cfg *Config) {
-		cfg.DedupMode = true
-		cfg.DedupSecret = "golden-deployment-secret"
-	})
+	names := NewNames("k", "golden-deployment-secret")
 	id := metadata.HashData([]byte("cyrus convergent golden chunk v1"))
 	const want = "cyrus-cas-9a3aed1b299759974c7e4fec7d2cdb971af62c06.s2.t3"
-	if got := c.ShareObjectName(id, 2, 3); got != want {
+	if got, err := names.Share(metadata.ChunkRef{ID: id, T: 3, CAS: true}, 2); err != nil || got != want {
 		t.Fatalf("dedup-mode share name drifted:\n got %s\nwant %s", got, want)
 	}
 	tag, idx, tt, ok := ParseCASShareObjectName(want)
@@ -63,10 +59,9 @@ func TestCASShareNameGolden(t *testing.T) {
 			t.Errorf("accepted malformed name %q", bad)
 		}
 	}
-	// Without dedup mode the same client config names shares the legacy way.
-	plain := env.client("bob", nil)
-	if got := plain.ShareObjectName(id, 2, 3); !IsCASShareObjectName(got) == false || got == want {
-		t.Fatalf("legacy share name looks content-addressed: %s", got)
+	// A chunk stored without dedup is named the keyed way.
+	if got, err := names.Share(metadata.ChunkRef{ID: id, T: 3}, 2); err != nil || IsCASShareObjectName(got) {
+		t.Fatalf("keyed share name looks content-addressed: %s (%v)", got, err)
 	}
 }
 
@@ -115,7 +110,7 @@ func TestDedupCrossUserSharesObjects(t *testing.T) {
 			if len(toks) != 2 {
 				t.Fatalf("%s %s: tokens %v, want alice+bob", name, obj, toks)
 			}
-			want := map[string]bool{alice.RefToken(): true, bob.RefToken(): true}
+			want := map[string]bool{alice.names.RefToken(): true, bob.names.RefToken(): true}
 			for _, tok := range toks {
 				if !want[tok] {
 					t.Fatalf("%s %s: unexpected token %s", name, obj, tok)
@@ -207,7 +202,7 @@ func TestDedupGCRefcounts(t *testing.T) {
 	}
 	for name, b := range env.backends {
 		for idx := 0; idx < privRef.N; idx++ {
-			obj, _ := bob.shareNameFor(privRef, idx)
+			obj, _ := bob.names.Share(privRef, idx)
 			if _, ok := b.PeekObject(obj); ok {
 				t.Fatalf("private orphan share %s survived GC on %s", obj, name)
 			}
@@ -221,7 +216,7 @@ func TestDedupGCRefcounts(t *testing.T) {
 	for name, b := range env.backends {
 		for _, obj := range b.ObjectNames(CASPrefix) {
 			toks := b.RefTokens(obj)
-			if len(toks) != 1 || toks[0] != alice.RefToken() {
+			if len(toks) != 1 || toks[0] != alice.names.RefToken() {
 				t.Fatalf("%s %s: tokens %v after bob's GC", name, obj, toks)
 			}
 		}
@@ -270,7 +265,7 @@ func TestDedupGCPartialViewSkipsSweep(t *testing.T) {
 		count := 0
 		for _, b := range env.backends {
 			for idx := 0; idx < ref.N; idx++ {
-				obj, _ := alice.shareNameFor(ref, idx)
+				obj, _ := alice.names.Share(ref, idx)
 				if _, ok := b.PeekObject(obj); ok {
 					count++
 				}
@@ -344,7 +339,7 @@ func TestDedupMigrateThenGC(t *testing.T) {
 			continue // removed provider keeps its historical copies
 		}
 		for _, obj := range b.ObjectNames(CASPrefix) {
-			if toks := b.RefTokens(obj); len(toks) != 1 || toks[0] != alice.RefToken() {
+			if toks := b.RefTokens(obj); len(toks) != 1 || toks[0] != alice.names.RefToken() {
 				t.Fatalf("%s %s: tokens %v after migration", name, obj, toks)
 			}
 		}

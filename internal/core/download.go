@@ -18,11 +18,6 @@ func (c *Client) Get(ctx context.Context, name string) ([]byte, FileInfo, error)
 	return c.read(ctx, "get", name, "", 0, 0, nil, true)
 }
 
-// GetVersion downloads a specific version of a file — get(s, f, v).
-func (c *Client) GetVersion(ctx context.Context, name, versionID string) ([]byte, FileInfo, error) {
-	return c.read(ctx, "get", name, versionID, 0, 0, nil, true)
-}
-
 // gatherChunk reads one chunk through the data path's verified k-of-n
 // gather (gatherBlob): a lane per source the optimizer picked, every other
 // stored, readable location as the shared fallback pool. buf, when not nil,

@@ -1,5 +1,10 @@
 package core
 
+import (
+	"bytes"
+	"context"
+)
+
 // Test-only accessors: state the package's tests inspect but no caller
 // outside it needs.
 
@@ -18,4 +23,11 @@ func (c *Client) metaCacheLen() int {
 // bytes, for per-phase measurements.
 func (c *Client) resetBufferPeak() {
 	c.bufPeak.Store(c.bufCur.Load())
+}
+
+// getVersion reads one version of a file into memory through GetVersionTo.
+func getVersion(ctx context.Context, c *Client, name, versionID string) ([]byte, FileInfo, error) {
+	var buf bytes.Buffer
+	info, err := c.GetVersionTo(ctx, name, versionID, &buf)
+	return buf.Bytes(), info, err
 }

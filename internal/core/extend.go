@@ -115,7 +115,7 @@ func (c *Client) GC(ctx context.Context) (_ GCStats, err error) {
 	handled := make(map[string]bool) // CAS object names the orphan pass released
 	for _, info := range orphans {
 		ref := metadata.ChunkRef{ID: info.ID, Size: info.Size, T: info.T, N: info.N, CAS: info.CAS, Class: info.Class}
-		if info.CAS && c.conv == nil {
+		if info.CAS && c.names.conv == nil {
 			// Content-addressed names are unrecoverable without the
 			// deployment secret; leave the entry for a properly configured
 			// client to collect.
@@ -138,7 +138,7 @@ func (c *Client) GC(ctx context.Context) (_ GCStats, err error) {
 				stats.Skipped++
 				continue
 			}
-			name, nerr := c.shareNameFor(ref, idx)
+			name, nerr := c.names.Share(ref, idx)
 			if nerr != nil {
 				stats.Skipped++
 				continue
@@ -151,7 +151,7 @@ func (c *Client) GC(ctx context.Context) (_ GCStats, err error) {
 			}
 			err := c.call(op, ctx, cspName, kind, func(actx context.Context, store csp.Store) (int64, error) {
 				if info.CAS {
-					r, err := rs.DelRef(actx, name, c.refToken())
+					r, err := rs.DelRef(actx, name, c.names.RefToken())
 					removed = r
 					return 0, err
 				}
@@ -170,7 +170,7 @@ func (c *Client) GC(ctx context.Context) (_ GCStats, err error) {
 		}
 		c.table.Drop(metadata.EncodingKey(info.ID, info.Class))
 	}
-	if c.conv != nil {
+	if c.names.conv != nil {
 		if c.syncFullView() {
 			c.gcReconcileCAS(op, ctx, referenced, handled, &stats)
 		} else {
@@ -194,12 +194,12 @@ func (c *Client) gcReconcileCAS(op *transfer.Op, ctx context.Context, referenced
 	for key := range referenced {
 		chunkID, class := metadata.SplitEncodingKey(key)
 		if info, ok := c.table.LookupEnc(chunkID, class); ok && info.CAS {
-			tag := c.conv.Tag(chunkID)
+			tag := c.names.conv.Tag(chunkID)
 			refTags[tag] = true
 			sizeOfTag[tag] = erasure.ShareSize(info.Size, info.T)
 		}
 	}
-	token := c.refToken()
+	token := c.names.RefToken()
 
 	type action struct {
 		cspName string

@@ -202,7 +202,7 @@ func TestGCKeepsHistoryChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldest := hist[len(hist)-1]
-	got, _, err := c.GetVersion(bg, "doc", oldest.VersionID)
+	got, _, err := getVersion(bg, c, "doc", oldest.VersionID)
 	if err != nil || !bytes.Equal(got, v1) {
 		t.Fatalf("history version after GC: %v", err)
 	}

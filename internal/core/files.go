@@ -17,6 +17,7 @@ func fileInfo(m *metadata.FileMeta, conflicted bool) FileInfo {
 		Size:       m.File.Size,
 		Modified:   m.File.Modified,
 		VersionID:  m.VersionID(),
+		Class:      versionClass(m),
 		Deleted:    m.File.Deleted,
 		Conflicted: conflicted,
 	}

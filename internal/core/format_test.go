@@ -30,7 +30,7 @@ func publishBuilt(t *testing.T, c *Client, m *metadata.FileMeta) {
 // of the user key could upload under an honest record's name.
 func injectRecord(t *testing.T, env *testEnv, c *Client, name, vid string, raw []byte) {
 	t.Helper()
-	rec := c.metaRecordKey(name, vid)
+	rec := c.names.recordKey(name, vid)
 	targets := c.metaTargetsFor(name)
 	b := c.metaBlob(rec, min(c.cfg.MetaT, len(targets)), len(targets))
 	shares, err := c.encode(b, raw)
@@ -239,7 +239,7 @@ func TestRepairMetaPlacementV1ByteIdentical(t *testing.T) {
 	vid := m.VersionID()
 	targets := w.metaTargetsFor("legacy.bin")
 	victim := targets[len(targets)-1]
-	obj := w.MetaShareObjectName("legacy.bin", vid, len(targets)-1)
+	obj := w.names.MetaShare("legacy.bin", vid, len(targets)-1)
 	want, ok := env.backends[victim].PeekObject(obj)
 	if !ok {
 		t.Fatalf("share %s not on %s", obj, victim)

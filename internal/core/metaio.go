@@ -2,14 +2,11 @@ package core
 
 import (
 	"context"
-	"crypto/sha1"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/csp"
@@ -20,90 +17,12 @@ import (
 
 // Metadata records are secret-shared with (MetaT, m) across all active
 // CSPs (the paper stores metadata pieces at *all* CSPs so that clients can
-// always find them — footnote 3). Each share is one object named
-//
-//	cyrus-meta-<tag>-<versionID>.s<index>
-//
-// where <tag> is a 16-hex-digit keyed hash of the file name (metaTag): every
-// key holder derives the same tag, so the records of one name are found by
-// listing the prefix cyrus-meta-<tag>- — O(versions of that name) entries —
-// instead of the whole namespace. A provider can group the records of one
-// opaque name by it; it learns neither the name nor any content. Records
-// written before the tag existed are named cyrus-meta-<versionID>.s<index>;
-// they match only the whole-prefix listing of a full Sync.
+// always find them — footnote 3). Each share is one object, named by the
+// record's key (names.go): its name tag and version ID.
 //
 // The erasure coder's evaluation points are prefix-stable in n, so shares
 // decode with any n ≥ max index: readers need not know how many CSPs
 // existed at write time.
-
-// metaTagLen is the length of the name tag in a metadata share name.
-const metaTagLen = 16
-
-// metaTag is the keyed hash of a file name that groups the name's records
-// (the keyHash idiom of shareName, with its own domain label).
-func (c *Client) metaTag(fileName string) string {
-	h := sha1.New()
-	fmt.Fprintf(h, "%s|meta-name|%s", c.keyHash, fileName)
-	return hex.EncodeToString(h.Sum(nil))[:metaTagLen]
-}
-
-// metaRecordKey returns the record key new shares of a version are written
-// under. A record key is the part of a record's share names between
-// MetaPrefix and ".s<index>": "<tag>-<versionID>", or the bare version ID of
-// a legacy record. Listings are keyed by it, so a record is read, healed and
-// re-placed under the names it was found under.
-func (c *Client) metaRecordKey(fileName, versionID string) string {
-	return c.metaTag(fileName) + "-" + versionID
-}
-
-// recordVersion returns the version ID of a record key.
-func recordVersion(rec string) string {
-	return rec[strings.LastIndexByte(rec, '-')+1:]
-}
-
-// metaShareName builds the object name of one metadata share.
-func metaShareName(rec string, index int) string {
-	return fmt.Sprintf("%s%s.s%d", metadata.MetaPrefix, rec, index)
-}
-
-// parseMetaShareName splits an object name into record key and share index.
-func parseMetaShareName(obj string) (rec string, index int, ok bool) {
-	if !strings.HasPrefix(obj, metadata.MetaPrefix) {
-		return "", 0, false
-	}
-	rest := obj[len(metadata.MetaPrefix):]
-	dot := strings.LastIndex(rest, ".s")
-	if dot <= 0 {
-		return "", 0, false
-	}
-	if !canonicalDecimal(rest[dot+2:]) {
-		return "", 0, false
-	}
-	idx, err := strconv.Atoi(rest[dot+2:])
-	if err != nil {
-		return "", 0, false
-	}
-	rec = rest[:dot]
-	if tag, vid, tagged := strings.Cut(rec, "-"); tagged && (len(tag) != metaTagLen || vid == "" || strings.Contains(vid, "-")) {
-		return "", 0, false
-	}
-	return rec, idx, true
-}
-
-// ParseMetaShareObjectName is the inverse of MetaShareObjectName, exposed
-// for tools that audit raw provider state (the chaos harness classifies
-// every stored object; metadata share names are the only parseable ones).
-// tag is empty for a legacy, untagged name.
-func ParseMetaShareObjectName(obj string) (tag, versionID string, index int, ok bool) {
-	rec, index, ok := parseMetaShareName(obj)
-	if !ok {
-		return "", "", 0, false
-	}
-	if tag, versionID, tagged := strings.Cut(rec, "-"); tagged {
-		return tag, versionID, index, true
-	}
-	return "", rec, index, true
-}
 
 // metaKey is the hashring key for a file's metadata placement. It is
 // distinct from the chunk keyspace (chunks hash content; metadata hashes
@@ -147,7 +66,7 @@ func (c *Client) metaTargetsBase(fileName string) []string {
 // have.
 func (c *Client) uploadMeta(op *transfer.Op, m *metadata.FileMeta) error {
 	targets := c.metaTargetsFor(m.File.Name)
-	b, shares, err := c.codeMeta(m, c.metaRecordKey(m.File.Name, m.VersionID()), targets)
+	b, shares, err := c.codeMeta(m, c.names.recordKey(m.File.Name, m.VersionID()), targets)
 	if err != nil {
 		return err
 	}

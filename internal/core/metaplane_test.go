@@ -48,7 +48,7 @@ func TestShardedMetaPlacement(t *testing.T) {
 			t.Fatalf("%s: shard set has %d providers, want 3", name, len(targets))
 		}
 		for _, provider := range env.names {
-			held := len(env.backends[provider].ObjectNames(metadata.MetaPrefix + w.metaRecordKey(name, vid)))
+			held := len(env.backends[provider].ObjectNames(metadata.MetaPrefix + w.names.recordKey(name, vid)))
 			if targets[provider] && held == 0 {
 				t.Errorf("%s: shard member %s holds no metadata share", name, provider)
 			}
@@ -110,7 +110,7 @@ func TestShardRepairAfterChurn(t *testing.T) {
 		}
 		vid := head.VersionID()
 		for i, provider := range w.metaTargetsFor(name) {
-			obj := w.MetaShareObjectName(name, vid, i)
+			obj := w.names.MetaShare(name, vid, i)
 			if _, ok := env.backends[provider].PeekObject(obj); !ok {
 				t.Errorf("%s: share %d missing on new shard member %s", name, i, provider)
 			}
@@ -297,7 +297,7 @@ func TestBatchFetchFallsBackOnCorruptShare(t *testing.T) {
 
 	// Corrupt share index 0 wherever it lives: the batch pass prefers the
 	// lowest indices, so it will fetch the rotten share and fail to decode.
-	obj := w.MetaShareObjectName("doc", vid, 0)
+	obj := w.names.MetaShare("doc", vid, 0)
 	intact := make(map[string][]byte) // holder -> the share's bytes as written
 	for _, name := range env.names {
 		env.backends[name].MutateObject(obj, func(d []byte) []byte {
@@ -344,7 +344,7 @@ func TestMetaSelfHealSkippedOnForeignT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := w.MetaShareObjectName("doc", head.VersionID(), 0)
+	obj := w.names.MetaShare("doc", head.VersionID(), 0)
 	env.backends["cspa"].MutateObject(obj, func(d []byte) []byte {
 		d[len(d)/2] ^= 0x5a
 		return d
@@ -391,7 +391,7 @@ func TestGatherBlobToppedUpAfterDuplicateIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := w.metaRecordKey("doc", head.VersionID())
+	rec := w.names.recordKey("doc", head.VersionID())
 	// Share i lives on the i-th provider; copy s1 to cspc as churn repair
 	// would.
 	s1, ok := env.backends["cspb"].PeekObject(metaShareName(rec, 1))

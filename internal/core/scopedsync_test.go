@@ -179,7 +179,7 @@ func TestScopedSyncSeesOtherClientsWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !info.Conflicted {
-			t.Errorf("%s: concurrent Puts to one name did not surface as a conflict", c.ID())
+			t.Errorf("%s: concurrent Puts to one name did not surface as a conflict", c.cfg.ClientID)
 		}
 	}
 	if n := auditA.fullListings() + auditB.fullListings(); n != 0 {

@@ -48,7 +48,7 @@ func (c *Client) syncMeta(ctx context.Context, name string) (n int, err error) {
 	scoped := name != ""
 	prefix := metadata.MetaPrefix
 	if scoped {
-		prefix += c.metaTag(name) + "-"
+		prefix += c.names.metaTag(name) + "-"
 	}
 	full := false
 	if !scoped {
@@ -186,12 +186,16 @@ func (c *Client) syncBestEffort(ctx context.Context, name string) (ok bool) {
 // Recover rebuilds the client's state purely from the cloud — the paper's
 // s' = recover(s). It resyncs the metadata tree and reconstructs the global
 // chunk table from every known record, so a fresh device with only the key
-// and the provider accounts converges to the full cloud state.
+// and the provider accounts converges to the full cloud state. The table is
+// rebuilt from whatever the sync absorbed even when the sync reports an
+// error (a partial view: an unreadable record, an unreachable provider), so
+// every version the tree holds stays readable; the sync error is returned.
 func (c *Client) Recover(ctx context.Context) error {
-	if _, err := c.Sync(ctx); err != nil {
+	_, err := c.Sync(ctx)
+	c.table.Rebuild(c.tree.All())
+	if err != nil {
 		return fmt.Errorf("cyrus: recover: %w", err)
 	}
-	c.table.Rebuild(c.tree.All())
 	return nil
 }
 
@@ -209,13 +213,7 @@ func (c *Client) conflictsLocal() []ConflictInfo {
 		info := ConflictInfo{Name: cf.Name, Type: cf.Type.String()}
 		for _, vid := range cf.Versions {
 			if m, err := c.tree.Get(vid); err == nil {
-				info.Versions = append(info.Versions, FileInfo{
-					Name:      m.File.Name,
-					Size:      m.File.Size,
-					Modified:  m.File.Modified,
-					VersionID: vid,
-					Deleted:   m.File.Deleted,
-				})
+				info.Versions = append(info.Versions, fileInfo(m, false))
 			}
 		}
 		out = append(out, info)

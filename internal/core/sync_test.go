@@ -37,7 +37,7 @@ func TestSyncPartialFailureCountAndError(t *testing.T) {
 	// record is genuinely unreadable — the point is that "good" still syncs.
 	for _, name := range env.names {
 		b := env.backends[name]
-		for _, obj := range b.ObjectNames(metadata.MetaPrefix + w.metaRecordKey("doomed", vid)) {
+		for _, obj := range b.ObjectNames(metadata.MetaPrefix + w.names.recordKey("doomed", vid)) {
 			b.MutateObject(obj, func(d []byte) []byte {
 				d[len(d)/2] ^= 0x41
 				return d

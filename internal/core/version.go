@@ -18,7 +18,7 @@ import (
 // then take the head — or a named version — from it (§5.4, Algorithm 3
 // line 2). Every version-level operation of the client goes through the three
 // primitives in this file: resolve (name, version → record), read (record →
-// bytes, behind the five exported Gets) and publish (record → cloud and
+// bytes, behind the four exported Gets) and publish (record → cloud and
 // replica, behind every operation that appends a version).
 
 // syncGate says how fresh resolve's answer has to be.
@@ -74,12 +74,12 @@ func (c *Client) resolve(ctx context.Context, name, versionID string, gate syncG
 	return m, conflicted, nil
 }
 
-// read is the one body behind Get, GetVersion, GetTo, GetVersionTo and
-// GetRange: resolve the version, refuse a deletion marker, and stream the
-// bytes to w — or, with w nil, into a buffer accounted as resident for the
-// fetch and returned. A full read covers the whole version (offset and length
-// are ignored), verifies the file identity and lazily migrates stale shares; a
-// range read clamps length to the file and does neither (see fetchTo).
+// read is the one body behind Get, GetTo, GetVersionTo and GetRange: resolve
+// the version, refuse a deletion marker, and stream the bytes to w — or, with
+// w nil, into a buffer accounted as resident for the fetch and returned. A
+// full read covers the whole version (offset and length are ignored), verifies
+// the file identity and lazily migrates stale shares; a range read clamps
+// length to the file and does neither (see fetchTo).
 func (c *Client) read(ctx context.Context, span, name, versionID string, offset, length int64, w io.Writer, full bool) (_ []byte, info FileInfo, err error) {
 	ctx, sp := c.obs.StartOp(ctx, span)
 	defer func() { sp.End(err) }()

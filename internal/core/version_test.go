@@ -333,7 +333,7 @@ func TestGetVersionSyncsUnknownVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := r.GetVersion(bg, "f", info.VersionID)
+	got, _, err := getVersion(bg, r, "f", info.VersionID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,6 +56,7 @@ import (
 	"repro/internal/csp"
 	"repro/internal/erasure"
 	"repro/internal/lifecycle"
+	"repro/internal/metadata"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -284,8 +285,10 @@ type Harness struct {
 	names    []string          // provider names, sorted
 	clusters map[string]string // provider -> platform; nil unless Clustered
 	clients  []*core.Client
+	ids      []string // ClientID of each client
 	chunk    *chunker.Chunker
 	coders   []*erasure.Coder         // per user: its key's share coder
+	naming   []core.Names             // per user: its key's object names
 	conv     *erasure.ConvergentCoder // nil unless Dedup
 	obs      *obs.Observer            // shared by all workload clients
 
@@ -322,6 +325,7 @@ func New(opts Options) (*Harness, error) {
 	}
 	for u := 0; u < opts.Users; u++ {
 		h.coders = append(h.coders, erasure.NewCoder(userKey(u)))
+		h.naming = append(h.naming, core.NewNames(userKey(u), harnessDedupSecret))
 		h.lastAcked = append(h.lastAcked, make(map[string][]byte))
 	}
 	var oo obs.Options
@@ -378,6 +382,7 @@ func New(opts Options) (*Harness, error) {
 				return
 			}
 			h.clients = append(h.clients, c)
+			h.ids = append(h.ids, id)
 		}
 	}
 	if h.net != nil {
@@ -450,6 +455,19 @@ func (h *Harness) buildClient(id string, u int, node string, o *obs.Observer) (*
 // userOf returns the user a workload client belongs to.
 func (h *Harness) userOf(c *core.Client) int {
 	return slices.Index(h.clients, c) % h.opts.Users
+}
+
+// idOf returns a workload client's ClientID.
+func (h *Harness) idOf(c *core.Client) string {
+	return h.ids[slices.Index(h.clients, c)]
+}
+
+// shareName is the object name user u's clients store share i of chunk id
+// under at privacy level t: content-addressed in a dedup run, keyed
+// otherwise.
+func (h *Harness) shareName(u int, id string, i, t int) string {
+	name, _ := h.naming[u].Share(metadata.ChunkRef{ID: id, T: t, CAS: h.opts.Dedup}, i)
+	return name
 }
 
 // now returns the run's notion of wall-clock time.

@@ -428,7 +428,7 @@ func TestSeededRefcountBugCaught(t *testing.T) {
 	for _, c := range h.clients[:2] {
 		h.record(c, "shared", shared, c.Put(ctx, "shared", shared))
 	}
-	dropped := h.clients[0].ShareObjectName(metadata.HashData(shared), 0, h.opts.T)
+	dropped := h.shareName(0, metadata.HashData(shared), 0, h.opts.T)
 	for _, name := range h.names {
 		if _, ok := h.backends[name].PeekObject(dropped); !ok {
 			continue
@@ -437,12 +437,12 @@ func TestSeededRefcountBugCaught(t *testing.T) {
 		if err := raw.Authenticate(ctx, csp.Credentials{Token: "seeded"}); err != nil {
 			t.Fatal(err)
 		}
-		if removed, err := raw.DelRef(ctx, dropped, h.clients[1].RefToken()); err != nil || removed {
+		if removed, err := raw.DelRef(ctx, dropped, h.naming[1].RefToken()); err != nil || removed {
 			t.Fatalf("dropping user 1's token: removed=%v err=%v", removed, err)
 		}
 		break
 	}
-	planted := h.clients[0].ShareObjectName(metadata.HashData(seqData(10, 200)), 0, h.opts.T)
+	planted := h.shareName(0, metadata.HashData(seqData(10, 200)), 0, h.opts.T)
 	h.backends[h.names[0]].InjectObject(planted, seqData(10, 100), time.Now())
 
 	h.report.Violations = nil

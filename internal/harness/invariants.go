@@ -93,24 +93,25 @@ func (h *Harness) quiesce(ctx context.Context) {
 func (h *Harness) checkConvergence() {
 	for i := h.opts.Users; i < len(h.clients); i++ {
 		ref, c := h.clients[i%h.opts.Users], h.clients[i]
+		refClient, client := h.ids[i%h.opts.Users], h.ids[i]
 		refIDs, ids := ref.Tree().VersionIDs(), c.Tree().VersionIDs()
 		refConf, conf := fmt.Sprint(ref.Tree().Conflicts()), fmt.Sprint(c.Tree().Conflicts())
 		if !equalStrings(refIDs, ids) {
 			h.violate("convergence", "%s and %s disagree on the version set (%d vs %d records)",
-				ref.ID(), c.ID(), len(refIDs), len(ids))
+				refClient, client, len(refIDs), len(ids))
 		} else if conf != refConf {
-			h.violate("convergence", "%s and %s disagree on conflicts: %s vs %s", ref.ID(), c.ID(), refConf, conf)
+			h.violate("convergence", "%s and %s disagree on conflicts: %s vs %s", refClient, client, refConf, conf)
 		}
 		for _, name := range ref.Tree().Names() {
 			h0, conflicted0, err0 := ref.Tree().Head(name)
 			hc, conflictedC, errC := c.Tree().Head(name)
 			if (err0 == nil) != (errC == nil) || conflicted0 != conflictedC {
-				h.violate("convergence", "%s and %s disagree on head state of %s", ref.ID(), c.ID(), name)
+				h.violate("convergence", "%s and %s disagree on head state of %s", refClient, client, name)
 				continue
 			}
 			if err0 == nil && h0.VersionID() != hc.VersionID() {
 				h.violate("convergence", "%s and %s disagree on head of %s: %s vs %s",
-					ref.ID(), c.ID(), name, short(h0.VersionID()), short(hc.VersionID()))
+					refClient, client, name, short(h0.VersionID()), short(hc.VersionID()))
 			}
 		}
 	}
@@ -123,7 +124,8 @@ func (h *Harness) checkConvergence() {
 // deleted cached head means an invalidation was missed and a read would
 // have served a superseded version.
 func (h *Harness) checkCacheCoherence() {
-	for _, c := range h.clients {
+	for i, c := range h.clients {
+		id := h.ids[i]
 		for _, name := range c.Tree().Names() {
 			vid, ok := c.CachedHeadVersion(name)
 			if !ok {
@@ -131,16 +133,16 @@ func (h *Harness) checkCacheCoherence() {
 			}
 			head, _, err := c.Tree().Head(name)
 			if err != nil {
-				h.violate("cache", "%s caches head %s of %s but the tree has no head", c.ID(), short(vid), name)
+				h.violate("cache", "%s caches head %s of %s but the tree has no head", id, short(vid), name)
 				continue
 			}
 			if head.File.Deleted {
-				h.violate("cache", "%s caches head %s of deleted file %s", c.ID(), short(vid), name)
+				h.violate("cache", "%s caches head %s of deleted file %s", id, short(vid), name)
 				continue
 			}
 			if head.VersionID() != vid {
 				h.violate("cache", "%s caches stale head %s of %s (tree head %s)",
-					c.ID(), short(vid), name, short(head.VersionID()))
+					id, short(vid), name, short(head.VersionID()))
 			}
 		}
 	}
@@ -245,7 +247,7 @@ func (h *Harness) buildWorldState() *worldState {
 		ghostIndices: make(map[string]map[int]bool),
 	}
 	for u := 0; u < h.opts.Users; u++ {
-		st.tokenUser[h.clients[u].RefToken()] = u
+		st.tokenUser[h.naming[u].RefToken()] = u
 		for _, m := range h.clients[u].Tree().All() {
 			st.records = append(st.records, m)
 			st.owner[m.VersionID()] = u
@@ -275,12 +277,11 @@ func (h *Harness) buildWorldState() *worldState {
 	// Recompute expected share bytes for every chunk whose content the
 	// oracle knows (all of them, unless a Put raced a crash so oddly that
 	// even its residue is unknowable — impossible here, since the oracle
-	// records contents before the Put runs). Shares are named through a
-	// client of the uploading user.
+	// records contents before the Put runs). Shares are named as the
+	// uploading user's clients name them.
 	candidates := h.classEncodings()
 	seen := make(map[string]bool)
 	addContent := func(u int, data []byte) {
-		naming := h.clients[u]
 		for _, chunk := range h.chunk.Split(data) {
 			id := metadata.HashData(chunk.Data)
 			addUser(st.tried, id, u)
@@ -290,8 +291,8 @@ func (h *Harness) buildWorldState() *worldState {
 			}
 			seen[sk] = true
 			// Dedup runs disperse with the content-derived coder, so the
-			// expected bytes come from it too (the names below already do:
-			// the naming client is in dedup mode whenever the run is).
+			// expected bytes come from it too (the names below are
+			// content-addressed whenever the run is).
 			coder := h.coders[u]
 			if h.conv != nil {
 				coder = h.conv.For(id)
@@ -316,7 +317,7 @@ func (h *Harness) buildWorldState() *worldState {
 				// encodings are residue of failed Puts or failed/in-flight
 				// re-encodes — legitimate, accounted, not durability-tracked.
 				for i := 0; i < n; i++ {
-					obj := naming.ShareObjectName(id, i, t)
+					obj := h.shareName(u, id, i, t)
 					st.shareNames[obj] = append(st.shareNames[obj], shareKey{enc: ek, index: i, referenced: referenced})
 				}
 			}
@@ -419,7 +420,7 @@ func (h *Harness) checkRefcount(st *worldState, cspName, obj string) {
 	}
 	for u := 0; u < h.opts.Users; u++ {
 		referenced := slices.ContainsFunc(keys, func(k shareKey) bool { return st.refUsers[k.enc][u] })
-		if referenced && !slices.Contains(toks, h.clients[u].RefToken()) {
+		if referenced && !slices.Contains(toks, h.naming[u].RefToken()) {
 			h.violate("refcount", "%s: %s lacks the token of user %d, whose records reference it", cspName, obj, u)
 		}
 	}
@@ -535,25 +536,16 @@ func (h *Harness) checkMetaReplication(st *worldState) {
 }
 
 // checkMetaTags audits the name tag that scopes a single-name sync, on raw
-// provider state: every tagged record of one file name carries one tag,
-// distinct names of one user carry distinct tags, and that tag is the one
-// every client holding the user's key derives. A record filed under another
-// tag is invisible to the scoped listing of its name — a lost update for
-// every per-op sync.
+// provider state: every listed metadata share of a record carries the tag
+// its user's naming scheme derives for the record's file name, and distinct
+// names of one user carry distinct tags. A record filed under another tag is
+// invisible to the scoped listing of its name — a lost update for every
+// per-op sync.
 func (h *Harness) checkMetaTags(st *worldState) {
 	nameOf := make(map[string]string) // user/tag -> file name
 	for _, m := range st.records {
 		vid, name, u := m.VersionID(), m.File.Name, st.owner[m.VersionID()]
-		tagBy := func(c *core.Client) string {
-			tag, _, _, _ := core.ParseMetaShareObjectName(c.MetaShareObjectName(name, vid, 0))
-			return tag
-		}
-		want := tagBy(h.clients[u])
-		for i := u + h.opts.Users; i < len(h.clients); i += h.opts.Users {
-			if tag := tagBy(h.clients[i]); tag != want {
-				h.violate("meta-tag", "%s derives tag %s for %s, %s derives %s", h.clients[i].ID(), tag, name, h.clients[u].ID(), want)
-			}
-		}
+		want, _, _, _ := core.ParseMetaShareObjectName(h.naming[u].MetaShare(name, vid, 0))
 		key := fmt.Sprint(u, "/", want)
 		if other, taken := nameOf[key]; taken && other != name {
 			h.violate("meta-tag", "files %s and %s share the name tag %s", other, name, want)
@@ -604,23 +596,22 @@ func (h *Harness) checkBehavioralDurability(ctx context.Context) {
 				h.violate("durability", "building recovery client failed: %v", err)
 				continue
 			}
-			// Sync errors are tolerated here only because residue of failed
-			// metadata uploads, and other users' records, are unreadable by
-			// design; any acked version the sync failed to absorb is caught
-			// by the reads below.
-			_, _ = insp.Sync(ctx)
-			insp.ChunkTable().Rebuild(insp.Tree().All())
+			// Recover errors are tolerated here only because residue of
+			// failed metadata uploads, and other users' records, are
+			// unreadable by design; any acked version the sync failed to
+			// absorb is caught by the reads below.
+			_ = insp.Recover(ctx)
 			for _, aw := range writes {
 				if aw.User != u {
 					continue
 				}
-				got, _, err := insp.GetVersion(ctx, aw.File, aw.VersionID)
-				if err != nil {
+				var got bytes.Buffer
+				if _, err := insp.GetVersionTo(ctx, aw.File, aw.VersionID, &got); err != nil {
 					h.violate("durability", "with %v failed: %s version %s unreadable: %v",
 						subset, aw.File, short(aw.VersionID), err)
 					continue
 				}
-				if !bytes.Equal(got, aw.Data) {
+				if !bytes.Equal(got.Bytes(), aw.Data) {
 					h.violate("durability", "with %v failed: %s version %s read back wrong bytes",
 						subset, aw.File, short(aw.VersionID))
 				}

@@ -148,7 +148,7 @@ func TestMultiClientOverlap(t *testing.T) {
 						if exp[id] == nil {
 							exp[id] = &chunkExp{shareSize: erasure.ShareSize(int64(len(chunk.Data)), h.opts.T), users: make(map[int]bool)}
 							for idx := 0; idx < h.opts.N; idx++ {
-								chunkOf[h.clients[0].ShareObjectName(id, idx, h.opts.T)] = id
+								chunkOf[h.shareName(0, id, idx, h.opts.T)] = id
 							}
 						}
 						exp[id].users[u] = true
@@ -187,7 +187,7 @@ func TestMultiClientOverlap(t *testing.T) {
 					casBytes += int64(len(data))
 					var want []string
 					for u := range exp[id].users {
-						want = append(want, h.clients[u].RefToken())
+						want = append(want, h.naming[u].RefToken())
 					}
 					slices.Sort(want)
 					if toks := b.RefTokens(obj); !slices.Equal(toks, want) {
@@ -273,10 +273,10 @@ func (rw *refWorld) fabricateOrphan(t *testing.T, u int, data []byte) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	token := rw.clients[u].RefToken()
+	token := rw.naming[u].RefToken()
 	names := make([]string, rw.opts.N)
 	for i := 0; i < rw.opts.N; i++ {
-		names[i] = rw.clients[0].ShareObjectName(id, i, rw.opts.T)
+		names[i] = rw.shareName(u, id, i, rw.opts.T)
 		provider := rw.names[i%len(rw.names)]
 		if _, err := rw.stores[provider].PutRef(context.Background(), names[i], token, shares[i].Data); err != nil {
 			t.Fatalf("fabricating orphan share on %s: %v", provider, err)
@@ -330,6 +330,7 @@ func TestRefcountChaos(t *testing.T) {
 	rw := newRefWorld(t, baseSeed(t))
 	ctx := context.Background()
 	u0, u1 := rw.clients[0], rw.clients[1]
+	tok0, tok1 := rw.naming[0].RefToken(), rw.naming[1].RefToken()
 
 	// --- Phase A: client crash mid-upload, replayed by GC. ---
 	// u0 owns `live` (content X). u1 crashed mid-upload of the same X plus
@@ -355,7 +356,7 @@ func TestRefcountChaos(t *testing.T) {
 			t.Errorf("phase A: shared share %s lost while u0 still references it", name)
 		}
 		toks := rw.tokensEverywhere(name)
-		if !toks[u0.RefToken()] || toks[u1.RefToken()] {
+		if !toks[tok0] || toks[tok1] {
 			t.Errorf("phase A: %s tokens %v, want exactly u0's", name, toks)
 		}
 	}
@@ -387,7 +388,7 @@ func TestRefcountChaos(t *testing.T) {
 		t.Fatalf("phase B: u1's file after racing u0's GC: %v", err)
 	}
 	for _, name := range zNames {
-		if toks := rw.tokensEverywhere(name); !toks[u1.RefToken()] {
+		if toks := rw.tokensEverywhere(name); !toks[tok1] {
 			t.Errorf("phase B: %s lacks u1's token after its acknowledged upload", name)
 		}
 	}
@@ -398,7 +399,7 @@ func TestRefcountChaos(t *testing.T) {
 	}
 	for _, name := range zNames {
 		toks := rw.tokensEverywhere(name)
-		if toks[u0.RefToken()] || !toks[u1.RefToken()] {
+		if toks[tok0] || !toks[tok1] {
 			t.Errorf("phase B: %s tokens %v after quiescent GC, want exactly u1's", name, toks)
 		}
 	}
@@ -411,7 +412,7 @@ func TestRefcountChaos(t *testing.T) {
 	wData := seqData(4, 230)
 	wNames := rw.fabricateOrphan(t, 0, wData)
 	firstHolder := rw.objectHolders(wNames[0])[0]
-	if removed, err := rw.stores[firstHolder].DelRef(ctx, wNames[0], u0.RefToken()); err != nil || !removed {
+	if removed, err := rw.stores[firstHolder].DelRef(ctx, wNames[0], tok0); err != nil || !removed {
 		t.Fatalf("simulating half-finished GC: removed=%v err=%v", removed, err)
 	}
 	downProvider := rw.objectHolders(wNames[1])[0]

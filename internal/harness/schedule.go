@@ -163,8 +163,7 @@ func (h *Harness) scaleLinks(cspName string, factor float64) {
 	if h.net == nil || factor <= 0 {
 		return
 	}
-	for i := range h.clients {
-		node := h.clients[i].ID()
+	for _, node := range h.ids {
 		for _, name := range h.names {
 			if cspName != "" && name != cspName {
 				continue

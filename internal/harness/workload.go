@@ -78,7 +78,7 @@ func (h *Harness) record(c *core.Client, name string, data []byte, err error) {
 		h.violate("read", "acked Put of %s not visible in the writer's own tree", name)
 		return
 	}
-	h.acked = append(h.acked, AckedWrite{File: name, VersionID: vid, Client: c.ID(), User: u, Data: data})
+	h.acked = append(h.acked, AckedWrite{File: name, VersionID: vid, Client: h.idOf(c), User: u, Data: data})
 	h.ackedByVID[vid] = data
 	h.lastAcked[u][name] = data
 	h.report.Acked++
@@ -241,12 +241,11 @@ func (h *Harness) sabotage(data []byte) {
 		return
 	}
 	id := metadata.HashData(chunks[0].Data)
-	c := h.clients[0]
 	if h.opts.BreakDurability {
 		// Silently destroy two of the chunk's share objects wherever they
 		// live. With n−t = 1 tolerated loss the chunk becomes unrecoverable.
 		for _, idx := range []int{0, 1} {
-			obj := c.ShareObjectName(id, idx, h.opts.T)
+			obj := h.shareName(0, id, idx, h.opts.T)
 			for _, name := range h.names {
 				h.backends[name].RemoveObject(obj)
 			}
@@ -256,7 +255,7 @@ func (h *Harness) sabotage(data []byte) {
 	// BreakPlacement: copy share 0 onto a provider that already holds a
 	// different share of the same chunk — the state a broken placement
 	// guard would produce.
-	obj0 := c.ShareObjectName(id, 0, h.opts.T)
+	obj0 := h.shareName(0, id, 0, h.opts.T)
 	var share0 []byte
 	for _, name := range h.names {
 		if data, ok := h.backends[name].PeekObject(obj0); ok {
@@ -273,7 +272,7 @@ func (h *Harness) sabotage(data []byte) {
 			continue
 		}
 		for idx := 1; idx < h.opts.N; idx++ {
-			if _, ok := b.PeekObject(c.ShareObjectName(id, idx, h.opts.T)); ok {
+			if _, ok := b.PeekObject(h.shareName(0, id, idx, h.opts.T)); ok {
 				b.InjectObject(obj0, share0, h.now())
 				return
 			}

@@ -137,13 +137,12 @@ func (m *Migrator) publishDepth() {
 
 // Scan walks the local namespace and enqueues (and checkpoints) a job for
 // every live object whose class has a lifecycle rule and whose head has
-// been idle past the class TTL. Callers wanting a cloud-fresh view should
-// Sync the client first. Returns the number of newly enqueued jobs.
+// been idle past the class TTL. It reads the class definitions from
+// ClassStats, so every Scan also refreshes the cyrus_class_* gauges. Callers
+// wanting a cloud-fresh view should Sync the client first. Returns the
+// number of newly enqueued jobs.
 func (m *Migrator) Scan(ctx context.Context) (int, error) {
-	pol := m.client.Policy()
-	if pol == nil {
-		return 0, nil
-	}
+	classes := m.client.ClassStats()
 	infos, err := m.client.ListLocal("")
 	if err != nil {
 		return 0, err
@@ -154,18 +153,14 @@ func (m *Migrator) Scan(ctx context.Context) (int, error) {
 		if err := ctx.Err(); err != nil {
 			return added, err
 		}
-		class, head, err := m.client.ObjectClass(fi.Name)
-		if err != nil {
+		cls := classes[fi.Class].Class
+		if cls.DemoteAfter <= 0 || cls.DemoteTo == "" || fi.Class == cls.DemoteTo {
 			continue
 		}
-		cls, ok := pol.Class(class)
-		if !ok || cls.DemoteAfter <= 0 || cls.DemoteTo == "" || class == cls.DemoteTo {
+		if now.Sub(fi.Modified) < cls.DemoteAfter {
 			continue
 		}
-		if now.Sub(head.Modified) < cls.DemoteAfter {
-			continue
-		}
-		j := Job{Name: fi.Name, From: class, Target: cls.DemoteTo, Queued: now}
+		j := Job{Name: fi.Name, From: fi.Class, Target: cls.DemoteTo, Queued: now}
 		m.mu.Lock()
 		_, dup := m.pending[j.Name]
 		if !dup {
@@ -232,7 +227,7 @@ func (m *Migrator) Run(ctx context.Context) (migrated, failed int) {
 // next Run finds the head already in the target class (a no-op re-encode)
 // and clears it then.
 func (m *Migrator) runJob(ctx context.Context, j Job) bool {
-	_, fi, err := m.client.ObjectClass(j.Name)
+	fi, err := m.client.StatLocal(j.Name)
 	if err == nil && !fi.Deleted {
 		changed, rerr := m.client.ReencodeClass(ctx, j.Name, j.Target)
 		if rerr != nil {

@@ -89,11 +89,11 @@ func randData(seed int64, n int) []byte {
 
 func classOf(t *testing.T, c *core.Client, name string) string {
 	t.Helper()
-	class, _, err := c.ObjectClass(name)
+	fi, err := c.StatLocal(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return class
+	return fi.Class
 }
 
 func TestScanEnqueuesOnlyEligible(t *testing.T) {
@@ -291,7 +291,7 @@ func TestClearFailureKeepsJobQueued(t *testing.T) {
 	if mig, fail := counts(); mig != 1 || fail != 1 {
 		t.Fatalf("migrations, failures = %v, %v; want 1, 1", mig, fail)
 	}
-	_, before, err := c.ObjectClass("docs/a")
+	before, err := c.StatLocal("docs/a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestClearFailureKeepsJobQueued(t *testing.T) {
 	if jobs, _ := st.Load(); len(jobs) != 0 {
 		t.Fatalf("checkpoints not cleared by the retry: %+v", jobs)
 	}
-	if _, after, _ := c.ObjectClass("docs/a"); after.VersionID != before.VersionID {
+	if after, _ := c.StatLocal("docs/a"); after.VersionID != before.VersionID {
 		t.Fatalf("the retry published version %s over %s: the re-encode was not a no-op", after.VersionID, before.VersionID)
 	}
 	if mig, fail := counts(); mig != 1 || fail != 1 {

@@ -45,8 +45,9 @@ type Class struct {
 	Tier string `json:"tier,omitempty"`
 	// T is the per-class privacy level; 0 inherits the client's T.
 	T int `json:"t,omitempty"`
-	// N is the per-class share count; 0 derives it from Epsilon (or the
-	// client's N/Epsilon when Epsilon is also zero).
+	// N is the per-class share count; 0 derives it from Epsilon (the
+	// client's Epsilon when this one is zero too) over the class's CSP
+	// pool. A named class never inherits the client's N.
 	N int `json:"n,omitempty"`
 	// Epsilon is the per-class reliability bound used to derive N when N
 	// is zero.
