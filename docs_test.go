@@ -117,14 +117,15 @@ func TestDocChunkerDefault(t *testing.T) {
 // names are built in one file, names.go (core.Names), so a second
 // CAS-vs-keyed dispatch or key-hash derivation cannot grow back either: the
 // keyed share prefix, the CAS name builder, the ".s<index>" share-name
-// format and the key hash appear nowhere else.
+// format (as a fmt verb or a concatenation) and the key hash appear nowhere
+// else.
 func TestCoreOneDataPath(t *testing.T) {
 	const naming = "object-name construction"
 	sites := map[string]*regexp.Regexp{
 		"transfer.Attempt{ construction": regexp.MustCompile(`transfer\.Attempt\{`),
 		"erasure Encode/EncodeTo call":   regexp.MustCompile(`\.EncodeTo\(|oder\.Encode\(`),
 		"DecodeCorrecting call":          regexp.MustCompile(`DecodeCorrecting\(`),
-		naming:                           regexp.MustCompile(`SharePrefix \+|casShareName\(|\.s%d|keyHash`),
+		naming:                           regexp.MustCompile(`SharePrefix \+|casShareName\(|\.s%d|"\.s" \+|keyHash`),
 	}
 	found := coreCallSites(t, sites)
 	for what := range sites {

@@ -26,6 +26,7 @@ type Backend struct {
 
 	mu        sync.Mutex
 	objects   map[string][]version       // name -> versions (id-keyed keeps all)
+	names     nameIndex                  // the keys of objects, sorted (index.go)
 	refs      map[string]map[string]bool // name -> reference tokens (dedup)
 	used      int64
 	capacity  int64 // 0 = unlimited
@@ -113,14 +114,24 @@ func (b *Backend) Capacity() int64 {
 func (b *Backend) ObjectNames(prefix string) []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var out []string
-	for name, vs := range b.objects {
-		if len(vs) > 0 && hasPrefix(name, prefix) {
-			out = append(out, name)
-		}
+	return b.names.under(prefix)
+}
+
+// setLocked stores an object's versions, indexing a new name; removeLocked
+// drops an object, its reference tokens and its index entry. Every write to
+// objects goes through one of the two, so the index always holds exactly the
+// stored names.
+func (b *Backend) setLocked(name string, vs []version) {
+	if _, ok := b.objects[name]; !ok {
+		b.names.insert(name)
 	}
-	sort.Strings(out)
-	return out
+	b.objects[name] = vs
+}
+
+func (b *Backend) removeLocked(name string) {
+	b.names.remove(name)
+	delete(b.objects, name)
+	delete(b.refs, name)
 }
 
 // PeekObject returns a copy of the latest stored bytes of an object without
@@ -167,7 +178,7 @@ func (b *Backend) InjectObject(name string, data []byte, now time.Time) {
 		b.used -= int64(len(v.data))
 	}
 	cp := append([]byte(nil), data...)
-	b.objects[name] = []version{{data: cp, modified: now}}
+	b.setLocked(name, []version{{data: cp, modified: now}})
 	b.used += int64(len(cp))
 }
 
@@ -183,8 +194,7 @@ func (b *Backend) RemoveObject(name string) bool {
 	for _, v := range vs {
 		b.used -= int64(len(v.data))
 	}
-	delete(b.objects, name)
-	delete(b.refs, name)
+	b.removeLocked(name)
 	return true
 }
 
@@ -259,10 +269,10 @@ func (b *Backend) upload(name string, data []byte, now time.Time) error {
 	v := version{data: cp, modified: now}
 	if b.identity == csp.NameKeyed {
 		// Name-keyed (Dropbox): overwrite.
-		b.objects[name] = []version{v}
+		b.setLocked(name, []version{v})
 	} else {
 		// ID-keyed (Google Drive): duplicate object under the same name.
-		b.objects[name] = append(b.objects[name], v)
+		b.setLocked(name, append(b.objects[name], v))
 	}
 	b.used += delta
 	b.uploads++
@@ -304,15 +314,16 @@ func (b *Backend) list(prefix string) ([]csp.ObjectInfo, error) {
 		return nil, err
 	}
 	b.lists++
-	var out []csp.ObjectInfo
-	for name, vs := range b.objects {
-		if len(vs) == 0 || !hasPrefix(name, prefix) {
-			continue
-		}
-		latest := vs[len(vs)-1]
-		out = append(out, csp.ObjectInfo{Name: name, Size: int64(len(latest.data)), Modified: latest.modified})
+	names := b.names.under(prefix)
+	if len(names) == 0 {
+		return nil, nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	out := make([]csp.ObjectInfo, len(names))
+	for i, name := range names {
+		vs := b.objects[name]
+		latest := vs[len(vs)-1]
+		out[i] = csp.ObjectInfo{Name: name, Size: int64(len(latest.data)), Modified: latest.modified}
+	}
 	return out, nil
 }
 
@@ -329,8 +340,7 @@ func (b *Backend) delete(name string) error {
 	for _, v := range vs {
 		b.used -= int64(len(v.data))
 	}
-	delete(b.objects, name)
-	delete(b.refs, name) // plain delete bypasses refcounts; tokens die with the object
+	b.removeLocked(name) // plain delete bypasses refcounts; tokens die with the object
 	b.deletes++
 	return nil
 }
@@ -356,7 +366,7 @@ func (b *Backend) putRef(name, ref string, data []byte, now time.Time) (bool, er
 		return false, fmt.Errorf("%w: %s used %d of %d bytes", csp.ErrOverCapacity, b.name, b.used, b.capacity)
 	}
 	cp := append([]byte(nil), data...)
-	b.objects[name] = []version{{data: cp, modified: now}}
+	b.setLocked(name, []version{{data: cp, modified: now}})
 	b.used += delta
 	b.uploads++
 	b.bytesIn += delta
@@ -399,8 +409,7 @@ func (b *Backend) delRef(name, ref string) (bool, error) {
 	for _, v := range vs {
 		b.used -= int64(len(v.data))
 	}
-	delete(b.objects, name)
-	delete(b.refs, name)
+	b.removeLocked(name)
 	b.deletes++
 	return true, nil
 }
@@ -461,8 +470,4 @@ func (b *Backend) DuplicateCount(name string) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.objects[name])
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
 }

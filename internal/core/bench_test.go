@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -124,5 +125,109 @@ func BenchmarkSync1000Versions(b *testing.B) {
 		if _, err := c.Sync(bg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchStores builds n instant in-memory providers over fresh backends.
+func benchStores(b *testing.B, n int) []*cloudsim.Backend {
+	b.Helper()
+	backends := make([]*cloudsim.Backend, n)
+	for i := range backends {
+		backends[i] = cloudsim.NewBackend(fmt.Sprintf("csp%d", i), csp.NameKeyed, 0)
+	}
+	return backends
+}
+
+// benchClientOn builds a client named id over stores wrapping backends, so
+// several clients (a writer and fresh readers) share one cloud.
+func benchClientOn(b *testing.B, id string, backends []*cloudsim.Backend) *Client {
+	b.Helper()
+	stores := make([]csp.Store, len(backends))
+	for i, be := range backends {
+		s := cloudsim.NewSimStore(be)
+		if err := s.Authenticate(bg, csp.Credentials{Token: "b"}); err != nil {
+			b.Fatal(err)
+		}
+		stores[i] = s
+	}
+	c, err := New(Config{ClientID: id, Key: "bench-key", T: 2, N: 3}, stores)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
+// BenchmarkColdSync is the namespace_sync read op in process: a writer puts
+// 100 names of 1 KiB and publishes 300 Delete/Restore records on one of
+// them, then each iteration builds a fresh client that Syncs all 400 records
+// and lists the namespace. allocs/op is the per-record overhead of the
+// metadata read path (list, fetch, decode, verify, index).
+func BenchmarkColdSync(b *testing.B) {
+	backends := benchStores(b, 4)
+	w := benchClientOn(b, "writer", backends)
+	name := func(i int) string { return fmt.Sprintf("dir-%02d/file-%04d", i%20, i) }
+	for i := 0; i < 100; i++ {
+		if err := w.Put(bg, name(i), randData(int64(i), 1<<10)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for m := 0; m < 300; m += 2 {
+		live, err := w.StatLocal(name(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Delete(bg, name(0)); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Restore(bg, name(0), live.VersionID); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := benchClientOn(b, fmt.Sprintf("reader-%d", i), backends)
+		b.StartTimer()
+		if _, err := r.Sync(bg); err != nil {
+			b.Fatal(err)
+		}
+		got, err := r.ListLocal("")
+		if err != nil || len(got) != 100 || r.tree.Len() != 400 {
+			b.Fatalf("cold sync: %d names, %d records, %v", len(got), r.tree.Len(), err)
+		}
+	}
+}
+
+// BenchmarkSmallOpScaling is a 1 KiB Put and a Get of it per iteration in a
+// namespace already holding names files, so the ratio of the two sub-results
+// is what a small op pays for the namespace around it. Every file has its own
+// content, so no chunk's reference set grows with the run.
+func BenchmarkSmallOpScaling(b *testing.B) {
+	for _, names := range []int{500, 8000} {
+		b.Run(fmt.Sprintf("names=%d", names), func(b *testing.B) {
+			c := benchClientOn(b, "bench", benchStores(b, 4))
+			data := randData(5, 1<<10)
+			unique := func(i int) []byte {
+				binary.BigEndian.PutUint64(data, uint64(i))
+				return data
+			}
+			for i := 0; i < names; i++ {
+				if err := c.Put(bg, fmt.Sprintf("pre-%05d", i), unique(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				name := fmt.Sprintf("op-%d", i)
+				if err := c.Put(bg, name, unique(names+i)); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := c.Get(bg, name); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -198,10 +198,10 @@ func (c *Client) ClassStats() map[string]ClassUsage {
 		if err != nil || head.File.Deleted {
 			continue
 		}
-		u := out[versionClass(head)]
+		u := out[versionClass(head.FileMeta)]
 		u.Objects++
 		u.Bytes += head.File.Size
-		out[versionClass(head)] = u
+		out[versionClass(head.FileMeta)] = u
 	}
 	for cls, u := range out {
 		c.obs.ClassUsage(cls, u.Objects, u.Bytes)
@@ -236,7 +236,7 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 	if head.File.Deleted {
 		return false, fmt.Errorf("%w: %q", ErrFileDeleted, name)
 	}
-	if len(head.Chunks) == 0 || versionClass(head) == targetClass {
+	if len(head.Chunks) == 0 || versionClass(head.FileMeta) == targetClass {
 		return false, nil
 	}
 	cls, _ := c.pol.Class(targetClass)
@@ -247,7 +247,7 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 
 	op := c.engine.Begin(ctx)
 	defer op.Finish()
-	states, pick, err := c.planGather(head, head.Chunks)
+	states, pick, err := c.planGather(head.FileMeta, head.Chunks)
 	if err != nil {
 		return false, err
 	}
@@ -255,7 +255,7 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 	newMeta := &metadata.FileMeta{
 		File: metadata.FileMap{
 			ID:       head.File.ID,
-			PrevID:   head.VersionID(),
+			PrevID:   head.ID,
 			ClientID: c.cfg.ClientID,
 			Name:     name,
 			Size:     head.File.Size,

@@ -28,7 +28,7 @@ func headOf(t *testing.T, c *Client, name string) *metadata.FileMeta {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return head
+	return head.FileMeta
 }
 
 func TestClassRoutingAndPlacement(t *testing.T) {

@@ -503,12 +503,12 @@ func TestConflictDetectionAndResolution(t *testing.T) {
 
 	conflictMeta := buildVersion(t, bob, "doc", bobEdit, baseVID)
 	mop := bob.engine.Begin(bg)
-	if err := bob.uploadMeta(mop, conflictMeta); err != nil {
+	if err := bob.uploadMeta(mop, conflictMeta, conflictMeta.VersionID()); err != nil {
 		mop.Finish()
 		t.Fatal(err)
 	}
 	mop.Finish()
-	if err := bob.absorb(conflictMeta); err != nil {
+	if err := bob.absorb(conflictMeta, conflictMeta.VersionID()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/bufpool"
@@ -82,21 +83,24 @@ func (c *Client) download(op *transfer.Op, ctx context.Context, cspName, kind, n
 }
 
 // blob describes one erasure-coded object as the providers hold it: a chunk
-// (chunkBlob) or a metadata record (metaBlob).
+// (chunkBlob) or a metadata record (metaBlob). Which one it is decides how
+// its shares are named and how a decoding is checked; everything else is
+// the same code for both.
 type blob struct {
-	desc  string // "chunk 1a2b3c4d" / "metadata <version>", for errors and logs
 	coder *erasure.Coder
 	t, n  int
 	// size is the plaintext length when known before decoding (chunks): it
 	// feeds the codec byte counters and the hedge deadline prediction, and
 	// lets decode reconstruct into a pooled buffer of that size.
 	size int64
-	// name returns the object name of share i.
-	name func(i int) string
-	// verify reports whether a decoding carries the blob's identity.
-	verify func(data []byte) error
-	// record is the parsed record of the last decoding verify accepted
-	// (metadata only), so callers need not parse the bytes a second time.
+
+	// A chunk blob: the chunk, named through the user's naming scheme.
+	ref   metadata.ChunkRef
+	names *Names
+	// A metadata blob: the record key its shares are named by, and the
+	// parsed record of the last decoding verify accepted, so callers need
+	// not parse the bytes a second time.
+	rec    string
 	record *metadata.FileMeta
 
 	putKind, getKind string // engine op kinds (observe.go)
@@ -109,54 +113,70 @@ type blob struct {
 func (c *Client) chunkBlob(ref metadata.ChunkRef) (*blob, error) {
 	// CAS chunks code with the content-derived coder, so every client
 	// sharing the deployment secret produces byte-identical shares.
-	// coderFor fails fast when the secret is missing, so names.Share below
-	// cannot.
+	// coderFor fails fast when the secret is missing, so names.Share in
+	// name cannot.
 	coder, err := c.coderFor(ref)
 	if err != nil {
 		return nil, err
 	}
 	return &blob{
-		desc:  "chunk " + ref.ID[:8],
 		coder: coder, t: ref.T, n: ref.N, size: ref.Size,
-		name: func(i int) string {
-			name, _ := c.names.Share(ref, i)
-			return name
-		},
-		verify: func(data []byte) error {
-			if got := metadata.HashData(data); got != ref.ID {
-				return fmt.Errorf("decodes to %s, expected %s", got[:8], ref.ID[:8])
-			}
-			return nil
-		},
+		ref: ref, names: &c.names,
 		putKind: opUpload, getKind: opDownload,
 		cas: ref.CAS, hedged: true,
 	}, nil
 }
 
 // metaBlob describes the record of one version: shares named by its record
-// key (metaio.go) under the user's coder, verified by re-deriving the version
-// ID from the parsed record (a corrupt or tampered share otherwise slips
-// through as a consistent-but-wrong record), read without redundant lanes.
+// key (metaio.go) under the user's coder, verified against the version ID
+// the key names (a corrupt or tampered share otherwise slips through as a
+// consistent-but-wrong record), read without redundant lanes.
 func (c *Client) metaBlob(rec string, t, n int) *blob {
-	vid := recordVersion(rec)
-	b := &blob{
-		desc:  "metadata " + vid,
+	return &blob{
 		coder: c.coder, t: t, n: n,
-		name:    func(i int) string { return metaShareName(rec, i) },
+		rec:     rec,
 		putKind: opMetaPut, getKind: opMetaGet,
 	}
-	b.verify = func(data []byte) error {
-		m, err := metadata.Decode(data)
-		if err != nil {
-			return fmt.Errorf("parse: %w", err)
+}
+
+// desc names the blob in errors and notes: "chunk 1a2b3c4d" or
+// "metadata <version>".
+func (b *blob) desc() string {
+	if b.rec != "" {
+		return "metadata " + recordVersion(b.rec)
+	}
+	return "chunk " + b.ref.ID[:8]
+}
+
+// name returns the object name of share i.
+func (b *blob) name(i int) string {
+	if b.rec != "" {
+		return metaShareName(b.rec, i)
+	}
+	name, _ := b.names.Share(b.ref, i)
+	return name
+}
+
+// verify reports whether a decoding carries the blob's identity: a chunk's
+// content hash, or — for a record — that it parses, validates, and hashes to
+// the version ID it was listed under. This is the one place a fetched
+// record's version ID is computed; from here on the key's ID stands for it.
+func (b *blob) verify(data []byte) error {
+	if b.rec == "" {
+		if got := metadata.HashData(data); got != b.ref.ID {
+			return fmt.Errorf("decodes to %s, expected %s", got[:8], b.ref.ID[:8])
 		}
-		if m.VersionID() != vid {
-			return fmt.Errorf("decodes to version %s", m.VersionID())
-		}
-		b.record = m
 		return nil
 	}
-	return b
+	m, err := metadata.Decode(data)
+	if err != nil {
+		return fmt.Errorf("parse: %w", err)
+	}
+	if !m.IsVersion(recordVersion(b.rec)) {
+		return fmt.Errorf("decodes to version %s", m.VersionID())
+	}
+	b.record = m
+	return nil
 }
 
 // encode erasure-codes data into the blob's n shares on the codec pool: the
@@ -299,6 +319,7 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 	var got []erasure.Share
 	var bufs []*[]byte           // the pooled bodies behind got
 	from := make(map[int]string) // share index -> provider the held copy came from
+	var tries []ShareTry         // each location tried, with its latest outcome
 	done := false
 	defer func() {
 		mu.Lock()
@@ -322,11 +343,14 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 			sink := newShareSink(shareSize)
 			n, err := csp.DownloadTo(actx, store, b.name(l.Index), sink)
 			if sink.long {
-				err = fmt.Errorf("%w: %s share %d on %s runs past %d bytes", errShareTooLong, b.desc, l.Index, l.CSP, shareSize)
+				err = fmt.Errorf("%w: %s share %d on %s runs past %d bytes", errShareTooLong, b.desc(), l.Index, l.CSP, shareSize)
 			}
 			mu.Lock()
 			_, dup := from[l.Index]
 			keep := err == nil && !dup && !done
+			if !done {
+				tries = noteTry(tries, ShareTry{CSP: l.CSP, Index: l.Index, Err: err})
+			}
 			if keep {
 				got = append(got, erasure.Share{Index: l.Index, Data: sink.bytes()})
 				bufs = append(bufs, sink.bp)
@@ -392,7 +416,10 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 		shares, held = snapshot()
 	}
 	if len(shares) < b.t {
-		return nil, nil, fmt.Errorf("%w: %s: %d of %d shares (last error: %w)", ErrDamaged, b.desc, len(shares), b.t, gerr)
+		mu.Lock()
+		tried := slices.Clone(tries)
+		mu.Unlock()
+		return nil, nil, &GatherError{Blob: b.desc(), Held: len(shares), Need: b.t, Tries: tried, Err: gerr}
 	}
 	if data, buf, _, err = c.decode(b, shares, false); err == nil {
 		return data, buf, nil
@@ -411,10 +438,10 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 	shares, held = snapshot()
 	data, _, corrupt, err := c.decode(b, shares, true)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %s uncorrectable from %d shares: %v", errUndecodable, b.desc, len(shares), err)
+		return nil, nil, fmt.Errorf("%w: %s uncorrectable from %d shares: %v", errUndecodable, b.desc(), len(shares), err)
 	}
 	if len(corrupt) > 0 {
-		c.obs.Note(ctx, "shares.corrected", b.desc+" indices="+fmt.Sprint(corrupt))
+		c.obs.Note(ctx, "shares.corrected", b.desc()+" indices="+fmt.Sprint(corrupt))
 		if good, err := c.encode(b, data); err == nil {
 			// Heal only when the re-encode reproduces an intact share as
 			// fetched: a blob written under another t than the descriptor's
@@ -432,6 +459,71 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 		}
 	}
 	return data, nil, nil
+}
+
+// GatherError is a k-of-n read that could not hold the t distinct shares it
+// needs. It names every share location the read tried, with the latest
+// outcome of each, so a failure shows each provider's cause rather than the
+// last one alone. It matches ErrDamaged, and every cause it lists.
+type GatherError struct {
+	Blob       string     // "chunk 1a2b3c4d" or "metadata <version>"
+	Held, Need int        // distinct shares held, and the t a decode needs
+	Tries      []ShareTry // in the order first tried
+	Err        error      // the gather's own error: a skip or cancellation no try shows
+}
+
+// ShareTry is one share location a read tried, and how the latest try of it
+// ended (Err nil: the share arrived).
+type ShareTry struct {
+	CSP   string
+	Index int
+	Err   error
+}
+
+func (e *GatherError) Error() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%v: %s: %d of %d shares", ErrDamaged, e.Blob, e.Held, e.Need)
+	for i, t := range e.Tries {
+		sep := "; "
+		if i == 0 {
+			sep = ": "
+		}
+		outcome := "ok"
+		if t.Err != nil {
+			outcome = t.Err.Error()
+		}
+		fmt.Fprintf(&b, "%s%s share %d: %s", sep, t.CSP, t.Index, outcome)
+	}
+	if len(e.Tries) == 0 && e.Err != nil {
+		fmt.Fprintf(&b, ": %v", e.Err)
+	}
+	return b.String()
+}
+
+// Unwrap returns ErrDamaged, each try's error and the gather's own.
+func (e *GatherError) Unwrap() []error {
+	errs := []error{ErrDamaged}
+	for _, t := range e.Tries {
+		if t.Err != nil {
+			errs = append(errs, t.Err)
+		}
+	}
+	if e.Err != nil {
+		errs = append(errs, e.Err)
+	}
+	return errs
+}
+
+// noteTry records the outcome of a try, replacing an earlier outcome of the
+// same location (the engine retries a location in place).
+func noteTry(tries []ShareTry, t ShareTry) []ShareTry {
+	for i := range tries {
+		if tries[i].CSP == t.CSP && tries[i].Index == t.Index {
+			tries[i].Err = t.Err
+			return tries
+		}
+	}
+	return append(tries, t)
 }
 
 // errShareTooLong fails a share download whose body runs past the share

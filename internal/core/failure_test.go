@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/chunker"
 	"repro/internal/cloudsim"
 	"repro/internal/csp"
+	"repro/internal/metadata"
 	"repro/internal/netsim"
 )
 
@@ -393,4 +396,46 @@ func TestClientUnderVirtualTime(t *testing.T) {
 		t.Fatalf("download took %.2f virtual seconds", downElapsed)
 	}
 	t.Logf("virtual upload %.2fs download %.2fs", upElapsed, downElapsed)
+}
+
+// TestGatherErrorNamesEveryCause: two of a chunk's three holders fail, for
+// different reasons — one provider is down, the other lost the share — so the
+// read cannot hold t=2 shares. The error is one GatherError that matches
+// ErrDamaged and both causes, and its message names both providers.
+func TestGatherErrorNamesEveryCause(t *testing.T) {
+	t.Parallel()
+	env := newEnv(t, 3)
+	c := env.client("alice", nil) // t=2, n=3
+	if err := c.Put(bg, "doc", randData(24, 3000)); err != nil {
+		t.Fatal(err)
+	}
+	head, _, err := c.tree.Head("doc")
+	if err != nil || len(head.Chunks) == 0 {
+		t.Fatalf("head: %v", err)
+	}
+	ref := head.Chunks[0]
+	locs := head.SharesOf(ref.ID)
+	down, lost := locs[0], locs[1]
+	lostName, _ := c.names.Share(ref, lost.Index)
+	if !env.backends[lost.CSP].RemoveObject(lostName) {
+		t.Fatalf("%s holds no %s", lost.CSP, lostName)
+	}
+	env.backends[down.CSP].SetAvailable(false)
+
+	_, _, err = c.Get(bg, "doc")
+	var ge *GatherError
+	if !errors.As(err, &ge) {
+		t.Fatalf("Get with two failed holders: %v, want a *GatherError", err)
+	}
+	if !errors.Is(err, ErrDamaged) || !errors.Is(err, csp.ErrUnavailable) || !errors.Is(err, csp.ErrNotFound) {
+		t.Errorf("error %q does not match ErrDamaged and both causes", err)
+	}
+	if ge.Held != 1 || ge.Need != 2 {
+		t.Errorf("held %d of %d shares, want 1 of 2", ge.Held, ge.Need)
+	}
+	for _, l := range []metadata.ShareLoc{down, lost} {
+		if !strings.Contains(err.Error(), fmt.Sprintf("%s share %d: ", l.CSP, l.Index)) {
+			t.Errorf("error %q does not name %s share %d", err, l.CSP, l.Index)
+		}
+	}
 }

@@ -10,15 +10,15 @@ import (
 	"repro/internal/metadata"
 )
 
-// fileInfo converts a metadata record into the user-facing form.
-func fileInfo(m *metadata.FileMeta, conflicted bool) FileInfo {
+// fileInfo converts a version of the tree into the user-facing form.
+func fileInfo(v metadata.Version, conflicted bool) FileInfo {
 	return FileInfo{
-		Name:       m.File.Name,
-		Size:       m.File.Size,
-		Modified:   m.File.Modified,
-		VersionID:  m.VersionID(),
-		Class:      versionClass(m),
-		Deleted:    m.File.Deleted,
+		Name:       v.File.Name,
+		Size:       v.File.Size,
+		Modified:   v.File.Modified,
+		VersionID:  v.ID,
+		Class:      versionClass(v.FileMeta),
+		Deleted:    v.File.Deleted,
 		Conflicted: conflicted,
 	}
 }
@@ -27,10 +27,10 @@ func fileInfo(m *metadata.FileMeta, conflicted bool) FileInfo {
 // a tombstone. Deletion keeps the metadata (and the chunk shares) in place;
 // only the marker is added (paper §5.4: "marks its metadata as deleted, but
 // does not actually delete the metadata file").
-func newDeletionMarker(prev *metadata.FileMeta, clientID string, now time.Time) *metadata.FileMeta {
+func newDeletionMarker(prev metadata.Version, clientID string, now time.Time) *metadata.FileMeta {
 	return &metadata.FileMeta{File: metadata.FileMap{
 		ID:       prev.File.ID,
-		PrevID:   prev.VersionID(),
+		PrevID:   prev.ID,
 		ClientID: clientID,
 		Name:     prev.File.Name,
 		Deleted:  true,
@@ -151,13 +151,13 @@ func (c *Client) Restore(ctx context.Context, name, versionID string) error {
 	if old.File.Deleted {
 		return fmt.Errorf("%w: cannot restore a deletion marker", ErrFileDeleted)
 	}
-	if head.VersionID() == versionID {
+	if head.ID == versionID {
 		return nil // already current
 	}
 	restored := &metadata.FileMeta{
 		File: metadata.FileMap{
 			ID:       old.File.ID,
-			PrevID:   head.VersionID(),
+			PrevID:   head.ID,
 			ClientID: c.cfg.ClientID,
 			Name:     name,
 			Modified: c.rt.Now(),

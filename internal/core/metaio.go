@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/csp"
@@ -64,9 +65,9 @@ func (c *Client) metaTargetsBase(fileName string) []string {
 // shares of the same Put) are skipped, not re-probed; a skip counts as a
 // failed share toward the quorum, exactly as the doomed attempt would
 // have.
-func (c *Client) uploadMeta(op *transfer.Op, m *metadata.FileMeta) error {
+func (c *Client) uploadMeta(op *transfer.Op, m *metadata.FileMeta, id string) error {
 	targets := c.metaTargetsFor(m.File.Name)
-	b, shares, err := c.codeMeta(m, c.names.recordKey(m.File.Name, m.VersionID()), targets)
+	b, shares, err := c.codeMeta(m, c.names.recordKey(m.File.Name, id), targets)
 	if err != nil {
 		return err
 	}
@@ -108,15 +109,24 @@ func (c *Client) codeMeta(m *metadata.FileMeta, rec string, targets []string) (*
 	return b, shares, err
 }
 
+// metaCopy is one listed copy of a metadata share: its index, the provider
+// holding it, and its object name as listed.
+type metaCopy struct {
+	index int
+	csp   string
+	name  string
+}
+
 // listMetaShares lists prefix — the whole metadata prefix, or one name's
-// cyrus-meta-<tag>- — on every reachable provider and returns
-// record key -> share index -> providers holding that share, plus
-// the non-share objects under the prefix (the CSP status list) as
-// object name -> providers listing it. complete reports whether every
-// active provider answered the listing: metadata lands with a quorum, not
-// on all providers, so only a listing that covered the full active set is
+// cyrus-meta-<tag>- — on every reachable provider and returns, per record
+// key, the listed copies of its shares in provider order (a slice sized for
+// one copy per answering provider, so a record costs one allocation), plus
+// the non-share objects under the prefix (the CSP status list) as object
+// name -> providers listing it. complete reports whether every active
+// provider answered the listing: metadata lands with a quorum, not on all
+// providers, so only a listing that covered the full active set is
 // guaranteed to surface every recoverable record.
-func (c *Client) listMetaShares(op *transfer.Op, ctx context.Context, prefix string) (_ map[string]map[int][]string, _ map[string][]string, complete bool, err error) {
+func (c *Client) listMetaShares(op *transfer.Op, ctx context.Context, prefix string) (_ map[string][]metaCopy, _ map[string][]string, complete bool, err error) {
 	c.mu.Lock()
 	var names []string
 	for name := range c.stores {
@@ -135,50 +145,66 @@ func (c *Client) listMetaShares(op *transfer.Op, ctx context.Context, prefix str
 		results[i], answered[i] = infos, err == nil
 	})
 
-	out := make(map[string]map[int][]string)
+	listed, longest := 0, 0
+	for i := range names {
+		if answered[i] {
+			listed++
+			longest = max(longest, len(results[i]))
+		}
+	}
+	if listed == 0 {
+		return nil, nil, false, fmt.Errorf("%w: no provider reachable for metadata listing", csp.ErrUnavailable)
+	}
+	out := make(map[string][]metaCopy, longest)
 	extras := make(map[string][]string)
-	listed := make(map[string]bool)
 	for i, name := range names {
 		if !answered[i] {
 			continue
 		}
-		listed[name] = true
 		for _, info := range results[i] {
 			rec, idx, ok := parseMetaShareName(info.Name)
 			if !ok {
 				extras[info.Name] = append(extras[info.Name], name)
 				continue
 			}
-			if out[rec] == nil {
-				out[rec] = make(map[int][]string)
+			copies, seen := out[rec]
+			if !seen {
+				copies = make([]metaCopy, 0, listed)
 			}
-			out[rec][idx] = append(out[rec][idx], name)
+			out[rec] = append(copies, metaCopy{idx, name, info.Name})
 		}
 	}
-	if len(listed) == 0 {
-		return nil, nil, false, fmt.Errorf("%w: no provider reachable for metadata listing", csp.ErrUnavailable)
-	}
-	complete = !slices.ContainsFunc(c.activeCSPs(), func(name string) bool { return !listed[name] })
+	complete = !slices.ContainsFunc(c.activeCSPs(), func(name string) bool {
+		i, found := slices.BinarySearch(names, name)
+		return !found || !answered[i]
+	})
 	return out, extras, complete, nil
 }
 
+// metaWant is one share on a provider's batch want-list: its object name,
+// and the position of its record in the batch.
+type metaWant struct {
+	name       string
+	rec, index int
+}
+
 // fetchMetaBatch resolves many records in O(providers) round trips instead
-// of O(records): it inverts the listing's (version, index) → providers map
-// into one want-list per provider, fetches each list through a single
-// csp.DownloadBatch attempt on the shared operation (bounded fan-out,
-// shared failed-provider set), and decodes every record that gathered a
-// MetaT quorum. Records the batch pass cannot decode — their providers
-// failed, a share came back corrupt, the quorum fell short — fall back to
-// the shared per-blob reader (gatherBlob). Returns the decoded records and
-// the errors of the ones that stayed unreadable, both by record key.
-func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, recs []string, locs map[string]map[int][]string) (map[string]*metadata.FileMeta, map[string]error) {
+// of O(records): it turns the records' read plans into one want-list per
+// provider, fetches each list through a single csp.DownloadBatch attempt on
+// the shared operation (bounded fan-out, shared failed-provider set), and
+// decodes every record that gathered a MetaT quorum. Records the batch pass
+// cannot decode — their providers failed, a share came back corrupt, the
+// quorum fell short — fall back to the shared per-blob reader (gatherBlob).
+// Returns the decoded records and the errors of the ones that stayed
+// unreadable, both by record key.
+func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, recs []string, locs map[string][]metaCopy) (map[string]*metadata.FileMeta, map[string]error) {
 	// Assignment pass: each record's read plan names one readable holder
 	// for each of its MetaT lowest indices, spreading load by want-list
 	// length; inverted, that is one want-list per provider.
 	plans := make([]metaPlan, len(recs))
-	wants := make(map[string][]string) // provider -> object names
+	wants := make(map[string][]metaWant) // provider -> shares asked of it
 	for i, rec := range recs {
-		plans[i] = c.metaReadPlan(rec, locs[rec], wants)
+		plans[i] = c.metaReadPlan(i, locs[rec], wants)
 	}
 
 	providers := make([]string, 0, len(wants))
@@ -188,13 +214,22 @@ func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, recs []str
 	sort.Strings(providers)
 
 	// Fetch pass: one batched attempt per provider, all concurrent under
-	// the operation's in-flight caps.
+	// the operation's in-flight caps. A record's shares land in its own
+	// MetaT-wide window of one array: its plan asks for at most that many.
 	var mu sync.Mutex
-	shares := make(map[string][]erasure.Share, len(recs))
+	held := make([]erasure.Share, len(recs)*c.cfg.MetaT)
+	shares := make([][]erasure.Share, len(recs))
+	for i := range shares {
+		shares[i] = held[i*c.cfg.MetaT : i*c.cfg.MetaT : (i+1)*c.cfg.MetaT]
+	}
 	op.Each(len(providers), func(i int) {
 		provider := providers[i]
-		names := wants[provider]
-		sort.Strings(names)
+		ws := wants[provider]
+		slices.SortFunc(ws, func(a, b metaWant) int { return strings.Compare(a.name, b.name) })
+		names := make([]string, len(ws))
+		for j, w := range ws {
+			names[j] = w.name
+		}
 		var got map[string][]byte
 		err := c.call(op, ctx, provider, opMetaGet, func(actx context.Context, store csp.Store) (int64, error) {
 			out, err := csp.DownloadBatch(actx, store, names)
@@ -215,10 +250,9 @@ func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, recs []str
 		// The want-list, not the answer, says which shares this provider
 		// was asked for: a key outside it would enter some record's share
 		// set as a second copy of an index and fail its quorum decode.
-		for _, name := range names {
-			if data, ok := got[name]; ok {
-				rec, idx, _ := parseMetaShareName(name)
-				shares[rec] = append(shares[rec], erasure.Share{Index: idx, Data: data})
+		for _, w := range ws {
+			if data, ok := got[w.name]; ok {
+				shares[w.rec] = append(shares[w.rec], erasure.Share{Index: w.index, Data: data})
 			}
 		}
 		mu.Unlock()
@@ -233,7 +267,7 @@ func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, recs []str
 	for i, rec := range recs {
 		p := plans[i]
 		b := c.metaBlob(rec, c.cfg.MetaT, p.n)
-		if ss := shares[rec]; len(ss) >= b.t {
+		if ss := shares[i]; len(ss) >= b.t {
 			if _, _, _, err := c.decode(b, ss, false); err == nil {
 				out[rec] = b.record
 				continue
@@ -259,40 +293,46 @@ type metaPlan struct {
 	n                 int
 }
 
-// metaReadPlan plans one record's read and adds its primary shares to the
-// per-provider want-lists. Of an index's readable holders the one with the
-// shortest want-list serves it, so no provider serves every record alone.
-func (c *Client) metaReadPlan(rec string, byIdx map[int][]string, wants map[string][]string) (p metaPlan) {
-	idxs := make([]int, 0, len(byIdx))
-	for idx := range byIdx {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
+// metaReadPlan plans the read of record rec (its position in the batch) from
+// its listed copies, and adds its primary shares to the per-provider
+// want-lists. Of an index's readable holders the one with the shortest
+// want-list serves it, so no provider serves every record alone. The copies
+// are put in index order in place (a stable sort keeps each index's holders
+// in provider order).
+func (c *Client) metaReadPlan(rec int, copies []metaCopy, wants map[string][]metaWant) (p metaPlan) {
+	slices.SortStableFunc(copies, func(a, b metaCopy) int { return a.index - b.index })
+	// One array holds the plan: primaries at the front, then fallbacks,
+	// then alternates.
+	locs := make([]metadata.ShareLoc, 0, len(copies))
 	var alternates []metadata.ShareLoc
-	for _, idx := range idxs {
+	for lo := 0; lo < len(copies); {
+		idx := copies[lo].index
+		hi := lo
 		best := ""
-		for _, provider := range byIdx[idx] {
-			if c.readable(provider) && (best == "" || len(wants[provider]) < len(wants[best])) {
+		for ; hi < len(copies) && copies[hi].index == idx; hi++ {
+			if provider := copies[hi].csp; c.readable(provider) && (best == "" || len(wants[provider]) < len(wants[best])) {
 				best = provider
 			}
 		}
-		for _, provider := range byIdx[idx] {
-			l := metadata.ShareLoc{Index: idx, CSP: provider}
+		for _, cp := range copies[lo:hi] {
+			l := metadata.ShareLoc{Index: idx, CSP: cp.csp}
 			switch {
-			case provider != best:
-				if c.readable(provider) {
+			case cp.csp != best:
+				if c.readable(cp.csp) {
 					alternates = append(alternates, l)
 				}
 			case len(p.primary) < c.cfg.MetaT:
-				p.primary = append(p.primary, l)
-				wants[provider] = append(wants[provider], metaShareName(rec, idx))
+				locs = append(locs, l)
+				p.primary = locs[:len(locs):len(locs)]
+				wants[cp.csp] = append(wants[cp.csp], metaWant{cp.name, rec, idx})
 			default:
-				p.fallback = append(p.fallback, l)
+				locs = append(locs, l)
 			}
 		}
 		p.n = idx + 1
+		lo = hi
 	}
-	p.fallback = append(p.fallback, alternates...)
+	p.fallback = append(locs[len(p.primary):], alternates...)
 	return p
 }
 
@@ -315,15 +355,15 @@ func (c *Client) metaReadPlan(rec string, byIdx map[int][]string, wants map[stri
 // sync cost independent of namespace size. The return value reports
 // whether every needed re-placement succeeded; callers persist the ring
 // epoch only on a clean pass so a partial repair is retried next sync.
-func (c *Client) repairMetaPlacement(op *transfer.Op, ctx context.Context, locs map[string]map[int][]string, fullScan bool) (healthy bool) {
+func (c *Client) repairMetaPlacement(op *transfer.Op, ctx context.Context, locs map[string][]metaCopy, fullScan bool) (healthy bool) {
 	healthy = true
 	width := c.cfg.MetaShards
 	if active := len(c.activeCSPs()); width > active {
 		width = active
 	}
 	repaired := 0
-	for rec, byIdx := range locs {
-		if !fullScan && len(byIdx) >= width {
+	for rec, copies := range locs {
+		if !fullScan && distinctIndices(copies) >= width {
 			continue
 		}
 		m, err := c.tree.Get(recordVersion(rec))
@@ -333,7 +373,7 @@ func (c *Client) repairMetaPlacement(op *transfer.Op, ctx context.Context, locs 
 		targets := c.metaTargetsFor(m.File.Name)
 		var missing []int
 		for i, target := range targets {
-			if !slices.Contains(byIdx[i], target) {
+			if !slices.ContainsFunc(copies, func(cp metaCopy) bool { return cp.index == i && cp.csp == target }) {
 				missing = append(missing, i)
 			}
 		}
@@ -372,21 +412,30 @@ func (c *Client) MetaShardCounts() map[string]int {
 	return out
 }
 
-// absorb inserts a fetched record into the local replica, updating the
-// chunk table exactly once per new record.
-func (c *Client) absorb(m *metadata.FileMeta) error {
-	added, err := c.tree.Insert(m)
-	if err != nil {
-		return err
+// distinctIndices counts the share indices among a record's listed copies.
+func distinctIndices(copies []metaCopy) int {
+	n := 0
+	for i, cp := range copies {
+		if !slices.ContainsFunc(copies[:i], func(o metaCopy) bool { return o.index == cp.index }) {
+			n++
+		}
 	}
-	if !added {
+	return n
+}
+
+// absorb inserts a record into the local replica, updating the chunk table
+// exactly once per new record. The record is valid and id is its version ID:
+// a fetched record was decoded and checked against the ID it was listed
+// under, and a published one was encoded and hashed by publish.
+func (c *Client) absorb(m *metadata.FileMeta, id string) error {
+	if !c.tree.InsertVerified(m, id) {
 		return nil
 	}
 	for _, chunk := range m.Chunks {
 		// Record the referencing version, so the chunk table's Referencers
 		// sets stay the ground truth the dedup GC reconciles provider-side
 		// reference tokens against.
-		c.table.AddVersionRef(chunk, m.SharesOf(chunk.ID), m.VersionID())
+		c.table.AddVersionRef(chunk, m.Shares, id)
 	}
 	// Any new record supersedes what the name's fresh mark vouched for.
 	c.fresh.clear(m.File.Name)

@@ -102,9 +102,19 @@ func (n Names) RefToken() string {
 // metaTag is the keyed hash of a file name that groups the name's records
 // (the key hash of a keyed share name, with its own domain label).
 func (n Names) metaTag(file string) string {
-	h := sha1.New()
-	fmt.Fprintf(h, "%s|meta-name|%s", n.keyHash, file)
-	return hex.EncodeToString(h.Sum(nil))[:metaTagLen]
+	var tag [metaTagLen]byte
+	n.appendMetaTag(tag[:0], file)
+	return string(tag[:])
+}
+
+// appendMetaTag appends metaTag(file) to dst, hashing from a stack buffer.
+func (n Names) appendMetaTag(dst []byte, file string) []byte {
+	var buf [128]byte
+	b := append(buf[:0], n.keyHash...)
+	b = append(b, "|meta-name|"...)
+	b = append(b, file...)
+	sum := sha1.Sum(b)
+	return hex.AppendEncode(dst, sum[:metaTagLen/2])
 }
 
 // recordKey returns the record key new shares of a version are written
@@ -113,7 +123,9 @@ func (n Names) metaTag(file string) string {
 // a legacy record. Listings are keyed by it, so a record is read, healed and
 // re-placed under the names it was found under.
 func (n Names) recordKey(file, versionID string) string {
-	return n.metaTag(file) + "-" + versionID
+	var buf [metaTagLen + 1 + 2*sha1.Size]byte
+	b := append(n.appendMetaTag(buf[:0], file), '-')
+	return string(append(b, versionID...))
 }
 
 // recordVersion returns the version ID of a record key.
@@ -124,7 +136,7 @@ func recordVersion(rec string) string {
 // metaShareName builds the object name of share index of the record stored
 // under record key rec.
 func metaShareName(rec string, index int) string {
-	return fmt.Sprintf("%s%s.s%d", metadata.MetaPrefix, rec, index)
+	return metadata.MetaPrefix + rec + ".s" + strconv.Itoa(index)
 }
 
 // parseMetaShareName splits an object name into record key and share index.

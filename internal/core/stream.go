@@ -69,7 +69,7 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 	prevID, oldID := "", ""
 	oldLive := false
 	if head, _, herr := c.resolve(ctx, name, "", syncAlways); herr == nil {
-		prevID = head.VersionID()
+		prevID = head.ID
 		oldID = head.File.ID
 		oldLive = !head.File.Deleted
 	}

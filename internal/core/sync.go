@@ -95,7 +95,7 @@ func (c *Client) syncMeta(ctx context.Context, name string) (n int, err error) {
 		err := fetchErrs[rec]
 		if err == nil {
 			if m, ok := fetched[rec]; ok {
-				err = c.absorb(m)
+				err = c.absorb(m, recordVersion(rec))
 			} else {
 				continue
 			}
@@ -213,7 +213,7 @@ func (c *Client) conflictsLocal() []ConflictInfo {
 		info := ConflictInfo{Name: cf.Name, Type: cf.Type.String()}
 		for _, vid := range cf.Versions {
 			if m, err := c.tree.Get(vid); err == nil {
-				info.Versions = append(info.Versions, fileInfo(m, false))
+				info.Versions = append(info.Versions, fileInfo(metadata.Version{ID: vid, FileMeta: m}, false))
 			}
 		}
 		out = append(out, info)
@@ -249,7 +249,7 @@ func (c *Client) Resolve(ctx context.Context, name, winnerVersionID string) erro
 			if err != nil || loser.File.Deleted {
 				continue
 			}
-			if err := c.supersede(ctx, loser); err != nil {
+			if err := c.supersede(ctx, metadata.Version{ID: vid, FileMeta: loser}); err != nil {
 				return err
 			}
 		}
@@ -258,7 +258,7 @@ func (c *Client) Resolve(ctx context.Context, name, winnerVersionID string) erro
 }
 
 // supersede appends a deletion marker on top of the given version.
-func (c *Client) supersede(ctx context.Context, m *metadata.FileMeta) error {
+func (c *Client) supersede(ctx context.Context, m metadata.Version) error {
 	op := c.engine.Begin(ctx)
 	defer op.Finish()
 	return c.publish(op, newDeletionMarker(m, c.cfg.ClientID, c.rt.Now()))

@@ -43,11 +43,11 @@ const (
 // from a sync. A head is synced per the gate. A named version is immutable, so
 // one the tree already holds costs no round trip, and an unknown one is synced
 // for once (another client may have published it since the last sync).
-func (c *Client) resolve(ctx context.Context, name, versionID string, gate syncGate) (_ *metadata.FileMeta, conflicted bool, err error) {
+func (c *Client) resolve(ctx context.Context, name, versionID string, gate syncGate) (_ metadata.Version, conflicted bool, err error) {
 	head := versionID == ""
 	if head && gate == syncUnlessFresh {
-		if m, ok := c.fresh.head(name); ok {
-			return m, false, nil
+		if v, ok := c.fresh.head(name); ok {
+			return v, false, nil
 		}
 	}
 	synced := false
@@ -57,21 +57,21 @@ func (c *Client) resolve(ctx context.Context, name, versionID string, gate syncG
 	if !head {
 		m, err := c.tree.Get(versionID)
 		if err != nil {
-			return nil, false, err
+			return metadata.Version{}, false, err
 		}
 		if m.File.Name != name {
-			return nil, false, fmt.Errorf("cyrus: version %s belongs to %q, not %q", versionID, m.File.Name, name)
+			return metadata.Version{}, false, fmt.Errorf("cyrus: version %s belongs to %q, not %q", versionID, m.File.Name, name)
 		}
-		return m, false, nil
+		return metadata.Version{ID: versionID, FileMeta: m}, false, nil
 	}
-	m, conflicted, err := c.tree.Head(name)
+	v, conflicted, err := c.tree.Head(name)
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: %q", ErrNoSuchFile, name)
+		return metadata.Version{}, false, fmt.Errorf("%w: %q", ErrNoSuchFile, name)
 	}
 	if synced {
 		c.fresh.mark(name)
 	}
-	return m, conflicted, nil
+	return v, conflicted, nil
 }
 
 // read is the one body behind Get, GetTo, GetVersionTo and GetRange: resolve
@@ -107,7 +107,7 @@ func (c *Client) read(ctx context.Context, span, name, versionID string, offset,
 		buf = bytes.NewBuffer(make([]byte, 0, length))
 		w = buf
 	}
-	if err := c.fetchTo(ctx, m, offset, length, w, full); err != nil {
+	if err := c.fetchTo(ctx, m.FileMeta, offset, length, w, full); err != nil {
 		return nil, info, err
 	}
 	if buf != nil {
@@ -123,10 +123,11 @@ func (c *Client) read(ctx context.Context, span, name, versionID string, offset,
 // then marked fresh (read-your-writes) — unless what the tree now shows as its
 // head is deleted or conflicted.
 func (c *Client) publish(op *transfer.Op, m *metadata.FileMeta) error {
-	if err := c.uploadMeta(op, m); err != nil {
+	id := m.VersionID()
+	if err := c.uploadMeta(op, m, id); err != nil {
 		return err
 	}
-	if err := c.absorb(m); err != nil {
+	if err := c.absorb(m, id); err != nil {
 		return err
 	}
 	c.fresh.mark(m.File.Name)
@@ -159,23 +160,23 @@ func newFreshSet(max int, tree *metadata.Tree, o *obs.Observer) *freshSet {
 // head serves a marked name's head from the tree with no round trip. The
 // record's version-ID hash is recomputed against the mark, so a corrupted or
 // aliased record is never served: it drops the mark and misses.
-func (f *freshSet) head(name string) (*metadata.FileMeta, bool) {
+func (f *freshSet) head(name string) (metadata.Version, bool) {
 	if f == nil {
-		return nil, false
+		return metadata.Version{}, false
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if el, ok := f.byName[name]; ok {
 		vid := el.Value.(freshMark).vid
-		if m, err := f.tree.Get(vid); err == nil && m.VersionID() == vid {
+		if m, err := f.tree.Get(vid); err == nil && m.IsVersion(vid) {
 			f.ll.MoveToFront(el)
 			f.obs.MetaCacheHit()
-			return m, true
+			return metadata.Version{ID: vid, FileMeta: m}, true
 		}
 		f.drop(el)
 	}
 	f.obs.MetaCacheMiss()
-	return nil, false
+	return metadata.Version{}, false
 }
 
 // mark records the tree's current head of name as fresh. Deleted heads are
@@ -194,7 +195,7 @@ func (f *freshSet) mark(name string) {
 	if err != nil || conflicted || head.File.Deleted {
 		return
 	}
-	mark := freshMark{name, head.VersionID()}
+	mark := freshMark{name, head.ID}
 	if el, ok := f.byName[name]; ok {
 		el.Value = mark
 		f.ll.MoveToFront(el)

@@ -273,7 +273,7 @@ func (t *ChunkTable) Rebuild(records []*FileMeta) {
 	t.mu.Unlock()
 	for _, m := range records {
 		for _, c := range m.Chunks {
-			t.AddVersionRef(c, m.SharesOf(c.ID), m.VersionID())
+			t.AddVersionRef(c, m.Shares, m.VersionID())
 		}
 	}
 }

@@ -137,9 +137,11 @@ func sharesCanonical(s []ShareLoc) bool {
 	return true
 }
 
-// Decode parses a serialized record and validates it.
+// Decode parses a serialized record and validates it. Every string of the
+// record is a slice of one copy of data, so a record costs a fixed handful of
+// allocations however many fields it has.
 func Decode(data []byte) (*FileMeta, error) {
-	r := &reader{data: data}
+	r := &reader{data: data, text: string(data)}
 	var mg [4]byte
 	r.bytes(mg[:])
 	if mg != magic {
@@ -228,9 +230,11 @@ func writeInt64(b *bytes.Buffer, v int64) {
 	b.Write(buf[:])
 }
 
-// reader is a cursor with sticky errors.
+// reader is a cursor with sticky errors. text is data as a string, which
+// str slices.
 type reader struct {
 	data []byte
+	text string
 	pos  int
 	err  error
 }
@@ -286,9 +290,8 @@ func (r *reader) i64() int64 {
 
 func (r *reader) str() string {
 	n := int(r.u16())
-	b := r.take(n)
-	if b == nil {
+	if r.take(n) == nil {
 		return ""
 	}
-	return string(b)
+	return r.text[r.pos-n : r.pos]
 }

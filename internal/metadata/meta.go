@@ -20,7 +20,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"io"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -123,20 +124,38 @@ const fileIDLabel = "cyrus-file-v2"
 // list hashes to its File.ID vouches for the whole content without a second
 // pass over the bytes. It returns "" if a chunk ID is not a HashData digest.
 func FileID(chunks []ChunkRef) string {
-	h := NewHash()
-	io.WriteString(h, fileIDLabel)
-	var row [sha1ni.Size + 8]byte
-	for _, c := range chunks {
-		if len(c.ID) != 2*sha1ni.Size {
-			return ""
-		}
-		if _, err := hex.Decode(row[:sha1ni.Size], []byte(c.ID)); err != nil {
-			return ""
-		}
-		binary.BigEndian.PutUint64(row[sha1ni.Size:], uint64(c.Size))
-		h.Write(row[:])
+	sum, ok := fileIDSum(chunks)
+	if !ok {
+		return ""
 	}
-	return HashSum(h)
+	return hex.EncodeToString(sum[:])
+}
+
+// fileIDSum is FileID's digest, unencoded; ok is false if a chunk ID is not a
+// HashData digest. The hashed bytes are built in a stack buffer, so a record
+// of up to 17 chunks costs no allocation.
+func fileIDSum(chunks []ChunkRef) (sum [sha1ni.Size]byte, ok bool) {
+	var buf [512]byte
+	b := append(buf[:0], fileIDLabel...)
+	for _, c := range chunks {
+		var err error
+		if len(c.ID) != 2*sha1ni.Size {
+			return sum, false
+		}
+		if b, err = hex.AppendDecode(b, []byte(c.ID)); err != nil {
+			return sum, false
+		}
+		b = binary.BigEndian.AppendUint64(b, uint64(c.Size))
+	}
+	return sha1ni.Sum(b), true
+}
+
+// hexIs reports whether s is the lower-case hex spelling of a 20-byte digest,
+// without building the string.
+func hexIs(sum [sha1.Size]byte, s string) bool {
+	var buf [2 * sha1.Size]byte
+	hex.Encode(buf[:], sum[:])
+	return string(buf[:]) == s
 }
 
 // Holds reports whether data is the content of this (live) version: its
@@ -161,18 +180,42 @@ func (m *FileMeta) Holds(data []byte) bool {
 	case ContentID:
 		return HashData(data) == m.File.ID
 	case ChunkListID:
-		return FileID(m.Chunks) == m.File.ID
+		sum, ok := fileIDSum(m.Chunks)
+		return ok && hexIs(sum, m.File.ID)
 	}
 	return false
 }
 
 // VersionID uniquely identifies the version node. The file ID alone is not
 // unique (a revert re-creates old content), so the version identity covers
-// the file ID, parent, name, and creator.
+// the file ID, parent, name, and creator: the hex SHA-1 of
+// "<ID>|<PrevID>|<Name>|<ClientID>|<Deleted>", each field as fmt's %s and %t
+// print it.
 func (m *FileMeta) VersionID() string {
-	h := sha1.New()
-	fmt.Fprintf(h, "%s|%s|%s|%s|%t", m.File.ID, m.File.PrevID, m.File.Name, m.File.ClientID, m.File.Deleted)
-	return hex.EncodeToString(h.Sum(nil))
+	sum := m.versionSum()
+	return hex.EncodeToString(sum[:])
+}
+
+// IsVersion reports whether id is the record's VersionID, without building
+// the string. A reader that found the record under id checks it here, once,
+// and carries id from then on.
+func (m *FileMeta) IsVersion(id string) bool {
+	return hexIs(m.versionSum(), id)
+}
+
+// versionSum is VersionID's digest, over bytes built in a stack buffer.
+func (m *FileMeta) versionSum() [sha1.Size]byte {
+	var buf [256]byte
+	b := append(buf[:0], m.File.ID...)
+	b = append(b, '|')
+	b = append(b, m.File.PrevID...)
+	b = append(b, '|')
+	b = append(b, m.File.Name...)
+	b = append(b, '|')
+	b = append(b, m.File.ClientID...)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, m.File.Deleted)
+	return sha1.Sum(b)
 }
 
 // ObjectName returns the CSP object name for this record.
@@ -190,10 +233,7 @@ func (m *FileMeta) Validate() error {
 	if m.File.ClientID == "" {
 		return fmt.Errorf("metadata: %q: empty client ID", m.File.Name)
 	}
-	shareChunks := make(map[string]int)
-	for _, s := range m.Shares {
-		shareChunks[s.ChunkID]++
-	}
+	covered := newShareTally(m.Shares)
 	var total int64
 	for i, c := range m.Chunks {
 		if c.T <= 0 || c.N < c.T {
@@ -206,7 +246,7 @@ func (m *FileMeta) Validate() error {
 			return fmt.Errorf("metadata: %q chunk %d: offset %d, want %d (chunks must tile the file)", m.File.Name, i, c.Offset, total)
 		}
 		total += c.Size
-		if got := shareChunks[c.ID]; got < c.N {
+		if got := covered.count(c.ID); got < c.N {
 			return fmt.Errorf("metadata: %q chunk %d: %d share locations, want %d", m.File.Name, i, got, c.N)
 		}
 	}
@@ -216,10 +256,44 @@ func (m *FileMeta) Validate() error {
 	switch {
 	case int(m.IDForm) >= len(formatVersion):
 		return fmt.Errorf("metadata: %q: unknown file ID form %d", m.File.Name, m.IDForm)
-	case m.IDForm == ChunkListID && !m.File.Deleted && FileID(m.Chunks) != m.File.ID:
-		return fmt.Errorf("metadata: %q: file ID %.8s is not the hash of its chunk list", m.File.Name, m.File.ID)
+	case m.IDForm == ChunkListID && !m.File.Deleted:
+		if sum, ok := fileIDSum(m.Chunks); !ok || !hexIs(sum, m.File.ID) {
+			return fmt.Errorf("metadata: %q: file ID %.8s is not the hash of its chunk list", m.File.Name, m.File.ID)
+		}
 	}
 	return nil
+}
+
+// shareTally counts share locations per chunk ID. A ShareMap in canonical
+// order — every decoded record's, since Encode writes that order — is counted
+// by binary search, with no allocation; one still in upload order (a record
+// built in memory, before Encode) is tallied into a map once.
+type shareTally struct {
+	shares []ShareLoc
+	byID   map[string]int // nil for a canonical ShareMap
+}
+
+func newShareTally(shares []ShareLoc) shareTally {
+	t := shareTally{shares: shares}
+	if !sharesCanonical(shares) {
+		t.byID = make(map[string]int)
+		for _, s := range shares {
+			t.byID[s.ChunkID]++
+		}
+	}
+	return t
+}
+
+func (t shareTally) count(chunkID string) int {
+	if t.byID != nil {
+		return t.byID[chunkID]
+	}
+	i, _ := slices.BinarySearchFunc(t.shares, chunkID, func(s ShareLoc, id string) int { return strings.Compare(s.ChunkID, id) })
+	n := 0
+	for i+n < len(t.shares) && t.shares[i+n].ChunkID == chunkID {
+		n++
+	}
+	return n
 }
 
 // SharesOf returns the share locations of one chunk, in index order.

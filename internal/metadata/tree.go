@@ -3,6 +3,7 @@ package metadata
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -13,12 +14,24 @@ import (
 // versions. Each client maintains a local Tree and merges records listed
 // from the metadata CSPs into it; Insert is idempotent and commutative, so
 // replicas converge regardless of sync order.
+//
+// Nodes are indexed by file name as well as by version ID, so a name's head
+// and history cost O(versions of that name) and Names costs O(names), however
+// large the namespace.
 type Tree struct {
 	mu       sync.RWMutex
 	nodes    map[string]*FileMeta // by VersionID
 	children map[string][]string  // VersionID -> child VersionIDs (sorted)
 	roots    []string             // VersionIDs with PrevID == ""
 	pruned   map[string]bool      // VersionIDs removed by Compact
+	byName   map[string][]string  // file name -> its VersionIDs (sorted)
+	names    []string             // the keys of byName, sorted
+}
+
+// Version is a record of the tree with the version ID it is held under.
+type Version struct {
+	ID string
+	*FileMeta
 }
 
 // NewTree returns an empty tree.
@@ -27,6 +40,7 @@ func NewTree() *Tree {
 		nodes:    make(map[string]*FileMeta),
 		children: make(map[string][]string),
 		pruned:   make(map[string]bool),
+		byName:   make(map[string][]string),
 	}
 }
 
@@ -40,27 +54,39 @@ func (t *Tree) Insert(m *FileMeta) (added bool, err error) {
 	if err := m.Validate(); err != nil {
 		return false, err
 	}
-	id := m.VersionID()
+	return t.InsertVerified(m, m.VersionID()), nil
+}
+
+// InsertVerified is Insert for a record the caller has already validated and
+// whose version ID it has already computed — Decode validates, and a reader
+// that found the record under id checked it with IsVersion — so neither is
+// done a second time.
+func (t *Tree) InsertVerified(m *FileMeta, id string) (added bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.nodes[id]; ok {
-		return false, nil
+		return false
 	}
 	if t.pruned[id] {
 		// Compacted away earlier; re-inserting would resurrect a branch
 		// whose structure (children, parent links) is gone.
-		return false, nil
+		return false
 	}
 	cp := *m
-	cp.Chunks = append([]ChunkRef(nil), m.Chunks...)
-	cp.Shares = append([]ShareLoc(nil), m.Shares...)
+	cp.Chunks = slices.Clone(m.Chunks)
+	cp.Shares = slices.Clone(m.Shares)
 	t.nodes[id] = &cp
 	if m.File.PrevID == "" {
 		t.roots = insertSorted(t.roots, id)
 	} else {
 		t.children[m.File.PrevID] = insertSorted(t.children[m.File.PrevID], id)
 	}
-	return true, nil
+	name := m.File.Name
+	if _, known := t.byName[name]; !known {
+		t.names = insertSorted(t.names, name)
+	}
+	t.byName[name] = insertSorted(t.byName[name], id)
+	return true
 }
 
 // All returns every record in the tree (copies of the tree's own records
@@ -130,31 +156,18 @@ func (t *Tree) VersionIDs() []string {
 func (t *Tree) Names() []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	seen := make(map[string]bool)
-	for _, m := range t.nodes {
-		seen[m.File.Name] = true
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(t.names)
 }
 
-// leavesOf returns the leaf version IDs (no children) of the subtrees
-// holding the given file name. Caller holds t.mu.
+// leavesOfLocked returns the leaf version IDs (no children) among the
+// versions of the given file name, sorted. Caller holds t.mu.
 func (t *Tree) leavesOfLocked(name string) []string {
 	var leaves []string
-	for id, m := range t.nodes {
-		if m.File.Name != name {
-			continue
-		}
+	for _, id := range t.byName[name] {
 		if len(t.children[id]) == 0 {
 			leaves = append(leaves, id)
 		}
 	}
-	sort.Strings(leaves)
 	return leaves
 }
 
@@ -164,37 +177,36 @@ func (t *Tree) leavesOfLocked(name string) []string {
 // ID; conflicted reports whether other live leaves lost. Deleted heads are
 // returned with their deletion marker set — callers decide how to treat
 // deleted files.
-func (t *Tree) Head(name string) (head *FileMeta, conflicted bool, err error) {
+func (t *Tree) Head(name string) (head Version, conflicted bool, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.headLocked(name)
+}
+
+func (t *Tree) headLocked(name string) (head Version, conflicted bool, err error) {
 	leaves := t.leavesOfLocked(name)
 	if len(leaves) == 0 {
-		return nil, false, fmt.Errorf("%w: no versions of %q", ErrUnknownVersion, name)
+		return Version{}, false, fmt.Errorf("%w: no versions of %q", ErrUnknownVersion, name)
 	}
 	// Live leaves win over deletion markers; only when every leaf is
 	// deleted does Head return a deleted record.
-	var candidates []string
-	for _, id := range leaves {
-		if !t.nodes[id].File.Deleted {
-			candidates = append(candidates, id)
-		}
-	}
-	if len(candidates) == 0 {
-		candidates = leaves
-	}
-	best := ""
-	for _, id := range candidates {
-		if best == "" || t.laterLocked(id, best) {
-			best = id
-		}
-	}
-	live := 0
+	best, live := "", 0
 	for _, id := range leaves {
 		if !t.nodes[id].File.Deleted {
 			live++
+			if best == "" || t.laterLocked(id, best) {
+				best = id
+			}
 		}
 	}
-	return t.nodes[best], live > 1, nil
+	if live == 0 {
+		for _, id := range leaves {
+			if best == "" || t.laterLocked(id, best) {
+				best = id
+			}
+		}
+	}
+	return Version{best, t.nodes[best]}, live > 1, nil
 }
 
 // laterLocked reports whether version a is strictly later than b for
@@ -209,26 +221,22 @@ func (t *Tree) laterLocked(a, b string) bool {
 
 // History returns the version chain of a file from its head back to the
 // root (head first). Missing ancestors (not yet synced) terminate the walk.
-func (t *Tree) History(name string) ([]*FileMeta, error) {
-	head, _, err := t.Head(name)
+func (t *Tree) History(name string) ([]Version, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	head, _, err := t.headLocked(name)
 	if err != nil {
 		return nil, err
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []*FileMeta
-	cur := head
-	for {
-		out = append(out, cur)
-		if cur.File.PrevID == "" {
-			break
-		}
+	out := []Version{head}
+	for cur := head; cur.File.PrevID != ""; {
 		// PrevID refers to the parent's VersionID.
 		parent, ok := t.nodes[cur.File.PrevID]
 		if !ok {
 			break
 		}
-		cur = parent
+		cur = Version{cur.File.PrevID, parent}
+		out = append(out, cur)
 	}
 	return out, nil
 }
@@ -442,6 +450,7 @@ func (t *Tree) Compact(retention int) int {
 		})
 		for _, b := range branches[keep:] {
 			for _, id := range t.subtreeIDsLocked(b.rootID, nil) {
+				t.unindexLocked(id)
 				delete(t.nodes, id)
 				delete(t.children, id)
 				t.pruned[id] = true
@@ -455,6 +464,19 @@ func (t *Tree) Compact(retention int) int {
 		}
 	}
 	return pruned
+}
+
+// unindexLocked drops a version from its name's index entry, and the name
+// with its last version.
+func (t *Tree) unindexLocked(id string) {
+	name := t.nodes[id].File.Name
+	ids := removeSorted(t.byName[name], id)
+	if len(ids) > 0 {
+		t.byName[name] = ids
+		return
+	}
+	delete(t.byName, name)
+	t.names = removeSorted(t.names, name)
 }
 
 // subtreeIDsLocked appends id and every descendant version ID to out.

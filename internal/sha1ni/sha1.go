@@ -11,8 +11,8 @@
 // box, cross-run as 386.
 //
 // Deletion condition: Go 1.25's crypto/sha1 uses SHA-NI itself. When go.mod's
-// toolchain reaches 1.25, point metadata.HashData and metadata.NewHash back at
-// crypto/sha1 and delete this package.
+// toolchain reaches 1.25, point metadata.HashData, metadata.NewHash and the
+// digest behind metadata.FileID back at crypto/sha1 and delete this package.
 package sha1ni
 
 import (
