@@ -208,7 +208,7 @@ func NewMemStore(name string, capacity int64) Store {
 // protocol (run one with cmd/cyruscsp, or implement the five endpoints on
 // any real service).
 func NewHTTPStore(name, baseURL string) Store {
-	return resthttp.NewStore(name, baseURL, nil)
+	return resthttp.NewStore(name, baseURL)
 }
 
 // Providers returns the built-in Table-2 provider registry.

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/chunker"
@@ -14,7 +15,7 @@ import (
 // benchClient builds a client over instant in-memory providers, so the
 // benchmarks measure the client pipeline (chunking, hashing, coding,
 // metadata) rather than any transport. o may be nil.
-func benchClient(b *testing.B, nCSP int, o *obs.Observer) *Client {
+func benchClient(b testing.TB, nCSP int, o *obs.Observer) *Client {
 	b.Helper()
 	var stores []csp.Store
 	for i := 0; i < nCSP; i++ {
@@ -82,15 +83,47 @@ func BenchmarkSmallPutGet(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				name := fmt.Sprintf("small-%d", i)
-				if err := c.Put(bg, name, data); err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := c.Get(bg, name); err != nil {
-					b.Fatal(err)
-				}
+				smallPutGet(b, c, data, i)
 			}
 		})
+	}
+}
+
+// smallPutGet is one op of BenchmarkSmallPutGet: data put under the op's own
+// name, then read back.
+func smallPutGet(tb testing.TB, c *Client, data []byte, i int) {
+	name := fmt.Sprintf("small-%d", i)
+	if err := c.Put(bg, name, data); err != nil {
+		tb.Fatal(err)
+	}
+	if _, _, err := c.Get(bg, name); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestSmallPutGetBytesFlat: what BenchmarkSmallPutGet/nil allocates per op
+// over 6000 ops stays within 1.1x of what it allocates over 200. Every op
+// puts the same 16 KiB under a new name, so its one chunk gains a
+// referencing version per op; a chunk lookup that copied that set cost
+// O(versions) bytes per op (45 KB/op over 200 ops, 303 KB/op over 6000).
+// Measured in bytes, not time. Not parallel: it reads the process's
+// allocation counter.
+func TestSmallPutGetBytesFlat(t *testing.T) {
+	perOp := func(n int) float64 {
+		c := benchClient(t, 4, nil)
+		data := randData(4, 16<<10)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			smallPutGet(t, c, data, i)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	few, many := perOp(200), perOp(6000)
+	if many > 1.1*few {
+		t.Errorf("a small Put+Get allocated %.0f B/op over 6000 ops, %.0f B/op over 200: the cost grows with the versions referencing its chunk", many, few)
 	}
 }
 

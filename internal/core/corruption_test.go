@@ -200,53 +200,53 @@ func TestDownloadSelfHealsCorruptShare(t *testing.T) {
 	env := newEnv(t, 4)
 	// The downloader fetches only T of the N shares, and which T is the
 	// selector's choice — corrupting an arbitrary share may corrupt one
-	// that is never fetched (and so, correctly, never healed). Learn an
-	// actually-fetched share from the stores and corrupt that.
+	// that is never fetched (and so, correctly, never healed). Corrupt at
+	// rest, just before it is served, the first share the read asks for.
+	var armed atomic.Bool
 	var mu sync.Mutex
-	var fetched []transferRec
+	var target transferRec // the share corrupted, once served
+	var before []byte      // its corrupt bytes at rest
 	o := obs.NewObserver()
-	c := wrappedClient(t, env, func(cfg *Config) { cfg.N = 4; cfg.Obs = o }, recording(func(r transferRec) {
-		if r.isShareGet() && r.Err == nil {
+	c := wrappedClient(t, env, func(cfg *Config) { cfg.N = 4; cfg.Obs = o }, func(s csp.Store) csp.Store {
+		return &onServeStore{Store: s, onServe: func(name string) {
+			if !strings.HasPrefix(name, SharePrefix) || !armed.CompareAndSwap(true, false) {
+				return
+			}
+			victim := env.backends[s.Name()]
+			if !victim.MutateObject(name, func(d []byte) []byte {
+				d[len(d)-1] ^= 0x5A
+				return d
+			}) {
+				t.Errorf("share object %s not found on %s", name, s.Name())
+			}
 			mu.Lock()
-			fetched = append(fetched, r)
+			target, before = transferRec{CSP: s.Name(), Name: name}, snapshotObject(t, victim, name)
 			mu.Unlock()
-		}
-	}))
+		}}
+	})
 	data := randData(71, 200) // single chunk: one (share, provider) pick to reason about
 	if err := c.Put(bg, "doc", data); err != nil {
 		t.Fatal(err)
 	}
-
 	if _, _, err := c.Get(bg, "doc"); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	if len(fetched) == 0 {
-		mu.Unlock()
-		t.Fatal("no share downloads observed")
-	}
-	target := fetched[0]
-	mu.Unlock()
 
-	victim := env.backends[target.CSP]
-	objName := target.Name
-	if !victim.MutateObject(objName, func(d []byte) []byte {
-		d[len(d)-1] ^= 0x5A
-		return d
-	}) {
-		t.Fatalf("share object %s not found on %s", objName, target.CSP)
-	}
-	before := snapshotObject(t, victim, objName)
-
-	// The provider that served this share has the only observed bandwidth
-	// estimate, so the selector keeps picking it; a couple of reads bound
-	// the rare case where a skewed first measurement diverts the pick.
+	// A read that races a redundant lane may settle without the corrupted
+	// share; a couple of reads bound that rare case.
+	armed.Store(true)
 	healed := false
 	for i := 0; i < 8 && !healed; i++ {
 		if _, _, err := c.Get(bg, "doc"); err != nil {
 			t.Fatal(err)
 		}
-		healed = !bytes.Equal(before, snapshotObject(t, victim, objName))
+		mu.Lock()
+		tgt, corrupt := target, before
+		mu.Unlock()
+		if tgt.Name == "" {
+			t.Fatal("no share downloads observed")
+		}
+		healed = !bytes.Equal(corrupt, snapshotObject(t, env.backends[tgt.CSP], tgt.Name))
 	}
 	if !healed {
 		t.Fatal("corrupt share was not healed in place")
@@ -262,6 +262,23 @@ func TestDownloadSelfHealsCorruptShare(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("post-heal read: %v", err)
 	}
+}
+
+// onServeStore calls onServe with the name of every object it is asked for,
+// before serving it.
+type onServeStore struct {
+	csp.Store
+	onServe func(name string)
+}
+
+func (s *onServeStore) Download(ctx context.Context, name string) ([]byte, error) {
+	s.onServe(name)
+	return s.Store.Download(ctx, name)
+}
+
+func (s *onServeStore) DownloadTo(ctx context.Context, name string, w io.Writer) (int64, error) {
+	s.onServe(name)
+	return csp.DownloadTo(ctx, s.Store, name, w)
 }
 
 func snapshotObject(t *testing.T, b *cloudsim.Backend, name string) []byte {
@@ -339,20 +356,30 @@ func wrappedClient(t *testing.T, env *testEnv, tweak func(*Config), wrap func(cs
 	return c
 }
 
-// longBodyStore, once armed, appends tail to every chunk-share body it
-// serves: a provider handing back more bytes than the share holds.
+// longBodyStore appends tail to every chunk-share body it serves once it is
+// its group's victim: a provider handing back more bytes than the share holds.
 type longBodyStore struct {
 	csp.Store
-	tail  []byte
-	armed atomic.Bool
+	tail []byte
+	arm  *armOnce
 
 	mu     sync.Mutex
-	served []string // share names served while armed
+	served []string // share names served as the victim
+}
+
+// armOnce picks one victim among a group of longBodyStores: once armed, the
+// first of them to serve a chunk share.
+type armOnce struct {
+	armed  atomic.Bool
+	victim atomic.Pointer[longBodyStore]
 }
 
 func (s *longBodyStore) DownloadTo(ctx context.Context, name string, w io.Writer) (int64, error) {
 	n, err := csp.DownloadTo(ctx, s.Store, name, w)
-	if err != nil || !s.armed.Load() || !strings.HasPrefix(name, SharePrefix) {
+	if err != nil || !s.arm.armed.Load() || !strings.HasPrefix(name, SharePrefix) {
+		return n, err
+	}
+	if !s.arm.victim.CompareAndSwap(nil, s) && s.arm.victim.Load() != s {
 		return n, err
 	}
 	s.mu.Lock()
@@ -370,21 +397,11 @@ func (s *longBodyStore) DownloadTo(ctx context.Context, name string, w io.Writer
 // Not parallel: it measures the process's allocations.
 func TestOverlongShareBodyFailsThatShareOnly(t *testing.T) {
 	env := newEnv(t, 3)
-	stores := make(map[string]*longBodyStore)
-	// Arm a provider this reader actually fetches from.
-	var mu sync.Mutex
-	var fetchedFrom string
-	record := recording(func(r transferRec) {
-		mu.Lock()
-		defer mu.Unlock()
-		if r.isShareGet() && r.Err == nil && fetchedFrom == "" {
-			fetchedFrom = r.CSP
-		}
-	})
+	// The victim is whichever provider serves the measured read's first
+	// share, so it is one the read fetches from whatever the selector picks.
+	arm := &armOnce{}
 	c := wrappedClient(t, env, nil, func(s csp.Store) csp.Store {
-		ls := &longBodyStore{Store: s, tail: make([]byte, 1<<20)}
-		stores[s.Name()] = ls
-		return record(ls)
+		return &longBodyStore{Store: s, tail: make([]byte, 1<<20), arm: arm}
 	})
 	data := randData(74, 3_000)
 	if err := c.Put(bg, "doc", data); err != nil {
@@ -393,10 +410,7 @@ func TestOverlongShareBodyFailsThatShareOnly(t *testing.T) {
 	if _, _, err := c.Get(bg, "doc"); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	victim := stores[fetchedFrom]
-	mu.Unlock()
-	victim.armed.Store(true)
+	arm.armed.Store(true)
 
 	base := bufpool.Live()
 	var out bytes.Buffer
@@ -409,11 +423,15 @@ func TestOverlongShareBodyFailsThatShareOnly(t *testing.T) {
 	if err != nil || !bytes.Equal(out.Bytes(), data) {
 		t.Fatalf("GetTo with an overlong share body: %v (%d of %d bytes)", err, out.Len(), len(data))
 	}
+	victim := arm.victim.Load()
+	if victim == nil {
+		t.Fatal("no provider served a share once armed: nothing was tested")
+	}
 	victim.mu.Lock()
 	served := slices.Clone(victim.served)
 	victim.mu.Unlock()
 	if len(served) == 0 {
-		t.Fatalf("%s served no share once armed: nothing was tested", fetchedFrom)
+		t.Fatalf("%s served no share once armed: nothing was tested", victim.Name())
 	}
 	n := len(served)
 	slices.Sort(served)

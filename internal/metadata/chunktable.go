@@ -1,6 +1,7 @@
 package metadata
 
 import (
+	"maps"
 	"sort"
 	"sync"
 )
@@ -60,7 +61,9 @@ func NewChunkTable() *ChunkTable {
 
 // LookupEnc returns a copy of the chunk's info under the given storage
 // class, if stored. Dedup reuse is per encoding: a chunk stored hot is not
-// "already stored" for a cold-class write.
+// "already stored" for a cold-class write. The copy leaves Referencers nil:
+// the set grows with every version that references the chunk, the lookup
+// paths read only the placement, and Referencers returns the set itself.
 func (t *ChunkTable) LookupEnc(chunkID, class string) (*ChunkInfo, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -68,7 +71,10 @@ func (t *ChunkTable) LookupEnc(chunkID, class string) (*ChunkInfo, bool) {
 	if !ok {
 		return nil, false
 	}
-	return c.clone(), true
+	cp := *c
+	cp.Shares = maps.Clone(c.Shares)
+	cp.Referencers = nil
+	return &cp, true
 }
 
 // AddVersionRef records a (new or existing) chunk referenced by one more

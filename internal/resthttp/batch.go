@@ -1,7 +1,6 @@
 package resthttp
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -168,7 +167,7 @@ func (s *Store) downloadBatch(ctx context.Context, names []string, out map[strin
 	if err != nil {
 		return err
 	}
-	resp, err := s.do(ctx, http.MethodPost, "/v1/batch", bytes.NewReader(req))
+	resp, err := s.do(ctx, http.MethodPost, "/v1/batch", req)
 	if err != nil {
 		return err
 	}

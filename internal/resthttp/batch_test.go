@@ -18,22 +18,19 @@ import (
 	"repro/internal/csp"
 )
 
-// countingTransport counts the requests a connector sends, by "METHOD path"
+// requestCounter counts the requests a provider receives, by "METHOD path"
 // (object names collapsed).
-type countingTransport struct {
-	next http.RoundTripper
-
+type requestCounter struct {
 	mu    sync.Mutex
 	calls map[string]int
 }
 
-func newCountingTransport(t *testing.T) *countingTransport {
-	tr := &http.Transport{}
-	t.Cleanup(tr.CloseIdleConnections)
-	return &countingTransport{next: tr, calls: map[string]int{}}
+func newRequestCounter() *requestCounter {
+	return &requestCounter{calls: map[string]int{}}
 }
 
-func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+// add counts one request.
+func (c *requestCounter) add(r *http.Request) {
 	key := r.Method + " " + r.URL.Path
 	if strings.HasPrefix(r.URL.Path, "/v1/objects/") {
 		key = r.Method + " /v1/objects/{name}"
@@ -41,18 +38,25 @@ func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	c.mu.Lock()
 	c.calls[key]++
 	c.mu.Unlock()
-	return c.next.RoundTrip(r)
+}
+
+// wrap counts every request h serves.
+func (c *requestCounter) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		c.add(r)
+		h.ServeHTTP(w, r)
+	})
 }
 
 // reset forgets what was counted so far (the Authenticate call).
-func (c *countingTransport) reset() {
+func (c *requestCounter) reset() {
 	c.mu.Lock()
 	clear(c.calls)
 	c.mu.Unlock()
 }
 
 // count returns the requests seen for one key, or in total for "".
-func (c *countingTransport) count(key string) int {
+func (c *requestCounter) count(key string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if key != "" {
@@ -100,10 +104,10 @@ func TestDownloadBatchSplitsLongWantLists(t *testing.T) {
 	}
 	for label, srv := range map[string]*Server{"memory": memSrv, "dir": dirSrv} {
 		t.Run(label, func(t *testing.T) {
-			ts := httptest.NewServer(srv.Handler())
+			ct := newRequestCounter()
+			ts := httptest.NewServer(ct.wrap(srv.Handler()))
 			t.Cleanup(ts.Close)
-			ct := newCountingTransport(t)
-			s := NewStore(label, ts.URL, &http.Client{Transport: ct})
+			s := NewStore(label, ts.URL)
 			if err := s.Authenticate(bg, csp.Credentials{Token: "secret"}); err != nil {
 				t.Fatal(err)
 			}
@@ -255,7 +259,7 @@ func TestBatchResponseOverTheCapIsRefused(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	s := NewStore("fat", ts.URL, nil)
+	s := NewStore("fat", ts.URL)
 	if err := s.Authenticate(bg, csp.Credentials{Token: "secret"}); err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,7 @@ func rawProvider(t *testing.T, respond http.HandlerFunc) *Store {
 		respond(w, r)
 	}))
 	t.Cleanup(ts.Close)
-	tr := &http.Transport{}
-	t.Cleanup(tr.CloseIdleConnections)
-	s := NewStore("raw", ts.URL, &http.Client{Transport: tr})
+	s := NewStore("raw", ts.URL)
 	if err := s.Authenticate(bg, csp.Credentials{Token: "secret"}); err != nil {
 		t.Fatal(err)
 	}

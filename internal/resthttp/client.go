@@ -15,59 +15,50 @@ import (
 // Store is a csp.Store talking the resthttp protocol — the connector role
 // of the paper's Figure 10 ("cloud connectors for popular commercial
 // CSPs"), for providers that serve this protocol (cmd/cyruscsp, or any
-// compatible implementation).
+// compatible implementation). It speaks HTTP/1.1 itself over a pool of
+// kept-alive connections (conn.go).
 type Store struct {
 	name    string
 	baseURL string
-	client  *http.Client
+	ep      endpoint
+	epErr   error // a base URL the Store cannot dial, reported by every call
 
 	mu    sync.Mutex
 	token string
+	idle  []*conn // kept-alive connections, most recently used last
 }
 
 // NewStore builds a connector for the provider at baseURL (e.g.
-// "http://localhost:8081"). httpClient may be nil for http.DefaultClient.
-func NewStore(name, baseURL string, httpClient *http.Client) *Store {
-	if httpClient == nil {
-		httpClient = http.DefaultClient
-	}
+// "http://localhost:8081" or "https://csp.example/cyrus").
+func NewStore(name, baseURL string) *Store {
 	for len(baseURL) > 0 && baseURL[len(baseURL)-1] == '/' {
 		baseURL = baseURL[:len(baseURL)-1]
 	}
-	return &Store{name: name, baseURL: baseURL, client: httpClient}
+	ep, err := parseEndpoint(baseURL)
+	return &Store{name: name, baseURL: baseURL, ep: ep, epErr: err}
 }
 
 // Name implements csp.Store.
 func (s *Store) Name() string { return s.name }
 
-func (s *Store) do(ctx context.Context, method, path string, body io.Reader) (*http.Response, error) {
+func (s *Store) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
 	s.mu.Lock()
 	token := s.token
 	s.mu.Unlock()
 	if token == "" {
 		return nil, fmt.Errorf("%w: %s", csp.ErrUnauthorized, s.name)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, s.baseURL+path, body)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Authorization", "Bearer "+token)
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", csp.ErrUnavailable, s.name, err)
-	}
-	return resp, nil
+	return s.roundTrip(ctx, method, path, token, body)
 }
 
 // maxDrainBytes bounds what drainClose reads past the bytes a call used:
 // beyond it, dropping the connection is cheaper than reading on.
 const maxDrainBytes = 256 << 10
 
-// drainClose reads what is left of a response body, then closes it.
-// net/http returns a connection to the keep-alive pool only once its
-// response was read to EOF; closing with anything unread — even the
-// terminal chunk behind a JSON document — discards the socket, and the next
-// call dials a new one.
+// drainClose reads what is left of a response body, then closes it. A
+// connection goes back to the keep-alive pool only once its response was
+// read to EOF; closing with anything unread — even the terminal chunk behind
+// a JSON document — discards the socket, and the next call dials a new one.
 func drainClose(body io.ReadCloser) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrainBytes))
 	body.Close()
@@ -98,14 +89,12 @@ func (s *Store) Authenticate(ctx context.Context, creds csp.Credentials) error {
 	if creds.Token == "" {
 		return fmt.Errorf("%w: empty token for %s", csp.ErrUnauthorized, s.name)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.baseURL+"/v1/auth", nil)
+	if !validToken(creds.Token) {
+		return fmt.Errorf("%w: token for %s holds control characters", csp.ErrUnauthorized, s.name)
+	}
+	resp, err := s.roundTrip(ctx, http.MethodGet, "/v1/auth", creds.Token, nil)
 	if err != nil {
 		return err
-	}
-	req.Header.Set("Authorization", "Bearer "+creds.Token)
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("%w: %s: %v", csp.ErrUnavailable, s.name, err)
 	}
 	if resp.StatusCode != http.StatusNoContent {
 		return s.mapStatus(resp)
@@ -140,7 +129,7 @@ func (s *Store) List(ctx context.Context, prefix string) ([]csp.ObjectInfo, erro
 
 // Upload implements csp.Store.
 func (s *Store) Upload(ctx context.Context, name string, data []byte) error {
-	resp, err := s.do(ctx, http.MethodPut, "/v1/objects/"+url.PathEscape(name), bytes.NewReader(data))
+	resp, err := s.do(ctx, http.MethodPut, "/v1/objects/"+url.PathEscape(name), data)
 	if err != nil {
 		return err
 	}
@@ -149,22 +138,6 @@ func (s *Store) Upload(ctx context.Context, name string, data []byte) error {
 	}
 	drainClose(resp.Body)
 	return nil
-}
-
-// UploadFrom implements csp.StreamUploader: the request body is drawn from
-// r (chunked transfer encoding), so neither the connector nor the server
-// buffers the whole object.
-func (s *Store) UploadFrom(ctx context.Context, name string, r io.Reader) (int64, error) {
-	cr := &countingReader{r: r}
-	resp, err := s.do(ctx, http.MethodPut, "/v1/objects/"+url.PathEscape(name), cr)
-	if err != nil {
-		return cr.n, err
-	}
-	if resp.StatusCode != http.StatusCreated {
-		return cr.n, s.mapStatus(resp)
-	}
-	drainClose(resp.Body)
-	return cr.n, nil
 }
 
 // Download implements csp.Store.
@@ -202,18 +175,6 @@ func (s *Store) DownloadTo(ctx context.Context, name string, w io.Writer) (int64
 	return n, nil
 }
 
-// countingReader reports how many bytes a streamed upload consumed.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // Delete implements csp.Store.
 func (s *Store) Delete(ctx context.Context, name string) error {
 	resp, err := s.do(ctx, http.MethodDelete, "/v1/objects/"+url.PathEscape(name), nil)
@@ -229,6 +190,5 @@ func (s *Store) Delete(ctx context.Context, name string) error {
 
 var (
 	_ csp.Store            = (*Store)(nil)
-	_ csp.StreamUploader   = (*Store)(nil)
 	_ csp.StreamDownloader = (*Store)(nil)
 )

@@ -41,7 +41,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 			healthzURL = ts.URL + "/healthz"
 			pprofURL = ts.URL + "/debug/pprof/"
 		}
-		s := NewStore(name, ts.URL, nil)
+		s := NewStore(name, ts.URL)
 		if err := s.Authenticate(bg, csp.Credentials{Token: "secret"}); err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync/atomic"
 	"testing"
 
@@ -35,7 +36,7 @@ func provider(t *testing.T, name, token string, auth bool) (*Store, *cloudsim.Ba
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	s := NewStore(name, ts.URL+"/", nil) // trailing slash is normalized
+	s := NewStore(name, ts.URL+"/") // trailing slash is normalized
 	if auth {
 		if err := s.Authenticate(bg, csp.Credentials{Token: token}); err != nil {
 			t.Fatal(err)
@@ -107,7 +108,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	cs := NewStore("tiny", ts.URL, nil)
+	cs := NewStore("tiny", ts.URL)
 	if err := cs.Authenticate(bg, csp.Credentials{Token: "tok"}); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatalf("admin endpoint exposed: %d", resp.StatusCode)
 	}
 	// Unreachable server maps to ErrUnavailable.
-	dead := NewStore("dead", "http://127.0.0.1:1", nil)
+	dead := NewStore("dead", "http://127.0.0.1:1")
 	_ = dead.Authenticate(bg, csp.Credentials{Token: "t"})
 	if err := dead.Authenticate(bg, csp.Credentials{Token: "t"}); !errors.Is(err, csp.ErrUnavailable) {
 		t.Fatalf("dead server err = %v", err)
@@ -200,7 +201,7 @@ func TestFullCyrusCloudOverHTTP(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("httpcsp%d", i+1)
 		// Fresh connectors to the same servers.
-		s := NewStore(name, storesBase(t, stores[i]), nil)
+		s := NewStore(name, storesBase(t, stores[i]))
 		if err := s.Authenticate(bg, csp.Credentials{Token: "secret"}); err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +248,7 @@ func dirProvider(t *testing.T, name, token string) *Store {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	s := NewStore(name, ts.URL, nil)
+	s := NewStore(name, ts.URL)
 	if err := s.Authenticate(bg, csp.Credentials{Token: token}); err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +258,23 @@ func dirProvider(t *testing.T, name, token string) *Store {
 func TestStreamingServerRoundTrip(t *testing.T) {
 	s := dirProvider(t, "dircsp", "secret")
 	payload := bytes.Repeat([]byte("0123456789abcdef"), 1<<12) // 64 KiB
-	n, err := s.UploadFrom(bg, "big object", bytes.NewReader(payload))
-	if err != nil || n != int64(len(payload)) {
-		t.Fatalf("UploadFrom = %d, %v", n, err)
+	// A body of unknown length goes out chunked, so the server streams it
+	// into the store.
+	req, err := http.NewRequest(http.MethodPut, s.baseURL+"/v1/objects/"+url.PathEscape("big object"), io.NopCloser(bytes.NewReader(payload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer secret")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainClose(resp.Body)
+	if resp.StatusCode != http.StatusCreated || req.ContentLength != 0 {
+		t.Fatalf("chunked PUT = %d (request Content-Length %d)", resp.StatusCode, req.ContentLength)
 	}
 	var out bytes.Buffer
-	n, err = s.DownloadTo(bg, "big object", &out)
+	n, err := s.DownloadTo(bg, "big object", &out)
 	if err != nil || n != int64(len(payload)) {
 		t.Fatalf("DownloadTo = %d, %v", n, err)
 	}
@@ -298,8 +310,8 @@ func TestStreamingUploadTooLargeRejected(t *testing.T) {
 	}
 }
 
-// TestStoreReusesOneConnection: net/http returns a connection to the
-// keep-alive pool only when the response body was read to EOF, so a call that
+// TestStoreReusesOneConnection: a connection goes back to the keep-alive
+// pool only when the response body was read to EOF, so a call that
 // closes a body early — List leaving the terminal chunk behind the JSON
 // document, an error path reading 512 bytes of a longer message — costs the
 // next call a fresh dial. Sequential calls through one Store must all ride
@@ -319,9 +331,7 @@ func TestStoreReusesOneConnection(t *testing.T) {
 	}
 	ts.Start()
 	t.Cleanup(ts.Close)
-	tr := &http.Transport{}
-	t.Cleanup(tr.CloseIdleConnections)
-	s := NewStore("httpcsp1", ts.URL, &http.Client{Transport: tr})
+	s := NewStore("httpcsp1", ts.URL)
 	if err := s.Authenticate(bg, csp.Credentials{Token: "secret"}); err != nil {
 		t.Fatal(err)
 	}
@@ -349,4 +359,16 @@ func TestStoreReusesOneConnection(t *testing.T) {
 	if n := opened.Load(); n != 1 {
 		t.Fatalf("%d connections opened for sequential calls through one Store, want 1", n)
 	}
+}
+
+// countingReader reports how many bytes a reader handed out.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -15,20 +17,31 @@ import (
 
 // syncCloud is four in-process providers on real sockets. Each sits behind a
 // switchable fault on its /v1/batch route, so a test can break one provider's
-// batch answers without touching the rest of its protocol.
+// batch answers without touching the rest of its protocol, and counts the
+// requests each device sends it.
 type syncCloud struct {
 	t     *testing.T
 	urls  []string
 	fault []atomic.Value // per provider: "" | "503" | "truncate" | "404"
+
+	mu     sync.Mutex
+	counts map[string][]*requestCounter // per device, per provider
 }
 
 func newSyncCloud(t *testing.T, server func(name string) *Server) *syncCloud {
-	c := &syncCloud{t: t, fault: make([]atomic.Value, 4)}
+	c := &syncCloud{t: t, fault: make([]atomic.Value, 4), counts: map[string][]*requestCounter{}}
 	for i := range c.fault {
 		i := i
 		c.fault[i].Store("")
 		h := server(fmt.Sprintf("csp%d", i+1)).Handler()
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			// A device authenticates as "<device>:secret": its requests
+			// count under its own name — a request a previous device's
+			// race loser sends late lands in that device's counts — and
+			// the provider sees the real token.
+			device, token, _ := strings.Cut(strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer "), ":")
+			c.counters(device)[i].add(r)
+			r.Header.Set("Authorization", "Bearer "+token)
 			fault := c.fault[i].Load().(string)
 			if r.URL.Path != "/v1/batch" || fault == "" {
 				h.ServeHTTP(w, r)
@@ -52,20 +65,32 @@ func newSyncCloud(t *testing.T, server func(name string) *Server) *syncCloud {
 	return c
 }
 
-// client connects a fresh device: four new connectors, each counting the
-// requests it sends, and a core client over them that knows nothing yet.
-func (c *syncCloud) client(id string) (*core.Client, []*countingTransport) {
+// counters returns a device's request counters, one per provider.
+func (c *syncCloud) counters(device string) []*requestCounter {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.counts[device] == nil {
+		for range c.fault {
+			c.counts[device] = append(c.counts[device], newRequestCounter())
+		}
+	}
+	return c.counts[device]
+}
+
+// client connects a fresh device: four new connectors, and a core client
+// over them that knows nothing yet. It returns the requests the device's
+// connectors send, as each provider counts them.
+func (c *syncCloud) client(id string) (*core.Client, []*requestCounter) {
 	c.t.Helper()
 	var stores []csp.Store
-	var counts []*countingTransport
+	counts := c.counters(id)
 	for i, url := range c.urls {
-		ct := newCountingTransport(c.t)
-		s := NewStore(fmt.Sprintf("csp%d", i+1), url, &http.Client{Transport: ct})
-		if err := s.Authenticate(bg, csp.Credentials{Token: "secret"}); err != nil {
+		s := NewStore(fmt.Sprintf("csp%d", i+1), url)
+		if err := s.Authenticate(bg, csp.Credentials{Token: id + ":secret"}); err != nil {
 			c.t.Fatal(err)
 		}
-		ct.reset()
-		stores, counts = append(stores, s), append(counts, ct)
+		counts[i].reset()
+		stores = append(stores, s)
 	}
 	client, err := core.New(core.Config{
 		ClientID: id, Key: "wire-key", T: 2, N: 3,
@@ -123,7 +148,7 @@ func TestColdSyncOverSocketsIsOProviders(t *testing.T) {
 
 			// coldSync runs a fresh device's first Sync and returns what
 			// each connector sent.
-			coldSync := func(id string) []*countingTransport {
+			coldSync := func(id string) []*requestCounter {
 				t.Helper()
 				reader, counts := cloud.client(id)
 				if _, err := reader.Sync(bg); err != nil {
