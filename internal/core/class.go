@@ -281,9 +281,7 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 		if info, ok := c.table.LookupEnc(ref.ID, targetClass); ok && info.T == t && info.N == n {
 			newMeta.Chunks[len(newMeta.Chunks)-1].T = info.T
 			newMeta.Chunks[len(newMeta.Chunks)-1].N = info.N
-			for idx, cspName := range info.Shares {
-				newMeta.Shares = append(newMeta.Shares, metadata.ShareLoc{ChunkID: ref.ID, Index: idx, CSP: cspName})
-			}
+			newMeta.Shares = append(newMeta.Shares, info.Shares...)
 			continue
 		}
 		st := states[ref.EncodingKey()]

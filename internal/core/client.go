@@ -275,10 +275,12 @@ type Client struct {
 	obs      *obs.Observer // nil = disabled
 	depth    int           // pipelineDepth; the package's tests vary it
 
-	// ringEpoch counts ring-membership changes; the chunk table remembers
-	// the epoch metadata placements were last reconciled under, so a sync
-	// after churn knows to re-scatter sharded records (metaio.go).
-	ringEpoch atomic.Uint64
+	// ringEpoch counts ring-membership changes; placedEpoch is the epoch
+	// metadata placements were last reconciled under (it never moves
+	// backward), so a sync after churn knows to re-scatter sharded records
+	// (metaio.go). Both live in memory only.
+	ringEpoch   atomic.Uint64
+	placedEpoch atomic.Uint64
 
 	mu       sync.Mutex
 	stores   map[string]csp.Store
@@ -369,7 +371,7 @@ func New(cfg Config, stores []csp.Store) (*Client, error) {
 	}
 	// The construction-time membership is the baseline epoch: re-placement
 	// only reacts to churn observed after this point.
-	c.table.SetRingEpoch(c.ringEpoch.Load())
+	c.placedEpoch.Store(c.ringEpoch.Load())
 	return c, nil
 }
 

@@ -201,10 +201,10 @@ func TestNoSingleCSPCanReconstruct(t *testing.T) {
 				t.Fatalf("chunk %s missing from table", ref.ID[:8])
 			}
 			perCSP := map[string]int{}
-			for _, cspName := range info.Shares {
-				perCSP[cspName]++
-				if perCSP[cspName] > 1 {
-					t.Fatalf("CSP %s holds %d shares of chunk %s", cspName, perCSP[cspName], ref.ID[:8])
+			for _, loc := range info.Shares {
+				perCSP[loc.CSP]++
+				if perCSP[loc.CSP] > 1 {
+					t.Fatalf("CSP %s holds %d shares of chunk %s", loc.CSP, perCSP[loc.CSP], ref.ID[:8])
 				}
 			}
 		}
@@ -592,9 +592,7 @@ func buildVersion(t *testing.T, c *Client, name string, data []byte, parentVID s
 			ref.T, ref.N = info.T, info.N
 			meta.Chunks = append(meta.Chunks, ref)
 			if !seen[id] {
-				for idx, cspName := range info.Shares {
-					meta.Shares = append(meta.Shares, metadata.ShareLoc{ChunkID: id, Index: idx, CSP: cspName})
-				}
+				meta.Shares = append(meta.Shares, info.Shares...)
 				seen[id] = true
 			}
 			continue

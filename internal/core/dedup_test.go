@@ -184,7 +184,7 @@ func TestDedupGCRefcounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.table.AddVersionRef(ref, locs, "")
+		c.table.Record(ref, locs)
 		return ref
 	}
 	scatterOrphan(bob, shared)

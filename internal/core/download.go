@@ -23,7 +23,7 @@ func (c *Client) Get(ctx context.Context, name string) ([]byte, FileInfo, error)
 // stored, readable location as the shared fallback pool. buf, when not nil,
 // is the pooled buffer behind data: the caller releases it
 // (bufpool.Put) after its last read of data.
-func (c *Client) gatherChunk(op *transfer.Op, ref metadata.ChunkRef, locations map[int]string, sources []string) (data []byte, buf *[]byte, err error) {
+func (c *Client) gatherChunk(op *transfer.Op, ref metadata.ChunkRef, locations []metadata.ShareLoc, sources []string) (data []byte, buf *[]byte, err error) {
 	ctx, chunkSpan := c.obs.Trace(op.Context(), "chunk.gather")
 	defer func() { chunkSpan.End(err) }()
 	b, err := c.chunkBlob(ref)
@@ -32,11 +32,11 @@ func (c *Client) gatherChunk(op *transfer.Op, ref metadata.ChunkRef, locations m
 	}
 	primary := make([]metadata.ShareLoc, len(sources))
 	var fallback []metadata.ShareLoc
-	for idx, cspName := range locations {
-		if k := slices.Index(sources, cspName); k >= 0 {
-			primary[k] = metadata.ShareLoc{Index: idx, CSP: cspName}
-		} else if c.readable(cspName) {
-			fallback = append(fallback, metadata.ShareLoc{Index: idx, CSP: cspName})
+	for _, loc := range locations {
+		if k := slices.Index(sources, loc.CSP); k >= 0 {
+			primary[k] = loc
+		} else if c.readable(loc.CSP) {
+			fallback = append(fallback, loc)
 		}
 	}
 	slices.SortFunc(fallback, func(x, y metadata.ShareLoc) int { return strings.Compare(x.CSP, y.CSP) })

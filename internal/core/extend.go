@@ -16,8 +16,9 @@ import (
 // (§7.5: "One user ... suggested adding a feature to import files already
 // stored at CSPs"), and explicit garbage collection of unreferenced chunk
 // shares (the paper leaves shares alone on deletion because "other files
-// may contain these chunks"; the chunk table's reference counts make a
-// safe collection possible as an explicit user action).
+// may contain these chunks"; the version tree says which chunks some
+// version still references, which makes a safe collection possible as an
+// explicit user action).
 
 // GetRange downloads only the chunks covering [offset, offset+length) of
 // the file's current version and returns exactly those bytes. Chunks
@@ -101,7 +102,7 @@ func (c *Client) GC(ctx context.Context) (_ GCStats, err error) {
 	// The chunk table may know encodings no record references (refs from
 	// absorbed-then-pruned versions, or uploads whose metadata never
 	// landed). Collect those.
-	var orphans []*metadata.ChunkInfo
+	var orphans []metadata.ChunkInfo
 	for _, info := range c.table.Entries() {
 		if !referenced[metadata.EncodingKey(info.ID, info.Class)] {
 			orphans = append(orphans, info)
@@ -124,8 +125,8 @@ func (c *Client) GC(ctx context.Context) (_ GCStats, err error) {
 		}
 		stats.Chunks++
 		shareSize := erasure.ShareSize(info.Size, info.T)
-		for idx, cspName := range info.Shares {
-			idx, cspName := idx, cspName
+		for _, loc := range info.Shares {
+			idx, cspName := loc.Index, loc.CSP
 			store, ok := c.store(cspName)
 			if !ok {
 				stats.Skipped++

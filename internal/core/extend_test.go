@@ -145,7 +145,7 @@ func TestGCCollectsOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.table.AddVersionRef(ref, locs, "")
+	c.table.Record(ref, locs)
 
 	var before int
 	for _, b := range env.backends {
@@ -205,6 +205,128 @@ func TestGCKeepsHistoryChunks(t *testing.T) {
 	got, _, err := getVersion(bg, c, "doc", oldest.VersionID)
 	if err != nil || !bytes.Equal(got, v1) {
 		t.Fatalf("history version after GC: %v", err)
+	}
+}
+
+// TestGCAfterCompaction: with TreeRetention 1, repeated same-name conflicts
+// that are resolved leave dead branches, and compaction prunes all but the
+// newest. The chunk table still records the pruned records' chunks, and GC
+// collects exactly those: every chunk a live or retained version references
+// keeps all its shares, and the file and the retained loser stay readable.
+func TestGCAfterCompaction(t *testing.T) {
+	t.Parallel()
+	env := newEnv(t, 4)
+	retain := func(cfg *Config) { cfg.TreeRetention = 1 }
+	alice := env.client("alice", retain)
+	bob := env.client("bob", retain)
+	mine := randData(60, 4_000)
+	if err := alice.Put(bg, "doc", mine); err != nil {
+		t.Fatal(err)
+	}
+	winner := mustHeadVersion(t, alice, "doc")
+
+	// Each round bob publishes a second root under the same name, as a
+	// client that never saw alice's file would, and alice resolves the
+	// conflict in her favour.
+	losers := map[string][]byte{} // bob's version ID -> its content
+	for round := 0; round < 3; round++ {
+		data := randData(int64(61+round), 4_000)
+		m := buildVersion(t, bob, "doc", data, "")
+		id := m.VersionID()
+		op := bob.engine.Begin(bg)
+		err := bob.uploadMeta(op, m, id)
+		op.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bob.absorb(m, id); err != nil {
+			t.Fatal(err)
+		}
+		losers[id] = data
+		if _, err := alice.Sync(bg); err != nil {
+			t.Fatal(err)
+		}
+		if cs := alice.Conflicts(bg); len(cs) != 1 {
+			t.Fatalf("round %d: conflicts = %+v, want bob's root against alice's", round, cs)
+		}
+		if err := alice.Resolve(bg, "doc", winner); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := alice.Sync(bg); err != nil {
+		t.Fatal(err)
+	}
+	if alice.Tree().PrunedCount() == 0 {
+		t.Fatal("nothing was pruned: no dead branch to collect")
+	}
+
+	// Chunk encodings referenced by what the tree still holds, and by what
+	// compaction pruned from it.
+	kept := map[string]bool{}
+	for _, m := range alice.Tree().All() {
+		for _, ref := range m.Chunks {
+			kept[ref.EncodingKey()] = true
+		}
+	}
+	type placed struct {
+		ref    metadata.ChunkRef
+		shares []metadata.ShareLoc
+	}
+	var pruned []placed
+	retained := ""
+	for id, data := range losers {
+		if _, err := alice.Tree().Get(id); err == nil {
+			retained = id
+			continue
+		}
+		for _, ch := range alice.chunk.Split(data) {
+			ref := metadata.ChunkRef{ID: metadata.HashData(ch.Data), T: 2, N: 3}
+			if info, ok := alice.table.LookupEnc(ref.ID, ""); ok && !kept[ref.EncodingKey()] {
+				pruned = append(pruned, placed{ref, info.Shares})
+			}
+		}
+	}
+	if len(pruned) == 0 || retained == "" {
+		t.Fatalf("%d pruned chunks in the table, retained loser %q: the scenario did not form", len(pruned), retained)
+	}
+
+	stats, err := alice.GC(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Chunks != len(pruned) || stats.Skipped != 0 {
+		t.Fatalf("GC stats = %+v, want the %d chunks only pruned records referenced", stats, len(pruned))
+	}
+	for _, p := range pruned {
+		if _, ok := alice.table.LookupEnc(p.ref.ID, ""); ok {
+			t.Errorf("pruned-only chunk %s still in the table", p.ref.ID[:8])
+		}
+		for _, loc := range p.shares {
+			name, _ := alice.names.Share(p.ref, loc.Index)
+			if _, ok := env.backends[loc.CSP].PeekObject(name); ok {
+				t.Errorf("share %d of pruned-only chunk %s left on %s", loc.Index, p.ref.ID[:8], loc.CSP)
+			}
+		}
+	}
+	for _, m := range alice.Tree().All() {
+		for _, ref := range m.Chunks {
+			info, ok := alice.table.LookupEnc(ref.ID, ref.Class)
+			if !ok {
+				t.Fatalf("chunk %s of a kept version left the table", ref.ID[:8])
+			}
+			for _, loc := range info.Shares {
+				name, _ := alice.names.Share(ref, loc.Index)
+				if _, ok := env.backends[loc.CSP].PeekObject(name); !ok {
+					t.Errorf("share %d of kept chunk %s collected from %s", loc.Index, ref.ID[:8], loc.CSP)
+				}
+			}
+		}
+	}
+	if got, _, err := alice.Get(bg, "doc"); err != nil || !bytes.Equal(got, mine) {
+		t.Fatalf("Get after GC: %v", err)
+	}
+	if got, _, err := getVersion(bg, alice, "doc", retained); err != nil || !bytes.Equal(got, losers[retained]) {
+		t.Fatalf("retained loser after GC: %v", err)
 	}
 }
 

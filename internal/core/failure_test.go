@@ -134,8 +134,8 @@ func TestRemoveCSPAndLazyMigration(t *testing.T) {
 			if len(info.Shares) != ref.N {
 				t.Fatalf("chunk %s has %d shares after migration, want %d", ref.ID[:8], len(info.Shares), ref.N)
 			}
-			for _, cspName := range info.Shares {
-				if cspName == victim {
+			for _, loc := range info.Shares {
+				if loc.CSP == victim {
 					t.Fatalf("chunk %s still mapped to removed CSP", ref.ID[:8])
 				}
 			}
@@ -259,8 +259,8 @@ func TestClusterConstraintRespected(t *testing.T) {
 		for _, ref := range m.Chunks {
 			info, _ := c.ChunkTable().LookupEnc(ref.ID, "")
 			amazon := 0
-			for _, cspName := range info.Shares {
-				if clusters[cspName] == "amazon" {
+			for _, loc := range info.Shares {
+				if clusters[loc.CSP] == "amazon" {
 					amazon++
 				}
 			}

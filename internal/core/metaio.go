@@ -423,19 +423,19 @@ func distinctIndices(copies []metaCopy) int {
 	return n
 }
 
-// absorb inserts a record into the local replica, updating the chunk table
-// exactly once per new record. The record is valid and id is its version ID:
-// a fetched record was decoded and checked against the ID it was listed
-// under, and a published one was encoded and hashed by publish.
+// absorb inserts a record into the local replica and records its share
+// locations in the chunk table, once per new record. Every record the tree
+// holds — fetched by a sync or published by this client — enters through
+// here, so the table knows every chunk a tree version references. The
+// record is valid and id is its version ID: a fetched record was decoded and
+// checked against the ID it was listed under, and a published one was
+// encoded and hashed by publish.
 func (c *Client) absorb(m *metadata.FileMeta, id string) error {
 	if !c.tree.InsertVerified(m, id) {
 		return nil
 	}
 	for _, chunk := range m.Chunks {
-		// Record the referencing version, so the chunk table's Referencers
-		// sets stay the ground truth the dedup GC reconciles provider-side
-		// reference tokens against.
-		c.table.AddVersionRef(chunk, m.Shares, id)
+		c.table.Record(chunk, m.Shares)
 	}
 	// Any new record supersedes what the name's fresh mark vouched for.
 	c.fresh.clear(m.File.Name)

@@ -18,18 +18,18 @@ import (
 // Migration is best-effort: failures leave the old location in place (the
 // chunk remains readable through its surviving shares) and will be retried
 // on the next download.
-func (c *Client) migrateStaleShares(ctx context.Context, ref metadata.ChunkRef, locs map[int]string, data []byte) {
+func (c *Client) migrateStaleShares(ctx context.Context, ref metadata.ChunkRef, locs []metadata.ShareLoc, data []byte) {
 	var stale []int
 	holding := make(map[string]bool)
-	for idx, cspName := range locs {
+	for _, loc := range locs {
 		// Stale holders count as holding too: the old share object stays
 		// behind (a removed provider may be reinstated later), and a
 		// platform that physically stores one share must never receive a
 		// second — t-privacy is a property of physical placement, not of
 		// the chunk table.
-		holding[cspName] = true
-		if c.shareLocationStale(cspName) {
-			stale = append(stale, idx)
+		holding[loc.CSP] = true
+		if c.shareLocationStale(loc.CSP) {
+			stale = append(stale, loc.Index)
 		}
 	}
 	if len(stale) == 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -174,9 +175,7 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 			ref := metadata.ChunkRef{ID: id, Offset: ch.Offset, Size: int64(len(ch.Data)), T: info.T, N: info.N, CAS: info.CAS, Class: cls.Name}
 			meta.Chunks = append(meta.Chunks, ref)
 			if !seenInFile[id] {
-				for idx, cspName := range info.Shares {
-					meta.Shares = append(meta.Shares, metadata.ShareLoc{ChunkID: id, Index: idx, CSP: cspName})
-				}
+				meta.Shares = append(meta.Shares, info.Shares...)
 				seenInFile[id] = true
 			}
 			giveBack(bp)
@@ -281,8 +280,8 @@ func (c *Client) GetVersionTo(ctx context.Context, name, versionID string, w io.
 // locations plus the subset of providers currently serving downloads.
 type chunkState struct {
 	ref    metadata.ChunkRef
-	shares map[int]string // index -> csp, all known locations
-	usable []string       // CSPs serving downloads now
+	shares []metadata.ShareLoc // all known locations, one per index
+	usable []string            // CSPs serving downloads now
 }
 
 // planGather builds the gather plan for the given chunk occurrences: share
@@ -302,21 +301,17 @@ func (c *Client) planGather(m *metadata.FileMeta, wanted []metadata.ChunkRef) (m
 		if _, ok := unique[key]; ok {
 			continue
 		}
-		st := &chunkState{ref: ref, shares: make(map[int]string)}
+		st := &chunkState{ref: ref}
 		if info, ok := c.table.LookupEnc(ref.ID, ref.Class); ok {
-			for idx, cspName := range info.Shares {
-				st.shares[idx] = cspName
-			}
+			st.shares = info.Shares
 		} else {
-			for _, loc := range m.SharesOf(ref.ID) {
-				st.shares[loc.Index] = loc.CSP
-			}
+			st.shares = slices.CompactFunc(m.SharesOf(ref.ID), func(a, b metadata.ShareLoc) bool { return a.Index == b.Index })
 		}
 		seen := map[string]bool{}
-		for _, cspName := range st.shares {
-			if !seen[cspName] && c.readable(cspName) {
-				seen[cspName] = true
-				st.usable = append(st.usable, cspName)
+		for _, loc := range st.shares {
+			if !seen[loc.CSP] && c.readable(loc.CSP) {
+				seen[loc.CSP] = true
+				st.usable = append(st.usable, loc.CSP)
 			}
 		}
 		sort.Strings(st.usable)

@@ -455,8 +455,8 @@ func TestPooledPlaintextOutlivesItsReaders(t *testing.T) {
 				t.Fatal(err)
 			}
 			var shares []erasure.Share
-			for idx, cspName := range info.Shares {
-				shares = append(shares, erasure.Share{Index: idx, Data: snapshotObject(t, env.backends[cspName], b.name(idx))})
+			for _, loc := range info.Shares {
+				shares = append(shares, erasure.Share{Index: loc.Index, Data: snapshotObject(t, env.backends[loc.CSP], b.name(loc.Index))})
 			}
 			plain, err := b.coder.Decode(shares, erasure.MaxN)
 			if err == nil {

@@ -133,13 +133,19 @@ func (c *Client) syncMeta(ctx context.Context, name string) (n int, err error) {
 		// epoch change: a record uploaded during a provider outage met its
 		// t-quorum with fewer than MetaShards shares, and only this pass
 		// restores the shard's full replication once the provider returns.
-		// A stale persisted epoch forces the full per-record target scan;
-		// otherwise only under-placed records are examined. The epoch is
-		// persisted only after a clean repair so partial work is retried.
+		// A placed epoch older than the ring's forces the full per-record
+		// target scan; otherwise only under-placed records are examined.
+		// The epoch is raised only after a clean repair, so partial work
+		// is retried, and never lowered, so a slow sync that ran under an
+		// older ring cannot undo a newer one's repair.
 		if c.cfg.MetaShards > 0 {
-			fullScan := c.table.RingEpoch() < c.ringEpoch.Load()
-			if c.repairMetaPlacement(op, ctx, locs, fullScan) {
-				c.table.SetRingEpoch(c.ringEpoch.Load())
+			epoch := c.ringEpoch.Load()
+			if c.repairMetaPlacement(op, ctx, locs, c.placedEpoch.Load() < epoch) {
+				for cur := c.placedEpoch.Load(); cur < epoch; cur = c.placedEpoch.Load() {
+					if c.placedEpoch.CompareAndSwap(cur, epoch) {
+						break
+					}
+				}
 			}
 		}
 		if c.cfg.TreeRetention > 0 {
@@ -184,16 +190,14 @@ func (c *Client) syncBestEffort(ctx context.Context, name string) (ok bool) {
 }
 
 // Recover rebuilds the client's state purely from the cloud — the paper's
-// s' = recover(s). It resyncs the metadata tree and reconstructs the global
-// chunk table from every known record, so a fresh device with only the key
-// and the provider accounts converges to the full cloud state. The table is
-// rebuilt from whatever the sync absorbed even when the sync reports an
-// error (a partial view: an unreadable record, an unreachable provider), so
-// every version the tree holds stays readable; the sync error is returned.
+// s' = recover(s). It is a full Sync: a fresh device with only the key and
+// the provider accounts converges to the full cloud state, and since every
+// absorbed record's share locations enter the chunk table as it lands, the
+// table covers whatever the sync absorbed even when the sync reports an error
+// (a partial view: an unreadable record, an unreachable provider), so every
+// version the tree holds stays readable; the sync error is returned.
 func (c *Client) Recover(ctx context.Context) error {
-	_, err := c.Sync(ctx)
-	c.table.Rebuild(c.tree.All())
-	if err != nil {
+	if _, err := c.Sync(ctx); err != nil {
 		return fmt.Errorf("cyrus: recover: %w", err)
 	}
 	return nil

@@ -83,16 +83,22 @@ func TestFigure12Shape(t *testing.T) {
 	if len(res.Points) != 6 {
 		t.Fatalf("%d points", len(res.Points))
 	}
-	// Paper shape: decode slows as t grows; encode slows as n grows.
+	// Paper shape: decode slows as t grows; encode slows as n grows. The
+	// orderings are asserted on the codec's exact work per data byte, not
+	// on wall-clock throughput, which moves with the host's load.
 	varyT := res.Points[:3]
-	if varyT[0].DecodeMBps <= varyT[2].DecodeMBps {
-		t.Errorf("decode throughput did not fall with t: t=2 %.0f MB/s vs t=10 %.0f MB/s",
-			varyT[0].DecodeMBps, varyT[2].DecodeMBps)
+	for i := 1; i < len(varyT); i++ {
+		if varyT[i].DecodeMulAdds <= varyT[i-1].DecodeMulAdds {
+			t.Errorf("decode work did not grow with t: t=%d %.2f vs t=%d %.2f multiply-adds per byte",
+				varyT[i-1].T, varyT[i-1].DecodeMulAdds, varyT[i].T, varyT[i].DecodeMulAdds)
+		}
 	}
 	varyN := res.Points[3:]
-	if varyN[0].EncodeMBps <= varyN[2].EncodeMBps {
-		t.Errorf("encode throughput did not fall with n: n=3 %.0f MB/s vs n=11 %.0f MB/s",
-			varyN[0].EncodeMBps, varyN[2].EncodeMBps)
+	for i := 1; i < len(varyN); i++ {
+		if varyN[i].EncodeMulAdds <= varyN[i-1].EncodeMulAdds {
+			t.Errorf("encode work did not grow with n: n=%d %.2f vs n=%d %.2f multiply-adds per byte",
+				varyN[i-1].N, varyN[i-1].EncodeMulAdds, varyN[i].N, varyN[i].EncodeMulAdds)
+		}
 	}
 	for _, p := range res.Points {
 		if p.EncodeMBps <= 0 || p.DecodeMBps <= 0 {

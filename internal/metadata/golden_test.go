@@ -361,14 +361,14 @@ func TestEncodingKey(t *testing.T) {
 }
 
 // TestChunkTableEncodings checks the table keeps hot and cold encodings of
-// one chunk apart: dedup lookups are class-scoped and releasing one
+// one chunk apart: dedup lookups are class-scoped and dropping one
 // encoding leaves the other stored.
 func TestChunkTableEncodings(t *testing.T) {
 	tbl := NewChunkTable()
 	hot := ChunkRef{ID: "c1", Size: 100, T: 2, N: 4}
 	cold := ChunkRef{ID: "c1", Size: 100, T: 3, N: 8, Class: "cold"}
-	tbl.AddVersionRef(hot, []ShareLoc{{ChunkID: "c1", Index: 0, CSP: "a"}}, "v1")
-	tbl.AddVersionRef(cold, []ShareLoc{{ChunkID: "c1", Index: 0, CSP: "b"}}, "v2")
+	tbl.Record(hot, []ShareLoc{{ChunkID: "c1", Index: 0, CSP: "a"}})
+	tbl.Record(cold, []ShareLoc{{ChunkID: "c1", Index: 0, CSP: "b"}})
 
 	if tbl.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 encodings", tbl.Len())
@@ -389,23 +389,21 @@ func TestChunkTableEncodings(t *testing.T) {
 		t.Fatal("MoveShareEnc failed")
 	}
 	c, _ = tbl.LookupEnc("c1", "cold")
-	if c.Shares[0] != "c" {
+	if c.Shares[0].CSP != "c" {
 		t.Fatalf("cold share not moved: %v", c.Shares)
 	}
 	h, _ = tbl.LookupEnc("c1", "")
-	if h.Shares[0] != "a" {
+	if h.Shares[0].CSP != "a" {
 		t.Fatalf("hot share moved by a cold-class MoveShare: %v", h.Shares)
 	}
 
-	if _, gone := tbl.Release(EncodingKey("c1", "cold")); !gone {
-		t.Fatal("cold encoding should release to zero")
-	}
+	tbl.Drop(EncodingKey("c1", "cold"))
 	if _, ok := tbl.LookupEnc("c1", ""); !ok {
-		t.Fatal("releasing the cold encoding dropped the hot one")
+		t.Fatal("dropping the cold encoding dropped the hot one")
 	}
 
 	ents := tbl.Entries()
 	if len(ents) != 1 || ents[0].ID != "c1" || ents[0].Class != "" {
-		t.Fatalf("Entries after release = %+v", ents)
+		t.Fatalf("Entries after drop = %+v", ents)
 	}
 }

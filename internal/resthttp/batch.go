@@ -184,7 +184,7 @@ func (s *Store) downloadBatch(ctx context.Context, names []string, out map[strin
 	defer drainClose(resp.Body)
 	data, err := readCapped(resp.Body, resp.ContentLength, maxBatchResponseBytes)
 	if err != nil {
-		return fmt.Errorf("%w: %s: %v", csp.ErrUnavailable, s.name, err)
+		return s.unavailable(ctx, err)
 	}
 	pending := make(map[string]struct{}, len(names)) // asked for, not yet answered
 	for _, name := range names {

@@ -122,7 +122,7 @@ func (s *Store) List(ctx context.Context, prefix string) ([]csp.ObjectInfo, erro
 		infos, err = decodeListing(doc)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: bad listing: %v", csp.ErrUnavailable, s.name, err)
+		return nil, s.unavailable(ctx, fmt.Errorf("bad listing: %v", err))
 	}
 	return infos, nil
 }
@@ -152,7 +152,7 @@ func (s *Store) Download(ctx context.Context, name string) ([]byte, error) {
 	defer drainClose(resp.Body)
 	data, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", csp.ErrUnavailable, s.name, err)
+		return nil, s.unavailable(ctx, err)
 	}
 	return data, nil
 }
@@ -170,7 +170,7 @@ func (s *Store) DownloadTo(ctx context.Context, name string, w io.Writer) (int64
 	defer drainClose(resp.Body)
 	n, err := io.Copy(w, resp.Body)
 	if err != nil {
-		return n, fmt.Errorf("%w: %s: %v", csp.ErrUnavailable, s.name, err)
+		return n, s.unavailable(ctx, err)
 	}
 	return n, nil
 }

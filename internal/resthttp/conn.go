@@ -128,11 +128,13 @@ func (s *Store) roundTrip(ctx context.Context, method, path, token string, body 
 	}
 }
 
-// unavailable wraps a transport failure as a provider fault, naming the
-// context's error when that is what ended the call.
+// unavailable wraps a transport failure as a provider fault. A call its own
+// context ended is not one: it returns an error matching the context's, so
+// a hedge or race loser its gather cancelled does not count against the
+// provider.
 func (s *Store) unavailable(ctx context.Context, err error) error {
 	if ctxErr := ctx.Err(); ctxErr != nil {
-		err = ctxErr
+		return fmt.Errorf("%s: %w", s.name, ctxErr)
 	}
 	return fmt.Errorf("%w: %s: %v", csp.ErrUnavailable, s.name, err)
 }

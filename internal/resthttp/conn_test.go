@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cloudsim"
 	"repro/internal/csp"
+	"repro/internal/transfer"
 )
 
 // connCounter counts the connections a test server accepts.
@@ -180,6 +181,46 @@ func TestConnCancel(t *testing.T) {
 		if got := cc.opened.Load(); got != 2 {
 			t.Errorf("%d connections opened, want 2: the cancelled one was pooled", got)
 		}
+	})
+}
+
+// TestConnCancelledCallIsNotAProviderFault: a call its own context ended —
+// before it dialled, or while reading the body — returns the context's error
+// and not csp.ErrUnavailable, so the transfer engine does not count it
+// against the provider (a hedge or race loser is cancelled this way every
+// time its gather resolves).
+func TestConnCancelledCallIsNotAProviderFault(t *testing.T) {
+	check := func(label string, err error) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) || errors.Is(err, csp.ErrUnavailable) || transfer.ProviderFault(err) {
+			t.Errorf("%s: err = %v, want context.Canceled and no provider fault", label, err)
+		}
+	}
+	t.Run("before-dial", func(t *testing.T) {
+		s := NewStore("conn", "http://127.0.0.1:1")
+		s.token = "secret"
+		ctx, cancel := context.WithCancel(bg)
+		cancel()
+		_, err := s.Download(ctx, "x")
+		check("Download", err)
+	})
+	t.Run("mid-body", func(t *testing.T) {
+		reached := make(chan struct{}, 1)
+		s, _, _ := countedProvider(t, stallAfter(true, reached))
+		ctx, cancel := context.WithCancel(bg)
+		defer cancel()
+		go func() {
+			<-reached
+			cancel()
+		}()
+		_, err := s.Download(ctx, "stall")
+		check("Download", err)
+
+		ctx, cancel = context.WithCancel(bg)
+		defer cancel()
+		_, err = s.DownloadTo(ctx, "stall", cancelOnWrite{cancel})
+		check("DownloadTo", err)
+		<-reached
 	})
 }
 
