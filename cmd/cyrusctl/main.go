@@ -53,10 +53,10 @@ type config struct {
 	T        int    `json:"t"`
 	N        int    `json:"n"`
 	// Metadata-plane knobs (DESIGN.md §11). Zero values keep the paper's
-	// behavior: records on every provider, no cache, no compaction.
+	// behavior: records on every provider, no cache. Every version is kept:
+	// a "tree_retention" key older config files carry is ignored.
 	MetaShards       int        `json:"meta_shards,omitempty"`
 	MetaCacheEntries int        `json:"meta_cache_entries,omitempty"`
-	TreeRetention    int        `json:"tree_retention,omitempty"`
 	CSPToken         string     `json:"csp_token,omitempty"` // bearer token for HTTP providers
 	CSPs             []cspEntry `json:"csps"`
 	// Storage-class knobs (DESIGN.md §13). Empty = one implicit class with
@@ -206,8 +206,8 @@ func cmdGC(ctx context.Context, c *cyrus.Client) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("collected %d chunks (%d share objects, ~%d bytes); %d shares skipped\n",
-		stats.Chunks, stats.Shares, stats.Bytes, stats.Skipped)
+	fmt.Printf("collected %d share objects (~%d bytes); %d shares skipped\n",
+		stats.Shares, stats.Bytes, stats.Skipped)
 	return nil
 }
 
@@ -526,7 +526,6 @@ func cmdInit(cfgPath string, args []string) error {
 	cspToken := fs.String("csptoken", "", "bearer token for http(s) providers")
 	metaShards := fs.Int("metashards", 0, "providers per metadata record (0 = all providers)")
 	metaCache := fs.Int("metacache", 0, "file names whose reads may skip the metadata sync while fresh (0 = always sync)")
-	retention := fs.Int("retention", 0, "resolved conflict branches kept per file (0 = keep all)")
 	var csps multiFlag
 	fs.Var(&csps, "csp", "provider as name=<dir-path or http(s)://url> (repeatable, need at least t)")
 	var classes multiFlag
@@ -542,7 +541,7 @@ func cmdInit(cfgPath string, args []string) error {
 	}
 	cfg := config{
 		ClientID: *client, Key: *key, T: *t, N: *n, CSPToken: *cspToken,
-		MetaShards: *metaShards, MetaCacheEntries: *metaCache, TreeRetention: *retention,
+		MetaShards: *metaShards, MetaCacheEntries: *metaCache,
 		DefaultClass: *defClass,
 	}
 	for _, spec := range classes {
@@ -642,7 +641,6 @@ func openClient(cfgPath string) (*cyrus.Client, *cyrus.Observer, config, error) 
 		N:                cfg.N,
 		MetaShards:       cfg.MetaShards,
 		MetaCacheEntries: cfg.MetaCacheEntries,
-		TreeRetention:    cfg.TreeRetention,
 		Classes:          cfg.Classes,
 		ClassRules:       cfg.ClassRules,
 		DefaultClass:     cfg.DefaultClass,

@@ -95,6 +95,48 @@ func TestCLILifecycle(t *testing.T) {
 	}
 }
 
+// TestCLIIgnoresRetentionKey: config files written by an older init
+// -retention carry a "tree_retention" key. Such a file still opens, and the
+// value is ignored: every version stays listed and readable.
+func TestCLIIgnoresRetentionKey(t *testing.T) {
+	cfg, dir := setup(t)
+	raw, err := os.ReadFile(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["tree_retention"] = 2
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfg, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	src := filepath.Join(dir, "doc.txt")
+	for _, body := range []string{"first version", "second version"} {
+		if err := os.WriteFile(src, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mustCtl(t, cfg, "put", src)
+	}
+	mustCtl(t, cfg, "rm", "doc.txt")
+	mustCtl(t, cfg, "gc")
+	lines := strings.Split(strings.TrimSpace(string(ctlStdout(t, cfg, "history", "doc.txt"))), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("history after gc:\n%s", strings.Join(lines, "\n"))
+	}
+	oldest := strings.Fields(lines[2])[0]
+	out := filepath.Join(dir, "out.txt")
+	mustCtl(t, cfg, "get", "-version", oldest, "-o", out, "doc.txt")
+	if got, err := os.ReadFile(out); err != nil || string(got) != "first version" {
+		t.Fatalf("oldest version: %q, %v", got, err)
+	}
+}
+
 func TestCLISyncCommand(t *testing.T) {
 	cfg, dir := setup(t)
 	folder := filepath.Join(dir, "synced")

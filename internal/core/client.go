@@ -85,14 +85,6 @@ type Config struct {
 	// read.
 	MetaCacheEntries int
 
-	// TreeRetention, when positive, compacts resolved conflict history
-	// after every full-view sync: dead branches (every leaf deleted)
-	// beyond this count per file are pruned from the local tree. Pruned
-	// records stay on the providers and other replicas; only local state
-	// shrinks — but their exclusively-referenced chunks become eligible
-	// for an explicit GC. 0 (the default) disables compaction.
-	TreeRetention int
-
 	// DedupMode enables cross-user convergent dedup: dispersal matrices are
 	// derived from chunk content (keyed by DedupSecret), shares are named by
 	// content address, and uploads of shares the CSP already holds are
@@ -217,9 +209,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MetaCacheEntries < 0 {
 		return c, fmt.Errorf("cyrus: MetaCacheEntries=%d", c.MetaCacheEntries)
-	}
-	if c.TreeRetention < 0 {
-		return c, fmt.Errorf("cyrus: TreeRetention=%d", c.TreeRetention)
 	}
 	if c.DedupMode && c.DedupSecret == "" {
 		return c, errors.New("cyrus: DedupMode requires Config.DedupSecret")

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/csp"
 	"repro/internal/erasure"
-	"repro/internal/metadata"
 	"repro/internal/transfer"
 )
 
@@ -50,134 +49,60 @@ func (c *Client) Import(ctx context.Context, providerName, objectName, destName 
 
 // GCStats reports what a garbage collection removed.
 type GCStats struct {
-	Chunks  int   // unreferenced chunks collected
 	Shares  int   // share objects deleted
 	Bytes   int64 // approximate bytes reclaimed (share payloads)
 	Skipped int   // shares that could not be deleted (provider unreachable)
 	Derefs  int   // CAS reference tokens released without deleting the object
 }
 
-// GC deletes the share objects of chunks no version in the metadata tree
-// references — orphans left by interrupted uploads or pruned histories.
-// Chunks referenced by any version, including deleted files' old versions
-// (which remain restorable), are never touched.
+// GC reclaims content-addressed shares (dedup mode) no version in the
+// metadata tree references. The tree only grows, so every share a record
+// names stays referenced, including deleted files' old versions (which
+// remain restorable); what GC can free is the residue of dedup uploads that
+// crashed before their metadata landed.
 //
-// Content-addressed shares (dedup mode) may be referenced by other users,
-// so GC never deletes them directly: it releases this user's reference
-// token (csp.RefStore.DelRef) and the provider removes the object only
-// when the last token drains. On providers without reference support CAS
-// shares are left alone entirely (conservatively counted as Skipped).
-// After the orphan pass, a reconciliation sweep replays any interrupted
-// refcount update against raw provider listings: this user's token is
-// re-asserted on every CAS object a tree version still references, and
-// released from every one none does — including shares of uploads that
-// crashed before their metadata landed, which no table entry records.
-// GC must not run concurrently with this user's own uploads: the sweep
-// would release tokens of chunks whose metadata is still in flight.
+// Content-addressed shares may be referenced by other users, so GC never
+// deletes them directly: a reconciliation sweep replays any interrupted
+// refcount update against raw provider listings, re-asserting this user's
+// reference token on every CAS object a tree version still references and
+// releasing it (csp.RefStore.DelRef) from every one none does; the provider
+// removes the object only when the last token drains. Providers without
+// reference support are left alone. GC must not run concurrently with
+// uploads by any device of this user (the token is one per user key): the
+// sweep would release tokens of chunks whose metadata is still in flight.
 //
-// The sweep releases tokens by comparing raw listings against the local
-// tree, so it only runs when the pre-GC sync achieved a full view (every
-// active provider listed, no availability failures): a stale tree would
-// release the token of a sibling device's freshly published chunks.
-// Record-level unreadables — foreign users' records in a shared
-// deployment — do not block the sweep: they can never decode, and their
-// owners' tokens are not this client's to touch. The orphan pass, which
-// only frees chunks this client's own table knows, runs regardless.
+// The sweep compares raw listings against the local tree, so it only runs
+// when the pre-GC sync achieved a full view (every active provider listed,
+// no availability failures): a stale tree would release the token of a
+// sibling device's freshly published chunks. Record-level unreadables —
+// foreign users' records in a shared deployment — do not block the sweep:
+// they can never decode, and their owners' tokens are not this client's to
+// touch.
+//
+// Without a DedupSecret, GC deletes nothing: every keyed share a record
+// names stays referenced by the grow-only tree, and the shares of an
+// interrupted keyed upload are leaked — a keyed share name does not say
+// which user owns it, so no sweep can tell an orphan from another user's
+// share.
 func (c *Client) GC(ctx context.Context) (_ GCStats, err error) {
 	ctx, sp := c.obs.StartOp(ctx, "gc")
 	defer func() { sp.End(err) }()
 	c.syncBestEffort(ctx, "")
 
-	// References are per encoding (chunk ID + class): after a lifecycle
-	// demotion both encodings of a chunk coexist, and only the one no
-	// version references — if any — is collectible.
-	referenced := map[string]bool{}
-	for _, m := range c.tree.All() {
-		for _, ref := range m.Chunks {
-			referenced[ref.EncodingKey()] = true
-		}
-	}
-
 	var stats GCStats
-	// The chunk table may know encodings no record references (refs from
-	// absorbed-then-pruned versions, or uploads whose metadata never
-	// landed). Collect those.
-	var orphans []metadata.ChunkInfo
-	for _, info := range c.table.Entries() {
-		if !referenced[metadata.EncodingKey(info.ID, info.Class)] {
-			orphans = append(orphans, info)
-		}
+	if c.names.conv == nil {
+		return stats, nil
+	}
+	if !c.syncFullView() {
+		c.obs.Note(ctx, "gc.cas_sweep_skipped", "last sync saw a partial view")
+		return stats, nil
 	}
 	// Deletes route through one engine operation: retried per the taxonomy,
 	// and a provider that exhausts its retries is skipped for the rest of
 	// the collection (its shares count as Skipped, not retried N more times).
 	op := c.engine.Begin(ctx)
 	defer op.Finish()
-	handled := make(map[string]bool) // CAS object names the orphan pass released
-	for _, info := range orphans {
-		ref := metadata.ChunkRef{ID: info.ID, Size: info.Size, T: info.T, N: info.N, CAS: info.CAS, Class: info.Class}
-		if info.CAS && c.names.conv == nil {
-			// Content-addressed names are unrecoverable without the
-			// deployment secret; leave the entry for a properly configured
-			// client to collect.
-			stats.Skipped += len(info.Shares)
-			continue
-		}
-		stats.Chunks++
-		shareSize := erasure.ShareSize(info.Size, info.T)
-		for _, loc := range info.Shares {
-			idx, cspName := loc.Index, loc.CSP
-			store, ok := c.store(cspName)
-			if !ok {
-				stats.Skipped++
-				continue
-			}
-			rs, hasRefs := store.(csp.RefStore)
-			if info.CAS && !hasRefs {
-				// No refcounts there: deleting could destroy another user's
-				// only copy. Leave the object.
-				stats.Skipped++
-				continue
-			}
-			name, nerr := c.names.Share(ref, idx)
-			if nerr != nil {
-				stats.Skipped++
-				continue
-			}
-			removed := true
-			kind := opDelete
-			if info.CAS {
-				kind = opRef
-				handled[cspName+"|"+name] = true
-			}
-			err := c.call(op, ctx, cspName, kind, func(actx context.Context, store csp.Store) (int64, error) {
-				if info.CAS {
-					r, err := rs.DelRef(actx, name, c.names.RefToken())
-					removed = r
-					return 0, err
-				}
-				return 0, store.Delete(actx, name)
-			})
-			if err != nil && !errIsNotFound(err) {
-				stats.Skipped++
-				continue
-			}
-			if !removed {
-				stats.Derefs++
-				continue
-			}
-			stats.Shares++
-			stats.Bytes += shareSize
-		}
-		c.table.Drop(metadata.EncodingKey(info.ID, info.Class))
-	}
-	if c.names.conv != nil {
-		if c.syncFullView() {
-			c.gcReconcileCAS(op, ctx, referenced, handled, &stats)
-		} else {
-			c.obs.Note(ctx, "gc.cas_sweep_skipped", "last sync saw a partial view")
-		}
-	}
+	c.gcReconcileCAS(op, ctx, &stats)
 	return stats, nil
 }
 
@@ -189,15 +114,18 @@ func (c *Client) GC(ctx context.Context) (_ GCStats, err error) {
 // version, including uploads whose metadata never landed and thus appear
 // in no table entry) is released. Only this user's own token is ever
 // touched, so concurrent GCs by different users cannot fight.
-func (c *Client) gcReconcileCAS(op *transfer.Op, ctx context.Context, referenced, handled map[string]bool, stats *GCStats) {
+func (c *Client) gcReconcileCAS(op *transfer.Op, ctx context.Context, stats *GCStats) {
+	// References are per encoding (chunk ID + class): after a lifecycle
+	// demotion both encodings of a chunk coexist.
 	refTags := make(map[string]bool)
 	sizeOfTag := make(map[string]int64)
-	for key := range referenced {
-		chunkID, class := metadata.SplitEncodingKey(key)
-		if info, ok := c.table.LookupEnc(chunkID, class); ok && info.CAS {
-			tag := c.names.conv.Tag(chunkID)
-			refTags[tag] = true
-			sizeOfTag[tag] = erasure.ShareSize(info.Size, info.T)
+	for _, m := range c.tree.All() {
+		for _, ref := range m.Chunks {
+			if info, ok := c.table.LookupEnc(ref.ID, ref.Class); ok && info.CAS {
+				tag := c.names.conv.Tag(ref.ID)
+				refTags[tag] = true
+				sizeOfTag[tag] = erasure.ShareSize(info.Size, info.T)
+			}
 		}
 	}
 	token := c.names.RefToken()
@@ -224,7 +152,7 @@ func (c *Client) gcReconcileCAS(op *transfer.Op, ctx context.Context, referenced
 		}
 		for _, info := range infos {
 			tag, _, _, ok := parseCASShareName(info.Name)
-			if !ok || handled[cspName+"|"+info.Name] {
+			if !ok {
 				continue
 			}
 			a := action{cspName: cspName, rs: rs, name: info.Name, keep: refTags[tag]}

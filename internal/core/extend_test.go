@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cloudsim"
 	"repro/internal/csp"
-	"repro/internal/metadata"
 )
 
 func TestGetRange(t *testing.T) {
@@ -127,55 +126,6 @@ func TestImport(t *testing.T) {
 	}
 }
 
-func TestGCCollectsOrphans(t *testing.T) {
-	t.Parallel()
-	env := newEnv(t, 4)
-	c := env.client("alice", nil)
-	data := randData(43, 6_000)
-	if err := c.Put(bg, "live", data); err != nil {
-		t.Fatal(err)
-	}
-
-	// Fabricate an orphan: scatter a chunk whose metadata never lands.
-	orphan := randData(44, 3_000)
-	ref := metadata.ChunkRef{ID: metadata.HashData(orphan), Size: int64(len(orphan)), T: 2, N: 3}
-	sop := c.engine.Begin(bg)
-	locs, err := c.scatterChunk(sop, ref, orphan)
-	sop.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.table.Record(ref, locs)
-
-	var before int
-	for _, b := range env.backends {
-		before += b.Stats().Objects
-	}
-	stats, err := c.GC(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Chunks != 1 || stats.Shares != 3 {
-		t.Fatalf("GC stats = %+v", stats)
-	}
-	var after int
-	for _, b := range env.backends {
-		after += b.Stats().Objects
-	}
-	if after != before-3 {
-		t.Fatalf("objects %d -> %d, want 3 fewer", before, after)
-	}
-	// Live data unaffected, another GC is a no-op.
-	got, _, err := c.Get(bg, "live")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("live file after GC: %v", err)
-	}
-	stats, err = c.GC(bg)
-	if err != nil || stats.Chunks != 0 {
-		t.Fatalf("second GC: %+v, %v", stats, err)
-	}
-}
-
 func TestGCKeepsHistoryChunks(t *testing.T) {
 	t.Parallel()
 	env := newEnv(t, 4)
@@ -193,8 +143,8 @@ func TestGCKeepsHistoryChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Chunks != 0 {
-		t.Fatalf("GC collected %d chunks referenced by history", stats.Chunks)
+	if stats != (GCStats{}) {
+		t.Fatalf("GC collected shares referenced by history: %+v", stats)
 	}
 	// Old versions still restorable.
 	hist, err := c.History(bg, "doc")
@@ -208,27 +158,25 @@ func TestGCKeepsHistoryChunks(t *testing.T) {
 	}
 }
 
-// TestGCAfterCompaction: with TreeRetention 1, repeated same-name conflicts
-// that are resolved leave dead branches, and compaction prunes all but the
-// newest. The chunk table still records the pruned records' chunks, and GC
-// collects exactly those: every chunk a live or retained version references
-// keeps all its shares, and the file and the retained loser stay readable.
-func TestGCAfterCompaction(t *testing.T) {
+// TestGCKeepsEveryVersionReadable: repeated same-name conflicts, each
+// resolved in alice's favour, leave dead branches in the tree. GC deletes
+// none of their shares, and a fresh client that recovers the tree reads
+// every version it lists, each loser included.
+func TestGCKeepsEveryVersionReadable(t *testing.T) {
 	t.Parallel()
 	env := newEnv(t, 4)
-	retain := func(cfg *Config) { cfg.TreeRetention = 1 }
-	alice := env.client("alice", retain)
-	bob := env.client("bob", retain)
+	alice := env.client("alice", nil)
+	bob := env.client("bob", nil)
 	mine := randData(60, 4_000)
 	if err := alice.Put(bg, "doc", mine); err != nil {
 		t.Fatal(err)
 	}
 	winner := mustHeadVersion(t, alice, "doc")
+	want := map[string][]byte{winner: mine} // version ID -> its content
 
 	// Each round bob publishes a second root under the same name, as a
 	// client that never saw alice's file would, and alice resolves the
 	// conflict in her favour.
-	losers := map[string][]byte{} // bob's version ID -> its content
 	for round := 0; round < 3; round++ {
 		data := randData(int64(61+round), 4_000)
 		m := buildVersion(t, bob, "doc", data, "")
@@ -242,7 +190,7 @@ func TestGCAfterCompaction(t *testing.T) {
 		if err := bob.absorb(m, id); err != nil {
 			t.Fatal(err)
 		}
-		losers[id] = data
+		want[id] = data
 		if _, err := alice.Sync(bg); err != nil {
 			t.Fatal(err)
 		}
@@ -253,80 +201,43 @@ func TestGCAfterCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := alice.Sync(bg); err != nil {
-		t.Fatal(err)
-	}
-	if alice.Tree().PrunedCount() == 0 {
-		t.Fatal("nothing was pruned: no dead branch to collect")
-	}
 
-	// Chunk encodings referenced by what the tree still holds, and by what
-	// compaction pruned from it.
-	kept := map[string]bool{}
-	for _, m := range alice.Tree().All() {
-		for _, ref := range m.Chunks {
-			kept[ref.EncodingKey()] = true
+	objects := func() (n int) {
+		for _, b := range env.backends {
+			n += b.Stats().Objects
 		}
+		return n
 	}
-	type placed struct {
-		ref    metadata.ChunkRef
-		shares []metadata.ShareLoc
-	}
-	var pruned []placed
-	retained := ""
-	for id, data := range losers {
-		if _, err := alice.Tree().Get(id); err == nil {
-			retained = id
-			continue
-		}
-		for _, ch := range alice.chunk.Split(data) {
-			ref := metadata.ChunkRef{ID: metadata.HashData(ch.Data), T: 2, N: 3}
-			if info, ok := alice.table.LookupEnc(ref.ID, ""); ok && !kept[ref.EncodingKey()] {
-				pruned = append(pruned, placed{ref, info.Shares})
-			}
-		}
-	}
-	if len(pruned) == 0 || retained == "" {
-		t.Fatalf("%d pruned chunks in the table, retained loser %q: the scenario did not form", len(pruned), retained)
-	}
-
+	before := objects()
 	stats, err := alice.GC(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Chunks != len(pruned) || stats.Skipped != 0 {
-		t.Fatalf("GC stats = %+v, want the %d chunks only pruned records referenced", stats, len(pruned))
+	if stats != (GCStats{}) {
+		t.Fatalf("GC stats = %+v, want nothing collected", stats)
 	}
-	for _, p := range pruned {
-		if _, ok := alice.table.LookupEnc(p.ref.ID, ""); ok {
-			t.Errorf("pruned-only chunk %s still in the table", p.ref.ID[:8])
+	if after := objects(); after != before {
+		t.Fatalf("objects %d -> %d across GC", before, after)
+	}
+
+	fresh := env.client("carol", nil)
+	if err := fresh.Recover(bg); err != nil {
+		t.Fatal(err)
+	}
+	read := 0
+	for _, m := range fresh.Tree().All() {
+		if m.File.Deleted {
+			continue
 		}
-		for _, loc := range p.shares {
-			name, _ := alice.names.Share(p.ref, loc.Index)
-			if _, ok := env.backends[loc.CSP].PeekObject(name); ok {
-				t.Errorf("share %d of pruned-only chunk %s left on %s", loc.Index, p.ref.ID[:8], loc.CSP)
-			}
+		id := m.VersionID()
+		got, _, err := getVersion(bg, fresh, "doc", id)
+		if err != nil || !bytes.Equal(got, want[id]) {
+			t.Fatalf("version %s after GC: %v", id[:8], err)
 		}
+		read++
 	}
-	for _, m := range alice.Tree().All() {
-		for _, ref := range m.Chunks {
-			info, ok := alice.table.LookupEnc(ref.ID, ref.Class)
-			if !ok {
-				t.Fatalf("chunk %s of a kept version left the table", ref.ID[:8])
-			}
-			for _, loc := range info.Shares {
-				name, _ := alice.names.Share(ref, loc.Index)
-				if _, ok := env.backends[loc.CSP].PeekObject(name); !ok {
-					t.Errorf("share %d of kept chunk %s collected from %s", loc.Index, ref.ID[:8], loc.CSP)
-				}
-			}
-		}
-	}
-	if got, _, err := alice.Get(bg, "doc"); err != nil || !bytes.Equal(got, mine) {
-		t.Fatalf("Get after GC: %v", err)
-	}
-	if got, _, err := getVersion(bg, alice, "doc", retained); err != nil || !bytes.Equal(got, losers[retained]) {
-		t.Fatalf("retained loser after GC: %v", err)
+	if read != len(want) {
+		t.Fatalf("recovered tree holds %d readable versions, want %d", read, len(want))
 	}
 }
 

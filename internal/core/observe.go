@@ -13,7 +13,7 @@ package core
 //   - the transfer engine records each try once, as an attempt.start /
 //     attempt.end flight-event pair stamped with the enclosing span;
 //   - the repairs the client makes on its own (corrected shares, re-placed
-//     metadata, a compacted version tree, a skipped CAS sweep) are one
+//     metadata, a skipped CAS sweep) are one
 //     "note" flight event each (Observer.Note).
 //
 // All of it is inert when Config.Obs is nil, and none of it is read back:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 
 	"repro/internal/metadata"
 )
@@ -123,12 +122,11 @@ func (c *Client) syncMeta(ctx context.Context, name string) (n int, err error) {
 	}
 	full = complete && unreadableOnly
 	if full {
-		// With the complete recoverable state in hand it is safe to run the
-		// maintenance passes: re-place sharded metadata after ring churn
-		// (stale holders keep their copies — see repairMetaPlacement) and
-		// compact resolved version-tree branches. Both are deterministic
-		// over the full record set, so independently syncing clients
-		// converge on the same state.
+		// With the complete recoverable state in hand it is safe to re-place
+		// sharded metadata after ring churn (stale holders keep their
+		// copies — see repairMetaPlacement). The pass is deterministic over
+		// the full record set, so independently syncing clients converge
+		// on the same state.
 		// The repair scan runs on every full view, not just after a ring
 		// epoch change: a record uploaded during a provider outage met its
 		// t-quorum with fewer than MetaShards shares, and only this pass
@@ -146,11 +144,6 @@ func (c *Client) syncMeta(ctx context.Context, name string) (n int, err error) {
 						break
 					}
 				}
-			}
-		}
-		if c.cfg.TreeRetention > 0 {
-			if pruned := c.tree.Compact(c.cfg.TreeRetention); pruned > 0 {
-				c.obs.Note(ctx, "tree.compacted", "pruned="+strconv.Itoa(pruned))
 			}
 		}
 	}

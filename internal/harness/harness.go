@@ -144,9 +144,7 @@ type Options struct {
 	// MetaCacheEntries enables the metadata freshness marks on every
 	// client. The checkpoint adds a cache-coherence oracle: after quiesce,
 	// no client may hold a mark that differs from its tree's live head
-	// (i.e. no client would serve a superseded version off a mark). TreeRetention is deliberately NOT a harness knob: the
-	// durability oracle re-reads every acknowledged historical version,
-	// which compaction legitimately prunes.
+	// (i.e. no client would serve a superseded version off a mark).
 	MetaCacheEntries int
 
 	// Recorder, when set, tunes the shared observer's flight recorder

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -401,5 +402,60 @@ func TestCrashResume(t *testing.T) {
 	migrated, failed = m3.Run(bg)
 	if migrated != 2 || failed != 0 {
 		t.Fatalf("replayed run = (%d, %d)", migrated, failed)
+	}
+}
+
+// TestFileStateFailedWriteKeepsQueue makes the write of the next queue
+// fail: Save must report it, and the queue file must still hold the
+// previous queue, with no temp file left beside it.
+func TestFileStateFailedWriteKeepsQueue(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "lifecycle.json")
+	st, err := NewFileState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(Job{Name: "docs/x", From: "hot", Target: "cold"}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A read-only handle: every Write on it fails.
+	defer func(orig func(string, string) (*os.File, error)) { createTemp = orig }(createTemp)
+	createTemp = func(dir, pattern string) (*os.File, error) {
+		f, err := os.CreateTemp(dir, pattern)
+		if err != nil {
+			return nil, err
+		}
+		f.Close()
+		return os.Open(f.Name())
+	}
+	if err := st.Save(Job{Name: "docs/y", From: "hot", Target: "cold"}); err == nil {
+		t.Fatal("Save succeeded although its write failed")
+	}
+
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("queue file changed by a failed Save:\n%s", after)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("dir holds %d entries, want only the queue file", len(entries))
+	}
+	reopened, err := NewFileState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs, _ := reopened.Load(); len(jobs) != 1 || jobs[0].Name != "docs/x" {
+		t.Fatalf("reopened queue = %+v", jobs)
 	}
 }

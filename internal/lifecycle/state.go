@@ -110,6 +110,10 @@ func (s *FileState) Clear(name string) error {
 	return s.flushLocked()
 }
 
+// createTemp opens the file flushLocked writes the next queue to; tests
+// swap it to make that write fail.
+var createTemp = os.CreateTemp
+
 func (s *FileState) flushLocked() error {
 	jobs := make([]Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
@@ -120,19 +124,41 @@ func (s *FileState) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(s.path), ".lifecycle-*")
+	dir := filepath.Dir(s.path)
+	tmp, err := createTemp(dir, ".lifecycle-*")
 	if err != nil {
 		return err
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	// The data must be on disk before the rename makes it the queue: a
+	// rename that outlives a power cut its data did not would leave an
+	// empty or partial file under s.path.
+	if _, err = tmp.Write(data); err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(name)
 		return err
 	}
-	if err := tmp.Close(); err != nil {
+	if err := os.Rename(name, s.path); err != nil {
 		os.Remove(name)
 		return err
 	}
-	return os.Rename(name, s.path)
+	return syncDir(dir)
+}
+
+// syncDir makes a rename in dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

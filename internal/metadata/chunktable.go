@@ -134,32 +134,6 @@ func (t *ChunkTable) SharesOn(cspName string) []string {
 	return out
 }
 
-// Entries returns every (chunk, encoding) entry, sorted by encoding key —
-// the iteration surface for GC.
-func (t *ChunkTable) Entries() []ChunkInfo {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	keys := make([]string, 0, len(t.chunks))
-	for key := range t.chunks {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	out := make([]ChunkInfo, 0, len(keys))
-	for _, key := range keys {
-		out = append(out, *t.chunks[key])
-	}
-	return out
-}
-
-// Drop removes a chunk encoding (garbage collection of one no version
-// references). The key is an EncodingKey (a bare chunk ID for the default
-// class).
-func (t *ChunkTable) Drop(encKey string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.chunks, encKey)
-}
-
 // Len returns the number of unique stored chunk encodings.
 func (t *ChunkTable) Len() int {
 	t.mu.RLock()

@@ -361,8 +361,7 @@ func TestEncodingKey(t *testing.T) {
 }
 
 // TestChunkTableEncodings checks the table keeps hot and cold encodings of
-// one chunk apart: dedup lookups are class-scoped and dropping one
-// encoding leaves the other stored.
+// one chunk apart: dedup lookups and share moves are class-scoped.
 func TestChunkTableEncodings(t *testing.T) {
 	tbl := NewChunkTable()
 	hot := ChunkRef{ID: "c1", Size: 100, T: 2, N: 4}
@@ -395,15 +394,5 @@ func TestChunkTableEncodings(t *testing.T) {
 	h, _ = tbl.LookupEnc("c1", "")
 	if h.Shares[0].CSP != "a" {
 		t.Fatalf("hot share moved by a cold-class MoveShare: %v", h.Shares)
-	}
-
-	tbl.Drop(EncodingKey("c1", "cold"))
-	if _, ok := tbl.LookupEnc("c1", ""); !ok {
-		t.Fatal("dropping the cold encoding dropped the hot one")
-	}
-
-	ents := tbl.Entries()
-	if len(ents) != 1 || ents[0].ID != "c1" || ents[0].Class != "" {
-		t.Fatalf("Entries after drop = %+v", ents)
 	}
 }

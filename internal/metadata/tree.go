@@ -6,14 +6,15 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Tree is the logical metadata tree (Figure 6): a dummy root whose
 // first-level children are new files and whose deeper levels are sequential
 // versions. Each client maintains a local Tree and merges records listed
 // from the metadata CSPs into it; Insert is idempotent and commutative, so
-// replicas converge regardless of sync order.
+// replicas converge regardless of sync order. The tree only grows: the
+// paper keeps every version (a delete is a marker record), and nothing is
+// ever removed, so every device lists and can read the same history.
 //
 // Nodes are indexed by file name as well as by version ID, so a name's head
 // and history cost O(versions of that name) and Names costs O(names), however
@@ -23,7 +24,6 @@ type Tree struct {
 	nodes    map[string]*FileMeta // by VersionID
 	children map[string][]string  // VersionID -> child VersionIDs (sorted)
 	roots    []string             // VersionIDs with PrevID == ""
-	pruned   map[string]bool      // VersionIDs removed by Compact
 	byName   map[string][]string  // file name -> its VersionIDs (sorted)
 	names    []string             // the keys of byName, sorted
 }
@@ -39,7 +39,6 @@ func NewTree() *Tree {
 	return &Tree{
 		nodes:    make(map[string]*FileMeta),
 		children: make(map[string][]string),
-		pruned:   make(map[string]bool),
 		byName:   make(map[string][]string),
 	}
 }
@@ -65,11 +64,6 @@ func (t *Tree) InsertVerified(m *FileMeta, id string) (added bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.nodes[id]; ok {
-		return false
-	}
-	if t.pruned[id] {
-		// Compacted away earlier; re-inserting would resurrect a branch
-		// whose structure (children, parent links) is gone.
 		return false
 	}
 	cp := *m
@@ -341,157 +335,15 @@ func (t *Tree) subtreeLiveLocked(id string) bool {
 
 // Missing returns, among the given version IDs, those not yet in the tree —
 // the sync service uses it to decide which metadata objects to download.
-// Versions removed by Compact are not reported: their records still exist
-// on the CSPs, but refetching them would only resurrect pruned history.
 func (t *Tree) Missing(versionIDs []string) []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []string
 	for _, id := range versionIDs {
-		if _, ok := t.nodes[id]; !ok && !t.pruned[id] {
+		if _, ok := t.nodes[id]; !ok {
 			out = append(out, id)
 		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-// PrunedCount returns the number of version IDs removed by Compact.
-func (t *Tree) PrunedCount() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.pruned)
-}
-
-// Compact prunes resolved conflict history. A prunable branch is a maximal
-// dead subtree — a subtree whose every leaf carries a deletion marker —
-// hanging off a node that still has a live descendant, or a dead root
-// subtree whose file name has other root subtrees. Per file name the
-// `retention` most recent dead branches (by latest Modified in the branch,
-// ties broken by branch-root version ID) are kept; a name's only subtree is
-// never pruned, so a fully deleted file keeps its deletion marker and
-// remote replicas still converge on the delete. Pruned IDs are remembered
-// so Insert ignores them and Missing does not ask sync to refetch them.
-// Only local state shrinks — the records on the CSPs are never touched.
-// A negative retention is a no-op. Returns the number of records pruned.
-func (t *Tree) Compact(retention int) int {
-	if retention < 0 {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-
-	type branch struct {
-		rootID string
-		isRoot bool   // branch root is a tree root (PrevID == "")
-		parent string // parent VersionID when !isRoot
-		latest time.Time
-	}
-	byName := make(map[string][]branch)
-
-	rootNames := make(map[string]int)
-	nameLive := make(map[string]bool)
-	for _, id := range t.roots {
-		name := t.nodes[id].File.Name
-		rootNames[name]++
-		if t.subtreeLiveLocked(id) {
-			nameLive[name] = true
-		}
-	}
-
-	add := func(id, parent string, isRoot bool) {
-		ids := t.subtreeIDsLocked(id, nil)
-		var latest time.Time
-		for _, sid := range ids {
-			if m := t.nodes[sid].File.Modified; m.After(latest) {
-				latest = m
-			}
-		}
-		name := t.nodes[id].File.Name
-		byName[name] = append(byName[name], branch{id, isRoot, parent, latest})
-	}
-	var visit func(id string)
-	visit = func(id string) {
-		for _, k := range t.children[id] {
-			if t.subtreeLiveLocked(k) {
-				visit(k)
-			} else {
-				add(k, id, false)
-			}
-		}
-	}
-	for _, r := range t.roots {
-		if t.subtreeLiveLocked(r) {
-			visit(r)
-		} else if rootNames[t.nodes[r].File.Name] > 1 {
-			add(r, "", true)
-		}
-		// A dead root with no same-name sibling is the file's entire
-		// history: keep it so the deletion marker stays visible.
-	}
-
-	pruned := 0
-	for name, branches := range byName {
-		keep := retention
-		if !nameLive[name] && keep == 0 {
-			// Every subtree of this name is dead: keep one branch so the
-			// deletion marker — the record other replicas converge on —
-			// survives compaction.
-			keep = 1
-		}
-		if len(branches) <= keep {
-			continue
-		}
-		sort.Slice(branches, func(i, j int) bool {
-			if !branches[i].latest.Equal(branches[j].latest) {
-				return branches[i].latest.After(branches[j].latest)
-			}
-			return branches[i].rootID > branches[j].rootID
-		})
-		for _, b := range branches[keep:] {
-			for _, id := range t.subtreeIDsLocked(b.rootID, nil) {
-				t.unindexLocked(id)
-				delete(t.nodes, id)
-				delete(t.children, id)
-				t.pruned[id] = true
-				pruned++
-			}
-			if b.isRoot {
-				t.roots = removeSorted(t.roots, b.rootID)
-			} else {
-				t.children[b.parent] = removeSorted(t.children[b.parent], b.rootID)
-			}
-		}
-	}
-	return pruned
-}
-
-// unindexLocked drops a version from its name's index entry, and the name
-// with its last version.
-func (t *Tree) unindexLocked(id string) {
-	name := t.nodes[id].File.Name
-	ids := removeSorted(t.byName[name], id)
-	if len(ids) > 0 {
-		t.byName[name] = ids
-		return
-	}
-	delete(t.byName, name)
-	t.names = removeSorted(t.names, name)
-}
-
-// subtreeIDsLocked appends id and every descendant version ID to out.
-func (t *Tree) subtreeIDsLocked(id string, out []string) []string {
-	out = append(out, id)
-	for _, k := range t.children[id] {
-		out = t.subtreeIDsLocked(k, out)
-	}
-	return out
-}
-
-func removeSorted(s []string, v string) []string {
-	i := sort.SearchStrings(s, v)
-	if i < len(s) && s[i] == v {
-		return append(s[:i], s[i+1:]...)
-	}
-	return s
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // TestTreeIndexAgreesWithScan drives a Tree through random histories — forks,
-// deletion markers, records inserted before their parents, re-inserts of
-// pruned IDs, and Compact at retention 0, 1 and 2 — and after every step
+// deletion markers, records inserted before their parents and re-inserts of
+// known IDs — and after every step
 // checks Head, History, Names and Conflicts against a reference that scans
 // All(), the way the tree answered before it indexed nodes by name.
 func TestTreeIndexAgreesWithScan(t *testing.T) {
@@ -49,18 +49,16 @@ func TestTreeIndexAgreesWithScan(t *testing.T) {
 				i := rng.Intn(len(held))
 				mustInsert(t, tr, held[i])
 				held = slices.Delete(held, i, i+1)
-			case op < 9:
-				tr.Compact(rng.Intn(3))
 			default:
-				// Re-insert anything built so far: a no-op for a known or
-				// pruned ID.
+				// Re-insert anything built so far: a no-op for a known ID.
 				m := made[rng.Intn(len(made))]
-				pruned := tr.PrunedCount()
-				if _, err := tr.Insert(m); err != nil {
-					t.Fatal(err)
+				known, n := tr.Has(m.VersionID()), tr.Len()
+				added, err := tr.Insert(m)
+				if err != nil || added == known {
+					t.Fatalf("insert: added=%v known=%v err=%v", added, known, err)
 				}
-				if tr.PrunedCount() != pruned {
-					t.Fatal("insert changed the pruned set")
+				if known && tr.Len() != n {
+					t.Fatal("re-insert changed Len")
 				}
 			}
 			checkTreeAgainstScan(t, tr, fmt.Sprintf("seed %d step %d", seed, step))

@@ -42,7 +42,7 @@ const (
 	FlightStall        = "pipeline.stall"
 	// FlightNote is a step the client took on its own that no op span,
 	// counter or other event records: Name says which (shares.corrected,
-	// meta.replaced, tree.compacted, gc.cas_sweep_skipped), Detail how much.
+	// meta.replaced, gc.cas_sweep_skipped), Detail how much.
 	FlightNote = "note"
 )
 

@@ -97,7 +97,7 @@ func TestNilObserverIsInert(t *testing.T) {
 	o.CSPLink("a", 1, 1, 1)
 	o.TransferBytes("a", "up", 10)
 	o.SelectorPick("a")
-	o.Note(ctx, "tree.compacted", "pruned=1")
+	o.Note(ctx, "meta.replaced", "records=1")
 	o.PipelineBufferBytes(1)
 	o.SetClock(time.Now)
 	if o.Registry() != nil || o.FlightEvents() != nil || o.OpenSpans() != nil {
