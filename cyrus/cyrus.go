@@ -146,12 +146,11 @@ const (
 	MetricMetaCacheHits   = obs.MetricMetaCacheHits
 	MetricMetaCacheMisses = obs.MetricMetaCacheMisses
 	// Load-adaptive redundancy counters: hedge suppression and win/loss
-	// accounting for the adaptive controller, plus race-read fan-out and
-	// cancelled-byte waste.
+	// accounting for the adaptive controller, plus the bytes gather losers
+	// completed too late (cancelled-byte waste).
 	MetricHedgeSuppressed    = obs.MetricHedgeSuppressed
 	MetricHedgeWins          = obs.MetricHedgeWins
 	MetricHedgeLosses        = obs.MetricHedgeLosses
-	MetricRaceLaunched       = obs.MetricRaceLaunched
 	MetricRaceCancelledBytes = obs.MetricRaceCancelledBytes
 	// Storage-class gauges (per-class live objects/bytes, labeled {class})
 	// and lifecycle-migrator counters.

@@ -140,14 +140,6 @@ type Config struct {
 	// documented defaults.
 	Transfer transfer.Tunables
 
-	// RaceReads changes the launch schedule of a chunk gather's redundant
-	// lanes from one deadline hedge per picked source to k-out-of-n race
-	// reads: up to RaceReads redundant fallback lanes start together with
-	// the sources (only while load permits). Either way losers are
-	// cancelled the moment the decode quorum of T shares lands. 0 keeps
-	// deadline hedges.
-	RaceReads int
-
 	// Obs, when set, receives metrics, spans, and per-CSP state from
 	// every operation: op latency histograms, provider request and byte
 	// counters, one attempt record per provider try in the flight
@@ -215,9 +207,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Selector == nil {
 		c.Selector = selector.Optimized{}
-	}
-	if c.RaceReads < 0 {
-		return c, fmt.Errorf("cyrus: RaceReads=%d", c.RaceReads)
 	}
 	if c.Runtime == nil {
 		c.Runtime = vclock.Real()
@@ -491,17 +480,15 @@ func (c *Client) BufferBytes() (cur, peak int64) {
 
 // hedgeAfter predicts how long a share download from the given provider
 // should take — this client's request-latency EWMA plus the payload over
-// its downlink estimate — and converts it into the engine's load-adaptive
-// hedge trigger delay (which may withhold the hedge entirely: cold
-// provider, or load past the Ghosh crossover). Until a latency has been
-// observed there is nothing to predict, and the gather falls back to plain
-// sequential failover.
+// its downlink estimate — and converts it into the engine's hedge trigger
+// delay (which may withhold the hedge entirely: cold provider, or load past
+// the Ghosh crossover). Until a latency has been observed the expectation
+// is 0, "unknown": the closed loop then arms no hedge and the gather falls
+// back to plain sequential failover, while an injected HedgePolicy still
+// decides.
 func (c *Client) hedgeAfter(ctx context.Context, cspName string, bytes int64) time.Duration {
 	expected, samples := c.links.latency(cspName)
-	if expected <= 0 {
-		return 0
-	}
-	if bw := c.links.estimate(cspName); bw > 0 && bytes > 0 {
+	if bw := c.links.estimate(cspName); expected > 0 && bw > 0 && bytes > 0 {
 		expected += time.Duration(float64(bytes) / bw * float64(time.Second))
 	}
 	return c.engine.HedgeAfter(ctx, cspName, expected, samples)

@@ -471,10 +471,11 @@ func (s *holdingStore) DownloadTo(ctx context.Context, name string, w io.Writer)
 	return n, err
 }
 
-// TestRaceLoserGivesItsShareBufferBack: with a racing read, the lane held up
-// at a slow provider loses; its share lands after GetTo has returned and the
-// gather has given its own buffers back, and it gives its buffer back too.
-// Not parallel: the live-buffer counter is process-global.
+// TestRaceLoserGivesItsShareBufferBack: with a racing read (a hedge policy
+// that fires at 1 ns), the lane held up at a slow provider loses; its share
+// lands after GetTo has returned and the gather has given its own buffers
+// back, and it gives its buffer back too. Not parallel: the live-buffer
+// counter is process-global.
 func TestRaceLoserGivesItsShareBufferBack(t *testing.T) {
 	env := newEnv(t, 3)
 	h := &holdFirst{release: make(chan struct{})}
@@ -484,7 +485,7 @@ func TestRaceLoserGivesItsShareBufferBack(t *testing.T) {
 			gets <- r
 		}
 	})
-	c := wrappedClient(t, env, func(cfg *Config) { cfg.RaceReads = 1 }, func(s csp.Store) csp.Store {
+	c := wrappedClient(t, env, func(cfg *Config) { cfg.Transfer.HedgePolicy = raceReads }, func(s csp.Store) csp.Store {
 		return record(&holdingStore{Store: s, h: h})
 	})
 	data := randData(75, 200) // one chunk

@@ -221,13 +221,15 @@ func (c *Client) ProbeFailed(ctx context.Context) []string {
 	// Probes run through the engine like any other traffic: bounded slots,
 	// the standard retry policy, and results recorded through
 	// recordResult — a provider that answers any attempt counts as back.
+	// The probe lists the CSP-list stem, which holds at most a few objects,
+	// so its answer does not grow with the records the provider stores.
 	op := c.engine.Begin(ctx)
 	defer op.Finish()
 	var mu sync.Mutex
 	var recovered []string
 	op.Each(len(down), func(i int) {
 		name := down[i]
-		_, err := c.list(op, ctx, name, metadata.MetaPrefix)
+		_, err := c.list(op, ctx, name, cspListStem)
 		if err == nil {
 			mu.Lock()
 			recovered = append(recovered, name)

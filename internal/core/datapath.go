@@ -109,7 +109,7 @@ type blob struct {
 }
 
 // chunkBlob describes a chunk: key-derived or content-addressed share
-// names, verified by the chunk ID, read with hedged or raced lanes.
+// names, verified by the chunk ID, read with hedged lanes.
 func (c *Client) chunkBlob(ref metadata.ChunkRef) (*blob, error) {
 	// CAS chunks code with the content-derived coder, so every client
 	// sharing the deployment secret produces byte-identical shares.
@@ -288,11 +288,10 @@ var errUndecodable = fmt.Errorf("%w: undecodable", ErrDamaged)
 
 // gatherBlob is the verified k-of-n read — Algorithm 3's Gather. Every
 // primary location gets a lane; a lane whose provider fails walks on through
-// the fallback locations, and for hedged blobs redundant lanes fed from the
-// same fallback pool follow the configured schedule: by default one hedge
-// per primary, fired when it exceeds its load-predicted latency; with
-// Config.RaceReads up to that many lanes at t=0 instead. Losers are
-// cancelled the moment t shares land.
+// the fallback locations, and for hedged blobs each primary also gets one
+// hedge, a redundant lane fed from the same fallback pool and fired when the
+// primary exceeds its load-predicted latency (the engine's HedgeAfter).
+// Losers are cancelled the moment t shares land.
 //
 // Each share is downloaded into a pooled sink no larger than the share the
 // record implies (shareSink); every held share goes back to the pool when
@@ -384,13 +383,9 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 			return a, false
 		},
 	}
-	// The launch schedule is the only thing RaceReads changes.
-	if b.hedged {
-		g.Race = c.cfg.RaceReads
-	}
 	for _, l := range primary {
 		g.Primary = append(g.Primary, fetch(l))
-		if b.hedged && g.Race == 0 {
+		if b.hedged {
 			g.HedgeAfter = append(g.HedgeAfter, c.hedgeAfter(ctx, l.CSP, erasure.ShareSize(b.size, b.t)))
 		}
 	}

@@ -353,3 +353,35 @@ func TestProbeFailedRecovers(t *testing.T) {
 		t.Fatal("recovered CSP never used again")
 	}
 }
+
+// TestProbeFailedListsLittle: a liveness probe asks a down provider for the
+// CSP-list stem, not the whole metadata prefix, so its answer stays at most
+// one entry however many records the provider holds — and any answer still
+// counts as back.
+func TestProbeFailedListsLittle(t *testing.T) {
+	t.Parallel()
+	env := newEnv(t, 5)
+	audit := &listAudit{}
+	c := wrappedClient(t, env, func(cfg *Config) { cfg.FailureThreshold = time.Nanosecond }, func(s csp.Store) csp.Store {
+		return &listingStore{Store: s, audit: audit}
+	})
+	for i := 0; i < 12; i++ {
+		if err := c.Put(bg, fmt.Sprintf("f%d", i), randData(int64(80+i), 2_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.backends["cspa"].SetAvailable(false)
+	_ = c.Put(bg, "down-1", randData(92, 2_000))
+	_ = c.Put(bg, "down-2", randData(93, 2_000))
+	if !c.est.Down("cspa") {
+		t.Fatal("setup: cspa not down")
+	}
+	env.backends["cspa"].SetAvailable(true)
+	audit.reset()
+	if rec := c.ProbeFailed(bg); len(rec) != 1 || rec[0] != "cspa" {
+		t.Fatalf("recovered = %v, want [cspa]", rec)
+	}
+	if n := audit.entries.Load(); n > 1 {
+		t.Errorf("the probe's listing returned %d entries, want at most 1 (prefixes %q)", n, audit.prefixes)
+	}
+}

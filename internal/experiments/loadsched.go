@@ -71,32 +71,41 @@ func loadSchedClouds() []cloudSpec {
 // under, and a storm trigger for the load it was not.
 const staticHedgeDelay = 60 * time.Millisecond
 
-// loadSchedPolicies are the hedging policies the sweep compares. The three
-// open-loop baselines are injected as transfer.HedgePolicy values — the
-// engine itself only builds the closed loop: "nohedge" never hedges;
-// "static" is what real deployments start from (a fixed trigger delay
-// tuned at low load, which turns into a hedge storm when load rises past
-// it); "ewma" re-scales the deadline from measured latency (the engine's
-// HedgeMultiple, floored at 50 ms like the closed loop) but takes no load
-// feedback, cold-start arming or adaptive multiple — the pre-telemetry
-// behavior. "adaptive" is the closed loop; "race" swaps its deadline
-// hedges for one redundant read lane per gather at t=0.
+// loadSchedPolicies are the hedging policies the sweep compares. The four
+// baselines are injected as transfer.HedgePolicy values — the engine itself
+// only builds the closed loop: "nohedge" never hedges; "static" is what
+// real deployments start from (a fixed trigger delay tuned at low load,
+// which turns into a hedge storm when load rises past it); "ewma" re-scales
+// the deadline from measured latency (the engine's HedgeMultiple, floored
+// at 50 ms like the closed loop) but takes no load feedback, cold-start
+// arming or adaptive multiple — the pre-telemetry behavior. "race" is a
+// k-out-of-n race read: a hedge that fires at once, so a redundant lane
+// starts at t≈0 from the fallback pool, withheld only while the
+// downloader's engine is past the load crossover (loadPermits). "adaptive"
+// is the closed loop.
 var loadSchedPolicies = []struct {
 	name  string
-	tweak func(c *core.Config)
+	tweak func(c *core.Config, loadPermits func() bool)
 }{
-	{"nohedge", func(c *core.Config) { c.Transfer.HedgePolicy = noHedge }},
-	{"static", func(c *core.Config) {
+	{"nohedge", func(c *core.Config, _ func() bool) { c.Transfer.HedgePolicy = noHedge }},
+	{"static", func(c *core.Config, _ func() bool) {
 		c.Transfer.HedgePolicy = func(string, time.Duration) time.Duration { return staticHedgeDelay }
 	}},
-	{"ewma", func(c *core.Config) {
+	{"ewma", func(c *core.Config, _ func() bool) {
 		multiple := c.Transfer.HedgeMultiple
 		c.Transfer.HedgePolicy = func(_ string, expected time.Duration) time.Duration {
 			return max(time.Duration(multiple*float64(expected)), 50*time.Millisecond)
 		}
 	}},
-	{"adaptive", func(c *core.Config) {}},
-	{"race", func(c *core.Config) { c.RaceReads = 1 }},
+	{"adaptive", func(*core.Config, func() bool) {}},
+	{"race", func(c *core.Config, loadPermits func() bool) {
+		c.Transfer.HedgePolicy = func(string, time.Duration) time.Duration {
+			if !loadPermits() {
+				return 0
+			}
+			return time.Nanosecond
+		}
+	}},
 }
 
 // noHedge is the transfer.HedgePolicy that never arms a hedge: the unhedged
@@ -186,7 +195,7 @@ func LoadSched(cfg LoadSchedConfig) (LoadSchedResult, error) {
 	}
 
 	// run measures one cell on a fresh world.
-	run := func(policy func(c *core.Config), load int) (LoadCell, error) {
+	run := func(policy func(c *core.Config, loadPermits func() bool), load int) (LoadCell, error) {
 		env := newSimEnv(loadSchedClient(), loadSchedClouds())
 		o := obs.NewObserver()
 		var latencies []float64
@@ -203,7 +212,9 @@ func LoadSched(cfg LoadSchedConfig) (LoadSchedResult, error) {
 					return
 				}
 			}
-			dl, err := env.newClient("downloader", 2, 3, testbedChunking(cfg.Scale), func(c *core.Config) {
+			var dl *core.Client
+			loadPermits := func() bool { return dl.Engine().LoadPermits() }
+			dl, err = env.newClient("downloader", 2, 3, testbedChunking(cfg.Scale), func(c *core.Config) {
 				c.Obs = o
 				// A small engine the high-load cell saturates, and an
 				// aggressive multiple (the same for every policy) so
@@ -211,7 +222,7 @@ func LoadSched(cfg LoadSchedConfig) (LoadSchedResult, error) {
 				// regime where open-loop and closed-loop behavior diverge.
 				c.Transfer.MaxInFlight = 12
 				c.Transfer.HedgeMultiple = 2
-				policy(c)
+				policy(c, loadPermits)
 			})
 			if err != nil {
 				runErr = err

@@ -52,11 +52,10 @@ type Observer struct {
 	xferHedges   *CounterVec
 
 	// Load-adaptive redundancy scheduling (internal/transfer): hedge
-	// suppression + adaptive-controller outcomes, and race-read waste.
+	// suppression + adaptive-controller outcomes, and gather-loser waste.
 	hedgeSuppressed *CounterVec
 	hedgeWins       *CounterVec
 	hedgeLosses     *CounterVec
-	raceLaunched    *CounterVec
 	raceCancelled   *CounterVec
 
 	// Codec fast-path instrument families (core's CPU worker pool).
@@ -135,8 +134,7 @@ func NewObserverWith(opts Options) *Observer {
 		hedgeSuppressed: reg.Counter(MetricHedgeSuppressed, "Hedges withheld by the load-adaptive controller, by csp and reason (cold, load).", "csp", "reason"),
 		hedgeWins:       reg.Counter(MetricHedgeWins, "Hedged gathers where the backup lane won, by primary csp.", "csp"),
 		hedgeLosses:     reg.Counter(MetricHedgeLosses, "Hedged gathers where the backup launched but the primary won, by primary csp.", "csp"),
-		raceLaunched:    reg.Counter(MetricRaceLaunched, "Redundant race-read lanes launched, by csp.", "csp"),
-		raceCancelled:   reg.Counter(MetricRaceCancelledBytes, "Payload bytes completed by gather losers (race lanes, hedged-away primaries) after the gather resolved, by csp.", "csp"),
+		raceCancelled:   reg.Counter(MetricRaceCancelledBytes, "Payload bytes any gather loser completed after the gather resolved, by csp.", "csp"),
 
 		codecEncode: reg.Counter(MetricCodecEncodeBytes, "Chunk bytes erasure-encoded by the codec pool."),
 		codecDecode: reg.Counter(MetricCodecDecodeBytes, "Chunk bytes erasure-decoded by the codec pool."),
@@ -395,17 +393,6 @@ func (o *Observer) HedgeOutcome(ctx context.Context, cspName string, win bool) {
 	}
 	span, trace, op := SpanFromContext(ctx)
 	o.rec.record(FlightEvent{Kind: kind, Trace: trace, Span: span, Op: op, CSP: cspName})
-}
-
-// RaceLaunched counts one redundant race-read lane starting against a
-// provider. Nil-safe.
-func (o *Observer) RaceLaunched(ctx context.Context, cspName string) {
-	if o == nil || cspName == "" {
-		return
-	}
-	o.raceLaunched.With(cspName).Inc()
-	span, trace, op := SpanFromContext(ctx)
-	o.rec.record(FlightEvent{Kind: FlightRaceLaunch, Trace: trace, Span: span, Op: op, CSP: cspName})
 }
 
 // RaceCancelledBytes accounts payload bytes a gather loser completed

@@ -35,7 +35,6 @@ const (
 	FlightHedgeWin     = "hedge.win"
 	FlightHedgeLoss    = "hedge.loss"
 	FlightHedgeDrop    = "hedge.suppress"
-	FlightRaceLaunch   = "race.launch"
 	FlightRaceCancel   = "race.cancel"
 	FlightCSPDown      = "csp.down"
 	FlightCSPUp        = "csp.up"

@@ -80,11 +80,10 @@ const (
 
 	// Load-adaptive redundancy scheduling (internal/transfer): hedge
 	// suppression and win/loss accounting for the adaptive controller,
-	// plus race-read fan-out and cancelled-byte waste.
+	// plus the bytes gather losers completed too late (cancelled-byte waste).
 	MetricHedgeSuppressed    = "cyrus_hedge_suppressed_total"
 	MetricHedgeWins          = "cyrus_hedge_wins_total"
 	MetricHedgeLosses        = "cyrus_hedge_losses_total"
-	MetricRaceLaunched       = "cyrus_race_launched_total"
 	MetricRaceCancelledBytes = "cyrus_race_cancelled_bytes_total"
 
 	// Storage classes and lifecycle migration (internal/policy +

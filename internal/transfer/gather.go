@@ -17,11 +17,11 @@ import (
 // set) and on failure walks on through Next, the fallback supply all lanes
 // share, until one candidate succeeds or the supply runs dry.
 //
-// Race and HedgeAfter are the launch schedule for redundant lanes, which
-// start with no attempt of their own and draw from Next. In the (n,k)
-// redundant-request model (Ghosh et al.) they are the same thing issued at
-// different times: Race lanes launch at t=0, a hedge lane launches at its
-// primary's deadline. Both buy tail latency with extra load.
+// HedgeAfter is the launch schedule for redundant lanes, which start with
+// no attempt of their own and draw from Next: a primary's backup lane
+// launches at that primary's deadline. In the (n,k) redundant-request model
+// (Ghosh et al.) a race read is the same lane issued at t≈0, so a deadline
+// near zero is a race; either buys tail latency with extra load.
 type Gather struct {
 	// Need is how many successful attempts resolve the gather.
 	Need int
@@ -30,9 +30,6 @@ type Gather struct {
 	// Next supplies fallback candidates to every lane; calls are
 	// serialized. nil means no fallback: redundant lanes find nothing.
 	Next func() (Attempt, bool)
-	// Race is how many redundant lanes launch at t=0. They are withheld
-	// entirely while the engine is past the load crossover (LoadPermits).
-	Race int
 	// HedgeAfter[i], when positive, launches one backup lane for Primary[i]
 	// if that lane has not finished by then (see Engine.HedgeAfter for the
 	// deadline). nil or short means no hedge for the remaining primaries.
@@ -57,18 +54,18 @@ var errExhausted = errors.New("transfer: gather exhausted its candidates")
 // Lanes run detached from the caller, which blocks only on the resolution
 // latch: Gather returns the moment the quorum lands, even while losers are
 // still draining (netsim transfers are not interruptible mid-flight). A
-// loser's Run may therefore execute after Gather returns — callers must
-// guard attempt side effects with their own mutex and snapshot shared
-// state before consuming it.
+// loser's Run that had its slot may therefore execute after Gather returns
+// (one still queued for its slot is not made) — callers must guard attempt
+// side effects with their own mutex and snapshot shared state before
+// consuming it.
 //
 // This is also the one place redundancy is accounted. A backup lane that
 // lands before its primary is a hedge win and a primary that beats its
 // launched backup is a loss (cyrus_transfer_hedges_total,
 // cyrus_hedge_{wins,losses}_total), and both steer the per-provider
-// multiple HedgeAfter is computed from. Attempts made by Race lanes count
-// in cyrus_race_launched_total. Payload bytes a loser completes after the
-// gather resolved — transfers cancellation could not reach — are pure
-// waste, counted in cyrus_race_cancelled_bytes_total.
+// multiple HedgeAfter is computed from. Payload bytes a loser completes
+// after the gather resolved — transfers cancellation could not reach — are
+// pure waste, counted in cyrus_race_cancelled_bytes_total.
 func (o *Op) Gather(ctx context.Context, g Gather) error {
 	e := o.e
 	if g.Need <= 0 {
@@ -77,15 +74,10 @@ func (o *Op) Gather(ctx context.Context, g Gather) error {
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	race := g.Race
-	if race > 0 && !e.LoadPermits() {
-		race = 0
-	}
-
 	var mu sync.Mutex
 	var lastErr error
 	successes := 0
-	lanes := len(g.Primary) + race
+	lanes := len(g.Primary)
 	hedge := make([]int, len(g.Primary))
 	// With no lane to launch the gather is already exhausted; the latch
 	// stays open and the wait below falls through.
@@ -106,11 +98,11 @@ func (o *Op) Gather(ctx context.Context, g Gather) error {
 
 	// lane walks candidates, starting from att when given, until one
 	// succeeds or the supply runs dry. slot names the primary a lane is, or
-	// backs up; redundant Race lanes have slot -1.
+	// backs up.
 	lane := func(att *Attempt, slot int, backup bool) {
 		defer func() {
 			mu.Lock()
-			if slot >= 0 && !backup && hedge[slot] == hedgeIdle {
+			if !backup && hedge[slot] == hedgeIdle {
 				hedge[slot] = hedgeClosed
 			}
 			lanes--
@@ -134,9 +126,6 @@ func (o *Op) Gather(ctx context.Context, g Gather) error {
 				}
 				att = &a
 			}
-			if slot < 0 {
-				e.obs.RaceLaunched(gctx, att.CSP)
-			}
 			bytes, err := o.do(gctx, *att)
 			if err != nil {
 				mu.Lock()
@@ -151,7 +140,7 @@ func (o *Op) Gather(ctx context.Context, g Gather) error {
 			late := finished
 			if !late {
 				successes++
-				if slot >= 0 && hedge[slot] == hedgeLaunched {
+				if hedge[slot] == hedgeLaunched {
 					// Recorded before the latch opens so the caller sees
 					// the outcome as soon as Gather returns.
 					hedge[slot] = hedgeClosed
@@ -195,9 +184,6 @@ func (o *Op) Gather(ctx context.Context, g Gather) error {
 				lane(nil, i, true)
 			}
 		})
-	}
-	for i := 0; i < race; i++ {
-		e.rt.Go(func() { lane(nil, -1, false) })
 	}
 	latch.Wait()
 

@@ -8,22 +8,24 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/vclock"
 )
 
-// TestGatherSchedules: a hedge schedule and a race schedule are the same
-// gather with the redundant lane issued at different times. Over the same
-// attempts — a fast and a stalled primary, two fallbacks — both resolve on
-// exactly Need distinct successes, the race earlier than the hedge.
+// TestGatherSchedules: a hedge and a race read are the same gather with the
+// redundant lane issued at different times — a race is a hedge whose
+// deadline is all but zero. Over the same attempts — a fast and a stalled
+// primary, two fallbacks — both resolve on exactly Need distinct successes,
+// the race earlier than the hedge.
 func TestGatherSchedules(t *testing.T) {
 	cases := []struct {
 		name       string
-		race       int
-		hedgeAfter []time.Duration
+		hedgeAfter time.Duration
 		want       time.Duration
 	}{
-		{"hedge", 0, []time.Duration{50 * time.Millisecond, 50 * time.Millisecond}, 70 * time.Millisecond},
-		{"race", 1, nil, 20 * time.Millisecond},
+		{"hedge", 50 * time.Millisecond, 70 * time.Millisecond},
+		{"race", time.Nanosecond, 20*time.Millisecond + time.Nanosecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,8 +59,7 @@ func TestGatherSchedules(t *testing.T) {
 						fallback = fallback[1:]
 						return a, true
 					},
-					Race:       tc.race,
-					HedgeAfter: tc.hedgeAfter,
+					HedgeAfter: []time.Duration{tc.hedgeAfter, tc.hedgeAfter},
 				})
 				if err != nil {
 					t.Errorf("gather: %v", err)
@@ -79,19 +80,17 @@ func TestGatherSchedules(t *testing.T) {
 	}
 }
 
-// TestGatherNoLane: a gather that can start no lane — no primary, and no
-// race lane asked for or all of them withheld by load — reports exhaustion
-// instead of parking on its latch forever. Real clock, so a hang is a hang
-// (netsim would panic on the deadlock instead).
+// TestGatherNoLane: a gather that can start no lane — no primary, so no
+// primary for a hedge to back up either — reports exhaustion instead of
+// parking on its latch forever, however full its fallback supply. Real
+// clock, so a hang is a hang (netsim would panic on the deadlock instead).
 func TestGatherNoLane(t *testing.T) {
-	e := New(Config{Runtime: vclock.Real(), Tunables: Tunables{MaxInFlight: 8}})
-	release := park(e, vclock.Real(), "cspb", 10) // 6 queued: past 0.75 x 8, race lanes are withheld
-	defer release()
+	e := New(Config{Runtime: vclock.Real()})
 	supply := func() (Attempt, bool) { return sleepAttempt(vclock.Real(), "cspa", 0), true }
 
 	for name, g := range map[string]Gather{
 		"nothing asked": {Need: 1, Next: supply},
-		"load withheld": {Need: 1, Race: 1, Next: supply},
+		"hedge asked":   {Need: 1, Next: supply, HedgeAfter: []time.Duration{time.Nanosecond}},
 	} {
 		op := e.Begin(context.Background())
 		done := make(chan error, 1)
@@ -105,5 +104,72 @@ func TestGatherNoLane(t *testing.T) {
 			t.Fatalf("%s: gather with no lane never returned", name)
 		}
 		op.Finish()
+	}
+}
+
+// TestGatherQueuedLoserNeverRuns: a gather loser still waiting for its slot
+// when the gather resolves is not made. One slot per provider; the primary
+// on cspb holds it until it sees the cancellation, and the race lane (a
+// hedge at 1 ns) that draws cspb from the fallback supply queues behind it.
+// Once cspa's primary resolves the gather, the queued attempt gets the slot
+// with a dead context: its Run must never be called, and cspb must have no
+// record of it — only the blocking loser's cancelled try.
+func TestGatherQueuedLoserNeverRuns(t *testing.T) {
+	o := obs.NewObserver()
+	nw := netsim.New(time.Time{})
+	o.SetClock(nw.Now)
+	var mu sync.Mutex
+	reports := map[string]int{} // csp -> failed tries reported
+	e := New(Config{Runtime: nw, Obs: o, Report: func(cspName, _ string, err error, _ int64, _ time.Duration) {
+		if err != nil {
+			mu.Lock()
+			reports[cspName]++
+			mu.Unlock()
+		}
+	}})
+	e.attempts = 1
+	e.sem.perCap = 1
+	ran := false
+	nw.Run(func() {
+		op := e.Begin(context.Background())
+		defer op.Finish()
+		blocker := Attempt{CSP: "cspb", Kind: "download", Run: func(ctx context.Context) (int64, error) {
+			for ctx.Err() == nil {
+				nw.Sleep(time.Millisecond)
+			}
+			return 0, ctx.Err()
+		}}
+		queued := Attempt{CSP: "cspb", Kind: "download", Run: func(ctx context.Context) (int64, error) {
+			ran = true
+			return 1, ctx.Err() // a provider call fails under a dead context
+		}}
+		err := op.Gather(op.Context(), Gather{
+			Need:       1,
+			Primary:    []Attempt{sleepAttempt(nw, "cspa", 10*time.Millisecond), blocker},
+			Next:       supplyOnce(queued),
+			HedgeAfter: []time.Duration{0, time.Nanosecond},
+		})
+		if err != nil {
+			t.Errorf("gather: %v", err)
+		}
+		nw.Sleep(100 * time.Millisecond) // let the losers drain
+	})
+	if ran {
+		t.Error("the queued loser ran after its gather resolved")
+	}
+	if got := reports["cspb"]; got != 1 {
+		t.Errorf("cspb has %d failed tries reported, want 1 (the blocking loser's)", got)
+	}
+	starts := 0
+	for _, ev := range o.FlightEvents() {
+		if ev.Kind == obs.FlightAttemptStart && ev.CSP == "cspb" {
+			starts++
+		}
+	}
+	if starts != 1 {
+		t.Errorf("%d attempt.start records on cspb, want 1", starts)
+	}
+	if n, _ := e.sem.load("cspb"); n != 0 {
+		t.Errorf("%d cspb slots still held", n)
 	}
 }

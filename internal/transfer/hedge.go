@@ -12,7 +12,7 @@ import (
 // whose latency EWMA and arming count arrive as HedgeAfter's arguments.
 // This file closes the loop:
 //
-//	semaphore.load ─────────► HedgeAfter / LoadPermits ──► Op.Gather (hedge and race lanes)
+//	semaphore.load ─────────► HedgeAfter / LoadPermits ──► Op.Gather (hedge lanes)
 //	expected, samples (args) ┘       ▲                            │
 //	                                 └───── hedgeController ──────┘  (win/loss feedback)
 //
@@ -86,10 +86,6 @@ func (h *hedgeController) outcome(cspName string, win bool) {
 	}
 	h.per[cspName] = m
 }
-
-// HedgeMultipleFor returns the effective (adaptively tuned) hedge multiple
-// currently in force for one provider — observability for tests and tools.
-func (e *Engine) HedgeMultipleFor(cspName string) float64 { return e.hedge.multiple(cspName) }
 
 // HedgeAfter converts an expected attempt latency into the hedge trigger
 // delay for one provider, or 0 when no hedge should arm. samples is how

@@ -2,6 +2,7 @@ package transfer
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -42,7 +43,8 @@ func TestHedgeColdStartArming(t *testing.T) {
 
 // TestHedgeLoadSuppression: once the engine's admission queue crosses
 // hedgeLoadThreshold x MaxInFlight, hedges are withheld (Ghosh's
-// crossover) and counted; redundant race lanes are refused too.
+// crossover) and counted, and LoadPermits — the gate an injected policy
+// reads — turns false.
 func TestHedgeLoadSuppression(t *testing.T) {
 	ctx := context.Background()
 	o := obs.NewObserver()
@@ -108,9 +110,9 @@ func TestHedgeDeadlineTracksLoad(t *testing.T) {
 }
 
 // TestSharedObserverDoesNotSteer: clients may share one observer, but each
-// engine's hedge and race gates read only its own load (and the latency and
-// arming count its caller passes; core.TestSharedObserverDoesNotSteer
-// covers those). With engine A saturated (4 running, 4 queued on cspa), an
+// engine's hedge gate and LoadPermits read only its own load (and the
+// latency and arming count its caller passes;
+// core.TestSharedObserverDoesNotSteer covers those). With engine A saturated (4 running, 4 queued on cspa), an
 // idle engine B on the same observer still permits redundancy and keeps its
 // idle hedge deadline.
 func TestSharedObserverDoesNotSteer(t *testing.T) {
@@ -206,17 +208,18 @@ func TestHedgeOutcomeAccounting(t *testing.T) {
 	if p, ok := s.Find(obs.MetricHedgeLosses, map[string]string{"csp": "okcsp"}); !ok || p.Value != 1 {
 		t.Errorf("hedge_losses{okcsp} = %v %v, want 1", p.Value, ok)
 	}
-	if got, base := e.HedgeMultipleFor("slowcsp"), 3.0; got >= base {
+	if got, base := e.hedge.multiple("slowcsp"), 3.0; got >= base {
 		t.Errorf("winner's primary multiple = %v, want < %v", got, base)
 	}
-	if got, base := e.HedgeMultipleFor("okcsp"), 3.0; got <= base {
+	if got, base := e.hedge.multiple("okcsp"), 3.0; got <= base {
 		t.Errorf("loser's primary multiple = %v, want > %v", got, base)
 	}
 }
 
-// TestRaceQuorum: a 2-of-3 race resolves on the second success, losers
-// drain afterwards, and late completions are accounted as cancelled-byte
-// waste.
+// TestRaceQuorum: a race read is a hedge at 1 ns. A gather needing 2 of a
+// fast primary, a stalled primary and one fallback resolves on the race
+// lane's success instead of waiting for the straggler, which drains
+// afterwards; its late completion is accounted as cancelled-byte waste.
 func TestRaceQuorum(t *testing.T) {
 	o := obs.NewObserver()
 	e, nw := newOneTryEngine(Tunables{}, o)
@@ -235,10 +238,11 @@ func TestRaceQuorum(t *testing.T) {
 		start := nw.Now()
 		atts := []Attempt{
 			att("cspa", 10*time.Millisecond, 100),
-			att("cspb", 20*time.Millisecond, 100),
 			att("cspc", 500*time.Millisecond, 100),
 		}
-		if err := op.Gather(op.Context(), Gather{Need: 2, Primary: atts}); err != nil {
+		next := supplyOnce(att("cspb", 20*time.Millisecond, 100))
+		race := []time.Duration{time.Nanosecond, time.Nanosecond}
+		if err := op.Gather(op.Context(), Gather{Need: 2, Primary: atts, Next: next, HedgeAfter: race}); err != nil {
 			t.Errorf("race: %v", err)
 		}
 		resolved = nw.Now().Sub(start)
@@ -255,47 +259,49 @@ func TestRaceQuorum(t *testing.T) {
 	}
 }
 
-// TestRaceRedundantLane: extra lanes pull from the candidate supply at
-// t=0, are counted as launched, and let the race survive a primary that
-// never answers usefully.
+// TestRaceRedundantLane: a race lane (a hedge at 1 ns) pulls from the
+// candidate supply at t≈0, is counted as a hedge, and carries the race past
+// a primary that never answers usefully without waiting for that primary to
+// fail over.
 func TestRaceRedundantLane(t *testing.T) {
 	o := obs.NewObserver()
 	e, nw := newOneTryEngine(Tunables{}, o)
 	o.SetClock(nw.Now)
 
+	var resolved time.Duration
 	nw.Run(func() {
 		op := e.Begin(context.Background())
 		defer op.Finish()
 		atts := []Attempt{
 			sleepAttempt(nw, "cspa", 10*time.Millisecond),
 			// The dead primary fails only after the race lane, launched at
-			// t=0, has drawn cspb from Next.
+			// t≈0, has drawn cspb from Next.
 			{CSP: "deadcsp", Kind: "download", Run: func(ctx context.Context) (int64, error) {
 				nw.Sleep(5 * time.Millisecond)
 				return 0, csp.ErrUnavailable
 			}},
 		}
-		served := false
-		next := func() (Attempt, bool) {
-			if served {
-				return Attempt{}, false
-			}
-			served = true
-			return sleepAttempt(nw, "cspb", 15*time.Millisecond), true
-		}
-		if err := op.Gather(op.Context(), Gather{Need: 2, Primary: atts, Race: 1, Next: next}); err != nil {
+		next := supplyOnce(sleepAttempt(nw, "cspb", 15*time.Millisecond))
+		start := nw.Now()
+		race := []time.Duration{time.Nanosecond, time.Nanosecond}
+		if err := op.Gather(op.Context(), Gather{Need: 2, Primary: atts, Next: next, HedgeAfter: race}); err != nil {
 			t.Errorf("race with redundant lane: %v", err)
 		}
+		resolved = nw.Now().Sub(start)
 	})
 
-	s := o.Registry().Snapshot()
-	if p, ok := s.Find(obs.MetricRaceLaunched, map[string]string{"csp": "cspb"}); !ok || p.Value != 1 {
-		t.Errorf("race_launched{cspb} = %v %v, want 1", p.Value, ok)
+	// Drawn by the dead primary's failover, cspb would land at 20ms.
+	if resolved >= 20*time.Millisecond {
+		t.Errorf("race resolved after %v, want ~15ms (cspb drawn at t≈0)", resolved)
+	}
+	if p, _ := o.Registry().Snapshot().Find(obs.MetricTransferHedges, nil); p.Value == 0 {
+		t.Error("no race lane counted in cyrus_transfer_hedges_total")
 	}
 }
 
-// TestRaceExhaustion: fewer successes than the quorum yields the last
-// meaningful provider error.
+// TestRaceExhaustion: race lanes with nothing left to draw neither hang the
+// gather nor hide its failure — fewer successes than the quorum yields the
+// last meaningful provider error.
 func TestRaceExhaustion(t *testing.T) {
 	e, nw := newOneTryEngine(Tunables{}, nil)
 	nw.Run(func() {
@@ -304,38 +310,14 @@ func TestRaceExhaustion(t *testing.T) {
 		atts := []Attempt{
 			sleepAttempt(nw, "cspa", time.Millisecond),
 			{CSP: "deadcsp", Kind: "download", Run: func(ctx context.Context) (int64, error) {
+				nw.Sleep(time.Millisecond)
 				return 0, csp.ErrUnavailable
 			}},
 		}
-		err := op.Gather(op.Context(), Gather{Need: 2, Primary: atts, Next: func() (Attempt, bool) { return Attempt{}, false }})
-		if err == nil {
-			t.Error("race below quorum returned nil")
+		race := []time.Duration{time.Nanosecond, time.Nanosecond}
+		err := op.Gather(op.Context(), Gather{Need: 2, Primary: atts, Next: func() (Attempt, bool) { return Attempt{}, false }, HedgeAfter: race})
+		if !errors.Is(err, csp.ErrUnavailable) {
+			t.Errorf("race below quorum returned %v, want the provider's ErrUnavailable", err)
 		}
 	})
-}
-
-// TestRaceSuppressedExtras: past the load crossover, redundant lanes are
-// not launched — the race degrades to the primary fan-out.
-func TestRaceSuppressedExtras(t *testing.T) {
-	o := obs.NewObserver()
-	e, nw := newOneTryEngine(Tunables{MaxInFlight: 8}, o)
-	o.SetClock(nw.Now)
-
-	nw.Run(func() {
-		release := park(e, nw, "cspa", 10) // 6 queued: past 0.75 x 8
-		defer release()
-		op := e.Begin(context.Background())
-		defer op.Finish()
-		atts := []Attempt{sleepAttempt(nw, "cspc", time.Millisecond)}
-		err := op.Gather(op.Context(), Gather{Need: 1, Primary: atts, Race: 2, Next: func() (Attempt, bool) {
-			return sleepAttempt(nw, "cspb", time.Millisecond), true
-		}})
-		if err != nil {
-			t.Errorf("race: %v", err)
-		}
-	})
-
-	if p, ok := o.Registry().Snapshot().Find(obs.MetricRaceLaunched, map[string]string{"csp": "cspb"}); ok && p.Value != 0 {
-		t.Errorf("race_launched{cspb} = %v under load, want 0", p.Value)
-	}
 }

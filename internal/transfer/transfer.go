@@ -18,9 +18,9 @@
 //     re-probing it from scratch;
 //   - first-error cancellation (Op.Fail cancels the operation context, so
 //     doomed sibling transfers stop instead of finishing wasted work);
-//   - one k-out-of-n gather (Op.Gather) for every quorum read, with
-//     redundant lanes — race reads at t=0, a hedge at the primary's
-//     deadline — launched only while the engine's own load says they can pay.
+//   - one k-out-of-n gather (Op.Gather) for every quorum read, with a
+//     redundant hedge lane at each primary's deadline, armed only while the
+//     engine's own load says it can pay.
 //
 // Everything blocks only through vclock.Runtime primitives (Group.Wait,
 // Sleep) — never on raw channels — so the engine is safe under netsim
@@ -88,10 +88,9 @@ const (
 	baseBackoff = 25 * time.Millisecond
 	maxBackoff  = 2 * time.Second
 	// hedgeLoadThreshold is the Ghosh-crossover utilization bound: hedges
-	// and redundant race lanes are suppressed once the global admission
-	// queue holds hedgeLoadThreshold x MaxInFlight waiting attempts. Past
-	// that point a redundant request joins the congestion it is trying to
-	// dodge.
+	// are suppressed once the global admission queue holds
+	// hedgeLoadThreshold x MaxInFlight waiting attempts. Past that point a
+	// redundant request joins the congestion it is trying to dodge.
 	hedgeLoadThreshold = 0.75
 	// hedgeMinSamples arms hedging against a provider only after this many
 	// successful contacts have fed the caller's latency EWMA — the
@@ -301,7 +300,8 @@ func (o *Op) Each(n int, fn func(i int)) {
 
 // Do executes one attempt under the operation: it skips providers in the
 // failed set (ErrSkipped; checked on entry and again under the slot, so an
-// attempt that queued behind a failing sibling is not made), acquires the
+// attempt that queued behind a failing sibling is not made) and attempts
+// whose context ended while they queued for the slot, acquires the
 // per-CSP and global in-flight slots, runs with retry/backoff per the
 // engine's policy, reports every try, and on final provider-fault failure
 // adds the provider to the failed set before its slot is released. ctx must
@@ -326,14 +326,21 @@ func (o *Op) do(ctx context.Context, a Attempt) (int64, error) {
 			return 0, err
 		}
 		e.sem.acquire(a.CSP)
+		// Look again under the slot: while this try waited for it (or
+		// backed off), a sibling may have exhausted the provider, or the
+		// context may have ended (a gather loser, a failed sibling). Either
+		// way the try is not made and nothing is reported against the
+		// provider.
+		skip := ctx.Err()
 		if o.Failed(a.CSP) {
-			// A sibling's attempt exhausted the provider while this one
-			// waited for its slot (or backed off): do not probe it again.
+			skip = ErrSkipped
+		}
+		if skip != nil {
 			e.sem.release(a.CSP)
 			if lastErr != nil {
 				return 0, lastErr
 			}
-			return 0, ErrSkipped
+			return 0, skip
 		}
 		e.obs.AttemptStart(ctx, a.CSP, a.Kind, try)
 		start := e.rt.Now()

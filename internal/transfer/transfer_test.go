@@ -37,6 +37,18 @@ func hedged(primary Attempt, after time.Duration, next func() (Attempt, bool)) G
 	return Gather{Need: 1, Primary: []Attempt{primary}, Next: next, HedgeAfter: []time.Duration{after}}
 }
 
+// supplyOnce is a fallback supply that hands out a once, then runs dry.
+func supplyOnce(a Attempt) func() (Attempt, bool) {
+	served := false
+	return func() (Attempt, bool) {
+		if served {
+			return Attempt{}, false
+		}
+		served = true
+		return a, true
+	}
+}
+
 // noHedge is the HedgePolicy that never arms a hedge.
 func noHedge(string, time.Duration) time.Duration { return 0 }
 
