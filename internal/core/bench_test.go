@@ -16,14 +16,24 @@ import (
 // benchmarks measure the client pipeline (chunking, hashing, coding,
 // metadata) rather than any transport. o may be nil.
 func benchClient(b testing.TB, nCSP int, o *obs.Observer) *Client {
+	c, _ := benchClientBackends(b, nCSP, o)
+	return c
+}
+
+// benchClientBackends is benchClient that also returns the providers'
+// backends.
+func benchClientBackends(b testing.TB, nCSP int, o *obs.Observer) (*Client, []*cloudsim.Backend) {
 	b.Helper()
 	var stores []csp.Store
+	var backends []*cloudsim.Backend
 	for i := 0; i < nCSP; i++ {
-		s := cloudsim.NewSimStore(cloudsim.NewBackend(fmt.Sprintf("csp%d", i), csp.NameKeyed, 0))
+		be := cloudsim.NewBackend(fmt.Sprintf("csp%d", i), csp.NameKeyed, 0)
+		s := cloudsim.NewSimStore(be)
 		if err := s.Authenticate(bg, csp.Credentials{Token: "b"}); err != nil {
 			b.Fatal(err)
 		}
 		stores = append(stores, s)
+		backends = append(backends, be)
 	}
 	c, err := New(Config{
 		ClientID: "bench", Key: "bench-key", T: 2, N: 3,
@@ -33,19 +43,33 @@ func benchClient(b testing.TB, nCSP int, o *obs.Observer) *Client {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return c
+	return c, backends
 }
 
 func BenchmarkPut4MB(b *testing.B) {
-	c := benchClient(b, 4, nil)
+	c, backends := benchClientBackends(b, 4, nil)
 	data := randData(1, 4<<20)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Distinct names so dedup does not short-circuit the pipeline.
-		if err := c.Put(bg, fmt.Sprintf("bench-%d", i), data[:len(data)-i%7]); err != nil {
+		// The op's index in every 4 KiB makes every chunk new content, so
+		// dedup finds nothing and each Put scans, hashes, encodes and
+		// uploads all of it.
+		for off := 0; off < len(data); off += 4 << 10 {
+			binary.LittleEndian.PutUint64(data[off:], uint64(i))
+		}
+		if err := c.Put(bg, fmt.Sprintf("bench-%d", i), data); err != nil {
 			b.Fatal(err)
 		}
+		// No later op reads these shares: dropping them, untimed, keeps the
+		// providers' memory flat however many ops run.
+		b.StopTimer()
+		for _, be := range backends {
+			for _, name := range be.ObjectNames(SharePrefix) {
+				be.RemoveObject(name)
+			}
+		}
+		b.StartTimer()
 	}
 }
 

@@ -9,11 +9,12 @@ import (
 
 // codecPool bounds the client's CPU-heavy codec work — chunk hashing,
 // erasure encode, erasure decode — to a fixed number of concurrent jobs,
-// decoupled from the transfer engine's in-flight slots. Before this pool,
-// encode ran inside the per-chunk scatter (serializing behind transfer
-// dispatch) and hashing ran serially on the Put goroutine; now CPU work for
-// one chunk overlaps with the network transfers of another, and a Put of
-// many chunks keeps all cores fed without oversubscribing them.
+// decoupled from the transfer engine's in-flight slots. A Put hashes chunk
+// k on a goroutine of its own while its caller scans chunk k+1, and encodes
+// each new chunk inside that chunk's scatter; a Get decodes each chunk
+// inside its gather. So the CPU work of one chunk overlaps the scan of the
+// next and the network transfers of others, and a Put or Get of many chunks
+// keeps all cores fed without oversubscribing them.
 //
 // Jobs run on the caller's goroutine: the pool is a semaphore, not a worker
 // queue, so job results need no channel plumbing and the transfer engine's

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bufpool"
+	"repro/internal/chunker"
 	"repro/internal/erasure"
 	"repro/internal/metadata"
 	"repro/internal/selector"
@@ -37,14 +38,36 @@ type putPending struct {
 	done atomic.Bool
 }
 
+// hashAhead is a scanned chunk whose ID is being computed on a goroutine of
+// its own while the scanner reads the next chunk; id is set once g is done.
+type hashAhead struct {
+	ch chunker.Chunk
+	bp *[]byte
+	id string
+	g  vclock.Group
+}
+
+// hashChunk computes a chunk's ID in a codec-pool slot under a chunk.hash
+// span.
+func (c *Client) hashChunk(ctx context.Context, data []byte) string {
+	var id string
+	_, hsp := c.obs.Trace(ctx, "chunk.hash")
+	c.codec.run("chunk", int64(len(data)), func() {
+		id = metadata.HashData(data)
+	})
+	hsp.End(nil)
+	return id
+}
+
 // PutReader uploads a file from a stream — put(s, f) without materializing
-// f. Chunks are scanned incrementally (chunker.Scanner), hashed and
-// deduplicated in scan order, and new chunks are erasure-encoded and
-// scattered while the scanner is already working on the next chunk: chunk
-// k+1 flows through the codec pool while chunk k's shares are in flight on
-// the transfer engine. As with Put, the metadata record is uploaded only
-// after every share landed, so no other client can observe a version whose
-// shares are not fully stored.
+// f. Chunks are scanned incrementally (chunker.Scanner); chunk k is hashed
+// on a second goroutine while the scanner reads chunk k+1, and is then
+// deduplicated and admitted in scan order, so the record is the one a
+// sequential pass would build. New chunks are erasure-encoded and scattered
+// while later chunks are scanned and hashed: their shares are in flight on
+// the transfer engine meanwhile. As with Put, the metadata record is
+// uploaded only after every share landed, so no other client can observe a
+// version whose shares are not fully stored.
 func (c *Client) PutReader(ctx context.Context, name string, r io.Reader) (err error) {
 	return c.PutReaderWith(ctx, name, r, PutOptions{})
 }
@@ -120,6 +143,7 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 	seenInFile := make(map[string]bool)
 	var window []*putPending // launched, not yet joined (≤ depth)
 	var newPend []*putPending
+	var ahead *hashAhead // the chunk scanned last, still hashing
 	var firstErr error
 
 	// join waits for the oldest window entry and surfaces its error. The
@@ -137,40 +161,16 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 		}
 	}
 
-	for firstErr == nil {
-		if oerr := op.Err(); oerr != nil {
-			firstErr = oerr
-			break
+	// admit places one hashed chunk, in scan order, and owns its buffer
+	// from here on. It deduplicates exactly as Put, scoped to the class's
+	// encoding: a chunk already stored under this class is referenced, not
+	// uploaded; the same content in another class re-encodes (its (t, n)
+	// and placement differ). Repeats within the file upload once.
+	admit := func(ch chunker.Chunk, bp *[]byte, id string) {
+		if firstErr != nil {
+			giveBack(bp)
+			return
 		}
-		ch, serr := sc.Next()
-		bp := sc.Take()
-		if bp != nil {
-			c.acctAdd(int64(len(*bp)))
-		}
-		acctScan()
-		if serr == io.EOF {
-			break
-		}
-		if serr != nil {
-			firstErr = fmt.Errorf("cyrus: reading %q: %w", name, serr)
-			op.Fail(firstErr)
-			break
-		}
-		size += int64(len(ch.Data))
-
-		// Hash the chunk on the codec pool (bounded CPU slots, overlapping
-		// the scatters of earlier chunks).
-		var id string
-		_, hsp := c.obs.Trace(ctx, "chunk.hash")
-		c.codec.run("chunk", int64(len(ch.Data)), func() {
-			id = metadata.HashData(ch.Data)
-		})
-		hsp.End(nil)
-
-		// Deduplicate exactly as Put, scoped to the class's encoding: a
-		// chunk already stored under this class is referenced, not
-		// uploaded; the same content in another class re-encodes (its (t,
-		// n) and placement differ). Repeats within the file upload once.
 		if info, ok := c.table.LookupEnc(id, cls.Name); ok {
 			ref := metadata.ChunkRef{ID: id, Offset: ch.Offset, Size: int64(len(ch.Data)), T: info.T, N: info.N, CAS: info.CAS, Class: cls.Name}
 			meta.Chunks = append(meta.Chunks, ref)
@@ -179,28 +179,25 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 				seenInFile[id] = true
 			}
 			giveBack(bp)
-			continue
+			return
 		}
 		ref := metadata.ChunkRef{ID: id, Offset: ch.Offset, Size: int64(len(ch.Data)), T: t, N: n, CAS: c.cfg.DedupMode, Class: cls.Name}
 		meta.Chunks = append(meta.Chunks, ref)
 		if seenInFile[id] {
 			giveBack(bp)
-			continue
+			return
 		}
 		seenInFile[id] = true
 
 		// Window admission: at most depth chunks resident. Joining the
 		// oldest here is what pipelines the stream — the scan of this
 		// chunk already overlapped the transfers of the previous ones.
-		for len(window) >= depth {
+		for len(window) >= depth && firstErr == nil {
 			join(true)
-			if firstErr != nil {
-				break
-			}
 		}
 		if firstErr != nil {
 			giveBack(bp)
-			break
+			return
 		}
 
 		// Scatter concurrently, straight from the buffer the scanner read
@@ -223,6 +220,71 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 			}
 			p.done.Store(true)
 		})
+	}
+	// settle waits for the chunk hashing ahead and admits it.
+	settle := func() {
+		h := ahead
+		ahead = nil
+		h.g.Wait()
+		admit(h.ch, h.bp, h.id)
+	}
+
+	for firstErr == nil {
+		if oerr := op.Err(); oerr != nil {
+			firstErr = oerr
+			break
+		}
+		// A chunk hashing ahead holds a buffer beside the window's, so the
+		// window makes room before the scanner draws another: the window,
+		// that chunk, the next one and the scanner's read-ahead are
+		// depth + 2 buffers at most.
+		for ahead != nil && len(window) >= depth && firstErr == nil {
+			join(true)
+		}
+		if firstErr != nil {
+			break
+		}
+		ch, serr := sc.Next()
+		bp := sc.Take()
+		if bp != nil {
+			c.acctAdd(int64(len(*bp)))
+		}
+		acctScan()
+		if serr == io.EOF {
+			break
+		}
+		if serr != nil {
+			firstErr = fmt.Errorf("cyrus: reading %q: %w", name, serr)
+			op.Fail(firstErr)
+			break
+		}
+		size += int64(len(ch.Data))
+
+		// Hash the chunk on a goroutine of its own, so the scanner reads the
+		// next chunk on this one meanwhile. When the scanner holds nothing
+		// more (a one-chunk object, the tail) there is no scan to overlap
+		// and the chunk hashes here, beside the previous chunk's hash.
+		if sc.BufferBytes() == 0 {
+			id := c.hashChunk(ctx, ch.Data)
+			if ahead != nil {
+				settle()
+			}
+			admit(ch, bp, id)
+			continue
+		}
+		h := &hashAhead{ch: ch, bp: bp, g: c.rt.NewGroup()}
+		h.g.Add(1)
+		c.rt.Go(func() {
+			defer h.g.Done()
+			h.id = c.hashChunk(ctx, h.ch.Data)
+		})
+		if ahead != nil {
+			settle()
+		}
+		ahead = h
+	}
+	if ahead != nil {
+		settle() // after an error this only waits and gives the buffer back
 	}
 	// Drain: every launched scatter must join before we return (their
 	// closures reference the operation and pooled buffers).

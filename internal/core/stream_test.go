@@ -7,12 +7,17 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/chunker"
+	"repro/internal/cloudsim"
+	"repro/internal/csp"
 	"repro/internal/erasure"
+	"repro/internal/metadata"
 	"repro/internal/vclock"
 )
 
@@ -542,5 +547,173 @@ func TestGetToFirstByteBeforeWholeFileGet(t *testing.T) {
 	t.Logf("GetTo first byte after %v, whole-file Get %v", ttfb, whole)
 	if ttfb <= 0 || ttfb*2 > whole {
 		t.Fatalf("GetTo first byte after %v, whole-file Get %v: want under half", ttfb, whole)
+	}
+}
+
+// shareHold holds every chunk-share upload to the providers it fronts
+// (holdShares), so a Put's scatter window stays full while later chunks are
+// scanned and hashed. Metadata uploads pass at once.
+type shareHold struct {
+	hold    time.Duration // how long each share upload waits
+	gate    chan struct{} // when non-nil, share uploads also wait for it to close
+	entered chan struct{} // closed when the first share upload arrives
+	once    sync.Once
+}
+
+type heldStore struct {
+	csp.Store
+	*shareHold
+}
+
+func (h heldStore) Upload(ctx context.Context, name string, data []byte) error {
+	if strings.HasPrefix(name, SharePrefix) {
+		h.once.Do(func() { close(h.entered) })
+		if h.gate != nil {
+			select {
+			case <-h.gate:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		time.Sleep(h.hold)
+	}
+	return h.Store.Upload(ctx, name, data)
+}
+
+// holdShares fronts every provider of env with h.
+func holdShares(env *testEnv, h *shareHold) map[string]csp.Store {
+	h.entered = make(chan struct{})
+	replace := make(map[string]csp.Store)
+	for _, name := range env.names {
+		replace[name] = heldStore{Store: cloudsim.NewSimStore(env.backends[name]), shareHold: h}
+	}
+	return replace
+}
+
+// TestPutReaderWindowBoundWhileUploadsHeld pins the window invariant while
+// the hash runs ahead of admission: with every share upload held, the
+// scatter window stays full while later chunks are scanned and hashed, and
+// the Put still holds at most depth + 2 chunk buffers. The record it
+// publishes is the one a sequential pass builds: chunks in chunker.Split
+// order, and the file ID of that list.
+func TestPutReaderWindowBoundWhileUploadsHeld(t *testing.T) {
+	t.Parallel()
+	env := newEnv(t, 5)
+	// Twice the average chunk is MaxSize, so every chunk buffer is drawn
+	// at MaxSize and the peak counts buffers exactly.
+	maxChunk := func(cfg *Config) { cfg.Chunking = chunker.Config{AverageSize: 2048, MinSize: 512, MaxSize: 4096} }
+	c := env.clientReplacing("alice", maxChunk, holdShares(env, &shareHold{hold: 500 * time.Microsecond}))
+	const depth = 3
+	c.depth = depth
+	data := randData(17, 256<<10) // over a hundred chunks
+
+	c.resetBufferPeak()
+	if err := c.PutReader(bg, "held/doc.bin", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	cur, peak := c.BufferBytes()
+	if cur != 0 {
+		t.Fatalf("accounted bytes after PutReader = %d, want 0", cur)
+	}
+	if bound := int64((depth + 2) * 4096); peak > bound {
+		t.Fatalf("peak accounted bytes = %d, want <= %d ((depth+2) x MaxSize)", peak, bound)
+	}
+
+	head := headOf(t, c, "held/doc.bin")
+	split := c.chunkerFor("").Split(data)
+	if len(head.Chunks) != len(split) {
+		t.Fatalf("record has %d chunks, Split gives %d", len(head.Chunks), len(split))
+	}
+	want := make([]metadata.ChunkRef, len(split))
+	for i, ch := range split {
+		want[i] = metadata.ChunkRef{ID: metadata.HashData(ch.Data), Offset: ch.Offset, Size: int64(len(ch.Data))}
+		got := head.Chunks[i]
+		if got.ID != want[i].ID || got.Offset != want[i].Offset || got.Size != want[i].Size {
+			t.Fatalf("chunk %d: record has (%s, %d, %d), Split gives (%s, %d, %d)",
+				i, got.ID[:8], got.Offset, got.Size, want[i].ID[:8], want[i].Offset, want[i].Size)
+		}
+	}
+	if id := metadata.FileID(want); head.File.ID != id {
+		t.Fatalf("file ID %s, sequential chunk list gives %s", head.File.ID[:8], id[:8])
+	}
+}
+
+// errReader serves data and then fails with err. Before failing it waits
+// for ready (for at most ten seconds), so the failure lands while the Put
+// has work in flight, and then closes release.
+type errReader struct {
+	data    []byte
+	err     error
+	ready   <-chan struct{}
+	release chan struct{}
+}
+
+func (r *errReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		select {
+		case <-r.ready:
+		case <-time.After(10 * time.Second):
+		}
+		closeOnce(r.release)
+		return 0, r.err
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// closeOnce closes ch unless it is already closed; one goroutine calls it.
+func closeOnce(ch chan struct{}) {
+	select {
+	case <-ch:
+	default:
+		close(ch)
+	}
+}
+
+// TestPutReaderFailsMidStream: a reader that fails partway through a
+// multi-chunk stream — a chunk hashing ahead, shares in flight — fails the
+// Put with the reader's error, publishes no record, and gives every buffer
+// back, with every released buffer poisoned so a late reader of one shows.
+// Not parallel: the poison switch and the live-buffer counter are
+// process-global.
+func TestPutReaderFailsMidStream(t *testing.T) {
+	bufpool.PoisonOnRelease.Store(true)
+	defer bufpool.PoisonOnRelease.Store(false)
+	base := bufpool.Live()
+
+	env := newEnv(t, 5)
+	hold := &shareHold{gate: make(chan struct{})}
+	c := env.clientReplacing("alice", nil, holdShares(env, hold))
+	// 8 KiB is 2 to 32 chunks at the test chunking (MinSize 256, MaxSize
+	// 4096), so a window of 32 admits them all with every upload held.
+	c.depth = 32
+	boom := errors.New("disk read failed")
+	// Shares are held until the reader fails, and the reader fails only
+	// once a share upload has arrived: the scatters are in flight.
+	r := &errReader{data: randData(23, 8<<10), err: boom, ready: hold.entered, release: hold.gate}
+	err := c.PutReader(bg, "broken/doc.bin", r)
+	closeOnce(hold.gate)
+	select {
+	case <-hold.entered:
+	default:
+		t.Fatal("the reader failed before any share upload was in flight")
+	}
+	if !errors.Is(err, boom) {
+		t.Fatalf("PutReader = %v, want an error wrapping the reader's", err)
+	}
+	for _, name := range env.names {
+		if recs := env.backends[name].ObjectNames(metadata.MetaPrefix); len(recs) != 0 {
+			t.Fatalf("%s holds metadata %v after a failed Put", name, recs)
+		}
+	}
+	if _, err := c.Stat(bg, "broken/doc.bin"); !errors.Is(err, ErrNoSuchFile) {
+		t.Fatalf("Stat after a failed Put = %v, want ErrNoSuchFile", err)
+	}
+	if cur, _ := c.BufferBytes(); cur != 0 {
+		t.Fatalf("accounted bytes after a failed Put = %d, want 0", cur)
+	}
+	if got := bufpool.Live(); got != base {
+		t.Fatalf("live pooled buffers = %d, want %d", got, base)
 	}
 }

@@ -17,18 +17,19 @@ import (
 // set) and on failure walks on through Next, the fallback supply all lanes
 // share, until one candidate succeeds or the supply runs dry.
 //
-// HedgeAfter is the launch schedule for redundant lanes, which start with
-// no attempt of their own and draw from Next: a primary's backup lane
-// launches at that primary's deadline. In the (n,k) redundant-request model
-// (Ghosh et al.) a race read is the same lane issued at t≈0, so a deadline
-// near zero is a race; either buys tail latency with extra load.
+// HedgeAfter is the launch schedule for redundant lanes, which have no
+// attempt of their own and draw their first from Next: a primary's backup
+// lane launches at that primary's deadline if the supply has a candidate.
+// In the (n,k) redundant-request model (Ghosh et al.) a race read is the
+// same lane issued at t≈0, so a deadline near zero is a race; either buys
+// tail latency with extra load.
 type Gather struct {
 	// Need is how many successful attempts resolve the gather.
 	Need int
 	// Primary attempts each start a lane at t=0.
 	Primary []Attempt
 	// Next supplies fallback candidates to every lane; calls are
-	// serialized. nil means no fallback: redundant lanes find nothing.
+	// serialized. nil means no fallback, and no redundant lane launches.
 	Next func() (Attempt, bool)
 	// HedgeAfter[i], when positive, launches one backup lane for Primary[i]
 	// if that lane has not finished by then (see Engine.HedgeAfter for the
@@ -87,9 +88,9 @@ func (o *Op) Gather(ctx context.Context, g Gather) error {
 		latch.Add(1)
 	}
 
-	pull := func() (Attempt, bool) {
-		mu.Lock()
-		defer mu.Unlock()
+	// pullLocked draws the next fallback candidate; mu is held, which
+	// serializes the calls to Next.
+	pullLocked := func() (Attempt, bool) {
 		if g.Next == nil {
 			return Attempt{}, false
 		}
@@ -120,7 +121,9 @@ func (o *Op) Gather(ctx context.Context, g Gather) error {
 				return
 			}
 			if att == nil {
-				a, ok := pull()
+				mu.Lock()
+				a, ok := pullLocked()
+				mu.Unlock()
 				if !ok {
 					return
 				}
@@ -168,12 +171,18 @@ func (o *Op) Gather(ctx context.Context, g Gather) error {
 			continue
 		}
 		// Watchdog: fire the backup lane if the primary is still out at its
-		// deadline. Deliberately not joined — after a resolution it wakes,
-		// sees the gather finished, and exits on its own.
+		// deadline. The backup draws its candidate first: with the supply
+		// dry there is no hedge to count or to settle as a win or loss.
+		// Deliberately not joined — after a resolution it wakes, sees the
+		// gather finished, and exits on its own.
 		e.rt.Go(func() {
 			e.rt.Sleep(g.HedgeAfter[i])
+			var backup Attempt
 			mu.Lock()
 			fire := !finished && hedge[i] == hedgeIdle
+			if fire {
+				backup, fire = pullLocked()
+			}
 			if fire {
 				hedge[i] = hedgeLaunched
 				lanes++
@@ -181,7 +190,7 @@ func (o *Op) Gather(ctx context.Context, g Gather) error {
 			mu.Unlock()
 			if fire {
 				e.obs.TransferHedge(gctx)
-				lane(nil, i, true)
+				lane(&backup, i, true)
 			}
 		})
 	}

@@ -173,3 +173,66 @@ func TestGatherQueuedLoserNeverRuns(t *testing.T) {
 		t.Errorf("%d cspb slots still held", n)
 	}
 }
+
+// TestGatherHedgeNeedsCandidate: a hedge is a backup lane with an attempt
+// to make. A watchdog that fires while the fallback supply is dry launches
+// nothing, so nothing is counted in cyrus_transfer_hedges_total and nothing
+// settles as a loss that would stretch the primary's adaptive multiple.
+// Two cases: one primary whose supply is empty, and a (2,3) gather whose two
+// watchdogs both fire over a single fallback location — one hedge, not two.
+func TestGatherHedgeNeedsCandidate(t *testing.T) {
+	cases := []struct {
+		name    string
+		need    int
+		primary []string
+		next    func(nw *netsim.Network) func() (Attempt, bool)
+		hedges  float64
+	}{
+		{"empty supply", 1, []string{"cspa"}, func(*netsim.Network) func() (Attempt, bool) {
+			return func() (Attempt, bool) { return Attempt{}, false }
+		}, 0},
+		{"one fallback for two watchdogs", 2, []string{"cspa", "cspb"}, func(nw *netsim.Network) func() (Attempt, bool) {
+			return supplyOnce(sleepAttempt(nw, "cspc", 200*time.Millisecond))
+		}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := obs.NewObserver()
+			e, nw := newOneTryEngine(Tunables{}, o)
+			o.SetClock(nw.Now)
+			var primaries []Attempt
+			var after []time.Duration
+			for _, name := range tc.primary {
+				primaries = append(primaries, sleepAttempt(nw, name, 50*time.Millisecond))
+				after = append(after, 10*time.Millisecond)
+			}
+			nw.Run(func() {
+				op := e.Begin(context.Background())
+				defer op.Finish()
+				g := Gather{Need: tc.need, Primary: primaries, Next: tc.next(nw), HedgeAfter: after}
+				if err := op.Gather(op.Context(), g); err != nil {
+					t.Errorf("gather: %v", err)
+				}
+				nw.Sleep(time.Second) // let any backup drain
+			})
+
+			s := o.Registry().Snapshot()
+			if p, _ := s.Find(obs.MetricTransferHedges, nil); p.Value != tc.hedges {
+				t.Errorf("cyrus_transfer_hedges_total = %v, want %v", p.Value, tc.hedges)
+			}
+			losses, moved := 0.0, 0
+			for _, name := range tc.primary {
+				if p, ok := s.Find(obs.MetricHedgeLosses, map[string]string{"csp": name}); ok {
+					losses += p.Value
+				}
+				if e.hedge.multiple(name) != e.hedge.base {
+					moved++
+				}
+			}
+			// Every counted hedge backs up a primary that lands first.
+			if losses != tc.hedges || float64(moved) != tc.hedges {
+				t.Errorf("hedge losses %v and moved multiples %d, want %v of each", losses, moved, tc.hedges)
+			}
+		})
+	}
+}
