@@ -19,11 +19,17 @@
 //	cyrusctl -config cloud.json conflicts
 //	cyrusctl -config cloud.json resolve notes.txt <winner-version-id>
 //
+// conflicts lists each conflicted name's live leaves (versions with no child
+// that are not deletion markers); resolve's winner must be one of them, and
+// every other one gets a deletion marker.
+//
 // The key in the config file is the user secret: every device sharing the
-// cloud must use the same key, and without it nothing is readable.
+// cloud must use the same key, and without it nothing is readable. init
+// refuses a config path that already exists.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -38,6 +44,7 @@ import (
 	"time"
 
 	"repro/cyrus"
+	"repro/internal/atomicfile"
 )
 
 type cspEntry struct {
@@ -539,6 +546,13 @@ func cmdInit(cfgPath string, args []string) error {
 	if len(csps) < *t {
 		return fmt.Errorf("need at least %d -csp entries, got %d", *t, len(csps))
 	}
+	// The config holds the key, and the key is the only thing that can read
+	// the cloud: never replace one.
+	if _, err := os.Lstat(cfgPath); err == nil {
+		return fmt.Errorf("init: %s already exists; it holds the key that reads the cloud, so init will not replace it", cfgPath)
+	} else if !os.IsNotExist(err) {
+		return err
+	}
 	cfg := config{
 		ClientID: *client, Key: *key, T: *t, N: *n, CSPToken: *cspToken,
 		MetaShards: *metaShards, MetaCacheEntries: *metaCache,
@@ -593,7 +607,7 @@ func cmdInit(cfgPath string, args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(cfgPath, append(data, '\n'), 0o600); err != nil {
+	if err := atomicfile.Write(cfgPath, 0o600, bytes.NewReader(append(data, '\n')).WriteTo); err != nil {
 		return err
 	}
 	fmt.Printf("initialized %s with %d providers (t=%d)\nkeep the key safe: without it nothing is readable\n",
@@ -769,35 +783,20 @@ func cmdGet(ctx context.Context, c *cyrus.Client, args []string) error {
 	if dst == "" {
 		dst = name
 	}
-	// Stream into a sibling temp file and rename on success: an interrupted
-	// download never leaves a torn file at the destination, and client
-	// memory stays bounded by the pipeline window.
-	tmp, err := os.CreateTemp(filepath.Dir(dst), "."+filepath.Base(dst)+".partial-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
+	// Stream into a sibling temp file and rename on success
+	// (atomicfile.Write): an interrupted download never leaves a torn file
+	// at the destination, and client memory stays bounded by the pipeline
+	// window.
 	var info cyrus.FileInfo
-	if *version != "" {
-		info, err = c.GetVersionTo(ctx, name, *version, tmp)
-	} else {
-		info, err = c.GetTo(ctx, name, tmp)
-	}
+	err := atomicfile.Write(dst, 0o644, func(w io.Writer) (_ int64, err error) {
+		if *version != "" {
+			info, err = c.GetVersionTo(ctx, name, *version, w)
+		} else {
+			info, err = c.GetTo(ctx, name, w)
+		}
+		return 0, err
+	})
 	if err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, dst); err != nil {
-		os.Remove(tmpName)
 		return err
 	}
 	fmt.Printf("retrieved %s (%d bytes, version %.8s)\n", name, info.Size, info.VersionID)
@@ -869,7 +868,7 @@ func cmdConflicts(ctx context.Context, c *cyrus.Client) error {
 		return nil
 	}
 	for _, cf := range conflicts {
-		fmt.Printf("%s (%s):\n", cf.Name, cf.Type)
+		fmt.Printf("%s (%s), live leaves:\n", cf.Name, cf.Type)
 		for _, v := range cf.Versions {
 			fmt.Printf("  %s  %10d bytes  %s\n", v.VersionID, v.Size, v.Modified.Format("2006-01-02 15:04:05"))
 		}
@@ -879,7 +878,7 @@ func cmdConflicts(ctx context.Context, c *cyrus.Client) error {
 
 func cmdResolve(ctx context.Context, c *cyrus.Client, args []string) error {
 	if len(args) != 2 {
-		return fmt.Errorf("usage: resolve <name> <winner-version-id>")
+		return fmt.Errorf("usage: resolve <name> <winner-version-id> (one of the live leaves 'conflicts' lists)")
 	}
 	return c.Resolve(ctx, args[0], args[1])
 }

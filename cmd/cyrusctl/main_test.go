@@ -234,6 +234,25 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestCLIInitRefusesExistingConfig: the config holds the key, the only
+// thing that reads the cloud, so a second init on its path fails, names the
+// path, and leaves the file as it was.
+func TestCLIInitRefusesExistingConfig(t *testing.T) {
+	cfg, dir := setup(t)
+	before, err := os.ReadFile(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = ctl(t, cfg, "init", "-t", "2", "-n", "3", "-key", "another-key",
+		"-csp", "a="+filepath.Join(dir, "a"), "-csp", "b="+filepath.Join(dir, "b"), "-csp", "c="+filepath.Join(dir, "c"))
+	if err == nil || !strings.Contains(err.Error(), cfg) {
+		t.Fatalf("init over an existing config: err = %v, want one naming %s", err, cfg)
+	}
+	if after, err := os.ReadFile(cfg); err != nil || string(after) != string(before) {
+		t.Fatalf("config changed by a refused init (%v):\n%s", err, after)
+	}
+}
+
 // TestCLIFlightdumpAndTop: the diagnosis commands work against a local
 // cloud — flightdump writes a populated manual dump, top renders one
 // refresh without blocking.

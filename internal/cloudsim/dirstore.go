@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/atomicfile"
 	"repro/internal/csp"
 )
 
@@ -129,43 +130,33 @@ func (d *DirStore) Upload(ctx context.Context, name string, data []byte) error {
 }
 
 // UploadFrom implements csp.StreamUploader: the object body is copied
-// incrementally from r into a temp file and published with one atomic
-// rename. A reader error (including a crashed or aborted upload) removes
-// the temp file, so a torn object is never visible to List or Download —
-// temp files carry no "f-" prefix and are invisible to List even if the
-// process dies between write and rename.
+// incrementally from r into a temp file and published with one atomic,
+// synced rename (atomicfile.Write), so an acked object survives a crash. A
+// reader error (including a crashed or aborted upload) removes the temp
+// file, so a torn object is never visible to List or Download — temp files
+// carry no "f-" prefix and are invisible to List even if the process dies
+// between write and rename.
 func (d *DirStore) UploadFrom(ctx context.Context, name string, r io.Reader) (int64, error) {
 	if err := d.session(ctx); err != nil {
 		return 0, err
 	}
-	dst := filepath.Join(d.root, encodeName(name))
-	tmp, err := os.CreateTemp(d.root, ".upload-*")
-	if err != nil {
-		return 0, fmt.Errorf("%w: %s: %v", csp.ErrUnavailable, d.name, err)
-	}
-	tmpName := tmp.Name()
-	n, err := io.Copy(tmp, r)
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	var n int64
+	var copyErr error
+	err := atomicfile.Write(filepath.Join(d.root, encodeName(name)), 0o644, func(w io.Writer) (int64, error) {
+		n, copyErr = io.Copy(w, r)
+		return n, copyErr
+	})
+	switch {
+	case err == nil:
+		return n, nil
+	case err == copyErr:
 		// Propagate the copy error as-is (a reader abort must stay
 		// branchable by the caller; a local write fault is already wrapped
 		// by the os layer).
 		return n, err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
+	default:
 		return n, fmt.Errorf("%w: %s: %v", csp.ErrUnavailable, d.name, err)
 	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		os.Remove(tmpName)
-		return n, fmt.Errorf("%w: %s: %v", csp.ErrUnavailable, d.name, err)
-	}
-	if err := os.Rename(tmpName, dst); err != nil {
-		os.Remove(tmpName)
-		return n, fmt.Errorf("%w: %s: %v", csp.ErrUnavailable, d.name, err)
-	}
-	return n, nil
 }
 
 // Download implements csp.Store.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/metadata"
 )
@@ -197,7 +198,8 @@ func (c *Client) Recover(ctx context.Context) error {
 }
 
 // Conflicts returns the currently detected file conflicts (both types of
-// Figure 8), after a best-effort sync.
+// Figure 8), after a best-effort sync: each conflicted name with its live
+// leaves, the versions Resolve may pick a winner from.
 func (c *Client) Conflicts(ctx context.Context) []ConflictInfo {
 	c.syncBestEffort(ctx, "")
 	return c.conflictsLocal()
@@ -222,33 +224,37 @@ func (c *Client) conflictsLocal() []ConflictInfo {
 type ConflictInfo struct {
 	Name     string
 	Type     string
-	Versions []FileInfo
+	Versions []FileInfo // the name's live leaves, by version ID
 }
 
 // Resolve settles a conflict by designating a winning version: every other
-// competing leaf is superseded by a deletion marker, so all replicas
+// live leaf of the name is superseded by a deletion marker, so all replicas
 // converge on the winner (the paper lets clients upload conflicting files
 // and "prompts users to resolve them"; this is the resolution primitive).
-// The loser versions remain in history and stay recoverable.
+// The winner must be one of the live leaves Conflicts lists for the name; on
+// an unconflicted name Resolve does nothing. The loser versions remain in
+// history and stay recoverable.
 func (c *Client) Resolve(ctx context.Context, name, winnerVersionID string) error {
 	if _, _, err := c.resolve(ctx, name, winnerVersionID, syncUnlessFresh); err != nil {
 		return err
 	}
-	for _, cf := range c.tree.Conflicts() {
-		if cf.Name != name {
+	cf, conflicted := c.tree.Conflict(name)
+	if !conflicted {
+		return nil
+	}
+	if !slices.Contains(cf.Versions, winnerVersionID) {
+		return fmt.Errorf("cyrus: resolve %q: %s is not one of its live leaves %v", name, winnerVersionID, cf.Versions)
+	}
+	for _, vid := range cf.Versions {
+		if vid == winnerVersionID {
 			continue
 		}
-		for _, vid := range cf.Versions {
-			if vid == winnerVersionID {
-				continue
-			}
-			loser, err := c.tree.Get(vid)
-			if err != nil || loser.File.Deleted {
-				continue
-			}
-			if err := c.supersede(ctx, metadata.Version{ID: vid, FileMeta: loser}); err != nil {
-				return err
-			}
+		loser, err := c.tree.Get(vid)
+		if err != nil {
+			return err
+		}
+		if err := c.supersede(ctx, metadata.Version{ID: vid, FileMeta: loser}); err != nil {
+			return err
 		}
 	}
 	return nil

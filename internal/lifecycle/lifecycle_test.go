@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/chunker"
 	"repro/internal/cloudsim"
 	"repro/internal/core"
@@ -424,8 +425,8 @@ func TestFileStateFailedWriteKeepsQueue(t *testing.T) {
 	}
 
 	// A read-only handle: every Write on it fails.
-	defer func(orig func(string, string) (*os.File, error)) { createTemp = orig }(createTemp)
-	createTemp = func(dir, pattern string) (*os.File, error) {
+	defer func(orig func(string, string) (*os.File, error)) { atomicfile.CreateTemp = orig }(atomicfile.CreateTemp)
+	atomicfile.CreateTemp = func(dir, pattern string) (*os.File, error) {
 		f, err := os.CreateTemp(dir, pattern)
 		if err != nil {
 			return nil, err

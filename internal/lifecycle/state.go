@@ -1,12 +1,14 @@
 package lifecycle
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
+
+	"repro/internal/atomicfile"
 )
 
 // MemState is an in-process State: jobs survive Migrator restarts within
@@ -110,10 +112,6 @@ func (s *FileState) Clear(name string) error {
 	return s.flushLocked()
 }
 
-// createTemp opens the file flushLocked writes the next queue to; tests
-// swap it to make that write fail.
-var createTemp = os.CreateTemp
-
 func (s *FileState) flushLocked() error {
 	jobs := make([]Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
@@ -124,41 +122,5 @@ func (s *FileState) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(s.path)
-	tmp, err := createTemp(dir, ".lifecycle-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	// The data must be on disk before the rename makes it the queue: a
-	// rename that outlives a power cut its data did not would leave an
-	// empty or partial file under s.path.
-	if _, err = tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, s.path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir makes a rename in dir durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return atomicfile.Write(s.path, 0o600, bytes.NewReader(data).WriteTo)
 }

@@ -9,9 +9,10 @@
 // themselves secret-shared across the metadata CSPs; clients keep a local
 // Tree replica and merge newly listed records into it.
 //
-// Conflicts are data, not errors: the tree detects the paper's two conflict
-// types — (1) independent creations of the same filename and (2) multiple
-// children of one parent version — and surfaces them for resolution.
+// Conflicts are data, not errors: a name with two or more live leaves is in
+// conflict, of the paper's type (1) when the leaves descend from independent
+// creations of the filename and of type (2) when they descend from one
+// history, and the tree surfaces the leaves for resolution.
 package metadata
 
 import (

@@ -23,7 +23,6 @@ type Tree struct {
 	mu       sync.RWMutex
 	nodes    map[string]*FileMeta // by VersionID
 	children map[string][]string  // VersionID -> child VersionIDs (sorted)
-	roots    []string             // VersionIDs with PrevID == ""
 	byName   map[string][]string  // file name -> its VersionIDs (sorted)
 	names    []string             // the keys of byName, sorted
 }
@@ -70,9 +69,7 @@ func (t *Tree) InsertVerified(m *FileMeta, id string) (added bool) {
 	cp.Chunks = slices.Clone(m.Chunks)
 	cp.Shares = slices.Clone(m.Shares)
 	t.nodes[id] = &cp
-	if m.File.PrevID == "" {
-		t.roots = insertSorted(t.roots, id)
-	} else {
+	if m.File.PrevID != "" {
 		t.children[m.File.PrevID] = insertSorted(t.children[m.File.PrevID], id)
 	}
 	name := m.File.Name
@@ -153,24 +150,29 @@ func (t *Tree) Names() []string {
 	return slices.Clone(t.names)
 }
 
-// leavesOfLocked returns the leaf version IDs (no children) among the
-// versions of the given file name, sorted. Caller holds t.mu.
-func (t *Tree) leavesOfLocked(name string) []string {
-	var leaves []string
+// leavesLocked splits the leaf versions (no children) of a file name into
+// live ones and deletion markers, each sorted. This is the one rule for
+// "conflicted": a name is in conflict exactly when it has two or more live
+// leaves. Caller holds t.mu.
+func (t *Tree) leavesLocked(name string) (live, deleted []string) {
 	for _, id := range t.byName[name] {
-		if len(t.children[id]) == 0 {
-			leaves = append(leaves, id)
+		switch {
+		case len(t.children[id]) > 0:
+		case t.nodes[id].File.Deleted:
+			deleted = append(deleted, id)
+		default:
+			live = append(live, id)
 		}
 	}
-	return leaves
+	return live, deleted
 }
 
 // Head returns the current version of a file: the winning leaf of its
-// version tree. When several leaves exist (a conflict), the deterministic
-// winner is the one with the latest Modified time, ties broken by version
-// ID; conflicted reports whether other live leaves lost. Deleted heads are
-// returned with their deletion marker set — callers decide how to treat
-// deleted files.
+// version tree. When several live leaves exist (a conflict), the
+// deterministic winner is the one with the latest Modified time, ties broken
+// by version ID; conflicted reports whether other live leaves lost. Deleted
+// heads are returned with their deletion marker set — callers decide how to
+// treat deleted files.
 func (t *Tree) Head(name string) (head Version, conflicted bool, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -178,29 +180,23 @@ func (t *Tree) Head(name string) (head Version, conflicted bool, err error) {
 }
 
 func (t *Tree) headLocked(name string) (head Version, conflicted bool, err error) {
-	leaves := t.leavesOfLocked(name)
-	if len(leaves) == 0 {
-		return Version{}, false, fmt.Errorf("%w: no versions of %q", ErrUnknownVersion, name)
-	}
 	// Live leaves win over deletion markers; only when every leaf is
 	// deleted does Head return a deleted record.
-	best, live := "", 0
-	for _, id := range leaves {
-		if !t.nodes[id].File.Deleted {
-			live++
-			if best == "" || t.laterLocked(id, best) {
-				best = id
-			}
+	live, deleted := t.leavesLocked(name)
+	pool := live
+	if len(pool) == 0 {
+		pool = deleted
+	}
+	if len(pool) == 0 {
+		return Version{}, false, fmt.Errorf("%w: no versions of %q", ErrUnknownVersion, name)
+	}
+	best := pool[0]
+	for _, id := range pool[1:] {
+		if t.laterLocked(id, best) {
+			best = id
 		}
 	}
-	if live == 0 {
-		for _, id := range leaves {
-			if best == "" || t.laterLocked(id, best) {
-				best = id
-			}
-		}
-	}
-	return Version{best, t.nodes[best]}, live > 1, nil
+	return Version{best, t.nodes[best]}, len(live) > 1, nil
 }
 
 // laterLocked reports whether version a is strictly later than b for
@@ -241,10 +237,10 @@ type ConflictType int
 // Conflict classes.
 const (
 	// SameNameCreation: two clients independently created files with the
-	// same name (two roots with one name).
+	// same name (the live leaves descend from more than one origin).
 	SameNameCreation ConflictType = iota
-	// DivergentEdit: two clients edited the same parent version (a node
-	// with multiple children).
+	// DivergentEdit: two clients edited the same history (the live leaves
+	// share one origin).
 	DivergentEdit
 )
 
@@ -255,82 +251,67 @@ func (c ConflictType) String() string {
 	return "divergent-edit"
 }
 
-// Conflict is one detected conflict with the competing version IDs.
+// Conflict is one conflicted name with its competing live leaves.
 type Conflict struct {
 	Type     ConflictType
 	Name     string
-	Versions []string // competing version IDs, sorted
+	Versions []string // the name's live leaves, sorted
 }
 
-// Conflicts scans the tree and returns all current conflicts,
-// deterministically ordered. A conflict is current only while the
-// competing versions are leaves (an edit on top of one side resolves it in
-// that side's favor only if the other side is deleted or merged — matching
-// the paper's "clients identify and resolve the resulting conflicts when
-// downloading files").
+// Conflict returns the name's conflict: its live leaves, present exactly when
+// there are two or more of them (when Head reports conflicted). Superseding
+// every listed leaf but one with a deletion marker settles it. It reads only
+// the name's versions (its leaves and their ancestors), not the whole tree.
+func (t *Tree) Conflict(name string) (Conflict, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.conflictLocked(name)
+}
+
+func (t *Tree) conflictLocked(name string) (Conflict, bool) {
+	live, _ := t.leavesLocked(name)
+	if len(live) < 2 {
+		return Conflict{}, false
+	}
+	origins := make(map[string]bool, len(live))
+	for _, id := range live {
+		origins[t.originLocked(id)] = true
+	}
+	typ := DivergentEdit
+	if len(origins) > 1 {
+		typ = SameNameCreation
+	}
+	return Conflict{Type: typ, Name: name, Versions: live}, true
+}
+
+// originLocked returns where a version's known ancestry starts: the root it
+// descends from, or the ID of its first ancestor not yet synced (so a
+// conflict classifies the same before and after an out-of-order sync fills
+// the gap below a fork).
+func (t *Tree) originLocked(id string) string {
+	for {
+		prev := t.nodes[id].File.PrevID
+		if prev == "" {
+			return id
+		}
+		if _, synced := t.nodes[prev]; !synced {
+			return prev
+		}
+		id = prev
+	}
+}
+
+// Conflicts returns every conflicted name's Conflict, sorted by name.
 func (t *Tree) Conflicts() []Conflict {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []Conflict
-
-	// Type 1: multiple live roots sharing a file name.
-	rootsByName := make(map[string][]string)
-	for _, id := range t.roots {
-		m := t.nodes[id]
-		// The root subtree is live if any of its leaves is undeleted.
-		if t.subtreeLiveLocked(id) {
-			rootsByName[m.File.Name] = append(rootsByName[m.File.Name], id)
+	for _, name := range t.names {
+		if cf, ok := t.conflictLocked(name); ok {
+			out = append(out, cf)
 		}
 	}
-	for name, ids := range rootsByName {
-		if len(ids) > 1 {
-			sort.Strings(ids)
-			out = append(out, Conflict{Type: SameNameCreation, Name: name, Versions: ids})
-		}
-	}
-
-	// Type 2: any node with multiple live child branches.
-	for parent, kids := range t.children {
-		if len(kids) < 2 {
-			continue
-		}
-		var live []string
-		for _, k := range kids {
-			if t.subtreeLiveLocked(k) {
-				live = append(live, k)
-			}
-		}
-		if len(live) > 1 {
-			name := t.nodes[live[0]].File.Name
-			_ = parent
-			out = append(out, Conflict{Type: DivergentEdit, Name: name, Versions: live})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		if out[i].Type != out[j].Type {
-			return out[i].Type < out[j].Type
-		}
-		return out[i].Versions[0] < out[j].Versions[0]
-	})
 	return out
-}
-
-// subtreeLiveLocked reports whether any leaf under (and including) id is
-// not deleted.
-func (t *Tree) subtreeLiveLocked(id string) bool {
-	kids := t.children[id]
-	if len(kids) == 0 {
-		return !t.nodes[id].File.Deleted
-	}
-	for _, k := range kids {
-		if t.subtreeLiveLocked(k) {
-			return true
-		}
-	}
-	return false
 }
 
 // Missing returns, among the given version IDs, those not yet in the tree —

@@ -46,44 +46,18 @@ type Span struct {
 	trace  uint64
 }
 
-type ctxKey int
-
-const (
-	ctxKeyObserver ctxKey = iota
-	ctxKeySpan
-)
-
-// WithObserver attaches an Observer to the context so the package-level
-// Trace can find it.
-func WithObserver(ctx context.Context, o *Observer) context.Context {
-	if o == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKeyObserver, o)
-}
-
-// FromContext returns the Observer attached to the context, or nil.
-func FromContext(ctx context.Context) *Observer {
-	o, _ := ctx.Value(ctxKeyObserver).(*Observer)
-	return o
-}
+// ctxKeySpan keys the innermost span in a context.
+type ctxKeySpan struct{}
 
 // SpanFromContext returns the innermost span's ID, its trace ID (the root
 // operation span's ID), and the root operation name, or zeros when the
 // context carries no span. The transfer engine uses it to stamp flight
 // events with the operation they belong to.
 func SpanFromContext(ctx context.Context) (spanID, traceID uint64, op string) {
-	if s, _ := ctx.Value(ctxKeySpan).(*Span); s != nil {
+	if s, _ := ctx.Value(ctxKeySpan{}).(*Span); s != nil {
 		return s.id, s.trace, s.rootOp
 	}
 	return 0, 0, ""
-}
-
-// Trace starts a child span of whatever span (and Observer) the context
-// carries: obs.Trace(ctx, "core.Get"). Without an Observer in the context
-// it returns the context unchanged and a nil (inert) span.
-func Trace(ctx context.Context, name string) (context.Context, *Span) {
-	return FromContext(ctx).Trace(ctx, name)
 }
 
 // Trace starts a child span on this Observer. Nil-safe.
@@ -106,7 +80,7 @@ func (o *Observer) startSpan(ctx context.Context, name, op string) (context.Cont
 	}
 	var parent, trace uint64
 	rootOp := op
-	if p, _ := ctx.Value(ctxKeySpan).(*Span); p != nil {
+	if p, _ := ctx.Value(ctxKeySpan{}).(*Span); p != nil {
 		parent = p.id
 		if op == "" { // child spans inherit the trace; op spans re-root it
 			trace = p.trace
@@ -119,11 +93,7 @@ func (o *Observer) startSpan(ctx context.Context, name, op string) (context.Cont
 	}
 	o.openSpans.add(sp)
 	o.rec.record(FlightEvent{Kind: FlightSpanOpen, Trace: sp.trace, Span: sp.id, Op: sp.rootOp, Name: name})
-	ctx = context.WithValue(ctx, ctxKeySpan, sp)
-	if FromContext(ctx) == nil {
-		ctx = WithObserver(ctx, o)
-	}
-	return ctx, sp
+	return context.WithValue(ctx, ctxKeySpan{}, sp), sp
 }
 
 // End finishes the span: its duration is observed into the op histogram

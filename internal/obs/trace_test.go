@@ -32,7 +32,7 @@ func TestSpanHierarchyAndOpMetrics(t *testing.T) {
 
 	ctx, op := o.StartOp(context.Background(), "put")
 	clk.advance(10 * time.Millisecond)
-	_, child := Trace(ctx, "chunk.scatter") // found via context observer
+	_, child := o.Trace(ctx, "chunk.scatter")
 	clk.advance(30 * time.Millisecond)
 	if open := o.OpenSpans(); len(open) != 2 || open[1].Parent != open[0].ID {
 		t.Errorf("open spans = %+v, want the op and its child", open)
@@ -90,8 +90,6 @@ func TestNilObserverIsInert(t *testing.T) {
 	sp.End(nil) // must not panic
 	_, sp2 := o.Trace(ctx, "x")
 	sp2.End(errors.New("e"))
-	_, sp3 := Trace(context.Background(), "y") // no observer in context
-	sp3.End(nil)
 	o.CSPRequest("a", nil, time.Second)
 	o.CSPDownState("a", true)
 	o.CSPLink("a", 1, 1, 1)

@@ -6,14 +6,16 @@
 // last-modified times and content hashes against a persisted index;
 // remote changes are detected through the metadata tree (each upload
 // creates a new metadata record, so listing the metadata prefix reveals
-// everything). Conflicts never block a sync: the losing concurrent
-// version is materialized next to the winner as
+// everything). Conflicts never block a sync: each losing live leaf (the
+// head of a losing branch) is materialized next to the winner as
 // "<name>.conflict-<clientID>-<version8>", mirroring how commercial sync
 // clients surface them, and the conflict is resolved in the tree in favor
-// of the winner.
+// of the winner. The index is rewritten atomically, so a crash mid-write
+// leaves the previous one.
 package syncdir
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -26,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/core"
 	"repro/internal/metadata"
 )
@@ -103,7 +106,7 @@ func (s *Syncer) saveIndex() error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(s.indexPath(), raw, 0o644)
+	return atomicfile.Write(s.indexPath(), 0o644, bytes.NewReader(raw).WriteTo)
 }
 
 // skip reports paths the scanner ignores: the index itself, conflict
@@ -360,39 +363,23 @@ func conflictCopyName(name, clientID, versionID string) string {
 }
 
 // downloadLocal streams a remote version into place under the root via
-// fetch, writing through a sibling temp file and renaming on success — an
-// interrupted download never leaves a torn file, and memory stays bounded
-// by the client's pipeline window. It returns the content hash of the
-// written bytes (computed while streaming: the index records SHA-1 of the
-// local file, which a v2 record's file ID is not) and the fetched version's
-// info.
+// fetch, through atomicfile.Write — an interrupted download never leaves a
+// torn file, and memory stays bounded by the client's pipeline window. It
+// returns the content hash of the written bytes (computed while streaming:
+// the index records SHA-1 of the local file, which a v2 record's file ID is
+// not) and the fetched version's info.
 func (s *Syncer) downloadLocal(rel string, fetch func(io.Writer) (core.FileInfo, error)) (string, core.FileInfo, error) {
 	dst := filepath.Join(s.root, filepath.FromSlash(rel))
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return "", core.FileInfo{}, err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), ".cyrus-partial-*")
-	if err != nil {
-		return "", core.FileInfo{}, err
-	}
-	tmpName := tmp.Name()
 	h := metadata.NewHash()
-	info, err := fetch(io.MultiWriter(tmp, h))
+	var info core.FileInfo
+	err := atomicfile.Write(dst, 0o644, func(w io.Writer) (_ int64, err error) {
+		info, err = fetch(io.MultiWriter(w, h))
+		return 0, err
+	})
 	if err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return "", core.FileInfo{}, err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return "", core.FileInfo{}, err
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		os.Remove(tmpName)
-		return "", core.FileInfo{}, err
-	}
-	if err := os.Rename(tmpName, dst); err != nil {
-		os.Remove(tmpName)
 		return "", core.FileInfo{}, err
 	}
 	return metadata.HashSum(h), info, nil

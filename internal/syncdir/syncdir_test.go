@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/chunker"
 	"repro/internal/cloudsim"
 	"repro/internal/core"
@@ -280,6 +281,55 @@ func TestConflictMaterialization(t *testing.T) {
 	}
 }
 
+// TestConflictCopyIsLosingBranchHead: bob's branch holds two versions and
+// alice's later edit wins, so the conflict copy must hold the head of bob's
+// branch, not its first version, and the pass must leave no conflict.
+func TestConflictCopyIsLosingBranchHead(t *testing.T) {
+	w := newWorld(t)
+	clientA, dirA, syA := w.device("alice")
+	_, dirB, syB := w.device("bob")
+
+	writeFile(t, dirA, "doc.txt", "v1")
+	if _, err := syA.Sync(bg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := syB.Sync(bg); err != nil {
+		t.Fatal(err)
+	}
+	for _, content := range []string{"bob's first edit", "bob's second edit"} {
+		writeFile(t, dirB, "doc.txt", content)
+		if _, err := syB.Sync(bg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Alice edits v1 while partitioned from metadata listing (as in
+	// TestConflictMaterialization), so her edit forks from v1.
+	writeFile(t, dirA, "doc.txt", "alice's edit")
+	for _, b := range w.backends {
+		b.FailNext(4)
+	}
+	if actions, err := syA.Sync(bg); err != nil || len(ops(actions, "upload")) != 1 {
+		t.Fatalf("partitioned pass = %+v, %v", actions, err)
+	}
+	actions, err := syA.Sync(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies := ops(actions, "conflict-copy")
+	if len(copies) != 1 {
+		t.Fatalf("conflict copies = %v (actions %+v)", copies, actions)
+	}
+	if got := readFile(t, dirA, copies[0]); got != "bob's second edit" {
+		t.Fatalf("conflict copy holds %q, want the head of bob's branch", got)
+	}
+	if got := readFile(t, dirA, "doc.txt"); got != "alice's edit" {
+		t.Fatalf("doc.txt = %q, want alice's later edit", got)
+	}
+	if cs := clientA.Tree().Conflicts(); len(cs) != 0 {
+		t.Fatalf("conflicts after the pass = %+v", cs)
+	}
+}
+
 func TestConflictCopiesAreNotReuploaded(t *testing.T) {
 	if got := conflictCopyName("docs/a.txt", "bob", "0123456789abcdef"); got != "docs/a.conflict-bob-01234567.txt" {
 		t.Fatalf("conflictCopyName = %q", got)
@@ -313,6 +363,50 @@ func TestIndexPersistsAcrossSyncerInstances(t *testing.T) {
 	}
 	if len(actions) != 0 {
 		t.Fatalf("fresh syncer acted: %+v", actions)
+	}
+}
+
+// TestFailedIndexWriteKeepsOldIndex makes the pass's index write fail: the
+// pass must report it, the old index must still parse, and no temp file may
+// be left beside it.
+func TestFailedIndexWriteKeepsOldIndex(t *testing.T) {
+	w := newWorld(t)
+	client, dir, sy := w.device("alice")
+	writeFile(t, dir, "f.txt", "indexed")
+	if _, err := sy.Sync(bg); err != nil {
+		t.Fatal(err)
+	}
+	before := readFile(t, dir, IndexName)
+
+	// A read-only handle: every Write on it fails.
+	defer func(orig func(string, string) (*os.File, error)) { atomicfile.CreateTemp = orig }(atomicfile.CreateTemp)
+	atomicfile.CreateTemp = func(dir, pattern string) (*os.File, error) {
+		f, err := os.CreateTemp(dir, pattern)
+		if err != nil {
+			return nil, err
+		}
+		f.Close()
+		return os.Open(f.Name())
+	}
+	writeFile(t, dir, "g.txt", "not yet indexed")
+	if _, err := sy.Sync(bg); err == nil {
+		t.Fatal("pass succeeded although its index write failed")
+	}
+
+	if after := readFile(t, dir, IndexName); after != before {
+		t.Fatalf("index changed by a failed write:\n%s", after)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != IndexName && e.Name() != "f.txt" && e.Name() != "g.txt" {
+			t.Fatalf("left behind %q", e.Name())
+		}
+	}
+	if _, err := New(client, dir); err != nil {
+		t.Fatalf("old index unreadable: %v", err)
 	}
 }
 
