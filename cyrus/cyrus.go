@@ -31,6 +31,8 @@
 package cyrus
 
 import (
+	"context"
+
 	"repro/internal/cloudsim"
 	"repro/internal/core"
 	"repro/internal/csp"
@@ -102,17 +104,9 @@ type (
 	// definition, the (t, n) its new chunks are stored at now, and its live
 	// object/byte tally.
 	ClassUsage = core.ClassUsage
-	// LifecycleMigrator demotes idle objects to colder classes in the
-	// background; build one with NewLifecycle.
-	LifecycleMigrator = lifecycle.Migrator
-	// LifecycleConfig tunes a LifecycleMigrator (client, checkpoint state,
-	// worker fan-out).
+	// LifecycleConfig tunes one RunLifecycle pass (client, worker fan-out,
+	// runtime, observer).
 	LifecycleConfig = lifecycle.Config
-	// LifecycleJob is one queued demotion.
-	LifecycleJob = lifecycle.Job
-	// LifecycleState is the migrator's crash-safe checkpoint store; use
-	// NewLifecycleFileState for durability across restarts.
-	LifecycleState = lifecycle.State
 
 	// Store is the five-call provider interface (authenticate, list,
 	// upload, download, delete) CYRUS requires of a CSP.
@@ -159,7 +153,6 @@ const (
 	MetricLifecycleMigrations = obs.MetricLifecycleMigrations
 	MetricLifecycleBytes      = obs.MetricLifecycleBytes
 	MetricLifecycleFailures   = obs.MetricLifecycleFailures
-	MetricLifecycleQueueDepth = obs.MetricLifecycleQueueDepth
 )
 
 // Storage-class tiers.
@@ -223,19 +216,13 @@ func InferClusters(providerNames []string) (map[string]string, error) {
 	return clusterOf, err
 }
 
-// NewLifecycle builds a lifecycle migrator over a class-configured client.
-// Call Scan to enqueue idle objects past their class's DemoteAfter age,
-// then Run to drain the queue; both are resumable across crashes when the
-// config carries a durable state (NewLifecycleFileState).
-func NewLifecycle(cfg LifecycleConfig) (*LifecycleMigrator, error) {
-	return lifecycle.New(cfg)
-}
-
-// NewLifecycleFileState opens (or creates) a crash-safe migrator
-// checkpoint file: jobs are persisted before work starts and cleared only
-// after the demotion's new placement is fully published.
-func NewLifecycleFileState(path string) (LifecycleState, error) {
-	return lifecycle.NewFileState(path)
+// RunLifecycle makes one lifecycle pass over a class-configured client: it
+// re-encodes every live head idle past its class's DemoteAfter into the
+// class's DemoteTo, and reports how many re-encodes published a version and
+// how many failed. The pass keeps no state, so recovering from a crash or a
+// failed demotion is running it again.
+func RunLifecycle(ctx context.Context, cfg LifecycleConfig) (migrated, failed int, err error) {
+	return lifecycle.Run(ctx, cfg)
 }
 
 // HashData exposes the content hash used for chunk identities (hex SHA-1),

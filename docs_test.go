@@ -59,7 +59,7 @@ func TestKnobBudget(t *testing.T) {
 		// different values of the new field (or both call the new method),
 		// named in the change that adds it.
 		{"core.Config fields", reflect.TypeOf(core.Config{}).NumField(), 21},
-		{"lifecycle.Config fields", reflect.TypeOf(lifecycle.Config{}).NumField(), 5},
+		{"lifecycle.Config fields", reflect.TypeOf(lifecycle.Config{}).NumField(), 4},
 		{"transfer.Tunables fields", reflect.TypeOf(transfer.Tunables{}).NumField(), 3},
 		{"exported *core.Client methods", reflect.TypeOf(&core.Client{}).NumMethod(), 33},
 		{"obs.Options fields", reflect.TypeOf(obs.Options{}).NumField(), 2},

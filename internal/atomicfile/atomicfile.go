@@ -10,8 +10,8 @@ import (
 	"path/filepath"
 )
 
-// CreateTemp opens the temp file Write fills. It is os.CreateTemp; a test
-// swaps it to make a write fail.
+// CreateTemp opens the temp file Write fills. It is os.CreateTemp; syncdir's
+// tests swap it to make an index write fail.
 var CreateTemp = os.CreateTemp
 
 // Write fills a hidden temp file beside path through fill, gives it perm,

@@ -229,7 +229,7 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 	if _, ok := c.pol.Class(targetClass); !ok {
 		return false, fmt.Errorf("cyrus: unknown storage class %q", targetClass)
 	}
-	head, _, err := c.resolve(ctx, name, "", syncUnlessFresh)
+	head, _, err := c.resolve(ctx, name, "", syncAlways)
 	if err != nil {
 		return false, err
 	}

@@ -272,3 +272,43 @@ func TestClassScopedDedup(t *testing.T) {
 		}
 	}
 }
+
+// TestReencodeClassSyncsPastFreshMark: a re-encode appends a version, so it
+// reads its parent through the write gate. A fresh mark left by an earlier
+// read must not stand in for that sync: appended to the stale head, the
+// re-encode would fork the name.
+func TestReencodeClassSyncsPastFreshMark(t *testing.T) {
+	t.Parallel()
+	env := newEnv(t, 6)
+	cached := func(cfg *Config) {
+		classConfig(cfg)
+		cfg.MetaCacheEntries = 8
+	}
+	a, b := env.client("alice", cached), env.client("bob", cached)
+	if err := a.Put(bg, "doc", randData(40, 9_000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := a.Get(bg, "doc"); err != nil {
+		t.Fatal(err)
+	}
+	v2 := randData(41, 9_000)
+	if err := b.Put(bg, "doc", v2); err != nil {
+		t.Fatal(err)
+	}
+	if changed, err := a.ReencodeClass(bg, "doc", "cold"); err != nil || !changed {
+		t.Fatalf("ReencodeClass = %v, %v", changed, err)
+	}
+	if _, err := a.Sync(bg); err != nil {
+		t.Fatal(err)
+	}
+	if cf, conflicted := a.Tree().Conflict("doc"); conflicted {
+		t.Fatalf("the re-encode forked the name: live leaves %v", cf.Versions)
+	}
+	got, info, err := a.Get(bg, "doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Class != "cold" || !bytes.Equal(got, v2) {
+		t.Fatalf("head class %q, bytes equal v2: %v; want the cold re-encode of v2", info.Class, bytes.Equal(got, v2))
+	}
+}

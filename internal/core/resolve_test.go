@@ -96,3 +96,28 @@ func TestResolveRefusesNonLeafWinner(t *testing.T) {
 		t.Fatalf("after refused resolves: Get conflicted=%v err=%v, want the conflicted head readable", info.Conflicted, err)
 	}
 }
+
+// TestResolveSyncsBeforeReadingLeaves: Resolve reads the name's leaves from
+// the cloud, not from a replica that has not seen the other branch. With no
+// sync first, the fork point is still refused as a winner, and alice's leaf
+// settles the conflict for every device.
+func TestResolveSyncsBeforeReadingLeaves(t *testing.T) {
+	t.Parallel()
+	env := newEnv(t, 4)
+	alice, bob := env.client("alice", nil), env.client("bob", nil)
+	aliceVID, v1, _, _, aliceData := forkWithLongBranch(t, alice, bob)
+	if err := alice.Resolve(bg, "doc", v1); err == nil {
+		t.Fatal("Resolve with the fork point as winner succeeded on an unsynced replica")
+	}
+	if err := alice.Resolve(bg, "doc", aliceVID); err != nil {
+		t.Fatal(err)
+	}
+	carol := env.client("carol", nil)
+	got, info, err := carol.Get(bg, "doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Conflicted || info.VersionID != aliceVID || !bytes.Equal(got, aliceData) {
+		t.Fatalf("a fresh device reads version %s conflicted=%v, want alice's %s unconflicted", info.VersionID, info.Conflicted, aliceVID)
+	}
+}

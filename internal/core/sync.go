@@ -232,10 +232,14 @@ type ConflictInfo struct {
 // converge on the winner (the paper lets clients upload conflicting files
 // and "prompts users to resolve them"; this is the resolution primitive).
 // The winner must be one of the live leaves Conflicts lists for the name; on
-// an unconflicted name Resolve does nothing. The loser versions remain in
-// history and stay recoverable.
+// an unconflicted name Resolve does nothing. The leaves are read after a sync
+// of the name, so a replica that has not yet seen the other branch still
+// settles it. The loser versions remain in history and stay recoverable.
 func (c *Client) Resolve(ctx context.Context, name, winnerVersionID string) error {
-	if _, _, err := c.resolve(ctx, name, winnerVersionID, syncUnlessFresh); err != nil {
+	if _, _, err := c.resolve(ctx, name, "", syncAlways); err != nil {
+		return err
+	}
+	if _, _, err := c.resolve(ctx, name, winnerVersionID, noSync); err != nil {
 		return err
 	}
 	cf, conflicted := c.tree.Conflict(name)

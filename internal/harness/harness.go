@@ -297,8 +297,7 @@ type Harness struct {
 	corrupted  map[string]bool     // csp + "/" + object: harness-injected rot
 	sabotaged  bool                // Break* injection already performed
 
-	migrators map[int]*lifecycle.Migrator // lazily built per client index
-	lifeGroup vclock.Group                // joins in-flight Demote runs
+	lifeGroup vclock.Group // joins in-flight Demote runs
 
 	pending []Step // schedule sorted by At
 	report  Report
@@ -319,7 +318,6 @@ func New(opts Options) (*Harness, error) {
 		ackedByVID: make(map[string][]byte),
 		tried:      make([][][]byte, opts.Users),
 		corrupted:  make(map[string]bool),
-		migrators:  make(map[int]*lifecycle.Migrator),
 	}
 	for u := 0; u < opts.Users; u++ {
 		h.coders = append(h.coders, erasure.NewCoder(userKey(u)))
@@ -485,42 +483,27 @@ func (h *Harness) runtime() vclock.Runtime {
 	return vclock.Real()
 }
 
-// runLifecycle fires one asynchronous scan-and-drain of client #i's
-// lifecycle migrator (the Demote schedule action). The workload keeps
-// running while the demotions are in flight — under netsim virtual time
-// the interleaving with reads and faults is deterministic — and every
-// checkpoint joins outstanding runs before auditing, so the checker never
-// races a half-finished re-encode. The migrator only ever touches the
-// client (which is safe for concurrent use); it must not touch the
-// harness's oracle state from its goroutine.
+// runLifecycle fires one asynchronous lifecycle pass over client #i (the
+// Demote schedule action). The workload keeps running while the demotions
+// are in flight — under netsim virtual time the interleaving with reads and
+// faults is deterministic — and every checkpoint joins outstanding passes
+// before auditing, so the checker never races a half-finished re-encode. The
+// pass only ever touches the client (which is safe for concurrent use); it
+// must not touch the harness's oracle state from its goroutine.
 func (h *Harness) runLifecycle(ctx context.Context, client int) {
 	if client < 0 || client >= len(h.clients) {
 		return
 	}
-	m := h.migrators[client]
-	if m == nil {
-		var err error
-		m, err = lifecycle.New(lifecycle.Config{
-			Client:  h.clients[client],
-			Workers: 1,
-			Runtime: h.runtime(),
-		})
-		if err != nil {
-			h.violate("read", "building lifecycle migrator for client %d: %v", client, err)
-			return
-		}
-		h.migrators[client] = m
-	}
+	cfg := lifecycle.Config{Client: h.clients[client], Workers: 1, Runtime: h.runtime()}
 	if h.lifeGroup == nil {
 		h.lifeGroup = h.runtime().NewGroup()
 	}
 	h.lifeGroup.Add(1)
 	h.runtime().Go(func() {
 		defer h.lifeGroup.Done()
-		if _, err := m.Scan(ctx); err != nil {
-			return
-		}
-		m.Run(ctx)
+		// The pass's outcome is audited at the next checkpoint; its only
+		// error is ctx's, since cfg is valid.
+		_, _, _ = lifecycle.Run(ctx, cfg)
 	})
 }
 

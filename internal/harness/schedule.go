@@ -47,10 +47,10 @@ const (
 	ReinstateCSP
 	// Checkpoint quiesces the system mid-run and checks every invariant.
 	Checkpoint
-	// Demote fires an asynchronous scan-and-drain of client #Client's
-	// lifecycle migrator: every idle object whose class carries a
-	// DemoteAfter/DemoteTo rule is re-encoded into the colder class while
-	// the workload keeps running. Requires class-configured Options.
+	// Demote fires an asynchronous lifecycle pass over client #Client:
+	// every idle object whose class carries a DemoteAfter/DemoteTo rule is
+	// re-encoded into the colder class while the workload keeps running.
+	// Requires class-configured Options.
 	Demote
 )
 

@@ -16,7 +16,6 @@ func TestClassLifecycleExposition(t *testing.T) {
 	o.LifecycleMigration(512)
 	o.LifecycleMigration(512)
 	o.LifecycleFailure()
-	o.LifecycleQueueDepth(5)
 
 	var b strings.Builder
 	o.Registry().WritePrometheus(&b)
@@ -32,8 +31,6 @@ func TestClassLifecycleExposition(t *testing.T) {
 		MetricLifecycleMigrations + " 2",
 		MetricLifecycleBytes + " 1024",
 		MetricLifecycleFailures + " 1",
-		"# TYPE " + MetricLifecycleQueueDepth + " gauge",
-		MetricLifecycleQueueDepth + " 5",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
@@ -58,5 +55,4 @@ func TestLifecycleNilObserver(t *testing.T) {
 	o.ClassUsage("cold", 1, 1)
 	o.LifecycleMigration(1)
 	o.LifecycleFailure()
-	o.LifecycleQueueDepth(1)
 }

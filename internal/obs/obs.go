@@ -89,7 +89,6 @@ type Observer struct {
 	lcMigrations *CounterVec
 	lcBytes      *CounterVec
 	lcFailures   *CounterVec
-	lcQueue      *GaugeVec
 }
 
 // Options tunes an Observer beyond the defaults. The zero value is valid
@@ -159,8 +158,7 @@ func NewObserverWith(opts Options) *Observer {
 		classObjects: reg.Gauge(MetricClassObjects, "Live file heads by storage class.", "class"),
 		lcMigrations: reg.Counter(MetricLifecycleMigrations, "Lifecycle demotions completed (new placement at quorum)."),
 		lcBytes:      reg.Counter(MetricLifecycleBytes, "Logical bytes re-encoded by completed lifecycle demotions."),
-		lcFailures:   reg.Counter(MetricLifecycleFailures, "Lifecycle demotion jobs that failed (re-encode or checkpoint clear) and stayed queued."),
-		lcQueue:      reg.Gauge(MetricLifecycleQueueDepth, "Lifecycle demotion jobs currently queued or running."),
+		lcFailures:   reg.Counter(MetricLifecycleFailures, "Lifecycle demotions whose re-encode failed; the next pass finds them again."),
 	}
 	o.rec = newFlightRecorder(o, opts.Recorder)
 	o.slo = newSLOTracker(reg, opts.SLOObjectives)
@@ -652,20 +650,11 @@ func (o *Observer) LifecycleMigration(bytes int64) {
 	}
 }
 
-// LifecycleFailure records one demotion job that failed and stayed queued:
-// its re-encode or its checkpoint clear returned an error. Nil-safe.
+// LifecycleFailure records one demotion whose re-encode returned an error;
+// the name stays in its source class for the next pass. Nil-safe.
 func (o *Observer) LifecycleFailure() {
 	if o == nil {
 		return
 	}
 	o.lcFailures.With().Inc()
-}
-
-// LifecycleQueueDepth records how many demotion jobs are queued or
-// running. Nil-safe.
-func (o *Observer) LifecycleQueueDepth(n int) {
-	if o == nil {
-		return
-	}
-	o.lcQueue.With().Set(float64(n))
 }

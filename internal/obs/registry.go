@@ -88,14 +88,13 @@ const (
 
 	// Storage classes and lifecycle migration (internal/policy +
 	// internal/lifecycle): per-class usage gauges refreshed from the live
-	// head set, and the demotion job queue's progress counters. The
-	// `class` label is the class name, "default" for the implicit class.
+	// head set, and the demotion passes' progress counters. The `class`
+	// label is the class name, "default" for the implicit class.
 	MetricClassBytes          = "cyrus_class_bytes"
 	MetricClassObjects        = "cyrus_class_objects"
 	MetricLifecycleMigrations = "cyrus_lifecycle_migrations_total"
 	MetricLifecycleBytes      = "cyrus_lifecycle_migrated_bytes_total"
 	MetricLifecycleFailures   = "cyrus_lifecycle_failures_total"
-	MetricLifecycleQueueDepth = "cyrus_lifecycle_queue_depth"
 )
 
 // DefBuckets are the default histogram bucket upper bounds, in seconds.

@@ -131,6 +131,18 @@ func NewEngine(classes []Class, rules []Rule, defaultClass string) (*Engine, err
 			}
 		}
 	}
+	// A demotion chain must end: each demotion resets the object's idle
+	// time, so on a cycle every lifecycle pass would re-encode its objects
+	// round it forever.
+	for _, c := range classes {
+		next := c.DemoteTo
+		for hops := 0; next != "" && hops < len(classes); hops++ {
+			if next == c.Name {
+				return nil, fmt.Errorf("policy: class %q: demotion cycle back to itself", c.Name)
+			}
+			next = e.classes[next].DemoteTo
+		}
+	}
 	if defaultClass != "" {
 		if _, ok := e.classes[defaultClass]; !ok {
 			return nil, fmt.Errorf("policy: default class %q not configured", defaultClass)

@@ -92,6 +92,20 @@ func TestEngineValidation(t *testing.T) {
 		{"bad tn", []Class{{Name: "x", T: 3, N: 2}}, nil, "", "(t,n)"},
 		{"demote unknown", []Class{{Name: "x", DemoteAfter: time.Hour, DemoteTo: "y"}}, nil, "", "unknown class"},
 		{"demote self", []Class{{Name: "x", DemoteAfter: time.Hour, DemoteTo: "x"}}, nil, "", "itself"},
+		{"demote cycle of two", []Class{
+			{Name: "a", DemoteAfter: time.Hour, DemoteTo: "b"},
+			{Name: "b", DemoteAfter: time.Hour, DemoteTo: "a"},
+		}, nil, "", "demotion cycle"},
+		{"demote cycle of three", []Class{
+			{Name: "a", DemoteAfter: time.Hour, DemoteTo: "b"},
+			{Name: "b", DemoteAfter: time.Hour, DemoteTo: "c"},
+			{Name: "c", DemoteAfter: time.Hour, DemoteTo: "a"},
+		}, nil, "", "demotion cycle"},
+		{"demote into a cycle", []Class{
+			{Name: "hot", DemoteAfter: time.Hour, DemoteTo: "a"},
+			{Name: "a", DemoteAfter: time.Hour, DemoteTo: "b"},
+			{Name: "b", DemoteAfter: time.Hour, DemoteTo: "a"},
+		}, nil, "", "demotion cycle"},
 		{"demote no target", []Class{{Name: "x", DemoteAfter: time.Hour}}, nil, "", "DemoteTo"},
 		{"rule unknown class", nil, []Rule{{Prefix: "a/", Class: "x"}}, "", "unknown class"},
 		{"rule empty prefix", nil, []Rule{{Prefix: "", Class: ""}}, "", "empty prefix"},
@@ -102,6 +116,15 @@ func TestEngineValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.wantErr)
 		}
+	}
+	// A chain that ends is no cycle.
+	chain := []Class{
+		{Name: "hot", DemoteAfter: time.Hour, DemoteTo: "warm"},
+		{Name: "warm", DemoteAfter: time.Hour, DemoteTo: "cold"},
+		{Name: "cold"},
+	}
+	if _, err := NewEngine(chain, nil, ""); err != nil {
+		t.Errorf("hot -> warm -> cold: %v", err)
 	}
 }
 
