@@ -390,7 +390,8 @@ func cmdFlightdump(ctx context.Context, c *cyrus.Client, o *cyrus.Observer, args
 // cmdTop is a live per-CSP load view: every interval it syncs (touching
 // every reachable provider) and redraws a table of in-flight counts, queue
 // depth, latency EWMA, the success count that arms hedging, the hedge
-// controller's per-provider suppression state, and the SLO burn counters.
+// controller's per-provider suppression state, and one SLO line per op
+// (ok/breach against the op's objective, read off the op histogram).
 // The provider columns come from the observer's registry; HEDGE is the
 // engine's HedgeState over the registry's success count.
 // -count bounds the iterations (0 = until interrupted); -json replaces the
@@ -481,26 +482,44 @@ func printTop(c *cyrus.Client, o *cyrus.Observer) {
 			r.CSP, r.InFlight, r.QueueDepth, r.EWMALatencySeconds*1000,
 			r.Samples, state, hedgeFlag(r.HedgeState))
 	}
-	for _, line := range sloLines(o, s) {
+	for _, line := range sloLines(s) {
 		fmt.Println(line)
 	}
 }
 
-// sloLines renders one line per op of the observer's objective table, in
-// op order, for every op that has finished at least once.
-func sloLines(o *cyrus.Observer, s cyrus.MetricsSnapshot) []string {
-	var ops, lines []string
-	for op := range o.SLOObjectives() {
-		ops = append(ops, op)
-	}
-	slices.Sort(ops)
-	for _, op := range ops {
-		okP, _ := s.Find(cyrus.MetricSLOOK, map[string]string{"op": op})
-		brP, _ := s.Find(cyrus.MetricSLOBreach, map[string]string{"op": op})
-		if okP.Value == 0 && brP.Value == 0 {
-			continue
+// sloObjectives are top's per-op latency objectives, in op order. Each
+// sits on a cyrus_op_duration_seconds bucket bound, so that bucket's
+// cumulative count is the ops that finished within it (elapsed <=
+// objective).
+var sloObjectives = []struct {
+	op      string
+	seconds float64
+}{
+	{"delete", 2.5}, {"gc", 10}, {"get", 2.5}, {"get_range", 2.5},
+	{"migrate", 10}, {"put", 5}, {"sync", 2.5},
+}
+
+// sloLines renders one line per objective whose op has finished at least
+// once, read off the op histogram summed over result: ok is the count of
+// the objective's bucket, breach the rest.
+func sloLines(s cyrus.MetricsSnapshot) []string {
+	var lines []string
+	for _, obj := range sloObjectives {
+		var total, ok uint64
+		for _, p := range s.Metrics {
+			if p.Name != cyrus.MetricOpDuration || p.Labels["op"] != obj.op {
+				continue
+			}
+			total += p.Count
+			for _, b := range p.Buckets {
+				if b.LE == obj.seconds {
+					ok += b.Count
+				}
+			}
 		}
-		lines = append(lines, fmt.Sprintf("slo %-8s ok=%.0f breach=%.0f", op, okP.Value, brP.Value))
+		if total > 0 {
+			lines = append(lines, fmt.Sprintf("slo %-8s ok=%d breach=%d", obj.op, ok, total-ok))
+		}
 	}
 	return lines
 }

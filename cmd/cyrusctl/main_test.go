@@ -313,23 +313,52 @@ func TestCLIFlightdumpAndTop(t *testing.T) {
 	}
 }
 
-// TestTopSLOLines: top prints one SLO line per op of the observer's
-// objective table that has finished at least once, get_range and delete
-// included, in op order.
+// TestTopSLOLines: top prints one SLO line per op of its objective table
+// that has finished at least once, in op order, read off the op histogram:
+// ok + breach is the op's count over every result (an error-result op
+// counts once), an op at its objective is ok and one slower is a breach.
 func TestTopSLOLines(t *testing.T) {
 	o := cyrus.NewObserver()
-	for _, op := range []string{"put", "get_range", "delete", "get_range"} {
-		_, sp := o.StartOp(context.Background(), op)
-		sp.End(nil)
+	now := time.Unix(0, 0)
+	o.SetClock(func() time.Time { return now })
+	for _, op := range []struct {
+		name string
+		d    time.Duration
+		err  error
+	}{
+		{"put", time.Millisecond, nil},
+		{"get_range", time.Millisecond, nil},
+		{"delete", time.Millisecond, nil},
+		{"get_range", time.Millisecond, errors.New("boom")},
+		{"get", 2500 * time.Millisecond, nil},
+		{"get", 3 * time.Second, nil},
+	} {
+		_, sp := o.StartOp(context.Background(), op.name)
+		now = now.Add(op.d)
+		sp.End(op.err)
 	}
-	got := sloLines(o, o.Registry().Snapshot())
+	s := o.Registry().Snapshot()
+	got := sloLines(s)
 	want := []string{
 		"slo delete   ok=1 breach=0",
+		"slo get      ok=1 breach=1",
 		"slo get_range ok=2 breach=0",
 		"slo put      ok=1 breach=0",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("slo lines = %q, want %q", got, want)
+	}
+
+	// Every objective must sit on a bucket bound, or its ok count reads 0.
+	p, _ := s.Find(cyrus.MetricOpDuration, map[string]string{"op": "put"})
+	bounds := map[float64]bool{}
+	for _, b := range p.Buckets {
+		bounds[b.LE] = true
+	}
+	for _, obj := range sloObjectives {
+		if !bounds[obj.seconds] {
+			t.Errorf("objective %s = %vs is not a %s bucket bound", obj.op, obj.seconds, cyrus.MetricOpDuration)
+		}
 	}
 }
 

@@ -81,9 +81,6 @@ type (
 	Observer = obs.Observer
 	// MetricsSnapshot is a point-in-time copy of an Observer's registry.
 	MetricsSnapshot = obs.Snapshot
-	// ObserverOptions tunes an observer built with NewObserverWith (SLO
-	// objectives, flight recorder).
-	ObserverOptions = obs.Options
 	// FlightDump is one flight-recorder snapshot (trigger, event ring,
 	// open spans).
 	FlightDump = obs.FlightDump
@@ -117,14 +114,15 @@ type (
 	Profile = csp.Profile
 )
 
-// Flight-recorder trigger reason classes and the SLO metric names surfaced
-// to CLI/tooling consumers.
+// Flight-recorder trigger reason classes and the metric names surfaced to
+// CLI/tooling consumers.
 const (
 	FlightTriggerManual    = obs.TriggerManual
 	FlightTriggerInvariant = obs.TriggerInvariant
 	FlightAttemptEnd       = obs.FlightAttemptEnd
-	MetricSLOOK            = obs.MetricSLOOK
-	MetricSLOBreach        = obs.MetricSLOBreach
+	// Client operation latency histogram (labeled {op,result}; its count is
+	// the op count).
+	MetricOpDuration = obs.MetricOpDuration
 	// Per-provider request histogram (labeled {csp,result}; its count is
 	// the request count), marked-down state, and the client's link model:
 	// bandwidth (labeled {csp,dir}) and request-latency EWMA.
@@ -176,12 +174,10 @@ func New(cfg Config, stores []Store) (*Client, error) {
 }
 
 // NewObserver builds an empty observability bundle to pass as Config.Obs
-// (and to share with an HTTP server's /metrics endpoint).
+// (and to share with an HTTP server's /metrics endpoint). It takes no
+// options: the flight recorder's ring size, trigger thresholds and dump
+// retention are fixed (DESIGN.md §10).
 func NewObserver() *Observer { return obs.NewObserver() }
-
-// NewObserverWith builds an observability bundle with explicit options
-// (flight-recorder tuning, SLO objectives).
-func NewObserverWith(opts ObserverOptions) *Observer { return obs.NewObserverWith(opts) }
 
 // NewDirStore returns a provider backed by a local directory — the
 // simplest way to run a real CYRUS cloud without commercial accounts

@@ -12,7 +12,6 @@ import (
 	"repro/internal/chunker"
 	"repro/internal/core"
 	"repro/internal/lifecycle"
-	"repro/internal/obs"
 	"repro/internal/transfer"
 )
 
@@ -62,8 +61,6 @@ func TestKnobBudget(t *testing.T) {
 		{"lifecycle.Config fields", reflect.TypeOf(lifecycle.Config{}).NumField(), 4},
 		{"transfer.Tunables fields", reflect.TypeOf(transfer.Tunables{}).NumField(), 3},
 		{"exported *core.Client methods", reflect.TypeOf(&core.Client{}).NumMethod(), 33},
-		{"obs.Options fields", reflect.TypeOf(obs.Options{}).NumField(), 2},
-		{"obs.RecorderConfig fields", reflect.TypeOf(obs.RecorderConfig{}).NumField(), 5},
 	}
 	for _, b := range budgets {
 		t.Logf("%s = %d (budget %d)", b.what, b.got, b.max)

@@ -284,8 +284,9 @@ func TestOneRecordPerFact(t *testing.T) {
 	}
 }
 
-// TestGetRangeIsSLOClassified: a range read is checked against the
-// get_range objective, under the op name the client opens its span with.
+// TestGetRangeIsSLOClassified: a range read is one op-histogram sample
+// under get_range, the op name cyrusctl top checks against its get_range
+// objective.
 func TestGetRangeIsSLOClassified(t *testing.T) {
 	env := newEnv(t, 4)
 	o := obs.NewObserver()
@@ -297,8 +298,8 @@ func TestGetRangeIsSLOClassified(t *testing.T) {
 	if _, _, err := c.GetRange(ctx, "f", 100, 200); err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := o.Registry().Snapshot().Find(obs.MetricSLOOK, map[string]string{"op": "get_range"}); !ok || p.Value != 1 {
-		t.Errorf("%s{op=get_range} = %v (present %v), want 1", obs.MetricSLOOK, p.Value, ok)
+	if p, ok := o.Registry().Snapshot().Find(obs.MetricOpDuration, map[string]string{"op": "get_range"}); !ok || p.Count != 1 {
+		t.Errorf("%s_count{op=get_range} = %d (present %v), want 1", obs.MetricOpDuration, p.Count, ok)
 	}
 }
 

@@ -12,14 +12,15 @@ import (
 // TestFlightRecorderCapturesAnomaly is the acceptance scenario for the
 // flight recorder: a virtual-time chaos run where one provider crashes
 // (forcing retries and, once the lowered failure threshold elapses, a
-// csp.down transition) and another's link collapses to a fraction of a
-// percent of its bandwidth (forcing multi-hundred-millisecond transfers
-// against a tens-of-milliseconds EWMA, which trips the latency-anomaly
-// trigger and launches hedged downloads). The recorder must produce a
-// latency-anomaly dump whose ring reconstructs the triggering operation's
-// full event chain — span open, transfer attempts, and the triggering
-// span close, stitched by trace ID — alongside the retry, hedge, and CSP
-// down-transition events of the surrounding window.
+// csp.down transition) and another's link collapses 10000× (forcing ops
+// far past 8× their tens-of-milliseconds EWMA, which trips the
+// latency-anomaly trigger, and launching hedged downloads). The run keeps
+// the recorder's shipped thresholds, so it checks what ships; at a 1000×
+// collapse the 8× multiple misses the anomaly at several seeds. The
+// recorder must produce a latency-anomaly dump whose ring reconstructs the
+// triggering operation's full event chain — span open, transfer attempts,
+// and the triggering span close, stitched by trace ID — alongside the
+// retry, hedge, and CSP down-transition events of the surrounding window.
 //
 // Run under -race in CI, this doubles as the concurrency proof for the
 // trigger path: both workload clients feed one recorder from concurrent
@@ -41,18 +42,9 @@ func TestFlightRecorderCapturesAnomaly(t *testing.T) {
 		// link; the 50ms engine floor still suppresses hedges at healthy
 		// netsim latencies.
 		Transfer: transfer.Tunables{HedgeMultiple: 0.5},
-		Recorder: &obs.RecorderConfig{
-			// Netsim ops finish in tens of milliseconds, so the anomaly
-			// trigger needs a floor and multiple matched to that scale.
-			TriggerMultiple:   2,
-			TriggerMinSamples: 6,
-			TriggerFloor:      50 * time.Millisecond,
-			Capacity:          8192,
-			MaxDumps:          64,
-		},
 		Schedule: Schedule{
 			{At: 40, Act: Crash, CSP: "cspb"},
-			{At: 65, Act: SlowLink, CSP: "cspc", Factor: 0.001},
+			{At: 65, Act: SlowLink, CSP: "cspc", Factor: 0.0001},
 			{At: 110, Act: Restart, CSP: "cspb"},
 			{At: 120, Act: RestoreLink, CSP: "cspc"},
 		},

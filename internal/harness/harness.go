@@ -147,11 +147,6 @@ type Options struct {
 	// (i.e. no client would serve a superseded version off a mark).
 	MetaCacheEntries int
 
-	// Recorder, when set, tunes the shared observer's flight recorder
-	// (trigger thresholds, ring capacity, dump retention). nil keeps the
-	// observer defaults — the recorder itself is always attached.
-	Recorder *obs.RecorderConfig
-
 	// Classes, ClassRules, and DefaultClass configure storage classes on
 	// every client (core.Config pass-through). Class scenarios must give
 	// each class explicit T and N so the invariant checker can recompute
@@ -324,11 +319,7 @@ func New(opts Options) (*Harness, error) {
 		h.naming = append(h.naming, core.NewNames(userKey(u), harnessDedupSecret))
 		h.lastAcked = append(h.lastAcked, make(map[string][]byte))
 	}
-	var oo obs.Options
-	if opts.Recorder != nil {
-		oo.Recorder = *opts.Recorder
-	}
-	h.obs = obs.NewObserverWith(oo)
+	h.obs = obs.NewObserver()
 	if opts.Dedup {
 		h.conv = erasure.NewConvergentCoder(harnessDedupSecret)
 	}

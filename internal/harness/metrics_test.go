@@ -69,17 +69,15 @@ func TestMetricsSnapshot(t *testing.T) {
 // per-event-type totals must match exactly. Pipeline stall counts are
 // excluded entirely: whether the streaming scan loop blocks on a full
 // window is a race between the scanner and the transfer goroutines, not a
-// function of the seeded schedule. The SLO and flight-trigger counters are
-// likewise excluded: they classify real-time latencies, which goroutine
-// scheduling (not the seed) determines in a non-virtual run.
+// function of the seeded schedule. The flight-trigger counter is likewise
+// excluded: its latency trigger reads real-time op latencies, which
+// goroutine scheduling (not the seed) determines in a non-virtual run.
 func TestMetricsSnapshotDeterministic(t *testing.T) {
 	opts := Options{Seed: baseSeed(t), Ops: 60}
 	a := runScenario(t, opts)
 	b := runScenario(t, opts)
 	excluded := map[string]bool{
 		obs.MetricPipelineStalls: true,
-		obs.MetricSLOOK:          true,
-		obs.MetricSLOBreach:      true,
 		obs.MetricFlightTriggers: true,
 	}
 	counted := map[string]bool{obs.MetricOpDuration: true, obs.MetricCSPRequestDuration: true}

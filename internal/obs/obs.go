@@ -11,7 +11,7 @@ import (
 )
 
 // Observer bundles the observability pieces — metrics registry, span
-// tracer state, flight recorder and SLO tracker — behind nil-safe methods,
+// tracer state and flight recorder — behind nil-safe methods,
 // so core.Client instruments unconditionally and a nil Observer costs one
 // pointer comparison per call site. It only records: nothing the client
 // decides reads it back.
@@ -31,9 +31,8 @@ type Observer struct {
 	openSpans  openSpanTable
 	started    time.Time
 
-	// Deep-diagnosis layer: flight recorder and SLO tracker.
+	// Deep-diagnosis layer: the flight recorder.
 	rec *FlightRecorder
-	slo *sloTracker
 
 	// Pre-registered instrument families (see the Metric* constants).
 	opDur     *HistogramVec
@@ -91,25 +90,9 @@ type Observer struct {
 	lcFailures   *CounterVec
 }
 
-// Options tunes an Observer beyond the defaults. The zero value is valid
-// and equivalent to NewObserver().
-type Options struct {
-	// SLOObjectives merges per-op latency objectives over
-	// DefaultSLOObjectives (positive sets, negative removes, zero skips).
-	SLOObjectives map[string]time.Duration
-	// Recorder tunes the flight recorder (ring capacity, trigger
-	// thresholds, dump retention).
-	Recorder RecorderConfig
-}
-
 // NewObserver builds an Observer with a fresh registry and the real clock
 // (core.New re-points the clock at the client's runtime).
 func NewObserver() *Observer {
-	return NewObserverWith(Options{})
-}
-
-// NewObserverWith builds an Observer with the given options.
-func NewObserverWith(opts Options) *Observer {
 	reg := NewRegistry()
 	o := &Observer{
 		reg:     reg,
@@ -160,8 +143,7 @@ func NewObserverWith(opts Options) *Observer {
 		lcBytes:      reg.Counter(MetricLifecycleBytes, "Logical bytes re-encoded by completed lifecycle demotions."),
 		lcFailures:   reg.Counter(MetricLifecycleFailures, "Lifecycle demotions whose re-encode failed; the next pass finds them again."),
 	}
-	o.rec = newFlightRecorder(o, opts.Recorder)
-	o.slo = newSLOTracker(reg, opts.SLOObjectives)
+	o.rec = newFlightRecorder(o)
 	return o
 }
 

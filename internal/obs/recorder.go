@@ -11,7 +11,7 @@ import (
 // their retries, hedge launches and wins, CSP up/down transitions, pipeline
 // stalls, and the client's own repairs (notes) — is appended to one bounded
 // ring of structured events. When a trigger fires (an operation's latency
-// exceeds a configurable multiple of its own EWMA, a provider transitions
+// exceeds a fixed multiple of its own EWMA, a provider transitions
 // to down, a harness invariant breaks, or an explicit API call), the ring
 // is snapshotted into a FlightDump: a post-mortem that reconstructs the
 // distributed anatomy of the anomaly — which attempts ran where, what was
@@ -70,45 +70,6 @@ type FlightEvent struct {
 	Err      string        `json:"err,omitempty"`
 }
 
-// RecorderConfig tunes the flight recorder. Zero values take the documented
-// defaults.
-type RecorderConfig struct {
-	// Capacity is the event-ring size. Default 4096.
-	Capacity int
-	// TriggerMultiple arms the latency-anomaly trigger: an operation span
-	// closing with elapsed > TriggerMultiple × the op's latency EWMA fires
-	// a dump. Default 8; negative disables the latency trigger.
-	TriggerMultiple float64
-	// TriggerMinSamples is how many closes of an op must be observed before
-	// its latency trigger arms (a cold EWMA fires spuriously). Default 16.
-	TriggerMinSamples int
-	// TriggerFloor suppresses latency triggers below this absolute elapsed
-	// time: microsecond-scale jitter is scheduling noise, not an anomaly.
-	// Default 250ms.
-	TriggerFloor time.Duration
-	// MaxDumps bounds retained in-memory dumps (oldest evicted). Default 8.
-	MaxDumps int
-}
-
-func (c RecorderConfig) withDefaults() RecorderConfig {
-	if c.Capacity == 0 {
-		c.Capacity = 4096
-	}
-	if c.TriggerMultiple == 0 {
-		c.TriggerMultiple = 8
-	}
-	if c.TriggerMinSamples == 0 {
-		c.TriggerMinSamples = 16
-	}
-	if c.TriggerFloor == 0 {
-		c.TriggerFloor = 250 * time.Millisecond
-	}
-	if c.MaxDumps == 0 {
-		c.MaxDumps = 8
-	}
-	return c
-}
-
 // FlightDump is one snapshot of the recorder, produced by a trigger. Events
 // are ordered oldest-first; the triggering event (when the trigger was
 // event-driven) is included in Events and repeated in Trigger.
@@ -137,8 +98,21 @@ const triggerEWMAWeight = 0.3
 // methods are safe for concurrent use and nil-safe, so instrumented code
 // never branches on whether a recorder is attached.
 type FlightRecorder struct {
-	o   *Observer
-	cfg RecorderConfig
+	o *Observer
+
+	// The recorder's fixed limits (newFlightRecorder sets them; tests
+	// lower them in place). capacity is the event-ring size. The
+	// latency-anomaly trigger fires when an op span closes with elapsed >
+	// triggerMultiple × the op's latency EWMA, once triggerMinSamples
+	// closes of that op have armed the estimate (a cold EWMA fires
+	// spuriously) and only at or above triggerFloor (microsecond jitter is
+	// scheduling noise, not an anomaly). maxDumps bounds retained dumps,
+	// oldest evicted.
+	capacity          int
+	triggerMultiple   float64
+	triggerMinSamples int
+	triggerFloor      time.Duration
+	maxDumps          int
 
 	triggers *CounterVec // cyrus_flight_triggers_total{reason}
 
@@ -152,12 +126,16 @@ type FlightRecorder struct {
 	dumpSeq uint64
 }
 
-func newFlightRecorder(o *Observer, cfg RecorderConfig) *FlightRecorder {
+func newFlightRecorder(o *Observer) *FlightRecorder {
 	return &FlightRecorder{
-		o:        o,
-		cfg:      cfg.withDefaults(),
-		triggers: o.reg.Counter(MetricFlightTriggers, "Flight-recorder dumps by trigger reason.", "reason"),
-		ops:      make(map[string]*opLatency),
+		o:                 o,
+		capacity:          4096,
+		triggerMultiple:   8,
+		triggerMinSamples: 16,
+		triggerFloor:      250 * time.Millisecond,
+		maxDumps:          8,
+		triggers:          o.reg.Counter(MetricFlightTriggers, "Flight-recorder dumps by trigger reason.", "reason"),
+		ops:               make(map[string]*opLatency),
 	}
 }
 
@@ -178,7 +156,7 @@ func (r *FlightRecorder) record(ev FlightEvent) FlightEvent {
 
 func (r *FlightRecorder) pushLocked(ev FlightEvent) {
 	if r.ring == nil {
-		r.ring = make([]FlightEvent, r.cfg.Capacity)
+		r.ring = make([]FlightEvent, r.capacity)
 	}
 	r.ring[r.pos] = ev
 	r.pos = (r.pos + 1) % len(r.ring)
@@ -207,9 +185,8 @@ func (r *FlightRecorder) spanClosed(ev FlightEvent, isOp bool) {
 			r.ops[ev.Op] = st
 		}
 		sec := ev.Duration.Seconds()
-		mult := r.cfg.TriggerMultiple
-		if mult > 0 && st.samples >= r.cfg.TriggerMinSamples &&
-			ev.Duration >= r.cfg.TriggerFloor && sec > mult*st.ewma && st.ewma > 0 {
+		if st.samples >= r.triggerMinSamples && ev.Duration >= r.triggerFloor &&
+			sec > r.triggerMultiple*st.ewma && st.ewma > 0 {
 			reason := fmt.Sprintf("%s: op=%s elapsed=%s ewma=%s x%.1f",
 				TriggerLatency, ev.Op, ev.Duration,
 				time.Duration(st.ewma*float64(time.Second)), sec/st.ewma)
@@ -279,8 +256,8 @@ func (r *FlightRecorder) dumpLocked(reason, reasonClass string, trigger *FlightE
 		d.Trace = trigger.Trace
 	}
 	r.dumps = append(r.dumps, d)
-	if len(r.dumps) > r.cfg.MaxDumps {
-		r.dumps = append(r.dumps[:0], r.dumps[len(r.dumps)-r.cfg.MaxDumps:]...)
+	if len(r.dumps) > r.maxDumps {
+		r.dumps = append(r.dumps[:0], r.dumps[len(r.dumps)-r.maxDumps:]...)
 	}
 	r.triggers.With(reasonClass).Inc()
 	return d

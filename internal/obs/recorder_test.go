@@ -28,11 +28,10 @@ func opSpan(o *Observer, clk *fakeClock, op string, d time.Duration, err error) 
 // op's chain together by trace ID.
 func TestRecorderLatencyTrigger(t *testing.T) {
 	clk := newFakeClock()
-	o := NewObserverWith(Options{Recorder: RecorderConfig{
-		TriggerMultiple:   2,
-		TriggerMinSamples: 3,
-		TriggerFloor:      10 * time.Millisecond,
-	}})
+	o := NewObserver()
+	o.rec.triggerMultiple = 2
+	o.rec.triggerMinSamples = 3
+	o.rec.triggerFloor = 10 * time.Millisecond
 	o.SetClock(clk.now)
 
 	// Arm the estimator: three unremarkable 20ms gets.
@@ -82,25 +81,6 @@ func TestRecorderLatencyTrigger(t *testing.T) {
 	}
 }
 
-// TestRecorderTriggerDisabled: a negative multiple turns the latency
-// trigger off entirely.
-func TestRecorderTriggerDisabled(t *testing.T) {
-	clk := newFakeClock()
-	o := NewObserverWith(Options{Recorder: RecorderConfig{
-		TriggerMultiple:   -1,
-		TriggerMinSamples: 1,
-		TriggerFloor:      time.Millisecond,
-	}})
-	o.SetClock(clk.now)
-	for i := 0; i < 5; i++ {
-		opSpan(o, clk, "get", 10*time.Millisecond, nil)
-	}
-	opSpan(o, clk, "get", 10*time.Second, nil)
-	if n := len(o.FlightDumps()); n != 0 {
-		t.Errorf("disabled trigger produced %d dumps", n)
-	}
-}
-
 // TestRecorderCSPDownTrigger: a down transition dumps; the recovery is
 // recorded but does not dump.
 func TestRecorderCSPDownTrigger(t *testing.T) {
@@ -128,7 +108,9 @@ func TestRecorderCSPDownTrigger(t *testing.T) {
 // TestRecorderRingBounds: the event ring evicts oldest-first at capacity
 // and dump retention is capped.
 func TestRecorderRingBounds(t *testing.T) {
-	o := NewObserverWith(Options{Recorder: RecorderConfig{Capacity: 8, MaxDumps: 2}})
+	o := NewObserver()
+	o.rec.capacity = 8
+	o.rec.maxDumps = 2
 	for i := 0; i < 20; i++ {
 		_, sp := o.Trace(context.Background(), "s")
 		sp.End(nil)
@@ -201,38 +183,6 @@ func TestTraceIDPropagation(t *testing.T) {
 	}
 }
 
-// TestSLOClassification: ops are classified against their objective; the
-// merge semantics (positive set, negative remove) hold.
-func TestSLOClassification(t *testing.T) {
-	clk := newFakeClock()
-	o := NewObserverWith(Options{SLOObjectives: map[string]time.Duration{"put": 50 * time.Millisecond}})
-	o.SetClock(clk.now)
-
-	opSpan(o, clk, "put", 30*time.Millisecond, nil)
-	opSpan(o, clk, "put", 80*time.Millisecond, nil)
-	s := o.Registry().Snapshot()
-	if p, ok := s.Find(MetricSLOOK, map[string]string{"op": "put"}); !ok || p.Value != 1 {
-		t.Errorf("slo_ok{put} = %+v (found=%v), want 1", p, ok)
-	}
-	if p, ok := s.Find(MetricSLOBreach, map[string]string{"op": "put"}); !ok || p.Value != 1 {
-		t.Errorf("slo_breach{put} = %+v (found=%v), want 1", p, ok)
-	}
-	if obj := o.SLOObjectives(); obj["put"] != 50*time.Millisecond {
-		t.Errorf("objective for put = %v, want 50ms", obj["put"])
-	}
-
-	// A negative objective removes the default: the op is not tracked.
-	o = NewObserverWith(Options{SLOObjectives: map[string]time.Duration{"put": -1}})
-	o.SetClock(clk.now)
-	opSpan(o, clk, "put", time.Hour, nil)
-	if p, _ := o.Registry().Snapshot().Find(MetricSLOBreach, map[string]string{"op": "put"}); p.Value != 0 {
-		t.Errorf("slo_breach{put} with the objective removed = %v, want 0", p.Value)
-	}
-	if obj := o.SLOObjectives(); obj["get"] != DefaultSLOObjectives["get"] {
-		t.Errorf("default objective for get = %v, want %v", obj["get"], DefaultSLOObjectives["get"])
-	}
-}
-
 // TestLoadTelemetry: the transfer engine's load gauges record exactly what
 // the engine hands them — per-CSP in-flight and the global admission-queue
 // depth. The observer only records them; the engine reads its load (and
@@ -258,15 +208,10 @@ func TestLoadTelemetry(t *testing.T) {
 }
 
 // TestNewFamiliesExposition extends the golden-exposition coverage to the
-// SLO counters, transfer in-flight gauge, and trigger counter: exact Prometheus 0.0.4 sample lines must appear in the rendered
-// text.
+// transfer in-flight gauge and the trigger counter: exact Prometheus 0.0.4
+// sample lines must appear in the rendered text.
 func TestNewFamiliesExposition(t *testing.T) {
-	clk := newFakeClock()
-	o := NewObserverWith(Options{SLOObjectives: map[string]time.Duration{"put": time.Second}})
-	o.SetClock(clk.now)
-
-	opSpan(o, clk, "put", 500*time.Millisecond, nil) // ok
-	opSpan(o, clk, "put", 2*time.Second, nil)        // breach
+	o := NewObserver()
 	o.TransferInFlight("cspa", 1)
 	o.FlightDump(TriggerManual, "exposition")
 
@@ -274,9 +219,6 @@ func TestNewFamiliesExposition(t *testing.T) {
 	o.Registry().WritePrometheus(&b)
 	text := b.String()
 	for _, want := range []string{
-		"# TYPE " + MetricSLOOK + " counter",
-		MetricSLOOK + `{op="put"} 1`,
-		MetricSLOBreach + `{op="put"} 1`,
 		"# TYPE " + MetricTransferInFlight + " gauge",
 		MetricTransferInFlight + `{csp="cspa"} 1`,
 		MetricFlightTriggers + `{reason="manual"} 1`,
@@ -292,12 +234,11 @@ func TestNewFamiliesExposition(t *testing.T) {
 // CSP transitions, and dump readers all at once. Run under -race this is
 // the flight recorder's thread-safety proof.
 func TestRecorderConcurrency(t *testing.T) {
-	o := NewObserverWith(Options{Recorder: RecorderConfig{
-		TriggerMultiple:   2,
-		TriggerMinSamples: 2,
-		Capacity:          256,
-		MaxDumps:          4,
-	}})
+	o := NewObserver()
+	o.rec.triggerMultiple = 2
+	o.rec.triggerMinSamples = 2
+	o.rec.capacity = 256
+	o.rec.maxDumps = 4
 	const workers = 8
 	const iters = 200
 	var wg sync.WaitGroup

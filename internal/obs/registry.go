@@ -2,7 +2,7 @@
 // concurrent metrics registry (counters, gauges, fixed-bucket histograms)
 // with Prometheus text-format and expvar export, lightweight span tracing
 // driven by the client's vclock.Runtime clock (so netsim virtual-time runs
-// trace correctly), and a flight recorder with SLO burn counters.
+// trace correctly), and a flight recorder.
 //
 // The package deliberately depends on nothing outside the standard
 // library: internal/core feeds it, internal/resthttp serves it, and the
@@ -69,11 +69,6 @@ const (
 	MetricMetaCacheEvictions     = "cyrus_metacache_evictions_total"
 	MetricMetaCacheInvalidations = "cyrus_metacache_invalidations_total"
 	MetricMetaBatchFetches       = "cyrus_metashard_batch_fetches_total"
-
-	// SLO tracking (obs/slo.go): per-op burn counters against the
-	// configured latency objectives.
-	MetricSLOOK     = "cyrus_slo_ok_total"
-	MetricSLOBreach = "cyrus_slo_breach_total"
 
 	// Flight recorder (obs/recorder.go).
 	MetricFlightTriggers = "cyrus_flight_triggers_total"

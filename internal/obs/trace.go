@@ -67,8 +67,8 @@ func (o *Observer) Trace(ctx context.Context, name string) (context.Context, *Sp
 
 // StartOp starts a top-level operation span: ending it observes
 // cyrus_op_duration_seconds{op,result} (whose _count is the op count)
-// instead of the span histogram, classifies the latency against the op's
-// SLO objective, and arms the flight recorder's latency-anomaly trigger.
+// instead of the span histogram, and arms the flight recorder's
+// latency-anomaly trigger.
 // Nil-safe.
 func (o *Observer) StartOp(ctx context.Context, op string) (context.Context, *Span) {
 	return o.startSpan(ctx, "core."+op, op)
@@ -97,7 +97,7 @@ func (o *Observer) startSpan(ctx context.Context, name, op string) (context.Cont
 }
 
 // End finishes the span: its duration is observed into the op histogram
-// and the SLO counters for StartOp spans, into the span histogram for
+// for StartOp spans, into the span histogram for
 // child spans; the span leaves the open table, and the close is folded
 // into the flight recorder (which may fire the latency-anomaly trigger for
 // op spans). Nil-safe; err may be nil.
@@ -109,7 +109,6 @@ func (s *Span) End(err error) {
 	d := o.now().Sub(s.start)
 	if s.op != "" {
 		o.opDur.With(s.op, resultLabel(err)).Observe(d.Seconds())
-		o.slo.observe(s.op, d)
 	} else {
 		o.spanDur.With(s.name).Observe(d.Seconds())
 	}

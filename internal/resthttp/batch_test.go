@@ -199,6 +199,8 @@ func TestBatchRequestRefusedBeforeTheStore(t *testing.T) {
 	}{
 		{"no token", "", []byte(`["a"]`), 5, http.StatusUnauthorized},
 		{"wrong token", "other", []byte(`["a"]`), 5, http.StatusUnauthorized},
+		{"token minus its last byte", "secre", []byte(`["a"]`), 5, http.StatusUnauthorized},
+		{"token plus one byte", "secrets", []byte(`["a"]`), 5, http.StatusUnauthorized},
 		{"too many names", "secret", tooMany, int64(len(tooMany)), http.StatusRequestEntityTooLarge},
 		{"declared too long", "secret", long, int64(len(long)), http.StatusRequestEntityTooLarge},
 		{"too long, undeclared", "secret", long, -1, http.StatusRequestEntityTooLarge},

@@ -39,6 +39,7 @@ package resthttp
 import (
 	"bytes"
 	"context"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"io"
@@ -245,10 +246,12 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// authorized validates the bearer token.
+// authorized validates the bearer token. The comparison takes the same time
+// wherever a guess first differs, so response timing does not leak how much
+// of a guessed token matches.
 func (s *Server) authorized(r *http.Request) bool {
-	h := r.Header.Get("Authorization")
-	return strings.HasPrefix(h, "Bearer ") && h[len("Bearer "):] == s.token
+	token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
+	return ok && subtle.ConstantTimeCompare([]byte(token), []byte(s.token)) == 1
 }
 
 // writeErr maps backend errors to status codes.
