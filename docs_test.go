@@ -108,8 +108,8 @@ func TestDocChunkerDefault(t *testing.T) {
 
 // TestCoreOneDataPath is the duplication guard for internal/core's data
 // path (datapath.go, DESIGN.md §5.1): non-test code in the package may build
-// a transfer.Attempt, call the erasure encoder, and call the correcting
-// decoder in exactly one place each, so a second hand-rolled provider call,
+// a transfer.Attempt, call the erasure encoder, and call the verified
+// decode search in exactly one place each, so a second hand-rolled provider call,
 // encode-then-upload copy or k-of-n reader cannot grow back beside it. Object
 // names are built in one file, names.go (core.Names), so a second
 // CAS-vs-keyed dispatch or key-hash derivation cannot grow back either: the
@@ -121,7 +121,7 @@ func TestCoreOneDataPath(t *testing.T) {
 	sites := map[string]*regexp.Regexp{
 		"transfer.Attempt{ construction": regexp.MustCompile(`transfer\.Attempt\{`),
 		"erasure Encode/EncodeTo call":   regexp.MustCompile(`\.EncodeTo\(|oder\.Encode\(`),
-		"DecodeCorrecting call":          regexp.MustCompile(`DecodeCorrecting\(`),
+		"DecodeVerified call":            regexp.MustCompile(`DecodeVerified\(`),
 		naming:                           regexp.MustCompile(`SharePrefix \+|casShareName\(|\.s%d|"\.s" \+|keyHash`),
 	}
 	found := coreCallSites(t, sites)

@@ -297,10 +297,10 @@ func snapshotObject(t *testing.T, b *cloudsim.Backend, name string) []byte {
 func TestDownloadFailsCleanlyWhenUncorrectable(t *testing.T) {
 	t.Parallel()
 	env := newEnv(t, 3)
-	// (2,3): one surplus share — a single corruption is detectable but not
-	// correctable (e < (3-2+1)/2 = 1), and decoding from the clean pair
-	// still succeeds, so corrupt TWO shares of a chunk: any t-subset now
-	// contains a bad share and no unambiguous majority exists.
+	// (2,3): a read recovers a chunk from any t intact shares, so one
+	// corrupt share is corrected. Corrupt TWO shares of a chunk: one intact
+	// share is fewer than t, every t-subset holds a bad share, and no
+	// decoding carries the chunk ID.
 	c := env.client("alice", nil)
 	data := randData(72, 3_000)
 	if err := c.Put(bg, "doc", data); err != nil {
@@ -330,6 +330,103 @@ func TestDownloadFailsCleanlyWhenUncorrectable(t *testing.T) {
 	if !errors.Is(err, ErrDamaged) {
 		t.Fatalf("err = %v, want ErrDamaged", err)
 	}
+}
+
+// TestReadPastOneCorruptShare: at (2,3) one corrupt share of a chunk still
+// leaves t intact ones, so a fresh device reads the file whichever provider
+// holds the rotten share — also when its first gather draws that share and
+// has to widen.
+func TestReadPastOneCorruptShare(t *testing.T) {
+	t.Parallel()
+	for _, at := range []string{"cspa", "cspb", "cspc"} {
+		readPastCorruptShares(t, 3, at)
+	}
+}
+
+// TestReadPastTwoCorruptShares: at (2,4) two corrupt shares of a chunk, one
+// rotten in its header and one in its payload, leave t intact ones, for
+// every pair of providers. A read that draws a rotten share widens to every
+// location and rewrites both rotten objects with the writer's bytes.
+func TestReadPastTwoCorruptShares(t *testing.T) {
+	t.Parallel()
+	names := []string{"cspa", "cspb", "cspc", "cspd"}
+	healed := 0
+	for i := range names {
+		for j := i + 1; j < len(names); j++ {
+			if readPastCorruptShares(t, 4, names[i], names[j]) {
+				healed++
+			}
+		}
+	}
+	if healed == 0 {
+		t.Fatal("no read drew a rotten share: nothing was healed")
+	}
+	t.Logf("%d of 6 pairs were drawn by the read and healed", healed)
+}
+
+// readPastCorruptShares stores a one-chunk file at (2,n) over n providers,
+// corrupts the chunk's share on each provider in rot (the last in its
+// payload, the others in their header), and reads the file on a fresh device,
+// which must return the bytes. If the read fetched any rotten share, every
+// rotten object must hold the writer's bytes again afterwards; healed says
+// whether that was the case.
+func readPastCorruptShares(t *testing.T, n int, rot ...string) (healed bool) {
+	t.Helper()
+	env := newEnv(t, n)
+	w := env.client("writer", func(cfg *Config) { cfg.N = n })
+	data := randData(76, 200) // one chunk
+	if err := w.Put(bg, "doc", data); err != nil {
+		t.Fatal(err)
+	}
+	head, _, err := w.Tree().Head("doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := make(map[transferRec][]byte) // rotten object -> its bytes as written
+	for k, at := range rot {
+		for name := range shareNamesOf(t, w, head.Chunks[0]) {
+			env.backends[at].MutateObject(name, func(d []byte) []byte {
+				written[transferRec{CSP: at, Name: name}] = bytes.Clone(d)
+				if k < len(rot)-1 {
+					d[1] ^= 0x5A // the header's t
+				} else {
+					d[len(d)-1] ^= 0x5A
+				}
+				return d
+			})
+		}
+	}
+	if len(written) != len(rot) {
+		t.Fatalf("corrupted %d shares of the chunk, want %d", len(written), len(rot))
+	}
+
+	var mu sync.Mutex
+	fetched := false
+	r := wrappedClient(t, env, func(cfg *Config) { cfg.N = n }, recording(func(rec transferRec) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, ok := written[transferRec{CSP: rec.CSP, Name: rec.Name}]; ok && !rec.Up {
+			fetched = true
+		}
+	}))
+	got, _, err := r.Get(bg, "doc")
+	if err != nil {
+		t.Fatalf("(2,%d) read with rotten shares on %v: %v", n, rot, err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("(2,%d) read with rotten shares on %v returned wrong bytes", n, rot)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !fetched {
+		return false
+	}
+	for obj, want := range written {
+		if after, _ := env.backends[obj.CSP].PeekObject(obj.Name); !bytes.Equal(after, want) {
+			t.Errorf("(2,%d) rotten share %s on %s (rotten: %v) was not healed", n, obj.Name, obj.CSP, rot)
+		}
+	}
+	return true
 }
 
 // wrappedClient builds a (2,3) client over the env's providers, each behind

@@ -247,20 +247,21 @@ func (c *Client) putCASShare(ctx context.Context, cspName string, store csp.Stor
 }
 
 // decode reconstructs the blob from shares and checks the result's
-// identity, on the codec pool; correcting selects the error-correcting
-// decoder, which also reports the shares it found corrupt.
+// identity, on the codec pool; verified selects the search for any t of the
+// shares that decode to the identity.
 //
 // A blob of known size (a chunk) is reconstructed in a pooled buffer with
 // room for its t stripes, so the codec neither allocates nor zeroes one per
 // chunk. That buffer comes back as buf and belongs to the caller, who hands it
 // to bufpool.Put once nothing reads data any more; buf is nil — and
 // data ordinary garbage-collected memory — for metadata records, for the
-// correcting decoder, and on error.
-func (c *Client) decode(b *blob, shares []erasure.Share, correcting bool) (data []byte, buf *[]byte, corrupt []int, err error) {
+// verified search, and on error.
+func (c *Client) decode(b *blob, shares []erasure.Share, verified bool) (data []byte, buf *[]byte, err error) {
 	c.codec.run("decode", b.size, func() {
 		switch {
-		case correcting:
-			data, corrupt, err = b.coder.DecodeCorrecting(shares, erasure.MaxN)
+		case verified:
+			data, err = b.coder.DecodeVerified(shares, erasure.MaxN, func(d []byte) bool { return b.verify(d) == nil })
+			return
 		case b.size > 0:
 			buf = bufpool.Get(int(b.size) + b.t - 1)
 			data, err = b.coder.DecodeInto((*buf)[:0], shares, erasure.MaxN)
@@ -275,15 +276,15 @@ func (c *Client) decode(b *blob, shares []erasure.Share, correcting bool) (data 
 			data, buf = nil, nil
 		}
 	})
-	return data, buf, corrupt, err
+	return data, buf, err
 }
 
 // errUndecodable marks a blob fetched with quorum that does not decode to
-// its identity even after error correction — for a metadata record, a
-// foreign user's record (different key) or one rotted beyond the correcting
-// bound. Unlike an availability failure it is a property of the blob, not
-// of the attempt: no retry will change it, and Sync treats it as a complete
-// view of everything readable.
+// its identity from any t of its shares — for a metadata record, a foreign
+// user's record (different key) or one with fewer than t intact shares.
+// Unlike an availability failure it is a property of the blob, not of the
+// attempt: no retry will change it, and Sync treats it as a complete view of
+// everything readable.
 var errUndecodable = fmt.Errorf("%w: undecodable", ErrDamaged)
 
 // gatherBlob is the verified k-of-n read — Algorithm 3's Gather. Every
@@ -299,11 +300,10 @@ var errUndecodable = fmt.Errorf("%w: undecodable", ErrDamaged)
 //
 // If the t shares do not decode to the blob's identity, one of them is
 // corrupt (bit rot, a tampering provider). The read then widens — the same
-// gather again over every remaining readable location — and hands everything
-// to the correcting decoder (paper §7.1: the R-S code recovers through
-// errored shares given surplus). Shares it identifies as corrupt are
-// overwritten with correct bytes where they were fetched (self-heal, best
-// effort).
+// gather again over every remaining readable location — and searches what it
+// holds for any t shares that decode to the identity (paper §7.1: the R-S
+// code recovers through errored shares). Shares the re-encoded blob does not
+// reproduce are overwritten where they were fetched (self-heal, best effort).
 //
 // The plaintext comes with decode's ownership contract: a non-nil buf is the
 // pooled buffer behind data, the caller's to release.
@@ -416,12 +416,12 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 		mu.Unlock()
 		return nil, nil, &GatherError{Blob: b.desc(), Held: len(shares), Need: b.t, Tries: tried, Err: gerr}
 	}
-	if data, buf, _, err = c.decode(b, shares, false); err == nil {
+	if data, buf, err = c.decode(b, shares, false); err == nil {
 		return data, buf, nil
 	}
 
 	// Widen, in plan order so replays launch identically. Locations that
-	// fail just leave the correcting decoder less surplus.
+	// fail just leave the search fewer shares.
 	var wide transfer.Gather
 	for _, l := range append(slices.Clone(primary), fallback...) {
 		if _, dup := held[l.Index]; !dup && c.readable(l.CSP) {
@@ -431,27 +431,29 @@ func (c *Client) gatherBlob(op *transfer.Op, ctx context.Context, b *blob, prima
 	wide.Need = len(wide.Primary)
 	_ = op.Gather(ctx, wide)
 	shares, held = snapshot()
-	data, _, corrupt, err := c.decode(b, shares, true)
+	data, _, err = c.decode(b, shares, true)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %s uncorrectable from %d shares: %v", errUndecodable, b.desc(), len(shares), err)
 	}
-	if len(corrupt) > 0 {
-		c.obs.Note(ctx, "shares.corrected", b.desc()+" indices="+fmt.Sprint(corrupt))
-		if good, err := c.encode(b, data); err == nil {
-			// Heal only when the re-encode reproduces an intact share as
-			// fetched: a blob written under another t than the descriptor's
-			// (a writer with another MetaT, or fewer targets than MetaT)
-			// would get a share its siblings do not decode with.
-			same := slices.ContainsFunc(shares, func(s erasure.Share) bool {
-				return !slices.Contains(corrupt, s.Index) && bytes.Equal(good[s.Index].Data, s.Data)
-			})
-			for _, idx := range corrupt {
-				if cspName, ok := held[idx]; ok && same {
-					_ = c.putShare(op, ctx, b, good, idx, cspName, true)
-				}
+	if good, err := c.encode(b, data); err == nil {
+		// The corrupt shares are those the re-encode does not reproduce. Heal
+		// only if it reproduces one as fetched: a blob written under another t
+		// than the descriptor's (another MetaT, or fewer targets than MetaT)
+		// would get a share its siblings do not decode with.
+		var corrupt []int
+		for _, s := range shares {
+			if !bytes.Equal(good[s.Index].Data, s.Data) {
+				corrupt = append(corrupt, s.Index)
 			}
-			erasure.ReleaseShares(good)
 		}
+		if len(corrupt) > 0 && len(corrupt) < len(shares) {
+			slices.Sort(corrupt)
+			c.obs.Note(ctx, "shares.corrected", b.desc()+" indices="+fmt.Sprint(corrupt))
+			for _, idx := range corrupt {
+				_ = c.putShare(op, ctx, b, good, idx, held[idx], true)
+			}
+		}
+		erasure.ReleaseShares(good)
 	}
 	return data, nil, nil
 }

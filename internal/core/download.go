@@ -40,9 +40,5 @@ func (c *Client) gatherChunk(op *transfer.Op, ref metadata.ChunkRef, locations [
 		}
 	}
 	slices.SortFunc(fallback, func(x, y metadata.ShareLoc) int { return strings.Compare(x.CSP, y.CSP) })
-	data, buf, err = c.gatherBlob(op, ctx, b, primary, fallback)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, buf, nil
+	return c.gatherBlob(op, ctx, b, primary, fallback)
 }

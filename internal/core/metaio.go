@@ -268,7 +268,7 @@ func (c *Client) fetchMetaBatch(op *transfer.Op, ctx context.Context, recs []str
 		p := plans[i]
 		b := c.metaBlob(rec, c.cfg.MetaT, p.n)
 		if ss := shares[i]; len(ss) >= b.t {
-			if _, _, _, err := c.decode(b, ss, false); err == nil {
+			if _, _, err := c.decode(b, ss, false); err == nil {
 				out[rec] = b.record
 				continue
 			}

@@ -363,6 +363,45 @@ func TestMetaSelfHealSkippedOnForeignT(t *testing.T) {
 	}
 }
 
+// A reader with a smaller MetaT than the writer's reads a record with a
+// rotten share: the search takes t from the shares' headers, not from the
+// reader's configuration. The rotten object is left alone or rewritten with
+// the writer's bytes, never with a share re-encoded under the reader's t.
+func TestMetaRotReadUnderSmallerMetaT(t *testing.T) {
+	t.Parallel()
+	env := newEnv(t, 5)
+	w := env.client("writer", func(cfg *Config) { cfg.MetaT = 3 })
+	data := randData(6, 4000)
+	if err := w.Put(bg, "doc", data); err != nil {
+		t.Fatal(err)
+	}
+	head, _, err := w.Tree().Head("doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := w.names.MetaShare("doc", head.VersionID(), 0)
+	intact, _ := env.backends["cspa"].PeekObject(obj)
+	if !env.backends["cspa"].MutateObject(obj, func(d []byte) []byte {
+		d[len(d)/2] ^= 0x5a
+		return d
+	}) {
+		t.Fatal("share .s0 not on cspa")
+	}
+	rotten, _ := env.backends["cspa"].PeekObject(obj)
+
+	r := env.client("reader", nil) // MetaT 2
+	if _, err := r.Sync(bg); err != nil {
+		t.Fatalf("sync failed despite recoverable corruption: %v", err)
+	}
+	got, _, err := r.Get(bg, "doc")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read of a MetaT-3 record with a rotten share: %v", err)
+	}
+	if after, _ := env.backends["cspa"].PeekObject(obj); !bytes.Equal(after, rotten) && !bytes.Equal(after, intact) {
+		t.Fatal("share re-encoded under the reader's MetaT overwrote the writer's share object")
+	}
+}
+
 // slowStore delays every Download of one provider.
 type slowStore struct {
 	csp.Store

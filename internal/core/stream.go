@@ -444,8 +444,8 @@ func (c *Client) planGather(m *metadata.FileMeta, wanted []metadata.ChunkRef) (m
 
 // gatherRes is one unique chunk's decoded plaintext in the download
 // window; uses counts the window entries (chunk occurrences) still
-// waiting to deliver it. buf is the pooled buffer behind data (nil after a
-// correcting decode): deliver returns it to the pool with the chunk's last
+// waiting to deliver it. buf is the pooled buffer behind data (nil after the
+// verified search): deliver returns it to the pool with the chunk's last
 // occurrence, on every exit.
 type gatherRes struct {
 	g    vclock.Group

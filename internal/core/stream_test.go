@@ -295,9 +295,9 @@ func TestStreamingFaultInjectionReleasesBuffers(t *testing.T) {
 	settled("cancellation", c)
 
 	// A corrupt share: the first decode fails its verify (its buffer goes
-	// back before the read widens) and the correcting decoder takes over —
-	// with the surplus of (2,4) it corrects one bad share, with (2,3) and
-	// two bad shares of a chunk the read fails.
+	// back before the read widens) and the verified search takes over — at
+	// (2,4) it reads past one bad share, at (2,3) with two bad shares of a
+	// chunk the read fails.
 	for _, n := range []int{4, 3} {
 		cenv := newEnv(t, 4)
 		cc := cenv.client("alice", func(cfg *Config) { cfg.N = n })

@@ -33,7 +33,7 @@ func TestSyncPartialFailureCountAndError(t *testing.T) {
 	vid := head.VersionID()
 
 	// Rot every metadata share of the doomed record on every provider.
-	// The error-correcting decode has nothing intact to work with, so the
+	// The verified search has nothing intact to work with, so the
 	// record is genuinely unreadable — the point is that "good" still syncs.
 	for _, name := range env.names {
 		b := env.backends[name]

@@ -7,14 +7,20 @@ import (
 	"testing"
 )
 
+// is the verify of a blob whose identity is data: a decoding is accepted
+// only if it is exactly data, as a chunk ID accepts only its chunk.
+func is(data []byte) func([]byte) bool {
+	return func(got []byte) bool { return bytes.Equal(got, data) }
+}
+
 func TestDecodeCorrectingCleanShares(t *testing.T) {
 	t.Parallel()
 	c := NewCoder("k")
 	data := bytes.Repeat([]byte("clean"), 100)
 	shares := mustEncode(t, c, data, 2, 4)
-	got, corrupt, err := c.DecodeCorrecting(shares, 4)
-	if err != nil || len(corrupt) != 0 || !bytes.Equal(got, data) {
-		t.Fatalf("clean correcting decode: corrupt=%v err=%v", corrupt, err)
+	got, err := c.DecodeVerified(shares, 4, is(data))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("clean verified decode: err=%v", err)
 	}
 }
 
@@ -23,76 +29,75 @@ func TestDecodeCorrectingOneBadShare(t *testing.T) {
 	c := NewCoder("k")
 	data := bytes.Repeat([]byte{9, 8, 7, 6}, 64)
 	shares := mustEncode(t, c, data, 2, 4)
-	shares[2].Data[shareHeaderLen+5] ^= 0xA5 // flip a payload byte
+	shares[0].Data[shareHeaderLen+5] ^= 0xA5 // a payload byte of the first share tried
 
-	got, corrupt, err := c.DecodeCorrecting(shares, 4)
+	got, err := c.DecodeVerified(shares, 4, is(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("corrected data wrong")
-	}
-	if len(corrupt) != 1 || corrupt[0] != 2 {
-		t.Fatalf("corrupt = %v, want [2]", corrupt)
 	}
 }
 
+// The identity check needs no majority of intact shares: at t=2, two
+// intact shares of four are enough, and so are two of six with four corrupt.
 func TestDecodeCorrectingTwoBadOfSix(t *testing.T) {
 	t.Parallel()
-	// e < (k - t + 1)/2: at t=2, six shares tolerate two corruptions.
 	c := NewCoder("k")
 	data := bytes.Repeat([]byte("payload!"), 50)
-	shares := mustEncode(t, c, data, 2, 6)
-	shares[0].Data[shareHeaderLen] ^= 0xFF
-	shares[4].Data[shareHeaderLen+1] ^= 0x0F
-
-	got, corrupt, err := c.DecodeCorrecting(shares, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("corrected data wrong")
-	}
-	if len(corrupt) != 2 {
-		t.Fatalf("corrupt = %v, want 2 entries", corrupt)
+	for _, tc := range []struct {
+		n   int
+		bad []int
+	}{
+		{4, []int{0, 1}},
+		{4, []int{1, 3}},
+		{6, []int{0, 4}},
+		{6, []int{0, 1, 3, 5}},
+	} {
+		shares := mustEncode(t, c, data, 2, tc.n)
+		for k, i := range tc.bad {
+			shares[i].Data[shareHeaderLen+k] ^= 0x0F
+		}
+		got, err := c.DecodeVerified(shares, tc.n, is(data))
+		if err != nil {
+			t.Fatalf("n=%d bad=%v: %v", tc.n, tc.bad, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("n=%d bad=%v: corrected data wrong", tc.n, tc.bad)
+		}
 	}
 }
 
 func TestDecodeCorrectingTooManyBad(t *testing.T) {
 	t.Parallel()
-	// 3 shares, t=2, one corrupt: majority is 2 of 3 — correctable.
-	// Corrupt two of three: no majority, must refuse rather than guess.
+	// 3 shares, t=2, two corrupt: one intact share is fewer than t, so no
+	// subset decodes to the data, and the search refuses rather than guess.
 	c := NewCoder("k")
 	data := bytes.Repeat([]byte("x"), 64)
 	shares := mustEncode(t, c, data, 2, 3)
 	shares[0].Data[shareHeaderLen] ^= 1
 	shares[1].Data[shareHeaderLen] ^= 2
-	if _, _, err := c.DecodeCorrecting(shares, 3); !errors.Is(err, ErrCorruptShare) {
+	if _, err := c.DecodeVerified(shares, 3, is(data)); !errors.Is(err, ErrCorruptShare) {
 		t.Fatalf("2-of-3 corrupt err = %v, want ErrCorruptShare", err)
 	}
 }
 
 func TestDecodeCorrectingNoSurplus(t *testing.T) {
 	t.Parallel()
-	// Exactly t shares: corruption is undetectable and uncorrectable; the
-	// plain Decode path succeeds silently (no surplus to check against),
-	// so DecodeCorrecting also returns, but content hashing upstream
-	// (chunk IDs) catches it. With t shares and one corrupted, plain
-	// decode can't even notice — this documents the boundary.
+	// Exactly t shares, one corrupted: plain Decode has nothing to check the
+	// result against and returns wrong bytes; the verified search checks the
+	// blob's identity and refuses.
 	c := NewCoder("k")
 	data := bytes.Repeat([]byte("y"), 64)
 	shares := mustEncode(t, c, data, 2, 3)
 	subset := shares[:2]
 	subset[0].Data[shareHeaderLen] ^= 1
-	got, corrupt, err := c.DecodeCorrecting(subset, 3)
-	if err != nil {
-		t.Fatalf("t-shares decode err = %v", err)
+	if got, err := c.Decode(subset, 3); err != nil || bytes.Equal(got, data) {
+		t.Fatalf("plain decode of a corrupt t-set: err=%v, original bytes=%v", err, bytes.Equal(got, data))
 	}
-	if len(corrupt) != 0 {
-		t.Fatalf("corrupt = %v", corrupt)
-	}
-	if bytes.Equal(got, data) {
-		t.Fatal("corrupted t-share decode cannot produce the original")
+	if _, err := c.DecodeVerified(subset, 3, is(data)); !errors.Is(err, ErrCorruptShare) {
+		t.Fatalf("verified decode of a corrupt t-set: err = %v, want ErrCorruptShare", err)
 	}
 }
 
@@ -102,24 +107,24 @@ func TestDecodeCorrectingRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 60; trial++ {
 		tt := 2 + rng.Intn(2)     // 2 or 3
-		n := tt + 2 + rng.Intn(2) // enough surplus for one corruption
+		n := tt + 2 + rng.Intn(2) // two or three surplus shares
 		data := make([]byte, 128+rng.Intn(512))
 		rng.Read(data)
 		shares, err := c.Encode(data, tt, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bad := rng.Intn(n)
-		shares[bad].Data[shareHeaderLen+rng.Intn(len(data)/tt)] ^= byte(1 + rng.Intn(255))
-		got, corrupt, err := c.DecodeCorrecting(shares, n)
+		// Corrupt every share but a random t of them.
+		bad := rng.Perm(n)[tt:]
+		for _, i := range bad {
+			shares[i].Data[shareHeaderLen+rng.Intn(len(data)/tt)] ^= byte(1 + rng.Intn(255))
+		}
+		got, err := c.DecodeVerified(shares, n, is(data))
 		if err != nil {
-			t.Fatalf("trial %d (t=%d n=%d bad=%d): %v", trial, tt, n, bad, err)
+			t.Fatalf("trial %d (t=%d n=%d bad=%v): %v", trial, tt, n, bad, err)
 		}
 		if !bytes.Equal(got, data) {
 			t.Fatalf("trial %d: wrong data", trial)
-		}
-		if len(corrupt) != 1 || corrupt[0] != bad {
-			t.Fatalf("trial %d: corrupt=%v want [%d]", trial, corrupt, bad)
 		}
 	}
 }
@@ -135,7 +140,7 @@ func BenchmarkDecodeCorrecting(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.DecodeCorrecting(shares, 4); err != nil {
+		if _, err := c.DecodeVerified(shares, 4, is(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,18 +20,20 @@ const (
 	numMuts
 )
 
-// maxCorrectingShares bounds the share sets handed to DecodeCorrecting: its
+// maxVerifiedShares bounds the share sets handed to DecodeVerified: its
 // subset search is exponential in the number of distinct shares, which a
 // caller bounds by the providers it fetched from.
-const maxCorrectingShares = 12
+const maxVerifiedShares = 12
 
 // FuzzDecodeShares feeds the three decoders adversarial share sets: an honest
 // encoding of data at a fuzzed (t, n), then a fuzzed script of truncations,
 // oversized bodies, duplicate and out-of-range indices, mixed and zero t
 // headers, flipped bytes, and floods of more shares than MaxN. No decoder may
-// panic, and whatever a decoder accepts must re-encode to the shares it
-// accepted: Decode and DecodeInto keep the last share of each index, and
-// DecodeCorrecting every share it does not report corrupt.
+// panic. Whatever Decode and DecodeInto accept must re-encode to the last
+// share of each index, the ones they keep. DecodeVerified, whose verify is
+// equality with the honest data, returns exactly that data whenever t of the
+// shares it keeps are byte-identical honest shares, and an error whenever it
+// does not return it.
 func FuzzDecodeShares(f *testing.F) {
 	f.Add([]byte("hello, shares"), uint16(1), []byte(nil))
 	f.Add(bytes.Repeat([]byte{7}, 300), uint16(2|3<<3), []byte{mutTruncate, 1, 5, mutExtend, 0, 9})
@@ -53,7 +55,6 @@ func FuzzDecodeShares(f *testing.F) {
 		for i, s := range honest {
 			shares[i] = Share{Index: s.Index, Data: bytes.Clone(s.Data)}
 		}
-		ReleaseShares(honest)
 		for ; len(script) >= 3; script = script[3:] {
 			shares = mutate(shares, script[0]%numMuts, int(script[1]), int(script[2]))
 		}
@@ -69,18 +70,24 @@ func FuzzDecodeShares(f *testing.F) {
 			}
 			requireReencodes(t, coder, "DecodeInto", out[3:], lastOfEachIndex(shares), decodeN)
 		}
-		if len(lastOfEachIndex(shares)) > maxCorrectingShares {
+		kept := lastOfEachIndex(shares)
+		if len(kept) > maxVerifiedShares {
 			return
 		}
-		if out, corrupt, err := coder.DecodeCorrecting(shares, decodeN); err == nil {
-			var kept []Share
-			for _, s := range lastOfEachIndex(shares) {
-				if !slices.Contains(corrupt, s.Index) {
-					kept = append(kept, s)
-				}
+		intact := 0
+		for _, s := range kept {
+			if s.Index >= 0 && s.Index < n && bytes.Equal(s.Data, honest[s.Index].Data) {
+				intact++
 			}
-			requireReencodes(t, coder, "DecodeCorrecting", out, kept, decodeN)
 		}
+		out, err := coder.DecodeVerified(shares, decodeN, func(d []byte) bool { return bytes.Equal(d, data) })
+		switch {
+		case err == nil && !bytes.Equal(out, data):
+			t.Fatal("DecodeVerified returned bytes its verify rejects")
+		case err != nil && intact >= tt:
+			t.Fatalf("DecodeVerified failed with %d intact shares at t=%d: %v", intact, tt, err)
+		}
+		ReleaseShares(honest)
 	})
 }
 

@@ -385,167 +385,85 @@ func (c *Coder) DecodeInto(dst []byte, shares []Share, n int) ([]byte, error) {
 	return dst[:base+int(dataLen)], nil
 }
 
-// sortInts is a tiny insertion sort; share sets are small (t+surplus).
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// DecodeCorrecting reconstructs the chunk even when some supplied shares
-// are corrupt, implementing the paper's §7.1 observation that the
-// Reed-Solomon code "can recover a chunk's data even if there are errors
-// in the t shares used to reconstruct the chunk" — given enough surplus.
+// DecodeVerified reconstructs the chunk from shares of which any may be
+// corrupt, accepting only a decoding that verify confirms carries the blob's
+// identity — its content hash, or its record's version ID. It is the paper's
+// §7.1 observation that the code "can recover a chunk's data even if there
+// are errors in the t shares used": any t intact shares suffice, however many
+// of the others are corrupt.
 //
-// It searches t-subsets of the supplied shares for the decoding consistent
-// with the largest number of shares and accepts it only within the unique-
-// decoding bound: with k shares supplied, up to e < (k - t + 1)/2 corrupt
-// shares are corrected — e.g. (t, n) = (2, 4) with all four fetched
-// tolerates one corruption; fetching six shares at t = 2 tolerates two.
-// Returns the data, the indices of the shares identified as corrupt, and
-// ErrCorruptShare when no unambiguous decoding exists.
-//
-// Shares whose headers are unparsable (or disagree with the majority
-// parameters) are set aside as corrupt before decoding, so rot in a header
-// byte is corrected exactly like rot in the payload.
-func (c *Coder) DecodeCorrecting(shares []Share, n int) (data []byte, corrupt []int, err error) {
-	if len(shares) == 0 {
-		return nil, nil, ErrNotEnough
+// It keeps the last share of each index, as DecodeInto does, and decodes
+// t-subsets of the shares whose headers parse, in ascending index order, so a
+// replay tries the same subsets in the same order. t is the shares' own:
+// shares whose headers disagree on (t, length) are searched as separate
+// groups, the group holding the lowest index first. The search is exponential
+// in the number of shares, which a caller bounds by the providers it fetched
+// from. It returns the first decoding verify accepts; otherwise an error
+// wrapping ErrCorruptShare.
+func (c *Coder) DecodeVerified(shares []Share, n int, verify func([]byte) bool) ([]byte, error) {
+	if n < 1 || n > MaxN {
+		return nil, fmt.Errorf("%w: n=%d", ErrBadParams, n)
 	}
-	// Deduplicate by index (Decode does the same), then set aside shares
-	// whose headers do not parse or that disagree with the majority
-	// (t, length) parameters: they cannot take part in any decoding, and
-	// feeding them to Decode would fail the whole set with a header error
-	// instead of isolating the rot to the share that carries it.
-	all := make(map[int]Share, len(shares))
+	last := make(map[int]Share, len(shares))
 	for _, s := range shares {
-		all[s.Index] = s
+		last[s.Index] = s
 	}
-	type params struct {
+	type group struct {
 		t       int
 		dataLen int64
+		shares  []Share
 	}
-	groups := make(map[params][]int)
-	var headerBad []int
-	for idx, s := range all {
-		st, sl, _, perr := parseHeader(s)
-		if perr != nil || idx < 0 || idx >= n {
-			headerBad = append(headerBad, idx)
+	var groups []group
+	for i := 0; i < n; i++ {
+		s, ok := last[i]
+		if !ok {
 			continue
 		}
-		groups[params{st, sl}] = append(groups[params{st, sl}], idx)
-	}
-	var major params
-	for p, members := range groups {
-		m := groups[major]
-		switch {
-		case len(members) > len(m),
-			len(members) == len(m) && (p.t < major.t || p.t == major.t && p.dataLen < major.dataLen):
-			major = p
+		t, dataLen, _, err := parseHeader(s)
+		if err != nil {
+			continue
 		}
-	}
-	usable := make([]Share, 0, len(groups[major]))
-	headerBad = headerBad[:0]
-	for idx, s := range all {
-		if st, sl, _, perr := parseHeader(s); perr == nil && idx >= 0 && idx < n && st == major.t && sl == major.dataLen {
-			usable = append(usable, s)
-		} else {
-			headerBad = append(headerBad, idx)
+		k := slices.IndexFunc(groups, func(g group) bool { return g.t == t && g.dataLen == dataLen })
+		if k < 0 {
+			k = len(groups)
+			groups = append(groups, group{t: t, dataLen: dataLen})
 		}
+		groups[k].shares = append(groups[k].shares, s)
 	}
-	sortInts(headerBad)
-
-	// Fast path: the parsable majority is internally consistent.
-	if data, err = c.Decode(usable, n); err == nil {
-		return data, headerBad, nil
-	}
-	if !errors.Is(err, ErrCorruptShare) {
-		return nil, nil, err
-	}
-
-	byIndex := make(map[int]Share, len(usable))
-	for _, s := range usable {
-		byIndex[s.Index] = s
-	}
-	idxs := make([]int, 0, len(byIndex))
-	for i := range byIndex {
-		idxs = append(idxs, i)
-	}
-	sortInts(idxs)
-	t := major.t
-	k := len(idxs)
-	if k < t+1 {
-		return nil, nil, fmt.Errorf("%w: cannot correct with %d shares at t=%d", ErrCorruptShare, k, t)
-	}
-
-	type candidate struct {
-		data      []byte
-		agreement int
-		bad       []int
-	}
-	var best *candidate
-	// Scratch reused across the whole subset search: one share slice, one
-	// decode buffer, one re-encode share slice (its pooled buffers are
-	// released after every comparison). Only a new best candidate copies
-	// its data out of the shared buffer.
-	subset := make([]int, t)
-	sub := make([]Share, t)
-	var decBuf []byte
-	re := make([]Share, 0, n)
-	var try func(start, depth int) error
-	try = func(start, depth int) error {
-		if depth == t {
-			for i, ix := range subset {
-				sub[i] = byIndex[ix]
+	var out []byte
+	for _, g := range groups {
+		t, k := g.t, len(g.shares)
+		if k < t {
+			continue
+		}
+		pick := make([]int, t) // positions in g.shares, ascending
+		sub := make([]Share, t)
+		for i := range pick {
+			pick[i] = i
+		}
+		for {
+			for i, p := range pick {
+				sub[i] = g.shares[p]
 			}
-			out, derr := c.DecodeInto(decBuf[:0], sub, n)
-			if derr != nil {
-				return nil // singular/inconsistent subset: skip
-			}
-			decBuf = out
-			// Re-encode and count agreeing shares among all supplied.
-			re, err = c.EncodeTo(re[:0], decBuf, t, n)
-			if err != nil {
-				return err
-			}
-			agree := 0
-			var bad []int
-			for _, ix := range idxs {
-				if bytes.Equal(re[ix].Data, byIndex[ix].Data) {
-					agree++
-				} else {
-					bad = append(bad, ix)
+			if dec, err := c.DecodeInto(out[:0], sub, n); err == nil {
+				if verify(dec) {
+					return dec, nil
 				}
+				out = dec
 			}
-			ReleaseShares(re)
-			if best == nil || agree > best.agreement {
-				best = &candidate{data: append([]byte(nil), decBuf...), agreement: agree, bad: bad}
+			// The next t-subset in lexicographic order.
+			i := t - 1
+			for i >= 0 && pick[i] == k-t+i {
+				i--
 			}
-			return nil
+			if i < 0 {
+				break
+			}
+			pick[i]++
+			for j := i + 1; j < t; j++ {
+				pick[j] = pick[j-1] + 1
+			}
 		}
-		for i := start; i < k; i++ {
-			subset[depth] = idxs[i]
-			if err := try(i+1, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	if err := try(0, 0); err != nil {
-		return nil, nil, err
-	}
-	// Unique-decoding bound: two distinct codewords can agree on at most
-	// t-1 shares, so a decoding with agreement a is unambiguously the
-	// transmitted one iff every alternative (its e = k - a corruptions
-	// plus at most t-1 overlaps) musters strictly less: a > (k + t - 1)/2,
-	// equivalently e < (k - t + 1)/2 — the classic Reed-Solomon error
-	// bound. Below it we refuse rather than guess.
-	if best == nil || 2*best.agreement <= k+t-1 {
-		return nil, nil, fmt.Errorf("%w: no unambiguous decoding among %d shares (t=%d)", ErrCorruptShare, k, t)
-	}
-	bad := append(append([]int(nil), headerBad...), best.bad...)
-	sortInts(bad)
-	return best.data, bad, nil
+	return nil, fmt.Errorf("%w: no t of %d shares decode to a verified blob", ErrCorruptShare, len(last))
 }

@@ -10,8 +10,8 @@ import (
 
 // TestLiveBuffersBalancedOnErrorPaths pins the pool-lifetime contract the
 // streaming pipeline depends on: whatever mix of successful encodes,
-// decodes (including the error-correcting path, which compares share
-// subsets), and injected failures runs, every pooled buffer taken must be
+// decodes (including the verified search, which decodes share subsets),
+// and injected failures runs, every pooled buffer taken must be
 // returned — the live-buffer counter ends where it started, so the pool
 // cannot silently grow under fault injection.
 func TestLiveBuffersBalancedOnErrorPaths(t *testing.T) {
@@ -37,11 +37,11 @@ func TestLiveBuffersBalancedOnErrorPaths(t *testing.T) {
 				t.Fatalf("decode: %v", err)
 			}
 			ReleaseShares(shares)
-		case 2: // corrupt one share and run the correcting decoder
+		case 2: // corrupt one share and run the verified search
 			shares[1].Data[0] ^= 0xFF
-			out, corrupt, err := coder.DecodeCorrecting(shares, MaxN)
+			out, err := coder.DecodeVerified(shares, MaxN, is(data))
 			if err != nil || !bytes.Equal(out, data) {
-				t.Fatalf("correcting decode: %v (corrupt=%v)", err, corrupt)
+				t.Fatalf("verified decode: %v", err)
 			}
 			ReleaseShares(shares)
 		case 3: // simulated upload failure: partial fan-out, early release

@@ -69,8 +69,8 @@ type invEntry struct {
 }
 
 // maxInvCache bounds the inverse-submatrix cache. Steady-state traffic uses
-// a handful of subsets; DecodeCorrecting's subset search can visit many, so
-// past the cap entries are computed without being stored.
+// a handful of subsets; DecodeVerified's search past corrupt shares can visit
+// many, so past the cap entries are computed without being stored.
 const maxInvCache = 1024
 
 // dispEntry returns the cached dispersal matrix for (t, n), building and

@@ -53,9 +53,8 @@ func TestEncodeDropAnyDecodeProperty(t *testing.T) {
 }
 
 // A share whose HEADER is corrupted (not just its payload) must be set
-// aside and corrected like any other corrupt share — a garbled length or
-// parameter field must not make the whole decode bail while a correctable
-// quorum exists.
+// aside like any other corrupt share — a garbled length or parameter field
+// must not make the whole decode bail while t intact shares exist.
 func TestDecodeCorrectingCorruptHeader(t *testing.T) {
 	t.Parallel()
 	c := NewCoder("header-rot-key")
@@ -68,45 +67,59 @@ func TestDecodeCorrectingCorruptHeader(t *testing.T) {
 	// Byte 0 sits in the share header (version/params region).
 	shares[1].Data[0] ^= 0xff
 
-	got, bad, err := c.DecodeCorrecting(shares, n)
+	got, err := c.DecodeVerified(shares, n, is(data))
 	if err != nil {
-		t.Fatalf("DecodeCorrecting with one rotten header: %v", err)
+		t.Fatalf("DecodeVerified with one rotten header: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("reconstruction differs")
 	}
-	if len(bad) != 1 || bad[0] != 1 {
-		t.Fatalf("corrupt set = %v, want [1]", bad)
-	}
 }
 
-// Headers corrupted into *parseable but wrong* parameters must lose the
-// majority vote rather than poison the group selection.
+// Headers corrupted into *parseable but wrong* parameters form a group of
+// their own, which cannot hide the intact shares' decoding.
 func TestDecodeCorrectingHeaderParameterLie(t *testing.T) {
 	t.Parallel()
 	c := NewCoder("param-lie-key")
-	data := []byte("majority parameters win")
+	data := []byte("intact parameters win")
 	const tt, n = 2, 6
 	shares, err := c.Encode(data, tt, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-encode the same data at different parameters and swap one share
-	// in: its header parses cleanly but disagrees with the majority.
+	// Re-encode the same data at different parameters and swap shares in:
+	// their headers parse cleanly but disagree with the rest, and the lowest
+	// index is among them, so their group is searched first.
 	other, err := c.Encode(data, 3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares[4] = other[4]
+	shares[0], shares[4] = other[0], other[4]
+	other[2].Data[shareHeaderLen] ^= 1
+	shares[2] = other[2]
 
-	got, bad, err := c.DecodeCorrecting(shares, n)
+	got, err := c.DecodeVerified(shares, n, is(data))
 	if err != nil {
-		t.Fatalf("DecodeCorrecting with a parameter-lying share: %v", err)
+		t.Fatalf("DecodeVerified with parameter-lying shares: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("reconstruction differs")
 	}
-	if len(bad) != 1 || bad[0] != 4 {
-		t.Fatalf("corrupt set = %v, want [4]", bad)
+}
+
+// The shares carry their own t: a reader whose idea of t differs from the
+// writer's decodes the writer's shares all the same, past a rotten one.
+func TestDecodeVerifiedTakesTFromShares(t *testing.T) {
+	t.Parallel()
+	c := NewCoder("foreign-t-key")
+	data := bytes.Repeat([]byte("written at t=3 "), 20)
+	shares, err := c.Encode(data, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares[0].Data[shareHeaderLen+2] ^= 0x33
+	got, err := c.DecodeVerified(shares, MaxN, is(data))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("t=3 shares with one rotten: err=%v", err)
 	}
 }

@@ -61,13 +61,6 @@ func (r Report) String() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // secs formats a duration in seconds with sensible precision.
 func secs(s float64) string {
 	switch {

@@ -102,8 +102,8 @@ type Options struct {
 	// 0 (the default) fails every provider subset of size N−T, the
 	// system's tolerance; −1 disables simulated failures (the fresh-client
 	// recovery check still runs with everything up — scenarios that
-	// deliberately corrupt chunk shares use this, since a corruption plus
-	// a failure exceeds the correcting decoder's bound); k > 0 fails every
+	// deliberately corrupt chunk shares use this, since N−T failures on top
+	// of a corruption leave fewer than T intact shares); k > 0 fails every
 	// subset of exactly k providers.
 	CheckKills int
 
@@ -200,9 +200,9 @@ func (o Options) withDefaults() Options {
 
 // chunkingConfig is shared by every client and by the invariant checker
 // (which re-chunks acknowledged contents to recompute expected share
-// bytes). Rabin is pinned so a seed keeps replaying the universe it always
-// has.
-var chunkingConfig = chunker.Config{Algorithm: chunker.Rabin, AverageSize: 1024, MinSize: 256, MaxSize: 4096, Window: 48}
+// bytes). It leaves the cut-point algorithm at its default, so the harness
+// runs the chunker the client ships.
+var chunkingConfig = chunker.Config{AverageSize: 1024, MinSize: 256, MaxSize: 4096}
 
 // sharedKey is the key of user 0, the only user of a single-user run.
 const sharedKey = "harness-shared-user-key"

@@ -175,10 +175,10 @@ func TestScenarios(t *testing.T) {
 			},
 		},
 		{
-			// Chunk shares rot. n=4, t=2 gives the unique-decoding budget
-			// to correct one bad share per chunk; CheckKills −1 keeps the
-			// durability sweep from stacking a failure on top of the
-			// corruption (which would exceed e < (k−t+1)/2).
+			// Chunk shares rot. At n=4, t=2 a read recovers a chunk from
+			// any two intact shares; CheckKills −1 keeps the durability
+			// sweep from stacking two failed providers on top of the
+			// corruption (which would leave fewer than t intact).
 			name: "share-corruption",
 			opts: Options{
 				N:          4,

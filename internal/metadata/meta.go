@@ -219,9 +219,6 @@ func (m *FileMeta) versionSum() [sha1.Size]byte {
 	return sha1.Sum(b)
 }
 
-// ObjectName returns the CSP object name for this record.
-func (m *FileMeta) ObjectName() string { return MetaPrefix + m.VersionID() }
-
 // Validate checks structural invariants before a record is accepted into a
 // tree or serialized.
 func (m *FileMeta) Validate() error {

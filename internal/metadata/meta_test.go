@@ -3,7 +3,6 @@ package metadata
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 )
@@ -111,9 +110,6 @@ func TestVersionIDDistinguishes(t *testing.T) {
 	deleted := buildMeta("doc.txt", "v1", "", "alice", true, t0, 2, 3, 100)
 	if base.VersionID() == deleted.VersionID() {
 		t.Error("version ID ignores deletion")
-	}
-	if !strings.HasPrefix(base.ObjectName(), MetaPrefix) {
-		t.Errorf("ObjectName = %q", base.ObjectName())
 	}
 }
 

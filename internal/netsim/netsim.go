@@ -139,23 +139,6 @@ func (n *Network) SetLink(nodeName, csp string, cfg LinkConfig) {
 	nd.links[csp] = &link{cfg: cfg}
 }
 
-// Link returns the current configuration of the link between a node and a
-// CSP. The chaos harness reads it to scale bandwidth up or down mid-run
-// (SetLink with a modified copy) without tracking configs itself.
-func (n *Network) Link(nodeName, csp string) (LinkConfig, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	nd, ok := n.nodes[nodeName]
-	if !ok {
-		return LinkConfig{}, false
-	}
-	l, ok := nd.links[csp]
-	if !ok {
-		return LinkConfig{}, false
-	}
-	return l.cfg, true
-}
-
 // VirtualNow returns the current virtual time in seconds since the base.
 func (n *Network) VirtualNow() float64 {
 	n.mu.Lock()
